@@ -8,7 +8,7 @@ use phylo_bench::scheduling::{adaptive_assignment, default_categories};
 use phylo_bench::Workload;
 use phylo_kernel::{LikelihoodKernel, SequentialKernel};
 use phylo_models::{BranchLengthMode, ModelSet};
-use phylo_parallel::{schedule, Block, Cyclic, RayonExecutor, ScheduleStrategy, WeightedLpt};
+use phylo_parallel::{schedule, Block, Cyclic, ScheduleStrategy, ThreadedExecutor, WeightedLpt};
 use phylo_seqgen::datasets::{mixed_dna_protein, paper_simulated};
 use std::sync::Arc;
 
@@ -51,7 +51,7 @@ fn bench_scheduling_strategies(c: &mut Criterion) {
             adaptive_assignment(&ds, workers, Workload::ModelOptimization).unwrap(),
         ));
         for (label, assignment) in assignments {
-            let exec = RayonExecutor::from_assignment(
+            let exec = ThreadedExecutor::from_assignment(
                 &ds.patterns,
                 &assignment,
                 ds.tree.node_capacity(),
@@ -90,7 +90,7 @@ fn bench_distribution(c: &mut Criterion) {
         let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
         let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
         let assignment = schedule(&ds.patterns, &categories, threads, strategy).unwrap();
-        let exec = RayonExecutor::from_assignment(
+        let exec = ThreadedExecutor::from_assignment(
             &ds.patterns,
             &assignment,
             ds.tree.node_capacity(),

@@ -1,37 +1,28 @@
 //! Self-gating report for the shared per-branch table layer
-//! (`phylo_kernel::tables`): per-region throughput of the table-based
-//! kernels against the per-call reference on the default mixed DNA/protein
-//! dataset, with the numerical-agreement and rescheduling-drift gates that
-//! make the speedup a regression gate instead of a claim.
+//! (`phylo_kernel::tables`) and the two kernel dispatches that read it, on
+//! the default mixed DNA/protein dataset, with the numerical-agreement and
+//! rescheduling-drift gates that make the speedup a regression gate instead
+//! of a claim.
 //!
-//! Six checks, any failure exits non-zero:
+//! Three checks, any failure exits non-zero:
 //!
-//! 1. **Agreement** — per-partition log likelihoods of the shared-table and
-//!    per-call engines agree to ≤ 1e-12 (they are bit-for-bit identical by
-//!    construction).
-//! 2. **Throughput** — an identical likelihood + branch-optimization
-//!    workload on 16 virtual workers must run ≥ 1.3× faster per region with
-//!    shared tables (the per-call path makes all 16 workers redo the same
-//!    O(states³·categories) eigen work per branch; the master builds each
-//!    table once).
-//! 3. **Dispatch** — the cache-blocked, width-specialized inner loops
+//! 1. **Dispatch** — the cache-blocked, width-specialized inner loops
 //!    (`KernelDispatch::Blocked`, the engine default) must run repeated
 //!    cold-CLV evaluation sweeps ≥ 2.5× faster per region than the scalar
 //!    tabled reference (`KernelDispatch::Scalar`), with per-partition lnL
 //!    agreement ≤ 1e-12 and bit-for-bit identity on DNA partitions. The
 //!    sweep times `newview` + `evaluate` only: the sum-table/derivative ops
 //!    are dispatch-independent and would dilute the ratio.
-//! 4. **Calibration** — measured per-pattern cost ratio protein/DNA under
+//! 2. **Calibration** — measured per-pattern cost ratio protein/DNA under
 //!    the blocked kernel (the dispatch the scheduler actually packs for),
 //!    gated against the analytic blocked ratio: the analytic model must stay
 //!    within a factor 2 of the measurement, and protein must measure
 //!    costlier than DNA (container timers are noisy, hence the loose floor).
-//! 5. **Drift** — the staggered-convergence mask-aware rescheduling runs
-//!    (tables on, the engine default) preserve the log likelihood to ≤ 1e-8
-//!    across every mid-run migration.
+//! 3. **Drift** — the staggered-convergence mask-aware rescheduling runs
+//!    preserve the log likelihood to ≤ 1e-8 across every mid-run migration.
 //!
 //! The measured numbers are also written to `BENCH_kernel_tables.json` in
-//! the working directory — the first entry of the perf trajectory.
+//! the working directory.
 //!
 //! Run with `cargo run --release -p phylo-bench --bin kernel_tables`.
 //! Set `PLF_SCALE` (0, 1] to change the dataset size.
@@ -41,66 +32,17 @@ use std::time::Instant;
 
 use phylo_bench::scheduling::{compare_mask_resched, default_mixed_dataset};
 use phylo_data::DataType;
-use phylo_kernel::{KernelDispatch, LikelihoodKernel, SequentialKernel};
+use phylo_kernel::{KernelDispatch, SequentialKernel};
 use phylo_models::{BranchLengthMode, ModelSet};
-use phylo_optimize::{optimize_all_branches, OptimizerConfig, ParallelScheme};
-use phylo_parallel::{schedule, Cyclic, TracingExecutor};
 use phylo_perfmodel::CostCalibration;
 use phylo_seqgen::GeneratedDataset;
 use phylo_telemetry::BenchEnvelope;
 
-const THROUGHPUT_GATE: f64 = 1.3;
 const DISPATCH_GATE: f64 = 2.5;
 const AGREEMENT_GATE: f64 = 1e-12;
 const MODEL_DRIFT_FACTOR_GATE: f64 = 2.0;
 const DRIFT_GATE: f64 = 1e-8;
 const VIRTUAL_WORKERS: usize = 16;
-
-/// One timed run of the standard workload (full likelihood + one
-/// branch-smoothing pass) on `VIRTUAL_WORKERS` virtual workers. The workload
-/// is deterministic and bit-for-bit identical for both kernel paths, so the
-/// wall-clock ratio is a clean per-region throughput ratio.
-struct WorkloadRun {
-    seconds: f64,
-    regions: u64,
-    log_likelihood: f64,
-}
-
-fn run_workload(ds: &GeneratedDataset, shared_tables: bool) -> WorkloadRun {
-    let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
-    let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-    let assignment =
-        schedule(&ds.patterns, &cats, VIRTUAL_WORKERS, &Cyclic).expect("non-empty dataset");
-    let exec =
-        TracingExecutor::from_assignment(&ds.patterns, &assignment, ds.tree.node_capacity(), &cats)
-            .expect("assignment matches dataset");
-    let mut kernel =
-        LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec)
-            .expect("consistent engine parts");
-    kernel.set_shared_tables(shared_tables);
-    let config = OptimizerConfig::search_phase(ParallelScheme::New);
-    let start = Instant::now();
-    let _ = kernel
-        .try_log_likelihood()
-        .expect("virtual workers cannot die");
-    let (log_likelihood, _) =
-        optimize_all_branches(&mut kernel, None, &config).expect("optimization succeeds");
-    WorkloadRun {
-        seconds: start.elapsed().as_secs_f64(),
-        regions: kernel.sync_events(),
-        log_likelihood,
-    }
-}
-
-/// Best-of-`reps` wall clock for one configuration (minimum is the standard
-/// noise-robust estimator for deterministic workloads; the headroom between
-/// the measured ≈1.6x and the 1.3x gate absorbs the residual CI jitter).
-fn best_of(ds: &GeneratedDataset, shared_tables: bool, reps: usize) -> WorkloadRun {
-    (0..reps)
-        .map(|_| run_workload(ds, shared_tables))
-        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-        .expect("at least one rep")
-}
 
 /// Best-of-`reps` seconds for one full cold-CLV evaluation sweep (every
 /// partition's newview chain plus the root evaluation) under the kernel's
@@ -155,90 +97,21 @@ fn main() {
         .run_num("patterns", dataset.total_patterns() as f64)
         .run_num("virtual_workers", VIRTUAL_WORKERS as f64)
         .run_str("mode", "best-of-5")
-        .gate("throughput_min", THROUGHPUT_GATE)
         .gate("dispatch_min", DISPATCH_GATE)
         .gate("agreement_max", AGREEMENT_GATE)
         .gate("model_drift_factor_max", MODEL_DRIFT_FACTOR_GATE)
         .gate("drift_max", DRIFT_GATE);
     let mut violations = 0usize;
 
-    // 1. Agreement: shared tables vs per-call reference, per-partition lnL.
-    let models = ModelSet::default_for(&dataset.patterns, BranchLengthMode::PerPartition);
+    // 1. Blocked vs scalar dispatch on repeated cold-CLV evaluation sweeps:
+    // one engine on the blocked default, a second pinned to the scalar
+    // tabled reference.
     let mut tabled = SequentialKernel::build(
         Arc::clone(&dataset.patterns),
         dataset.tree.clone(),
-        models.clone(),
+        ModelSet::default_for(&dataset.patterns, BranchLengthMode::PerPartition),
     )
     .unwrap();
-    let mut reference =
-        SequentialKernel::build(Arc::clone(&dataset.patterns), dataset.tree.clone(), models)
-            .unwrap();
-    reference.set_shared_tables(false);
-    let mask = tabled.full_mask();
-    let root = tabled.default_root_branch();
-    let a = tabled
-        .try_log_likelihood_partitions(root, &mask)
-        .expect("tabled evaluation");
-    let r = reference
-        .try_log_likelihood_partitions(root, &mask)
-        .expect("reference evaluation");
-    let agreement: f64 = a
-        .iter()
-        .zip(r.iter())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max);
-    println!(
-        "agreement: max per-partition |Δ lnL| = {agreement:.3e} (gate ≤ {AGREEMENT_GATE:.0e})"
-    );
-    if agreement.is_nan() || agreement > AGREEMENT_GATE {
-        let msg = "table kernels disagree with the per-call reference".to_string();
-        eprintln!("REGRESSION: {msg}");
-        envelope.violation(msg);
-        violations += 1;
-    }
-
-    // 2. Per-region throughput on 16 virtual workers.
-    let with_tables = best_of(&dataset, true, 5);
-    let per_call = best_of(&dataset, false, 5);
-    assert_eq!(
-        with_tables.regions, per_call.regions,
-        "identical workloads must issue identical region counts"
-    );
-    let lnl_gap = (with_tables.log_likelihood - per_call.log_likelihood).abs();
-    let ratio = per_call.seconds / with_tables.seconds;
-    println!(
-        "\nthroughput ({} virtual workers, {} regions):",
-        VIRTUAL_WORKERS, per_call.regions
-    );
-    println!(
-        "  per-call   {:>8.3} s  ({:.1} regions/s)",
-        per_call.seconds,
-        per_call.regions as f64 / per_call.seconds
-    );
-    println!(
-        "  shared     {:>8.3} s  ({:.1} regions/s)",
-        with_tables.seconds,
-        with_tables.regions as f64 / with_tables.seconds
-    );
-    println!("  ratio      {ratio:>8.2}x  (gate ≥ {THROUGHPUT_GATE}x)   |Δ lnL| = {lnl_gap:.2e}");
-    if ratio.is_nan() || ratio < THROUGHPUT_GATE {
-        let msg = format!(
-            "shared tables only {ratio:.2}x faster than per-call (gate {THROUGHPUT_GATE}x)"
-        );
-        eprintln!("REGRESSION: {msg}");
-        envelope.violation(msg);
-        violations += 1;
-    }
-    if lnl_gap.is_nan() || lnl_gap > 1e-8 {
-        let msg = "the two paths optimized to different likelihoods".to_string();
-        eprintln!("REGRESSION: {msg}");
-        envelope.violation(msg);
-        violations += 1;
-    }
-
-    // 3. Blocked vs scalar dispatch on repeated cold-CLV evaluation sweeps.
-    // `tabled` currently runs the blocked default; a second engine is pinned
-    // to the scalar tabled reference.
     let mut scalar = SequentialKernel::build(
         Arc::clone(&dataset.patterns),
         dataset.tree.clone(),
@@ -287,7 +160,7 @@ fn main() {
         violations += 1;
     }
 
-    // 4. Measured per-pattern cost calibration under the blocked kernel (the
+    // 2. Measured per-pattern cost calibration under the blocked kernel (the
     // dispatch the scheduler actually packs for), gated against the analytic
     // blocked ratio: the model may not drift beyond a factor 2 from the
     // hardware.
@@ -316,11 +189,10 @@ fn main() {
     println!("  DNA      {:.3e} s/pattern", dna);
     println!("  protein  {:.3e} s/pattern", protein);
     println!(
-        "  ratio    {:.1}  (analytic blocked {:.1}, tabled {:.1}, per-call was {:.1}; drift factor {:.2}, gate ≤ {:.1})",
+        "  ratio    {:.1}  (analytic blocked {:.1}, tabled {:.1}; drift factor {:.2}, gate ≤ {:.1})",
         calibration.ratio(),
         analytic_blocked,
         CostCalibration::analytic_ratio_tabled(categories),
-        CostCalibration::analytic_ratio_per_call(categories),
         drift_factor,
         MODEL_DRIFT_FACTOR_GATE
     );
@@ -340,11 +212,10 @@ fn main() {
         violations += 1;
     }
 
-    // 5. Zero drift through the mask-aware/adaptive rescheduling runs (the
-    // engines in there run with shared tables — the default).
+    // 3. Zero drift through the mask-aware/adaptive rescheduling runs.
     let staggered = staggered_convergence_dataset_local();
-    let comparison =
-        compare_mask_resched(&staggered, 16).expect("virtual executors cannot lose workers");
+    let comparison = compare_mask_resched(&staggered, VIRTUAL_WORKERS)
+        .expect("virtual executors cannot lose workers");
     let mut worst_drift = 0.0f64;
     for run in &comparison.runs {
         if run.max_lnl_drift.is_nan() || run.max_lnl_drift > DRIFT_GATE {
@@ -358,14 +229,9 @@ fn main() {
         }
         worst_drift = worst_drift.max(run.max_lnl_drift);
     }
-    println!("\nrescheduling drift (tables on): max |Δ lnL| = {worst_drift:.2e} (gate ≤ {DRIFT_GATE:.0e})");
+    println!("\nrescheduling drift: max |Δ lnL| = {worst_drift:.2e} (gate ≤ {DRIFT_GATE:.0e})");
 
     // Emit the trajectory record in the shared envelope schema.
-    envelope.measure("regions", per_call.regions as f64);
-    envelope.measure("per_call_seconds", per_call.seconds);
-    envelope.measure("shared_tables_seconds", with_tables.seconds);
-    envelope.measure("throughput_ratio", ratio);
-    envelope.measure("agreement_max_abs_dlnl", agreement);
     envelope.measure("dispatch_scalar_seconds", scalar_seconds);
     envelope.measure("dispatch_blocked_seconds", blocked_seconds);
     envelope.measure("dispatch_ratio", dispatch_ratio);
@@ -376,10 +242,6 @@ fn main() {
     envelope.measure(
         "analytic_tabled_ratio",
         CostCalibration::analytic_ratio_tabled(categories),
-    );
-    envelope.measure(
-        "analytic_per_call_ratio",
-        CostCalibration::analytic_ratio_per_call(categories),
     );
     envelope.measure("resched_max_drift", worst_drift);
     let path = "BENCH_kernel_tables.json";

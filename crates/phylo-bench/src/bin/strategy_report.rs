@@ -75,7 +75,7 @@ fn main() {
             violations += 1;
         }
     }
-    println!("weighted-lpt packs by predicted cost (protein ≈25x DNA); trace-adaptive");
+    println!("weighted-lpt packs by predicted cost (protein 21x DNA); trace-adaptive");
     println!("additionally corrects the cost model with a measured warm-up trace.");
     let path = "BENCH_strategy_report.json";
     match std::fs::write(path, envelope.to_json()) {

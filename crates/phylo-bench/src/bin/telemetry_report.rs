@@ -54,7 +54,7 @@ const TIMELINE_REGION_LINES: usize = 48;
 
 fn cyclic_assignment(dataset: &GeneratedDataset, workers: usize) -> (PatternCosts, Assignment) {
     let categories = default_categories(dataset);
-    let costs = PatternCosts::analytic(&dataset.patterns, &categories);
+    let costs = PatternCosts::analytic_tabled(&dataset.patterns, &categories);
     let assignment = Cyclic
         .assign(&costs, workers)
         .expect("cyclic accepts any non-empty dataset");

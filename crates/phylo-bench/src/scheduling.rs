@@ -76,7 +76,7 @@ pub fn adaptive_assignment(
     workload: Workload,
 ) -> Result<Assignment, SchedError> {
     let categories = default_categories(dataset);
-    let costs = PatternCosts::analytic(&dataset.patterns, &categories);
+    let costs = PatternCosts::analytic_tabled(&dataset.patterns, &categories);
     let warmup = Cyclic.assign(&costs, workers)?;
     let (trace, _) = run_traced_assignment(
         dataset,
@@ -105,7 +105,7 @@ pub fn compare_strategies(
     platform: &Platform,
 ) -> Result<StrategyComparison, SchedError> {
     let categories = default_categories(dataset);
-    let costs = PatternCosts::analytic(&dataset.patterns, &categories);
+    let costs = PatternCosts::analytic_tabled(&dataset.patterns, &categories);
 
     let run = |assignment: &Assignment| {
         run_traced_assignment(
@@ -246,7 +246,7 @@ pub fn compare_adaptive_resched(
     probe_repeats: usize,
 ) -> Result<AdaptiveComparison, OptimizeError> {
     let categories = default_categories(dataset);
-    let costs = PatternCosts::analytic(&dataset.patterns, &categories);
+    let costs = PatternCosts::analytic_tabled(&dataset.patterns, &categories);
     let cyclic = Cyclic
         .assign(&costs, workers)
         .map_err(OptimizeError::Sched)?;
@@ -467,7 +467,7 @@ fn mask_run(
     policy: Option<ReschedulePolicy>,
 ) -> Result<MaskRunStats, OptimizeError> {
     let categories = default_categories(dataset);
-    let costs = PatternCosts::analytic(&dataset.patterns, &categories);
+    let costs = PatternCosts::analytic_tabled(&dataset.patterns, &categories);
     let cyclic = Cyclic
         .assign(&costs, workers)
         .map_err(OptimizeError::Sched)?;
@@ -650,7 +650,7 @@ mod tests {
         // protein partitions.
         let ds = mixed_dna_protein(10, 12, 4, 80, 2009).generate();
         let categories = default_categories(&ds);
-        let costs = PatternCosts::analytic(&ds.patterns, &categories);
+        let costs = PatternCosts::analytic_tabled(&ds.patterns, &categories);
         for workers in [4usize, 8, 16] {
             let lpt = WeightedLpt.assign(&costs, workers).unwrap();
             let block = Block.assign(&costs, workers).unwrap();

@@ -6,31 +6,27 @@
 //! loops in [`crate::ops`]; absolute constants do not matter for the
 //! load-balance analysis (they cancel in speedups), but the *ratios* between
 //! data types do: a 20-state protein column costs roughly
-//! `(20/4)² = 25×` more than a DNA column in `newview`, which is exactly the
-//! argument the paper makes for why the protein datasets suffer less from the
-//! load imbalance.
+//! `(20/4)² = 25×` more than a DNA column in `newview` (21× once tip children
+//! are table lookups), which is exactly the argument the paper makes for why
+//! the protein datasets suffer less from the load imbalance.
+//!
+//! There is one `newview` cost per [`crate::tables::KernelDispatch`] variant:
+//! [`newview_flops_tabled`] for `Scalar`, [`newview_flops_blocked`] for
+//! `Blocked`.
 
-/// Floating-point operations for one `newview` pattern: for every rate
-/// category and target state, two inner products of length `states` plus one
-/// multiply.
-pub fn newview_flops(states: usize, categories: usize) -> f64 {
-    (categories * states * (4 * states + 1)) as f64
-}
-
-/// Floating-point operations for one `newview` pattern under the
-/// **shared-table kernel** (see [`crate::tables`]): internal children still
-/// cost an inner product of length `states` per (category, state), but tip
-/// children collapse to a single precomputed lookup. In an unrooted binary
-/// tree with `n` taxa the traversal's `n − 2` steps have `2(n − 2)` child
-/// slots of which `n` are tips, so the expected child mix is ≈ half tips —
-/// per (category, state): `2·(2·states + 1)/2` for the two children plus one
-/// multiply, i.e. `2·states + 2`.
+/// Floating-point operations for one `newview` pattern under the scalar
+/// **shared-table kernel** (see [`crate::tables`]): an internal child costs
+/// an inner product of length `states` per (category, state), a tip child a
+/// single precomputed lookup. In an unrooted binary tree with `n` taxa the
+/// traversal's `n − 2` steps have `2(n − 2)` child slots of which `n` are
+/// tips, so the expected child mix is ≈ half tips — per (category, state):
+/// `2·(2·states + 1)/2` for the two children plus one multiply, i.e.
+/// `2·states + 2`.
 ///
-/// This is the *recalibrated* analytic cost the schedulers should pack
-/// against when the engine runs with shared tables: the protein/DNA ratio
-/// drops from `(4·20+1)/(4·4+1) · 5 ≈ 23.8` to `(2·20+2)/(2·4+2) · 5 = 21`
-/// because tip lookups flatten the per-state gap (`phylo-perfmodel`'s
-/// `CostCalibration` checks this against measured per-pattern costs).
+/// The protein/DNA ratio is `(2·20+2)/(2·4+2) · 5 = 21`: tip lookups flatten
+/// the per-state gap below the `(20/4)² = 25` of two dense inner products
+/// (`phylo-perfmodel`'s `CostCalibration` checks this against measured
+/// per-pattern costs).
 pub fn newview_flops_tabled(states: usize, categories: usize) -> f64 {
     (categories * states * (2 * states + 2)) as f64
 }
@@ -548,8 +544,8 @@ mod tests {
 
     #[test]
     fn protein_newview_is_about_25x_dna() {
-        let dna = newview_flops(4, 4);
-        let protein = newview_flops(20, 4);
+        let dna = newview_flops_tabled(4, 4);
+        let protein = newview_flops_tabled(20, 4);
         let ratio = protein / dna;
         assert!(
             (20.0..30.0).contains(&ratio),
@@ -559,13 +555,15 @@ mod tests {
 
     #[test]
     fn derivative_iterations_are_much_cheaper_than_newview() {
-        assert!(derivative_flops(4, 4) < newview_flops(4, 4) / 2.0);
-        assert!(derivative_flops(20, 4) < newview_flops(20, 4) / 2.0);
+        // One Newton probe is O(states) per (pattern, category), one newview
+        // O(states²): the gap is modest at 4 states and wide at 20.
+        assert!(derivative_flops(4, 4) < newview_flops_tabled(4, 4));
+        assert!(derivative_flops(20, 4) < newview_flops_tabled(20, 4) / 2.0);
     }
 
     #[test]
     fn costs_scale_with_categories() {
-        assert!((newview_flops(4, 8) / newview_flops(4, 4) - 2.0).abs() < 1e-12);
+        assert!((newview_flops_tabled(4, 8) / newview_flops_tabled(4, 4) - 2.0).abs() < 1e-12);
         assert!((evaluate_flops(4, 1) * 4.0 - evaluate_flops(4, 4)).abs() < 1e-12);
     }
 

@@ -73,7 +73,6 @@ pub struct KernelStats {
 /// topology changes). See [`crate::tables`] for what the tables hold.
 #[derive(Debug, Clone)]
 struct TableStore {
-    enabled: bool,
     /// Inner-loop implementation stamped into every table payload.
     dispatch: KernelDispatch,
     dicts: Vec<Arc<MaskDictionary>>,
@@ -104,7 +103,6 @@ impl TableStore {
             .map(|p| Arc::new(MaskDictionary::for_partition(p.data_type, &p.tip_states)))
             .collect();
         Self {
-            enabled: true,
             dispatch: KernelDispatch::default(),
             dicts,
             cache: HashMap::new(),
@@ -333,23 +331,6 @@ impl<E: Executor> LikelihoodKernel<E> {
         self.data.tree.neighbors(0)[0].1
     }
 
-    /// Whether commands carry shared per-branch tables (the default) or take
-    /// the per-call reference path.
-    pub fn shared_tables(&self) -> bool {
-        self.data.tables.enabled
-    }
-
-    /// Switches between the shared-table kernels and the per-call reference
-    /// path. Results are identical bit for bit; the reference path exists as
-    /// the property-tested ground truth and the baseline of the
-    /// `kernel_tables` benchmark gate.
-    pub fn set_shared_tables(&mut self, enabled: bool) {
-        self.data.tables.enabled = enabled;
-        if !enabled {
-            self.data.tables.clear();
-        }
-    }
-
     /// Which inner-loop implementation the shared-table kernels run
     /// ([`KernelDispatch::Blocked`] by default).
     pub fn dispatch(&self) -> KernelDispatch {
@@ -362,8 +343,7 @@ impl<E: Executor> LikelihoodKernel<E> {
     /// reference the differential harness compares against;
     /// [`KernelDispatch::Blocked`] is the fast default (DNA bit-identical,
     /// protein within the documented ≤1e-12 lnL tolerance — see
-    /// [`crate::blocked`]). Irrelevant while shared tables are disabled (the
-    /// per-call reference path has a single implementation).
+    /// [`crate::blocked`]).
     pub fn set_dispatch(&mut self, dispatch: KernelDispatch) {
         self.data.tables.dispatch = dispatch;
     }
@@ -514,19 +494,13 @@ impl<E: Executor> LikelihoodKernel<E> {
         if updates == 0 {
             return Ok(0);
         }
-        let tables = if self.data.tables.enabled {
-            Some(self.newview_tables(&plans)?)
-        } else {
-            None
-        };
         let op = KernelOp::Newview {
+            tables: self.newview_tables(&plans)?,
             plans: plans.clone(),
-            tables,
         };
         let ctx = ExecContext {
             tree: &self.data.tree,
             models: &self.data.models,
-            branch_lengths: &self.data.branch_lengths,
         };
         self.executor.execute(&op, &ctx)?;
         // Record the new orientations in the validity cache — only after the
@@ -554,20 +528,14 @@ impl<E: Executor> LikelihoodKernel<E> {
         mask: &PartitionMask,
     ) -> Result<Vec<f64>, KernelError> {
         self.try_update_clvs(root_branch, mask)?;
-        let tables = if self.data.tables.enabled {
-            Some(self.edge_tables(root_branch, mask)?)
-        } else {
-            None
-        };
         let op = KernelOp::Evaluate {
             root_branch,
             mask: mask.clone(),
-            tables,
+            tables: self.edge_tables(root_branch, mask)?,
         };
         let ctx = ExecContext {
             tree: &self.data.tree,
             models: &self.data.models,
-            branch_lengths: &self.data.branch_lengths,
         };
         let out = self.executor.execute(&op, &ctx)?;
         // Count the evaluation only once the backend actually performed it,
@@ -687,7 +655,6 @@ impl<E: Executor> LikelihoodKernel<E> {
         let ctx = ExecContext {
             tree: &self.data.tree,
             models: &self.data.models,
-            branch_lengths: &self.data.branch_lengths,
         };
         self.executor.execute(&op, &ctx)?;
         self.stats.sumtable_builds += 1;
@@ -726,7 +693,6 @@ impl<E: Executor> LikelihoodKernel<E> {
         let ctx = ExecContext {
             tree: &self.data.tree,
             models: &self.data.models,
-            branch_lengths: &self.data.branch_lengths,
         };
         let out = self.executor.execute(&op, &ctx)?;
         self.stats.derivative_calls += 1;
@@ -866,6 +832,52 @@ mod tests {
         let (pp, tree) = small_dataset(taxa, columns, partition_len, seed);
         let models = ModelSet::default_for(&pp, mode);
         SequentialKernel::build(pp, tree, models).unwrap()
+    }
+
+    /// Per-partition lnL at `root` from the scalar tabled kernels driven
+    /// directly, every table built on the spot from the engine's current
+    /// lengths and models: what the engine must return whatever its table
+    /// cache and cross-branch sharing index hold.
+    fn fresh_table_reference(k: &SequentialKernel, root: BranchId) -> Vec<f64> {
+        use crate::ops::{evaluate_edge_tabled, newview_step_tabled};
+        use crate::slice::WorkerSlices;
+
+        let pp = k.patterns();
+        let tree = k.tree();
+        let cats: Vec<usize> = k.models().models().iter().map(|m| m.categories()).collect();
+        let mut ws = WorkerSlices::cyclic(pp, 0, 1, tree.node_capacity(), &cats);
+        let (left, right) = tree.branch_endpoints(root);
+        let plan = TraversalPlan::full(tree, root);
+        (0..k.partition_count())
+            .map(|pi| {
+                let part = &pp.partitions[pi];
+                let model = k.models().model(pi);
+                let dict = Arc::new(MaskDictionary::for_partition(
+                    part.data_type,
+                    &part.tip_states,
+                ));
+                let tables = |b| {
+                    Arc::new(BranchTables::build(model, &dict, k.branch_length(pi, b)).unwrap())
+                };
+                for step in &plan.steps {
+                    let step_tables = StepTables {
+                        left: tables(step.left_branch),
+                        right: tables(step.right_branch),
+                    };
+                    newview_step_tabled(&ws.slices[pi], &mut ws.buffers[pi], step, &step_tables)
+                        .unwrap();
+                }
+                evaluate_edge_tabled(
+                    &ws.slices[pi],
+                    &mut ws.buffers[pi],
+                    model,
+                    left,
+                    right,
+                    &tables(root),
+                )
+                .unwrap()
+            })
+            .collect()
     }
 
     #[test]
@@ -1051,28 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_tables_match_the_per_call_reference_bit_for_bit() {
-        let (pp, tree) = small_dataset(8, 80, 20, 21);
-        let models = ModelSet::default_for(&pp, BranchLengthMode::PerPartition);
-        let mut tabled =
-            SequentialKernel::build(Arc::clone(&pp), tree.clone(), models.clone()).unwrap();
-        let mut reference = SequentialKernel::build(pp, tree, models).unwrap();
-        assert!(tabled.shared_tables(), "tables are the default");
-        reference.set_shared_tables(false);
-
-        for b in tabled.tree().branches().collect::<Vec<_>>() {
-            let mask = tabled.full_mask();
-            let a = tabled.try_log_likelihood_partitions(b, &mask).unwrap();
-            let r = reference.try_log_likelihood_partitions(b, &mask).unwrap();
-            // Identical arithmetic in identical order: exactly equal, not
-            // just within tolerance.
-            assert_eq!(a, r, "branch {b}");
-        }
-        assert!(tabled.stats().table_builds > 0);
-        assert_eq!(reference.stats().table_builds, 0);
-    }
-
-    #[test]
     fn table_cache_reuses_and_invalidates() {
         let mut k = engine(8, 60, 20, BranchLengthMode::Joint, 22);
         let _ = k.try_log_likelihood().unwrap();
@@ -1091,14 +1081,6 @@ mod tests {
         assert!(k.cached_branch_tables() < cached);
         let _ = k.try_log_likelihood().unwrap();
         assert!(k.stats().table_builds > after_first);
-
-        // Disabling the tables clears the cache and stops building.
-        let builds = k.stats().table_builds;
-        k.set_shared_tables(false);
-        assert_eq!(k.cached_branch_tables(), 0);
-        k.invalidate_all();
-        let _ = k.try_log_likelihood().unwrap();
-        assert_eq!(k.stats().table_builds, builds);
     }
 
     #[test]
@@ -1182,25 +1164,25 @@ mod tests {
     fn equal_branch_lengths_share_tables_across_branches() {
         let (pp, tree) = small_dataset(8, 80, 20, 27);
         let models = ModelSet::default_for(&pp, BranchLengthMode::Joint);
-        let mut k = SequentialKernel::build(Arc::clone(&pp), tree.clone(), models.clone()).unwrap();
-        let mut reference = SequentialKernel::build(pp, tree, models).unwrap();
-        reference.set_shared_tables(false);
+        let mut k = SequentialKernel::build(pp, tree, models).unwrap();
 
         // Force the post-smoothing shape: every branch at the same length.
         let branches: Vec<BranchId> = k.tree().branches().collect();
         for &b in &branches {
             k.set_branch_length(BranchScope::All, b, 0.137);
-            reference.set_branch_length(BranchScope::All, b, 0.137);
         }
         k.invalidate_all();
         let before = k.stats();
         let mask = k.full_mask();
         let root = k.default_root_branch();
         let a = k.try_log_likelihood_partitions(root, &mask).unwrap();
-        let r = reference
-            .try_log_likelihood_partitions(root, &mask)
-            .unwrap();
-        assert_eq!(a, r, "shared tables must stay bit-identical");
+        // DNA: the default blocked dispatch is bit-for-bit with the scalar
+        // loops, so sharing one table across branches must not move a bit.
+        assert_eq!(
+            a,
+            fresh_table_reference(&k, root),
+            "shared tables must stay bit-identical"
+        );
 
         let stats = k.stats();
         // One eigen build per (partition, distinct length) — everything else
@@ -1221,12 +1203,9 @@ mod tests {
     fn table_dedup_never_serves_stale_tables_after_a_model_change() {
         let (pp, tree) = small_dataset(7, 60, 30, 28);
         let models = ModelSet::default_for(&pp, BranchLengthMode::Joint);
-        let mut k = SequentialKernel::build(Arc::clone(&pp), tree.clone(), models.clone()).unwrap();
-        let mut reference = SequentialKernel::build(pp, tree, models).unwrap();
-        reference.set_shared_tables(false);
+        let mut k = SequentialKernel::build(pp, tree, models).unwrap();
         for b in k.tree().branches().collect::<Vec<_>>() {
             k.set_branch_length(BranchScope::All, b, 0.2);
-            reference.set_branch_length(BranchScope::All, b, 0.2);
         }
         let _ = k.try_log_likelihood().unwrap();
         assert!(k.cached_length_tables() > 0);
@@ -1234,18 +1213,14 @@ mod tests {
         // A model change must purge the partition's length-keyed entries too:
         // the old tables were built under the old α.
         k.set_alpha(0, 0.55);
-        reference.set_alpha(0, 0.55);
         let mask = k.full_mask();
         let root = k.default_root_branch();
         let a = k.try_log_likelihood_partitions(root, &mask).unwrap();
-        let r = reference
-            .try_log_likelihood_partitions(root, &mask)
-            .unwrap();
-        assert_eq!(a, r, "dedup after a model change must rebuild, not reuse");
-
-        // Disabling shared tables drops the sharing index with the rest.
-        k.set_shared_tables(false);
-        assert_eq!(k.cached_length_tables(), 0);
+        assert_eq!(
+            a,
+            fresh_table_reference(&k, root),
+            "dedup after a model change must rebuild, not reuse"
+        );
     }
 
     #[test]

@@ -24,7 +24,6 @@ use phylo_models::ModelSet;
 use phylo_tree::{BranchId, TraversalPlan, Tree};
 
 use crate::blocked;
-use crate::branch_lengths::BranchLengths;
 use crate::error::{KernelError, OpError};
 use crate::ops::{self, EdgeDerivatives};
 use crate::slice::WorkerSlices;
@@ -37,13 +36,12 @@ pub type PartitionMask = Vec<bool>;
 
 /// A command broadcast by the master to all workers.
 ///
-/// The CLV-touching commands optionally carry **shared branch tables**
+/// The CLV-touching commands carry **shared branch tables**
 /// (master-precomputed transition matrices + tip lookup rows, see
-/// [`crate::tables`]) inside an `Arc`: every worker then reads the same
-/// read-only tables instead of redoing the O(states³·categories) eigen work
-/// per call. `None` selects the per-call reference path. The payload also
-/// carries a [`KernelDispatch`] selecting between the scalar tabled loops
-/// (bit-for-bit with the per-call reference) and the cache-blocked
+/// [`crate::tables`]) inside an `Arc`: every worker reads the same read-only
+/// tables, so the O(states³·categories) eigen work is done once per branch by
+/// the master. The payload also carries a [`KernelDispatch`] selecting
+/// between the scalar tabled loops (the reference) and the cache-blocked
 /// width-specialized loops (see [`crate::blocked`] for the tolerance
 /// contract).
 #[derive(Debug, Clone)]
@@ -53,9 +51,8 @@ pub enum KernelOp {
     Newview {
         /// One optional plan per partition.
         plans: Vec<Option<TraversalPlan>>,
-        /// Shared per-step branch tables (aligned with the plans), or `None`
-        /// for the per-call reference path.
-        tables: Option<Arc<NewviewTables>>,
+        /// Shared per-step branch tables (aligned with the plans).
+        tables: Arc<NewviewTables>,
     },
     /// Evaluate the per-partition log likelihood at a virtual root branch.
     Evaluate {
@@ -63,9 +60,8 @@ pub enum KernelOp {
         root_branch: BranchId,
         /// Active partitions.
         mask: PartitionMask,
-        /// Shared virtual-root branch tables per partition, or `None` for
-        /// the per-call reference path.
-        tables: Option<Arc<EdgeTables>>,
+        /// Shared virtual-root branch tables per partition.
+        tables: Arc<EdgeTables>,
     },
     /// Build the branch sum tables used by Newton–Raphson.
     Sumtable {
@@ -146,8 +142,6 @@ pub struct ExecContext<'a> {
     pub tree: &'a Tree,
     /// Per-partition models.
     pub models: &'a ModelSet,
-    /// Joint or per-partition branch lengths.
-    pub branch_lengths: &'a BranchLengths,
 }
 
 /// Reduced result of a command.
@@ -291,10 +285,6 @@ pub trait Executor {
 /// building block: the sequential executor calls it once, the threaded and
 /// tracing executors call it per worker.
 ///
-/// Commands carrying shared [`crate::tables::BranchTables`] take the
-/// table-based kernel path; commands without take the per-call reference
-/// path. Results are identical.
-///
 /// # Errors
 ///
 /// [`OpError`] when a kernel primitive rejects its inputs (mismatched buffer
@@ -314,67 +304,41 @@ pub fn execute_on_worker(
                 if slice.pattern_count() == 0 {
                     continue;
                 }
-                let step_tables = match tables.as_deref() {
-                    Some(t) => {
-                        // `.get` guards payloads shorter than the partition
-                        // count: a malformed payload must be a typed error,
-                        // not an index panic that kills (and poisons) a
-                        // healthy worker.
-                        let steps = t
-                            .per_partition
-                            .get(pi)
-                            .and_then(|s| s.as_deref())
-                            .unwrap_or(&[]);
-                        if steps.len() != plan.steps.len() {
-                            return Err(OpError::TableShape {
-                                partition: pi,
-                                expected: plan.steps.len(),
-                                got: steps.len(),
-                            });
-                        }
-                        Some((steps, t.dispatch))
-                    }
-                    None => None,
-                };
-                let model = ctx.models.model(pi);
-                for (si, step) in plan.steps.iter().enumerate() {
-                    match step_tables {
-                        Some((steps, KernelDispatch::Blocked)) => {
-                            blocked::newview_step_blocked(
-                                slice,
-                                &mut worker.buffers[pi],
-                                step,
-                                &steps[si],
-                            )?;
-                        }
-                        Some((steps, KernelDispatch::Scalar)) => {
-                            ops::newview_step_tabled(
-                                slice,
-                                &mut worker.buffers[pi],
-                                step,
-                                &steps[si],
-                            )?;
-                        }
-                        None => {
-                            let left_len = ctx.branch_lengths.get(pi, step.left_branch);
-                            let right_len = ctx.branch_lengths.get(pi, step.right_branch);
-                            ops::newview_step(
-                                slice,
-                                &mut worker.buffers[pi],
-                                model,
-                                step,
-                                left_len,
-                                right_len,
-                            )?;
-                        }
+                // `.get` guards payloads shorter than the partition count: a
+                // malformed payload must be a typed error, not an index panic
+                // that kills (and poisons) a healthy worker.
+                let steps = tables
+                    .per_partition
+                    .get(pi)
+                    .and_then(|s| s.as_deref())
+                    .unwrap_or(&[]);
+                if steps.len() != plan.steps.len() {
+                    return Err(OpError::TableShape {
+                        partition: pi,
+                        expected: plan.steps.len(),
+                        got: steps.len(),
+                    });
+                }
+                for (step, step_tables) in plan.steps.iter().zip(steps) {
+                    match tables.dispatch {
+                        KernelDispatch::Blocked => blocked::newview_step_blocked(
+                            slice,
+                            &mut worker.buffers[pi],
+                            step,
+                            step_tables,
+                        )?,
+                        KernelDispatch::Scalar => ops::newview_step_tabled(
+                            slice,
+                            &mut worker.buffers[pi],
+                            step,
+                            step_tables,
+                        )?,
                     }
                 }
-                if let Some((_, dispatch)) = step_tables {
-                    worker.buffers[pi].count_dispatch_patterns(
-                        dispatch,
-                        (slice.pattern_count() * plan.steps.len()) as u64,
-                    );
-                }
+                worker.buffers[pi].count_dispatch_patterns(
+                    tables.dispatch,
+                    (slice.pattern_count() * plan.steps.len()) as u64,
+                );
             }
             Ok(OpOutput::None)
         }
@@ -390,55 +354,38 @@ pub fn execute_on_worker(
                     continue;
                 }
                 let model = ctx.models.model(pi);
-                out[pi] = match tables.as_deref() {
-                    Some(t) => {
-                        // A table payload must cover every active partition;
-                        // a hole is a typed error (matching the Newview
-                        // contract), never an index panic or a silent
-                        // fall-back that would skew the analytic traces.
-                        let Some(edge) = t.per_partition.get(pi).and_then(|e| e.as_deref()) else {
-                            return Err(OpError::TableShape {
-                                partition: pi,
-                                expected: 1,
-                                got: 0,
-                            });
-                        };
-                        let lnl = match t.dispatch {
-                            KernelDispatch::Blocked => blocked::evaluate_edge_blocked(
-                                &worker.slices[pi],
-                                &mut worker.buffers[pi],
-                                model,
-                                left,
-                                right,
-                                edge,
-                            )?,
-                            KernelDispatch::Scalar => ops::evaluate_edge_tabled(
-                                &worker.slices[pi],
-                                &mut worker.buffers[pi],
-                                model,
-                                left,
-                                right,
-                                edge,
-                            )?,
-                        };
-                        worker.buffers[pi].count_dispatch_patterns(
-                            t.dispatch,
-                            worker.slices[pi].pattern_count() as u64,
-                        );
-                        lnl
-                    }
-                    None => {
-                        let len = ctx.branch_lengths.get(pi, *root_branch);
-                        ops::evaluate_edge(
-                            &worker.slices[pi],
-                            &worker.buffers[pi],
-                            model,
-                            left,
-                            right,
-                            len,
-                        )?
-                    }
+                // A table payload must cover every active partition; a hole
+                // is a typed error (matching the Newview contract), never an
+                // index panic.
+                let Some(edge) = tables.per_partition.get(pi).and_then(|e| e.as_deref()) else {
+                    return Err(OpError::TableShape {
+                        partition: pi,
+                        expected: 1,
+                        got: 0,
+                    });
                 };
+                out[pi] = match tables.dispatch {
+                    KernelDispatch::Blocked => blocked::evaluate_edge_blocked(
+                        &worker.slices[pi],
+                        &mut worker.buffers[pi],
+                        model,
+                        left,
+                        right,
+                        edge,
+                    )?,
+                    KernelDispatch::Scalar => ops::evaluate_edge_tabled(
+                        &worker.slices[pi],
+                        &mut worker.buffers[pi],
+                        model,
+                        left,
+                        right,
+                        edge,
+                    )?,
+                };
+                worker.buffers[pi].count_dispatch_patterns(
+                    tables.dispatch,
+                    worker.slices[pi].pattern_count() as u64,
+                );
             }
             Ok(OpOutput::LogLikelihoods(out))
         }
@@ -517,6 +464,18 @@ pub fn reduce_outputs(a: OpOutput, b: OpOutput) -> Result<OpOutput, OpError> {
             left: a.kind_name(),
             right: b.kind_name(),
         }),
+    }
+}
+
+/// The message of a caught worker panic (the `catch_unwind` payload), for the
+/// diagnostics a parallel backend keeps after a worker death.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "worker panicked with a non-string payload".to_string()
     }
 }
 
@@ -672,7 +631,6 @@ mod tests {
 
     #[test]
     fn malformed_table_payloads_are_typed_errors_not_panics() {
-        use crate::branch_lengths::BranchLengths;
         use crate::tables::{EdgeTables, NewviewTables};
         use crate::OpError;
         use phylo_data::{Alignment, DataType, PartitionSet, PartitionedPatterns};
@@ -691,11 +649,9 @@ mod tests {
         let models = ModelSet::default_for(&pp, BranchLengthMode::Joint);
         let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
         let mut worker = WorkerSlices::cyclic(&pp, 0, 1, tree.node_capacity(), &cats);
-        let bl = BranchLengths::from_tree(&tree, pp.partition_count(), models.branch_mode());
         let ctx = ExecContext {
             tree: &tree,
             models: &models,
-            branch_lengths: &bl,
         };
 
         // A table payload shorter than the partition count (a custom driver
@@ -709,7 +665,7 @@ mod tests {
         });
         let op = KernelOp::Newview {
             plans,
-            tables: Some(short),
+            tables: short,
         };
         let err = execute_on_worker(&mut worker, &op, &ctx).unwrap_err();
         assert!(
@@ -718,12 +674,7 @@ mod tests {
         );
 
         // Same contract for Evaluate: an active partition without its table
-        // entry is a hole in the payload, not a silent per-call fall-back.
-        let op = KernelOp::Newview {
-            plans: vec![Some(TraversalPlan::full(&tree, 0)), None],
-            tables: None,
-        };
-        execute_on_worker(&mut worker, &op, &ctx).unwrap();
+        // entry is a hole in the payload, rejected before any CLV is read.
         let holey = Arc::new(EdgeTables {
             per_partition: vec![None; 2],
             dispatch: crate::tables::KernelDispatch::default(),
@@ -731,7 +682,7 @@ mod tests {
         let op = KernelOp::Evaluate {
             root_branch: 0,
             mask: vec![true, false],
-            tables: Some(holey),
+            tables: holey,
         };
         let err = execute_on_worker(&mut worker, &op, &ctx).unwrap_err();
         assert!(
@@ -746,7 +697,10 @@ mod tests {
         let op = KernelOp::Evaluate {
             root_branch: 0,
             mask: vec![true],
-            tables: None,
+            tables: Arc::new(EdgeTables {
+                per_partition: Vec::new(),
+                dispatch: KernelDispatch::default(),
+            }),
         };
         assert_eq!(op.kind(), OpKind::Evaluate);
         let op = KernelOp::Derivatives {

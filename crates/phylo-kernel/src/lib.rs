@@ -20,9 +20,8 @@
 //!   valid (and in which orientation) so that partial traversals can be used,
 //! * [`tables`] — shared per-branch transition and tip-lookup tables
 //!   ([`tables::BranchTables`]): computed once by the master, shared
-//!   read-only (`Arc`) across workers inside the command payload, replacing
-//!   the per-call recomputation of the transition matrices and the
-//!   per-pattern tip bit loops,
+//!   read-only (`Arc`) across workers inside the command payload, so no
+//!   worker recomputes a transition matrix or a per-pattern tip bit loop,
 //! * [`blocked`] — the cache-blocked, width-specialized tabled inner loops
 //!   selected by [`tables::KernelDispatch::Blocked`] (the fast default; the
 //!   scalar tabled loops in [`ops`] stay as the bit-for-bit-comparable

@@ -6,22 +6,21 @@
 //! executor calls them concurrently on disjoint slices, and the instrumented
 //! executor calls them per virtual worker while recording the work.
 //!
-//! * [`newview_step`] — recompute the conditional likelihood vector (CLV) of
-//!   one internal node from its two children (Felsenstein pruning step),
-//! * [`evaluate_edge`] — per-site log likelihoods summed over the slice for a
-//!   virtual root placed on a branch,
+//! * [`newview_step_tabled`] — recompute the conditional likelihood vector
+//!   (CLV) of one internal node from its two children (Felsenstein pruning
+//!   step),
+//! * [`evaluate_edge_tabled`] — per-site log likelihoods summed over the slice
+//!   for a virtual root placed on a branch,
 //! * [`build_sumtable`] / [`derivatives_from_sumtable`] — the RAxML
 //!   `makenewz` decomposition: a branch-specific sum table that makes every
 //!   Newton–Raphson iteration on that branch a cheap per-pattern loop with
 //!   analytic first and second derivatives.
 //!
-//! Each of `newview`/`evaluate` exists in two forms: the *per-call reference*
-//! ([`newview_step`], [`evaluate_edge`]) that recomputes the per-category
-//! transition matrices on every invocation, and the *table-based* form
-//! ([`newview_step_tabled`], [`evaluate_edge_tabled`]) that reads shared
-//! precomputed [`BranchTables`] (master-built transition matrices plus tip
-//! lookup rows). The two agree bit for bit; the reference form stays as the
-//! property-tested ground truth.
+//! `newview`/`evaluate` read shared precomputed [`BranchTables`]
+//! (master-built transition matrices plus tip lookup rows). The loops here
+//! are the [`KernelDispatch::Scalar`](crate::tables::KernelDispatch::Scalar)
+//! reference; [`crate::blocked`] holds the width-specialized default, and
+//! [`crate::naive`] the independent oracle both are tested against.
 //!
 //! All primitives are fallible: mismatched buffer shapes, stale sum tables
 //! and out-of-domain branch lengths fail as typed [`OpError`]s on every build
@@ -74,7 +73,7 @@ pub(crate) fn child_data<'a>(
 pub(crate) enum ResolvedChild<'a> {
     /// Tip whose mask is in the dictionary: direct per-category row lookup.
     Indexed(usize),
-    /// Tip whose mask is outside the dictionary: per-call mask fallback.
+    /// Tip whose mask is outside the dictionary: bit-loop fallback.
     Mask(EncodedState),
     /// Internal child: dense inner product against its CLV.
     Clv(&'a [f64]),
@@ -105,40 +104,12 @@ impl<'a> ResolvedChild<'a> {
 
 /// Sum of transition probabilities from state `s` into the states compatible
 /// with the tip bitmask: `Σ_{a ∈ mask} P[s][a]`. One shared implementation
-/// with the table builder ([`crate::tables`]) — the tabled kernels' exact
-/// (bit-for-bit) agreement with this reference path rests on both summing in
-/// the same ascending-bit order.
+/// with the table builder ([`crate::tables`]): a dictionary miss sums in the
+/// same ascending-bit order as a precomputed tip row, so the fallback can
+/// never change a result.
 #[inline]
 pub(crate) fn tip_sum(pmat_row: &[f64], mask: EncodedState) -> f64 {
     crate::tables::mask_sum(pmat_row, mask)
-}
-
-/// Per-category transition matrices for one branch — the per-call reference
-/// path (the table-based kernels read shared [`BranchTables`] instead).
-///
-/// # Errors
-///
-/// [`OpError::InvalidBranchLength`] for a negative, NaN or infinite
-/// `branch_length` (the kernel-boundary domain check; such values used to be
-/// exponentiated without complaint).
-pub(crate) fn category_pmats(
-    model: &PartitionModel,
-    branch_length: f64,
-) -> Result<Vec<Vec<f64>>, OpError> {
-    validate_branch_length(branch_length)?;
-    let states = model.states();
-    Ok(model
-        .gamma_rates()
-        .iter()
-        .map(|&rate| {
-            let mut buf = vec![0.0; states * states];
-            model
-                .substitution()
-                .eigen()
-                .transition_matrix_into(branch_length * rate, &mut buf);
-            buf
-        })
-        .collect())
 }
 
 /// Release-mode guard: a shared table must have been built for this slice's
@@ -197,115 +168,9 @@ pub(crate) fn check_slice_shape(
     Ok(())
 }
 
-/// Recomputes the CLV of `step.node` for every local pattern of the slice.
-///
-/// `left_length` / `right_length` are the branch lengths towards the two
-/// children *as seen by this partition* (per-partition branch lengths differ
-/// between partitions).
-///
-/// # Errors
-///
-/// [`OpError::InvalidBranchLength`] for out-of-domain branch lengths,
-/// [`OpError::SliceShape`] when the buffers do not match the slice.
-pub fn newview_step(
-    slice: &PartitionSlice,
-    buffers: &mut SliceBuffers,
-    model: &PartitionModel,
-    step: &TraversalStep,
-    left_length: f64,
-    right_length: f64,
-) -> Result<(), OpError> {
-    let states = slice.states();
-    let categories = model.categories();
-    let patterns = slice.pattern_count();
-    check_slice_shape(slice, buffers)?;
-    check_buffer_dims(slice, buffers, states, categories)?;
-
-    let left_pmats = category_pmats(model, left_length)?;
-    let right_pmats = category_pmats(model, right_length)?;
-
-    // Validate child presence before detaching the target node's buffers, so
-    // a rejected step leaves the buffer store untouched.
-    child_data(slice, buffers, step.left)?;
-    child_data(slice, buffers, step.right)?;
-
-    let (mut clv, mut scale) = buffers.take_node(step.node);
-    clv.resize(patterns * categories * states, 0.0);
-    scale.resize(patterns, 0);
-
-    {
-        let left = child_data(slice, buffers, step.left)?;
-        let right = child_data(slice, buffers, step.right)?;
-
-        for p in 0..patterns {
-            let mut max_entry = 0.0f64;
-            for c in 0..categories {
-                let lp = &left_pmats[c];
-                let rp = &right_pmats[c];
-                let base = (p * categories + c) * states;
-                for s in 0..states {
-                    let row = s * states;
-                    let left_sum = match &left {
-                        ChildData::Tip(t) => {
-                            tip_sum(&lp[row..row + states], slice.tip_state(p, *t))
-                        }
-                        ChildData::Internal { clv: child, .. } => {
-                            let cbase = (p * categories + c) * states;
-                            let mut acc = 0.0;
-                            for a in 0..states {
-                                acc += lp[row + a] * child[cbase + a];
-                            }
-                            acc
-                        }
-                    };
-                    let right_sum = match &right {
-                        ChildData::Tip(t) => {
-                            tip_sum(&rp[row..row + states], slice.tip_state(p, *t))
-                        }
-                        ChildData::Internal { clv: child, .. } => {
-                            let cbase = (p * categories + c) * states;
-                            let mut acc = 0.0;
-                            for a in 0..states {
-                                acc += rp[row + a] * child[cbase + a];
-                            }
-                            acc
-                        }
-                    };
-                    let value = left_sum * right_sum;
-                    clv[base + s] = value;
-                    if value > max_entry {
-                        max_entry = value;
-                    }
-                }
-            }
-
-            // Inherit scaling events from the children and rescale if the
-            // pattern is about to underflow.
-            let mut events = 0;
-            if let ChildData::Internal { scale: s, .. } = &left {
-                events += s[p];
-            }
-            if let ChildData::Internal { scale: s, .. } = &right {
-                events += s[p];
-            }
-            if max_entry < SCALE_THRESHOLD && max_entry > 0.0 {
-                let base = p * categories * states;
-                for v in &mut clv[base..base + categories * states] {
-                    *v *= SCALE_FACTOR;
-                }
-                events += 1;
-            }
-            scale[p] = events;
-        }
-    }
-
-    buffers.put_back(step.node, clv, scale)
-}
-
-/// The table-based counterpart of [`newview_step`]: reads the two children's
-/// shared [`BranchTables`] (master-precomputed transition matrices and tip
-/// lookup rows) instead of recomputing per call. Agrees with the reference
-/// bit for bit.
+/// Recomputes the CLV of `step.node` for every local pattern of the slice
+/// from the two children's shared [`BranchTables`] (master-precomputed
+/// transition matrices and tip lookup rows).
 ///
 /// # Errors
 ///
@@ -356,7 +221,7 @@ pub fn newview_step_tabled(
         for p in 0..patterns {
             // One cache read per (pattern, tip child), hoisted out of the
             // category/state loops; a mask outside the dictionary resolves
-            // to the per-call fallback.
+            // to the bit-loop fallback.
             let left_res = match &left {
                 ChildData::Tip(t) => {
                     let mask = slice.tip_state(p, *t);
@@ -460,85 +325,11 @@ pub fn newview_step_tabled(
 }
 
 /// Evaluates the weighted log likelihood of the slice for a virtual root
-/// placed on the branch between `left` and `right` with length
-/// `branch_length`, using the partition's stationary frequencies.
+/// placed on the branch between `left` and `right`, using the partition's
+/// stationary frequencies; the virtual-root transition matrices and the tip
+/// sums of the right child come from the branch's shared [`BranchTables`].
 ///
 /// Returns the sum over the local patterns of `weight × ln L(pattern)`.
-///
-/// # Errors
-///
-/// [`OpError::InvalidBranchLength`] for out-of-domain branch lengths,
-/// [`OpError::SliceShape`] when the buffers do not match the slice.
-pub fn evaluate_edge(
-    slice: &PartitionSlice,
-    buffers: &SliceBuffers,
-    model: &PartitionModel,
-    left: NodeId,
-    right: NodeId,
-    branch_length: f64,
-) -> Result<f64, OpError> {
-    let states = slice.states();
-    let categories = model.categories();
-    let patterns = slice.pattern_count();
-    check_slice_shape(slice, buffers)?;
-    let freqs = model.substitution().frequencies();
-    let pmats = category_pmats(model, branch_length)?;
-    let inv_categories = 1.0 / categories as f64;
-
-    let left_data = child_data(slice, buffers, left)?;
-    let right_data = child_data(slice, buffers, right)?;
-
-    let mut total = 0.0;
-    for p in 0..patterns {
-        let mut site = 0.0;
-        for (c, pm) in pmats.iter().enumerate() {
-            let base = (p * categories + c) * states;
-            let mut cat_sum = 0.0;
-            for s in 0..states {
-                let l_val = match &left_data {
-                    ChildData::Tip(t) => {
-                        if slice.tip_state(p, *t) & (1 << s) != 0 {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                    ChildData::Internal { clv, .. } => clv[base + s],
-                };
-                if l_val == 0.0 {
-                    continue;
-                }
-                let row = s * states;
-                let inner = match &right_data {
-                    ChildData::Tip(t) => tip_sum(&pm[row..row + states], slice.tip_state(p, *t)),
-                    ChildData::Internal { clv, .. } => {
-                        let mut acc = 0.0;
-                        for a in 0..states {
-                            acc += pm[row + a] * clv[base + a];
-                        }
-                        acc
-                    }
-                };
-                cat_sum += freqs[s] * l_val * inner;
-            }
-            site += cat_sum * inv_categories;
-        }
-        let mut events = 0;
-        if let ChildData::Internal { scale, .. } = &left_data {
-            events += scale[p];
-        }
-        if let ChildData::Internal { scale, .. } = &right_data {
-            events += scale[p];
-        }
-        let ln_site = site.max(SITE_LIKELIHOOD_FLOOR).ln() - events as f64 * LOG_SCALE_FACTOR;
-        total += slice.weights[p] * ln_site;
-    }
-    Ok(total)
-}
-
-/// The table-based counterpart of [`evaluate_edge`]: the virtual-root
-/// transition matrices and the tip sums of the right child come from the
-/// branch's shared [`BranchTables`]. Agrees with the reference bit for bit.
 ///
 /// # Errors
 ///
@@ -845,6 +636,7 @@ mod tests {
     use phylo_tree::{TraversalPlan, Tree};
 
     use crate::slice::WorkerSlices;
+    use crate::tables::MaskDictionary;
 
     /// Three-taxon fixture: one internal node, three branches.
     fn three_taxon() -> (PartitionedPatterns, Tree) {
@@ -911,21 +703,37 @@ mod tests {
         total
     }
 
+    /// All fixtures here are single-partition DNA, whose dictionary is the
+    /// full 16-mask space whatever the data.
+    fn dna_dict() -> Arc<MaskDictionary> {
+        Arc::new(MaskDictionary::for_partition(DataType::Dna, &[]))
+    }
+
     fn full_newview(ws: &mut WorkerSlices, tree: &Tree, models: &ModelSet, root_branch: usize) {
-        let plan = TraversalPlan::full(tree, root_branch);
-        for step in &plan.steps {
-            let slice = &ws.slices[0];
-            let model = models.model(0);
-            newview_step(
-                slice,
-                &mut ws.buffers[0],
-                model,
-                step,
-                tree.branch_length(step.left_branch),
-                tree.branch_length(step.right_branch),
-            )
-            .unwrap();
+        let dict = dna_dict();
+        let model = models.model(0);
+        let tables =
+            |b| Arc::new(BranchTables::build(model, &dict, tree.branch_length(b)).unwrap());
+        for step in &TraversalPlan::full(tree, root_branch).steps {
+            let step_tables = StepTables {
+                left: tables(step.left_branch),
+                right: tables(step.right_branch),
+            };
+            newview_step_tabled(&ws.slices[0], &mut ws.buffers[0], step, &step_tables).unwrap();
         }
+    }
+
+    /// `evaluate_edge_tabled` against tables built for length `t` on the spot.
+    fn evaluate(
+        slice: &PartitionSlice,
+        buffers: &mut SliceBuffers,
+        model: &PartitionModel,
+        left: NodeId,
+        right: NodeId,
+        t: f64,
+    ) -> Result<f64, OpError> {
+        let tables = BranchTables::build(model, &dna_dict(), t)?;
+        evaluate_edge_tabled(slice, buffers, model, left, right, &tables)
     }
 
     #[test]
@@ -941,9 +749,9 @@ mod tests {
         // Root on the pendant branch of leaf 0.
         let root_branch = tree.branch_between(0, 3).unwrap();
         full_newview(&mut ws, &tree, &models, root_branch);
-        let lnl = evaluate_edge(
+        let lnl = evaluate(
             &ws.slices[0],
-            &ws.buffers[0],
+            &mut ws.buffers[0],
             models.model(0),
             0,
             3,
@@ -964,9 +772,9 @@ mod tests {
         let (mut ws, models) = setup(&pp, &tree, 4);
         let root_branch = tree.branch_between(1, 3).unwrap();
         full_newview(&mut ws, &tree, &models, root_branch);
-        let lnl = evaluate_edge(
+        let lnl = evaluate(
             &ws.slices[0],
-            &ws.buffers[0],
+            &mut ws.buffers[0],
             models.model(0),
             1,
             3,
@@ -988,9 +796,9 @@ mod tests {
         for root_branch in tree.branches() {
             full_newview(&mut ws, &tree, &models, root_branch);
             let (a, b) = tree.branch_endpoints(root_branch);
-            let lnl = evaluate_edge(
+            let lnl = evaluate(
                 &ws.slices[0],
-                &ws.buffers[0],
+                &mut ws.buffers[0],
                 models.model(0),
                 a,
                 b,
@@ -1015,20 +823,22 @@ mod tests {
         full_newview(&mut ws, &tree, &models, root_branch);
         build_sumtable(&ws.slices[0], &mut ws.buffers[0], models.model(0), 2, 3).unwrap();
 
-        let f = |t: f64| {
-            evaluate_edge(&ws.slices[0], &ws.buffers[0], models.model(0), 2, 3, t).unwrap()
+        let f = |ws: &mut WorkerSlices, t: f64| {
+            evaluate(&ws.slices[0], &mut ws.buffers[0], models.model(0), 2, 3, t).unwrap()
         };
         for &t in &[0.02, 0.1, 0.3, 0.8] {
             let d = derivatives_from_sumtable(&ws.slices[0], &ws.buffers[0], models.model(0), t)
                 .unwrap();
-            // The sum-table log likelihood must agree with evaluate_edge.
+            // The sum-table log likelihood must agree with the evaluate op.
+            let at_t = f(&mut ws, t);
             assert!(
-                (d.log_likelihood - f(t)).abs() < 1e-8,
+                (d.log_likelihood - at_t).abs() < 1e-8,
                 "lnL mismatch at t={t}"
             );
             let h = 1e-6;
-            let fd1 = (f(t + h) - f(t - h)) / (2.0 * h);
-            let fd2 = (f(t + h) - 2.0 * f(t) + f(t - h)) / (h * h);
+            let (up, down) = (f(&mut ws, t + h), f(&mut ws, t - h));
+            let fd1 = (up - down) / (2.0 * h);
+            let fd2 = (up - 2.0 * at_t + down) / (h * h);
             assert!(
                 (d.first - fd1).abs() < 1e-4 * (1.0 + fd1.abs()),
                 "first derivative at t={t}: analytic {} vs fd {fd1}",
@@ -1043,71 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn tabled_kernels_agree_with_the_per_call_reference_bit_for_bit() {
-        use crate::tables::{BranchTables, MaskDictionary, StepTables};
-        use std::sync::Arc;
-
-        let (pp, tree) = three_taxon();
-        let (mut ws_ref, models) = setup(&pp, &tree, 4);
-        let (mut ws_tab, _) = setup(&pp, &tree, 4);
-        let model = models.model(0);
-        let dict = Arc::new(MaskDictionary::for_partition(
-            pp.partitions[0].data_type,
-            &pp.partitions[0].tip_states,
-        ));
-
-        let root_branch = tree.branch_between(0, 3).unwrap();
-        let plan = TraversalPlan::full(&tree, root_branch);
-        for step in &plan.steps {
-            newview_step(
-                &ws_ref.slices[0],
-                &mut ws_ref.buffers[0],
-                model,
-                step,
-                tree.branch_length(step.left_branch),
-                tree.branch_length(step.right_branch),
-            )
-            .unwrap();
-            let tables = StepTables {
-                left: Arc::new(
-                    BranchTables::build(model, &dict, tree.branch_length(step.left_branch))
-                        .unwrap(),
-                ),
-                right: Arc::new(
-                    BranchTables::build(model, &dict, tree.branch_length(step.right_branch))
-                        .unwrap(),
-                ),
-            };
-            newview_step_tabled(&ws_tab.slices[0], &mut ws_tab.buffers[0], step, &tables).unwrap();
-            // The CLVs agree exactly, not just to tolerance.
-            assert_eq!(
-                ws_ref.buffers[0].clv(step.node),
-                ws_tab.buffers[0].clv(step.node)
-            );
-        }
-
-        let t = tree.branch_length(root_branch);
-        let reference =
-            evaluate_edge(&ws_ref.slices[0], &ws_ref.buffers[0], model, 0, 3, t).unwrap();
-        let edge_tables = BranchTables::build(model, &dict, t).unwrap();
-        let tabled = evaluate_edge_tabled(
-            &ws_tab.slices[0],
-            &mut ws_tab.buffers[0],
-            model,
-            0,
-            3,
-            &edge_tables,
-        )
-        .unwrap();
-        assert_eq!(reference, tabled);
-    }
-
-    #[test]
     fn mismatched_table_dimensions_are_typed_errors() {
-        use crate::tables::{BranchTables, MaskDictionary, StepTables};
-        use phylo_models::PartitionModel;
-        use std::sync::Arc;
-
         let (pp, tree) = three_taxon();
         let (mut ws, models) = setup(&pp, &tree, 4);
         let root_branch = tree.branch_between(0, 3).unwrap();
@@ -1220,8 +966,15 @@ mod tests {
                 derivatives_from_sumtable(&ws.slices[0], &ws.buffers[0], models.model(0), bad)
                     .unwrap_err();
             assert!(matches!(err, OpError::InvalidBranchLength { .. }), "{bad}");
-            let err = evaluate_edge(&ws.slices[0], &ws.buffers[0], models.model(0), 0, 3, bad)
-                .unwrap_err();
+            let err = evaluate(
+                &ws.slices[0],
+                &mut ws.buffers[0],
+                models.model(0),
+                0,
+                3,
+                bad,
+            )
+            .unwrap_err();
             assert!(matches!(err, OpError::InvalidBranchLength { .. }), "{bad}");
         }
     }
@@ -1275,9 +1028,9 @@ mod tests {
                 slice.weights[i] = 0.0;
             }
         }
-        let lnl = evaluate_edge(
+        let lnl = evaluate(
             &slice,
-            &ws.buffers[0],
+            &mut ws.buffers[0],
             models.model(0),
             0,
             3,
@@ -1326,9 +1079,9 @@ mod tests {
         let root_branch = 0;
         full_newview(&mut ws, &tree, &models, root_branch);
         let (a, b) = tree.branch_endpoints(root_branch);
-        let lnl = evaluate_edge(
+        let lnl = evaluate(
             &ws.slices[0],
-            &ws.buffers[0],
+            &mut ws.buffers[0],
             models.model(0),
             a,
             b,

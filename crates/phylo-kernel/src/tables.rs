@@ -1,19 +1,18 @@
 //! Shared per-branch transition and tip-lookup tables.
 //!
 //! The paper's Pthreads layout broadcasts one command per parallel region and
-//! lets every worker execute it on its own patterns. In the per-call kernel
-//! that means every worker recomputes the same per-category transition
-//! matrices for every node update — `T` workers redoing identical
-//! O(states³ · categories) eigen work per branch, with fresh heap allocations
-//! each time — and the tip inner loops re-derive the same ambiguity-mask sums
-//! per pattern. This module moves that work to the *master*: a
-//! [`BranchTables`] is computed once per (partition, branch) and shared
-//! read-only (`Arc`) with every worker inside the [`KernelOp`] payload.
+//! lets every worker execute it on its own patterns. Left to the workers,
+//! that means `T` of them recomputing the same per-category transition
+//! matrices for every node update — identical O(states³ · categories) eigen
+//! work per branch, with fresh heap allocations each time — and tip inner
+//! loops re-deriving the same ambiguity-mask sums per pattern. This module
+//! keeps that work on the *master*: a [`BranchTables`] is computed once per
+//! (partition, branch) and shared read-only (`Arc`) with every worker inside
+//! the [`KernelOp`] payload.
 //!
 //! Two tables per (branch, category):
 //!
-//! * the transition matrix `P(t·r_c)` itself (what `category_pmats` used to
-//!   recompute per call), and
+//! * the transition matrix `P(t·r_c)` itself, and
 //! * RAxML-style *tip lookup rows*: for every ambiguity mask `m` in the
 //!   partition's [`MaskDictionary`], the vector over target states `s` of
 //!   `Σ_{a ∈ m} P[s][a]`. A tip child in `newview`/`evaluate` then costs one
@@ -28,8 +27,8 @@
 //! reference bit loop, so table lookups can never change a result.
 //!
 //! Summation order inside a tip row is the ascending-bit order of the
-//! reference `tip_sum` loop, so the table-based kernels agree with the
-//! per-call path **bit for bit**, not just to tolerance.
+//! `tip_sum` fallback loop, so a lookup and a fallback agree **bit for
+//! bit**, not just to tolerance.
 //!
 //! [`KernelOp`]: crate::executor::KernelOp
 

@@ -37,10 +37,8 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
         "crates/phylo-kernel/src/executor.rs",
         "SequentialExecutor::execute",
     ),
-    // Scalar and tabled kernel steps.
-    ep("crates/phylo-kernel/src/ops.rs", "newview_step"),
+    // Scalar tabled kernel steps.
     ep("crates/phylo-kernel/src/ops.rs", "newview_step_tabled"),
-    ep("crates/phylo-kernel/src/ops.rs", "evaluate_edge"),
     ep("crates/phylo-kernel/src/ops.rs", "evaluate_edge_tabled"),
     ep("crates/phylo-kernel/src/ops.rs", "build_sumtable"),
     ep(
@@ -87,10 +85,6 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
     ep(
         "crates/phylo-parallel/src/threaded.rs",
         "ThreadedExecutor::spawn_handles",
-    ),
-    ep(
-        "crates/phylo-parallel/src/rayon_exec.rs",
-        "RayonExecutor::execute",
     ),
     ep(
         "crates/phylo-parallel/src/tracing.rs",
@@ -387,7 +381,7 @@ fn run() {}
         let items = items_of(&[
             (
                 "crates/phylo-kernel/src/ops.rs",
-                "pub fn newview_step(n: usize) { tick(n); }\nfn tick(_n: usize) {}\n",
+                "pub fn kernel_step(n: usize) { tick(n); }\nfn tick(_n: usize) {}\n",
             ),
             (
                 "crates/phylo-telemetry/src/clock.rs",
@@ -407,7 +401,7 @@ fn run() {}
             items,
             &[EntryPoint {
                 file: "crates/phylo-kernel/src/ops.rs",
-                name: "newview_step",
+                name: "kernel_step",
             }],
         );
         let scopes = a.file_scopes();

@@ -99,6 +99,7 @@ pub fn envelope(
             count as f64,
         );
     }
+    env.measure("first_party_lines", ws.lines as f64);
     env.measure("unsafe_sites", ws.scan.unsafe_sites.len() as f64);
     env.measure("baseline_entries", baseline_len as f64);
     env.measure("stale_waivers", ws.scan.stale_waivers.len() as f64);
@@ -164,6 +165,7 @@ mod tests {
         WorkspaceAnalysis {
             scan: FileScan::default(),
             files: 10,
+            lines: 1234,
             metrics,
             reachable_files,
         }
@@ -201,6 +203,7 @@ mod tests {
         assert_eq!(env.measured_num("findings_l001"), Some(0.0));
         assert_eq!(env.measured_num("findings_l006"), Some(0.0));
         assert_eq!(env.measured_num("fns_reachable"), Some(400.0));
+        assert_eq!(env.measured_num("first_party_lines"), Some(1234.0));
         let parsed = BenchEnvelope::parse(&env.to_json()).unwrap();
         assert_eq!(parsed, env);
     }

@@ -10,8 +10,8 @@
 //!
 //! - **Free calls** `name(..)` resolve to free functions of that name and
 //!   arity — preferring the caller's file, then the caller's crate, then the
-//!   whole workspace. The narrowing matters for deliberately shadowed names
-//!   (`newview_step` exists in both the scalar and blocked kernels).
+//!   whole workspace. The narrowing matters for names that exist in more
+//!   than one crate.
 //! - **Qualified calls** `Type::name(..)` resolve to inherent/trait methods
 //!   of every workspace type named `Type` (types are not deduplicated by
 //!   crate — over-approximation again). When `Type` is a *trait*, the call
@@ -239,15 +239,15 @@ fn f(x: &X) { Run::go(x); }
         let items = items_of(&[
             (
                 "crates/scalar/src/lib.rs",
-                "pub fn newview_step(x: usize) -> usize { x }\nfn run(x: usize) { newview_step(x); }\n",
+                "pub fn kernel_step(x: usize) -> usize { x }\nfn run(x: usize) { kernel_step(x); }\n",
             ),
             (
                 "crates/blocked/src/lib.rs",
-                "pub fn newview_step(x: usize) -> usize { x * 2 }\n",
+                "pub fn kernel_step(x: usize) -> usize { x * 2 }\n",
             ),
         ]);
         let got = resolve_names(&items, "run", 0);
-        assert_eq!(got, vec!["crates/scalar/src/lib.rs#newview_step"]);
+        assert_eq!(got, vec!["crates/scalar/src/lib.rs#kernel_step"]);
     }
 
     #[test]

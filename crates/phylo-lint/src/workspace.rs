@@ -73,6 +73,9 @@ pub struct WorkspaceAnalysis {
     pub scan: FileScan,
     /// Number of source files visited.
     pub files: usize,
+    /// Total lines of those files (code, comments, tests and blanks alike):
+    /// the tracked "net first-party line count".
+    pub lines: usize,
     pub metrics: ReachMetrics,
     /// Workspace-relative files containing at least one reachable function.
     pub reachable_files: Vec<String>,
@@ -116,6 +119,7 @@ pub fn analyze_workspace(root: &Path) -> WorkspaceAnalysis {
     WorkspaceAnalysis {
         scan: merged,
         files: sources.len(),
+        lines: sources.iter().map(|(_, s)| s.lines().count()).sum(),
         metrics: analysis.metrics,
         reachable_files,
     }

@@ -443,7 +443,7 @@ mod tests {
     ) -> (LikelihoodKernel<TracingExecutor>, PatternCosts) {
         let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
         let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let costs = PatternCosts::analytic(&ds.patterns, &cats);
+        let costs = PatternCosts::analytic_tabled(&ds.patterns, &cats);
         let assignment = schedule(&ds.patterns, &cats, workers, &Cyclic).unwrap();
         let exec = TracingExecutor::from_assignment(
             &ds.patterns,
@@ -527,7 +527,7 @@ mod tests {
         let ds = mixed_dna_protein(6, 4, 2, 40, 83).generate();
         let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
         let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let costs = PatternCosts::analytic(&ds.patterns, &cats);
+        let costs = PatternCosts::analytic_tabled(&ds.patterns, &cats);
         let assignment = schedule(&ds.patterns, &cats, 2, &Cyclic).unwrap();
         // Default options: timed == false, so the executor records nothing.
         let exec = ThreadedExecutor::from_assignment(

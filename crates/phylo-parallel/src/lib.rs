@@ -10,9 +10,6 @@
 //! * [`threaded::ThreadedExecutor`] — persistent `std::thread` workers with a
 //!   channel-based broadcast, the real-parallel backend used for wall-clock
 //!   measurements on the reproduction host,
-//! * [`rayon_exec::RayonExecutor`] — an alternative backend on the rayon
-//!   thread pool, included for comparison (the guides for this domain
-//!   recommend rayon for data parallelism),
 //! * [`tracing::TracingExecutor`] — *virtual* workers executed sequentially
 //!   while recording, for every parallel region, how much work each virtual
 //!   worker would have performed. This makes the load balance of 8- or
@@ -28,7 +25,7 @@
 //! built *from* such an assignment:
 //!
 //! ```text
-//! PartitionedPatterns ──PatternCosts::analytic──▶ PatternCosts
+//! PartitionedPatterns ──PatternCosts::analytic_tabled──▶ PatternCosts
 //!                                                     │ ScheduleStrategy::assign
 //!                                                     ▼
 //! build_workers(patterns, …, &Assignment) ──▶ Vec<WorkerSlices> ──▶ executor
@@ -36,7 +33,7 @@
 //!
 //! [`schedule`] bundles the first two arrows; the strategies themselves —
 //! [`Cyclic`] and [`Block`] (the paper's two fixed schemes), [`WeightedLpt`]
-//! (cost-weighted bin-packing, so a 20-state protein pattern counts ≈25× a
+//! (cost-weighted bin-packing, so a 20-state protein pattern counts 21× a
 //! DNA pattern), [`PartitionAwareLpt`] (cost-levelled *and* partition-
 //! contiguous per worker) and [`TraceAdaptive`] (rebalancing from a measured
 //! [`WorkTrace`]) — live in `phylo-sched`.
@@ -63,11 +60,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod rayon_exec;
 pub mod threaded;
 pub mod tracing;
 
-pub use rayon_exec::RayonExecutor;
 pub use threaded::{ExecutorOptions, ThreadedExecutor, WorkerSkew};
 pub use tracing::TracingExecutor;
 
@@ -106,33 +101,6 @@ impl Reassignable for ThreadedExecutor {
     }
 }
 
-/// The rayon backend carries the same recovery contract as the threaded one:
-/// a caught worker panic poisons it, and `reassign` rebuilds the slices (and
-/// the pool, when the worker count changes) to recover.
-impl Reassignable for RayonExecutor {
-    fn assignment(&self) -> &Assignment {
-        RayonExecutor::assignment(self)
-    }
-
-    fn live_trace(&self) -> &WorkTrace {
-        self.trace()
-    }
-
-    fn take_trace(&mut self) -> WorkTrace {
-        RayonExecutor::take_trace(self)
-    }
-
-    fn reassign(
-        &mut self,
-        patterns: &PartitionedPatterns,
-        assignment: &Assignment,
-        node_capacity: usize,
-        categories: &[usize],
-    ) -> Result<(), SchedError> {
-        RayonExecutor::reassign(self, patterns, assignment, node_capacity, categories)
-    }
-}
-
 /// The virtual tracing executor supports the same migration protocol, so
 /// mid-run rescheduling can be tested deterministically from FLOP traces.
 impl Reassignable for TracingExecutor {
@@ -160,8 +128,9 @@ impl Reassignable for TracingExecutor {
 }
 
 /// Builds an [`Assignment`] for a dataset with the analytic cost model:
-/// derives [`PatternCosts`] from the partitions' state and category counts,
-/// then runs `strategy` over them.
+/// derives [`PatternCosts`] from the partitions' state and category counts
+/// (the tabled `newview` flops — the unit `TracingExecutor` records), then
+/// runs `strategy` over them.
 ///
 /// # Errors
 ///
@@ -174,7 +143,7 @@ pub fn schedule(
     worker_count: usize,
     strategy: &dyn ScheduleStrategy,
 ) -> Result<Assignment, SchedError> {
-    let costs = PatternCosts::analytic(patterns, categories);
+    let costs = PatternCosts::analytic_tabled(patterns, categories);
     strategy.assign(&costs, worker_count)
 }
 

@@ -6,11 +6,12 @@
 //! region and reduces the per-worker results. Every [`Executor::execute`] call
 //! is therefore one synchronization event, exactly as in the paper.
 //!
-//! Because the master's tree/model/branch-length state lives on the master
-//! thread, each command ships a snapshot of that state inside an `Arc`. These
-//! structures are small (the tree has `2n` nodes, the models a handful of
-//! 4×4/20×20 matrices per partition), so the per-command cost is dominated by
-//! the channel round trip — a realistic stand-in for a barrier.
+//! Because the master's tree and model state lives on the master thread, each
+//! command ships a snapshot of that state inside an `Arc` (branch lengths
+//! travel as the op's precomputed branch tables). These structures are small
+//! (the tree has `2n` nodes, the models a handful of 4×4/20×20 matrices per
+//! partition), so the per-command cost is dominated by the channel round
+//! trip — a realistic stand-in for a barrier.
 //!
 //! # Hardening and measurement
 //!
@@ -35,10 +36,10 @@ use std::time::{Duration, Instant};
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::{RegionRecord, WorkTrace};
-use phylo_kernel::executor::{active_local_patterns, execute_on_worker, reduce_outputs};
-use phylo_kernel::{
-    BranchLengths, ExecContext, ExecError, Executor, KernelOp, OpOutput, WorkerSlices,
+use phylo_kernel::executor::{
+    active_local_patterns, execute_on_worker, panic_message, reduce_outputs,
 };
+use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, OpOutput, WorkerSlices};
 use phylo_models::ModelSet;
 use phylo_sched::{Assignment, SchedError};
 use phylo_telemetry::{ring, Telemetry, WorkerSample};
@@ -54,7 +55,6 @@ struct Command {
     op: KernelOp,
     tree: Tree,
     models: ModelSet,
-    branch_lengths: BranchLengths,
     /// Telemetry: whether workers should push a [`WorkerSample`] for this
     /// region, and the region's sequence number to stamp it with.
     record: bool,
@@ -98,16 +98,6 @@ pub struct ExecutorOptions {
     pub timed: bool,
     /// Optional artificial slowdown of one worker (benchmarks and tests).
     pub skew: Option<WorkerSkew>,
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
-    }
 }
 
 struct WorkerHandle {
@@ -248,7 +238,6 @@ impl ThreadedExecutor {
                                 let ctx = ExecContext {
                                     tree: &cmd.tree,
                                     models: &cmd.models,
-                                    branch_lengths: &cmd.branch_lengths,
                                 };
                                 let out = execute_on_worker(&mut slices, &cmd.op, &ctx)?;
                                 // The live-pattern count drives the skew
@@ -405,7 +394,6 @@ impl ThreadedExecutor {
             op: op.clone(),
             tree: ctx.tree.clone(),
             models: ctx.models.clone(),
-            branch_lengths: ctx.branch_lengths.clone(),
             record: token.is_some(),
             region,
             panic_worker,
@@ -589,10 +577,37 @@ impl Drop for ThreadedExecutor {
 mod tests {
     use super::*;
     use crate::schedule;
-    use phylo_kernel::{LikelihoodKernel, SequentialKernel};
+    use phylo_kernel::{
+        EdgeTables, KernelDispatch, LikelihoodKernel, NewviewTables, SequentialKernel,
+    };
     use phylo_models::BranchLengthMode;
     use phylo_sched::{Block, Cyclic, ScheduleStrategy, WeightedLpt};
     use phylo_seqgen::datasets::paper_simulated;
+
+    /// A newview with no plan for any partition: harmless on fresh (empty)
+    /// CLV buffers, and its (empty) table payload is never consulted.
+    fn nop_newview(partitions: usize) -> KernelOp {
+        KernelOp::Newview {
+            plans: vec![None; partitions],
+            tables: Arc::new(NewviewTables {
+                per_partition: Vec::new(),
+                dispatch: KernelDispatch::default(),
+            }),
+        }
+    }
+
+    /// An evaluate at branch 0 whose table payload is empty: only good for
+    /// commands that must fail before any table is read.
+    fn evaluate_without_tables(mask: Vec<bool>) -> KernelOp {
+        KernelOp::Evaluate {
+            root_branch: 0,
+            mask,
+            tables: Arc::new(EdgeTables {
+                per_partition: Vec::new(),
+                dispatch: KernelDispatch::default(),
+            }),
+        }
+    }
 
     #[test]
     fn threaded_likelihood_matches_sequential() {
@@ -696,22 +711,13 @@ mod tests {
             &cats,
         )
         .unwrap();
-        let bl = BranchLengths::from_tree(
-            &ds.tree,
-            ds.patterns.partition_count(),
-            models.branch_mode(),
-        );
         let ctx = ExecContext {
             tree: &ds.tree,
             models: &models,
-            branch_lengths: &bl,
         };
         // A no-op newview: harmless on fresh (empty) CLV buffers, so the only
         // possible failure is the injected one.
-        let op = KernelOp::Newview {
-            plans: vec![None; ds.patterns.partition_count()],
-            tables: None,
-        };
+        let op = nop_newview(ds.patterns.partition_count());
         // Armed one region ahead: the next command succeeds, the one after
         // dies on worker 1, and a reassign fully clears the fault.
         exec.inject_worker_panic(1, 1);
@@ -740,15 +746,9 @@ mod tests {
             &cats,
         )
         .unwrap();
-        let bl = BranchLengths::from_tree(
-            &ds.tree,
-            ds.patterns.partition_count(),
-            models.branch_mode(),
-        );
         let ctx = ExecContext {
             tree: &ds.tree,
             models: &models,
-            branch_lengths: &bl,
         };
         // Derivatives without a sum table: every worker with patterns hits
         // the release-mode staleness guard. The rejection must cross the
@@ -765,10 +765,7 @@ mod tests {
         );
         assert_eq!(exec.poisoned_by(), None, "workers stay healthy");
         // The very next command runs on the same workers.
-        let nop = KernelOp::Newview {
-            plans: vec![None; ds.patterns.partition_count()],
-            tables: None,
-        };
+        let nop = nop_newview(ds.patterns.partition_count());
         assert!(exec.execute(&nop, &ctx).is_ok());
         // And the lockstep survived: a full likelihood round-trip agrees
         // with the sequential reference.
@@ -811,6 +808,18 @@ mod tests {
         assert!(trace.has_seconds(), "timed regions must carry durations");
         // After take_trace the accumulator restarts empty.
         assert_eq!(k.executor_mut().trace().sync_events(), 0);
+
+        // A single-partition evaluation records its partial convergence mask
+        // and the live pattern counts the mask-aware rescheduler reads.
+        k.invalidate_all();
+        let (root, mask) = (k.default_root_branch(), k.single_mask(0));
+        let _ = k.try_log_likelihood_partitions(root, &mask).unwrap();
+        let trace = k.executor_mut().take_trace();
+        assert!(trace.masked_region_count() > 0, "partial masks recorded");
+        assert!(trace
+            .live_patterns_per_worker_total()
+            .iter()
+            .any(|&c| c > 0.0));
     }
 
     #[test]
@@ -846,23 +855,13 @@ mod tests {
             &cats,
         )
         .unwrap();
-        let bl = BranchLengths::from_tree(
-            &ds.tree,
-            ds.patterns.partition_count(),
-            models.branch_mode(),
-        );
         let ctx = ExecContext {
             tree: &ds.tree,
             models: &models,
-            branch_lengths: &bl,
         };
         // An empty partition mask makes every worker index out of bounds —
         // the injected panicking op.
-        let bad = KernelOp::Evaluate {
-            root_branch: 0,
-            mask: vec![],
-            tables: None,
-        };
+        let bad = evaluate_without_tables(vec![]);
         let err = exec.execute(&bad, &ctx).unwrap_err();
         assert!(matches!(err, ExecError::WorkerDied { .. }), "{err:?}");
         assert!(exec.poisoned_by().is_some());
@@ -871,11 +870,7 @@ mod tests {
             "the caught panic message must be retained for diagnostics"
         );
         // Every further command fails fast with the poisoned state.
-        let good = KernelOp::Evaluate {
-            root_branch: 0,
-            mask: vec![true; ds.patterns.partition_count()],
-            tables: None,
-        };
+        let good = evaluate_without_tables(vec![true; ds.patterns.partition_count()]);
         let err = exec.execute(&good, &ctx).unwrap_err();
         assert!(matches!(err, ExecError::Poisoned { .. }), "{err:?}");
         assert!(!err.to_string().is_empty());
@@ -896,21 +891,11 @@ mod tests {
             &cats,
         )
         .unwrap();
-        let bl = BranchLengths::from_tree(
-            &ds.tree,
-            ds.patterns.partition_count(),
-            models.branch_mode(),
-        );
         let ctx = ExecContext {
             tree: &ds.tree,
             models: &models,
-            branch_lengths: &bl,
         };
-        let bad = KernelOp::Evaluate {
-            root_branch: 0,
-            mask: vec![],
-            tables: None,
-        };
+        let bad = evaluate_without_tables(vec![]);
         assert!(exec.execute(&bad, &ctx).is_err());
         assert!(exec.poisoned_by().is_some());
 
@@ -920,10 +905,7 @@ mod tests {
         assert_eq!(exec.poisoned_by(), None);
         // A fresh executor owns empty CLV buffers, so the recovery probe is
         // a no-op newview (what the engine would issue after invalidation).
-        let good = KernelOp::Newview {
-            plans: vec![None; ds.patterns.partition_count()],
-            tables: None,
-        };
+        let good = nop_newview(ds.patterns.partition_count());
         assert!(exec.execute(&good, &ctx).is_ok());
     }
 

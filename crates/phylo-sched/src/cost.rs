@@ -1,17 +1,20 @@
 //! Per-pattern cost vectors.
 //!
 //! A scheduling strategy only needs one thing from the workload: how expensive
-//! each global pattern is relative to the others. [`PatternCosts::analytic`]
-//! derives that from the kernel's analytic cost model — `newview` dominates
-//! every likelihood workload (it is the only primitive executed once per
-//! traversal node rather than once per region), so its per-pattern FLOP count
-//! is the natural weight. The absolute scale cancels in every balance metric;
-//! only the ratios matter, and those are exactly the paper's argument: a
-//! 20-state protein pattern weighs ≈25× a 4-state DNA pattern.
+//! each global pattern is relative to the others.
+//! [`PatternCosts::analytic_tabled`] and [`PatternCosts::analytic_blocked`]
+//! derive that from the kernel's analytic cost model, one per
+//! `KernelDispatch` variant — `newview` dominates every likelihood workload
+//! (it is the only primitive executed once per traversal node rather than
+//! once per region), so its per-pattern FLOP count is the natural weight. The
+//! absolute scale cancels in every balance metric; only the ratios matter,
+//! and those are exactly the paper's argument: under the scalar kernel a
+//! 20-state protein pattern weighs 21× a 4-state DNA pattern (the paper's
+//! "≈25×", less what tip lookups save).
 
 use crate::error::SchedError;
 use phylo_data::{CompressedPartition, PartitionedPatterns};
-use phylo_kernel::cost::{newview_flops, newview_flops_blocked, newview_flops_tabled};
+use phylo_kernel::cost::{newview_flops_blocked, newview_flops_tabled};
 
 /// The scheduler's view of a workload: one relative cost per global pattern.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,27 +23,6 @@ pub struct PatternCosts {
 }
 
 impl PatternCosts {
-    /// Analytic costs for a compiled dataset: pattern `g` of a partition with
-    /// `s` states and `c` rate categories weighs `newview_flops(s, c)`.
-    ///
-    /// `categories` gives the number of Γ rate categories per partition (same
-    /// order as the dataset's partitions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `categories.len()` differs from the partition count.
-    pub fn analytic(patterns: &PartitionedPatterns, categories: &[usize]) -> Self {
-        assert_eq!(
-            categories.len(),
-            patterns.partition_count(),
-            "one category count per partition required"
-        );
-        Self::per_partition(patterns, |pi, part| {
-            newview_flops(part.states(), categories[pi])
-        })
-        .expect("analytic flops are finite and non-negative")
-    }
-
     /// Costs that are uniform within each partition: `per_pattern(pi, part)`
     /// is the weight of every pattern of partition `pi`, concatenated in the
     /// dataset's compile order — the one place that encodes the
@@ -72,13 +54,15 @@ impl PatternCosts {
         Ok(Self { costs })
     }
 
-    /// Analytic costs under the **shared-table kernel**
-    /// (`phylo_kernel::tables`): tip children are table lookups instead of
-    /// inner products, so the per-pattern weight is
-    /// `newview_flops_tabled(s, c)` and the protein/DNA ratio drops from
-    /// ≈23.8 to 21. Use this when the engine runs with shared tables enabled
-    /// (the default) — packing against the per-call ratio would
-    /// systematically over-weigh protein patterns.
+    /// Analytic costs under the **scalar shared-table kernel**
+    /// (`phylo_kernel::ops`): pattern `g` of a partition with `s` states and
+    /// `c` rate categories weighs `newview_flops_tabled(s, c)` — tip children
+    /// are table lookups, so the protein/DNA ratio is 21. This is also the
+    /// unit `TracingExecutor` records, which makes predicted and virtual-trace
+    /// costs directly comparable.
+    ///
+    /// `categories` gives the number of Γ rate categories per partition (same
+    /// order as the dataset's partitions).
     ///
     /// # Panics
     ///
@@ -102,9 +86,9 @@ impl PatternCosts {
     /// stays scalar, so the per-pattern weight is
     /// `newview_flops_blocked(s, c)` and the protein/DNA ratio collapses
     /// from the tabled 21 to 6 (`kernel_tables` gates this model against
-    /// the measured ratio). Use this when the engine runs shared tables with
-    /// the blocked dispatch — packing a blocked run against the tabled ratio
-    /// would over-weigh protein partitions by ≈3.5×.
+    /// the measured ratio). Use this when the engine runs the blocked
+    /// dispatch — packing a blocked run against the tabled ratio would
+    /// over-weigh protein partitions by ≈3.5×.
     ///
     /// # Panics
     ///
@@ -195,7 +179,7 @@ mod tests {
     #[test]
     fn analytic_costs_weigh_protein_about_25x_dna() {
         let pp = mixed_patterns();
-        let costs = PatternCosts::analytic(&pp, &[4, 4]);
+        let costs = PatternCosts::analytic_tabled(&pp, &[4, 4]);
         assert_eq!(costs.pattern_count(), pp.total_patterns());
         let dna = costs.cost(0);
         let protein = costs.cost(pp.global_offset(1));
@@ -220,18 +204,21 @@ mod tests {
             (ratio - 21.0).abs() < 1e-12,
             "tabled protein/DNA ratio {ratio} should be 21"
         );
-        // And the tabled weights are strictly below the per-call weights.
-        let per_call = PatternCosts::analytic(&pp, &[4, 4]);
-        assert!(costs.cost(0) < per_call.cost(0));
-        let g = pp.global_offset(1);
-        assert!(costs.cost(g) < per_call.cost(g));
+        // The blocked model collapses the gap further: the packed lanes
+        // shrink the arithmetic, the fixed per-block overhead does not.
+        let blocked = PatternCosts::analytic_blocked(&pp, &[4, 4]);
+        let blocked_ratio = blocked.cost(pp.global_offset(1)) / blocked.cost(0);
+        assert!(
+            (blocked_ratio - 6.0).abs() < 1e-12,
+            "blocked protein/DNA ratio {blocked_ratio} should be 6"
+        );
     }
 
     #[test]
     fn analytic_costs_scale_with_categories() {
         let pp = mixed_patterns();
-        let four = PatternCosts::analytic(&pp, &[4, 4]);
-        let eight = PatternCosts::analytic(&pp, &[8, 4]);
+        let four = PatternCosts::analytic_tabled(&pp, &[4, 4]);
+        let eight = PatternCosts::analytic_tabled(&pp, &[8, 4]);
         assert!((eight.cost(0) / four.cost(0) - 2.0).abs() < 1e-12);
         // Protein partition categories unchanged.
         let g = pp.global_offset(1);

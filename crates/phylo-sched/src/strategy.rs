@@ -99,7 +99,7 @@ impl ScheduleStrategy for Block {
 ///
 /// Patterns are placed in order of decreasing cost, each onto the currently
 /// least-loaded worker. With the analytic cost model this makes a 20-state
-/// protein pattern count ≈25× a DNA pattern, so mixed workloads balance by
+/// protein pattern count 21× (scalar kernels) or 6× (blocked) a DNA pattern, so mixed workloads balance by
 /// predicted *work*, not by pattern count. LPT's classical guarantee bounds
 /// the makespan within 4/3 of optimal; on phylogenomic inputs (many patterns
 /// per worker) it is near-perfect.
@@ -541,7 +541,7 @@ mod tests {
 
     /// A mixed DNA/protein workload: DNA characters double as amino-acid
     /// codes, so one alignment carries both partition types. The protein
-    /// partition's patterns weigh ≈25× the DNA ones under the analytic model.
+    /// partition's patterns weigh 21× the DNA ones under the tabled model.
     fn mixed_fixture() -> (PartitionedPatterns, PatternCosts) {
         let make_row = |stride: usize| -> String {
             (0..60)
@@ -562,7 +562,7 @@ mod tests {
         ])
         .unwrap();
         let pp = PartitionedPatterns::compile(&aln, &ps).unwrap();
-        let costs = PatternCosts::analytic(&pp, &[4, 4, 4]);
+        let costs = PatternCosts::analytic_tabled(&pp, &[4, 4, 4]);
         (pp, costs)
     }
 

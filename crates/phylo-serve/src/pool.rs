@@ -22,18 +22,17 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use phylo_kernel::executor::execute_on_worker;
-use phylo_kernel::{BranchLengths, ExecContext, KernelOp, OpError, OpOutput, WorkerSlices};
+use phylo_kernel::executor::{execute_on_worker, panic_message};
+use phylo_kernel::{ExecContext, KernelOp, OpError, OpOutput, WorkerSlices};
 use phylo_models::ModelSet;
 use phylo_tree::Tree;
 
 /// A snapshot of one session's master state, shipped with its ops (the
-/// master's tree/models/branch lengths live on that session's driver
-/// thread; the pool threads only ever see immutable snapshots).
+/// master's tree and models live on that session's driver thread; the pool
+/// threads only ever see immutable snapshots).
 pub(crate) struct StateSnapshot {
     pub tree: Tree,
     pub models: ModelSet,
-    pub branch_lengths: BranchLengths,
 }
 
 /// One op of one session inside a fused batch.
@@ -91,16 +90,6 @@ pub(crate) enum WorkerMsg {
 pub(crate) struct PoolWorker {
     pub sender: Sender<WorkerMsg>,
     pub join: Option<JoinHandle<()>>,
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "pool worker panicked with a non-string payload".to_string()
-    }
 }
 
 /// Spawns the fixed pool: `count` worker threads, each reporting entry
@@ -175,7 +164,6 @@ fn run_entry(
         let ctx = ExecContext {
             tree: &entry.snapshot.tree,
             models: &entry.snapshot.models,
-            branch_lengths: &entry.snapshot.branch_lengths,
         };
         execute_on_worker(slices, &entry.op, &ctx)
     };

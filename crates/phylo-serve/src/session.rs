@@ -86,7 +86,6 @@ impl Executor for PooledExecutor {
             snapshot: Arc::new(StateSnapshot {
                 tree: ctx.tree.clone(),
                 models: ctx.models.clone(),
-                branch_lengths: ctx.branch_lengths.clone(),
             }),
             reply: self.reply_tx.clone(),
         };

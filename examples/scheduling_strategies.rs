@@ -25,7 +25,7 @@ fn trace_run(
 }
 
 fn main() -> Result<(), AnalysisError> {
-    // 8 DNA genes plus 3 protein genes: the protein patterns weigh ~25x the
+    // 8 DNA genes plus 3 protein genes: the protein patterns weigh ~21x the
     // DNA ones, so pattern *counts* are a poor balance proxy.
     let workers = 8usize;
     let dataset = mixed_dna_protein(12, 8, 3, 150, 4711).generate();
@@ -60,7 +60,7 @@ fn main() -> Result<(), AnalysisError> {
     println!("{}", imbalance_report(&assignment, &trace).format());
 
     // The analytic cost model the schedules packed against, for reference.
-    let costs = PatternCosts::analytic(&dataset.patterns, &categories);
+    let costs = PatternCosts::analytic_tabled(&dataset.patterns, &categories);
     println!(
         "\ntotal analytic cost {:.0} over {} patterns",
         costs.total(),

@@ -115,7 +115,6 @@ pub struct AnalysisBuilder {
     timed: bool,
     skew: Option<WorkerSkew>,
     policy: Option<ReschedulePolicy>,
-    shared_tables: bool,
     dispatch: KernelDispatch,
     telemetry: Option<TelemetryConfig>,
 }
@@ -127,7 +126,6 @@ impl std::fmt::Debug for AnalysisBuilder {
             .field("strategy", &self.strategy.name())
             .field("timed", &self.timed)
             .field("rescheduler", &self.policy.is_some())
-            .field("shared_tables", &self.shared_tables)
             .field("dispatch", &self.dispatch)
             .field("telemetry", &self.telemetry.is_some())
             .finish()
@@ -242,18 +240,12 @@ impl AnalysisBuilder {
 
     fn schedule(&self, categories: &[usize]) -> Result<(PatternCosts, Assignment), AnalysisError> {
         // The cost model must describe the kernel that will actually run:
-        // under shared tables with the blocked dispatch (the default) the
-        // protein/DNA per-pattern ratio is 6, under the scalar tabled
-        // kernels 21, and for the per-call reference ≈23.8 (see
+        // under the blocked dispatch (the default) the protein/DNA
+        // per-pattern ratio is 6, under the scalar tabled kernels 21 (see
         // `PatternCosts::analytic_blocked` / `analytic_tabled`).
-        let costs = match (self.shared_tables, self.dispatch) {
-            (true, KernelDispatch::Blocked) => {
-                PatternCosts::analytic_blocked(&self.patterns, categories)
-            }
-            (true, KernelDispatch::Scalar) => {
-                PatternCosts::analytic_tabled(&self.patterns, categories)
-            }
-            (false, _) => PatternCosts::analytic(&self.patterns, categories),
+        let costs = match self.dispatch {
+            KernelDispatch::Blocked => PatternCosts::analytic_blocked(&self.patterns, categories),
+            KernelDispatch::Scalar => PatternCosts::analytic_tabled(&self.patterns, categories),
         };
         let assignment = self.strategy.assign(&costs, self.threads)?;
         Ok((costs, assignment))
@@ -271,17 +263,6 @@ impl AnalysisBuilder {
         self
     }
 
-    /// Whether the engine precomputes shared per-branch tables (transition
-    /// matrices + tip lookups, built once by the master and shared read-only
-    /// across the workers) — on by default. `false` selects the per-call
-    /// reference kernels; results are identical bit for bit, which is what
-    /// the `kernel_tables` benchmark gate verifies.
-    #[must_use]
-    pub fn shared_tables(mut self, enabled: bool) -> Self {
-        self.shared_tables = enabled;
-        self
-    }
-
     /// Which inner-loop implementation the shared-table kernels run
     /// (default [`KernelDispatch::Blocked`], the cache-blocked
     /// width-specialized fast path). [`KernelDispatch::Scalar`] selects the
@@ -289,8 +270,6 @@ impl AnalysisBuilder {
     /// under both dispatches, protein partitions within the documented
     /// `1e-12` lnL tolerance (the `kernel_tables` gate enforces both). The
     /// schedule's analytic cost model follows the selected dispatch.
-    /// Ignored when [`AnalysisBuilder::shared_tables`] is off (the per-call
-    /// reference has no dispatch choice).
     #[must_use]
     pub fn kernel(mut self, dispatch: KernelDispatch) -> Self {
         self.dispatch = dispatch;
@@ -319,7 +298,6 @@ impl AnalysisBuilder {
             options,
         )?;
         let mut kernel = LikelihoodKernel::try_new(self.patterns, self.tree, models, executor)?;
-        kernel.set_shared_tables(self.shared_tables);
         kernel.set_dispatch(self.dispatch);
         let telemetry = Self::arm_telemetry(&mut kernel, self.telemetry);
         Ok(Analysis {
@@ -349,7 +327,6 @@ impl AnalysisBuilder {
             &categories,
         )?;
         let mut kernel = LikelihoodKernel::try_new(self.patterns, self.tree, models, executor)?;
-        kernel.set_shared_tables(self.shared_tables);
         kernel.set_dispatch(self.dispatch);
         let telemetry = Self::arm_telemetry(&mut kernel, self.telemetry);
         Ok(Analysis {
@@ -404,7 +381,6 @@ impl Analysis<ThreadedExecutor> {
             timed: false,
             skew: None,
             policy: None,
-            shared_tables: true,
             dispatch: KernelDispatch::default(),
             telemetry: None,
         }

@@ -69,8 +69,7 @@ pub mod prelude {
         OptimizerConfig, ParallelScheme, RescheduleEvent, WorkerRecovery,
     };
     pub use phylo_parallel::{
-        build_workers, schedule, ExecutorOptions, RayonExecutor, ThreadedExecutor, TracingExecutor,
-        WorkerSkew,
+        build_workers, schedule, ExecutorOptions, ThreadedExecutor, TracingExecutor, WorkerSkew,
     };
     pub use phylo_perfmodel::{
         imbalance_report, imbalance_report_in, CostCalibration, ImbalanceReport, Platform,

@@ -284,8 +284,8 @@ proptest! {
     }
 }
 
-/// The blocked dispatch agrees across all four executors: the sequential
-/// engine, real threads, the rayon pool and the 16-worker tracing executor
+/// The blocked dispatch agrees across the in-process executors: the
+/// sequential engine, real threads and the 16-worker tracing executor
 /// partition the patterns differently (so their partial sums associate
 /// differently), but every one of them must land within summation-order
 /// noise of the scalar sequential reference.
@@ -319,21 +319,6 @@ fn blocked_dispatch_agrees_under_all_executors() {
     )
     .unwrap();
 
-    let rayon = RayonExecutor::from_assignment(
-        &ds.patterns,
-        &schedule(&ds.patterns, &categories, 4, &Cyclic).unwrap(),
-        ds.tree.node_capacity(),
-        &categories,
-    )
-    .unwrap();
-    let mut rayon_kernel = LikelihoodKernel::try_new(
-        Arc::clone(&ds.patterns),
-        ds.tree.clone(),
-        models.clone(),
-        rayon,
-    )
-    .unwrap();
-
     let tracing = TracingExecutor::from_assignment(
         &ds.patterns,
         &schedule(&ds.patterns, &categories, 16, &WeightedLpt).unwrap(),
@@ -348,7 +333,6 @@ fn blocked_dispatch_agrees_under_all_executors() {
     for (name, lnl) in [
         ("sequential", sequential_lnl),
         ("threaded-4", threaded_kernel.try_log_likelihood().unwrap()),
-        ("rayon-4", rayon_kernel.try_log_likelihood().unwrap()),
         ("tracing-16", tracing_kernel.try_log_likelihood().unwrap()),
     ] {
         assert!(
