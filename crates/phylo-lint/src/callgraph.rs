@@ -76,26 +76,22 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
         "crates/phylo-kernel/src/engine.rs",
         "LikelihoodKernel::try_branch_derivatives",
     ),
-    // Parallel backends: the execute() calls and the worker loops they
-    // spawn (the closure bodies live inside spawn_handles).
+    // The one worker pool: the loop every pool thread runs (solo and
+    // serving alike) and its per-entry body.
+    ep("crates/phylo-parallel/src/pool.rs", "worker_loop"),
+    ep("crates/phylo-parallel/src/pool.rs", "run_entry"),
+    // Parallel backends: the execute() calls on top of it.
     ep(
         "crates/phylo-parallel/src/threaded.rs",
         "ThreadedExecutor::execute",
     ),
     ep(
-        "crates/phylo-parallel/src/threaded.rs",
-        "ThreadedExecutor::spawn_handles",
-    ),
-    ep(
         "crates/phylo-parallel/src/tracing.rs",
         "TracingExecutor::execute",
     ),
-    // phylo-serve: the dispatcher drain loop, the pool worker loop, and
-    // the per-session executor bridge (PR 10 satellite — this hot loop was
-    // the coverage gap).
+    // phylo-serve: the dispatcher drain loop and the per-session executor
+    // bridge (PR 10 satellite — this hot loop was the coverage gap).
     ep("crates/phylo-serve/src/dispatch.rs", "Dispatcher::run"),
-    ep("crates/phylo-serve/src/pool.rs", "worker_loop"),
-    ep("crates/phylo-serve/src/pool.rs", "run_entry"),
     ep(
         "crates/phylo-serve/src/session.rs",
         "PooledExecutor::execute",

@@ -23,9 +23,9 @@ pub const OP_PATH_FILES: &[&str] = &[
     "crates/phylo-kernel/src/tables.rs",
     "crates/phylo-kernel/src/executor.rs",
     "crates/phylo-kernel/src/engine.rs",
+    "crates/phylo-parallel/src/pool.rs",
     "crates/phylo-parallel/src/threaded.rs",
     "crates/phylo-parallel/src/tracing.rs",
-    "crates/phylo-serve/src/pool.rs",
     "crates/phylo-serve/src/dispatch.rs",
     "crates/phylo-serve/src/session.rs",
 ];

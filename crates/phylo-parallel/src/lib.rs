@@ -5,16 +5,22 @@
 //! over them cyclically, and the master broadcasts commands (traversal lists,
 //! evaluations, derivative computations) that every worker executes on its
 //! local patterns before a barrier + reduction. This crate implements that
-//! protocol on top of the [`Executor`](phylo_kernel::Executor) abstraction:
+//! protocol **once** ([`pool`]) and puts the
+//! [`Executor`](phylo_kernel::Executor) backends on top of it:
 //!
-//! * [`threaded::ThreadedExecutor`] — persistent `std::thread` workers with a
-//!   channel-based broadcast, the real-parallel backend used for wall-clock
-//!   measurements on the reproduction host,
+//! * [`pool::WorkerPool`] — persistent `std::thread` workers all running one
+//!   worker loop over session-keyed slices: one broadcast and one lockstep
+//!   drain per region, one panic catch that quarantines the faulting session
+//!   and keeps the thread, one worker-index-order fold ([`pool::reduce_row`]).
+//!   `phylo-serve` runs its multi-tenant dispatcher on this same pool,
+//! * [`threaded::ThreadedExecutor`] — the one-tenant case (its own pool,
+//!   one-entry batches sent straight to the workers): the real-parallel
+//!   backend used for wall-clock measurements on the reproduction host,
 //! * [`tracing::TracingExecutor`] — *virtual* workers executed sequentially
-//!   while recording, for every parallel region, how much work each virtual
-//!   worker would have performed. This makes the load balance of 8- or
-//!   16-thread runs measurable on any host and feeds the platform model in
-//!   `phylo-perfmodel`, which regenerates the paper's per-machine figures.
+//!   (same fold) while recording, for every parallel region, how much work
+//!   each virtual worker would have performed. This makes the load balance of
+//!   8- or 16-thread runs measurable on any host and feeds the platform model
+//!   in `phylo-perfmodel`, which regenerates the paper's per-machine figures.
 //!
 //! # Assignment flow
 //!
@@ -60,6 +66,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod pool;
 pub mod threaded;
 pub mod tracing;
 

@@ -1,95 +1,41 @@
-//! Persistent worker threads with channel-based command broadcast.
+//! The solo executor: one session on its own [`WorkerPool`].
 //!
-//! This is the Rust equivalent of the Pthreads master/worker scheme in RAxML:
-//! the worker threads are spawned once and own their pattern slices and CLV
-//! buffers for the whole run; the master broadcasts one command per parallel
-//! region and reduces the per-worker results. Every [`Executor::execute`] call
-//! is therefore one synchronization event, exactly as in the paper.
-//!
-//! Because the master's tree and model state lives on the master thread, each
-//! command ships a snapshot of that state inside an `Arc` (branch lengths
-//! travel as the op's precomputed branch tables). These structures are small
-//! (the tree has `2n` nodes, the models a handful of 4×4/20×20 matrices per
-//! partition), so the per-command cost is dominated by the channel round
-//! trip — a realistic stand-in for a barrier.
+//! [`ThreadedExecutor`] is the one-tenant case of [`crate::pool`]: the worker
+//! threads are spawned once, the executor installs its slices on them as a
+//! single session, and every [`Executor::execute`] call sends a one-entry
+//! [`Batch`] **directly** to the workers (no dispatcher thread in between) —
+//! one synchronization event, exactly as in the paper. Each command ships a
+//! [`StateSnapshot`] of the master's tree and models (branch lengths travel
+//! as the op's precomputed branch tables); these are small, so the
+//! per-command cost is dominated by the channel round trip — a realistic
+//! stand-in for a barrier.
 //!
 //! # Hardening and measurement
 //!
-//! Each worker brackets [`execute_on_worker`] with [`Instant`] and ships the
-//! wall-clock duration back with its result; when the executor is built with
-//! [`ExecutorOptions::timed`], the master accumulates those durations into a
-//! real [`WorkTrace`] (retrievable via [`ThreadedExecutor::take_trace`]) —
-//! the measured counterpart of the virtual FLOP traces, and the input to
-//! mid-run rescheduling. Worker panics are caught with
-//! `std::panic::catch_unwind` and surfaced as
-//! [`ExecError::WorkerDied`] from [`Executor::execute`]; the
+//! Each worker times its entry; with [`ExecutorOptions::timed`] the master
+//! accumulates those durations into a real [`WorkTrace`]
+//! ([`ThreadedExecutor::take_trace`]) — the measured counterpart of the
+//! virtual FLOP traces, and the input to mid-run rescheduling. A worker panic
+//! is caught by the pool and surfaced as [`ExecError::WorkerDied`]; the
 //! executor is then *poisoned* (every further command fails fast with
-//! [`ExecError::Poisoned`]) until [`ThreadedExecutor::reassign`] rebuilds the
-//! workers. [`ThreadedExecutor::inject_worker_panic`] arms a one-shot fault
-//! on that exact machinery so the driver-level recovery path stays tested.
+//! [`ExecError::Poisoned`]) until [`ThreadedExecutor::reassign`] reinstalls
+//! fresh slices on the same, surviving threads.
+//! [`ThreadedExecutor::inject_worker_panic`] arms a one-shot fault on that
+//! exact machinery so the driver-level recovery path stays tested.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::{RegionRecord, WorkTrace};
-use phylo_kernel::executor::{
-    active_local_patterns, execute_on_worker, panic_message, reduce_outputs,
-};
-use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, OpOutput, WorkerSlices};
-use phylo_models::ModelSet;
+use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, OpOutput};
 use phylo_sched::{Assignment, SchedError};
-use phylo_telemetry::{ring, Telemetry, WorkerSample};
-use phylo_tree::Tree;
+use phylo_telemetry::Telemetry;
 
-/// Capacity of each worker's sample ring. One sample is pushed per recorded
-/// region and the master drains at every region barrier, so the ring is
-/// effectively depth-1; the slack absorbs drains skipped by error paths.
-const SAMPLE_RING_CAPACITY: usize = 64;
+pub use crate::pool::WorkerSkew;
+use crate::pool::{end_region, Batch, BatchEntry, Reduced, StateSnapshot, WorkerPool};
 
-/// One broadcast command: the op plus a snapshot of the master state.
-struct Command {
-    op: KernelOp,
-    tree: Tree,
-    models: ModelSet,
-    /// Telemetry: whether workers should push a [`WorkerSample`] for this
-    /// region, and the region's sequence number to stamp it with.
-    record: bool,
-    region: u64,
-    /// Test instrumentation: the worker that must panic while executing this
-    /// command (see [`ThreadedExecutor::inject_worker_panic`]).
-    panic_worker: Option<usize>,
-}
-
-/// What a worker sends back for one command.
-enum Reply {
-    /// The reduced-ready output plus the worker's wall-clock time for the
-    /// region (including any configured skew sleep) and the number of *live*
-    /// local patterns it touched under the command's convergence mask.
-    Output(OpOutput, Duration, usize),
-    /// A kernel primitive rejected the command (typed, deterministic master
-    /// misuse — e.g. a stale sum table). The worker stays alive and in
-    /// lockstep; the master surfaces [`ExecError::Op`] without poisoning.
-    OpRejected(phylo_kernel::OpError),
-    /// The worker panicked; the payload is the panic message.
-    Panicked(String),
-}
-
-/// An artificial per-worker slowdown for load-balance experiments: the
-/// designated worker sleeps `nanos_per_pattern` nanoseconds per active local
-/// pattern in every region, emulating a proportionally slower core. Sleeps
-/// (unlike busy loops) keep the emulation meaningful even on an
-/// oversubscribed host, because a sleeping thread yields the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerSkew {
-    /// Index of the artificially slowed worker.
-    pub worker: usize,
-    /// Slowdown per active local pattern, in nanoseconds.
-    pub nanos_per_pattern: u64,
-}
+/// The session id the executor's slices are installed under on its own pool.
+const SOLO_SESSION: u64 = 0;
 
 /// Construction options beyond the assignment itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,20 +46,10 @@ pub struct ExecutorOptions {
     pub skew: Option<WorkerSkew>,
 }
 
-struct WorkerHandle {
-    sender: Sender<Option<Arc<Command>>>,
-    results: Receiver<Reply>,
-    /// Consumer half of the worker's lock-free sample ring; drained by the
-    /// master at the region barrier when telemetry is recording.
-    samples: ring::Consumer<WorkerSample>,
-    join: Option<JoinHandle<()>>,
-}
-
 /// A real-thread executor with persistent workers.
 pub struct ThreadedExecutor {
-    handles: Vec<WorkerHandle>,
+    pool: WorkerPool,
     sync_events: u64,
-    worker_count: usize,
     assignment: Assignment,
     options: ExecutorOptions,
     trace: WorkTrace,
@@ -122,15 +58,12 @@ pub struct ThreadedExecutor {
     /// One-shot armed fault injection: `(worker, fire_at_sync_event)`.
     injected_panic: Option<(usize, u64)>,
     telemetry: Telemetry,
-    /// Reused scratch for the barrier drain: one allocation for the whole
-    /// run instead of one `Vec` per region barrier.
-    sample_buf: Vec<WorkerSample>,
 }
 
 impl std::fmt::Debug for ThreadedExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadedExecutor")
-            .field("worker_count", &self.worker_count)
+            .field("worker_count", &self.pool.width())
             .field("sync_events", &self.sync_events)
             .field("timed", &self.options.timed)
             .field("poisoned", &self.poisoned)
@@ -178,19 +111,18 @@ impl ThreadedExecutor {
     ) -> Result<Self, SchedError> {
         Self::check_skew(&options, assignment.worker_count())?;
         let workers = crate::build_workers(patterns, node_capacity, categories, assignment)?;
-        let worker_count = workers.len();
+        let pool = WorkerPool::spawn(workers.len());
+        pool.install(SOLO_SESSION, workers, options.skew);
         Ok(Self {
-            handles: Self::spawn_handles(workers, &options),
+            trace: WorkTrace::new(pool.width()),
+            pool,
             sync_events: 0,
-            worker_count,
             assignment: assignment.clone(),
             options,
-            trace: WorkTrace::new(worker_count),
             poisoned: None,
             last_panic: None,
             injected_panic: None,
             telemetry: Telemetry::disabled(),
-            sample_buf: Vec::new(),
         })
     }
 
@@ -202,129 +134,6 @@ impl ThreadedExecutor {
             }),
             _ => Ok(()),
         }
-    }
-
-    fn spawn_handles(workers: Vec<WorkerSlices>, options: &ExecutorOptions) -> Vec<WorkerHandle> {
-        let timed = options.timed;
-        workers
-            .into_iter()
-            .map(|mut slices| {
-                let skew_ns = options
-                    .skew
-                    .filter(|s| s.worker == slices.worker)
-                    .map(|s| s.nanos_per_pattern);
-                let worker_index = slices.worker;
-                let (cmd_tx, cmd_rx) = channel::<Option<Arc<Command>>>();
-                let (res_tx, res_rx) = channel::<Reply>();
-                let (mut sample_tx, sample_rx) = ring::spsc::<WorkerSample>(SAMPLE_RING_CAPACITY);
-                let join = std::thread::Builder::new()
-                    .name(format!("plk-worker-{}", slices.worker))
-                    .spawn(move || {
-                        // lint:allow(L008): queue-wait baseline for the telemetry sample
-                        // ring; observability only, never feeds the reduction order.
-                        let mut idle_since = Instant::now();
-                        while let Ok(Some(cmd)) = cmd_rx.recv() {
-                            // Time spent blocked on the command channel: the
-                            // telemetry queue-wait lane of this worker.
-                            let queue_wait = idle_since.elapsed();
-                            // lint:allow(L008): per-op timing for the measured trace that
-                            // drives rebalancing; never feeds the reduction order.
-                            let start = Instant::now();
-                            let body = || -> Result<(OpOutput, usize), phylo_kernel::OpError> {
-                                if cmd.panic_worker == Some(worker_index) {
-                                    // lint:allow(L001): fault-injection hook, armed only by recovery tests
-                                    panic!("injected worker panic (test instrumentation)");
-                                }
-                                let ctx = ExecContext {
-                                    tree: &cmd.tree,
-                                    models: &cmd.models,
-                                };
-                                let out = execute_on_worker(&mut slices, &cmd.op, &ctx)?;
-                                // The live-pattern count drives the skew
-                                // sleep and the timed trace; the untimed,
-                                // unskewed hot path skips it (the master
-                                // would discard it).
-                                let active = if timed || skew_ns.is_some() {
-                                    active_local_patterns(&slices, &cmd.op)
-                                } else {
-                                    0
-                                };
-                                if let Some(ns) = skew_ns {
-                                    std::thread::sleep(Duration::from_nanos(ns * active as u64));
-                                }
-                                Ok((out, active))
-                            };
-                            let outcome = catch_unwind(AssertUnwindSafe(body));
-                            // The sample is pushed *before* the reply, so by
-                            // the time the master holds this worker's reply
-                            // the ring slot is visible. A panicked worker
-                            // pushes nothing: its region never completes.
-                            if cmd.record && outcome.is_ok() {
-                                let (tip_hits, tip_misses, tip_builds) =
-                                    slices.take_tip_cache_counters();
-                                let (dispatch_blocked, dispatch_scalar) =
-                                    slices.take_dispatch_counters();
-                                let _ = sample_tx.push(WorkerSample {
-                                    worker: worker_index,
-                                    region: cmd.region,
-                                    op_seconds: start.elapsed().as_secs_f64(),
-                                    queue_wait_seconds: queue_wait.as_secs_f64(),
-                                    tip_hits,
-                                    tip_misses,
-                                    tip_builds,
-                                    dispatch_blocked,
-                                    dispatch_scalar,
-                                });
-                            }
-                            match outcome {
-                                Ok(Ok((out, active))) => {
-                                    if res_tx
-                                        .send(Reply::Output(out, start.elapsed(), active))
-                                        .is_err()
-                                    {
-                                        break;
-                                    }
-                                }
-                                Ok(Err(op_error)) => {
-                                    // Typed rejection: the worker stays alive
-                                    // and keeps serving commands in lockstep.
-                                    if res_tx.send(Reply::OpRejected(op_error)).is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(payload) => {
-                                    // The slices may be half-updated; report
-                                    // the panic and retire this worker.
-                                    let _ = res_tx.send(Reply::Panicked(panic_message(payload)));
-                                    break;
-                                }
-                            }
-                            // lint:allow(L008): resets the queue-wait baseline above.
-                            idle_since = Instant::now();
-                        }
-                    })
-                    // lint:allow(L001): spawn failure at executor construction, outside the per-op path
-                    .expect("failed to spawn worker thread");
-                WorkerHandle {
-                    sender: cmd_tx,
-                    results: res_rx,
-                    samples: sample_rx,
-                    join: Some(join),
-                }
-            })
-            .collect()
-    }
-
-    fn shutdown_workers(&mut self) {
-        for handle in &self.handles {
-            let _ = handle.sender.send(None);
-        }
-        for handle in &mut self.handles {
-            if let Some(join) = handle.join.take() {
-                let _ = join.join();
-            }
-        }
-        self.handles.clear();
     }
 
     /// The assignment the current workers were built from.
@@ -345,7 +154,7 @@ impl ThreadedExecutor {
 
     /// Takes the accumulated trace, leaving an empty one behind.
     pub fn take_trace(&mut self) -> WorkTrace {
-        std::mem::replace(&mut self.trace, WorkTrace::new(self.worker_count))
+        std::mem::replace(&mut self.trace, WorkTrace::new(self.pool.width()))
     }
 
     /// The worker whose death poisoned the executor, if any.
@@ -367,148 +176,13 @@ impl ThreadedExecutor {
         self.injected_panic = Some((worker, self.sync_events + 1 + after_regions));
     }
 
-    /// The broadcast/reduce round of one command — the body of
-    /// [`Executor::execute`].
-    fn broadcast(&mut self, op: &KernelOp, ctx: &ExecContext<'_>) -> Result<OpOutput, ExecError> {
-        if let Some(worker) = self.poisoned {
-            return Err(ExecError::Poisoned { worker });
-        }
-        self.sync_events += 1;
-        // A one-shot armed fault fires exactly once, on its scheduled region.
-        let panic_worker = match self.injected_panic {
-            Some((worker, at)) if self.sync_events >= at => {
-                self.injected_panic = None;
-                Some(worker)
-            }
-            _ => None,
-        };
-        // Bracket the region for telemetry. The token is dropped without a
-        // `region_end` on the worker-death paths, which is exactly the
-        // "started but never completed" marker the event stream needs.
-        let token = self.telemetry.enabled().then(|| {
-            self.telemetry
-                .region_start(op.kind().label(), &op.active_partitions())
-        });
-        let region = token.as_ref().and_then(|t| t.region()).unwrap_or(0);
-        let command = Arc::new(Command {
-            op: op.clone(),
-            tree: ctx.tree.clone(),
-            models: ctx.models.clone(),
-            record: token.is_some(),
-            region,
-            panic_worker,
-        });
-        for (worker, handle) in self.handles.iter().enumerate() {
-            if handle.sender.send(Some(Arc::clone(&command))).is_err() {
-                self.poisoned = Some(worker);
-                self.telemetry
-                    .worker_death(worker, token.as_ref().and_then(|t| t.region()));
-                return Err(ExecError::WorkerDied { worker });
-            }
-        }
-        // Only allocate the per-region record when the measurements are
-        // actually kept — the untimed master loop stays allocation-free.
-        let mut record = self
-            .options
-            .timed
-            .then(|| RegionRecord::new(op.kind(), self.worker_count));
-        if let Some(record) = record.as_mut() {
-            record.active_partitions = op.active_partitions();
-        }
-        let mut result: Option<OpOutput> = None;
-        // A typed kernel rejection must not break the broadcast lockstep:
-        // every worker still sends exactly one reply for this region, so the
-        // master drains them all before surfacing the first rejection. The
-        // workers stay healthy and unpoisoned.
-        let mut rejected: Option<phylo_kernel::OpError> = None;
-        for (worker, handle) in self.handles.iter().enumerate() {
-            match handle.results.recv() {
-                Ok(Reply::Output(out, duration, active)) => {
-                    if let Some(record) = record.as_mut() {
-                        record.seconds_per_worker[worker] = duration.as_secs_f64();
-                        record.active_patterns_per_worker[worker] = active as f64;
-                    }
-                    // A reduce mismatch is deterministic misuse like any
-                    // other op rejection: keep draining the lockstep replies
-                    // and surface it once every worker has answered.
-                    result = match result.take() {
-                        None => Some(out),
-                        Some(acc) => match reduce_outputs(acc, out) {
-                            Ok(merged) => Some(merged),
-                            Err(e) => {
-                                rejected.get_or_insert(e);
-                                None
-                            }
-                        },
-                    };
-                }
-                Ok(Reply::OpRejected(op_error)) => {
-                    rejected.get_or_insert(op_error);
-                }
-                Ok(Reply::Panicked(message)) => {
-                    self.poisoned = Some(worker);
-                    self.last_panic = Some(message);
-                    self.telemetry
-                        .worker_death(worker, token.as_ref().and_then(|t| t.region()));
-                    return Err(ExecError::WorkerDied { worker });
-                }
-                Err(_) => {
-                    self.poisoned = Some(worker);
-                    self.telemetry
-                        .worker_death(worker, token.as_ref().and_then(|t| t.region()));
-                    return Err(ExecError::WorkerDied { worker });
-                }
-            }
-        }
-        // Every worker replied (possibly with a typed rejection), so the
-        // region completed: drain the sample rings and close the bracket —
-        // the sample of worker `w` was pushed before its reply was sent.
-        if let Some(token) = token {
-            let mut worker_seconds = vec![0.0; self.worker_count];
-            let mut queue_wait = vec![0.0; self.worker_count];
-            let (mut hits, mut misses, mut builds) = (0u64, 0u64, 0u64);
-            let (mut blocked, mut scalar) = (0u64, 0u64);
-            let mut ring_dropped = 0u64;
-            for handle in &mut self.handles {
-                ring_dropped += handle.samples.take_dropped();
-                self.sample_buf.clear();
-                handle.samples.drain_into(&mut self.sample_buf);
-                for sample in &self.sample_buf {
-                    if sample.region != region {
-                        continue;
-                    }
-                    worker_seconds[sample.worker] = sample.op_seconds;
-                    queue_wait[sample.worker] = sample.queue_wait_seconds;
-                    hits += sample.tip_hits;
-                    misses += sample.tip_misses;
-                    builds += sample.tip_builds;
-                    blocked += sample.dispatch_blocked;
-                    scalar += sample.dispatch_scalar;
-                }
-            }
-            self.telemetry.add_tip_cache(hits, misses, builds);
-            self.telemetry.add_dispatch_patterns(blocked, scalar);
-            // Samples a full ring refused are gone, but never silently:
-            // they surface as `events_dropped` in the snapshot.
-            self.telemetry.add_dropped(ring_dropped);
-            self.telemetry
-                .region_end(token, &worker_seconds, &queue_wait);
-        }
-        if let Some(op_error) = rejected {
-            return Err(ExecError::Op(op_error));
-        }
-        if let Some(record) = record {
-            self.trace.regions.push(record);
-        }
-        Ok(result.unwrap_or(OpOutput::None))
-    }
-
-    /// Migrates pattern→worker ownership to a new assignment: the old
-    /// workers are shut down, fresh ones are spawned from the new owner map,
+    /// Migrates pattern→worker ownership to a new assignment: fresh slices
+    /// built from the new owner map replace the installed ones on the same
+    /// worker threads (only a width-changing assignment replaces the pool),
     /// the trace epoch restarts, and any poisoned state is cleared (the
-    /// broken workers are gone).
+    /// quarantined slices are gone).
     ///
-    /// The new workers own *empty* CLV buffers, so the caller must
+    /// The reinstalled workers own *empty* CLV buffers, so the caller must
     /// invalidate the master-side CLV validity cache before the next
     /// likelihood evaluation (`LikelihoodKernel::invalidate_all`).
     ///
@@ -527,11 +201,12 @@ impl ThreadedExecutor {
     ) -> Result<(), SchedError> {
         Self::check_skew(&self.options, assignment.worker_count())?;
         let workers = crate::build_workers(patterns, node_capacity, categories, assignment)?;
-        self.shutdown_workers();
-        self.worker_count = workers.len();
-        self.handles = Self::spawn_handles(workers, &self.options);
+        if workers.len() != self.pool.width() {
+            self.pool = WorkerPool::spawn(workers.len());
+        }
+        self.pool.install(SOLO_SESSION, workers, self.options.skew);
         self.assignment = assignment.clone();
-        self.trace = WorkTrace::new(self.worker_count);
+        self.trace = WorkTrace::new(self.pool.width());
         self.poisoned = None;
         self.last_panic = None;
         self.injected_panic = None;
@@ -541,21 +216,81 @@ impl ThreadedExecutor {
 
 impl Executor for ThreadedExecutor {
     fn worker_count(&self) -> usize {
-        self.worker_count
+        self.pool.width()
     }
 
-    /// Executes one command, surfacing worker failures as values instead of
-    /// killing the master thread.
+    /// Executes one command — one broadcast/reduce round on the pool —
+    /// surfacing worker failures as values instead of killing the master
+    /// thread.
     ///
     /// # Errors
     ///
-    /// [`ExecError::WorkerDied`] when a worker panics (or its channel
-    /// disconnects) during this command; the executor is poisoned
-    /// afterwards. [`ExecError::Poisoned`] for every command issued to a
-    /// poisoned executor; [`ThreadedExecutor::reassign`] clears the state by
-    /// rebuilding the workers.
+    /// [`ExecError::WorkerDied`] when a worker panics (or its thread is
+    /// lost) during this command; the executor is poisoned afterwards.
+    /// [`ExecError::Poisoned`] for every command issued to a poisoned
+    /// executor; [`ThreadedExecutor::reassign`] clears the state.
+    /// [`ExecError::Op`] for a typed kernel rejection, which never poisons.
     fn execute(&mut self, op: &KernelOp, ctx: &ExecContext<'_>) -> Result<OpOutput, ExecError> {
-        self.broadcast(op, ctx)
+        if let Some(worker) = self.poisoned {
+            return Err(ExecError::Poisoned { worker });
+        }
+        self.sync_events += 1;
+        // A one-shot armed fault fires exactly once, on its scheduled region.
+        let panic_target = match self.injected_panic {
+            Some((worker, at)) if self.sync_events >= at => {
+                self.injected_panic = None;
+                Some((SOLO_SESSION, worker))
+            }
+            _ => None,
+        };
+        // Bracket the region for telemetry (see `end_region`).
+        let token = self.telemetry.enabled().then(|| {
+            self.telemetry
+                .region_start(op.kind().label(), &op.active_partitions())
+        });
+        let width = self.pool.width();
+        // Only allocate the per-region record when the measurements are
+        // actually kept — the untimed master loop stays allocation-free.
+        let mut record = self.options.timed.then(|| {
+            let mut record = RegionRecord::new(op.kind(), width);
+            record.active_partitions = op.active_partitions();
+            record
+        });
+        let batch = Batch {
+            entries: vec![BatchEntry {
+                session: SOLO_SESSION,
+                op: op.clone(),
+                snapshot: Arc::new(StateSnapshot {
+                    tree: ctx.tree.clone(),
+                    models: ctx.models.clone(),
+                }),
+                record: token.as_ref().and_then(|t| t.region()),
+            }],
+            panic_target,
+        };
+        let mut reduced = self.pool.run_batch(batch, |worker, elapsed, active| {
+            if let Some(record) = record.as_mut() {
+                record.seconds_per_worker[worker] = elapsed.as_secs_f64();
+                record.active_patterns_per_worker[worker] = active as f64;
+            }
+        });
+        // One entry in, one result out.
+        let Some(Reduced { result, panics }) = reduced.pop() else {
+            return Ok(OpOutput::None);
+        };
+        // Not poisoned on entry, so `last_panic` was `None`.
+        self.last_panic = panics.into_iter().next();
+        // Every live worker has replied, so its sample is in its ring: drain
+        // them on every path (a dead region's samples are discarded).
+        let samples = match token {
+            Some(_) => self.pool.take_samples(&self.telemetry),
+            None => Vec::new(),
+        };
+        self.poisoned = end_region(&self.telemetry, token, width, &samples, &result);
+        if let (Ok(_), Some(record)) = (&result, record) {
+            self.trace.regions.push(record);
+        }
+        result
     }
 
     fn sync_events(&self) -> u64 {
@@ -567,74 +302,20 @@ impl Executor for ThreadedExecutor {
     }
 }
 
-impl Drop for ThreadedExecutor {
-    fn drop(&mut self) {
-        self.shutdown_workers();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule;
-    use phylo_kernel::{
-        EdgeTables, KernelDispatch, LikelihoodKernel, NewviewTables, SequentialKernel,
-    };
-    use phylo_models::BranchLengthMode;
+    use crate::pool::tests::{evaluate_without_tables, nop_newview, Fixture};
+    use phylo_kernel::OpError;
+    use phylo_models::BranchLengthMode::{Joint, PerPartition};
     use phylo_sched::{Block, Cyclic, ScheduleStrategy, WeightedLpt};
-    use phylo_seqgen::datasets::paper_simulated;
-
-    /// A newview with no plan for any partition: harmless on fresh (empty)
-    /// CLV buffers, and its (empty) table payload is never consulted.
-    fn nop_newview(partitions: usize) -> KernelOp {
-        KernelOp::Newview {
-            plans: vec![None; partitions],
-            tables: Arc::new(NewviewTables {
-                per_partition: Vec::new(),
-                dispatch: KernelDispatch::default(),
-            }),
-        }
-    }
-
-    /// An evaluate at branch 0 whose table payload is empty: only good for
-    /// commands that must fail before any table is read.
-    fn evaluate_without_tables(mask: Vec<bool>) -> KernelOp {
-        KernelOp::Evaluate {
-            root_branch: 0,
-            mask,
-            tables: Arc::new(EdgeTables {
-                per_partition: Vec::new(),
-                dispatch: KernelDispatch::default(),
-            }),
-        }
-    }
 
     #[test]
     fn threaded_likelihood_matches_sequential() {
-        let ds = paper_simulated(10, 300, 50, 17).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
-        let mut seq =
-            SequentialKernel::build(Arc::clone(&ds.patterns), ds.tree.clone(), models.clone())
-                .unwrap();
-        let reference = seq.try_log_likelihood().unwrap();
-
+        let fx = Fixture::new(10, 300, 50, 17, PerPartition);
+        let reference = fx.sequential().try_log_likelihood().unwrap();
         for workers in [2usize, 4] {
-            let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-            let assignment = schedule(&ds.patterns, &cats, workers, &Cyclic).unwrap();
-            let exec = ThreadedExecutor::from_assignment(
-                &ds.patterns,
-                &assignment,
-                ds.tree.node_capacity(),
-                &cats,
-            )
-            .unwrap();
-            let mut k = LikelihoodKernel::try_new(
-                Arc::clone(&ds.patterns),
-                ds.tree.clone(),
-                models.clone(),
-                exec,
-            )
-            .unwrap();
+            let mut k = fx.kernel(fx.executor(&fx.assign(workers, &Cyclic), Default::default()));
             let lnl = k.try_log_likelihood().unwrap();
             assert!(
                 (lnl - reference).abs() < 1e-8,
@@ -646,13 +327,8 @@ mod tests {
 
     #[test]
     fn threaded_derivatives_match_sequential() {
-        let ds = paper_simulated(8, 160, 40, 23).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-
-        let mut seq =
-            SequentialKernel::build(Arc::clone(&ds.patterns), ds.tree.clone(), models.clone())
-                .unwrap();
+        let fx = Fixture::new(8, 160, 40, 23, PerPartition);
+        let mut seq = fx.sequential();
         let branch = seq.tree().internal_branches()[0];
         let mask = seq.full_mask();
         seq.try_prepare_branch(branch, &mask).unwrap();
@@ -661,17 +337,7 @@ mod tests {
 
         // The cost-aware strategy must produce the same likelihood as any
         // other placement — results are placement-invariant by construction.
-        let assignment = schedule(&ds.patterns, &cats, 3, &WeightedLpt).unwrap();
-        let exec = ThreadedExecutor::from_assignment(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-        )
-        .unwrap();
-        let mut par =
-            LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec)
-                .unwrap();
+        let mut par = fx.kernel(fx.executor(&fx.assign(3, &WeightedLpt), Default::default()));
         par.try_prepare_branch(branch, &mask).unwrap();
         let got = par.try_branch_derivatives(&lengths).unwrap();
         for (a, b) in expected.iter().zip(got.iter()) {
@@ -684,40 +350,19 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_cleanly() {
-        let ds = paper_simulated(6, 64, 16, 29).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::Joint);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let assignment = schedule(&ds.patterns, &cats, 4, &Cyclic).unwrap();
-        let exec = ThreadedExecutor::from_assignment(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-        )
-        .unwrap();
-        drop(exec);
+        let fx = Fixture::new(6, 64, 16, 29, Joint);
+        drop(fx.executor(&fx.assign(4, &Cyclic), Default::default()));
     }
 
     #[test]
     fn injected_panic_fires_once_on_the_scheduled_region() {
-        let ds = paper_simulated(6, 64, 16, 29).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::Joint);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let assignment = schedule(&ds.patterns, &cats, 3, &Cyclic).unwrap();
-        let mut exec = ThreadedExecutor::from_assignment(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-        )
-        .unwrap();
-        let ctx = ExecContext {
-            tree: &ds.tree,
-            models: &models,
-        };
+        let fx = Fixture::new(6, 64, 16, 29, Joint);
+        let assignment = fx.assign(3, &Cyclic);
+        let mut exec = fx.executor(&assignment, Default::default());
+        let ctx = fx.ctx();
         // A no-op newview: harmless on fresh (empty) CLV buffers, so the only
         // possible failure is the injected one.
-        let op = nop_newview(ds.patterns.partition_count());
+        let op = nop_newview(fx.partitions());
         // Armed one region ahead: the next command succeeds, the one after
         // dies on worker 1, and a reassign fully clears the fault.
         exec.inject_worker_panic(1, 1);
@@ -727,36 +372,22 @@ mod tests {
         assert!(exec
             .last_panic_message()
             .is_some_and(|m| m.contains("injected")));
-        exec.reassign(&ds.patterns, &assignment, ds.tree.node_capacity(), &cats)
-            .unwrap();
+        fx.reassign(&mut exec, &assignment);
         assert!(exec.execute(&op, &ctx).is_ok());
     }
 
     #[test]
     fn typed_kernel_rejection_does_not_poison_the_workers() {
-        use phylo_kernel::OpError;
-        let ds = paper_simulated(6, 64, 16, 61).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::Joint);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let assignment = schedule(&ds.patterns, &cats, 3, &Cyclic).unwrap();
-        let mut exec = ThreadedExecutor::from_assignment(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-        )
-        .unwrap();
-        let ctx = ExecContext {
-            tree: &ds.tree,
-            models: &models,
-        };
+        let fx = Fixture::new(6, 64, 16, 61, Joint);
+        let mut exec = fx.executor(&fx.assign(3, &Cyclic), Default::default());
+        let ctx = fx.ctx();
         // Derivatives without a sum table: every worker with patterns hits
         // the release-mode staleness guard. The rejection must cross the
         // channel as a typed value, keep the broadcast lockstep intact and
         // leave the workers unpoisoned (this used to be an assert! that
         // killed the worker thread and poisoned the executor).
         let premature = KernelOp::Derivatives {
-            lengths: vec![Some(0.1); ds.patterns.partition_count()],
+            lengths: vec![Some(0.1); fx.partitions()],
         };
         let err = exec.execute(&premature, &ctx).unwrap_err();
         assert!(
@@ -765,41 +396,22 @@ mod tests {
         );
         assert_eq!(exec.poisoned_by(), None, "workers stay healthy");
         // The very next command runs on the same workers.
-        let nop = nop_newview(ds.patterns.partition_count());
-        assert!(exec.execute(&nop, &ctx).is_ok());
+        assert!(exec.execute(&nop_newview(fx.partitions()), &ctx).is_ok());
         // And the lockstep survived: a full likelihood round-trip agrees
         // with the sequential reference.
-        let mut seq =
-            SequentialKernel::build(Arc::clone(&ds.patterns), ds.tree.clone(), models.clone())
-                .unwrap();
-        let reference = seq.try_log_likelihood().unwrap();
-        let mut k =
-            LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec)
-                .unwrap();
-        let lnl = k.try_log_likelihood().unwrap();
+        let reference = fx.sequential().try_log_likelihood().unwrap();
+        let lnl = fx.kernel(exec).try_log_likelihood().unwrap();
         assert!((lnl - reference).abs() < 1e-8);
     }
 
     #[test]
     fn timed_executor_accumulates_a_wall_clock_trace() {
-        let ds = paper_simulated(8, 160, 40, 31).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let assignment = schedule(&ds.patterns, &cats, 3, &Cyclic).unwrap();
-        let exec = ThreadedExecutor::with_options(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-            ExecutorOptions {
-                timed: true,
-                skew: None,
-            },
-        )
-        .unwrap();
-        let mut k =
-            LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec)
-                .unwrap();
+        let fx = Fixture::new(8, 160, 40, 31, PerPartition);
+        let options = ExecutorOptions {
+            timed: true,
+            skew: None,
+        };
+        let mut k = fx.kernel(fx.executor(&fx.assign(3, &Cyclic), options));
         let _ = k.try_log_likelihood().unwrap();
         let sync = k.sync_events();
         let trace = k.executor_mut().take_trace();
@@ -824,41 +436,17 @@ mod tests {
 
     #[test]
     fn untimed_executor_keeps_no_trace() {
-        let ds = paper_simulated(6, 64, 16, 37).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::Joint);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let assignment = schedule(&ds.patterns, &cats, 2, &Cyclic).unwrap();
-        let exec = ThreadedExecutor::from_assignment(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-        )
-        .unwrap();
-        let mut k =
-            LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec)
-                .unwrap();
+        let fx = Fixture::new(6, 64, 16, 37, Joint);
+        let mut k = fx.kernel(fx.executor(&fx.assign(2, &Cyclic), Default::default()));
         let _ = k.try_log_likelihood().unwrap();
         assert_eq!(k.executor_mut().trace().sync_events(), 0);
     }
 
     #[test]
     fn worker_panic_surfaces_as_exec_error_and_poisons() {
-        let ds = paper_simulated(6, 64, 16, 41).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::Joint);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let assignment = schedule(&ds.patterns, &cats, 3, &Cyclic).unwrap();
-        let mut exec = ThreadedExecutor::from_assignment(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-        )
-        .unwrap();
-        let ctx = ExecContext {
-            tree: &ds.tree,
-            models: &models,
-        };
+        let fx = Fixture::new(6, 64, 16, 41, Joint);
+        let mut exec = fx.executor(&fx.assign(3, &Cyclic), Default::default());
+        let ctx = fx.ctx();
         // An empty partition mask makes every worker index out of bounds —
         // the injected panicking op.
         let bad = evaluate_without_tables(vec![]);
@@ -870,7 +458,7 @@ mod tests {
             "the caught panic message must be retained for diagnostics"
         );
         // Every further command fails fast with the poisoned state.
-        let good = evaluate_without_tables(vec![true; ds.patterns.partition_count()]);
+        let good = evaluate_without_tables(vec![true; fx.partitions()]);
         let err = exec.execute(&good, &ctx).unwrap_err();
         assert!(matches!(err, ExecError::Poisoned { .. }), "{err:?}");
         assert!(!err.to_string().is_empty());
@@ -880,59 +468,52 @@ mod tests {
 
     #[test]
     fn reassign_recovers_a_poisoned_executor() {
-        let ds = paper_simulated(6, 64, 16, 43).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::Joint);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let assignment = schedule(&ds.patterns, &cats, 2, &Cyclic).unwrap();
-        let mut exec = ThreadedExecutor::from_assignment(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-        )
-        .unwrap();
-        let ctx = ExecContext {
-            tree: &ds.tree,
-            models: &models,
-        };
+        let fx = Fixture::new(6, 64, 16, 43, Joint);
+        let mut exec = fx.executor(&fx.assign(2, &Cyclic), Default::default());
+        let ctx = fx.ctx();
         let bad = evaluate_without_tables(vec![]);
         assert!(exec.execute(&bad, &ctx).is_err());
         assert!(exec.poisoned_by().is_some());
 
-        let fresh = schedule(&ds.patterns, &cats, 2, &Block).unwrap();
-        exec.reassign(&ds.patterns, &fresh, ds.tree.node_capacity(), &cats)
-            .unwrap();
+        fx.reassign(&mut exec, &fx.assign(2, &Block));
         assert_eq!(exec.poisoned_by(), None);
         // A fresh executor owns empty CLV buffers, so the recovery probe is
         // a no-op newview (what the engine would issue after invalidation).
-        let good = nop_newview(ds.patterns.partition_count());
-        assert!(exec.execute(&good, &ctx).is_ok());
+        assert!(exec.execute(&nop_newview(fx.partitions()), &ctx).is_ok());
+    }
+
+    #[test]
+    fn reassign_reinstalls_on_the_surviving_threads() {
+        let fx = Fixture::new(6, 64, 16, 67, Joint);
+        let assignment = fx.assign(3, &Cyclic);
+        let mut exec = fx.executor(&assignment, Default::default());
+        let (ctx, nop) = (fx.ctx(), nop_newview(fx.partitions()));
+        let threads = exec.pool.thread_ids();
+        assert_eq!(threads.len(), 3);
+        exec.inject_worker_panic(2, 0);
+        assert_eq!(
+            exec.execute(&nop, &ctx).unwrap_err(),
+            ExecError::WorkerDied { worker: 2 }
+        );
+        // Recovery is a re-install: the thread that caught the panic is the
+        // one that serves the next command.
+        fx.reassign(&mut exec, &assignment);
+        assert_eq!(exec.pool.thread_ids(), threads);
+        assert!(exec.execute(&nop, &ctx).is_ok());
+        // Only a width-changing assignment replaces the pool.
+        fx.reassign(&mut exec, &fx.assign(4, &Cyclic));
+        assert_eq!(exec.worker_count(), 4);
+        assert_eq!(exec.take_trace().workers, 4);
+        assert!(exec.execute(&nop, &ctx).is_ok());
     }
 
     #[test]
     fn reassign_migrates_ownership_with_identical_likelihood() {
-        let ds = paper_simulated(8, 200, 40, 47).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let cyclic = schedule(&ds.patterns, &cats, 3, &Cyclic).unwrap();
-        let exec = ThreadedExecutor::from_assignment(
-            &ds.patterns,
-            &cyclic,
-            ds.tree.node_capacity(),
-            &cats,
-        )
-        .unwrap();
-        let mut k =
-            LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec)
-                .unwrap();
+        let fx = Fixture::new(8, 200, 40, 47, PerPartition);
+        let mut k = fx.kernel(fx.executor(&fx.assign(3, &Cyclic), Default::default()));
         let before = k.try_log_likelihood().unwrap();
 
-        let lpt = schedule(&ds.patterns, &cats, 3, &WeightedLpt).unwrap();
-        let patterns = Arc::clone(k.patterns());
-        let node_capacity = k.tree().node_capacity();
-        k.executor_mut()
-            .reassign(&patterns, &lpt, node_capacity, &cats)
-            .unwrap();
+        fx.reassign(k.executor_mut(), &fx.assign(3, &WeightedLpt));
         // The migrated workers own fresh CLV buffers.
         k.invalidate_all();
         let after = k.try_log_likelihood().unwrap();
@@ -947,37 +528,18 @@ mod tests {
     fn degenerate_schedules_with_more_workers_than_patterns() {
         // Block and LPT both produce empty workers when T > m'; the full
         // master/worker protocol must still reduce to the sequential answer.
-        let ds = paper_simulated(6, 24, 12, 53).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let mut seq =
-            SequentialKernel::build(Arc::clone(&ds.patterns), ds.tree.clone(), models.clone())
-                .unwrap();
-        let reference = seq.try_log_likelihood().unwrap();
-
-        let patterns = ds.patterns.total_patterns();
+        let fx = Fixture::new(6, 24, 12, 53, PerPartition);
+        let reference = fx.sequential().try_log_likelihood().unwrap();
+        let patterns = fx.ds.patterns.total_patterns();
         let workers = patterns + 5;
         for strategy in [&Block as &dyn ScheduleStrategy, &WeightedLpt] {
-            let assignment = schedule(&ds.patterns, &cats, workers, strategy).unwrap();
+            let assignment = fx.assign(workers, strategy);
             assert!(
                 assignment.patterns_per_worker().contains(&0),
                 "{}: with {workers} workers and {patterns} patterns some must idle",
                 strategy.name()
             );
-            let exec = ThreadedExecutor::from_assignment(
-                &ds.patterns,
-                &assignment,
-                ds.tree.node_capacity(),
-                &cats,
-            )
-            .unwrap();
-            let mut k = LikelihoodKernel::try_new(
-                Arc::clone(&ds.patterns),
-                ds.tree.clone(),
-                models.clone(),
-                exec,
-            )
-            .unwrap();
+            let mut k = fx.kernel(fx.executor(&assignment, Default::default()));
             let lnl = k.try_log_likelihood().unwrap();
             assert!(
                 (lnl - reference).abs() < 1e-8,
@@ -996,27 +558,13 @@ mod tests {
 
     #[test]
     fn skewed_worker_measures_slower() {
-        let ds = paper_simulated(6, 120, 30, 59).generate();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let assignment = schedule(&ds.patterns, &cats, 3, &Cyclic).unwrap();
-        let exec = ThreadedExecutor::with_options(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-            ExecutorOptions {
-                timed: true,
-                skew: Some(WorkerSkew {
-                    worker: 1,
-                    nanos_per_pattern: 30_000,
-                }),
-            },
-        )
-        .unwrap();
-        let mut k =
-            LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec)
-                .unwrap();
+        let fx = Fixture::new(6, 120, 30, 59, PerPartition);
+        let skew = Some(WorkerSkew {
+            worker: 1,
+            nanos_per_pattern: 30_000,
+        });
+        let options = ExecutorOptions { timed: true, skew };
+        let mut k = fx.kernel(fx.executor(&fx.assign(3, &Cyclic), options));
         let _ = k.try_log_likelihood().unwrap();
         let trace = k.executor_mut().take_trace();
         let totals = trace.per_worker_total_in(phylo_kernel::TraceUnit::Seconds);

@@ -17,10 +17,12 @@ use phylo_kernel::cost::{
     RegionRecord, WorkTrace,
 };
 use phylo_kernel::{
-    executor::{active_local_patterns, execute_on_worker, reduce_outputs},
+    executor::{active_local_patterns, execute_on_worker},
     ExecContext, ExecError, Executor, KernelOp, OpOutput, WorkerSlices,
 };
 use phylo_sched::{Assignment, SchedError};
+
+use crate::pool::{end_region, reduce_row, sample, EntryResult};
 
 /// Executes commands on `T` virtual workers and records the per-region work.
 #[derive(Debug)]
@@ -178,62 +180,34 @@ impl Executor for TracingExecutor {
                 .region_start(op.kind().label(), &op.active_partitions())
         });
         let mut record = self.region_record(op, ctx);
-        let mut result: Option<OpOutput> = None;
-        let mut rejected: Option<phylo_kernel::OpError> = None;
-        for (wi, worker) in self.workers.iter_mut().enumerate() {
-            // The virtual workers run sequentially, so each bracket measures
-            // one worker's work free of contention — wall-clock seconds on
-            // top of the analytic FLOP counts. A typed kernel rejection
-            // surfaces after the telemetry bracket is closed (the virtual
-            // workers cannot die, so every region completes).
+        // The virtual workers run sequentially, so each bracket measures one
+        // worker's work free of contention — wall-clock seconds on top of
+        // the analytic FLOP counts — and they cannot die, so every region
+        // completes. The fold is the pool's.
+        let row = self.workers.iter_mut().map(|worker| {
             // lint:allow(L008): per-worker bracket timing for the measured trace;
             // never feeds the reduction order.
             let start = std::time::Instant::now();
-            match execute_on_worker(worker, op, ctx) {
-                Ok(out) => {
-                    record.seconds_per_worker[wi] = start.elapsed().as_secs_f64();
-                    result = match result.take() {
-                        None => Some(out),
-                        Some(acc) => match reduce_outputs(acc, out) {
-                            Ok(merged) => Some(merged),
-                            Err(e) => {
-                                rejected = Some(e);
-                                break;
-                            }
-                        },
-                    };
-                }
-                Err(e) => {
-                    rejected = Some(e);
-                    break;
-                }
-            }
-        }
+            Some(match execute_on_worker(worker, op, ctx) {
+                Ok(output) => EntryResult::Output(output, start.elapsed(), 0),
+                Err(e) => EntryResult::Rejected(e),
+            })
+        });
+        let seconds = &mut record.seconds_per_worker;
+        let result = reduce_row(row, |wi, elapsed, _| seconds[wi] = elapsed.as_secs_f64()).result;
         // Virtual workers run on the master thread: no queues, so the
-        // queue-wait lanes are zero; the tip-cache deltas drain directly.
-        if let Some(token) = token {
-            let (mut hits, mut misses, mut builds) = (0u64, 0u64, 0u64);
-            let (mut blocked, mut scalar) = (0u64, 0u64);
-            for w in &self.workers {
-                let (h, m, b) = w.take_tip_cache_counters();
-                hits += h;
-                misses += m;
-                builds += b;
-                let (db, ds) = w.take_dispatch_counters();
-                blocked += db;
-                scalar += ds;
-            }
-            self.telemetry.add_tip_cache(hits, misses, builds);
-            self.telemetry.add_dispatch_patterns(blocked, scalar);
-            let queue_wait = vec![0.0; record.seconds_per_worker.len()];
-            self.telemetry
-                .region_end(token, &record.seconds_per_worker, &queue_wait);
+        // queue-wait lanes are zero; the counter deltas drain directly.
+        if let Some(region) = token.as_ref().and_then(|t| t.region()) {
+            let workers = self.workers.iter().zip(seconds.iter()).enumerate();
+            let samples: Vec<_> = workers
+                .map(|(wi, (worker, &s))| sample(worker, wi, region, s, 0.0))
+                .collect();
+            end_region(&self.telemetry, token, samples.len(), &samples, &result);
         }
-        if let Some(e) = rejected {
-            return Err(ExecError::Op(e));
+        if result.is_ok() {
+            self.trace.regions.push(record);
         }
-        self.trace.regions.push(record);
-        Ok(result.unwrap_or(OpOutput::None))
+        result
     }
 
     fn sync_events(&self) -> u64 {

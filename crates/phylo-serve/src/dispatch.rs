@@ -1,21 +1,22 @@
-//! The dispatcher: admission, fairness and the fused dispatch round.
+//! The dispatcher: admission, fairness and fusion on top of the shared
+//! [`WorkerPool`].
 //!
 //! One dispatcher thread sits between the per-session drivers and the fixed
-//! pool. Drivers submit one op at a time (their executors are synchronous);
-//! the dispatcher gathers pending ops from *different* sessions for up to
-//! [`TenantStrategy::batch_window`], asks the [`FairQueue`] which sessions
-//! go first, and broadcasts one fused [`Batch`] to every pool worker — one
-//! barrier serving up to `max_batch` tenants. Each worker answers with one
-//! reply carrying its results for every entry, and the dispatcher reduces
-//! each entry **in worker-index order**, so a session's result is
+//! pool — the same `phylo_parallel::pool` a solo `ThreadedExecutor` drives
+//! directly. Drivers submit one op at a time (their executors are
+//! synchronous); the dispatcher gathers pending ops from *different* sessions
+//! for up to [`TenantStrategy::batch_window`], asks the [`FairQueue`] which
+//! sessions go first, and hands one fused [`Batch`] — one barrier serving up
+//! to `max_batch` tenants — to [`WorkerPool::run_batch`]. Everything below
+//! that call (broadcast, lockstep drain, quarantine of a faulting tenant,
+//! the worker-index-order reduction) is the pool's, so a session's result is
 //! bit-identical to what a dedicated executor would have produced.
 //!
-//! Failure containment mirrors the single-session executors: a deterministic
-//! op rejection surfaces as [`ExecError::Op`] without quarantining anything;
-//! a worker panic on session A's entry surfaces as
-//! [`ExecError::WorkerDied`] *to A alone* — every other entry of the batch
-//! reduces normally, because the pool thread survives and A's slices were
-//! dropped only on the panicking worker.
+//! Failure containment: a deterministic op rejection surfaces as
+//! [`ExecError::Op`] without quarantining anything; a worker panic on session
+//! A's entry surfaces as [`ExecError::WorkerDied`] *to A alone* — every other
+//! entry of the batch reduces normally, because the pool thread survives and
+//! A's slices were dropped only on the panicking worker.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -23,13 +24,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use phylo_kernel::executor::reduce_outputs;
-use phylo_kernel::{ExecError, KernelOp, OpError, OpOutput, WorkerSlices};
+use phylo_kernel::{ExecError, KernelOp, OpOutput, WorkerSlices};
+use phylo_parallel::pool::{Batch, BatchEntry, StateSnapshot, WorkerPool};
+use phylo_telemetry::{Telemetry, WorkerSample};
 
 use crate::error::AdmissionError;
-use crate::pool::{
-    Batch, BatchEntry, EntryResult, PoolWorker, StateSnapshot, WorkerMsg, WorkerReply,
-};
 use crate::tenant::{FairQueue, TenantStrategy};
 
 /// How many scheduler yields the dispatcher will spend holding a round open
@@ -44,7 +43,30 @@ pub(crate) struct OpRequest {
     pub session: u64,
     pub op: KernelOp,
     pub snapshot: Arc<StateSnapshot>,
-    pub reply: Sender<Result<OpOutput, ExecError>>,
+    /// The session's telemetry region for this op; `None` when it is not
+    /// recording (then no sample is taken and [`OpReply::samples`] is empty).
+    pub record: Option<u64>,
+    pub reply: Sender<OpReply>,
+}
+
+/// The dispatcher's answer to one [`OpRequest`].
+pub(crate) struct OpReply {
+    pub result: Result<OpOutput, ExecError>,
+    /// What each pool worker measured for this op (op seconds, queue wait,
+    /// cache counters) — forwarded only for a recording session.
+    pub samples: Vec<WorkerSample>,
+}
+
+impl OpReply {
+    /// Nobody can serve the op (session unknown, pool gone): fail like a
+    /// dead worker, so the standard recovery path — bounded by its budget —
+    /// turns it into a typed error instead of a hung driver.
+    pub fn lost() -> Self {
+        Self {
+            result: Err(ExecError::WorkerDied { worker: 0 }),
+            samples: Vec::new(),
+        }
+    }
 }
 
 /// Everything the dispatcher can be asked to do.
@@ -59,10 +81,10 @@ pub(crate) enum DispatchMsg {
     /// Execute one op for a session (the hot path).
     Op(OpRequest),
     /// Reinstall a session's slices (worker-death recovery / migration).
+    /// No ack: the session's next op follows it on this FIFO channel.
     Reassign {
         session: u64,
         slices: Vec<WorkerSlices>,
-        reply: Sender<()>,
     },
     /// Retire a session and free its admission slot.
     Remove { session: u64 },
@@ -108,8 +130,10 @@ struct TenantState {
 
 struct Dispatcher {
     strategy: TenantStrategy,
-    workers: Vec<Sender<WorkerMsg>>,
-    replies: Receiver<WorkerReply>,
+    pool: WorkerPool,
+    /// Pool-level handle, for dropped-sample counts only (per-op events
+    /// belong to the sessions' own handles).
+    telemetry: Telemetry,
     // BTreeMap, not HashMap: `pending_ops` and the round builder iterate the
     // tenant table, and dispatch order must not depend on hash order (L006).
     tenants: BTreeMap<u64, TenantState>,
@@ -121,21 +145,21 @@ struct Dispatcher {
     last_panic: Option<String>,
 }
 
-/// Spawns the dispatcher thread over an already-spawned pool.
+/// Spawns the dispatcher thread, which owns `pool` (and shuts it down when
+/// the dispatcher stops).
 pub(crate) fn spawn_dispatcher(
     commands: Receiver<DispatchMsg>,
-    workers: &[PoolWorker],
-    replies: Receiver<WorkerReply>,
+    pool: WorkerPool,
     strategy: TenantStrategy,
+    telemetry: Telemetry,
 ) -> JoinHandle<()> {
-    let senders: Vec<Sender<WorkerMsg>> = workers.iter().map(|w| w.sender.clone()).collect();
     std::thread::Builder::new()
         .name("plf-dispatch".to_string())
         .spawn(move || {
             Dispatcher {
                 strategy,
-                workers: senders,
-                replies,
+                pool,
+                telemetry,
                 tenants: BTreeMap::new(),
                 queue: FairQueue::new(),
                 ops_dispatched: 0,
@@ -231,9 +255,6 @@ impl Dispatcher {
             }
             self.dispatch_round();
         }
-        for worker in &self.workers {
-            let _ = worker.send(WorkerMsg::Shutdown);
-        }
     }
 
     fn pending_ops(&self) -> usize {
@@ -273,25 +294,17 @@ impl Dispatcher {
                 if let Some(tenant) = self.tenants.get_mut(&request.session) {
                     tenant.pending.push_back(request);
                 } else {
-                    // Unregistered session (e.g. removed mid-flight): fail
-                    // its op instead of letting the driver hang.
-                    let _ = request.reply.send(Err(ExecError::WorkerDied { worker: 0 }));
+                    // Unregistered session (e.g. removed mid-flight).
+                    let _ = request.reply.send(OpReply::lost());
                 }
             }
-            DispatchMsg::Reassign {
-                session,
-                slices,
-                reply,
-            } => {
-                self.install(session, slices);
-                let _ = reply.send(());
+            DispatchMsg::Reassign { session, slices } => {
+                self.pool.install(session, slices, None);
             }
             DispatchMsg::Remove { session } => {
                 self.tenants.remove(&session);
                 self.queue.remove(session);
-                for worker in &self.workers {
-                    let _ = worker.send(WorkerMsg::Remove { session });
-                }
+                self.pool.remove(session);
             }
             DispatchMsg::InjectPanic {
                 session,
@@ -304,7 +317,7 @@ impl Dispatcher {
             }
             DispatchMsg::Stats { reply } => {
                 let _ = reply.send(PoolStats {
-                    workers: self.workers.len(),
+                    workers: self.pool.width(),
                     active_sessions: self.tenants.len(),
                     capacity: self.strategy.max_sessions,
                     ops_dispatched: self.ops_dispatched,
@@ -342,22 +355,12 @@ impl Dispatcher {
             },
         );
         self.queue.register(session, weight);
-        self.install(session, slices);
+        self.pool.install(session, slices, None);
         Ok(())
     }
 
-    /// Ships one slice shard to each pool worker, in worker order.
-    fn install(&mut self, session: u64, slices: Vec<WorkerSlices>) {
-        for (worker, shard) in self.workers.iter().zip(slices) {
-            let _ = worker.send(WorkerMsg::Install {
-                session,
-                slices: shard,
-            });
-        }
-    }
-
-    /// One fused region: select fairly, broadcast, reduce per entry in
-    /// worker-index order, answer every served session.
+    /// One fused region: select fairly, run the batch on the pool, reduce
+    /// per entry in worker-index order, answer every served session.
     fn dispatch_round(&mut self) {
         let mut pending: Vec<u64> = self
             .tenants
@@ -396,108 +399,50 @@ impl Dispatcher {
                 session,
                 op: request.op,
                 snapshot: request.snapshot,
+                record: request.record,
             });
-            lanes.push((session, request.reply));
+            lanes.push((session, request.record, request.reply));
         }
         if entries.is_empty() {
             return;
         }
 
         let fused = entries.len();
-        let batch = Arc::new(Batch {
-            entries,
-            panic_target,
-        });
         self.ops_dispatched += fused as u64;
         self.batches += 1;
         self.max_batch_fused = self.max_batch_fused.max(fused);
 
-        // Broadcast; a dead worker channel means a lost worker thread — its
-        // entries are treated below like a panic (no reply ever arrives).
-        let mut live = 0usize;
-        for worker in &self.workers {
-            if worker.send(WorkerMsg::Batch(Arc::clone(&batch))).is_ok() {
-                live += 1;
-            }
-        }
+        let recording = entries.iter().any(|e| e.record.is_some());
+        let batch = Batch {
+            entries,
+            panic_target,
+        };
+        let results = self.pool.run_batch(batch, |_, _, _| {});
+        let samples = if recording {
+            self.pool.take_samples(&self.telemetry)
+        } else {
+            Vec::new()
+        };
 
-        // Lockstep drain: exactly one reply per live worker, each carrying
-        // that worker's results for the whole batch in entry order.
-        let worker_count = self.workers.len();
-        let mut per_worker: Vec<Option<std::vec::IntoIter<EntryResult>>> =
-            (0..worker_count).map(|_| None).collect();
-        for _ in 0..live {
-            match self.replies.recv() {
-                Ok(reply) => {
-                    if let Some(slot) = per_worker.get_mut(reply.worker) {
-                        *slot = Some(reply.results.into_iter());
-                    }
-                }
-                Err(_) => break,
+        for ((session, record, reply), mut reduced) in lanes.into_iter().zip(results) {
+            self.worker_panics += reduced.panics.len() as u64;
+            if let Some(message) = reduced.panics.pop() {
+                self.last_panic = Some(message);
             }
-        }
-
-        for (session, reply) in lanes {
-            // A lost worker (no reply, or a short/malformed reply) yields
-            // `None` in its slot and reduces like a death on that worker.
-            let row: Vec<Option<EntryResult>> = per_worker
-                .iter_mut()
-                .map(|lane| lane.as_mut().and_then(Iterator::next))
-                .collect();
-            let result = self.reduce_entry(row);
-            if result.is_err() {
+            if reduced.result.is_err() {
                 // The faulted session stops sending ops until it reassigns;
                 // drop any ops it already queued so they cannot go stale.
                 if let Some(tenant) = self.tenants.get_mut(&session) {
                     tenant.pending.clear();
                 }
             }
-            let _ = reply.send(result);
-        }
-    }
-
-    /// Folds one entry's per-worker results in worker-index order — the
-    /// same deterministic reduction every single-session executor uses.
-    fn reduce_entry(&mut self, row: Vec<Option<EntryResult>>) -> Result<OpOutput, ExecError> {
-        let mut folded: Option<OpOutput> = None;
-        let mut rejected: Option<OpError> = None;
-        let mut died: Option<usize> = None;
-        for (worker, slot) in row.into_iter().enumerate() {
-            match slot {
-                Some(EntryResult::Output(output)) => {
-                    folded = match folded.take() {
-                        None => Some(output),
-                        Some(acc) => match reduce_outputs(acc, output) {
-                            Ok(merged) => Some(merged),
-                            Err(e) => {
-                                rejected.get_or_insert(e);
-                                None
-                            }
-                        },
-                    };
-                }
-                Some(EntryResult::Rejected(op_error)) => {
-                    rejected.get_or_insert(op_error);
-                }
-                Some(EntryResult::Panicked(message)) => {
-                    self.worker_panics += 1;
-                    self.last_panic = Some(message);
-                    died.get_or_insert(worker);
-                }
-                Some(EntryResult::MissingSession) | None => {
-                    died.get_or_insert(worker);
-                }
-            }
-        }
-        if let Some(worker) = died {
-            return Err(ExecError::WorkerDied { worker });
-        }
-        if let Some(op_error) = rejected {
-            return Err(ExecError::Op(op_error));
-        }
-        match folded {
-            Some(output) => Ok(output),
-            None => Err(ExecError::WorkerDied { worker: 0 }),
+            // A session that is not recording matches no sample: an empty
+            // `Vec`, no allocation.
+            let samples = samples.iter().filter(|s| Some(s.region) == record);
+            let _ = reply.send(OpReply {
+                result: reduced.result,
+                samples: samples.copied().collect(),
+            });
         }
     }
 }

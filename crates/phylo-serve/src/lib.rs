@@ -8,8 +8,12 @@
 //! generalizes the master/worker protocol from `patterns × workers` to
 //! `(session, pattern) × workers`:
 //!
-//! * [`SessionManager`] owns the fixed pool (worker threads + a dispatcher
-//!   thread) and admits sessions described by a [`SessionSpec`] — the same
+//! The pool itself is [`phylo_parallel::pool::WorkerPool`] — the worker
+//! loop, lockstep drain and reduction a solo `ThreadedExecutor` drives
+//! directly; only what is genuinely multi-tenant lives here:
+//!
+//! * [`SessionManager`] owns the dispatcher thread (which owns the fixed
+//!   pool) and admits sessions described by a [`SessionSpec`] — the same
 //!   configuration surface as the single-run builder (models, branch mode,
 //!   schedule strategy, optimizer config) plus serving knobs (fair-share
 //!   weight, label, an optional injected fault for chaos drills).
@@ -24,9 +28,12 @@
 //!   batch per barrier, picking who goes first with a weighted fair queue
 //!   ([`TenantStrategy`], [`FairQueue`]); admission overload is the typed
 //!   [`AdmissionError`], not a panic.
-//! * Faults stay tenant-local: a worker panic on session A's op quarantines
-//!   A on that worker (thread survives), A's driver recovers through the
-//!   standard reassign path, and sessions B..N never see it.
+//! * Faults stay tenant-local (the pool's quarantine): a worker panic on
+//!   session A's op quarantines A on that worker (thread survives), A's
+//!   driver recovers through the standard reassign path — a re-install of
+//!   its slices — and sessions B..N never see it.
+//! * A session that records telemetry gets each pool worker's *measured* op
+//!   seconds and queue wait on its region events.
 //!
 //! ```
 //! use phylo_serve::{SessionManager, SessionSpec};
@@ -52,7 +59,6 @@
 
 mod dispatch;
 pub mod error;
-mod pool;
 pub mod session;
 pub mod spec;
 pub mod tenant;

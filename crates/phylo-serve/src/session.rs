@@ -1,7 +1,8 @@
 //! Sessions over the shared pool: the per-session executor, the manager
 //! that admits sessions, and the handle that returns their outcomes.
 //!
-//! A [`SessionManager`] owns ONE fixed pool (worker threads + dispatcher).
+//! A [`SessionManager`] owns ONE fixed pool: a dispatcher thread in front
+//! of a [`WorkerPool`], the same pool a solo `ThreadedExecutor` drives.
 //! [`SessionManager::submit`] builds a session exactly like the single-run
 //! builder would — resolve models, schedule patterns over the pool's fixed
 //! width, build per-worker slices — then registers it with the dispatcher
@@ -24,12 +25,12 @@ use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, LikelihoodKernel,
 use phylo_models::ModelSet;
 use phylo_optimize::{optimize_model_parameters_resilient, WorkerRecovery};
 use phylo_parallel::build_workers;
+use phylo_parallel::pool::{end_region, StateSnapshot, WorkerPool};
 use phylo_sched::{Assignment, PatternCosts, Reassignable, SchedError};
 use phylo_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 
-use crate::dispatch::{spawn_dispatcher, DispatchMsg, OpRequest, PoolStats};
+use crate::dispatch::{spawn_dispatcher, DispatchMsg, OpReply, OpRequest, PoolStats};
 use crate::error::{AdmissionError, ServeError};
-use crate::pool::{spawn_pool, PoolWorker, StateSnapshot};
 use crate::spec::SessionSpec;
 use crate::tenant::TenantStrategy;
 
@@ -43,8 +44,8 @@ pub struct PooledExecutor {
     session: u64,
     workers: usize,
     commands: Sender<DispatchMsg>,
-    reply_tx: Sender<Result<OpOutput, ExecError>>,
-    reply_rx: Receiver<Result<OpOutput, ExecError>>,
+    reply_tx: Sender<OpReply>,
+    reply_rx: Receiver<OpReply>,
     assignment: Assignment,
     trace: WorkTrace,
     sync_events: u64,
@@ -77,9 +78,6 @@ impl Executor for PooledExecutor {
             self.telemetry
                 .region_start(op.kind().label(), &op.active_partitions())
         });
-        // lint:allow(L008): op latency for the session outcome report;
-        // observability only, never feeds the reduction order.
-        let started = Instant::now();
         let request = OpRequest {
             session: self.session,
             op: op.clone(),
@@ -87,40 +85,16 @@ impl Executor for PooledExecutor {
                 tree: ctx.tree.clone(),
                 models: ctx.models.clone(),
             }),
+            record: token.as_ref().and_then(|t| t.region()),
             reply: self.reply_tx.clone(),
         };
-        if self.commands.send(DispatchMsg::Op(request)).is_err() {
-            // Pool gone mid-run: fail like a dead worker so the standard
-            // recovery path (bounded by the budget) produces a typed error.
-            self.poisoned = Some(0);
-            return Err(ExecError::WorkerDied { worker: 0 });
-        }
-        match self.reply_rx.recv() {
-            Ok(Ok(output)) => {
-                if let Some(token) = token {
-                    // The pool hides per-worker splits from the session; the
-                    // session-scoped region event times the fused round trip
-                    // (per-worker attribution lives in pool-level records).
-                    let share = started.elapsed().as_secs_f64() / self.workers as f64;
-                    let per_worker = vec![share; self.workers];
-                    let queue_wait = vec![0.0; self.workers];
-                    self.telemetry.region_end(token, &per_worker, &queue_wait);
-                }
-                Ok(output)
-            }
-            Ok(Err(error)) => {
-                if let ExecError::WorkerDied { worker } = error {
-                    self.poisoned = Some(worker);
-                    self.telemetry
-                        .worker_death(worker, token.as_ref().and_then(|t| t.region()));
-                }
-                Err(error)
-            }
-            Err(_) => {
-                self.poisoned = Some(0);
-                Err(ExecError::WorkerDied { worker: 0 })
-            }
-        }
+        // Pool gone mid-run: no dispatcher to send to, or no reply.
+        let sent = self.commands.send(DispatchMsg::Op(request));
+        let reply = sent.ok().and_then(|()| self.reply_rx.recv().ok());
+        let OpReply { result, samples } = reply.unwrap_or_else(OpReply::lost);
+        // Close the region with what each pool worker measured.
+        self.poisoned = end_region(&self.telemetry, token, self.workers, &samples, &result);
+        result
     }
 
     fn sync_events(&self) -> u64 {
@@ -153,13 +127,9 @@ impl Reassignable for PooledExecutor {
         categories: &[usize],
     ) -> Result<(), SchedError> {
         let slices = build_workers(patterns, node_capacity, categories, assignment)?;
-        let (ack_tx, ack_rx) = channel();
-        let sent = self.commands.send(DispatchMsg::Reassign {
-            session: self.session,
-            slices,
-            reply: ack_tx,
-        });
-        if sent.is_err() || ack_rx.recv().is_err() {
+        let session = self.session;
+        let reinstall = DispatchMsg::Reassign { session, slices };
+        if self.commands.send(reinstall).is_err() {
             // Pool gone: stay poisoned. The recovery budget turns the
             // repeated Poisoned failures into a typed error upstream.
             return Ok(());
@@ -240,8 +210,8 @@ pub struct SessionManager {
     workers: usize,
     next_session: u64,
     telemetry: Telemetry,
+    /// The dispatcher thread, which owns the [`WorkerPool`].
     dispatcher: Option<JoinHandle<()>>,
-    pool: Vec<PoolWorker>,
 }
 
 impl SessionManager {
@@ -259,21 +229,23 @@ impl SessionManager {
         strategy: TenantStrategy,
         telemetry: Option<TelemetryConfig>,
     ) -> Self {
-        let (reply_tx, reply_rx) = channel();
-        let pool = spawn_pool(workers, &reply_tx);
-        let (cmd_tx, cmd_rx) = channel();
-        let dispatcher = spawn_dispatcher(cmd_rx, &pool, reply_rx, strategy);
         let telemetry = match telemetry {
             Some(config) => Telemetry::new(config),
             None => Telemetry::disabled(),
         };
+        let (cmd_tx, cmd_rx) = channel();
+        let dispatcher = spawn_dispatcher(
+            cmd_rx,
+            WorkerPool::spawn(workers),
+            strategy,
+            telemetry.clone(),
+        );
         Self {
             commands: cmd_tx,
             workers,
             next_session: 0,
             telemetry,
             dispatcher: Some(dispatcher),
-            pool,
         }
     }
 
@@ -445,11 +417,6 @@ impl SessionManager {
         let _ = self.commands.send(DispatchMsg::Shutdown);
         if let Some(dispatcher) = self.dispatcher.take() {
             let _ = dispatcher.join();
-        }
-        for worker in &mut self.pool {
-            if let Some(join) = worker.join.take() {
-                let _ = join.join();
-            }
         }
     }
 

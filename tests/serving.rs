@@ -181,6 +181,57 @@ fn pool_telemetry_is_scoped_per_session() {
     assert_eq!(tagged, per_session);
 }
 
+/// A pooled session's region events carry what each pool worker measured:
+/// its own op seconds and its own queue wait, not a master-side estimate.
+#[test]
+fn pooled_region_events_carry_each_workers_own_measurements() {
+    let mut pool = SessionManager::with_strategy(
+        2,
+        TenantStrategy::default(),
+        Some(TelemetryConfig::default()),
+    );
+    let ds = &mixed_fleet(1)[0];
+    let handle = pool
+        .submit(SessionSpec::new(Arc::clone(&ds.patterns), ds.tree.clone()))
+        .expect("admission");
+    let id = handle.session();
+    handle.join().expect("session outcome");
+
+    let snapshot = pool.telemetry_snapshot().expect("telemetry configured");
+    let regions: Vec<(&Vec<f64>, &Vec<f64>)> = snapshot
+        .session_events(id)
+        .into_iter()
+        .filter_map(|e| match e {
+            TelemetryEvent::RegionEnd {
+                worker_seconds,
+                queue_wait,
+                ..
+            } => Some((worker_seconds, queue_wait)),
+            _ => None,
+        })
+        .collect();
+    assert!(!regions.is_empty());
+    assert_eq!(
+        snapshot.counters.regions_started,
+        snapshot.counters.regions_completed
+    );
+    for (seconds, wait) in &regions {
+        assert_eq!((seconds.len(), wait.len()), (2, 2));
+    }
+    assert!(
+        regions.iter().any(|(seconds, _)| seconds[0] != seconds[1]),
+        "two workers never measure the same op time on every region"
+    );
+    assert!(
+        regions
+            .iter()
+            .any(|(_, wait)| wait.iter().any(|&w| w > 0.0)),
+        "the workers' queue wait must reach the session's events"
+    );
+    // The workers' cache counters reach the pool-level totals too.
+    assert!(snapshot.counters.dispatch_blocked_patterns > 0);
+}
+
 #[test]
 fn fused_batches_actually_share_barriers_across_tenants() {
     let mut pool = SessionManager::new(2);
