@@ -1,11 +1,10 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md §6:
-//! scheduling strategy (cyclic / block / weighted-LPT / trace-adaptive) ×
+//! scheduling strategy (cyclic / block / weighted-LPT) ×
 //! worker count on a mixed DNA/protein dataset, the newPAR convergence mask,
 //! and the number of discrete Γ rate categories.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use phylo_bench::scheduling::{adaptive_assignment, default_categories};
-use phylo_bench::Workload;
+use phylo_bench::scheduling::default_categories;
 use phylo_kernel::{LikelihoodKernel, SequentialKernel};
 use phylo_models::{BranchLengthMode, ModelSet};
 use phylo_parallel::{schedule, Block, Cyclic, ScheduleStrategy, ThreadedExecutor, WeightedLpt};
@@ -39,17 +38,13 @@ fn bench_scheduling_strategies(c: &mut Criterion) {
         }
         let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
         let categories = default_categories(&ds);
-        let mut assignments: Vec<(String, phylo_parallel::Assignment)> = strategies
+        let assignments: Vec<(String, phylo_parallel::Assignment)> = strategies
             .iter()
             .map(|(label, strategy)| {
                 let a = schedule(&ds.patterns, &categories, workers, strategy.as_ref()).unwrap();
                 (format!("{label}_w{workers}"), a)
             })
             .collect();
-        assignments.push((
-            format!("trace_adaptive_w{workers}"),
-            adaptive_assignment(&ds, workers, Workload::ModelOptimization).unwrap(),
-        ));
         for (label, assignment) in assignments {
             let exec = ThreadedExecutor::from_assignment(
                 &ds.patterns,

@@ -9,19 +9,15 @@
 //! * **static cyclic** — no rescheduling,
 //! * **between-round** — the plain rescheduler, consulted only at round
 //!   boundaries and triggered by total-cost imbalance,
-//! * **mask-union** — the within-round rescheduler on the legacy
-//!   equal-weight trailing-window union (`mask_decay = 1.0`),
-//! * **mask-aware** — the within-round rescheduler on the decay-weighted
-//!   window (`mask_decay = 0.85`), triggered by the live-cost imbalance of
-//!   the recent masked regions; it re-levels every partition individually
-//!   across the workers (live partitions first), so the live phase and the
-//!   full mask balance at once.
+//! * **mask-aware** — the within-round rescheduler, triggered by the
+//!   decay-weighted live-cost imbalance of the recent masked regions; it
+//!   re-levels every partition individually across the workers (live
+//!   partitions first), so the live phase and the full mask balance at once.
 //!
 //! The binary self-gates (exits non-zero) unless mask-aware beats the static
-//! and between-round baselines on measured masked-region imbalance, is no
-//! worse than the legacy union window (the before/after pair in the table),
-//! actually fired within a round, and preserved the log likelihood across
-//! every migration to ≤ 1e-8.
+//! and between-round baselines on measured masked-region imbalance, actually
+//! fired within a round, and preserved the log likelihood across every
+//! migration to ≤ 1e-8.
 //!
 //! Run with `cargo run --release -p phylo-bench --bin mask_resched`.
 
@@ -46,7 +42,6 @@ fn main() {
 
     let static_run = comparison.run("static cyclic");
     let between = comparison.run("between-round");
-    let union = comparison.run("mask-union");
     let masked = comparison.run("mask-aware");
 
     let mut envelope = BenchEnvelope::new("mask_resched", &dataset.spec.name)
@@ -93,18 +88,6 @@ fn main() {
             "mask-aware placement's masked imbalance {:.3} is not below \
              between-round-only {:.3}",
             masked.probe_masked_imbalance, between.probe_masked_imbalance
-        );
-        eprintln!("REGRESSION: {msg}");
-        envelope.violation(msg);
-    }
-    // The before/after pair: the decay-weighted window must not regress
-    // against the legacy equal-weight union it replaces (ties allowed — on
-    // this synthetic workload both often converge to the same placement).
-    if masked.probe_masked_imbalance > union.probe_masked_imbalance + 1e-9 {
-        let msg = format!(
-            "decayed mask window's masked imbalance {:.3} regressed against \
-             the legacy union window {:.3}",
-            masked.probe_masked_imbalance, union.probe_masked_imbalance
         );
         eprintln!("REGRESSION: {msg}");
         envelope.violation(msg);

@@ -1,6 +1,6 @@
 //! Prints the scheduling-strategy comparison table: predicted and measured
-//! imbalance plus predicted run time for cyclic, block, weighted-LPT and
-//! trace-adaptive scheduling on the default mixed DNA/protein dataset.
+//! imbalance plus predicted run time for cyclic, block and weighted-LPT
+//! scheduling on the default mixed DNA/protein dataset.
 //!
 //! This binary doubles as the CI regression yardstick: it exits non-zero if
 //! weighted-LPT's maximum predicted per-worker cost exceeds cyclic's, or
@@ -75,8 +75,7 @@ fn main() {
             violations += 1;
         }
     }
-    println!("weighted-lpt packs by predicted cost (protein 21x DNA); trace-adaptive");
-    println!("additionally corrects the cost model with a measured warm-up trace.");
+    println!("weighted-lpt packs by predicted cost (protein 21x DNA).");
     let path = "BENCH_strategy_report.json";
     match std::fs::write(path, envelope.to_json()) {
         Ok(()) => println!("wrote {path}"),

@@ -30,8 +30,8 @@ use phylo_kernel::cost::TraceUnit;
 use phylo_kernel::LikelihoodKernel;
 use phylo_models::{BranchLengthMode, ModelSet};
 use phylo_optimize::{
-    optimize_model_parameters, optimize_model_parameters_adaptive, OptimizationReport,
-    OptimizerConfig, ParallelScheme,
+    optimize_model_parameters, optimize_model_parameters_with_policy, OptimizationReport,
+    OptimizerConfig, ParallelScheme, RunPolicy,
 };
 use phylo_parallel::{ThreadedExecutor, TracingExecutor};
 use phylo_sched::{
@@ -128,12 +128,15 @@ fn timeline_run(dataset: &GeneratedDataset) -> (TelemetrySnapshot, usize) {
         unit: TraceUnit::Flops,
         max_reschedules: 4,
         mask_aware: true,
-        mask_decay: 0.85,
     };
     let mut rescheduler = Rescheduler::with_telemetry(policy, &telemetry);
     let config = OptimizerConfig::new(ParallelScheme::New);
-    let report = optimize_model_parameters_adaptive(&mut kernel, &config, &mut rescheduler, &costs)
-        .expect("virtual executors cannot lose workers");
+    let report = optimize_model_parameters_with_policy(
+        &mut kernel,
+        &config,
+        RunPolicy::rescheduling(&mut rescheduler, &costs),
+    )
+    .expect("virtual executors cannot lose workers");
     (telemetry.snapshot(), report.events.len())
 }
 

@@ -2,9 +2,8 @@
 //! scheduling strategy, so scheduler regressions show up as numbers.
 //!
 //! For one dataset and worker count the report runs the same workload under
-//! every [`ScheduleStrategy`] — the paper's `cyclic` and `block`, the
-//! cost-aware `weighted-lpt`, and `trace-adaptive` seeded with a cyclic
-//! warm-up trace — and tabulates, per strategy:
+//! every static [`ScheduleStrategy`] — the paper's `cyclic` and `block` and
+//! the cost-aware `weighted-lpt` — and tabulates, per strategy:
 //!
 //! * the **predicted** per-worker imbalance of the assignment (what the
 //!   scheduler thought it achieved),
@@ -21,11 +20,12 @@ use std::sync::Arc;
 use phylo_kernel::{cost::TraceUnit, LikelihoodKernel};
 use phylo_models::{BranchLengthMode, ModelSet};
 use phylo_optimize::{
-    optimize_model_parameters_adaptive, OptimizeError, OptimizerConfig, ParallelScheme,
+    optimize_model_parameters_with_policy, OptimizeError, OptimizerConfig, ParallelScheme,
+    RunPolicy,
 };
 use phylo_parallel::{
     Assignment, Block, Cyclic, ExecutorOptions, PatternCosts, ReschedulePolicy, Rescheduler,
-    SchedError, ScheduleStrategy, ThreadedExecutor, TraceAdaptive, WeightedLpt, WorkerSkew,
+    SchedError, ScheduleStrategy, ThreadedExecutor, WeightedLpt, WorkerSkew,
 };
 use phylo_perfmodel::{imbalance_report, ImbalanceReport, Platform};
 use phylo_sched::worker_imbalance;
@@ -53,7 +53,7 @@ pub struct StrategyComparison {
     pub workers: usize,
     /// Reference platform used for the run-time predictions.
     pub platform: String,
-    /// Rows in strategy order: cyclic, block, weighted-lpt, trace-adaptive.
+    /// Rows in strategy order: cyclic, block, weighted-lpt.
     pub rows: Vec<StrategyRow>,
 }
 
@@ -64,31 +64,7 @@ pub fn default_categories(dataset: &GeneratedDataset) -> Vec<usize> {
     vec![phylo_models::DEFAULT_CATEGORIES; dataset.patterns.partition_count()]
 }
 
-/// Builds the trace-adaptive assignment for a dataset: a cyclic warm-up run
-/// is traced, then its measurement corrects the analytic cost model.
-///
-/// # Errors
-///
-/// Propagates any [`SchedError`] from the underlying strategies.
-pub fn adaptive_assignment(
-    dataset: &GeneratedDataset,
-    workers: usize,
-    workload: Workload,
-) -> Result<Assignment, SchedError> {
-    let categories = default_categories(dataset);
-    let costs = PatternCosts::analytic_tabled(&dataset.patterns, &categories);
-    let warmup = Cyclic.assign(&costs, workers)?;
-    let (trace, _) = run_traced_assignment(
-        dataset,
-        &warmup,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        workload,
-    );
-    TraceAdaptive::new(warmup, &trace)?.assign(&costs, workers)
-}
-
-/// Runs the comparison workload under all four strategies.
+/// Runs the comparison workload under the three static strategies.
 ///
 /// # Errors
 ///
@@ -123,16 +99,11 @@ pub fn compare_strategies(
         assignment,
     };
 
-    // The cyclic run doubles as the trace-adaptive warm-up measurement.
-    let cyclic = Cyclic.assign(&costs, workers)?;
-    let cyclic_trace = run(&cyclic);
-    let adaptive = TraceAdaptive::new(cyclic.clone(), &cyclic_trace)?.assign(&costs, workers)?;
-
-    let mut rows = vec![row(cyclic, &cyclic_trace)];
+    let mut rows = Vec::new();
     for assignment in [
+        Cyclic.assign(&costs, workers)?,
         Block.assign(&costs, workers)?,
         WeightedLpt.assign(&costs, workers)?,
-        adaptive,
     ] {
         let trace = run(&assignment);
         rows.push(row(assignment, &trace));
@@ -238,7 +209,7 @@ pub fn probe_wall_clock_imbalance(
 /// # Errors
 ///
 /// Propagates any [`SchedError`] from the underlying strategies and any
-/// [`OptimizeError`] from the adaptive driver.
+/// [`OptimizeError`] from the rescheduling run.
 pub fn compare_adaptive_resched(
     dataset: &GeneratedDataset,
     workers: usize,
@@ -272,11 +243,13 @@ pub fn compare_adaptive_resched(
         unit: TraceUnit::Seconds,
         max_reschedules: 1,
         mask_aware: false,
-        mask_decay: 0.85,
     });
     let config = OptimizerConfig::search_phase(ParallelScheme::New);
-    let adaptive =
-        optimize_model_parameters_adaptive(&mut kernel, &config, &mut rescheduler, &costs)?;
+    let adaptive = optimize_model_parameters_with_policy(
+        &mut kernel,
+        &config,
+        RunPolicy::rescheduling(&mut rescheduler, &costs),
+    )?;
     let adaptive_imbalance = probe_wall_clock_imbalance(&mut kernel, probe_repeats);
 
     Ok(AdaptiveComparison {
@@ -344,9 +317,7 @@ pub struct MaskComparison {
     pub dataset: String,
     /// Virtual worker count of every run.
     pub workers: usize,
-    /// The four runs, in the order static / between-round / mask-union
-    /// (legacy equal-weight window, `mask_decay = 1.0`) / mask-aware
-    /// (decay-weighted window).
+    /// The three runs, in the order static / between-round / mask-aware.
     pub runs: Vec<MaskRunStats>,
 }
 
@@ -411,7 +382,6 @@ fn mask_policy(mask_aware: bool) -> ReschedulePolicy {
         unit: TraceUnit::Flops,
         max_reschedules: 4,
         mask_aware,
-        mask_decay: 0.85,
     }
 }
 
@@ -474,18 +444,16 @@ fn mask_run(
     let mut kernel = staggered_kernel(dataset, &cyclic);
     let config = OptimizerConfig::new(ParallelScheme::New);
 
-    let (events, final_lnl) = match policy {
-        Some(policy) => {
-            let mut rescheduler = Rescheduler::new(policy);
-            let report =
-                optimize_model_parameters_adaptive(&mut kernel, &config, &mut rescheduler, &costs)?;
-            (report.events, report.report.final_log_likelihood)
-        }
-        None => {
-            let report = phylo_optimize::optimize_model_parameters(&mut kernel, &config)?;
-            (Vec::new(), report.final_log_likelihood)
-        }
-    };
+    let mut rescheduler = policy.map(Rescheduler::new);
+    let run = optimize_model_parameters_with_policy(
+        &mut kernel,
+        &config,
+        RunPolicy {
+            rescheduler: rescheduler.as_mut().map(|r| (r, &costs)),
+            ..RunPolicy::default()
+        },
+    )?;
+    let (events, final_lnl) = (run.events, run.report.final_log_likelihood);
 
     // The full run's measurements: the epoch traces captured at each
     // migration plus whatever the executor accumulated since the last one.
@@ -523,15 +491,12 @@ fn mask_run(
 /// Runs the full mask-aware rescheduling comparison: the same newPAR model-
 /// optimization workload under (a) the static cyclic schedule, (b) cyclic
 /// with the plain between-round rescheduler, (c) cyclic with the mask-aware
-/// rescheduler on the *legacy* equal-weight trailing-window union
-/// (`mask_decay = 1.0`), (d) cyclic with the mask-aware rescheduler on the
-/// decay-weighted window — all thresholds identical, all on virtual workers
-/// with deterministic FLOP measurements. Runs (c) and (d) are the gate's
-/// union-vs-decayed before/after pair.
+/// within-round rescheduler — all thresholds identical, all on virtual
+/// workers with deterministic FLOP measurements.
 ///
 /// # Errors
 ///
-/// Propagates [`OptimizeError`] from the adaptive drivers.
+/// Propagates [`OptimizeError`] from the driver.
 pub fn compare_mask_resched(
     dataset: &GeneratedDataset,
     workers: usize,
@@ -539,15 +504,6 @@ pub fn compare_mask_resched(
     let runs = vec![
         mask_run(dataset, workers, "static cyclic", None)?,
         mask_run(dataset, workers, "between-round", Some(mask_policy(false)))?,
-        mask_run(
-            dataset,
-            workers,
-            "mask-union",
-            Some(ReschedulePolicy {
-                mask_decay: 1.0,
-                ..mask_policy(true)
-            }),
-        )?,
         mask_run(dataset, workers, "mask-aware", Some(mask_policy(true)))?,
     ];
     Ok(MaskComparison {
@@ -587,18 +543,6 @@ pub fn print_mask_comparison(c: &MaskComparison) {
             run.max_lnl_drift
         );
     }
-    // The satellite's before/after line: the legacy trailing-window union vs
-    // the decay-weighted window, same thresholds, same workload.
-    let union = c.run("mask-union");
-    let decayed = c.run("mask-aware");
-    println!(
-        "mask window before/after: union (decay 1.00) probe masked {:.3} → \
-         decayed probe masked {:.3} ({} vs {} reschedules)",
-        union.probe_masked_imbalance,
-        decayed.probe_masked_imbalance,
-        union.reschedules,
-        decayed.reschedules
-    );
     println!();
 }
 
@@ -671,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn comparison_produces_all_four_strategies() {
+    fn comparison_produces_all_three_strategies() {
         let ds = tiny_mixed();
         let comparison =
             compare_strategies(&ds, 4, Workload::ModelOptimization, &Platform::nehalem()).unwrap();
@@ -680,10 +624,7 @@ mod tests {
             .iter()
             .map(|r| r.assignment.strategy())
             .collect();
-        assert_eq!(
-            names,
-            vec!["cyclic", "block", "weighted-lpt", "trace-adaptive"]
-        );
+        assert_eq!(names, vec!["cyclic", "block", "weighted-lpt"]);
         for row in &comparison.rows {
             assert!(row.predicted_seconds > 0.0);
             assert!(row.report.measured_imbalance >= 1.0 - 1e-9);
@@ -693,15 +634,6 @@ mod tests {
         let block = &comparison.rows[1].report;
         let lpt = &comparison.rows[2].report;
         assert!(lpt.predicted_imbalance <= block.predicted_imbalance + 1e-9);
-    }
-
-    #[test]
-    fn adaptive_assignment_covers_the_dataset() {
-        let ds = tiny_mixed();
-        let assignment = adaptive_assignment(&ds, 3, Workload::ModelOptimization).unwrap();
-        assert_eq!(assignment.pattern_count(), ds.patterns.total_patterns());
-        assert_eq!(assignment.worker_count(), 3);
-        assert_eq!(assignment.strategy(), "trace-adaptive");
     }
 
     #[test]

@@ -238,12 +238,6 @@ impl RegionRecord {
         self.total_in(unit) / (self.per_worker(unit).len() as f64 * max)
     }
 
-    /// The most loaded worker's FLOPs ([`RegionRecord::max_in`] for
-    /// [`TraceUnit::Flops`]).
-    pub fn max_flops(&self) -> f64 {
-        self.max_in(TraceUnit::Flops)
-    }
-
     /// Total FLOPs across workers.
     pub fn total_flops(&self) -> f64 {
         self.total_in(TraceUnit::Flops)
@@ -328,53 +322,15 @@ impl WorkTrace {
         self.total_in(TraceUnit::Flops)
     }
 
-    /// Total measured seconds across all regions and workers.
-    pub fn total_seconds(&self) -> f64 {
-        self.total_in(TraceUnit::Seconds)
-    }
-
-    /// Critical path over FLOPs ([`WorkTrace::critical_path_in`]).
-    pub fn critical_path_flops(&self) -> f64 {
-        self.critical_path_in(TraceUnit::Flops)
-    }
-
-    /// Total likelihood-array bytes across all regions and workers.
-    pub fn total_bytes(&self) -> f64 {
-        self.regions
-            .iter()
-            .map(|r| r.bytes_per_worker.iter().sum::<f64>())
-            .sum()
-    }
-
     /// Overall load balance over FLOPs.
     pub fn overall_balance(&self) -> f64 {
         self.overall_balance_in(TraceUnit::Flops)
-    }
-
-    /// Total FLOPs each worker performed, summed over all regions.
-    pub fn flops_per_worker_total(&self) -> Vec<f64> {
-        self.per_worker_total_in(TraceUnit::Flops)
     }
 
     /// Number of regions that ran under a partial convergence mask (see
     /// [`RegionRecord::is_masked`]).
     pub fn masked_region_count(&self) -> usize {
         self.regions.iter().filter(|r| r.is_masked()).count()
-    }
-
-    /// Per-worker totals in the requested unit over the *masked* regions
-    /// only — the load each worker carried while part of the dataset was
-    /// converged. This is the measurement the paper's oldPAR analysis is
-    /// about: full-mask regions balance almost any schedule, partial-mask
-    /// regions are where placement shows.
-    pub fn masked_per_worker_total_in(&self, unit: TraceUnit) -> Vec<f64> {
-        let mut totals = vec![0.0; self.workers];
-        for region in self.regions.iter().filter(|r| r.is_masked()) {
-            for (w, &v) in region.per_worker(unit).iter().enumerate() {
-                totals[w] += v;
-            }
-        }
-        totals
     }
 
     /// Overall load balance in the requested unit over the masked regions
@@ -405,45 +361,12 @@ impl WorkTrace {
         recent
     }
 
-    /// Per-worker totals in the requested unit over the last `window`
-    /// masked regions.
-    pub fn masked_window_per_worker_total_in(&self, unit: TraceUnit, window: usize) -> Vec<f64> {
-        let mut totals = vec![0.0; self.workers];
-        for region in self.recent_masked_regions(window) {
-            for (w, &v) in region.per_worker(unit).iter().enumerate() {
-                totals[w] += v;
-            }
-        }
-        totals
-    }
-
-    /// Union of the recorded convergence masks over the last `window` masked
-    /// regions: which partitions were live in the recent partial-mask phase
-    /// of the run. `None` when there is no masked region.
-    pub fn masked_window_active_partitions(&self, window: usize) -> Option<Vec<bool>> {
-        let mut union: Option<Vec<bool>> = None;
-        for region in self.recent_masked_regions(window) {
-            match union.as_mut() {
-                None => union = Some(region.active_partitions.clone()),
-                Some(u) => {
-                    if u.len() == region.active_partitions.len() {
-                        for (a, &b) in u.iter_mut().zip(&region.active_partitions) {
-                            *a = *a || b;
-                        }
-                    }
-                }
-            }
-        }
-        union
-    }
-
     /// Per-worker totals in the requested unit over the last `window` masked
     /// regions, weighted by recency: the most recent masked region has weight
     /// `1`, the one before it `decay`, then `decay²` and so on. `decay = 1.0`
-    /// reproduces the plain equal-weight window
-    /// ([`WorkTrace::masked_window_per_worker_total_in`]); smaller values let
-    /// a mask-aware rescheduler track the *current* convergence-mask shape
-    /// instead of averaging over stale phases.
+    /// is the plain equal-weight window; smaller values let a mask-aware
+    /// rescheduler track the *current* convergence-mask shape instead of
+    /// averaging over stale phases.
     pub fn masked_window_decayed_per_worker_total_in(
         &self,
         unit: TraceUnit,
@@ -466,11 +389,9 @@ impl WorkTrace {
     /// regions: partition `p` counts as live when the decayed weight of the
     /// regions whose mask included it is at least `cutoff` of the window's
     /// total decayed weight. With `decay = 1.0` and `cutoff = 0.0` this is
-    /// exactly the trailing-window union
-    /// ([`WorkTrace::masked_window_active_partitions`]); a positive cutoff
-    /// additionally drops partitions that were live only in the oldest,
-    /// almost-forgotten regions of the window. `None` when there is no
-    /// masked region.
+    /// the union of the window's masks; a positive cutoff additionally drops
+    /// partitions that were live only in the oldest, almost-forgotten
+    /// regions of the window. `None` when there is no masked region.
     pub fn masked_window_decayed_active_partitions(
         &self,
         window: usize,
@@ -574,7 +495,6 @@ mod tests {
         assert!((r.balance() - 1.0).abs() < 1e-12);
         r.flops_per_worker = vec![400.0, 0.0, 0.0, 0.0];
         assert!((r.balance() - 0.25).abs() < 1e-12);
-        assert_eq!(r.max_flops(), 400.0);
         assert_eq!(r.total_flops(), 400.0);
     }
 
@@ -589,7 +509,7 @@ mod tests {
         t.regions.push(b);
         assert_eq!(t.sync_events(), 2);
         assert_eq!(t.total_flops(), 40.0);
-        assert_eq!(t.critical_path_flops(), 30.0);
+        assert_eq!(t.critical_path_in(TraceUnit::Flops), 30.0);
         assert!((t.overall_balance() - 40.0 / 60.0).abs() < 1e-12);
     }
 
@@ -610,8 +530,11 @@ mod tests {
         b.flops_per_worker = vec![1.0, 2.0];
         t.regions.push(a);
         t.regions.push(b);
-        assert_eq!(t.flops_per_worker_total(), vec![11.0, 22.0]);
-        assert_eq!(WorkTrace::new(3).flops_per_worker_total(), vec![0.0; 3]);
+        assert_eq!(t.per_worker_total_in(TraceUnit::Flops), vec![11.0, 22.0]);
+        assert_eq!(
+            WorkTrace::new(3).per_worker_total_in(TraceUnit::Flops),
+            vec![0.0; 3]
+        );
     }
 
     #[test]
@@ -658,7 +581,7 @@ mod tests {
         t.regions.push(a);
         t.regions.push(b);
         assert!(t.has_seconds());
-        assert!((t.total_seconds() - 0.6).abs() < 1e-12);
+        assert!((t.total_in(TraceUnit::Seconds) - 0.6).abs() < 1e-12);
         assert!((t.critical_path_in(TraceUnit::Seconds) - 0.4).abs() < 1e-12);
         assert!((t.overall_balance_in(TraceUnit::Seconds) - 0.6 / 0.8).abs() < 1e-12);
         assert_eq!(t.per_worker_total_in(TraceUnit::Seconds), vec![0.4, 0.2]);
@@ -689,10 +612,6 @@ mod tests {
 
         t.regions.extend([full, masked, unknown]);
         assert_eq!(t.masked_region_count(), 1);
-        assert_eq!(
-            t.masked_per_worker_total_in(TraceUnit::Flops),
-            vec![8.0, 0.0]
-        );
         assert!((t.masked_overall_balance_in(TraceUnit::Flops) - 0.5).abs() < 1e-12);
         assert_eq!(t.live_patterns_per_worker_total(), vec![4.0, 0.0]);
         // A trace with no masked regions is neutral.
@@ -715,23 +634,24 @@ mod tests {
         t.regions.push(late);
 
         // The masked window skips the balanced full-mask region entirely.
+        for window in [2, 10] {
+            assert_eq!(
+                t.masked_window_decayed_per_worker_total_in(TraceUnit::Flops, window, 1.0),
+                vec![10.0, 2.0]
+            );
+        }
         assert_eq!(
-            t.masked_window_per_worker_total_in(TraceUnit::Flops, 2),
-            vec![10.0, 2.0]
-        );
-        assert_eq!(
-            t.masked_window_per_worker_total_in(TraceUnit::Flops, 10),
-            vec![10.0, 2.0]
-        );
-        assert_eq!(
-            t.masked_window_active_partitions(2),
+            t.masked_window_decayed_active_partitions(2, 1.0, 0.0),
             Some(vec![false, true])
         );
         assert_eq!(t.recent_masked_regions(10).len(), 2);
         // No masked regions → None.
         let mut bare = WorkTrace::new(2);
         bare.regions.push(RegionRecord::new(OpKind::Newview, 2));
-        assert_eq!(bare.masked_window_active_partitions(5), None);
+        assert_eq!(
+            bare.masked_window_decayed_active_partitions(5, 1.0, 0.0),
+            None
+        );
     }
 
     #[test]
@@ -746,10 +666,10 @@ mod tests {
         t.regions.push(old);
         t.regions.push(new);
 
-        // decay = 1.0 reproduces the plain equal-weight window exactly.
+        // decay = 1.0 is the plain equal-weight window.
         assert_eq!(
             t.masked_window_decayed_per_worker_total_in(TraceUnit::Flops, 2, 1.0),
-            t.masked_window_per_worker_total_in(TraceUnit::Flops, 2)
+            vec![8.0, 8.0]
         );
         // decay = 0.5: the newest region weighs 1, the older one 0.5.
         assert_eq!(
@@ -766,7 +686,7 @@ mod tests {
             t.masked_window_decayed_active_partitions(2, 0.5, 0.4),
             Some(vec![false, true])
         );
-        // No masked regions → None, like the union helper.
+        // No masked regions → None.
         assert_eq!(
             WorkTrace::new(2).masked_window_decayed_active_partitions(4, 0.5, 0.05),
             None
@@ -776,9 +696,9 @@ mod tests {
     #[test]
     fn decayed_liveness_forgets_a_stale_partition_the_union_keeps() {
         // One ancient region with partition 0 live, then eleven regions where
-        // only partition 1 is live: the trailing-window union keeps partition
-        // 0 "live" for the whole window, while the decayed vote (decay 0.5,
-        // cutoff 0.05) has long forgotten it.
+        // only partition 1 is live: the equal-weight union (decay 1.0, cutoff
+        // 0.0) keeps partition 0 "live" for the whole window, while the
+        // decayed vote (decay 0.5, cutoff 0.05) has long forgotten it.
         let mut t = WorkTrace::new(2);
         let mut stale = RegionRecord::new(OpKind::Newview, 2);
         stale.flops_per_worker = vec![4.0, 0.0];
@@ -791,7 +711,7 @@ mod tests {
             t.regions.push(r);
         }
         assert_eq!(
-            t.masked_window_active_partitions(12),
+            t.masked_window_decayed_active_partitions(12, 1.0, 0.0),
             Some(vec![true, true])
         );
         assert_eq!(

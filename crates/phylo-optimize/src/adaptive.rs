@@ -1,21 +1,28 @@
-//! Measured-time feedback into the running optimizer.
+//! The run policy: worker-death recovery and measured-time rescheduling,
+//! wrapped once around any driver loop.
 //!
-//! This is the end of the measurement loop the paper motivates: the analytic
-//! cost model decides the *initial* schedule, a timed executor measures what
-//! each worker actually costs per region, and the [`Rescheduler`] migrates
-//! pattern→worker ownership mid-run when the measurement says the schedule
-//! is wrong (a throttled core, a mis-ranked pattern class). Migration
-//! rebuilds the executor's worker slices from the new [`Assignment`] and
-//! invalidates the master-side CLV cache; the likelihood is
-//! placement-invariant, so log likelihoods before and after a migration
-//! agree to ≤ 1e-8 (only the reduction's summation order changes).
+//! [`RunPolicy::run`] is the only place that knows how a run survives a
+//! worker death and how live measurements feed back into the schedule; the
+//! model optimizer here and the tree search in `phylo-search` are both the
+//! plain loop handed to it. A policy without a rescheduler is the
+//! "resilient" run.
+//!
+//! Rescheduling is the end of the measurement loop the paper motivates: the
+//! analytic cost model decides the *initial* schedule, a timed executor
+//! measures what each worker actually costs per region, and the
+//! [`Rescheduler`] migrates pattern→worker ownership mid-run when the
+//! measurement says the schedule is wrong (a throttled core, a mis-ranked
+//! pattern class). Migration rebuilds the executor's worker slices from the
+//! new [`Assignment`] and invalidates the master-side CLV cache; the
+//! likelihood is placement-invariant, so log likelihoods before and after a
+//! migration agree to ≤ 1e-8 (only the reduction's summation order changes).
 //!
 //! [`Assignment`]: phylo_sched::Assignment
 
 use std::sync::Arc;
 
 use phylo_kernel::cost::WorkTrace;
-use phylo_kernel::{Executor, KernelError, LikelihoodKernel};
+use phylo_kernel::{Executor, LikelihoodKernel};
 use phylo_sched::{PatternCosts, Reassignable, Rescheduler, SchedError};
 
 use crate::config::OptimizerConfig;
@@ -69,145 +76,197 @@ pub struct WorkerRecovery {
     pub attempt: usize,
 }
 
-/// [`OptimizationReport`] plus the migrations that happened along the way.
+/// How a driver loop is run: how many worker deaths it may absorb and
+/// whether live measurements may migrate pattern→worker ownership mid-run.
+#[derive(Debug)]
+pub struct RunPolicy<'a> {
+    /// How many worker deaths the run may absorb by rebuilding the workers
+    /// from the current assignment and re-entering the loop; the next death
+    /// past the budget is reported as an error.
+    pub max_recoveries: usize,
+    /// Mid-run rescheduling: the rescheduler shown the live trace at the
+    /// loop's hook points, and the per-pattern cost model its repacks
+    /// balance (it must cover the kernel's dataset). `None` runs the static
+    /// schedule and places no requirement on the executor's measurement
+    /// path.
+    pub rescheduler: Option<(&'a mut Rescheduler, &'a PatternCosts)>,
+}
+
+impl Default for RunPolicy<'_> {
+    /// Two recoveries, no rescheduling.
+    fn default() -> Self {
+        Self {
+            max_recoveries: 2,
+            rescheduler: None,
+        }
+    }
+}
+
+/// What a driver loop returned under a [`RunPolicy`], plus what the policy
+/// did along the way.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveOptimizationReport {
-    /// The ordinary optimization outcome.
-    pub report: OptimizationReport,
-    /// Mid-run migrations, in execution order (empty if the policy never
-    /// triggered).
+pub struct PolicyRun<R> {
+    /// The loop's own outcome (an [`OptimizationReport`], a search result).
+    /// After a recovery it describes the final resumed attempt: its initial
+    /// log likelihood and work counters start at the last recovery point,
+    /// not at the original call.
+    pub report: R,
+    /// Mid-run migrations, in execution order (empty without a rescheduler
+    /// or if its policy never triggered).
     pub events: Vec<RescheduleEvent>,
     /// Worker deaths absorbed by rebuilding the workers mid-run (empty in a
-    /// healthy run). When non-empty, `report` describes the final resumed
-    /// attempt: its initial log likelihood and work counters start at the
-    /// last recovery point, not at the original call.
+    /// healthy run).
     pub recoveries: Vec<WorkerRecovery>,
 }
 
-/// Entry guard shared by the adaptive drivers (model optimization here,
-/// `tree_search_adaptive` in `phylo-search`): `base_costs` must describe the
-/// kernel's dataset.
-///
-/// # Errors
-///
-/// [`SchedError::PatternCountMismatch`] on disagreement.
-pub fn validate_base_costs<E: Executor>(
-    kernel: &LikelihoodKernel<E>,
-    base_costs: &PatternCosts,
-) -> Result<(), SchedError> {
-    if base_costs.pattern_count() != kernel.patterns().total_patterns() {
-        return Err(SchedError::PatternCountMismatch {
-            expected: kernel.patterns().total_patterns(),
-            got: base_costs.pattern_count(),
-        });
+/// The callback [`RunPolicy::run`] hands the driver loop, to be invoked with
+/// the 1-based round at the loop's two [`HookPoint`]s.
+pub type DriverHook<'h, E> =
+    dyn FnMut(&mut LikelihoodKernel<E>, usize, HookPoint) -> Result<(), OptimizeError> + 'h;
+
+impl<'a> RunPolicy<'a> {
+    /// The default recovery budget plus mid-run rescheduling.
+    pub fn rescheduling(rescheduler: &'a mut Rescheduler, base_costs: &'a PatternCosts) -> Self {
+        Self {
+            rescheduler: Some((rescheduler, base_costs)),
+            ..Self::default()
+        }
     }
-    Ok(())
-}
 
-/// Exit guard shared by the adaptive drivers: a reassign resets the trace,
-/// so "no events and an empty trace after a full run" can only mean the
-/// executor records nothing at all — the measurement path is not enabled
-/// and rescheduling could never have triggered.
-///
-/// # Errors
-///
-/// [`SchedError::NoMeasurements`] in that case.
-pub fn ensure_measurements_happened<E>(
-    kernel: &mut LikelihoodKernel<E>,
-    events: &[RescheduleEvent],
-) -> Result<(), SchedError>
-where
-    E: Executor + Reassignable,
-{
-    if events.is_empty() && kernel.executor_mut().live_trace().sync_events() == 0 {
-        return Err(SchedError::NoMeasurements);
+    /// Runs `body` — a driver loop that fires the hook it is handed at its
+    /// [`HookPoint`]s — against the kernel under this policy.
+    ///
+    /// *Recovery.* On `KernelError::Exec(WorkerDied | Poisoned)` with budget
+    /// left, the workers are rebuilt from the current assignment, the
+    /// master-side CLV cache is invalidated and `body` is invoked again.
+    /// Every parameter update the optimizers commit lives in the master
+    /// state, so re-entering continues from the current parameters and tree
+    /// — though the loop structure itself restarts, so in-flight work of the
+    /// interrupted round is re-executed and the returned report describes
+    /// the final attempt only.
+    ///
+    /// *Rescheduling.* With a rescheduler, the live trace is shown to it at
+    /// [`HookPoint::RoundEnd`] — after every round including the last one: a
+    /// migration triggered at the very end still pays off because the
+    /// executor stays migrated for whatever the caller runs next (the
+    /// warm-up pattern) — and, for a mask-aware policy, at
+    /// [`HookPoint::WithinRound`]. A positive decision rebuilds the workers
+    /// under the new assignment and evaluates the likelihood on both sides
+    /// of the move for the returned [`RescheduleEvent`].
+    ///
+    /// # Errors
+    ///
+    /// [`OptimizeError::Sched`] with [`SchedError::PatternCountMismatch`] if
+    /// the rescheduler's base costs cover a different number of patterns
+    /// than the kernel's dataset, with [`SchedError::NoMeasurements`] if a
+    /// rescheduling run finished without the executor recording a single
+    /// trace region (the measurement path is not enabled, so rescheduling
+    /// could never have triggered), or with whatever a rebuild or the
+    /// rescheduler itself rejects; [`OptimizeError::Kernel`] for the first
+    /// non-recoverable engine error or the first worker death past the
+    /// budget.
+    pub fn run<E, R, F>(
+        self,
+        kernel: &mut LikelihoodKernel<E>,
+        mut body: F,
+    ) -> Result<PolicyRun<R>, OptimizeError>
+    where
+        E: Executor + Reassignable,
+        F: FnMut(&mut LikelihoodKernel<E>, &mut DriverHook<'_, E>) -> Result<R, OptimizeError>,
+    {
+        let Self {
+            max_recoveries,
+            mut rescheduler,
+        } = self;
+        if let Some((_, base_costs)) = &rescheduler {
+            let expected = kernel.patterns().total_patterns();
+            if base_costs.pattern_count() != expected {
+                return Err(OptimizeError::Sched(SchedError::PatternCountMismatch {
+                    expected,
+                    got: base_costs.pattern_count(),
+                }));
+            }
+        }
+        let mut events = Vec::new();
+        let mut recoveries = Vec::new();
+
+        let mut hook = |kernel: &mut LikelihoodKernel<E>,
+                        round: usize,
+                        point: HookPoint|
+         -> Result<(), OptimizeError> {
+            let Some((rescheduler, base_costs)) = rescheduler.as_mut() else {
+                return Ok(());
+            };
+            // The within-round point fires after every branch; only a
+            // mask-aware policy has anything to gain from it.
+            let within_round = point == HookPoint::WithinRound;
+            if within_round && !rescheduler.policy().mask_aware {
+                return Ok(());
+            }
+            events.extend(reschedule(
+                kernel,
+                rescheduler,
+                base_costs,
+                round,
+                within_round,
+            )?);
+            Ok(())
+        };
+        let report = loop {
+            let error = match body(kernel, &mut hook) {
+                Ok(report) => break report,
+                Err(error) => error,
+            };
+            let died = match &error {
+                OptimizeError::Kernel(e) => e.failed_worker(),
+                OptimizeError::Sched(_) => None,
+            };
+            let Some(worker) = died.filter(|_| recoveries.len() < max_recoveries) else {
+                return Err(error);
+            };
+            let assignment = kernel.executor_mut().assignment().clone();
+            rebuild_workers(kernel, &assignment)?;
+            let attempt = recoveries.len() + 1;
+            kernel.telemetry().worker_recovery(worker, attempt);
+            recoveries.push(WorkerRecovery { worker, attempt });
+        };
+
+        // A reassign resets the trace, so "no events and an empty trace
+        // after a full run" can only mean the executor records nothing at
+        // all.
+        if rescheduler.is_some()
+            && events.is_empty()
+            && kernel.executor_mut().live_trace().sync_events() == 0
+        {
+            return Err(OptimizeError::Sched(SchedError::NoMeasurements));
+        }
+        Ok(PolicyRun {
+            report,
+            events,
+            recoveries,
+        })
     }
-    Ok(())
 }
 
-/// Checks, between rounds of any driver loop, whether the live trace
-/// justifies an ownership migration — and performs it if so.
-///
-/// Returns `Ok(None)` when the rescheduler stays put. On migration the
-/// executor is rebuilt from the new assignment, the master-side CLV cache is
-/// invalidated, and the likelihood is evaluated on both sides of the move
-/// for the returned event.
-///
-/// The caller must have validated `base_costs` against the kernel's dataset
-/// (see [`optimize_model_parameters_adaptive`]); shape mismatches are
-/// programming errors here.
-///
-/// # Errors
-///
-/// Propagates [`KernelError`] from the boundary likelihood evaluations.
-///
-/// # Panics
-///
-/// Panics if `base_costs` covers a different pattern count than the
-/// executor's assignment (the entry points validate this).
-pub fn reschedule_if_needed<E>(
-    kernel: &mut LikelihoodKernel<E>,
-    rescheduler: &mut Rescheduler,
-    base_costs: &PatternCosts,
-    round: usize,
-) -> Result<Option<RescheduleEvent>, KernelError>
-where
-    E: Executor + Reassignable,
-{
-    reschedule_at_point(kernel, rescheduler, base_costs, round, false)
-}
-
-/// [`reschedule_if_needed`] for the *within-round* hook point: the decision
-/// additionally records that it fired mid-round. With a mask-aware policy
-/// this is where the convergence-mask shape of the branch just optimized is
-/// inspected; a plain policy behaves exactly as between rounds.
-///
-/// # Errors
-///
-/// Propagates [`KernelError`] from the boundary likelihood evaluations.
-///
-/// # Panics
-///
-/// As for [`reschedule_if_needed`].
-pub fn reschedule_mid_round<E>(
-    kernel: &mut LikelihoodKernel<E>,
-    rescheduler: &mut Rescheduler,
-    base_costs: &PatternCosts,
-    round: usize,
-) -> Result<Option<RescheduleEvent>, KernelError>
-where
-    E: Executor + Reassignable,
-{
-    reschedule_at_point(kernel, rescheduler, base_costs, round, true)
-}
-
-fn reschedule_at_point<E>(
+/// Shows the live trace to the rescheduler and performs the migration it
+/// decides on, if any.
+fn reschedule<E>(
     kernel: &mut LikelihoodKernel<E>,
     rescheduler: &mut Rescheduler,
     base_costs: &PatternCosts,
     round: usize,
     within_round: bool,
-) -> Result<Option<RescheduleEvent>, KernelError>
+) -> Result<Option<RescheduleEvent>, OptimizeError>
 where
     E: Executor + Reassignable,
 {
-    let masked = rescheduler.policy().mask_aware;
-    let ranges: Vec<std::ops::Range<usize>> = if masked {
-        let patterns = kernel.patterns();
-        (0..patterns.partition_count())
-            .map(|p| patterns.global_range(p))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let patterns = kernel.patterns();
+    let ranges: Vec<std::ops::Range<usize>> = (0..patterns.partition_count())
+        .map(|p| patterns.global_range(p))
+        .collect();
     let exec = kernel.executor_mut();
-    let considered = if masked {
-        rescheduler.consider_masked(exec.assignment(), exec.live_trace(), base_costs, &ranges)
-    } else {
-        rescheduler.consider(exec.assignment(), exec.live_trace(), base_costs)
-    };
     let Some(decision) =
-        considered.expect("trace, assignment and base costs describe the same run")
+        rescheduler.consider(exec.assignment(), exec.live_trace(), base_costs, &ranges)?
     else {
         return Ok(None);
     };
@@ -222,8 +281,7 @@ where
     // Rebuilding the workers restarts the trace epoch; keep the old epoch's
     // measurements with the event so full-run statistics survive migrations.
     let epoch_trace = kernel.executor_mut().take_trace();
-    rebuild_workers(kernel, &decision.assignment)
-        .expect("the new assignment covers the same dataset");
+    rebuild_workers(kernel, &decision.assignment)?;
     let log_likelihood_after = kernel.try_log_likelihood()?;
 
     Ok(Some(RescheduleEvent {
@@ -236,22 +294,6 @@ where
         log_likelihood_after,
         epoch_trace,
     }))
-}
-
-/// Rebuilds a failed executor's workers from its *current* assignment and
-/// invalidates the master-side CLV cache — the recovery half of the
-/// worker-death story (the detection half is `KernelError::failed_worker`).
-///
-/// # Errors
-///
-/// Propagates [`SchedError`] if the executor rejects the rebuild (which for
-/// its own current assignment indicates a programming error upstream).
-pub fn recover_worker_death<E>(kernel: &mut LikelihoodKernel<E>) -> Result<(), SchedError>
-where
-    E: Executor + Reassignable,
-{
-    let assignment = kernel.executor_mut().assignment().clone();
-    rebuild_workers(kernel, &assignment)
 }
 
 /// The one rebuild sequence both migration and recovery go through: respawn
@@ -279,64 +321,36 @@ where
     Ok(())
 }
 
-/// Runs `body` against the kernel, absorbing up to `max_recoveries` worker
-/// deaths: on `KernelError::Exec(WorkerDied | Poisoned)` the workers are
-/// rebuilt via [`recover_worker_death`] and `body` is invoked again. Because
-/// every parameter update the optimizers commit lives in the master state,
-/// re-entering the driver loop continues from the current parameters rather
-/// than from the original starting point — though the loop structure itself
-/// restarts, so in-flight work of the interrupted round is re-executed and
-/// the *returned report describes the final attempt only*: its
-/// `initial_log_likelihood`, round and sync-event counters start at the
-/// re-entry, not at the original call (the pre-death commands are simply
-/// not attributed). Shared by the adaptive drivers here and in
-/// `phylo-search`.
-///
-/// # Errors
-///
-/// The first non-recoverable error from `body`, the first worker death past
-/// the budget, or [`OptimizeError::Sched`] if a rebuild itself fails.
-pub fn with_worker_recovery<E, T, F>(
-    kernel: &mut LikelihoodKernel<E>,
-    max_recoveries: usize,
-    recoveries: &mut Vec<WorkerRecovery>,
-    mut body: F,
-) -> Result<T, OptimizeError>
-where
-    E: Executor + Reassignable,
-    F: FnMut(&mut LikelihoodKernel<E>) -> Result<T, KernelError>,
-{
-    loop {
-        match body(kernel) {
-            Ok(value) => return Ok(value),
-            Err(error) => {
-                let Some(worker) = error.failed_worker() else {
-                    return Err(error.into());
-                };
-                if recoveries.len() >= max_recoveries {
-                    return Err(error.into());
-                }
-                recover_worker_death(kernel)?;
-                let attempt = recoveries.len() + 1;
-                kernel.telemetry().worker_recovery(worker, attempt);
-                recoveries.push(WorkerRecovery { worker, attempt });
-            }
-        }
-    }
-}
-
-/// [`optimize_model_parameters`] with worker-death recovery but without
-/// mid-run rescheduling: up to `config.max_worker_recoveries` worker deaths
-/// are absorbed by rebuilding the workers and resuming. Unlike the adaptive
-/// driver this places no requirement on the executor's measurement path.
+/// [`optimize_model_parameters`] under a [`RunPolicy`]: worker deaths are
+/// absorbed up to the policy's budget, and with a rescheduler the live trace
+/// migrates pattern→worker ownership after every branch (mask-aware) or
+/// round.
 ///
 /// [`optimize_model_parameters`]: crate::driver::optimize_model_parameters
 ///
 /// # Errors
 ///
-/// [`OptimizeError::Kernel`] when the engine fails beyond the recovery
-/// budget (or for a non-recoverable error), [`OptimizeError::Sched`] if a
-/// recovery rebuild itself fails.
+/// As for [`RunPolicy::run`].
+pub fn optimize_model_parameters_with_policy<E>(
+    kernel: &mut LikelihoodKernel<E>,
+    config: &OptimizerConfig,
+    policy: RunPolicy<'_>,
+) -> Result<PolicyRun<OptimizationReport>, OptimizeError>
+where
+    E: Executor + Reassignable,
+{
+    policy.run(kernel, |kernel, hook| {
+        optimize_model_parameters_with_hook(kernel, config, hook)
+    })
+}
+
+/// [`optimize_model_parameters_with_policy`] under [`RunPolicy::default`]
+/// (two recoveries, no rescheduling). `benchmark/src/fleet.rs` and
+/// `phylo-serve` name this entry, so it keeps its signature.
+///
+/// # Errors
+///
+/// As for [`RunPolicy::run`].
 pub fn optimize_model_parameters_resilient<E>(
     kernel: &mut LikelihoodKernel<E>,
     config: &OptimizerConfig,
@@ -344,87 +358,8 @@ pub fn optimize_model_parameters_resilient<E>(
 where
     E: Executor + Reassignable,
 {
-    let mut recoveries = Vec::new();
-    let report = with_worker_recovery(
-        kernel,
-        config.max_worker_recoveries,
-        &mut recoveries,
-        |kernel| optimize_model_parameters_with_hook(kernel, config, |_, _, _| Ok(())),
-    )?;
-    Ok((report, recoveries))
-}
-
-/// [`optimize_model_parameters`] with mid-run rescheduling: after every
-/// outer round the live trace is shown to the rescheduler, and a triggered
-/// decision migrates pattern→worker ownership before the next round.
-///
-/// [`optimize_model_parameters`]: crate::driver::optimize_model_parameters
-///
-/// The rescheduler is consulted after *every* round, including the last one:
-/// a migration triggered at the very end still pays off because the executor
-/// stays migrated for whatever the caller runs next (the warm-up pattern —
-/// one short optimizer call to measure, then the real workload on the
-/// corrected placement).
-///
-/// The driver also *recovers from worker deaths*: when the engine reports
-/// `KernelError::Exec(WorkerDied | Poisoned)` and the recovery budget
-/// (`config.max_worker_recoveries`) is not exhausted, the workers are
-/// rebuilt from the current assignment, the CLV cache is invalidated, and
-/// the driver loop re-enters — resuming with every parameter update
-/// committed before the death.
-///
-/// # Errors
-///
-/// [`OptimizeError::Sched`] with [`SchedError::PatternCountMismatch`] if
-/// `base_costs` covers a different number of patterns than the kernel's
-/// dataset, or with [`SchedError::NoMeasurements`] if the run finished
-/// without the executor recording a single trace region (the measurement
-/// path is not enabled, so rescheduling could never have triggered);
-/// [`OptimizeError::Kernel`] when the engine fails beyond the recovery
-/// budget.
-pub fn optimize_model_parameters_adaptive<E>(
-    kernel: &mut LikelihoodKernel<E>,
-    config: &OptimizerConfig,
-    rescheduler: &mut Rescheduler,
-    base_costs: &PatternCosts,
-) -> Result<AdaptiveOptimizationReport, OptimizeError>
-where
-    E: Executor + Reassignable,
-{
-    validate_base_costs(kernel, base_costs)?;
-    let mask_aware = rescheduler.policy().mask_aware;
-    let mut events = Vec::new();
-    let mut recoveries = Vec::new();
-    let report = with_worker_recovery(
-        kernel,
-        config.max_worker_recoveries,
-        &mut recoveries,
-        |kernel| {
-            optimize_model_parameters_with_hook(kernel, config, |kernel, round, point| {
-                // The within-round point fires after every branch; only a
-                // mask-aware policy has anything to gain from it.
-                let event = match point {
-                    HookPoint::WithinRound if !mask_aware => None,
-                    HookPoint::WithinRound => {
-                        reschedule_mid_round(kernel, rescheduler, base_costs, round)?
-                    }
-                    HookPoint::RoundEnd => {
-                        reschedule_if_needed(kernel, rescheduler, base_costs, round)?
-                    }
-                };
-                if let Some(event) = event {
-                    events.push(event);
-                }
-                Ok(())
-            })
-        },
-    )?;
-    ensure_measurements_happened(kernel, &events)?;
-    Ok(AdaptiveOptimizationReport {
-        report,
-        events,
-        recoveries,
-    })
+    let run = optimize_model_parameters_with_policy(kernel, config, RunPolicy::default())?;
+    Ok((run.report, run.recoveries))
 }
 
 #[cfg(test)]
@@ -474,15 +409,30 @@ mod tests {
             unit: TraceUnit::Flops,
             max_reschedules: 8,
             mask_aware: false,
-            mask_decay: 0.85,
         });
-        let adaptive =
-            optimize_model_parameters_adaptive(&mut kernel, &config, &mut rescheduler, &costs)
-                .unwrap();
+        let adaptive = optimize_model_parameters_with_policy(
+            &mut kernel,
+            &config,
+            RunPolicy::rescheduling(&mut rescheduler, &costs),
+        )
+        .unwrap();
         assert!(adaptive.events.is_empty());
         assert!(
             (adaptive.report.final_log_likelihood - expected.final_log_likelihood).abs() < 1e-8
         );
+
+        // Without a rescheduler the policy is the plain driver plus a
+        // recovery loop that never fires: same bits, same commands.
+        let (mut kernel, _) = tracing_kernel(&ds, 3);
+        let resilient =
+            optimize_model_parameters_with_policy(&mut kernel, &config, RunPolicy::default())
+                .unwrap();
+        assert_eq!(
+            resilient.report.final_log_likelihood.to_bits(),
+            expected.final_log_likelihood.to_bits()
+        );
+        assert_eq!(resilient.report.sync_events, expected.sync_events);
+        assert!(resilient.events.is_empty() && resilient.recoveries.is_empty());
     }
 
     #[test]
@@ -504,13 +454,16 @@ mod tests {
             unit: TraceUnit::Flops,
             max_reschedules: 1,
             mask_aware: false,
-            mask_decay: 0.85,
         });
-        let adaptive =
-            optimize_model_parameters_adaptive(&mut kernel, &config, &mut rescheduler, &costs)
-                .unwrap();
+        let adaptive = optimize_model_parameters_with_policy(
+            &mut kernel,
+            &config,
+            RunPolicy::rescheduling(&mut rescheduler, &costs),
+        )
+        .unwrap();
         assert_eq!(adaptive.events.len(), 1, "policy must trigger once");
         let event = &adaptive.events[0];
+        assert_eq!((event.round, event.within_round), (1, false));
         assert!(
             event.log_likelihood_drift() < 1e-8,
             "migration changed the likelihood by {}",
@@ -546,8 +499,12 @@ mod tests {
             ..OptimizerConfig::default()
         };
         assert_eq!(
-            optimize_model_parameters_adaptive(&mut kernel, &config, &mut rescheduler, &costs)
-                .unwrap_err(),
+            optimize_model_parameters_with_policy(
+                &mut kernel,
+                &config,
+                RunPolicy::rescheduling(&mut rescheduler, &costs)
+            )
+            .unwrap_err(),
             OptimizeError::Sched(SchedError::NoMeasurements)
         );
     }
@@ -559,11 +516,10 @@ mod tests {
         let mut rescheduler = Rescheduler::new(ReschedulePolicy::default());
         let bad = PatternCosts::uniform(3);
         assert!(matches!(
-            optimize_model_parameters_adaptive(
+            optimize_model_parameters_with_policy(
                 &mut kernel,
                 &OptimizerConfig::default(),
-                &mut rescheduler,
-                &bad
+                RunPolicy::rescheduling(&mut rescheduler, &bad)
             )
             .unwrap_err(),
             OptimizeError::Sched(SchedError::PatternCountMismatch { .. })

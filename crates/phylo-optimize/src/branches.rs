@@ -225,16 +225,18 @@ pub fn optimize_all_branches<E: Executor>(
 ///
 /// # Errors
 ///
-/// Propagates [`KernelError`] from the engine or the hook.
-pub fn optimize_all_branches_with_hook<E, F>(
+/// Propagates [`KernelError`] from the engine and whatever the hook fails
+/// with, in the hook's error type.
+pub fn optimize_all_branches_with_hook<E, X, F>(
     kernel: &mut LikelihoodKernel<E>,
     branches: Option<&[BranchId]>,
     config: &OptimizerConfig,
     mut after_branch: F,
-) -> Result<(f64, BranchOptimizationStats), KernelError>
+) -> Result<(f64, BranchOptimizationStats), X>
 where
     E: Executor,
-    F: FnMut(&mut LikelihoodKernel<E>) -> Result<(), KernelError>,
+    X: From<KernelError>,
+    F: FnMut(&mut LikelihoodKernel<E>) -> Result<(), X>,
 {
     let branch_list: Vec<BranchId> = match branches {
         Some(list) => list.to_vec(),

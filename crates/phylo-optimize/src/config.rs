@@ -42,10 +42,6 @@ pub struct OptimizerConfig {
     /// Whether to optimize the Q-matrix exchangeabilities (DNA partitions
     /// only; protein partitions always keep their empirical matrix).
     pub optimize_rates: bool,
-    /// How many worker deaths a recovery-capable driver (one holding a
-    /// `Reassignable` executor) may absorb per run by rebuilding the workers
-    /// and resuming; the next death past the budget is reported as an error.
-    pub max_worker_recoveries: usize,
 }
 
 impl OptimizerConfig {
@@ -61,7 +57,6 @@ impl OptimizerConfig {
             likelihood_epsilon: 0.1,
             max_rounds: 4,
             optimize_rates: true,
-            max_worker_recoveries: 2,
         }
     }
 

@@ -53,10 +53,10 @@ pub struct OptimizationReport {
 /// lengths) keeps every update committed before the failure, so a caller
 /// that rebuilds the workers (`phylo_sched::Reassignable::reassign` +
 /// `LikelihoodKernel::invalidate_all`) can call again and the optimization
-/// *resumes* from where it got to; [`optimize_model_parameters_adaptive`]
+/// *resumes* from where it got to; [`optimize_model_parameters_with_policy`]
 /// does exactly that automatically.
 ///
-/// [`optimize_model_parameters_adaptive`]: crate::adaptive::optimize_model_parameters_adaptive
+/// [`optimize_model_parameters_with_policy`]: crate::adaptive::optimize_model_parameters_with_policy
 pub fn optimize_model_parameters<E: Executor>(
     kernel: &mut LikelihoodKernel<E>,
     config: &OptimizerConfig,
@@ -69,17 +69,20 @@ pub fn optimize_model_parameters<E: Executor>(
 /// smoothing pass, and [`HookPoint::RoundEnd`] after every round —
 /// deliberately *before* the convergence check, so the hook also runs
 /// after the final round (a migration triggered there still benefits
-/// whatever the caller runs next on the same kernel). The adaptive driver
-/// uses the hook to migrate pattern→worker ownership mid-run; the hook may
-/// mutate the kernel as long as it preserves the likelihood.
-pub(crate) fn optimize_model_parameters_with_hook<E, F>(
+/// whatever the caller runs next on the same kernel). `RunPolicy::run` uses
+/// the hook to migrate pattern→worker ownership mid-run; the hook may
+/// mutate the kernel as long as it preserves the likelihood. The error type
+/// is the hook's: the plain entry runs with `KernelError`, the policy with
+/// `OptimizeError`.
+pub(crate) fn optimize_model_parameters_with_hook<E, X, F>(
     kernel: &mut LikelihoodKernel<E>,
     config: &OptimizerConfig,
     mut hook: F,
-) -> Result<OptimizationReport, KernelError>
+) -> Result<OptimizationReport, X>
 where
     E: Executor,
-    F: FnMut(&mut LikelihoodKernel<E>, usize, HookPoint) -> Result<(), KernelError>,
+    X: From<KernelError>,
+    F: FnMut(&mut LikelihoodKernel<E>, usize, HookPoint) -> Result<(), X>,
 {
     let sync_before = kernel.sync_events();
     let initial = kernel.try_log_likelihood()?;

@@ -23,6 +23,13 @@
 //! candidate points per partition); only the batching differs — which is
 //! exactly why the paper's speedups are "free" accuracy-wise.
 //!
+//! There is one driver loop ([`optimize_model_parameters`]) and one wrapper
+//! around it: a [`RunPolicy`] `{ max_recoveries, rescheduler }` whose
+//! [`RunPolicy::run`] owns worker-death recovery and mid-run rescheduling
+//! for any loop that fires its hook ([`optimize_model_parameters_with_policy`]
+//! here, `tree_search_with_policy` in `phylo-search`) and returns a
+//! [`PolicyRun`] — the loop's own report plus the migrations and recoveries.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use phylo_kernel::SequentialKernel;
@@ -50,9 +57,8 @@ pub mod error;
 pub mod model;
 
 pub use adaptive::{
-    optimize_model_parameters_adaptive, optimize_model_parameters_resilient, recover_worker_death,
-    reschedule_if_needed, reschedule_mid_round, AdaptiveOptimizationReport, RescheduleEvent,
-    WorkerRecovery,
+    optimize_model_parameters_resilient, optimize_model_parameters_with_policy, DriverHook,
+    PolicyRun, RescheduleEvent, RunPolicy, WorkerRecovery,
 };
 pub use branches::{
     optimize_all_branches, optimize_all_branches_with_hook, optimize_branch,

@@ -180,7 +180,7 @@ impl Platform {
 /// *thought* the per-worker load would be (from the [`Assignment`]'s cost
 /// model) against what the instrumented executor *measured* (from the
 /// [`WorkTrace`]). A large gap means the cost model mis-ranks patterns and a
-/// trace-adaptive re-schedule will pay off.
+/// measurement-driven re-schedule will pay off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImbalanceReport {
     /// Name of the strategy that produced the assignment.

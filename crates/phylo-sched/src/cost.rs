@@ -113,9 +113,7 @@ impl PatternCosts {
         }
     }
 
-    /// Explicit per-pattern costs (used by [`TraceAdaptive`] and by tests).
-    ///
-    /// [`TraceAdaptive`]: crate::strategy::TraceAdaptive
+    /// Explicit per-pattern costs (a measured or hand-built cost vector).
     ///
     /// # Errors
     ///

@@ -58,7 +58,7 @@ pub enum SchedError {
         /// Number of workers the executor actually has.
         worker_count: usize,
     },
-    /// An adaptive driver ran to completion without the executor recording a
+    /// A rescheduling run finished without the executor recording a
     /// single trace region — the measurement path is not enabled (e.g. a
     /// `ThreadedExecutor` built without `ExecutorOptions { timed: true }`),
     /// so mid-run rescheduling silently could never trigger.

@@ -19,21 +19,23 @@
 //!   ([`Assignment::imbalance`], [`Assignment::max_cost`],
 //!   [`Assignment::mean_cost`]) that `phylo-perfmodel` and `phylo-bench`
 //!   consume.
-//! * [`ScheduleStrategy`] — the strategy trait, with six implementations:
+//! * [`ScheduleStrategy`] — the strategy trait, with five implementations:
 //!   [`Cyclic`] and [`Block`] (the paper's two schemes, reproduced bit-for-bit
 //!   through the new interface), [`WeightedLpt`] (longest-processing-time
 //!   greedy bin-packing over the analytic costs), [`PartitionAwareLpt`]
 //!   (cost-levelled *and* cache-local: every worker's share of every
 //!   partition is one contiguous run — see
-//!   [`Assignment::partition_contiguity`]), [`TraceAdaptive`] (rebalances
-//!   from a measured [`WorkTrace`](phylo_kernel::cost::WorkTrace) after a
-//!   warm-up run) and [`SpeedAwareLpt`] (LPT onto workers of unequal
-//!   measured speed).
-//! * [`Rescheduler`] — mid-run rescheduling from live measurements, with an
-//!   optional *mask-aware* mode ([`ReschedulePolicy::mask_aware`]) that
-//!   reacts to the convergence-mask shape *within* a driver round: it
-//!   triggers on the live-cost imbalance of the recent partial-mask regions
-//!   and re-levels every partition across the workers.
+//!   [`Assignment::partition_contiguity`]) and [`SpeedAwareLpt`] (the
+//!   measured-feedback strategy: LPT onto workers of unequal speed, the
+//!   speeds estimated from a measured
+//!   [`WorkTrace`](phylo_kernel::cost::WorkTrace)).
+//! * [`Rescheduler`] — mid-run rescheduling from live measurements through
+//!   one entry, [`Rescheduler::consider`]; the policy selects between the
+//!   total-cost trigger with a [`SpeedAwareLpt`] repack and the
+//!   *mask-aware* mode ([`ReschedulePolicy::mask_aware`]) that reacts to the
+//!   convergence-mask shape *within* a driver round: it triggers on the
+//!   decay-weighted ([`reschedule::MASK_DECAY`]) live-cost imbalance of the recent
+//!   partial-mask regions and re-levels every partition across the workers.
 //!
 //! The parallel backends in `phylo-parallel` consume an [`Assignment`] when
 //! building their per-worker slices; see `phylo_parallel::build_workers`.
@@ -68,5 +70,5 @@ pub use cost::PatternCosts;
 pub use error::SchedError;
 pub use reschedule::{Reassignable, RescheduleDecision, ReschedulePolicy, Rescheduler};
 pub use strategy::{
-    Block, Cyclic, PartitionAwareLpt, ScheduleStrategy, SpeedAwareLpt, TraceAdaptive, WeightedLpt,
+    Block, Cyclic, PartitionAwareLpt, ScheduleStrategy, SpeedAwareLpt, WeightedLpt,
 };

@@ -80,15 +80,16 @@ pub struct ReschedulePolicy {
     /// shapes and the full mask all come out balanced. Drivers consult a
     /// mask-aware rescheduler between branches, not only between rounds.
     pub mask_aware: bool,
-    /// Per-region decay of the mask-aware measurement window: the most
-    /// recent masked region weighs `1`, the one before it `mask_decay`, then
-    /// `mask_decay²`, … Both the per-worker live-cost totals and the
-    /// partition-liveness vote use these weights, so the rescheduler tracks
-    /// the *current* convergence-mask shape instead of the trailing-window
-    /// union (where one stale region kept a long-dead partition "live" for a
-    /// whole window). `1.0` reproduces the legacy equal-weight union.
-    pub mask_decay: f64,
 }
+
+/// Per-region decay of the mask-aware measurement window: the most recent
+/// masked region weighs `1`, the one before it `MASK_DECAY`, then
+/// `MASK_DECAY²`, … Both the per-worker live-cost totals and the
+/// partition-liveness vote use these weights, so the rescheduler tracks the
+/// *current* convergence-mask shape instead of an equal-weight union of the
+/// window (where one stale region keeps a long-dead partition "live" for a
+/// whole window).
+pub const MASK_DECAY: f64 = 0.85;
 
 /// A partition stays in the mask-aware live set while the decayed weight of
 /// the window regions whose mask included it is at least this fraction of
@@ -104,7 +105,6 @@ impl Default for ReschedulePolicy {
             unit: TraceUnit::Seconds,
             max_reschedules: 2,
             mask_aware: false,
-            mask_decay: 0.85,
         }
     }
 }
@@ -143,10 +143,10 @@ impl Rescheduler {
         }
     }
 
-    /// A rescheduler that counts every [`Rescheduler::consider`] /
-    /// [`Rescheduler::consider_masked`] call on the given recorder
-    /// (`reschedules_considered`); the positive decisions themselves are
-    /// recorded by the driver, which knows the optimizer round they fall in.
+    /// A rescheduler that counts every [`Rescheduler::consider`] call on
+    /// the given recorder (`reschedules_considered`); the positive decisions
+    /// themselves are recorded by the driver, which knows the optimizer
+    /// round they fall in.
     pub fn with_telemetry(
         policy: ReschedulePolicy,
         telemetry: &phylo_telemetry::Telemetry,
@@ -173,19 +173,54 @@ impl Rescheduler {
     /// imbalance under threshold, decision budget exhausted, or the
     /// re-pack reproduces the current owner map).
     ///
+    /// The policy selects the measurement and the repack. A plain policy
+    /// triggers on the whole epoch's per-worker totals and re-packs with
+    /// [`SpeedAwareLpt`]; `ranges` is not read. A
+    /// [`ReschedulePolicy::mask_aware`] policy is driven by the *live-cost*
+    /// imbalance: the measurement window is the last
+    /// [`ReschedulePolicy::min_regions`] **masked** regions (partial
+    /// convergence masks — full-mask regions balance almost any schedule
+    /// and would dilute the signal), decay-weighted by recency
+    /// ([`MASK_DECAY`]) so the current mask shape dominates; the same
+    /// decayed weights vote on which partitions are still live (cutoff
+    /// [`MASK_LIVENESS_CUTOFF`]). When the window's per-worker imbalance
+    /// crosses the threshold, every partition is re-levelled individually
+    /// across the workers — live partitions first, assuming uniform worker
+    /// speeds — which balances the live phase, later mask shapes and the
+    /// full mask at once.
+    ///
+    /// `ranges` gives each partition's global pattern range (the same tiling
+    /// [`PartitionAwareLpt`](crate::strategy::PartitionAwareLpt) consumes).
+    ///
     /// # Errors
     ///
     /// [`SchedError::TraceWorkerMismatch`] if the trace and `current`
     /// disagree on the worker count,
-    /// [`SchedError::PatternCountMismatch`] if `base` covers a different
-    /// number of patterns than `current`.
+    /// [`SchedError::PatternCountMismatch`] if `base` (or, mask-aware,
+    /// `ranges`) covers a different number of patterns than `current`,
+    /// [`SchedError::InvalidPartitionRanges`] if a mask-aware policy's
+    /// ranges do not tile the index space.
     pub fn consider(
         &mut self,
         current: &Assignment,
         trace: &WorkTrace,
         base: &PatternCosts,
+        ranges: &[std::ops::Range<usize>],
     ) -> Result<Option<RescheduleDecision>, SchedError> {
         self.telemetry.reschedule_considered();
+        if self.policy.mask_aware {
+            self.consider_masked(current, trace, base, ranges)
+        } else {
+            self.consider_totals(current, trace, base)
+        }
+    }
+
+    fn consider_totals(
+        &mut self,
+        current: &Assignment,
+        trace: &WorkTrace,
+        base: &PatternCosts,
+    ) -> Result<Option<RescheduleDecision>, SchedError> {
         if self.decisions >= self.policy.max_reschedules {
             return Ok(None);
         }
@@ -211,40 +246,13 @@ impl Rescheduler {
         }))
     }
 
-    /// The mask-aware counterpart of [`Rescheduler::consider`], driven by
-    /// the *live-cost* imbalance: the measurement window is the last
-    /// [`ReschedulePolicy::min_regions`] **masked** regions (partial
-    /// convergence masks — full-mask regions balance almost any schedule
-    /// and would dilute the signal), decay-weighted by recency
-    /// ([`ReschedulePolicy::mask_decay`]) so the current mask shape
-    /// dominates; the same decayed weights vote on which partitions are
-    /// still live (cutoff [`MASK_LIVENESS_CUTOFF`]). When the window's per-worker imbalance
-    /// crosses the threshold, every partition is re-levelled individually
-    /// across the workers — live partitions first, assuming uniform worker
-    /// speeds — which balances the live phase, later mask shapes and the
-    /// full mask at once.
-    ///
-    /// `ranges` gives each partition's global pattern range (the same tiling
-    /// [`PartitionAwareLpt`](crate::strategy::PartitionAwareLpt) consumes).
-    /// Returns `Ok(None)` when the policy says to stay put, exactly like
-    /// [`Rescheduler::consider`].
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::TraceWorkerMismatch`] if the trace and `current`
-    /// disagree on the worker count,
-    /// [`SchedError::PatternCountMismatch`] if `base` or `ranges` cover a
-    /// different number of patterns than `current`,
-    /// [`SchedError::InvalidPartitionRanges`] if the ranges do not tile the
-    /// index space.
-    pub fn consider_masked(
+    fn consider_masked(
         &mut self,
         current: &Assignment,
         trace: &WorkTrace,
         base: &PatternCosts,
         ranges: &[std::ops::Range<usize>],
     ) -> Result<Option<RescheduleDecision>, SchedError> {
-        self.telemetry.reschedule_considered();
         if trace.workers != current.worker_count() {
             return Err(SchedError::TraceWorkerMismatch {
                 trace_workers: trace.workers,
@@ -275,15 +283,14 @@ impl Rescheduler {
         if trace.masked_region_count() < window {
             return Ok(None);
         }
-        let decay = self.policy.mask_decay;
         let measured =
-            trace.masked_window_decayed_per_worker_total_in(self.policy.unit, window, decay);
+            trace.masked_window_decayed_per_worker_total_in(self.policy.unit, window, MASK_DECAY);
         let measured_imbalance = worker_imbalance(&measured);
         if measured_imbalance <= self.policy.imbalance_threshold {
             return Ok(None);
         }
         let active = trace
-            .masked_window_decayed_active_partitions(window, decay, MASK_LIVENESS_CUTOFF)
+            .masked_window_decayed_active_partitions(window, MASK_DECAY, MASK_LIVENESS_CUTOFF)
             .filter(|a| a.len() == ranges.len())
             .unwrap_or_else(|| vec![true; ranges.len()]);
         let any_live = ranges
@@ -310,7 +317,7 @@ impl Rescheduler {
         // ratios estimated from it unreliable (a worker whose live-union
         // patterns were inactive in most window regions measures little and
         // would be mistaken for a fast core). Worker-intrinsic slowness is
-        // the *plain* policy's business ([`Rescheduler::consider`] via
+        // the *plain* policy's business (`consider_totals` via
         // `SpeedAwareLpt`).
         let worker_count = current.worker_count();
         let mut owner = current.owner().to_vec();
@@ -367,7 +374,6 @@ mod tests {
             unit: TraceUnit::Seconds,
             max_reschedules: 1,
             mask_aware: false,
-            mask_decay: 0.85,
         }
     }
 
@@ -377,7 +383,7 @@ mod tests {
         let prior = Cyclic.assign(&costs, 4).unwrap();
         let mut r = Rescheduler::new(policy());
         let trace = skewed_trace(4, 2, 5.0);
-        assert_eq!(r.consider(&prior, &trace, &costs).unwrap(), None);
+        assert_eq!(r.consider(&prior, &trace, &costs, &[]).unwrap(), None);
         assert_eq!(r.decisions(), 0);
     }
 
@@ -387,7 +393,7 @@ mod tests {
         let prior = Cyclic.assign(&costs, 4).unwrap();
         let mut r = Rescheduler::new(policy());
         let trace = skewed_trace(4, 10, 1.0);
-        assert_eq!(r.consider(&prior, &trace, &costs).unwrap(), None);
+        assert_eq!(r.consider(&prior, &trace, &costs, &[]).unwrap(), None);
     }
 
     #[test]
@@ -396,7 +402,7 @@ mod tests {
         let prior = Cyclic.assign(&costs, 4).unwrap();
         let mut r = Rescheduler::new(policy());
         let trace = skewed_trace(4, 10, 4.0);
-        let decision = r.consider(&prior, &trace, &costs).unwrap().unwrap();
+        let decision = r.consider(&prior, &trace, &costs, &[]).unwrap().unwrap();
         assert!(decision.measured_imbalance > 2.0);
         let counts = decision.assignment.patterns_per_worker();
         assert!(
@@ -405,7 +411,7 @@ mod tests {
         );
         assert_eq!(r.decisions(), 1);
         // The budget (max_reschedules = 1) is now exhausted.
-        assert_eq!(r.consider(&prior, &trace, &costs).unwrap(), None);
+        assert_eq!(r.consider(&prior, &trace, &costs, &[]).unwrap(), None);
     }
 
     #[test]
@@ -415,12 +421,12 @@ mod tests {
         let mut r = Rescheduler::new(policy());
         let trace = skewed_trace(3, 10, 4.0);
         assert!(matches!(
-            r.consider(&prior, &trace, &costs).unwrap_err(),
+            r.consider(&prior, &trace, &costs, &[]).unwrap_err(),
             SchedError::TraceWorkerMismatch { .. }
         ));
         let short = PatternCosts::uniform(7);
         assert!(matches!(
-            r.consider(&prior, &skewed_trace(4, 10, 4.0), &short)
+            r.consider(&prior, &skewed_trace(4, 10, 4.0), &short, &[])
                 .unwrap_err(),
             SchedError::PatternCountMismatch { .. }
         ));
@@ -465,10 +471,9 @@ mod tests {
             unit: TraceUnit::Seconds,
             max_reschedules: 1,
             mask_aware: true,
-            mask_decay: 0.85,
         });
         let decision = masked
-            .consider_masked(&prior, &trace, &costs, &ranges)
+            .consider(&prior, &trace, &costs, &ranges)
             .unwrap()
             .expect("live imbalance 4.0 crosses the 2.0 threshold");
         assert!(decision.measured_imbalance > 3.9);
@@ -498,9 +503,8 @@ mod tests {
             unit: TraceUnit::Seconds,
             max_reschedules: 1,
             mask_aware: false,
-            mask_decay: 0.85,
         });
-        assert_eq!(plain.consider(&prior, &trace, &costs).unwrap(), None);
+        assert_eq!(plain.consider(&prior, &trace, &costs, &[]).unwrap(), None);
     }
 
     #[test]
@@ -514,18 +518,17 @@ mod tests {
             ..policy()
         });
         assert!(matches!(
-            r.consider_masked(&prior, &trace, &costs, &[5..40])
-                .unwrap_err(),
+            r.consider(&prior, &trace, &costs, &[5..40]).unwrap_err(),
             SchedError::InvalidPartitionRanges { index: 0 }
         ));
         assert!(matches!(
-            r.consider_masked(&prior, &trace, &costs, &[0..20, 20..39])
+            r.consider(&prior, &trace, &costs, &[0..20, 20..39])
                 .unwrap_err(),
             SchedError::PatternCountMismatch { .. }
         ));
         let short_trace = staggered_trace(3);
         assert!(matches!(
-            r.consider_masked(&prior, &short_trace, &costs, &[0..20, 20..40])
+            r.consider(&prior, &short_trace, &costs, &[0..20, 20..40])
                 .unwrap_err(),
             SchedError::TraceWorkerMismatch { .. }
         ));
@@ -544,17 +547,13 @@ mod tests {
             unit: TraceUnit::Seconds,
             max_reschedules: 1,
             mask_aware: true,
-            mask_decay: 0.85,
         });
         assert!(r
-            .consider_masked(&prior, &trace, &costs, &ranges)
+            .consider(&prior, &trace, &costs, &ranges)
             .unwrap()
             .is_some());
         // Budget exhausted.
-        assert_eq!(
-            r.consider_masked(&prior, &trace, &costs, &ranges).unwrap(),
-            None
-        );
+        assert_eq!(r.consider(&prior, &trace, &costs, &ranges).unwrap(), None);
         // Too few regions.
         let mut fresh = Rescheduler::new(ReschedulePolicy {
             imbalance_threshold: 2.0,
@@ -562,20 +561,17 @@ mod tests {
             unit: TraceUnit::Seconds,
             max_reschedules: 1,
             mask_aware: true,
-            mask_decay: 0.85,
         });
         assert_eq!(
-            fresh
-                .consider_masked(&prior, &trace, &costs, &ranges)
-                .unwrap(),
+            fresh.consider(&prior, &trace, &costs, &ranges).unwrap(),
             None
         );
     }
 
-    /// Two old masked regions hammer worker 0, two recent ones are balanced:
-    /// the skew is stale. The equal-weight window (`mask_decay = 1.0`) still
-    /// sees imbalance 2.5 and migrates; a strongly decayed window knows the
-    /// current shape is fine and stays put.
+    /// Two old masked regions hammer worker 0, six recent ones are balanced:
+    /// the skew is stale. An equal-weight window over the same eight regions
+    /// sees imbalance 1.75 and would migrate at a 1.6 threshold; the decayed
+    /// window (1.43) knows the current shape is fine and stays put.
     #[test]
     fn decay_discounts_stale_skew_the_union_window_acts_on() {
         let costs = PatternCosts::uniform(40);
@@ -588,39 +584,35 @@ mod tests {
             r.active_partitions = vec![true, false];
             trace.regions.push(r);
         }
-        for _ in 0..2 {
+        for _ in 0..6 {
             let mut r = RegionRecord::new(OpKind::Derivatives, 4);
             r.seconds_per_worker = vec![1.0, 1.0, 1.0, 1.0];
             r.active_partitions = vec![false, true];
             trace.regions.push(r);
         }
-        let base = ReschedulePolicy {
-            imbalance_threshold: 2.0,
-            min_regions: 4,
+        let policy = ReschedulePolicy {
+            imbalance_threshold: 1.6,
+            min_regions: 8,
             unit: TraceUnit::Seconds,
             max_reschedules: 1,
             mask_aware: true,
-            mask_decay: 1.0,
         };
-        let mut legacy = Rescheduler::new(base);
-        assert!(
-            legacy
-                .consider_masked(&prior, &trace, &costs, &ranges)
-                .unwrap()
-                .is_some(),
-            "equal weights see the stale 2.5 imbalance"
-        );
-        let mut decayed = Rescheduler::new(ReschedulePolicy {
-            mask_decay: 0.1,
-            ..base
-        });
+        // Every region is masked, so the epoch totals are the equal-weight
+        // window over the same eight regions.
+        let equal_weight = worker_imbalance(&trace.per_worker_total_in(TraceUnit::Seconds));
+        assert!(equal_weight > policy.imbalance_threshold, "{equal_weight}");
+        let mut decayed = Rescheduler::new(policy);
         assert_eq!(
-            decayed
-                .consider_masked(&prior, &trace, &costs, &ranges)
-                .unwrap(),
+            decayed.consider(&prior, &trace, &costs, &ranges).unwrap(),
             None,
             "decay discounts the stale skew; the current shape is balanced"
         );
+        // The same window with the skew in the *recent* regions does act.
+        trace.regions.reverse();
+        assert!(decayed
+            .consider(&prior, &trace, &costs, &ranges)
+            .unwrap()
+            .is_some());
     }
 
     #[test]
@@ -636,6 +628,6 @@ mod tests {
             trace.regions.push(reg);
         }
         let mut r = Rescheduler::new(policy());
-        assert_eq!(r.consider(&prior, &trace, &costs).unwrap(), None);
+        assert_eq!(r.consider(&prior, &trace, &costs, &[]).unwrap(), None);
     }
 }

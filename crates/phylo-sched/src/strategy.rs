@@ -139,151 +139,24 @@ fn lpt_pack(name: &str, costs: &PatternCosts, speeds: &[f64]) -> Result<Assignme
     Assignment::new(name, owner, worker_count, costs)
 }
 
-/// Classical LPT: [`lpt_pack`] with uniform speeds.
-fn lpt_assign(
-    name: &str,
-    costs: &PatternCosts,
-    worker_count: usize,
-) -> Result<Assignment, SchedError> {
-    check_inputs(costs, worker_count)?;
-    lpt_pack(name, costs, &vec![1.0; worker_count])
-}
-
 impl ScheduleStrategy for WeightedLpt {
     fn name(&self) -> &str {
         "weighted-lpt"
     }
 
     fn assign(&self, costs: &PatternCosts, worker_count: usize) -> Result<Assignment, SchedError> {
-        lpt_assign(self.name(), costs, worker_count)
-    }
-}
-
-/// Measurement-driven rebalancing: corrects the cost model with a measured
-/// [`WorkTrace`] from a warm-up run under a prior assignment, then re-packs
-/// with LPT.
-///
-/// The analytic model captures the state-count and category ratios but not
-/// platform effects (cache behaviour, SIMD width, scaling-event frequency).
-/// After a warm-up run, the per-worker ratio `measured / predicted` is a
-/// direct observation of how much the model under- or over-estimates the
-/// patterns that worker owns; scaling each pattern's cost by its owner's
-/// ratio and re-packing moves work off the workers that measured hot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceAdaptive {
-    prior: Assignment,
-    measured: Vec<f64>,
-}
-
-impl TraceAdaptive {
-    /// Builds the strategy from the warm-up run's assignment and its measured
-    /// trace, reading the trace's analytic FLOP counts (the virtual-executor
-    /// measurement path).
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::TraceWorkerMismatch`] if the trace was recorded for a
-    /// different worker count than `prior` distributes over.
-    pub fn new(prior: Assignment, trace: &WorkTrace) -> Result<Self, SchedError> {
-        Self::with_unit(prior, trace, TraceUnit::Flops)
-    }
-
-    /// Builds the strategy from a trace in an explicit unit.
-    /// [`TraceUnit::Seconds`] is the real measurement path: per-worker
-    /// wall-clock totals recorded by a timed `ThreadedExecutor`.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::TraceWorkerMismatch`] if the trace was recorded for a
-    /// different worker count than `prior` distributes over.
-    pub fn with_unit(
-        prior: Assignment,
-        trace: &WorkTrace,
-        unit: TraceUnit,
-    ) -> Result<Self, SchedError> {
-        if trace.workers != prior.worker_count() {
-            return Err(SchedError::TraceWorkerMismatch {
-                trace_workers: trace.workers,
-                assignment_workers: prior.worker_count(),
-            });
-        }
-        Ok(Self {
-            prior,
-            measured: trace.per_worker_total_in(unit),
-        })
-    }
-
-    /// The prior (warm-up) assignment.
-    pub fn prior(&self) -> &Assignment {
-        &self.prior
-    }
-
-    /// Total measured cost per worker of the warm-up run.
-    pub fn measured(&self) -> &[f64] {
-        &self.measured
-    }
-
-    /// Measured imbalance (max over mean worker cost) of the warm-up run —
-    /// the baseline a rebalanced schedule has to beat.
-    pub fn measured_imbalance(&self) -> f64 {
-        crate::assignment::worker_imbalance(&self.measured)
-    }
-
-    /// Per-pattern costs corrected by the measured trace: pattern `g`'s base
-    /// cost is scaled by `measured[w] / predicted[w]` of its prior owner `w`.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::PatternCountMismatch`] if `base` covers a different
-    /// number of patterns than the prior assignment.
-    pub fn corrected_costs(&self, base: &PatternCosts) -> Result<PatternCosts, SchedError> {
-        if base.pattern_count() != self.prior.pattern_count() {
-            return Err(SchedError::PatternCountMismatch {
-                expected: self.prior.pattern_count(),
-                got: base.pattern_count(),
-            });
-        }
-        // Predicted per-worker cost of the prior owner map under `base`.
-        let mut predicted = vec![0.0f64; self.prior.worker_count()];
-        for (g, &w) in self.prior.owner().iter().enumerate() {
-            predicted[w] += base.cost(g);
-        }
-        let factor: Vec<f64> = self
-            .measured
-            .iter()
-            .zip(&predicted)
-            .map(|(&m, &p)| if p > 0.0 && m > 0.0 { m / p } else { 1.0 })
-            .collect();
-        let corrected: Vec<f64> = base
-            .as_slice()
-            .iter()
-            .enumerate()
-            .map(|(g, &c)| c * factor[self.prior.worker_of(g)])
-            .collect();
-        PatternCosts::from_costs(corrected)
-    }
-}
-
-impl ScheduleStrategy for TraceAdaptive {
-    fn name(&self) -> &str {
-        "trace-adaptive"
-    }
-
-    fn assign(&self, costs: &PatternCosts, worker_count: usize) -> Result<Assignment, SchedError> {
-        let corrected = self.corrected_costs(costs)?;
-        lpt_assign(self.name(), &corrected, worker_count)
+        check_inputs(costs, worker_count)?;
+        lpt_pack(self.name(), costs, &vec![1.0; worker_count])
     }
 }
 
 /// LPT onto workers of *unequal measured speed* (the classical "related
 /// machines" makespan heuristic).
 ///
-/// [`TraceAdaptive`] attributes a measured slowdown to the *patterns* a
-/// worker owns — correct when the slowdown travels with the data (scaling
-/// events, cache-hostile columns). A *slow worker* (an oversubscribed or
-/// throttled core) is the opposite case: its patterns are cheap anywhere
-/// else, so inflating their cost and re-packing mis-places them. This
-/// strategy instead estimates a per-worker speed from the trace
+/// The measured-feedback strategy: a *slow worker* (an oversubscribed or
+/// throttled core) owns patterns that are cheap anywhere else, so the
+/// measurement is attributed to the worker, not to its patterns. The
+/// strategy estimates a per-worker speed from the trace
 /// (`predicted work / measured time`) and packs each pattern, in
 /// cost-descending order, onto the worker whose *completion time*
 /// `(load + cost) / speed` is smallest. With equal speeds it degenerates to
@@ -573,17 +446,11 @@ mod tests {
     }
 
     fn all_strategies() -> Vec<Box<dyn ScheduleStrategy>> {
-        let (pp, costs) = mixed_fixture();
-        let prior = Cyclic.assign(&costs, 3).unwrap();
-        let mut trace = WorkTrace::new(3);
-        let mut region = RegionRecord::new(OpKind::Newview, 3);
-        region.flops_per_worker = prior.predicted_cost().to_vec();
-        trace.regions.push(region);
+        let (pp, _) = mixed_fixture();
         vec![
             Box::new(Cyclic),
             Box::new(Block),
             Box::new(WeightedLpt),
-            Box::new(TraceAdaptive::new(prior, &trace).unwrap()),
             Box::new(PartitionAwareLpt::new(fixture_ranges(&pp)).unwrap()),
         ]
     }
@@ -700,77 +567,6 @@ mod tests {
         // 100 uniform patterns over 8 workers: 12 or 13 each.
         let counts = a.patterns_per_worker();
         assert!(counts.iter().all(|&c| c == 12 || c == 13), "{counts:?}");
-    }
-
-    #[test]
-    fn trace_adaptive_strictly_reduces_measured_imbalance() {
-        // Uniform analytic costs, but the measured trace says worker 0 is 4×
-        // slower than predicted (e.g. its patterns trigger scaling events the
-        // analytic model cannot see).
-        let costs = PatternCosts::uniform(64);
-        let prior = Cyclic.assign(&costs, 4).unwrap();
-        let mut trace = WorkTrace::new(4);
-        let mut region = RegionRecord::new(OpKind::Newview, 4);
-        region.flops_per_worker = vec![64.0, 16.0, 16.0, 16.0];
-        trace.regions.push(region);
-
-        let adaptive = TraceAdaptive::new(prior, &trace).unwrap();
-        let before = adaptive.measured_imbalance();
-        let rebalanced = adaptive.assign(&costs, 4).unwrap();
-        // The rebalanced schedule is evaluated under the corrected (measured)
-        // cost model, which is the cost the next run will actually see.
-        let after = rebalanced.imbalance();
-        assert!(
-            after < before,
-            "rebalancing must strictly reduce measured imbalance: {after} vs {before}"
-        );
-        assert!(
-            after < 1.3,
-            "skew of 4x over 4 workers should pack well, got {after}"
-        );
-    }
-
-    #[test]
-    fn trace_adaptive_validates_its_inputs() {
-        let costs = PatternCosts::uniform(8);
-        let prior = Cyclic.assign(&costs, 2).unwrap();
-        let trace = WorkTrace::new(3);
-        assert_eq!(
-            TraceAdaptive::new(prior.clone(), &trace).unwrap_err(),
-            SchedError::TraceWorkerMismatch {
-                trace_workers: 3,
-                assignment_workers: 2
-            }
-        );
-        let adaptive = TraceAdaptive::new(prior, &WorkTrace::new(2)).unwrap();
-        assert_eq!(
-            adaptive.assign(&PatternCosts::uniform(9), 2).unwrap_err(),
-            SchedError::PatternCountMismatch {
-                expected: 8,
-                got: 9
-            }
-        );
-    }
-
-    #[test]
-    fn trace_adaptive_reads_wall_clock_seconds() {
-        // A trace whose FLOP channel is empty but whose seconds channel says
-        // worker 0 took 3× as long: the seconds-fed strategy must rebalance,
-        // while the flops-fed one sees nothing to correct.
-        let costs = PatternCosts::uniform(32);
-        let prior = Cyclic.assign(&costs, 4).unwrap();
-        let mut trace = WorkTrace::new(4);
-        let mut region = RegionRecord::new(OpKind::Newview, 4);
-        region.seconds_per_worker = vec![3.0, 1.0, 1.0, 1.0];
-        trace.regions.push(region);
-
-        let seconds = TraceAdaptive::with_unit(prior.clone(), &trace, TraceUnit::Seconds).unwrap();
-        assert!(seconds.measured_imbalance() > 1.5);
-        let rebalanced = seconds.assign(&costs, 4).unwrap();
-        assert!(rebalanced.imbalance() < seconds.measured_imbalance());
-
-        let flops = TraceAdaptive::new(prior, &trace).unwrap();
-        assert_eq!(flops.measured(), &[0.0; 4]);
     }
 
     #[test]
@@ -938,21 +734,5 @@ mod tests {
             );
             assert!(a.partition_contiguity(&[(0..10)]));
         }
-    }
-
-    #[test]
-    fn trace_adaptive_with_faithful_trace_matches_lpt() {
-        // If the measurement confirms the analytic model exactly, the
-        // correction is a no-op and TraceAdaptive degenerates to LPT.
-        let (_, costs) = mixed_fixture();
-        let prior = Cyclic.assign(&costs, 3).unwrap();
-        let mut trace = WorkTrace::new(3);
-        let mut region = RegionRecord::new(OpKind::Newview, 3);
-        region.flops_per_worker = prior.predicted_cost().to_vec();
-        trace.regions.push(region);
-        let adaptive = TraceAdaptive::new(prior, &trace).unwrap();
-        let a = adaptive.assign(&costs, 3).unwrap();
-        let lpt = WeightedLpt.assign(&costs, 3).unwrap();
-        assert_eq!(a.owner(), lpt.owner());
     }
 }

@@ -8,6 +8,9 @@
 //! crate implements that loop on top of the likelihood engine and the
 //! oldPAR/newPAR optimizers; which scheme is used is part of the
 //! [`SearchConfig`], so the same search can be timed under both schemes.
+//! [`tree_search`] is the loop; [`tree_search_with_policy`] hands the same
+//! loop to `phylo_optimize`'s [`RunPolicy`], which owns worker-death recovery
+//! and mid-run rescheduling for every driver.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -33,14 +36,11 @@
 #![forbid(unsafe_code)]
 
 use phylo_kernel::{Executor, KernelError, LikelihoodKernel};
-use phylo_optimize::adaptive::{
-    ensure_measurements_happened, validate_base_costs, with_worker_recovery,
-};
 use phylo_optimize::{
-    optimize_all_branches, optimize_model_parameters, reschedule_if_needed, reschedule_mid_round,
-    HookPoint, OptimizeError, OptimizerConfig, ParallelScheme, RescheduleEvent, WorkerRecovery,
+    optimize_all_branches, optimize_model_parameters, HookPoint, OptimizeError, OptimizerConfig,
+    ParallelScheme, PolicyRun, RunPolicy,
 };
-use phylo_sched::{PatternCosts, Reassignable, Rescheduler};
+use phylo_sched::Reassignable;
 use phylo_tree::spr::{candidate_moves, SprMove};
 
 /// Configuration of the SPR hill-climbing search.
@@ -114,7 +114,7 @@ pub struct SearchResult {
 /// death in a parallel backend. The tree, models and branch lengths keep
 /// every accepted move and committed update, so a caller that rebuilds the
 /// workers can call again and the search resumes from the current tree;
-/// [`tree_search_adaptive`] does that automatically.
+/// [`tree_search_with_policy`] does that automatically.
 pub fn tree_search<E: Executor>(
     kernel: &mut LikelihoodKernel<E>,
     config: &SearchConfig,
@@ -122,112 +122,30 @@ pub fn tree_search<E: Executor>(
     tree_search_with_hook(kernel, config, |_, _, _| Ok(()))
 }
 
-/// [`SearchResult`] plus the mid-search ownership migrations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveSearchResult {
-    /// The ordinary search outcome.
-    pub result: SearchResult,
-    /// Migrations performed between search rounds, in execution order.
-    pub events: Vec<RescheduleEvent>,
-    /// Worker deaths absorbed by rebuilding the workers mid-search (empty in
-    /// a healthy run). When non-empty, `result` describes the final resumed
-    /// attempt: the search continued on the current (partially improved)
-    /// tree, but the initial-lnL, move and sync-event counters restart at
-    /// the last recovery point, and the interrupted round's smoothing and
-    /// candidate evaluations are re-executed.
-    pub recoveries: Vec<WorkerRecovery>,
-}
-
-/// [`tree_search`] with mid-run rescheduling: after every search round the
-/// executor's live trace is shown to the rescheduler, and a triggered
-/// decision migrates pattern→worker ownership before the next round — the
-/// search continues on the same tree with bit-identical likelihood
-/// semantics.
-///
-/// The rescheduler is consulted after *every* round, including the last one
-/// (see `optimize_model_parameters_adaptive` for why that is deliberate).
-/// Worker deaths are recovered exactly as in the adaptive optimizer: up to
-/// `config.search_optimizer.max_worker_recoveries` deaths are absorbed by
-/// rebuilding the workers and resuming the search on the current tree.
+/// [`tree_search`] under a [`RunPolicy`]: worker deaths are absorbed up to the
+/// policy's budget by rebuilding the workers and resuming the search on the
+/// current (partially improved) tree, and with a rescheduler the live trace
+/// migrates pattern→worker ownership after the SPR sweep (mask-aware) or the
+/// round — the search continues with bit-identical likelihood semantics.
+/// After a recovery the returned result describes the final resumed attempt:
+/// the initial-lnL, move and sync-event counters restart at the last
+/// recovery point, and the interrupted round's smoothing and candidate
+/// evaluations are re-executed.
 ///
 /// # Errors
 ///
-/// [`OptimizeError::Sched`] with [`SchedError::PatternCountMismatch`](phylo_sched::SchedError::PatternCountMismatch) if
-/// `base_costs` covers a different number of patterns than the kernel's
-/// dataset, or with [`SchedError::NoMeasurements`](phylo_sched::SchedError::NoMeasurements) if the search finished
-/// without the executor recording a single trace region (the measurement
-/// path is not enabled, so rescheduling could never have triggered);
-/// [`OptimizeError::Kernel`] when the engine fails beyond the recovery
-/// budget.
-pub fn tree_search_adaptive<E>(
+/// As for [`RunPolicy::run`].
+pub fn tree_search_with_policy<E>(
     kernel: &mut LikelihoodKernel<E>,
     config: &SearchConfig,
-    rescheduler: &mut Rescheduler,
-    base_costs: &PatternCosts,
-) -> Result<AdaptiveSearchResult, OptimizeError>
+    policy: RunPolicy<'_>,
+) -> Result<PolicyRun<SearchResult>, OptimizeError>
 where
     E: Executor + Reassignable,
 {
-    validate_base_costs(kernel, base_costs)?;
-    let mask_aware = rescheduler.policy().mask_aware;
-    let mut events = Vec::new();
-    let mut recoveries = Vec::new();
-    let result = with_worker_recovery(
-        kernel,
-        config.search_optimizer.max_worker_recoveries,
-        &mut recoveries,
-        |kernel| {
-            tree_search_with_hook(kernel, config, |kernel, round, point| {
-                let event = match point {
-                    HookPoint::WithinRound if !mask_aware => None,
-                    HookPoint::WithinRound => {
-                        reschedule_mid_round(kernel, rescheduler, base_costs, round)?
-                    }
-                    HookPoint::RoundEnd => {
-                        reschedule_if_needed(kernel, rescheduler, base_costs, round)?
-                    }
-                };
-                if let Some(event) = event {
-                    events.push(event);
-                }
-                Ok(())
-            })
-        },
-    )?;
-    ensure_measurements_happened(kernel, &events)?;
-    Ok(AdaptiveSearchResult {
-        result,
-        events,
-        recoveries,
+    policy.run(kernel, |kernel, hook| {
+        tree_search_with_hook(kernel, config, hook)
     })
-}
-
-/// [`tree_search`] with worker-death recovery but without mid-run
-/// rescheduling: up to `config.search_optimizer.max_worker_recoveries`
-/// worker deaths are absorbed by rebuilding the workers and resuming the
-/// search on the current tree. Unlike [`tree_search_adaptive`] this places
-/// no requirement on the executor's measurement path.
-///
-/// # Errors
-///
-/// [`OptimizeError::Kernel`] when the engine fails beyond the recovery
-/// budget (or for a non-recoverable error), [`OptimizeError::Sched`] if a
-/// recovery rebuild itself fails.
-pub fn tree_search_resilient<E>(
-    kernel: &mut LikelihoodKernel<E>,
-    config: &SearchConfig,
-) -> Result<(SearchResult, Vec<WorkerRecovery>), OptimizeError>
-where
-    E: Executor + Reassignable,
-{
-    let mut recoveries = Vec::new();
-    let result = with_worker_recovery(
-        kernel,
-        config.search_optimizer.max_worker_recoveries,
-        &mut recoveries,
-        |kernel| tree_search_with_hook(kernel, config, |_, _, _| Ok(())),
-    )?;
-    Ok((result, recoveries))
 }
 
 /// The search loop with a caller-supplied hook invoked at the two
@@ -235,15 +153,16 @@ where
 /// SPR sweep (the local branch optimizations just recorded the round's
 /// convergence-mask shape) and [`HookPoint::RoundEnd`] at the end of the
 /// round, before the no-improvement break. The hook may mutate the kernel
-/// as long as it preserves the likelihood.
-fn tree_search_with_hook<E, F>(
+/// as long as it preserves the likelihood; the error type is the hook's.
+fn tree_search_with_hook<E, X, F>(
     kernel: &mut LikelihoodKernel<E>,
     config: &SearchConfig,
     mut hook: F,
-) -> Result<SearchResult, KernelError>
+) -> Result<SearchResult, X>
 where
     E: Executor,
-    F: FnMut(&mut LikelihoodKernel<E>, usize, HookPoint) -> Result<(), KernelError>,
+    X: From<KernelError>,
+    F: FnMut(&mut LikelihoodKernel<E>, usize, HookPoint) -> Result<(), X>,
 {
     let sync_before = kernel.sync_events();
 
@@ -399,7 +318,7 @@ mod tests {
     fn adaptive_search_migrates_ownership_and_preserves_the_likelihood() {
         use phylo_kernel::cost::TraceUnit;
         use phylo_parallel::{schedule, Cyclic, TracingExecutor};
-        use phylo_sched::ReschedulePolicy;
+        use phylo_sched::{PatternCosts, ReschedulePolicy, Rescheduler};
 
         // 7 workers over 64-pattern partitions: uneven cyclic shares give a
         // real measured FLOP imbalance for the policy to act on.
@@ -429,13 +348,22 @@ mod tests {
             unit: TraceUnit::Flops,
             max_reschedules: 1,
             mask_aware: false,
-            mask_decay: 0.85,
         });
-        let adaptive =
-            tree_search_adaptive(&mut kernel, &config, &mut rescheduler, &costs).unwrap();
-        assert!(
-            !adaptive.events.is_empty(),
-            "the low threshold must trigger a mid-search migration"
+        let adaptive = tree_search_with_policy(
+            &mut kernel,
+            &config,
+            RunPolicy::rescheduling(&mut rescheduler, &costs),
+        )
+        .unwrap();
+        let sequence: Vec<(usize, bool)> = adaptive
+            .events
+            .iter()
+            .map(|e| (e.round, e.within_round))
+            .collect();
+        assert_eq!(
+            sequence,
+            [(1, false)],
+            "the low threshold must trigger one mid-search migration"
         );
         for event in &adaptive.events {
             assert!(
@@ -444,7 +372,7 @@ mod tests {
                 event.log_likelihood_drift()
             );
         }
-        assert!(adaptive.result.final_log_likelihood >= adaptive.result.initial_log_likelihood);
+        assert!(adaptive.report.final_log_likelihood >= adaptive.report.initial_log_likelihood);
         assert_eq!(kernel.executor_mut().assignment().strategy(), "speed-lpt");
     }
 

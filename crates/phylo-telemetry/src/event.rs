@@ -73,7 +73,7 @@ pub enum TelemetryEvent {
         /// Region sequence number the death occurred in.
         region: u64,
     },
-    /// The resilient driver rebuilt the workers after a death.
+    /// The run policy rebuilt the workers after a death.
     WorkerRecovery {
         /// Seconds since telemetry start.
         t: f64,

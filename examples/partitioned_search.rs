@@ -52,10 +52,10 @@ fn main() -> Result<(), AnalysisError> {
     let outcome = analysis.run_search(&config)?;
     println!(
         "search on {threads} threads: lnL {:.3} -> {:.3} ({} moves evaluated, {} accepted)",
-        outcome.result.initial_log_likelihood,
-        outcome.result.final_log_likelihood,
-        outcome.result.evaluated_moves,
-        outcome.result.accepted_moves
+        outcome.report.initial_log_likelihood,
+        outcome.report.final_log_likelihood,
+        outcome.report.evaluated_moves,
+        outcome.report.accepted_moves
     );
     println!(
         "measured wall-clock imbalance of the run: {:.3} (max/mean per worker)",

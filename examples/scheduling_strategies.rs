@@ -1,7 +1,7 @@
-//! Tour of the pluggable scheduling subsystem: builds all four strategies'
-//! assignments for a mixed DNA/protein dataset through traced `Analysis`
-//! sessions, compares their predicted per-worker load, then verifies the
-//! prediction against the instrumented executor's measurement.
+//! Tour of the pluggable scheduling subsystem: builds the three static
+//! strategies' assignments for a mixed DNA/protein dataset through traced
+//! `Analysis` sessions, compares their predicted per-worker load, then
+//! verifies the prediction against the instrumented executor's measurement.
 //!
 //! Run with `cargo run --release --example scheduling_strategies`.
 
@@ -44,20 +44,10 @@ fn main() -> Result<(), AnalysisError> {
         vec![Box::new(Cyclic), Box::new(Block), Box::new(WeightedLpt)];
 
     println!("{} ", ImbalanceReport::header());
-    let mut warmup: Option<(Assignment, WorkTrace)> = None;
     for strategy in strategies {
         let (assignment, trace) = trace_run(&dataset, strategy, workers)?;
         println!("{}", imbalance_report(&assignment, &trace).format());
-        if assignment.strategy() == "cyclic" {
-            warmup = Some((assignment, trace));
-        }
     }
-
-    // Trace-adaptive: rebalance from the cyclic warm-up measurement.
-    let (prior, trace) = warmup.expect("cyclic ran first");
-    let adaptive = TraceAdaptive::new(prior, &trace)?;
-    let (assignment, trace) = trace_run(&dataset, adaptive, workers)?;
-    println!("{}", imbalance_report(&assignment, &trace).format());
 
     // The analytic cost model the schedules packed against, for reference.
     let costs = PatternCosts::analytic_tabled(&dataset.patterns, &categories);
@@ -67,6 +57,6 @@ fn main() -> Result<(), AnalysisError> {
         costs.pattern_count()
     );
     println!("block lumps the expensive protein tail onto few workers; weighted-lpt");
-    println!("and trace-adaptive pack by cost and keep every worker equally busy.");
+    println!("packs by cost and keeps every worker equally busy.");
     Ok(())
 }

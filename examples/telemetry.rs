@@ -41,7 +41,6 @@ fn main() -> Result<(), AnalysisError> {
             unit: TraceUnit::Flops,
             max_reschedules: 4,
             mask_aware: true,
-            mask_decay: 0.85,
         })
         // The default config records everything. Probe events dominate the
         // log on real runs, so either raise the capacity (overflow is

@@ -25,12 +25,12 @@
 //!
 //! Builder misuse is a typed [`AnalysisError`], not a panic: zero threads,
 //! a model set covering the wrong number of partitions, or a tree whose taxa
-//! do not match the alignment all come back as values. Worker deaths during
-//! [`Analysis::optimize`] / [`Analysis::run_search`] are *recovered* (up to
-//! the configured budget) by rebuilding the workers through the
-//! [`Reassignable`] capability; configure a [`ReschedulePolicy`] to also
-//! migrate pattern→worker ownership mid-run from live wall-clock
-//! measurements.
+//! do not match the alignment all come back as values. Both
+//! [`Analysis::optimize`] and [`Analysis::run_search`] run under the
+//! session's one [`RunPolicy`]: worker deaths are *recovered* (up to the
+//! default budget) by rebuilding the workers through the [`Reassignable`]
+//! capability; configure a [`ReschedulePolicy`] to also migrate
+//! pattern→worker ownership mid-run from live wall-clock measurements.
 
 use std::sync::Arc;
 
@@ -39,8 +39,8 @@ use phylo_kernel::cost::TraceUnit;
 use phylo_kernel::{Executor, KernelDispatch, KernelError, LikelihoodKernel, WorkTrace};
 use phylo_models::{BranchLengthMode, ModelSet};
 use phylo_optimize::{
-    optimize_model_parameters_adaptive, optimize_model_parameters_resilient,
-    AdaptiveOptimizationReport, OptimizeError, OptimizerConfig,
+    optimize_model_parameters_with_policy, OptimizationReport, OptimizeError, OptimizerConfig,
+    PolicyRun, RunPolicy,
 };
 use phylo_parallel::{ExecutorOptions, ThreadedExecutor, TracingExecutor, WorkerSkew};
 use phylo_perfmodel::{imbalance_report_in, ImbalanceReport};
@@ -48,9 +48,7 @@ use phylo_sched::{
     Assignment, PatternCosts, Reassignable, ReschedulePolicy, Rescheduler, SchedError,
     ScheduleStrategy, WeightedLpt,
 };
-use phylo_search::{
-    tree_search_adaptive, tree_search_resilient, AdaptiveSearchResult, SearchConfig,
-};
+use phylo_search::{tree_search_with_policy, SearchConfig, SearchResult};
 use phylo_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 use phylo_tree::Tree;
 
@@ -188,38 +186,13 @@ impl AnalysisBuilder {
     /// Enable mid-run rescheduling under `policy`: during
     /// [`Analysis::optimize`] and [`Analysis::run_search`] the live trace is
     /// watched and pattern→worker ownership migrates when the measured
-    /// imbalance crosses the policy's threshold. Implies
+    /// imbalance crosses the policy's threshold; a
+    /// [`ReschedulePolicy::mask_aware`] policy additionally reacts to the
+    /// convergence-mask shape *within* a driver round. Implies
     /// [`AnalysisBuilder::timed`].
     #[must_use]
     pub fn rescheduler(mut self, policy: ReschedulePolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Toggle *mask-aware* rescheduling: the rescheduler reacts to the
-    /// convergence-mask shape **within** a driver round — it measures the
-    /// live-cost imbalance of the most recent partial-mask regions (where
-    /// converged partitions no longer contribute work) and, when triggered
-    /// between branches, re-levels every partition individually across the
-    /// workers (live partitions first), balancing the live phase and the
-    /// full mask at once. With no [`AnalysisBuilder::rescheduler`] policy
-    /// configured, enabling this installs [`ReschedulePolicy::default`]
-    /// with `mask_aware` set (which, like any policy, implies
-    /// [`AnalysisBuilder::timed`]).
-    #[must_use]
-    pub fn mask_aware(mut self, mask_aware: bool) -> Self {
-        match (self.policy.as_mut(), mask_aware) {
-            (Some(policy), _) => policy.mask_aware = mask_aware,
-            (None, true) => {
-                self.policy = Some(ReschedulePolicy {
-                    mask_aware: true,
-                    ..ReschedulePolicy::default()
-                });
-            }
-            // mask_aware(false) without a policy stays policy-free rather
-            // than installing a rescheduler as a side effect.
-            (None, false) => {}
-        }
         self
     }
 
@@ -398,8 +371,8 @@ impl<E: Executor + Reassignable> Analysis<E> {
     }
 
     /// Optimizes all model parameters (α, rates, branch lengths) on the
-    /// fixed current topology. Worker deaths are recovered up to
-    /// `config.max_worker_recoveries`; with a configured
+    /// fixed current topology under the session's [`RunPolicy`]: worker
+    /// deaths are recovered up to the default budget; with a configured
     /// [`AnalysisBuilder::rescheduler`] policy, pattern→worker ownership
     /// additionally migrates mid-run when the live measurements justify it
     /// (reported in the returned `events`).
@@ -412,27 +385,10 @@ impl<E: Executor + Reassignable> Analysis<E> {
     pub fn optimize(
         &mut self,
         config: &OptimizerConfig,
-    ) -> Result<AdaptiveOptimizationReport, AnalysisError> {
-        match self.policy {
-            Some(policy) => {
-                let mut rescheduler = Rescheduler::with_telemetry(policy, &self.telemetry);
-                Ok(optimize_model_parameters_adaptive(
-                    &mut self.kernel,
-                    config,
-                    &mut rescheduler,
-                    &self.base_costs,
-                )?)
-            }
-            None => {
-                let (report, recoveries) =
-                    optimize_model_parameters_resilient(&mut self.kernel, config)?;
-                Ok(AdaptiveOptimizationReport {
-                    report,
-                    events: Vec::new(),
-                    recoveries,
-                })
-            }
-        }
+    ) -> Result<PolicyRun<OptimizationReport>, AnalysisError> {
+        self.run_policy(|kernel, policy| {
+            optimize_model_parameters_with_policy(kernel, config, policy)
+        })
     }
 
     /// Runs the SPR hill-climbing tree search from the session's current
@@ -445,26 +401,28 @@ impl<E: Executor + Reassignable> Analysis<E> {
     pub fn run_search(
         &mut self,
         config: &SearchConfig,
-    ) -> Result<AdaptiveSearchResult, AnalysisError> {
-        match self.policy {
-            Some(policy) => {
-                let mut rescheduler = Rescheduler::with_telemetry(policy, &self.telemetry);
-                Ok(tree_search_adaptive(
-                    &mut self.kernel,
-                    config,
-                    &mut rescheduler,
-                    &self.base_costs,
-                )?)
-            }
-            None => {
-                let (result, recoveries) = tree_search_resilient(&mut self.kernel, config)?;
-                Ok(AdaptiveSearchResult {
-                    result,
-                    events: Vec::new(),
-                    recoveries,
-                })
-            }
-        }
+    ) -> Result<PolicyRun<SearchResult>, AnalysisError> {
+        self.run_policy(|kernel, policy| tree_search_with_policy(kernel, config, policy))
+    }
+
+    /// Hands `driver` the kernel and the session's one [`RunPolicy`]: the
+    /// default recovery budget plus, if configured, a fresh rescheduler over
+    /// the schedule's base costs.
+    fn run_policy<R>(
+        &mut self,
+        driver: impl FnOnce(
+            &mut LikelihoodKernel<E>,
+            RunPolicy<'_>,
+        ) -> Result<PolicyRun<R>, OptimizeError>,
+    ) -> Result<PolicyRun<R>, AnalysisError> {
+        let mut rescheduler = self
+            .policy
+            .map(|policy| Rescheduler::with_telemetry(policy, &self.telemetry));
+        let policy = RunPolicy {
+            rescheduler: rescheduler.as_mut().map(|r| (r, &self.base_costs)),
+            ..RunPolicy::default()
+        };
+        Ok(driver(&mut self.kernel, policy)?)
     }
 
     /// The session's telemetry handle (disabled unless the builder armed it
@@ -618,29 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_aware_knob_installs_and_toggles_the_policy() {
-        let ds = dataset();
-        // Enabling without an explicit policy installs a mask-aware default.
-        let builder = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone()).mask_aware(true);
-        assert!(builder.policy.expect("policy installed").mask_aware);
-        // Disabling without a policy stays policy-free.
-        let builder =
-            Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone()).mask_aware(false);
-        assert!(builder.policy.is_none());
-        // Toggling an explicit policy flips only the flag.
-        let policy = ReschedulePolicy {
-            imbalance_threshold: 2.5,
-            ..ReschedulePolicy::default()
-        };
-        let builder = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone())
-            .rescheduler(policy)
-            .mask_aware(true);
-        let installed = builder.policy.expect("explicit policy kept");
-        assert!(installed.mask_aware);
-        assert_eq!(installed.imbalance_threshold, 2.5);
-    }
-
-    #[test]
     fn mask_aware_session_runs_and_preserves_the_likelihood() {
         let ds = phylo_seqgen::datasets::mixed_dna_protein(6, 3, 2, 48, 17).generate();
         let mut analysis = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone())
@@ -652,16 +587,21 @@ mod tests {
                 unit: TraceUnit::Flops,
                 max_reschedules: 1,
                 mask_aware: true,
-                mask_decay: 0.85,
             })
             .build_traced()
             .unwrap();
         let report = analysis
             .optimize(&OptimizerConfig::new(ParallelScheme::New))
             .unwrap();
-        assert!(
-            !report.events.is_empty(),
-            "the near-zero threshold must trigger a mask-aware migration"
+        let sequence: Vec<(usize, bool)> = report
+            .events
+            .iter()
+            .map(|e| (e.round, e.within_round))
+            .collect();
+        assert_eq!(
+            sequence,
+            [(1, true)],
+            "the near-zero threshold must trigger one within-round migration"
         );
         for event in &report.events {
             assert!(event.log_likelihood_drift() < 1e-8);

@@ -64,9 +64,9 @@ pub mod prelude {
     };
     pub use phylo_models::{BranchLengthMode, ModelSet, PartitionModel, SubstitutionModel};
     pub use phylo_optimize::{
-        optimize_all_branches, optimize_model_parameters, optimize_model_parameters_adaptive,
-        optimize_model_parameters_resilient, AdaptiveOptimizationReport, HookPoint, OptimizeError,
-        OptimizerConfig, ParallelScheme, RescheduleEvent, WorkerRecovery,
+        optimize_all_branches, optimize_model_parameters, optimize_model_parameters_resilient,
+        optimize_model_parameters_with_policy, HookPoint, OptimizeError, OptimizerConfig,
+        ParallelScheme, PolicyRun, RescheduleEvent, RunPolicy, WorkerRecovery,
     };
     pub use phylo_parallel::{
         build_workers, schedule, ExecutorOptions, ThreadedExecutor, TracingExecutor, WorkerSkew,
@@ -77,12 +77,9 @@ pub mod prelude {
     pub use phylo_sched::{
         worker_imbalance, Assignment, Block, Cyclic, PartitionAwareLpt, PatternCosts, Reassignable,
         RescheduleDecision, ReschedulePolicy, Rescheduler, SchedError, ScheduleStrategy,
-        SpeedAwareLpt, TraceAdaptive, WeightedLpt,
+        SpeedAwareLpt, WeightedLpt,
     };
-    pub use phylo_search::{
-        tree_search, tree_search_adaptive, tree_search_resilient, AdaptiveSearchResult,
-        SearchConfig, SearchResult,
-    };
+    pub use phylo_search::{tree_search, tree_search_with_policy, SearchConfig, SearchResult};
     pub use phylo_seqgen::datasets::{
         mixed_dna_protein, paper_real_world, paper_simulated, DatasetSpec, RealWorldKind,
     };

@@ -218,17 +218,21 @@ fn mid_run_rescheduling_beats_static_cyclic_on_a_skewed_worker() {
         unit: TraceUnit::Seconds,
         max_reschedules: 1,
         mask_aware: false,
-        mask_decay: 0.85,
     });
     let config = OptimizerConfig::search_phase(ParallelScheme::New);
-    let adaptive =
-        optimize_model_parameters_adaptive(&mut kernel, &config, &mut rescheduler, &costs).unwrap();
+    let adaptive = optimize_model_parameters_with_policy(
+        &mut kernel,
+        &config,
+        RunPolicy::rescheduling(&mut rescheduler, &costs),
+    )
+    .unwrap();
     assert_eq!(
         adaptive.events.len(),
         1,
         "a 100 µs/pattern skew on one of four workers must trigger the policy"
     );
     let event = &adaptive.events[0];
+    assert_eq!((event.round, event.within_round), (1, false));
     assert!(
         event.log_likelihood_drift() <= 1e-8,
         "migration drifted the log likelihood by {}",
@@ -276,7 +280,6 @@ fn driver_recovers_from_an_injected_worker_death_mid_optimize() {
             unit: TraceUnit::Seconds,
             max_reschedules: 0,
             mask_aware: false,
-            mask_decay: 0.85,
         })
         .build()
         .unwrap();
@@ -319,30 +322,69 @@ fn driver_recovers_from_an_injected_worker_death_mid_optimize() {
     );
 }
 
-/// A second death past the budget is an error value, never a process abort.
+/// A death past the budget is an error value, never a process abort — for
+/// both driver loops under the one [`RunPolicy`]: budget 0 surfaces the first
+/// injected death, budget 2 absorbs it.
 #[test]
 fn worker_deaths_past_the_recovery_budget_fail_as_values() {
+    type Kernel = LikelihoodKernel<ThreadedExecutor>;
     let ds = paper_simulated(6, 80, 40, 2027).generate();
-    let mut analysis = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone())
-        .threads(2)
-        .build()
-        .unwrap();
-    let mut config = OptimizerConfig::new(ParallelScheme::New);
-    config.max_worker_recoveries = 0;
-    analysis
-        .kernel_mut()
-        .executor_mut()
-        .inject_worker_panic(1, 5);
-    let err = analysis.optimize(&config).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            AnalysisError::Kernel(KernelError::Exec(ExecError::WorkerDied { worker: 1 }))
-        ),
-        "{err:?}"
-    );
-    // The session object survives: recovery is still possible by hand.
-    assert!(analysis.kernel().executor().poisoned_by().is_some());
+    let optimizer = OptimizerConfig::new(ParallelScheme::New);
+    let mut search = SearchConfig::new(ParallelScheme::New);
+    search.max_rounds = 1;
+    search.spr_radius = 2;
+    search.optimize_model_between_rounds = false;
+
+    let optimize = |kernel: &mut Kernel, policy: RunPolicy<'_>| {
+        optimize_model_parameters_with_policy(kernel, &optimizer, policy).map(|run| run.recoveries)
+    };
+    let run_search = |kernel: &mut Kernel, policy: RunPolicy<'_>| {
+        tree_search_with_policy(kernel, &search, policy).map(|run| run.recoveries)
+    };
+    type Driver<'d> =
+        &'d dyn Fn(&mut Kernel, RunPolicy<'_>) -> Result<Vec<WorkerRecovery>, OptimizeError>;
+    let drivers: [(&str, Driver<'_>); 2] = [("optimize", &optimize), ("search", &run_search)];
+    for (name, driver) in drivers {
+        for max_recoveries in [0, 2] {
+            let mut analysis = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone())
+                .threads(2)
+                .build()
+                .unwrap();
+            analysis
+                .kernel_mut()
+                .executor_mut()
+                .inject_worker_panic(1, 5);
+            let outcome = driver(
+                analysis.kernel_mut(),
+                RunPolicy {
+                    max_recoveries,
+                    rescheduler: None,
+                },
+            );
+            if max_recoveries == 0 {
+                assert_eq!(
+                    outcome,
+                    Err(OptimizeError::Kernel(KernelError::Exec(
+                        ExecError::WorkerDied { worker: 1 }
+                    ))),
+                    "{name}"
+                );
+                // The session object survives: recovery is still possible
+                // by hand.
+                assert!(analysis.kernel().executor().poisoned_by().is_some());
+            } else {
+                let recoveries = outcome.unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(
+                    recoveries,
+                    [WorkerRecovery {
+                        worker: 1,
+                        attempt: 1
+                    }],
+                    "{name}"
+                );
+            }
+        }
+    }
 }
 
 /// Builder misuse surfaces as typed errors through the facade, not panics.
@@ -413,19 +455,23 @@ fn mask_aware_rescheduling_preserves_the_likelihood() {
         unit: TraceUnit::Flops,
         max_reschedules: 4,
         mask_aware: true,
-        mask_decay: 0.85,
     });
     let config = OptimizerConfig::new(ParallelScheme::New);
-    let adaptive =
-        optimize_model_parameters_adaptive(&mut kernel, &config, &mut rescheduler, &costs).unwrap();
-    assert!(
-        adaptive.events.iter().any(|e| e.within_round),
-        "the staggered dataset must trigger a within-round migration: {:?}",
-        adaptive
-            .events
-            .iter()
-            .map(|e| (e.round, e.within_round))
-            .collect::<Vec<_>>()
+    let adaptive = optimize_model_parameters_with_policy(
+        &mut kernel,
+        &config,
+        RunPolicy::rescheduling(&mut rescheduler, &costs),
+    )
+    .unwrap();
+    let sequence: Vec<(usize, bool)> = adaptive
+        .events
+        .iter()
+        .map(|e| (e.round, e.within_round))
+        .collect();
+    assert_eq!(
+        sequence,
+        [(2, true), (4, true)],
+        "the staggered dataset must trigger its two within-round migrations"
     );
     for event in &adaptive.events {
         assert!(
@@ -468,7 +514,6 @@ fn facade_search_with_rescheduling_preserves_the_likelihood() {
             unit: TraceUnit::Flops,
             max_reschedules: 1,
             mask_aware: false,
-            mask_decay: 0.85,
         })
         .build_traced()
         .unwrap();

@@ -179,10 +179,9 @@ proptest! {
             unit: TraceUnit::Flops,
             max_reschedules: 1,
             mask_aware: true,
-            mask_decay: 0.85,
         });
         if let Some(decision) = rescheduler
-            .consider_masked(&current, &trace, &costs, &ranges)
+            .consider(&current, &trace, &costs, &ranges)
             .unwrap()
         {
             prop_assert!(decision.assignment.partition_contiguity(&ranges));

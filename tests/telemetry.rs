@@ -112,7 +112,6 @@ fn snapshot_counters_agree_with_kernel_trace_and_reschedule_events() {
             unit: TraceUnit::Flops,
             max_reschedules: 1,
             mask_aware: false,
-            mask_decay: 0.85,
         })
         .telemetry(TelemetryConfig::default())
         .build_traced()
