@@ -2,183 +2,21 @@
 //! prose results) and prints their tables. Used to populate EXPERIMENTS.md.
 //! Control the dataset size with PLF_SCALE (default 0.02).
 
-use phylo_bench::{
-    generate_scaled, print_figure, run_figure_traces, run_traced, trace_summary, Workload,
+use phylo_bench::experiments::{
+    fig3, fig4, fig5, fig6, prose_joint_branch, prose_model_opt, prose_protein,
 };
-use phylo_data::PartitionedPatterns;
-use phylo_models::BranchLengthMode;
-use phylo_optimize::ParallelScheme;
-use phylo_perfmodel::Platform;
-use phylo_seqgen::datasets::{paper_real_world, paper_simulated, RealWorldKind};
-use std::sync::Arc;
 
 fn main() {
-    // Figures 3-5: tree searches with per-partition branch lengths.
-    let figures = [
-        (
-            "Figure 3: d50_50000 / p1000",
-            paper_simulated(50, 50_000, 1_000, 350),
-        ),
-        (
-            "Figure 4: d100_50000 / p1000",
-            paper_simulated(100, 50_000, 1_000, 351),
-        ),
-        (
-            "Figure 5: r125_19839 (34 variable-length partitions)",
-            paper_real_world(RealWorldKind::Mammal125),
-        ),
-    ];
-    for (title, spec) in figures {
-        let dataset = generate_scaled(&spec);
-        let traces = run_figure_traces(
-            &dataset,
-            BranchLengthMode::PerPartition,
-            Workload::TreeSearch,
-        );
-        print_figure(title, &dataset, &traces);
+    for experiment in [
+        fig3,
+        fig4,
+        fig5,
+        fig6,
+        prose_joint_branch,
+        prose_model_opt,
+        prose_protein,
+    ] {
+        experiment();
+        println!();
     }
-
-    // Figure 6: speedup comparison on the Nehalem.
-    let dataset = generate_scaled(&paper_simulated(50, 50_000, 1_000, 352));
-    let mut unpartitioned = dataset.clone();
-    unpartitioned.patterns = Arc::new(PartitionedPatterns::merge_unpartitioned(&dataset.patterns));
-    let platform = Platform::nehalem();
-    println!("=== Figure 6: speedups on the Nehalem (unpartitioned vs newPAR vs oldPAR) ===");
-    println!(
-        "{:<10} {:>14} {:>14} {:>14}",
-        "Threads", "Unpartitioned", "New", "Old"
-    );
-    let (seq_unpart, _) = run_traced(
-        &unpartitioned,
-        1,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    let (seq_part, _) = run_traced(
-        &dataset,
-        1,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    for threads in [2usize, 4, 8] {
-        let (unpart, _) = run_traced(
-            &unpartitioned,
-            threads,
-            ParallelScheme::New,
-            BranchLengthMode::PerPartition,
-            Workload::TreeSearch,
-        );
-        let (new_part, _) = run_traced(
-            &dataset,
-            threads,
-            ParallelScheme::New,
-            BranchLengthMode::PerPartition,
-            Workload::TreeSearch,
-        );
-        let (old_part, _) = run_traced(
-            &dataset,
-            threads,
-            ParallelScheme::Old,
-            BranchLengthMode::PerPartition,
-            Workload::TreeSearch,
-        );
-        println!(
-            "{:<10} {:>14.2} {:>14.2} {:>14.2}",
-            threads,
-            platform.speedup(&seq_unpart, &unpart),
-            platform.speedup(&seq_part, &new_part),
-            platform.speedup(&seq_part, &old_part),
-        );
-    }
-    println!();
-
-    // Prose A: joint branch lengths.
-    let dataset = generate_scaled(&paper_simulated(50, 50_000, 1_000, 353));
-    println!("=== Prose A: joint branch lengths (model optimization, 8 threads) ===");
-    let (old_trace, _) = run_traced(
-        &dataset,
-        8,
-        ParallelScheme::Old,
-        BranchLengthMode::Joint,
-        Workload::ModelOptimization,
-    );
-    let (new_trace, _) = run_traced(
-        &dataset,
-        8,
-        ParallelScheme::New,
-        BranchLengthMode::Joint,
-        Workload::ModelOptimization,
-    );
-    trace_summary("oldPAR", &old_trace);
-    trace_summary("newPAR", &new_trace);
-    let p = Platform::nehalem();
-    println!(
-        "  Nehalem predicted improvement: {:.1}% (paper: ~5%)\n",
-        100.0 * (1.0 - p.predict_runtime(&new_trace) / p.predict_runtime(&old_trace))
-    );
-
-    // Prose B: model optimization on a fixed tree, per-partition branches.
-    let dataset = generate_scaled(&paper_simulated(50, 50_000, 1_000, 354));
-    println!("=== Prose B: model optimization on a fixed tree (per-partition branch lengths, 8 threads) ===");
-    let (old_trace, _) = run_traced(
-        &dataset,
-        8,
-        ParallelScheme::Old,
-        BranchLengthMode::PerPartition,
-        Workload::ModelOptimization,
-    );
-    let (new_trace, _) = run_traced(
-        &dataset,
-        8,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        Workload::ModelOptimization,
-    );
-    trace_summary("oldPAR", &old_trace);
-    trace_summary("newPAR", &new_trace);
-    println!(
-        "  Nehalem predicted improvement: {:.1}% (paper: 5-10%)\n",
-        100.0 * (1.0 - p.predict_runtime(&new_trace) / p.predict_runtime(&old_trace))
-    );
-
-    // Prose C: protein vs DNA.
-    println!("=== Prose C: protein vs DNA improvement (tree search, 8 threads, Barcelona) ===");
-    let barcelona = Platform::barcelona();
-    let protein = generate_scaled(&paper_real_world(RealWorldKind::Viral26));
-    let (p_old, _) = run_traced(
-        &protein,
-        8,
-        ParallelScheme::Old,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    let (p_new, _) = run_traced(
-        &protein,
-        8,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    let dna = generate_scaled(&paper_simulated(26, 21_000, 1_000, 355));
-    let (d_old, _) = run_traced(
-        &dna,
-        8,
-        ParallelScheme::Old,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    let (d_new, _) = run_traced(
-        &dna,
-        8,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    println!(
-        "  protein improvement {:.2}x, DNA improvement {:.2}x (paper: protein gains only 5-10%)",
-        barcelona.predict_runtime(&p_old) / barcelona.predict_runtime(&p_new),
-        barcelona.predict_runtime(&d_old) / barcelona.predict_runtime(&d_new)
-    );
 }

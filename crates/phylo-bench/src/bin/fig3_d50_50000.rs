@@ -3,21 +3,6 @@
 //!
 //! Run with `PLF_SCALE=1.0` for the paper's full dataset size.
 
-use phylo_bench::{generate_scaled, print_figure, run_figure_traces, Workload};
-use phylo_models::BranchLengthMode;
-use phylo_seqgen::datasets::paper_simulated;
-
 fn main() {
-    let spec = paper_simulated(50, 50_000, 1_000, 350);
-    let dataset = generate_scaled(&spec);
-    let traces = run_figure_traces(
-        &dataset,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    print_figure(
-        "Figure 3: full ML tree search, d50_50000 with 50 partitions of 1,000 columns",
-        &dataset,
-        &traces,
-    );
+    phylo_bench::experiments::fig3();
 }

@@ -1,21 +1,6 @@
 //! Figure 4: sequential / oldPAR / newPAR run times for dataset d100_50000
 //! (100 taxa, 50 partitions of 1,000 columns) on the four evaluation platforms.
 
-use phylo_bench::{generate_scaled, print_figure, run_figure_traces, Workload};
-use phylo_models::BranchLengthMode;
-use phylo_seqgen::datasets::paper_simulated;
-
 fn main() {
-    let spec = paper_simulated(100, 50_000, 1_000, 351);
-    let dataset = generate_scaled(&spec);
-    let traces = run_figure_traces(
-        &dataset,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    print_figure(
-        "Figure 4: full ML tree search, d100_50000 with 50 partitions of 1,000 columns",
-        &dataset,
-        &traces,
-    );
+    phylo_bench::experiments::fig4();
 }

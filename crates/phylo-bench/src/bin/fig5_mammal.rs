@@ -2,21 +2,6 @@
 //! of the real-world mammalian dataset r125_19839 (125 taxa, 34 partitions of
 //! 148-2,705 patterns) on the four evaluation platforms.
 
-use phylo_bench::{generate_scaled, print_figure, run_figure_traces, Workload};
-use phylo_models::BranchLengthMode;
-use phylo_seqgen::datasets::{paper_real_world, RealWorldKind};
-
 fn main() {
-    let spec = paper_real_world(RealWorldKind::Mammal125);
-    let dataset = generate_scaled(&spec);
-    let traces = run_figure_traces(
-        &dataset,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    print_figure(
-        "Figure 5: full ML tree search, real-world-like mammalian dataset r125_19839 (34 variable-length partitions)",
-        &dataset,
-        &traces,
-    );
+    phylo_bench::experiments::fig5();
 }

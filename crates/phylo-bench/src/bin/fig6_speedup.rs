@@ -2,78 +2,6 @@
 //! partitions of 1,000 columns: an unpartitioned analysis vs the newPAR and
 //! oldPAR partitioned analyses at 2, 4 and 8 threads.
 
-use phylo_bench::{dataset_scale, generate_scaled, run_traced, Workload};
-use phylo_data::PartitionedPatterns;
-use phylo_models::BranchLengthMode;
-use phylo_optimize::ParallelScheme;
-use phylo_perfmodel::Platform;
-use phylo_seqgen::datasets::paper_simulated;
-use std::sync::Arc;
-
 fn main() {
-    let spec = paper_simulated(50, 50_000, 1_000, 352);
-    let dataset = generate_scaled(&spec);
-    // The unpartitioned reference: same patterns, one partition, one model.
-    let mut unpartitioned = dataset.clone();
-    unpartitioned.patterns = Arc::new(PartitionedPatterns::merge_unpartitioned(&dataset.patterns));
-
-    let platform = Platform::nehalem();
-    let workload = Workload::TreeSearch;
-    println!(
-        "=== Figure 6: speedup on the Nehalem, d50_50000 / p1000 (scale {}) ===",
-        dataset_scale()
-    );
-    println!(
-        "{:<10} {:>14} {:>14} {:>14}",
-        "Threads", "Unpartitioned", "New", "Old"
-    );
-
-    let (seq_unpart, _) = run_traced(
-        &unpartitioned,
-        1,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        workload,
-    );
-    let (seq_part, _) = run_traced(
-        &dataset,
-        1,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        workload,
-    );
-
-    for threads in [2usize, 4, 8] {
-        let (unpart, _) = run_traced(
-            &unpartitioned,
-            threads,
-            ParallelScheme::New,
-            BranchLengthMode::PerPartition,
-            workload,
-        );
-        let (new_part, _) = run_traced(
-            &dataset,
-            threads,
-            ParallelScheme::New,
-            BranchLengthMode::PerPartition,
-            workload,
-        );
-        let (old_part, _) = run_traced(
-            &dataset,
-            threads,
-            ParallelScheme::Old,
-            BranchLengthMode::PerPartition,
-            workload,
-        );
-        println!(
-            "{:<10} {:>14.2} {:>14.2} {:>14.2}",
-            threads,
-            platform.speedup(&seq_unpart, &unpart),
-            platform.speedup(&seq_part, &new_part),
-            platform.speedup(&seq_part, &old_part),
-        );
-    }
-    println!();
-    println!("Expected shape (paper): the newPAR speedup is nearly as good as the unpartitioned");
-    println!("speedup, while the oldPAR speedup saturates well below both.");
+    phylo_bench::experiments::fig6();
 }

@@ -183,7 +183,8 @@ fn main() {
         protein_seconds_per_pattern: protein,
     };
     let categories = 4;
-    let analytic_blocked = CostCalibration::analytic_ratio_blocked(categories);
+    let analytic_blocked = CostCalibration::analytic_ratio(KernelDispatch::Blocked, categories);
+    let analytic_tabled = CostCalibration::analytic_ratio(KernelDispatch::Scalar, categories);
     let drift_factor = calibration.analytic_drift_factor(analytic_blocked);
     println!("\ncost calibration (measured, blocked kernel):");
     println!("  DNA      {:.3e} s/pattern", dna);
@@ -192,7 +193,7 @@ fn main() {
         "  ratio    {:.1}  (analytic blocked {:.1}, tabled {:.1}; drift factor {:.2}, gate ≤ {:.1})",
         calibration.ratio(),
         analytic_blocked,
-        CostCalibration::analytic_ratio_tabled(categories),
+        analytic_tabled,
         drift_factor,
         MODEL_DRIFT_FACTOR_GATE
     );
@@ -239,10 +240,7 @@ fn main() {
     envelope.measure("measured_cost_ratio", calibration.ratio());
     envelope.measure("analytic_blocked_ratio", analytic_blocked);
     envelope.measure("model_drift_factor", drift_factor);
-    envelope.measure(
-        "analytic_tabled_ratio",
-        CostCalibration::analytic_ratio_tabled(categories),
-    );
+    envelope.measure("analytic_tabled_ratio", analytic_tabled);
     envelope.measure("resched_max_drift", worst_drift);
     let path = "BENCH_kernel_tables.json";
     match std::fs::write(path, envelope.to_json()) {

@@ -2,41 +2,6 @@
 //! the two parallelization approaches differ only marginally (the paper
 //! reports an average improvement of about 5%).
 
-use phylo_bench::{generate_scaled, run_traced, trace_summary, Workload};
-use phylo_models::BranchLengthMode;
-use phylo_optimize::ParallelScheme;
-use phylo_perfmodel::Platform;
-use phylo_seqgen::datasets::paper_simulated;
-
 fn main() {
-    let dataset = generate_scaled(&paper_simulated(50, 50_000, 1_000, 353));
-    println!("=== Prose A: joint branch-length estimate, oldPAR vs newPAR ===");
-    let (old_trace, lnl_old) = run_traced(
-        &dataset,
-        8,
-        ParallelScheme::Old,
-        BranchLengthMode::Joint,
-        Workload::ModelOptimization,
-    );
-    let (new_trace, lnl_new) = run_traced(
-        &dataset,
-        8,
-        ParallelScheme::New,
-        BranchLengthMode::Joint,
-        Workload::ModelOptimization,
-    );
-    trace_summary("oldPAR (8 threads, joint)", &old_trace);
-    trace_summary("newPAR (8 threads, joint)", &new_trace);
-    println!("  final lnL: old {lnl_old:.3}, new {lnl_new:.3}");
-    for platform in Platform::paper_platforms().into_iter().take(2) {
-        let t_old = platform.predict_runtime(&old_trace);
-        let t_new = platform.predict_runtime(&new_trace);
-        println!(
-            "  {:<12} predicted: old {:.2}s, new {:.2}s  -> improvement {:.1}% (paper: ~5%)",
-            platform.name,
-            t_old,
-            t_new,
-            100.0 * (t_old - t_new) / t_old
-        );
-    }
+    phylo_bench::experiments::prose_joint_branch();
 }

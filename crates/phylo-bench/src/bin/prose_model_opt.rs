@@ -3,40 +3,6 @@
 //! because the full tree traversal per Brent step already gives every thread
 //! more work per synchronization than the search phase does.
 
-use phylo_bench::{generate_scaled, run_traced, trace_summary, Workload};
-use phylo_models::BranchLengthMode;
-use phylo_optimize::ParallelScheme;
-use phylo_perfmodel::Platform;
-use phylo_seqgen::datasets::paper_simulated;
-
 fn main() {
-    let dataset = generate_scaled(&paper_simulated(50, 50_000, 1_000, 354));
-    println!("=== Prose B: model parameter optimization on a fixed tree, per-partition branch lengths ===");
-    let (old_trace, _) = run_traced(
-        &dataset,
-        8,
-        ParallelScheme::Old,
-        BranchLengthMode::PerPartition,
-        Workload::ModelOptimization,
-    );
-    let (new_trace, _) = run_traced(
-        &dataset,
-        8,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        Workload::ModelOptimization,
-    );
-    trace_summary("oldPAR (8 threads)", &old_trace);
-    trace_summary("newPAR (8 threads)", &new_trace);
-    for platform in Platform::paper_platforms() {
-        let t_old = platform.predict_runtime(&old_trace);
-        let t_new = platform.predict_runtime(&new_trace);
-        println!(
-            "  {:<12} predicted: old {:.2}s, new {:.2}s  -> improvement {:.1}%",
-            platform.name,
-            t_old,
-            t_new,
-            100.0 * (t_old - t_new) / t_old
-        );
-    }
+    phylo_bench::experiments::prose_model_opt();
 }

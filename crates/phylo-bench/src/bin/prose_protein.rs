@@ -2,63 +2,6 @@
 //! because a 20-state column costs about 25x more floating point work than a
 //! DNA column, so even a short partition keeps every thread busy.
 
-use phylo_bench::{generate_scaled, run_traced, Workload};
-use phylo_models::BranchLengthMode;
-use phylo_optimize::ParallelScheme;
-use phylo_perfmodel::Platform;
-use phylo_seqgen::datasets::{paper_real_world, paper_simulated, RealWorldKind};
-
 fn main() {
-    println!("=== Prose C: protein vs DNA improvement of newPAR over oldPAR (8 threads, tree search) ===");
-    let platform = Platform::barcelona();
-
-    let protein = generate_scaled(&paper_real_world(RealWorldKind::Viral26));
-    let (p_old, _) = run_traced(
-        &protein,
-        8,
-        ParallelScheme::Old,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    let (p_new, _) = run_traced(
-        &protein,
-        8,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    let protein_gain = platform.predict_runtime(&p_old) / platform.predict_runtime(&p_new);
-
-    let dna = generate_scaled(&paper_simulated(26, 21_000, 1_000, 355));
-    let (d_old, _) = run_traced(
-        &dna,
-        8,
-        ParallelScheme::Old,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    let (d_new, _) = run_traced(
-        &dna,
-        8,
-        ParallelScheme::New,
-        BranchLengthMode::PerPartition,
-        Workload::TreeSearch,
-    );
-    let dna_gain = platform.predict_runtime(&d_old) / platform.predict_runtime(&d_new);
-
-    println!(
-        "  protein dataset (r26_21451-like): newPAR/oldPAR improvement {:.2}x",
-        protein_gain
-    );
-    println!(
-        "  comparable DNA dataset:           newPAR/oldPAR improvement {:.2}x",
-        dna_gain
-    );
-    println!();
-    println!("Expected shape (paper): the protein improvement is much smaller than the DNA");
-    println!("improvement because each amino-acid column carries ~25x more work.");
-    assert!(
-        dna_gain > protein_gain,
-        "DNA should benefit more than protein data"
-    );
+    phylo_bench::experiments::prose_protein();
 }

@@ -40,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod experiments;
 pub mod scheduling;
 pub mod serving;
 

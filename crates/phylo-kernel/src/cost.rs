@@ -10,9 +10,52 @@
 //! are table lookups), which is exactly the argument the paper makes for why
 //! the protein datasets suffer less from the load imbalance.
 //!
-//! There is one `newview` cost per [`crate::tables::KernelDispatch`] variant:
-//! [`newview_flops_tabled`] for `Scalar`, [`newview_flops_blocked`] for
-//! `Blocked`.
+//! `newview` is the one primitive with two inner-loop families, so its cost
+//! is one function of the [`KernelDispatch`]: [`newview_flops`] (whose
+//! `Scalar` arm, [`newview_flops_tabled`], is also the instruction count the
+//! virtual executor records under either dispatch — see
+//! [`OpKind::pattern_cost`]).
+
+use crate::tables::KernelDispatch;
+
+/// Effective per-pattern cost of one `newview` pattern under `dispatch`, in
+/// scalar-tabled-FLOP-equivalent units — what a scheduler should pack
+/// against when the engine runs that dispatch.
+///
+/// `Scalar` is [`newview_flops_tabled`]. The `Blocked` loops (see
+/// [`crate::blocked`]) perform the same arithmetic — blocking re-orders, it
+/// does not re-count — but their *effective throughput* differs per state
+/// width, and the scheduler packs against effective cost, not instruction
+/// counts. Two effects set the shape, both calibrated against the
+/// `kernel_tables` yardstick:
+///
+/// * the arithmetic itself runs packed: the 20-state column-broadcast GEMV
+///   and the unrolled 4×4 product both retire ≈ 4 packed multiply–adds per
+///   issue, so the flop term shrinks by that factor for *both* widths;
+/// * every (pattern, category) block pays a fixed overhead — child
+///   resolution, the `at_category` dispatch, the scaling epilogue and loop
+///   bookkeeping — that does not scale with `states²`. For DNA the 4×4
+///   product is so small that this overhead is most of the cost; for protein
+///   it is noise.
+///
+/// The net effect is that the measured protein/DNA per-pattern cost ratio
+/// *collapses* from the tabled model's 21 to ≈ 5.8; the
+/// `flops / lanes + overhead` form below reproduces it at 6.0, inside the
+/// factor-2 drift gate the `kernel_tables` report enforces.
+pub fn newview_flops(dispatch: KernelDispatch, states: usize, categories: usize) -> f64 {
+    /// Packed f64 lanes the blocked inner loops retire per issue (256-bit
+    /// SIMD: 4 × f64).
+    const SIMD_LANES: f64 = 4.0;
+    /// Fixed per-(pattern, category) cost in scalar-FLOP equivalents, fitted
+    /// to the measured blocked DNA/protein split.
+    const BLOCK_OVERHEAD: f64 = 30.0;
+    match dispatch {
+        KernelDispatch::Scalar => newview_flops_tabled(states, categories),
+        KernelDispatch::Blocked => {
+            categories as f64 * ((states * (2 * states + 2)) as f64 / SIMD_LANES + BLOCK_OVERHEAD)
+        }
+    }
+}
 
 /// Floating-point operations for one `newview` pattern under the scalar
 /// **shared-table kernel** (see [`crate::tables`]): an internal child costs
@@ -29,39 +72,6 @@
 /// per-pattern costs).
 pub fn newview_flops_tabled(states: usize, categories: usize) -> f64 {
     (categories * states * (2 * states + 2)) as f64
-}
-
-/// Effective per-pattern cost of one `newview` pattern under the
-/// **cache-blocked, width-specialized kernel** (see [`crate::blocked`]), in
-/// scalar-tabled-FLOP-equivalent units.
-///
-/// The blocked loops perform the same arithmetic as
-/// [`newview_flops_tabled`] — blocking re-orders, it does not re-count — but
-/// their *effective throughput* differs per state width, and the scheduler
-/// packs against effective cost, not instruction counts. Two effects set the
-/// shape, both calibrated against the `kernel_tables` yardstick:
-///
-/// * the arithmetic itself runs packed: the 20-state column-broadcast GEMV
-///   and the unrolled 4×4 product both retire ≈ 4 packed multiply–adds per
-///   issue, so the flop term shrinks by that factor for *both* widths;
-/// * every (pattern, category) block pays a fixed overhead — child
-///   resolution, the `at_category` dispatch, the scaling epilogue and loop
-///   bookkeeping — that does not scale with `states²`. For DNA the 4×4
-///   product is so small that this overhead is most of the cost; for protein
-///   it is noise.
-///
-/// The net effect is that the measured protein/DNA per-pattern cost ratio
-/// *collapses* from the tabled model's 21 to ≈ 5.8; the
-/// `flops / lanes + overhead` form below reproduces it at 6.0, inside the
-/// factor-2 drift gate the `kernel_tables` report enforces.
-pub fn newview_flops_blocked(states: usize, categories: usize) -> f64 {
-    /// Packed f64 lanes the blocked inner loops retire per issue (256-bit
-    /// SIMD: 4 × f64).
-    const SIMD_LANES: f64 = 4.0;
-    /// Fixed per-(pattern, category) cost in scalar-FLOP equivalents, fitted
-    /// to the measured blocked DNA/protein split.
-    const BLOCK_OVERHEAD: f64 = 30.0;
-    categories as f64 * ((states * (2 * states + 2)) as f64 / SIMD_LANES + BLOCK_OVERHEAD)
 }
 
 /// Floating-point operations for one `evaluate` pattern at the virtual root.
@@ -159,6 +169,23 @@ impl OpKind {
             OpKind::Evaluate => "evaluate",
             OpKind::Sumtable => "sumtable",
             OpKind::Derivatives => "derivatives",
+        }
+    }
+
+    /// Analytic `(flops, bytes)` one visit of one pattern costs under this
+    /// op — the instruction counts the virtual executor records, which do not
+    /// depend on the dispatch (`newview` is counted in the tabled unit, so
+    /// predicted and virtual-trace costs stay comparable). Only `newview`
+    /// streams likelihood arrays, so only it has a byte term.
+    pub fn pattern_cost(&self, states: usize, categories: usize) -> (f64, f64) {
+        match self {
+            OpKind::Newview => (
+                newview_flops_tabled(states, categories),
+                newview_bytes(states, categories),
+            ),
+            OpKind::Evaluate => (evaluate_flops(states, categories), 0.0),
+            OpKind::Sumtable => (sumtable_flops(states, categories), 0.0),
+            OpKind::Derivatives => (derivative_flops(states, categories), 0.0),
         }
     }
 }

@@ -103,6 +103,24 @@ impl KernelOp {
             KernelOp::Derivatives { lengths } => lengths.iter().map(Option::is_some).collect(),
         }
     }
+
+    /// How often the command visits each pattern of `partition`: the
+    /// traversal length for `newview`, once for any other active partition,
+    /// never for an inactive (converged, masked-out or out-of-range) one.
+    pub fn visits(&self, partition: usize) -> usize {
+        match self {
+            KernelOp::Newview { plans, .. } => match plans.get(partition) {
+                Some(Some(plan)) => plan.len(),
+                _ => 0,
+            },
+            KernelOp::Evaluate { mask, .. } | KernelOp::Sumtable { mask, .. } => {
+                usize::from(mask.get(partition) == Some(&true))
+            }
+            KernelOp::Derivatives { lengths } => {
+                usize::from(matches!(lengths.get(partition), Some(Some(_))))
+            }
+        }
+    }
 }
 
 /// Number of local patterns a worker actually touches in one region — the
@@ -111,28 +129,10 @@ impl KernelOp {
 /// model uses). Patterns of converged/inactive partitions are skipped by
 /// [`execute_on_worker`] and therefore not counted.
 pub fn active_local_patterns(worker: &WorkerSlices, op: &KernelOp) -> usize {
-    match op {
-        KernelOp::Newview { plans, .. } => plans
-            .iter()
-            .enumerate()
-            .filter_map(|(pi, plan)| {
-                plan.as_ref()
-                    .map(|p| worker.slices[pi].pattern_count() * p.len())
-            })
-            .sum(),
-        KernelOp::Evaluate { mask, .. } | KernelOp::Sumtable { mask, .. } => mask
-            .iter()
-            .enumerate()
-            .filter(|&(_, active)| *active)
-            .map(|(pi, _)| worker.slices[pi].pattern_count())
-            .sum(),
-        KernelOp::Derivatives { lengths } => lengths
-            .iter()
-            .enumerate()
-            .filter(|&(_, l)| l.is_some())
-            .map(|(pi, _)| worker.slices[pi].pattern_count())
-            .sum(),
-    }
+    let slices = worker.slices.iter().enumerate();
+    slices
+        .map(|(pi, slice)| slice.pattern_count() * op.visits(pi))
+        .sum()
 }
 
 /// Read-only view of the master state a command is executed against.

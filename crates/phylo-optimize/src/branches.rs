@@ -1,22 +1,22 @@
-//! Newton–Raphson branch-length optimization (the RAxML `makenewz` loop) in
-//! the oldPAR and newPAR schemes.
+//! Newton–Raphson branch-length optimization (the RAxML `makenewz` loop):
+//! one masked stream loop that oldPAR, newPAR and joint estimates all run.
 //!
 //! Per branch, the kernel first builds the branch sum tables (one parallel
 //! region), after which every Newton–Raphson iteration is a single cheap
 //! parallel region evaluating the first and second derivative of the log
 //! likelihood at the current candidate length. With per-partition branch
-//! lengths the iteration counts differ between partitions; oldPAR runs the
-//! whole procedure per partition, newPAR runs one iteration stream whose
-//! regions cover every not-yet-converged partition (the convergence mask).
+//! lengths the iteration counts differ between partitions; how the
+//! per-partition streams share regions is `ParallelScheme::rounds` and
+//! nothing else — each partition's one-branch likelihood is an independent
+//! 1-D problem, so the grouping changes the region count, never an iterate.
 
 use phylo_kernel::engine::BranchScope;
 use phylo_kernel::{Executor, KernelError, LikelihoodKernel};
 use phylo_math::newton::{NewtonState, NewtonStep};
-use phylo_models::BranchLengthMode;
 use phylo_tree::topology::{MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH};
 use phylo_tree::BranchId;
 
-use crate::config::{OptimizerConfig, ParallelScheme};
+use crate::config::{OptimizerConfig, Stream};
 
 /// Work counters of a branch-length optimization.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,13 +39,19 @@ impl BranchOptimizationStats {
     }
 }
 
-/// Optimizes the length(s) of one branch.
+/// Optimizes the length(s) of one branch: per round of
+/// `ParallelScheme::rounds`, prepare the branch for the round's
+/// partitions, then iterate its Newton–Raphson streams together — every
+/// region evaluates the derivatives of *all* not-yet-converged streams at
+/// their own candidate lengths, guarded by the boolean convergence vector —
+/// and commit the lengths they converged to.
 ///
 /// # Errors
 ///
 /// Propagates [`KernelError`] from the engine (e.g. a worker death in the
 /// parallel backend); the master-side state keeps whatever lengths had been
-/// committed before the failure.
+/// committed before the failure. [`KernelError::OutputMismatch`] when the
+/// executor returns no derivative for a partition the region asked for.
 pub fn optimize_branch<E: Executor>(
     kernel: &mut LikelihoodKernel<E>,
     branch: BranchId,
@@ -55,152 +61,83 @@ pub fn optimize_branch<E: Executor>(
         branches_optimized: 1,
         ..Default::default()
     };
-    match kernel.models().branch_mode() {
-        BranchLengthMode::Joint => optimize_branch_joint(kernel, branch, config, &mut stats)?,
-        BranchLengthMode::PerPartition => match config.scheme {
-            ParallelScheme::Old => optimize_branch_old(kernel, branch, config, &mut stats)?,
-            ParallelScheme::New => optimize_branch_new(kernel, branch, config, &mut stats)?,
-        },
-    }
-    Ok(stats)
-}
-
-/// Joint branch lengths: one Newton–Raphson iteration stream whose derivative
-/// is the sum over all partitions. Both schemes behave identically here, which
-/// is why the paper reports only ≈5 % differences for joint analyses.
-fn optimize_branch_joint<E: Executor>(
-    kernel: &mut LikelihoodKernel<E>,
-    branch: BranchId,
-    config: &OptimizerConfig,
-    stats: &mut BranchOptimizationStats,
-) -> Result<(), KernelError> {
-    let mask = kernel.full_mask();
-    kernel.try_prepare_branch(branch, &mask)?;
     let partitions = kernel.partition_count();
     let telemetry = kernel.telemetry().clone();
-    let mut state = NewtonState::new(
-        kernel.branch_length(0, branch),
-        MIN_BRANCH_LENGTH,
-        MAX_BRANCH_LENGTH,
-        config.branch_epsilon,
-        config.branch_max_iter,
-    );
-    while let NewtonStep::Evaluate(t) = state.propose() {
-        // `NewtonState` already confines its iterates to the state's
-        // [lower, upper] interval; the clamp (here and in the oldPAR/newPAR
-        // loops below) re-asserts that invariant at the exact point a probe
-        // crosses the kernel boundary, which now *rejects* out-of-domain
-        // lengths as typed errors rather than exponentiating them.
-        let t = t.clamp(MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH);
-        let lengths: Vec<Option<f64>> = vec![Some(t); partitions];
-        let ders = kernel.try_branch_derivatives(&lengths)?;
-        stats.derivative_regions += 1;
-        stats.newton_iterations += 1;
-        let (mut lnl, mut d1, mut d2) = (0.0, 0.0, 0.0);
-        for d in ders.into_iter().flatten() {
-            lnl += d.log_likelihood;
-            d1 += d.first;
-            d2 += d.second;
+    // The partitions a stream's derivative sums over.
+    let members = |stream: Stream| stream.map_or(0..partitions, |p| p..p + 1);
+    for round in config
+        .scheme
+        .rounds(kernel.models().branch_mode(), partitions)
+    {
+        let mut mask = vec![false; partitions];
+        for &stream in &round {
+            mask[members(stream)].fill(true);
         }
-        // A joint probe sums over all partitions — recorded without one.
-        telemetry.newton_probe(branch, None, t, lnl, d1, d2);
-        state.update(d1, d2);
-    }
-    kernel.set_branch_length(BranchScope::All, branch, state.current);
-    Ok(())
-}
-
-/// oldPAR with per-partition branch lengths: the whole Newton–Raphson
-/// procedure runs per partition; every iteration of every partition is its own
-/// parallel region covering only that partition's patterns.
-fn optimize_branch_old<E: Executor>(
-    kernel: &mut LikelihoodKernel<E>,
-    branch: BranchId,
-    config: &OptimizerConfig,
-    stats: &mut BranchOptimizationStats,
-) -> Result<(), KernelError> {
-    let partitions = kernel.partition_count();
-    let telemetry = kernel.telemetry().clone();
-    for p in 0..partitions {
-        let mask = kernel.single_mask(p);
         kernel.try_prepare_branch(branch, &mask)?;
-        let mut state = NewtonState::new(
-            kernel.branch_length(p, branch),
-            MIN_BRANCH_LENGTH,
-            MAX_BRANCH_LENGTH,
-            config.branch_epsilon,
-            config.branch_max_iter,
-        );
-        while let NewtonStep::Evaluate(t) = state.propose() {
-            let t = t.clamp(MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH);
-            let mut lengths: Vec<Option<f64>> = vec![None; partitions];
-            lengths[p] = Some(t);
-            let ders = kernel.try_branch_derivatives(&lengths)?;
-            stats.derivative_regions += 1;
-            stats.newton_iterations += 1;
-            let d = ders[p].expect("active partition must report derivatives");
-            telemetry.newton_probe(branch, Some(p), t, d.log_likelihood, d.first, d.second);
-            state.update(d.first, d.second);
-        }
-        kernel.set_branch_length(BranchScope::Partition(p), branch, state.current);
-    }
-    Ok(())
-}
-
-/// newPAR with per-partition branch lengths: one iteration stream; every
-/// region evaluates the derivatives of *all* not-yet-converged partitions at
-/// their own candidate lengths, guarded by the boolean convergence vector.
-fn optimize_branch_new<E: Executor>(
-    kernel: &mut LikelihoodKernel<E>,
-    branch: BranchId,
-    config: &OptimizerConfig,
-    stats: &mut BranchOptimizationStats,
-) -> Result<(), KernelError> {
-    let partitions = kernel.partition_count();
-    let telemetry = kernel.telemetry().clone();
-    let mask = kernel.full_mask();
-    kernel.try_prepare_branch(branch, &mask)?;
-    let mut states: Vec<NewtonState> = (0..partitions)
-        .map(|p| {
-            NewtonState::new(
-                kernel.branch_length(p, branch),
-                MIN_BRANCH_LENGTH,
-                MAX_BRANCH_LENGTH,
-                config.branch_epsilon,
-                config.branch_max_iter,
-            )
-        })
-        .collect();
-
-    loop {
-        // The convergence mask: converged partitions are excluded from the
-        // parallel region so no likelihood work is wasted on them.
-        let lengths: Vec<Option<f64>> = states
+        let mut states: Vec<NewtonState> = round
             .iter()
-            .map(|s| match s.propose() {
-                NewtonStep::Evaluate(t) => Some(t.clamp(MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH)),
-                NewtonStep::Converged => None,
+            .map(|&stream| {
+                NewtonState::new(
+                    kernel.branch_length(members(stream).start, branch),
+                    MIN_BRANCH_LENGTH,
+                    MAX_BRANCH_LENGTH,
+                    config.branch_epsilon,
+                    config.branch_max_iter,
+                )
             })
             .collect();
-        let active = lengths.iter().filter(|l| l.is_some()).count();
-        if active == 0 {
-            break;
-        }
-        let ders = kernel.try_branch_derivatives(&lengths)?;
-        stats.derivative_regions += 1;
-        stats.newton_iterations += active as u64;
-        for (p, der) in ders.into_iter().enumerate() {
-            if let Some(t) = lengths[p] {
-                let d = der.expect("active partition must report derivatives");
-                telemetry.newton_probe(branch, Some(p), t, d.log_likelihood, d.first, d.second);
-                states[p].update(d.first, d.second);
+        loop {
+            // The convergence mask: converged streams are excluded from the
+            // parallel region so no likelihood work is wasted on them.
+            // `NewtonState` already confines its iterates to [lower, upper];
+            // the clamp re-asserts that at the exact point a probe crosses
+            // the kernel boundary, which *rejects* out-of-domain lengths as
+            // typed errors rather than exponentiating them.
+            let proposals: Vec<Option<f64>> = states
+                .iter()
+                .map(|state| match state.propose() {
+                    NewtonStep::Evaluate(t) => Some(t.clamp(MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH)),
+                    NewtonStep::Converged => None,
+                })
+                .collect();
+            if proposals.iter().all(Option::is_none) {
+                break;
+            }
+            let mut lengths: Vec<Option<f64>> = vec![None; partitions];
+            for (&stream, &t) in round.iter().zip(&proposals) {
+                lengths[members(stream)].fill(t);
+            }
+            let ders = kernel.try_branch_derivatives(&lengths)?;
+            stats.derivative_regions += 1;
+            for ((&stream, state), t) in round.iter().zip(&mut states).zip(proposals) {
+                let Some(t) = t else { continue };
+                // −0.0 is the additive identity that keeps the sign of zero,
+                // so a one-partition stream sees its derivatives bit for bit.
+                let (mut lnl, mut d1, mut d2) = (-0.0, -0.0, -0.0);
+                for p in members(stream) {
+                    let d = ders
+                        .get(p)
+                        .copied()
+                        .flatten()
+                        .ok_or(KernelError::OutputMismatch {
+                            expected: "derivatives",
+                            got: "none for an active partition",
+                        })?;
+                    lnl += d.log_likelihood;
+                    d1 += d.first;
+                    d2 += d.second;
+                }
+                stats.newton_iterations += 1;
+                telemetry.newton_probe(branch, stream, t, lnl, d1, d2);
+                state.update(d1, d2);
             }
         }
+        for (&stream, state) in round.iter().zip(&states) {
+            let scope = stream.map_or(BranchScope::All, BranchScope::Partition);
+            kernel.set_branch_length(scope, branch, state.current);
+        }
     }
-    for (p, state) in states.iter().enumerate() {
-        kernel.set_branch_length(BranchScope::Partition(p), branch, state.current);
-    }
-    Ok(())
+    Ok(stats)
 }
 
 /// Optimizes every branch in `branches` (or all branches when `None`),
@@ -265,6 +202,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ParallelScheme;
     use phylo_kernel::SequentialKernel;
     use phylo_models::{BranchLengthMode, ModelSet};
     use phylo_seqgen::datasets::paper_simulated;
@@ -390,6 +328,65 @@ mod tests {
                     d.first.abs() < 2.0,
                     "partition {p}: gradient {} too large at optimum {t}",
                     d.first
+                );
+            }
+        }
+    }
+
+    /// A sequential executor that drops partition 1's derivative.
+    struct Forgetful(phylo_kernel::SequentialExecutor);
+
+    impl Executor for Forgetful {
+        fn worker_count(&self) -> usize {
+            1
+        }
+        fn execute(
+            &mut self,
+            op: &phylo_kernel::KernelOp,
+            ctx: &phylo_kernel::ExecContext<'_>,
+        ) -> Result<phylo_kernel::OpOutput, phylo_kernel::ExecError> {
+            Ok(match self.0.execute(op, ctx)? {
+                phylo_kernel::OpOutput::Derivatives(mut ders) => {
+                    ders[1] = None;
+                    phylo_kernel::OpOutput::Derivatives(ders)
+                }
+                other => other,
+            })
+        }
+        fn sync_events(&self) -> u64 {
+            self.0.sync_events()
+        }
+    }
+
+    #[test]
+    fn a_missing_active_derivative_is_an_error_not_a_panic() {
+        let ds = paper_simulated(8, 240, 60, 7).generate();
+        for mode in [BranchLengthMode::Joint, BranchLengthMode::PerPartition] {
+            for scheme in [ParallelScheme::Old, ParallelScheme::New] {
+                let models = ModelSet::default_for(&ds.patterns, mode);
+                let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+                let exec = phylo_kernel::SequentialExecutor::new(
+                    &ds.patterns,
+                    ds.tree.node_capacity(),
+                    &cats,
+                );
+                let mut k = LikelihoodKernel::try_new(
+                    Arc::clone(&ds.patterns),
+                    ds.tree.clone(),
+                    models,
+                    Forgetful(exec),
+                )
+                .unwrap();
+                let result = optimize_branch(&mut k, 0, &OptimizerConfig::new(scheme));
+                assert!(
+                    matches!(
+                        result,
+                        Err(KernelError::OutputMismatch {
+                            expected: "derivatives",
+                            ..
+                        })
+                    ),
+                    "{mode:?}/{scheme}: {result:?}"
                 );
             }
         }

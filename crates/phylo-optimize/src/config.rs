@@ -1,4 +1,11 @@
-//! Optimizer configuration.
+//! Optimizer configuration, and the one place the two schemes differ.
+
+use phylo_models::BranchLengthMode;
+
+/// One iteration stream of an optimizer, named the way telemetry names its
+/// probes: `Some(p)` is partition `p`'s own stream, `None` the joint stream
+/// whose objective sums every partition.
+pub(crate) type Stream = Option<usize>;
 
 /// Which parallelization scheme the iterative optimizers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,6 +22,30 @@ impl std::fmt::Display for ParallelScheme {
         match self {
             ParallelScheme::Old => write!(f, "oldPAR"),
             ParallelScheme::New => write!(f, "newPAR"),
+        }
+    }
+}
+
+impl ParallelScheme {
+    /// How the optimizers' streams are grouped into parallel regions: the
+    /// streams of one inner list iterate *together* — every region spans all
+    /// of them that have not converged yet (the boolean convergence vector) —
+    /// and the lists run one after the other. This is the whole difference
+    /// between the schemes: oldPAR puts every partition in a round of its
+    /// own (`Σ_p iterations(p)` regions), newPAR puts all of them in one
+    /// (`max_p iterations(p)` regions), and a joint estimate is a single
+    /// stream under either, which is why the paper sees only ≈5 % there.
+    /// Model parameters are never linked across partitions, so the Brent
+    /// stream always asks for [`BranchLengthMode::PerPartition`].
+    pub(crate) fn rounds(self, mode: BranchLengthMode, partitions: usize) -> Vec<Vec<Stream>> {
+        match (mode, self) {
+            (BranchLengthMode::Joint, _) => vec![vec![None]],
+            (BranchLengthMode::PerPartition, ParallelScheme::Old) => {
+                (0..partitions).map(|p| vec![Some(p)]).collect()
+            }
+            (BranchLengthMode::PerPartition, ParallelScheme::New) => {
+                vec![(0..partitions).map(Some).collect()]
+            }
         }
     }
 }

@@ -21,7 +21,15 @@
 //!
 //! Both schemes produce the same optima (they evaluate the same sequence of
 //! candidate points per partition); only the batching differs — which is
-//! exactly why the paper's speedups are "free" accuracy-wise.
+//! exactly why the paper's speedups are "free" accuracy-wise. The code says
+//! the same thing: there is one masked Newton–Raphson stream loop
+//! ([`optimize_branch`]) and one masked Brent stream loop (behind
+//! [`optimize_alphas`] / [`optimize_exchangeabilities`]), and a scheme is
+//! only the grouping of per-partition streams into rounds they are handed —
+//! one round per partition (oldPAR), one round of all partitions (newPAR),
+//! or, for a joint branch-length estimate, one stream summing every
+//! partition under either scheme. The scheme is matched in one place, next
+//! to [`ParallelScheme`] itself.
 //!
 //! There is one driver loop ([`optimize_model_parameters`]) and one wrapper
 //! around it: a [`RunPolicy`] `{ max_recoveries, rescheduler }` whose

@@ -1,20 +1,23 @@
 //! Brent-based optimization of the per-partition model parameters (Γ shape α
-//! and the Q-matrix exchangeabilities) in the oldPAR and newPAR schemes.
+//! and the Q-matrix exchangeabilities): one masked stream loop that oldPAR and
+//! newPAR both run.
 //!
 //! Evaluating a candidate α or rate requires invalidating and recomputing the
 //! partition's CLVs with a *full* tree traversal, so every Brent iteration is
-//! expensive: one newview region plus one evaluate region. oldPAR pays those
-//! two regions per iteration *per partition* (and the regions only span that
-//! partition's patterns); newPAR advances the Brent state machines of all
-//! not-yet-converged partitions together, so the same two regions per
-//! iteration span every active partition.
+//! expensive: one newview region plus one evaluate region. How many
+//! partitions share those two regions is `ParallelScheme::rounds` and
+//! nothing else: oldPAR pays them per iteration *per partition* (and the
+//! regions only span that partition's patterns); newPAR advances the Brent
+//! state machines of all not-yet-converged partitions together, so the same
+//! two regions per iteration span every active partition.
 
 use phylo_kernel::{Executor, KernelError, LikelihoodKernel};
 use phylo_math::brent::{BrentState, BrentStep};
 use phylo_math::gamma_rates::{MAX_ALPHA, MIN_ALPHA};
 use phylo_models::substitution::GTR_RATE_COUNT;
+use phylo_models::BranchLengthMode;
 
-use crate::config::{OptimizerConfig, ParallelScheme};
+use crate::config::OptimizerConfig;
 
 /// Work counters of a model-parameter optimization.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,153 +109,72 @@ fn applicable<E: Executor>(
     }
 }
 
-/// One Brent pass over a single parameter for every applicable partition.
+/// One Brent pass over a single parameter for every applicable partition:
+/// per round of `ParallelScheme::rounds`, evaluate the initial point of the
+/// round's streams, then iterate their Brent state machines together — every
+/// evaluation round (one newview + one evaluate region) spans *all*
+/// not-yet-converged streams, guarded by the boolean convergence vector — and
+/// apply the best points found.
 fn optimize_parameter<E: Executor>(
     kernel: &mut LikelihoodKernel<E>,
     param: ModelParameter,
     config: &OptimizerConfig,
 ) -> Result<ModelOptimizationStats, KernelError> {
-    match config.scheme {
-        ParallelScheme::Old => optimize_parameter_old(kernel, param, config),
-        ParallelScheme::New => optimize_parameter_new(kernel, param, config),
-    }
-}
-
-/// Evaluates the masked partitions at the current parameter values and returns
-/// their (negated) log likelihoods. One call = one newview + one evaluate
-/// region.
-fn evaluate_masked<E: Executor>(
-    kernel: &mut LikelihoodKernel<E>,
-    mask: &[bool],
-) -> Result<Vec<f64>, KernelError> {
+    let mut stats = ModelOptimizationStats::default();
+    let partitions = kernel.partition_count();
+    let telemetry = kernel.telemetry().clone();
     let root = kernel.default_root_branch();
-    kernel.try_log_likelihood_partitions(root, &mask.to_vec())
-}
-
-fn optimize_parameter_old<E: Executor>(
-    kernel: &mut LikelihoodKernel<E>,
-    param: ModelParameter,
-    config: &OptimizerConfig,
-) -> Result<ModelOptimizationStats, KernelError> {
-    let mut stats = ModelOptimizationStats::default();
-    let partitions = kernel.partition_count();
-    let telemetry = kernel.telemetry().clone();
-    for p in 0..partitions {
-        if !applicable(kernel, p, param) {
-            continue;
-        }
-        let current = parameter_value(kernel, p, param);
-        let (lo, hi) = parameter_bounds(param, current);
-        let mut state = BrentState::new(lo, hi);
-        // Initial evaluation.
-        set_parameter(kernel, p, param, state.initial_point().exp());
-        let mask = kernel.single_mask(p);
-        let lnl = evaluate_masked(kernel, &mask)?[p];
-        stats.evaluation_rounds += 1;
-        stats.brent_evaluations += 1;
-        telemetry.brent_probe(param.label(), p, state.initial_point().exp(), lnl);
-        state.set_initial_value(-lnl);
-
-        for _ in 0..config.brent_max_iter {
-            match state.propose(config.brent_tolerance) {
-                BrentStep::Converged => break,
-                BrentStep::Evaluate(x) => {
+    for round in config
+        .scheme
+        .rounds(BranchLengthMode::PerPartition, partitions)
+    {
+        let mut streams: Vec<(usize, BrentState)> = round
+            .into_iter()
+            .flatten()
+            .filter(|&p| applicable(kernel, p, param))
+            .map(|p| {
+                let (lo, hi) = parameter_bounds(param, parameter_value(kernel, p, param));
+                (p, BrentState::new(lo, hi))
+            })
+            .collect();
+        // Iteration 0 evaluates every stream's initial point; the following
+        // ones whatever the state machines propose.
+        for iteration in 0..=config.brent_max_iter {
+            let proposals: Vec<Option<f64>> = streams
+                .iter_mut()
+                .map(|(_, state)| match iteration {
+                    0 => Some(state.initial_point()),
+                    _ => match state.propose(config.brent_tolerance) {
+                        BrentStep::Evaluate(x) => Some(x),
+                        BrentStep::Converged => None,
+                    },
+                })
+                .collect();
+            if proposals.iter().all(Option::is_none) {
+                break;
+            }
+            let mut mask = vec![false; partitions];
+            for (&(p, _), x) in streams.iter().zip(&proposals) {
+                if let Some(x) = x {
                     set_parameter(kernel, p, param, x.exp());
-                    let lnl = evaluate_masked(kernel, &mask)?[p];
-                    stats.evaluation_rounds += 1;
+                    mask[p] = true;
                     stats.brent_evaluations += 1;
-                    telemetry.brent_probe(param.label(), p, x.exp(), lnl);
-                    state.update(x, -lnl);
+                }
+            }
+            let lnls = kernel.try_log_likelihood_partitions(root, &mask)?;
+            stats.evaluation_rounds += 1;
+            for ((p, state), x) in streams.iter_mut().zip(proposals) {
+                let Some(x) = x else { continue };
+                let lnl = lnls[*p];
+                telemetry.brent_probe(param.label(), *p, x.exp(), lnl);
+                match iteration {
+                    0 => state.set_initial_value(-lnl),
+                    _ => state.update(x, -lnl),
                 }
             }
         }
-        set_parameter(kernel, p, param, state.best_point().exp());
-    }
-    Ok(stats)
-}
-
-fn optimize_parameter_new<E: Executor>(
-    kernel: &mut LikelihoodKernel<E>,
-    param: ModelParameter,
-    config: &OptimizerConfig,
-) -> Result<ModelOptimizationStats, KernelError> {
-    let mut stats = ModelOptimizationStats::default();
-    let partitions = kernel.partition_count();
-    let telemetry = kernel.telemetry().clone();
-    let mut states: Vec<Option<BrentState>> = (0..partitions)
-        .map(|p| {
-            if applicable(kernel, p, param) {
-                let current = parameter_value(kernel, p, param);
-                let (lo, hi) = parameter_bounds(param, current);
-                Some(BrentState::new(lo, hi))
-            } else {
-                None
-            }
-        })
-        .collect();
-    if states.iter().all(|s| s.is_none()) {
-        return Ok(stats);
-    }
-
-    // Initial evaluation of every applicable partition, in one round.
-    let mut mask = vec![false; partitions];
-    for (p, state) in states.iter().enumerate() {
-        if let Some(state) = state {
-            set_parameter(kernel, p, param, state.initial_point().exp());
-            mask[p] = true;
-            stats.brent_evaluations += 1;
-        }
-    }
-    let lnls = evaluate_masked(kernel, &mask)?;
-    stats.evaluation_rounds += 1;
-    for (p, state) in states.iter_mut().enumerate() {
-        if let Some(state) = state {
-            telemetry.brent_probe(param.label(), p, state.initial_point().exp(), lnls[p]);
-            state.set_initial_value(-lnls[p]);
-        }
-    }
-
-    // Simultaneous iteration with the per-partition convergence mask.
-    for _ in 0..config.brent_max_iter {
-        let mut mask = vec![false; partitions];
-        let mut proposals: Vec<Option<f64>> = vec![None; partitions];
-        for (p, state) in states.iter_mut().enumerate() {
-            if let Some(state) = state {
-                match state.propose(config.brent_tolerance) {
-                    BrentStep::Converged => {}
-                    BrentStep::Evaluate(x) => {
-                        proposals[p] = Some(x);
-                        mask[p] = true;
-                    }
-                }
-            }
-        }
-        if proposals.iter().all(|p| p.is_none()) {
-            break;
-        }
-        for (p, proposal) in proposals.iter().enumerate() {
-            if let Some(x) = proposal {
-                set_parameter(kernel, p, param, x.exp());
-                stats.brent_evaluations += 1;
-            }
-        }
-        let lnls = evaluate_masked(kernel, &mask)?;
-        stats.evaluation_rounds += 1;
-        for (p, proposal) in proposals.iter().enumerate() {
-            if let Some(x) = proposal {
-                telemetry.brent_probe(param.label(), p, x.exp(), lnls[p]);
-                states[p]
-                    .as_mut()
-                    .expect("proposal implies an active state")
-                    .update(*x, -lnls[p]);
-            }
-        }
-    }
-
-    // Apply the best points found.
-    for (p, state) in states.iter().enumerate() {
-        if let Some(state) = state {
-            set_parameter(kernel, p, param, state.best_point().exp());
+        for (p, state) in &streams {
+            set_parameter(kernel, *p, param, state.best_point().exp());
         }
     }
     Ok(stats)
@@ -294,8 +216,9 @@ pub fn optimize_exchangeabilities<E: Executor>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ParallelScheme;
     use phylo_kernel::SequentialKernel;
-    use phylo_models::{BranchLengthMode, ModelSet};
+    use phylo_models::ModelSet;
     use phylo_seqgen::datasets::paper_simulated;
     use std::sync::Arc;
 

@@ -31,9 +31,9 @@
 //! built *from* such an assignment:
 //!
 //! ```text
-//! PartitionedPatterns ──PatternCosts::analytic_tabled──▶ PatternCosts
-//!                                                     │ ScheduleStrategy::assign
-//!                                                     ▼
+//! PartitionedPatterns ──PatternCosts::analytic──▶ PatternCosts
+//!                                              │ ScheduleStrategy::assign
+//!                                              ▼
 //! build_workers(patterns, …, &Assignment) ──▶ Vec<WorkerSlices> ──▶ executor
 //! ```
 //!
@@ -80,7 +80,7 @@ pub use phylo_sched::{
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::WorkTrace;
-use phylo_kernel::WorkerSlices;
+use phylo_kernel::{KernelDispatch, WorkerSlices};
 
 /// The timed real-thread executor can migrate ownership mid-run.
 impl Reassignable for ThreadedExecutor {
@@ -135,7 +135,9 @@ impl Reassignable for TracingExecutor {
 
 /// Builds an [`Assignment`] for a dataset with the analytic cost model:
 /// derives [`PatternCosts`] from the partitions' state and category counts
-/// (the tabled `newview` flops — the unit `TracingExecutor` records), then
+/// under [`KernelDispatch::Scalar`] — the tabled `newview` flops, the unit
+/// `TracingExecutor` records, whichever dispatch the engine then runs (the
+/// `Analysis` builder packs against the dispatch it runs instead) — then
 /// runs `strategy` over them.
 ///
 /// # Errors
@@ -149,7 +151,7 @@ pub fn schedule(
     worker_count: usize,
     strategy: &dyn ScheduleStrategy,
 ) -> Result<Assignment, SchedError> {
-    let costs = PatternCosts::analytic_tabled(patterns, categories);
+    let costs = PatternCosts::analytic(patterns, categories, KernelDispatch::Scalar);
     strategy.assign(&costs, worker_count)
 }
 

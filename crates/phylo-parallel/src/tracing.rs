@@ -12,10 +12,7 @@
 //! predictions by `phylo-perfmodel`.
 
 use phylo_data::PartitionedPatterns;
-use phylo_kernel::cost::{
-    derivative_flops, evaluate_flops, newview_bytes, newview_flops_tabled, sumtable_flops, OpKind,
-    RegionRecord, WorkTrace,
-};
+use phylo_kernel::cost::{OpKind, RegionRecord, WorkTrace};
 use phylo_kernel::{
     executor::{active_local_patterns, execute_on_worker},
     ExecContext, ExecError, Executor, KernelOp, OpOutput, WorkerSlices,
@@ -107,59 +104,22 @@ impl TracingExecutor {
     }
 
     fn region_record(&self, op: &KernelOp, ctx: &ExecContext<'_>) -> RegionRecord {
-        let workers = self.workers.len();
-        let mut record = RegionRecord::new(op.kind(), workers);
+        let kind = op.kind();
+        let mut record = RegionRecord::new(kind, self.workers.len());
         record.active_partitions = op.active_partitions();
         for (wi, worker) in self.workers.iter().enumerate() {
             record.active_patterns_per_worker[wi] = active_local_patterns(worker, op) as f64;
-            let mut flops = 0.0;
-            let mut bytes = 0.0;
-            match op {
-                KernelOp::Newview { plans, .. } => {
-                    for (pi, plan) in plans.iter().enumerate() {
-                        let Some(plan) = plan else { continue };
-                        let slice = &worker.slices[pi];
-                        let model = ctx.models.model(pi);
-                        let per_pattern = newview_flops_tabled(slice.states(), model.categories());
-                        let per_pattern_bytes = newview_bytes(slice.states(), model.categories());
-                        let n = slice.pattern_count() as f64 * plan.len() as f64;
-                        flops += n * per_pattern;
-                        bytes += n * per_pattern_bytes;
-                    }
+            let (mut flops, mut bytes) = (0.0, 0.0);
+            for (pi, slice) in worker.slices.iter().enumerate() {
+                let visits = op.visits(pi);
+                if visits == 0 {
+                    continue;
                 }
-                KernelOp::Evaluate { mask, .. } => {
-                    for (pi, active) in mask.iter().enumerate() {
-                        if !*active {
-                            continue;
-                        }
-                        let slice = &worker.slices[pi];
-                        let model = ctx.models.model(pi);
-                        flops += slice.pattern_count() as f64
-                            * evaluate_flops(slice.states(), model.categories());
-                    }
-                }
-                KernelOp::Sumtable { mask, .. } => {
-                    for (pi, active) in mask.iter().enumerate() {
-                        if !*active {
-                            continue;
-                        }
-                        let slice = &worker.slices[pi];
-                        let model = ctx.models.model(pi);
-                        flops += slice.pattern_count() as f64
-                            * sumtable_flops(slice.states(), model.categories());
-                    }
-                }
-                KernelOp::Derivatives { lengths } => {
-                    for (pi, length) in lengths.iter().enumerate() {
-                        if length.is_none() {
-                            continue;
-                        }
-                        let slice = &worker.slices[pi];
-                        let model = ctx.models.model(pi);
-                        flops += slice.pattern_count() as f64
-                            * derivative_flops(slice.states(), model.categories());
-                    }
-                }
+                let (per_pattern, per_pattern_bytes) =
+                    kind.pattern_cost(slice.states(), ctx.models.model(pi).categories());
+                let n = slice.pattern_count() as f64 * visits as f64;
+                flops += n * per_pattern;
+                bytes += n * per_pattern_bytes;
             }
             record.flops_per_worker[wi] = flops;
             record.bytes_per_worker[wi] = bytes;

@@ -47,9 +47,10 @@
 
 #![forbid(unsafe_code)]
 
-use phylo_data::{DataType, PartitionedPatterns};
-use phylo_kernel::cost::{newview_flops_blocked, newview_flops_tabled, TraceUnit, WorkTrace};
-use phylo_sched::{Assignment, PatternCosts, SchedError};
+use phylo_data::DataType;
+use phylo_kernel::cost::{newview_flops, TraceUnit, WorkTrace};
+use phylo_kernel::KernelDispatch;
+use phylo_sched::Assignment;
 
 /// Hardware description of one evaluation platform.
 #[derive(Debug, Clone, PartialEq)]
@@ -290,14 +291,13 @@ pub fn imbalance_report_in(
 /// Measured per-pattern costs of the two data types under one kernel — the
 /// empirical counterpart of the analytic protein/DNA cost ratio.
 ///
-/// The paper's argument leans on a `(20/4)² ≈ 25×` analytic ratio. The
-/// shared-table kernel (`phylo_kernel::tables`) turns tip children into
-/// table lookups, which puts the analytic ratio at
-/// [`CostCalibration::analytic_ratio_tabled`] = 21. A calibration is
-/// obtained by timing per-pattern likelihood work on a pure-DNA and a
-/// pure-protein region (the `kernel_tables` benchmark does exactly that) and
-/// lets the scheduler pack against *measured* weights via
-/// [`CostCalibration::pattern_costs`].
+/// The paper's argument leans on a `(20/4)² ≈ 25×` analytic ratio;
+/// [`CostCalibration::analytic_ratio`] is what the shipped cost model makes
+/// of it per kernel dispatch. A calibration is obtained by timing
+/// per-pattern likelihood work on a pure-DNA and a pure-protein region (the
+/// `kernel_tables` benchmark does exactly that), and
+/// [`CostCalibration::analytic_drift_factor`] says how far the model has
+/// drifted from it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostCalibration {
     /// Measured seconds of likelihood work per DNA pattern.
@@ -312,33 +312,19 @@ impl CostCalibration {
         self.protein_seconds_per_pattern / self.dna_seconds_per_pattern
     }
 
-    /// The analytic ratio under the scalar shared-table kernel (exactly 21
-    /// for equal category counts: tip lookups flatten the per-state gap below
-    /// the paper's "≈25×").
-    pub fn analytic_ratio_tabled(categories: usize) -> f64 {
-        newview_flops_tabled(DataType::Protein.states(), categories)
-            / newview_flops_tabled(DataType::Dna.states(), categories)
-    }
-
-    /// The recalibrated analytic ratio under the cache-blocked kernel (the
-    /// engine's default dispatch; 6.0 for equal category counts): the packed
-    /// inner loops shrink the flop term of both widths by the SIMD lane
-    /// count while the fixed per-(pattern, category) overhead stays scalar,
-    /// so the effective protein/DNA gap *collapses* from the tabled model's
-    /// 21 (overhead dominates the tiny 4×4 product; it is noise next to the
-    /// 20×20 one). The `kernel_tables` yardstick gates this value against
-    /// the measured ratio via [`CostCalibration::analytic_drift_factor`].
-    pub fn analytic_ratio_blocked(categories: usize) -> f64 {
-        newview_flops_blocked(DataType::Protein.states(), categories)
-            / newview_flops_blocked(DataType::Dna.states(), categories)
-    }
-
-    /// Relative error of the recalibrated analytic ratio against this
-    /// measurement (0 = the tabled cost model ranks the data types exactly
-    /// as the hardware does).
-    pub fn tabled_model_error(&self, categories: usize) -> f64 {
-        let analytic = Self::analytic_ratio_tabled(categories);
-        (self.ratio() - analytic).abs() / analytic
+    /// The analytic protein/DNA ratio of `phylo_kernel::cost::newview_flops`
+    /// under `dispatch`, for equal category counts (which cancel). `Scalar`:
+    /// exactly 21 — tip lookups flatten the per-state gap below the paper's
+    /// "≈25×". `Blocked` (the engine's default): 6.0 — the packed inner
+    /// loops shrink the flop term of both widths by the SIMD lane count
+    /// while the fixed per-(pattern, category) overhead stays scalar, so the
+    /// effective gap *collapses* (overhead dominates the tiny 4×4 product;
+    /// it is noise next to the 20×20 one). The `kernel_tables` yardstick
+    /// gates the blocked value against the measured ratio via
+    /// [`CostCalibration::analytic_drift_factor`].
+    pub fn analytic_ratio(dispatch: KernelDispatch, categories: usize) -> f64 {
+        newview_flops(dispatch, DataType::Protein.states(), categories)
+            / newview_flops(dispatch, DataType::Dna.states(), categories)
     }
 
     /// Multiplicative drift of an analytic protein/DNA ratio against this
@@ -349,48 +335,6 @@ impl CostCalibration {
     pub fn analytic_drift_factor(&self, analytic_ratio: f64) -> f64 {
         let measured = self.ratio();
         (analytic_ratio / measured).max(measured / analytic_ratio)
-    }
-
-    /// The shipped measured-first calibration: per-pattern seconds measured
-    /// by the `kernel_tables` yardstick in the reference container under the
-    /// blocked dispatch (the engine default). Absolute seconds are
-    /// machine-specific — what the schedulers consume is the *ratio* — but
-    /// shipping the raw measurement keeps the provenance honest. Prefer a
-    /// live measurement ([`CostCalibration::measured_first`]); this is the
-    /// fallback when none is available.
-    pub fn shipped_blocked() -> Self {
-        Self {
-            dna_seconds_per_pattern: 4.7e-7,
-            protein_seconds_per_pattern: 2.8e-6,
-        }
-    }
-
-    /// Measured-first selection: a live calibration when one is available
-    /// (e.g. just timed by the `kernel_tables` workload on this machine),
-    /// otherwise the shipped container measurement — never the analytic
-    /// FLOP model. Feed the result to [`CostCalibration::pattern_costs`] to
-    /// pack schedules against measured weights.
-    pub fn measured_first(live: Option<CostCalibration>) -> Self {
-        live.unwrap_or_else(Self::shipped_blocked)
-    }
-
-    /// Per-pattern costs for a dataset, weighted by the *measured* seconds
-    /// instead of analytic FLOPs — drop-in input for any
-    /// `phylo_sched::ScheduleStrategy`.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::InvalidCost`] if a measured per-pattern second is NaN,
-    /// negative or infinite (a garbage timer must not silently scramble the
-    /// LPT pack order).
-    pub fn pattern_costs(
-        &self,
-        patterns: &PartitionedPatterns,
-    ) -> Result<PatternCosts, SchedError> {
-        PatternCosts::per_partition(patterns, |_, part| match part.data_type {
-            DataType::Dna => self.dna_seconds_per_pattern,
-            DataType::Protein => self.protein_seconds_per_pattern,
-        })
     }
 }
 
@@ -616,7 +560,7 @@ mod tests {
 
     #[test]
     fn cost_calibration_recalibrates_the_ratio() {
-        let tabled = CostCalibration::analytic_ratio_tabled(4);
+        let tabled = CostCalibration::analytic_ratio(KernelDispatch::Scalar, 4);
         assert!((tabled - 21.0).abs() < 1e-12, "{tabled}");
 
         let measured = CostCalibration {
@@ -624,48 +568,7 @@ mod tests {
             protein_seconds_per_pattern: 21.0e-6,
         };
         assert!((measured.ratio() - 21.0).abs() < 1e-12);
-        assert!(measured.tabled_model_error(4) < 1e-12);
-        let off = CostCalibration {
-            dna_seconds_per_pattern: 1.0e-6,
-            protein_seconds_per_pattern: 10.5e-6,
-        };
-        assert!((off.tabled_model_error(4) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn calibrated_pattern_costs_weigh_by_measured_seconds() {
-        use phylo_data::{Alignment, Partition, PartitionSet};
-
-        let aln = Alignment::new(vec![
-            ("t1".into(), "ACGTACGTACGTACGT".into()),
-            ("t2".into(), "ACGAACGAACGAACGA".into()),
-        ])
-        .unwrap();
-        let ps = PartitionSet::new(vec![
-            Partition::contiguous("dna", DataType::Dna, 0..8),
-            Partition::contiguous("prot", DataType::Protein, 8..16),
-        ])
-        .unwrap();
-        let pp = PartitionedPatterns::compile(&aln, &ps).unwrap();
-
-        let calibration = CostCalibration {
-            dna_seconds_per_pattern: 2.0e-6,
-            protein_seconds_per_pattern: 40.0e-6,
-        };
-        let costs = calibration.pattern_costs(&pp).unwrap();
-        assert_eq!(costs.pattern_count(), pp.total_patterns());
-        assert!((costs.cost(0) - 2.0e-6).abs() < 1e-18);
-        assert!((costs.cost(pp.global_offset(1)) - 40.0e-6).abs() < 1e-18);
-
-        // Garbage timers are rejected, not silently packed.
-        let garbage = CostCalibration {
-            dna_seconds_per_pattern: f64::NAN,
-            protein_seconds_per_pattern: 1.0,
-        };
-        assert!(matches!(
-            garbage.pattern_costs(&pp),
-            Err(SchedError::InvalidCost { .. })
-        ));
+        assert!((measured.analytic_drift_factor(tabled) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -675,11 +578,12 @@ mod tests {
         // per-(pattern, category) overhead stays scalar. Pin the shape so a
         // silent cost-model edit cannot drift away from the measured ratio
         // the kernel_tables yardstick gates against.
-        let blocked = CostCalibration::analytic_ratio_blocked(4);
+        let blocked = CostCalibration::analytic_ratio(KernelDispatch::Blocked, 4);
         assert!((blocked - 6.0).abs() < 1e-12);
         // Categories cancel in the ratio.
-        assert!((CostCalibration::analytic_ratio_blocked(1) - blocked).abs() < 1e-12);
-        assert!(blocked < CostCalibration::analytic_ratio_tabled(4));
+        let one = CostCalibration::analytic_ratio(KernelDispatch::Blocked, 1);
+        assert!((one - blocked).abs() < 1e-12);
+        assert!(blocked < CostCalibration::analytic_ratio(KernelDispatch::Scalar, 4));
 
         // Drift factor is symmetric and 1.0 at an exact match.
         let exact = CostCalibration {
@@ -689,24 +593,6 @@ mod tests {
         assert!((exact.analytic_drift_factor(6.0) - 1.0).abs() < 1e-12);
         assert!((exact.analytic_drift_factor(12.0) - 2.0).abs() < 1e-12);
         assert!((exact.analytic_drift_factor(3.0) - 2.0).abs() < 1e-12);
-
-        // The shipped container measurement itself sits inside the factor-2
-        // gate — shipping a calibration that fails our own yardstick would
-        // be incoherent.
-        let shipped = CostCalibration::shipped_blocked();
-        assert!(shipped.analytic_drift_factor(blocked) <= 2.0);
-    }
-
-    #[test]
-    fn measured_first_prefers_live_calibration() {
-        let live = CostCalibration {
-            dna_seconds_per_pattern: 9.0e-7,
-            protein_seconds_per_pattern: 5.0e-6,
-        };
-        let picked = CostCalibration::measured_first(Some(live));
-        assert_eq!(picked, live);
-        let fallback = CostCalibration::measured_first(None);
-        assert_eq!(fallback, CostCalibration::shipped_blocked());
     }
 
     #[test]

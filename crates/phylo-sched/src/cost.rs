@@ -1,20 +1,20 @@
 //! Per-pattern cost vectors.
 //!
 //! A scheduling strategy only needs one thing from the workload: how expensive
-//! each global pattern is relative to the others.
-//! [`PatternCosts::analytic_tabled`] and [`PatternCosts::analytic_blocked`]
-//! derive that from the kernel's analytic cost model, one per
-//! `KernelDispatch` variant — `newview` dominates every likelihood workload
-//! (it is the only primitive executed once per traversal node rather than
-//! once per region), so its per-pattern FLOP count is the natural weight. The
-//! absolute scale cancels in every balance metric; only the ratios matter,
-//! and those are exactly the paper's argument: under the scalar kernel a
-//! 20-state protein pattern weighs 21× a 4-state DNA pattern (the paper's
-//! "≈25×", less what tip lookups save).
+//! each global pattern is relative to the others. [`PatternCosts::analytic`]
+//! derives that from the kernel's analytic cost model for the
+//! `KernelDispatch` the engine will run — `newview` dominates every
+//! likelihood workload (it is the only primitive executed once per traversal
+//! node rather than once per region), so its per-pattern FLOP count is the
+//! natural weight. The absolute scale cancels in every balance metric; only
+//! the ratios matter, and those are exactly the paper's argument: under the
+//! scalar kernel a 20-state protein pattern weighs 21× a 4-state DNA pattern
+//! (the paper's "≈25×", less what tip lookups save).
 
 use crate::error::SchedError;
 use phylo_data::{CompressedPartition, PartitionedPatterns};
-use phylo_kernel::cost::{newview_flops_blocked, newview_flops_tabled};
+use phylo_kernel::cost::newview_flops;
+use phylo_kernel::KernelDispatch;
 
 /// The scheduler's view of a workload: one relative cost per global pattern.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,12 +54,17 @@ impl PatternCosts {
         Ok(Self { costs })
     }
 
-    /// Analytic costs under the **scalar shared-table kernel**
-    /// (`phylo_kernel::ops`): pattern `g` of a partition with `s` states and
-    /// `c` rate categories weighs `newview_flops_tabled(s, c)` — tip children
-    /// are table lookups, so the protein/DNA ratio is 21. This is also the
-    /// unit `TracingExecutor` records, which makes predicted and virtual-trace
-    /// costs directly comparable.
+    /// Analytic costs under the kernel `dispatch` the engine runs: pattern
+    /// `g` of a partition with `s` states and `c` rate categories weighs
+    /// `phylo_kernel::cost::newview_flops(dispatch, s, c)`. Under `Scalar`
+    /// tip children are table lookups and the protein/DNA ratio is 21 (also
+    /// the unit `TracingExecutor` records, which makes predicted and
+    /// virtual-trace costs directly comparable); under `Blocked` the packed
+    /// inner loops shrink the arithmetic term of both state widths by the
+    /// SIMD lane count while the fixed per-(pattern, category) overhead stays
+    /// scalar, so the ratio collapses to 6 (`kernel_tables` gates this model
+    /// against the measured ratio) — packing a blocked run against the
+    /// scalar ratio would over-weigh protein partitions by ≈3.5×.
     ///
     /// `categories` gives the number of Γ rate categories per partition (same
     /// order as the dataset's partitions).
@@ -67,42 +72,29 @@ impl PatternCosts {
     /// # Panics
     ///
     /// Panics if `categories.len()` differs from the partition count.
-    pub fn analytic_tabled(patterns: &PartitionedPatterns, categories: &[usize]) -> Self {
+    pub fn analytic(
+        patterns: &PartitionedPatterns,
+        categories: &[usize],
+        dispatch: KernelDispatch,
+    ) -> Self {
         assert_eq!(
             categories.len(),
             patterns.partition_count(),
             "one category count per partition required"
         );
         Self::per_partition(patterns, |pi, part| {
-            newview_flops_tabled(part.states(), categories[pi])
+            newview_flops(dispatch, part.states(), categories[pi])
         })
         .expect("analytic flops are finite and non-negative")
     }
 
-    /// Analytic costs under the **cache-blocked kernel**
-    /// (`phylo_kernel::blocked`, the engine's default dispatch): the packed
-    /// inner loops shrink the arithmetic term of both state widths by the
-    /// SIMD lane count while the fixed per-(pattern, category) overhead
-    /// stays scalar, so the per-pattern weight is
-    /// `newview_flops_blocked(s, c)` and the protein/DNA ratio collapses
-    /// from the tabled 21 to 6 (`kernel_tables` gates this model against
-    /// the measured ratio). Use this when the engine runs the blocked
-    /// dispatch — packing a blocked run against the tabled ratio would
-    /// over-weigh protein partitions by ≈3.5×.
+    /// [`PatternCosts::analytic`] under `KernelDispatch::Scalar`.
     ///
     /// # Panics
     ///
     /// Panics if `categories.len()` differs from the partition count.
-    pub fn analytic_blocked(patterns: &PartitionedPatterns, categories: &[usize]) -> Self {
-        assert_eq!(
-            categories.len(),
-            patterns.partition_count(),
-            "one category count per partition required"
-        );
-        Self::per_partition(patterns, |pi, part| {
-            newview_flops_blocked(part.states(), categories[pi])
-        })
-        .expect("analytic flops are finite and non-negative")
+    pub fn analytic_tabled(patterns: &PartitionedPatterns, categories: &[usize]) -> Self {
+        Self::analytic(patterns, categories, KernelDispatch::Scalar)
     }
 
     /// Uniform costs (every pattern weighs 1): what the paper's original
@@ -204,7 +196,7 @@ mod tests {
         );
         // The blocked model collapses the gap further: the packed lanes
         // shrink the arithmetic, the fixed per-block overhead does not.
-        let blocked = PatternCosts::analytic_blocked(&pp, &[4, 4]);
+        let blocked = PatternCosts::analytic(&pp, &[4, 4], KernelDispatch::Blocked);
         let blocked_ratio = blocked.cost(pp.global_offset(1)) / blocked.cost(0);
         assert!(
             (blocked_ratio - 6.0).abs() < 1e-12,

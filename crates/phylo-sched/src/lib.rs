@@ -8,12 +8,11 @@
 //! turns that decision into a first-class, pluggable subsystem:
 //!
 //! * [`PatternCosts`] — a per-pattern cost vector.
-//!   [`PatternCosts::analytic_tabled`] / [`PatternCosts::analytic_blocked`]
-//!   derive it from the kernel's analytic cost model
-//!   ([`phylo_kernel::cost`], one function per kernel dispatch): a 20-state
-//!   protein pattern costs 21× (scalar) or 6× (blocked) a DNA pattern in
-//!   `newview`, which is exactly why pattern *counts* alone are a poor
-//!   balance proxy for mixed DNA/protein inputs.
+//!   [`PatternCosts::analytic`] derives it from the kernel's analytic cost
+//!   model ([`phylo_kernel::cost::newview_flops`], one function of the
+//!   kernel dispatch): a 20-state protein pattern costs 21× (scalar) or 6×
+//!   (blocked) a DNA pattern in `newview`, which is exactly why pattern
+//!   *counts* alone are a poor balance proxy for mixed DNA/protein inputs.
 //! * [`Assignment`] — an explicit pattern→worker map with the per-worker
 //!   predicted cost, plus the imbalance metrics
 //!   ([`Assignment::imbalance`], [`Assignment::max_cost`],

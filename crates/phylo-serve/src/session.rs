@@ -21,7 +21,9 @@ use std::time::{Duration, Instant};
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::WorkTrace;
-use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, LikelihoodKernel, OpOutput};
+use phylo_kernel::{
+    ExecContext, ExecError, Executor, KernelDispatch, KernelOp, LikelihoodKernel, OpOutput,
+};
 use phylo_models::ModelSet;
 use phylo_optimize::{optimize_model_parameters_resilient, WorkerRecovery};
 use phylo_parallel::build_workers;
@@ -312,7 +314,7 @@ impl SessionManager {
         let session = self.next_session;
         self.next_session += 1;
 
-        // Resolve models and the schedule exactly like the single-run path.
+        // Resolve models and the schedule like the single-run path.
         let models = models.unwrap_or_else(|| ModelSet::default_for(&patterns, branch_mode));
         if models.len() != patterns.partition_count() {
             return Err(ServeError::Kernel(
@@ -323,9 +325,13 @@ impl SessionManager {
             ));
         }
         let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        // The engine runs with shared per-branch tables (its default), so
-        // the cost model is the tabled one — same as the single-run builder.
-        let costs = PatternCosts::analytic_tabled(&patterns, &categories);
+        // Sessions are packed against the scalar (tabled) cost model even
+        // though their engines run the blocked kernels: unlike the single-run
+        // builder, which packs against the dispatch it runs. Placement is
+        // pinned bit for bit by the serving benchmark, so which model serving
+        // *should* pack against is an open measured-calibration question
+        // (ROADMAP direction 3), not something to change in passing.
+        let costs = PatternCosts::analytic(&patterns, &categories, KernelDispatch::Scalar);
         let assignment = strategy.assign(&costs, self.workers)?;
         let slices = build_workers(&patterns, tree.node_capacity(), &categories, &assignment)?;
 

@@ -214,12 +214,8 @@ impl AnalysisBuilder {
     fn schedule(&self, categories: &[usize]) -> Result<(PatternCosts, Assignment), AnalysisError> {
         // The cost model must describe the kernel that will actually run:
         // under the blocked dispatch (the default) the protein/DNA
-        // per-pattern ratio is 6, under the scalar tabled kernels 21 (see
-        // `PatternCosts::analytic_blocked` / `analytic_tabled`).
-        let costs = match self.dispatch {
-            KernelDispatch::Blocked => PatternCosts::analytic_blocked(&self.patterns, categories),
-            KernelDispatch::Scalar => PatternCosts::analytic_tabled(&self.patterns, categories),
-        };
+        // per-pattern ratio is 6, under the scalar tabled kernels 21.
+        let costs = PatternCosts::analytic(&self.patterns, categories, self.dispatch);
         let assignment = self.strategy.assign(&costs, self.threads)?;
         Ok((costs, assignment))
     }

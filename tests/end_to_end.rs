@@ -535,3 +535,35 @@ fn facade_search_with_rescheduling_preserves_the_likelihood() {
     }
     assert_eq!(analysis.assignment().strategy(), "speed-lpt");
 }
+
+/// The facade packs against the cost model of the dispatch it runs, and the
+/// placement is pinned: under `Scalar` the tabled `newview` flops
+/// (protein/DNA 21), under `Blocked` `flops / 4 lanes + 30` per category
+/// (protein/DNA 6) — the weights written out here, not read from the cost
+/// function under test.
+#[test]
+fn facade_assignment_follows_the_kernel_dispatch() {
+    let ds = mixed_dna_protein(6, 3, 2, 64, 2031).generate();
+    let expected = |weight: fn(f64) -> f64| {
+        let costs = PatternCosts::per_partition(&ds.patterns, |_, part| {
+            let states = part.states() as f64;
+            4.0 * weight(states * (2.0 * states + 2.0))
+        })
+        .unwrap();
+        WeightedLpt.assign(&costs, 7).unwrap()
+    };
+    let built = |dispatch| {
+        let builder = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone());
+        let analysis = builder.threads(7).kernel(dispatch).build_traced().unwrap();
+        analysis.assignment().clone()
+    };
+    assert_eq!(built(KernelDispatch::Scalar), expected(|flops| flops));
+    assert_eq!(
+        built(KernelDispatch::Blocked),
+        expected(|flops| flops / 4.0 + 30.0)
+    );
+    assert_ne!(
+        built(KernelDispatch::Scalar),
+        built(KernelDispatch::Blocked)
+    );
+}

@@ -262,6 +262,84 @@ proptest! {
         }
     }
 
+    /// oldPAR and newPAR are groupings of the *same* per-partition optimizer
+    /// streams: on random mixed DNA/protein datasets one branch-length pass
+    /// and one α pass reach bit-identical per-partition optima with equal
+    /// probe totals, and the region counts are exactly `Σ_p n_p` (old) vs
+    /// `max_p n_p` (new), `n_p` counted from the probe telemetry. A joint
+    /// estimate is one stream, so there the schemes issue the same regions.
+    #[test]
+    fn schemes_regroup_the_same_optimizer_streams(
+        seed in 0u64..300,
+        dna_partitions in 1usize..5,
+        protein_partitions in 1usize..3,
+        partition_len in 8usize..24,
+    ) {
+        use plf_loadbalance::optimize::optimize_alphas;
+        use std::collections::BTreeMap;
+
+        let ds = mixed_dna_protein(6, dna_partitions, protein_partitions, partition_len, seed)
+            .generate();
+        let partitions = ds.patterns.partition_count();
+        let run = |scheme: ParallelScheme, mode: BranchLengthMode| {
+            let models = ModelSet::default_for(&ds.patterns, mode);
+            let mut k =
+                SequentialKernel::build(Arc::clone(&ds.patterns), ds.tree.clone(), models).unwrap();
+            let telemetry = Telemetry::new(TelemetryConfig::default());
+            k.set_telemetry(&telemetry);
+            let mut config = OptimizerConfig::new(scheme);
+            config.branch_passes = 1;
+            let (_, branch_stats) = optimize_all_branches(&mut k, None, &config).unwrap();
+            let model_stats = optimize_alphas(&mut k, &config).unwrap();
+            // n_p per (branch, partition) Newton stream and per-partition
+            // Brent stream, as the probes recorded them.
+            let mut newton: BTreeMap<usize, BTreeMap<Option<usize>, u64>> = BTreeMap::new();
+            let mut brent = vec![0u64; partitions];
+            for event in telemetry.snapshot().events {
+                match event {
+                    TelemetryEvent::NewtonProbe { branch, partition, .. } => {
+                        *newton.entry(branch).or_default().entry(partition).or_default() += 1;
+                    }
+                    TelemetryEvent::BrentProbe { partition, .. } => brent[partition] += 1,
+                    _ => {}
+                }
+            }
+            let lengths: Vec<u64> = k
+                .tree()
+                .branches()
+                .flat_map(|b| (0..partitions).map(move |p| (p, b)))
+                .map(|(p, b)| k.branch_length(p, b).to_bits())
+                .collect();
+            let alphas: Vec<u64> = (0..partitions).map(|p| k.alpha(p).to_bits()).collect();
+            (branch_stats, model_stats, newton, brent, lengths, alphas)
+        };
+
+        let (old_b, old_m, old_newton, old_brent, old_lengths, old_alphas) =
+            run(ParallelScheme::Old, BranchLengthMode::PerPartition);
+        let (new_b, new_m, new_newton, new_brent, new_lengths, new_alphas) =
+            run(ParallelScheme::New, BranchLengthMode::PerPartition);
+        prop_assert_eq!(&old_lengths, &new_lengths);
+        prop_assert_eq!(&old_alphas, &new_alphas);
+        prop_assert_eq!(&old_newton, &new_newton);
+        prop_assert_eq!(&old_brent, &new_brent);
+        prop_assert_eq!(old_b.newton_iterations, new_b.newton_iterations);
+        prop_assert_eq!(old_m.brent_evaluations, new_m.brent_evaluations);
+        let per_branch = |f: fn(&BTreeMap<Option<usize>, u64>) -> u64| -> u64 {
+            old_newton.values().map(f).sum()
+        };
+        prop_assert_eq!(old_b.derivative_regions, per_branch(|n| n.values().sum()));
+        prop_assert_eq!(new_b.derivative_regions, per_branch(|n| n.values().copied().max().unwrap_or(0)));
+        prop_assert_eq!(old_m.evaluation_rounds, old_brent.iter().sum::<u64>());
+        prop_assert_eq!(new_m.evaluation_rounds, old_brent.iter().copied().max().unwrap_or(0));
+
+        let (old_joint, _, _, _, old_joint_lengths, _) =
+            run(ParallelScheme::Old, BranchLengthMode::Joint);
+        let (new_joint, _, _, _, new_joint_lengths, _) =
+            run(ParallelScheme::New, BranchLengthMode::Joint);
+        prop_assert_eq!(old_joint.derivative_regions, new_joint.derivative_regions);
+        prop_assert_eq!(&old_joint_lengths, &new_joint_lengths);
+    }
+
     /// Shared tables survive mid-run rescheduling: migrating ownership to a
     /// different strategy (fresh workers, empty buffers, cleared table
     /// cache) drifts the log likelihood by ≤ 1e-8, and a derivative probe
