@@ -68,8 +68,9 @@ pub const PROTEIN_TILE: usize = 32;
 /// State width handled by the fully unrolled 4-state kernels.
 pub const BLOCKED_DNA_STATES: usize = 4;
 
-/// State width handled by the tiled 20-state kernels. [`BranchTables`]
-/// builds the column-major transition-matrix mirror only for this width.
+/// State width handled by the tiled 20-state kernels, the one consumer of
+/// the column-major transition-matrix mirror [`BranchTables`] keeps for every
+/// alphabet wider than DNA.
 pub const BLOCKED_PROTEIN_STATES: usize = 20;
 
 /// Resolves one tip child of `pattern`: cached dictionary index if the

@@ -25,7 +25,7 @@
 //! deprecation, as promised.)
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use phylo_data::PartitionedPatterns;
 use phylo_models::{BranchLengthMode, ModelSet};
@@ -68,77 +68,82 @@ pub struct KernelStats {
 
 /// The master-side store of shared per-branch tables: one
 /// [`MaskDictionary`] per partition (fixed for the dataset's lifetime) and a
-/// `(partition, branch) → Arc<BranchTables>` cache, invalidated whenever the
-/// branch's length or the partition's model changes (and wholesale on
-/// topology changes). See [`crate::tables`] for what the tables hold.
+/// dense `[partition][branch]` grid of `Arc<BranchTables>` slots, emptied
+/// whenever the branch's length or the partition's model changes (and
+/// wholesale on topology changes). See [`crate::tables`] for what the tables
+/// hold.
 #[derive(Debug, Clone)]
 struct TableStore {
     /// Inner-loop implementation stamped into every table payload.
     dispatch: KernelDispatch,
     dicts: Vec<Arc<MaskDictionary>>,
-    cache: HashMap<(usize, BranchId), Arc<BranchTables>>,
-    /// Cross-branch sharing index: `(partition, length bits) →` the tables of
-    /// *some* branch of that partition with that exact stored length.
-    /// [`BranchTables::build`] is a pure function of (model, dictionary,
-    /// length), and within a partition the model and dictionary are fixed, so
-    /// an equal length means identical per-category `t·r` products and
-    /// therefore identical tables — the entry can be handed to any branch.
-    /// Length changes leave this map untouched (the entries are keyed by the
-    /// value, not the branch); model changes purge the partition; topology
-    /// changes clear it with the rest of the store.
-    by_length: HashMap<(usize, u64), Arc<BranchTables>>,
+    /// `cache[partition][branch]`: a hit indexes twice and hashes nothing,
+    /// and dropping one partition touches that partition's row only.
+    cache: Vec<Vec<Option<Arc<BranchTables>>>>,
+    /// Cross-branch sharing index, one map per partition: `length bits →`
+    /// the tables *some branch of that partition still holds* for that exact
+    /// stored length. [`BranchTables::build`] is a pure function of (model,
+    /// dictionary, length), and within a partition the model and dictionary
+    /// are fixed, so an equal length means identical per-category `t·r`
+    /// products and therefore identical tables — the entry can be handed to
+    /// any branch. The index holds `Weak`s: it never extends a table's life,
+    /// so the tables of a probe length no branch kept die with their slot.
+    /// (A command payload a worker has not dropped yet is a holder too; that
+    /// can only decide whether a build is shared, never what a table holds.)
+    /// Length changes leave the map untouched (the entries are keyed by the
+    /// value, not the branch); model changes clear the partition's map;
+    /// topology changes clear them all.
+    by_length: Vec<HashMap<u64, Weak<BranchTables>>>,
 }
 
-/// Upper bound on the cross-branch sharing index. Newton/Brent probing
-/// generates many short-lived distinct lengths; once the index outgrows this
-/// bound it is dropped wholesale (the primary cache is untouched) rather than
-/// let probe debris accumulate for the lifetime of the dataset.
-const LENGTH_INDEX_CAP: usize = 4096;
+/// Floor of the per-partition bound on the sharing index (the bound itself
+/// is twice the partition's slot count, see `TableStore::remember_length`).
+const LENGTH_INDEX_MIN_CAP: usize = 64;
 
 impl TableStore {
-    fn new(patterns: &PartitionedPatterns) -> Self {
-        let dicts = patterns
+    fn new(patterns: &PartitionedPatterns, branches: usize) -> Self {
+        let dicts: Vec<_> = patterns
             .partitions
             .iter()
             .map(|p| Arc::new(MaskDictionary::for_partition(p.data_type, &p.tip_states)))
             .collect();
         Self {
             dispatch: KernelDispatch::default(),
+            cache: vec![vec![None; branches]; dicts.len()],
+            by_length: vec![HashMap::new(); dicts.len()],
             dicts,
-            cache: HashMap::new(),
-            by_length: HashMap::new(),
         }
     }
 
-    fn invalidate_branch(&mut self, partitions: usize, partition: Option<usize>, branch: BranchId) {
+    fn invalidate_branch(&mut self, partition: Option<usize>, branch: BranchId) {
         match partition {
-            Some(p) => {
-                self.cache.remove(&(p, branch));
-            }
-            None => {
-                for p in 0..partitions {
-                    self.cache.remove(&(p, branch));
-                }
-            }
+            Some(p) => self.cache[p][branch] = None,
+            None => self.cache.iter_mut().for_each(|row| row[branch] = None),
         }
     }
 
     fn invalidate_partition(&mut self, partition: usize) {
-        self.cache.retain(|&(p, _), _| p != partition);
-        self.by_length.retain(|&(p, _), _| p != partition);
+        self.cache[partition].fill(None);
+        self.by_length[partition].clear();
     }
 
     fn clear(&mut self) {
-        self.cache.clear();
-        self.by_length.clear();
+        for partition in 0..self.cache.len() {
+            self.invalidate_partition(partition);
+        }
     }
 
+    /// Offers freshly built tables to the other branches of the partition.
+    /// Every length a branch moved away from leaves a dead entry behind; once
+    /// the map is twice the size the live ones can fill (one per slot), the
+    /// dead are dropped — a liveness test per entry, so the hash order the
+    /// walk visits them in cannot matter.
     fn remember_length(&mut self, partition: usize, length: f64, tables: &Arc<BranchTables>) {
-        if self.by_length.len() >= LENGTH_INDEX_CAP {
-            self.by_length.clear();
+        let index = &mut self.by_length[partition];
+        if index.len() >= LENGTH_INDEX_MIN_CAP.max(2 * self.cache[partition].len()) {
+            index.retain(|_, t| t.strong_count() > 0);
         }
-        self.by_length
-            .insert((partition, length.to_bits()), Arc::clone(tables));
+        index.insert(length.to_bits(), Arc::downgrade(tables));
     }
 }
 
@@ -235,7 +240,7 @@ impl<E: Executor> LikelihoodKernel<E> {
         }
         let branch_lengths = BranchLengths::from_tree(&tree, models.len(), models.branch_mode());
         let validity = ClvValidity::new(models.len(), tree.node_capacity());
-        let tables = TableStore::new(&patterns);
+        let tables = TableStore::new(&patterns, tree.branch_count());
         Ok(Self {
             data: MasterData {
                 patterns,
@@ -351,15 +356,16 @@ impl<E: Executor> LikelihoodKernel<E> {
     /// Number of `(partition, branch)` table entries currently cached by the
     /// master (diagnostics; exercised by the invalidation tests).
     pub fn cached_branch_tables(&self) -> usize {
-        self.data.tables.cache.len()
+        self.data.tables.cache.iter().flatten().flatten().count()
     }
 
-    /// Number of entries in the cross-branch sharing index — distinct
-    /// `(partition, length)` pairs whose tables are available to *any* branch
-    /// of the partition at that length (diagnostics; see
+    /// Number of live entries in the cross-branch sharing index — distinct
+    /// `(partition, length)` pairs whose tables some branch holds and *any*
+    /// branch of the partition at that length can adopt (diagnostics; see
     /// [`KernelStats::table_dedup_hits`]).
     pub fn cached_length_tables(&self) -> usize {
-        self.data.tables.by_length.len()
+        let entries = self.data.tables.by_length.iter().flat_map(HashMap::values);
+        entries.filter(|t| t.strong_count() > 0).count()
     }
 
     /// The shared tables of one `(partition, branch)`: served from the cache
@@ -376,42 +382,37 @@ impl<E: Executor> LikelihoodKernel<E> {
         partition: usize,
         branch: BranchId,
     ) -> Result<Arc<BranchTables>, KernelError> {
-        if let Some(t) = self.data.tables.cache.get(&(partition, branch)) {
+        if let Some(t) = &self.data.tables.cache[partition][branch] {
             self.telemetry.table_cache_hit();
             return Ok(Arc::clone(t));
         }
         let length = self.data.branch_lengths.get(partition, branch);
         // Cross-branch sharing: another branch of this partition with the
-        // same stored length already built identical tables (same model, same
+        // same stored length holds identical tables (same model, same
         // dictionary, same per-category t·r products). Adopt them instead of
         // redoing the O(states³·categories) eigen work.
-        if let Some(t) = self
-            .data
-            .tables
-            .by_length
-            .get(&(partition, length.to_bits()))
-        {
-            let tables = Arc::clone(t);
-            self.stats.table_dedup_hits += 1;
-            self.telemetry.table_cache_hit();
-            self.data
-                .tables
-                .cache
-                .insert((partition, branch), Arc::clone(&tables));
-            return Ok(tables);
-        }
-        let tables = Arc::new(BranchTables::build(
-            self.data.models.model(partition),
-            &self.data.tables.dicts[partition],
-            length,
-        )?);
-        self.stats.table_builds += 1;
-        self.telemetry.table_build(partition, branch);
-        self.data
-            .tables
-            .cache
-            .insert((partition, branch), Arc::clone(&tables));
-        self.data.tables.remember_length(partition, length, &tables);
+        let shared = self.data.tables.by_length[partition]
+            .get(&length.to_bits())
+            .and_then(Weak::upgrade);
+        let tables = match shared {
+            Some(tables) => {
+                self.stats.table_dedup_hits += 1;
+                self.telemetry.table_cache_hit();
+                tables
+            }
+            None => {
+                let tables = Arc::new(BranchTables::build(
+                    self.data.models.model(partition),
+                    &self.data.tables.dicts[partition],
+                    length,
+                )?);
+                self.stats.table_builds += 1;
+                self.telemetry.table_build(partition, branch);
+                self.data.tables.remember_length(partition, length, &tables);
+                tables
+            }
+        };
+        self.data.tables.cache[partition][branch] = Some(Arc::clone(&tables));
         Ok(tables)
     }
 
@@ -496,7 +497,7 @@ impl<E: Executor> LikelihoodKernel<E> {
         }
         let op = KernelOp::Newview {
             tables: self.newview_tables(&plans)?,
-            plans: plans.clone(),
+            plans,
         };
         let ctx = ExecContext {
             tree: &self.data.tree,
@@ -505,9 +506,9 @@ impl<E: Executor> LikelihoodKernel<E> {
         self.executor.execute(&op, &ctx)?;
         // Record the new orientations in the validity cache — only after the
         // backend actually performed the updates.
-        for (pi, plan) in plans.iter().enumerate() {
-            if let Some(plan) = plan {
-                for step in &plan.steps {
+        if let KernelOp::Newview { plans, .. } = &op {
+            for (pi, plan) in plans.iter().enumerate() {
+                for step in plan.iter().flat_map(|plan| &plan.steps) {
                     self.data.validity.mark_valid(pi, step.node, step.towards);
                 }
             }
@@ -527,11 +528,21 @@ impl<E: Executor> LikelihoodKernel<E> {
         root_branch: BranchId,
         mask: &PartitionMask,
     ) -> Result<Vec<f64>, KernelError> {
-        self.try_update_clvs(root_branch, mask)?;
+        self.evaluate(root_branch, mask.clone())
+    }
+
+    /// [`Self::try_log_likelihood_partitions`] over a mask the `Evaluate`
+    /// command takes ownership of.
+    fn evaluate(
+        &mut self,
+        root_branch: BranchId,
+        mask: PartitionMask,
+    ) -> Result<Vec<f64>, KernelError> {
+        self.try_update_clvs(root_branch, &mask)?;
         let op = KernelOp::Evaluate {
             root_branch,
-            mask: mask.clone(),
-            tables: self.edge_tables(root_branch, mask)?,
+            tables: self.edge_tables(root_branch, &mask)?,
+            mask,
         };
         let ctx = ExecContext {
             tree: &self.data.tree,
@@ -551,10 +562,7 @@ impl<E: Executor> LikelihoodKernel<E> {
     /// [`KernelError::Exec`] when the execution backend fails.
     pub fn try_log_likelihood_at(&mut self, root_branch: BranchId) -> Result<f64, KernelError> {
         let mask = self.full_mask();
-        Ok(self
-            .try_log_likelihood_partitions(root_branch, &mask)?
-            .iter()
-            .sum())
+        Ok(self.evaluate(root_branch, mask)?.iter().sum())
     }
 
     /// Total log likelihood at the default root branch.
@@ -576,9 +584,7 @@ impl<E: Executor> LikelihoodKernel<E> {
                 self.data
                     .validity
                     .branch_length_changed(&self.data.tree, p, branch);
-                self.data
-                    .tables
-                    .invalidate_branch(partitions, Some(p), branch);
+                self.data.tables.invalidate_branch(Some(p), branch);
             }
             _ => {
                 self.data.branch_lengths.set_all(branch, value);
@@ -587,7 +593,7 @@ impl<E: Executor> LikelihoodKernel<E> {
                         .validity
                         .branch_length_changed(&self.data.tree, p, branch);
                 }
-                self.data.tables.invalidate_branch(partitions, None, branch);
+                self.data.tables.invalidate_branch(None, branch);
             }
         }
     }
@@ -834,6 +840,13 @@ mod tests {
         SequentialKernel::build(pp, tree, models).unwrap()
     }
 
+    fn first_spr_move(tree: &Tree) -> SprMove {
+        tree.internal_nodes()
+            .flat_map(|p| tree.neighbors(p).iter().map(move |&(s, _)| (p, s)))
+            .find_map(|(p, s)| spr::candidate_moves(tree, p, s, 5).first().copied())
+            .expect("a valid SPR move exists")
+    }
+
     /// Per-partition lnL at `root` from the scalar tabled kernels driven
     /// directly, every table built on the spot from the engine's current
     /// lengths and models: what the engine must return whatever its table
@@ -1011,20 +1024,7 @@ mod tests {
     fn spr_apply_and_undo_restore_likelihood() {
         let mut k = engine(10, 60, 30, BranchLengthMode::PerPartition, 9);
         let before = k.try_log_likelihood().unwrap();
-        let tree = k.tree().clone();
-        // Find a valid move.
-        let mut chosen = None;
-        'outer: for p in tree.internal_nodes() {
-            for &(s, _) in tree.neighbors(p) {
-                let moves = spr::candidate_moves(&tree, p, s, 5);
-                if let Some(&mv) = moves.first() {
-                    chosen = Some(mv);
-                    break 'outer;
-                }
-            }
-        }
-        let mv = chosen.expect("a valid SPR move exists");
-        let app = k.apply_spr(mv).unwrap();
+        let app = k.apply_spr(first_spr_move(k.tree())).unwrap();
         let during = k.try_log_likelihood().unwrap();
         assert!(during.is_finite());
         k.undo_spr(&app);
@@ -1100,17 +1100,7 @@ mod tests {
         let mut k = engine(10, 60, 30, BranchLengthMode::PerPartition, 24);
         let _ = k.try_log_likelihood().unwrap();
         assert!(k.cached_branch_tables() > 0);
-        let tree = k.tree().clone();
-        let mut chosen = None;
-        'outer: for p in tree.internal_nodes() {
-            for &(s, _) in tree.neighbors(p) {
-                if let Some(&mv) = spr::candidate_moves(&tree, p, s, 5).first() {
-                    chosen = Some(mv);
-                    break 'outer;
-                }
-            }
-        }
-        let app = k.apply_spr(chosen.unwrap()).unwrap();
+        let app = k.apply_spr(first_spr_move(k.tree())).unwrap();
         assert_eq!(k.cached_branch_tables(), 0);
         let _ = k.try_log_likelihood().unwrap();
         assert!(k.cached_branch_tables() > 0);
@@ -1221,6 +1211,92 @@ mod tests {
             fresh_table_reference(&k, root),
             "dedup after a model change must rebuild, not reuse"
         );
+    }
+
+    #[test]
+    fn every_mutation_empties_exactly_its_table_slots() {
+        let mut k = engine(8, 90, 30, BranchLengthMode::PerPartition, 29);
+        let (partitions, branches) = (k.partition_count(), k.tree().branch_count());
+        let root = k.default_root_branch();
+        // DNA under the default blocked dispatch is bit for bit with tables
+        // built fresh on the spot. An evaluation re-fetches the tables of the
+        // branches it traverses: whatever a length or model change emptied,
+        // but after an SPR — which empties everything and invalidates only
+        // the CLVs on the moved path — just the partial traversal's share.
+        let refill = |k: &mut SequentialKernel, step: &str| {
+            let mask = k.full_mask();
+            let lnl = k.try_log_likelihood_partitions(root, &mask).unwrap();
+            assert_eq!(lnl, fresh_table_reference(k, root), "{step}");
+            k.cached_branch_tables()
+        };
+        let all = partitions * branches;
+        assert_eq!(refill(&mut k, "cold"), all);
+        let victim = k.tree().internal_branches()[0];
+
+        k.set_branch_length(BranchScope::Partition(1), victim, 0.31);
+        assert_eq!(k.cached_branch_tables(), partitions * branches - 1);
+        assert_eq!(refill(&mut k, "one partition's branch"), all);
+
+        k.set_branch_length(BranchScope::All, victim, 0.47);
+        assert_eq!(k.cached_branch_tables(), partitions * (branches - 1));
+        assert_eq!(refill(&mut k, "one branch of every partition"), all);
+
+        k.set_alpha(0, 0.4);
+        assert_eq!(k.cached_branch_tables(), (partitions - 1) * branches);
+        assert_eq!(refill(&mut k, "alpha"), all);
+
+        k.set_exchangeability(2, 1, 3.5);
+        assert_eq!(k.cached_branch_tables(), (partitions - 1) * branches);
+        assert_eq!(refill(&mut k, "exchangeability"), all);
+
+        let app = k.apply_spr(first_spr_move(k.tree())).unwrap();
+        assert_eq!(k.cached_branch_tables(), 0);
+        assert!((1..all).contains(&refill(&mut k, "spr applied")));
+        k.undo_spr(&app);
+        assert_eq!(k.cached_branch_tables(), 0);
+        assert!((1..all).contains(&refill(&mut k, "spr undone")));
+
+        k.invalidate_all();
+        assert_eq!(k.cached_branch_tables(), 0);
+        assert_eq!(k.cached_length_tables(), 0);
+        assert_eq!(refill(&mut k, "invalidate_all"), all);
+    }
+
+    #[test]
+    fn the_length_index_shares_only_tables_a_branch_still_holds() {
+        let mut k = engine(7, 60, 30, BranchLengthMode::Joint, 30);
+        let branches: Vec<BranchId> = k.tree().branches().collect();
+        for (i, &b) in branches.iter().enumerate() {
+            k.set_branch_length(BranchScope::All, b, 0.05 + 0.01 * i as f64);
+        }
+        let _ = k.try_log_likelihood().unwrap();
+        let live = k.partition_count() * branches.len();
+        assert_eq!(k.cached_length_tables(), live);
+
+        // A probe length no branch kept: moving away and back is a rebuild,
+        // not a resurrection, and the abandoned length leaves nothing live.
+        let victim = branches[3];
+        let kept = k.branch_length(0, victim);
+        k.set_branch_length(BranchScope::All, victim, 0.777);
+        let _ = k.try_log_likelihood().unwrap();
+        let before = k.stats();
+        k.set_branch_length(BranchScope::All, victim, kept);
+        let _ = k.try_log_likelihood().unwrap();
+        let after = k.stats();
+        assert_eq!(
+            after.table_builds - before.table_builds,
+            k.partition_count() as u64
+        );
+        assert_eq!(after.table_dedup_hits, before.table_dedup_hits);
+        assert_eq!(k.cached_length_tables(), live);
+
+        // A handle that outlives a model change (a payload still in flight)
+        // keeps the old tables alive, yet the index must not hand them out.
+        let held = k.branch_tables(0, victim).unwrap();
+        k.set_alpha(0, 0.55);
+        let rebuilt = k.branch_tables(0, victim).unwrap();
+        assert!(!Arc::ptr_eq(&held, &rebuilt));
+        assert_ne!(*held, *rebuilt);
     }
 
     #[test]

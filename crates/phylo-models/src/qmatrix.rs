@@ -158,18 +158,48 @@ impl Eigensystem {
     }
 
     /// Writes `P(t)` into a caller-provided row-major buffer of length
-    /// `states²` (used by the kernel to avoid allocating per branch/category).
+    /// `states²` — the table-construction kernel behind every shared branch
+    /// table, specialised per state width (4, 20, any other) so the
+    /// eigen-exponentials and the row accumulators live on the stack.
+    ///
+    /// Every entry is **bit-identical** to [`Self::transition_matrix`]: the
+    /// product `u[i][k] · e^{λ_k t}` is formed first and hoisted out of the
+    /// `j` loop, and each `(i, j)` still accumulates its terms over `k` in
+    /// ascending order from `0.0` before the same round-off clamp. Only the
+    /// loop nest differs (`k` outer, `j` inner over contiguous `u_inv` rows,
+    /// which vectorises across `j` without re-associating any sum).
     pub fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
         let n = self.states();
         assert_eq!(out.len(), n * n);
-        let exp_lambda: Vec<f64> = self.values.iter().map(|&l| (l * t).exp()).collect();
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for (k, &el) in exp_lambda.iter().enumerate() {
-                    acc += self.u[(i, k)] * el * self.u_inv[(k, j)];
+        match n {
+            4 => self.transition_rows(t, &mut [0.0; 4], &mut [0.0; 4], out),
+            20 => self.transition_rows(t, &mut [0.0; 20], &mut [0.0; 20], out),
+            _ => self.transition_rows(t, &mut vec![0.0; n], &mut vec![0.0; n], out),
+        }
+    }
+
+    /// The one loop nest of [`Self::transition_matrix_into`]; `exp_lambda`
+    /// and `acc` are `states`-long scratch whose length the width-specialised
+    /// callers fix at compile time. (Accumulating a row in `out` instead of
+    /// `acc` keeps it in memory, not registers: 3× slower at 20 states.)
+    #[inline(always)]
+    fn transition_rows(&self, t: f64, exp_lambda: &mut [f64], acc: &mut [f64], out: &mut [f64]) {
+        let n = exp_lambda.len();
+        for (e, &lambda) in exp_lambda.iter_mut().zip(&self.values) {
+            *e = (lambda * t).exp();
+        }
+        let u_rows = self.u.as_slice().chunks_exact(n);
+        for (u_row, out_row) in u_rows.zip(out.chunks_exact_mut(n)) {
+            acc.fill(0.0);
+            let terms = u_row.iter().zip(exp_lambda.iter());
+            for ((&u_ik, &el), inv_row) in terms.zip(self.u_inv.as_slice().chunks_exact(n)) {
+                let scaled = u_ik * el;
+                for (a, &inv_kj) in acc.iter_mut().zip(inv_row) {
+                    *a += scaled * inv_kj;
                 }
-                out[i * n + j] = if acc < 0.0 && acc > -1e-12 { 0.0 } else { acc };
+            }
+            for (o, &a) in out_row.iter_mut().zip(acc.iter()) {
+                *o = if a < 0.0 && a > -1e-12 { 0.0 } else { a };
             }
         }
     }
