@@ -43,6 +43,13 @@
 //! differential harness drives both dispatches over random datasets, extreme
 //! branch lengths, ambiguity masks and scaling-threshold crossings.
 //!
+//! Only `newview` and `evaluate` are dispatched. The Newton half —
+//! [`ops::build_sumtable`] and [`ops::derivatives_from_sumtable`] — has no
+//! blocked counterpart because it needs none: each is one width-specialised
+//! implementation that keeps the scalar loop's summation order (and so its
+//! bits), and both dispatches call it. The dispatches differ downstream of
+//! a sum table only through the CLVs it was built from.
+//!
 //! [`KernelDispatch::Blocked`]: crate::tables::KernelDispatch::Blocked
 
 use phylo_models::PartitionModel;

@@ -79,13 +79,20 @@ pub fn evaluate_flops(states: usize, categories: usize) -> f64 {
     (categories * states * (2 * states + 3)) as f64
 }
 
-/// Floating-point operations for building one sum-table pattern.
+/// Floating-point operations for building one sum-table pattern: the
+/// analytic count of two full `Wᵀx` products per category. It stays that
+/// count although [`crate::ops::build_sumtable`] looks a tip child up once
+/// per pattern instead of multiplying it through per category, so a rate
+/// derived from it (`benchmark/`'s `kernel.gflops_achieved`, which pins this
+/// name) reads higher on tip-adjacent branches by construction.
 pub fn sumtable_flops(states: usize, categories: usize) -> f64 {
     (categories * states * (4 * states + 1)) as f64
 }
 
 /// Floating-point operations for one Newton–Raphson derivative pattern (the
-/// per-iteration cost once the sum table exists).
+/// per-iteration cost once the sum table exists). Analytic like
+/// [`sumtable_flops`]: [`crate::ops::derivatives_from_sumtable`] performs
+/// exactly these operations, several patterns side by side.
 pub fn derivative_flops(states: usize, categories: usize) -> f64 {
     (categories * states * 6 + 8) as f64
 }

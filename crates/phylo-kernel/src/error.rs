@@ -79,6 +79,18 @@ pub enum OpError {
         /// Entries the payload carries.
         got: usize,
     },
+    /// A command's per-partition payload (an `Evaluate`/`Sumtable` mask, a
+    /// `Derivatives` length list, a `Newview` plan list) does not have one
+    /// entry per partition of the worker it reached. Checked once at the top
+    /// of every `execute_on_worker` arm, for the same reason as
+    /// [`OpError::TableShape`]: `Executor::execute` is a public seam, and an
+    /// index panic there would kill and poison a healthy worker.
+    MaskShape {
+        /// Partitions the worker holds.
+        expected: usize,
+        /// Entries the payload carries.
+        got: usize,
+    },
     /// A shared table's dimensions do not match the slice it was applied to
     /// (e.g. tables built from another partition's model).
     TableDims {
@@ -178,6 +190,11 @@ impl std::fmt::Display for OpError {
                 f,
                 "shared branch tables of partition {partition} carry {got} entries \
                  but the command needs {expected}"
+            ),
+            Self::MaskShape { expected, got } => write!(
+                f,
+                "the command's per-partition payload carries {got} entries \
+                 but the worker holds {expected} partitions"
             ),
             Self::TableDims {
                 partition,
@@ -453,6 +470,13 @@ mod tests {
                     got: 2,
                 },
                 "partition 1",
+            ),
+            (
+                OpError::MaskShape {
+                    expected: 5,
+                    got: 7,
+                },
+                "7 entries",
             ),
         ];
         for (e, needle) in cases {

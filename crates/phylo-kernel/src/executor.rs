@@ -289,15 +289,26 @@ pub trait Executor {
 ///
 /// [`OpError`] when a kernel primitive rejects its inputs (mismatched buffer
 /// shapes, a stale sum table, an out-of-domain branch length, a table
-/// payload that does not cover the command).
+/// payload that does not cover the command, a per-partition payload of the
+/// wrong length).
 pub fn execute_on_worker(
     worker: &mut WorkerSlices,
     op: &KernelOp,
     ctx: &ExecContext<'_>,
 ) -> Result<OpOutput, OpError> {
     let partitions = worker.slices.len();
+    // Every per-partition payload is indexed by partition below: one entry
+    // per partition, or a typed error before anything is touched — never an
+    // index panic that kills (and poisons) a healthy worker.
+    let per_partition = |got: usize| {
+        let expected = partitions;
+        (got == expected)
+            .then_some(())
+            .ok_or(OpError::MaskShape { expected, got })
+    };
     match op {
         KernelOp::Newview { plans, tables } => {
+            per_partition(plans.len())?;
             for (pi, plan) in plans.iter().enumerate() {
                 let Some(plan) = plan else { continue };
                 let slice = &worker.slices[pi];
@@ -347,6 +358,7 @@ pub fn execute_on_worker(
             mask,
             tables,
         } => {
+            per_partition(mask.len())?;
             let (left, right) = ctx.tree.branch_endpoints(*root_branch);
             let mut out = vec![0.0; partitions];
             for pi in 0..partitions {
@@ -390,6 +402,7 @@ pub fn execute_on_worker(
             Ok(OpOutput::LogLikelihoods(out))
         }
         KernelOp::Sumtable { branch, mask } => {
+            per_partition(mask.len())?;
             let (left, right) = ctx.tree.branch_endpoints(*branch);
             for (pi, &active) in mask.iter().enumerate() {
                 if !active || worker.slices[pi].pattern_count() == 0 {
@@ -407,6 +420,7 @@ pub fn execute_on_worker(
             Ok(OpOutput::None)
         }
         KernelOp::Derivatives { lengths } => {
+            per_partition(lengths.len())?;
             let mut out = vec![None; partitions];
             for pi in 0..partitions {
                 let Some(t) = lengths[pi] else { continue };

@@ -17,10 +17,17 @@
 //!   analytic first and second derivatives.
 //!
 //! `newview`/`evaluate` read shared precomputed [`BranchTables`]
-//! (master-built transition matrices plus tip lookup rows). The loops here
+//! (master-built transition matrices plus tip lookup rows). Their loops here
 //! are the [`KernelDispatch::Scalar`](crate::tables::KernelDispatch::Scalar)
 //! reference; [`crate::blocked`] holds the width-specialized default, and
 //! [`crate::naive`] the independent oracle both are tested against.
+//!
+//! The two Newton ops are dispatch-*independent*: one implementation each,
+//! called under either dispatch. Each is a single loop nest instantiated per
+//! state width whose contract is the **summation order** of the scalar loop
+//! it replaced, so its results are that loop's, bit for bit — the old loops
+//! live on as the reference in `tests/properties.rs`. A tip child of the sum
+//! table is a category-free lookup (`tip_eigen`), not a matrix product.
 //!
 //! All primitives are fallible: mismatched buffer shapes, stale sum tables
 //! and out-of-domain branch lengths fail as typed [`OpError`]s on every build
@@ -34,7 +41,7 @@ use phylo_tree::{NodeId, TraversalStep};
 
 use crate::error::OpError;
 use crate::slice::{PartitionSlice, SliceBuffers, TIP_INDEX_NONE};
-use crate::tables::{validate_branch_length, BranchTables, StepTables};
+use crate::tables::{add_mask_rows, validate_branch_length, BranchTables, StepTables};
 use crate::{LOG_SCALE_FACTOR, SCALE_FACTOR, SCALE_THRESHOLD};
 
 /// Floor applied to per-site likelihoods before taking logarithms, so that a
@@ -439,6 +446,21 @@ pub fn evaluate_edge_tabled(
 /// a function of its length `t` is `Σ_k s_k · e^{λ_k r_c t}` per category, so
 /// each Newton–Raphson iteration only needs [`derivatives_from_sumtable`] and
 /// never touches the CLVs again.
+///
+/// There is **one** implementation, shared by both kernel dispatches: the
+/// loop nest `sumtable_rows` instantiated at width 4, width 20 and a
+/// runtime width. Its contract is the summation order — every
+/// `(Wᵀ x)_k = Σ_s W[s][k]·x_s` is accumulated over `s` ascending from `0.0`
+/// with a separate multiply and add — so every table entry is bit-identical
+/// to the scalar column walk it replaced (kept as the reference in
+/// `tests/properties.rs`).
+///
+/// # Errors
+///
+/// [`OpError::SliceShape`] / [`OpError::BufferDims`] when the buffers match
+/// neither the slice nor the model, [`OpError::ClvMissing`] /
+/// [`OpError::ScaleMissing`] for an absent child. A rejected build leaves the
+/// previous table untouched.
 pub fn build_sumtable(
     slice: &PartitionSlice,
     buffers: &mut SliceBuffers,
@@ -446,83 +468,144 @@ pub fn build_sumtable(
     left: NodeId,
     right: NodeId,
 ) -> Result<(), OpError> {
-    let states = slice.states();
+    let states = model.states();
     let categories = model.categories();
-    let patterns = slice.pattern_count();
     check_slice_shape(slice, buffers)?;
-    let w = &model.substitution().eigen().w;
+    check_buffer_dims(slice, buffers, states, categories)?;
+    let w = model.substitution().eigen().w.as_slice();
 
-    // Validate child presence before clearing the sum table, so a rejected
-    // build leaves any previously valid table untouched.
-    child_data(slice, buffers, left)?;
-    child_data(slice, buffers, right)?;
-
+    // The table leaves the store while the children's CLVs are borrowed from
+    // it, and goes back whatever happens — untouched when a child is
+    // rejected, so a failed build keeps any previously valid table.
     let (mut table, mut table_scale) = {
         let (t, s) = buffers.sumtable_mut();
         (std::mem::take(t), std::mem::take(s))
     };
-    table.clear();
-    table.resize(patterns * categories * states, 0.0);
-    table_scale.clear();
-    table_scale.resize(patterns, 0);
-
-    {
-        let left_data = child_data(slice, buffers, left)?;
-        let right_data = child_data(slice, buffers, right)?;
-        let mut l_vec = vec![0.0; states];
-        let mut r_vec = vec![0.0; states];
-
-        for p in 0..patterns {
-            for c in 0..categories {
-                let base = (p * categories + c) * states;
-                for s in 0..states {
-                    l_vec[s] = match &left_data {
-                        ChildData::Tip(t) => {
-                            if slice.tip_state(p, *t) & (1 << s) != 0 {
-                                1.0
-                            } else {
-                                0.0
-                            }
-                        }
-                        ChildData::Internal { clv, .. } => clv[base + s],
-                    };
-                    r_vec[s] = match &right_data {
-                        ChildData::Tip(t) => {
-                            if slice.tip_state(p, *t) & (1 << s) != 0 {
-                                1.0
-                            } else {
-                                0.0
-                            }
-                        }
-                        ChildData::Internal { clv, .. } => clv[base + s],
-                    };
-                }
-                for k in 0..states {
-                    let mut a = 0.0;
-                    let mut b = 0.0;
-                    for s in 0..states {
-                        let wsk = w[(s, k)];
-                        a += wsk * l_vec[s];
-                        b += wsk * r_vec[s];
-                    }
-                    table[base + k] = a * b;
+    let children = child_data(slice, buffers, left)
+        .and_then(|left| Ok((left, child_data(slice, buffers, right)?)));
+    if let Ok(children) = &children {
+        // Every entry is overwritten below: no `clear()`, no second pass.
+        table.resize(buffers.clv_len(), 0.0);
+        let table = &mut table[..];
+        match states {
+            4 => sumtable_rows(w, slice, categories, children, &mut [0.0; 8], table),
+            20 => sumtable_rows(w, slice, categories, children, &mut [0.0; 40], table),
+            n => sumtable_rows(w, slice, categories, children, &mut vec![0.0; 2 * n], table),
+        }
+        table_scale.clear();
+        table_scale.resize(buffers.patterns(), 0);
+        for child in [&children.0, &children.1] {
+            if let ChildData::Internal { scale, .. } = child {
+                for (p, events) in table_scale.iter_mut().enumerate() {
+                    *events += scale[p];
                 }
             }
-            let mut events = 0;
-            if let ChildData::Internal { scale, .. } = &left_data {
-                events += scale[p];
-            }
-            if let ChildData::Internal { scale, .. } = &right_data {
-                events += scale[p];
-            }
-            table_scale[p] = events;
         }
     }
-
+    let built = children.map(|_| ());
     let (t, s) = buffers.sumtable_mut();
     *t = table;
     *s = table_scale;
-    Ok(())
+    built
+}
+
+/// The one loop nest of [`build_sumtable`]; `scratch` holds the two
+/// children's eigen-space vectors `a` and `b`, `2 × states` long, so the
+/// width-specialised callers fix the width at compile time. `table` is
+/// written whole, one `categories × states` block per pattern.
+///
+/// The child kinds are matched once per call. An internal child is the
+/// row-broadcast product [`eigen_project`] per `(pattern, category)` — both
+/// children fused over one pass of `W` when both are internal. A **tip child
+/// is a lookup, not a product**: its vector does not depend on the rate
+/// category, so [`tip_eigen`] forms it once per pattern and every category
+/// reuses it (tip × tip writes one product to every category). `a · b`
+/// commutes bit for bit, so the tip always takes `a`.
+#[inline(always)]
+fn sumtable_rows(
+    w: &[f64],
+    slice: &PartitionSlice,
+    categories: usize,
+    children: &(ChildData<'_>, ChildData<'_>),
+    scratch: &mut [f64],
+    table: &mut [f64],
+) {
+    let n = scratch.len() / 2;
+    let (a, b) = scratch.split_at_mut(n);
+    let block = categories * n;
+    let multiply = |out: &mut [f64], a: &[f64], b: &[f64]| {
+        for ((o, &ak), &bk) in out.iter_mut().zip(a).zip(b) {
+            *o = ak * bk;
+        }
+    };
+    match children {
+        (ChildData::Internal { clv: l, .. }, ChildData::Internal { clv: r, .. }) => {
+            for (i, out) in table.chunks_exact_mut(n).enumerate() {
+                let (l, r) = (&l[i * n..][..n], &r[i * n..][..n]);
+                a.fill(0.0);
+                b.fill(0.0);
+                for ((&ls, &rs), row) in l.iter().zip(r).zip(w.chunks_exact(n)) {
+                    for ((ak, bk), &wsk) in a.iter_mut().zip(b.iter_mut()).zip(row) {
+                        *ak += wsk * ls;
+                        *bk += wsk * rs;
+                    }
+                }
+                multiply(out, a, b);
+            }
+        }
+        (ChildData::Tip(tip), ChildData::Internal { clv, .. })
+        | (ChildData::Internal { clv, .. }, ChildData::Tip(tip)) => {
+            let mut held = 0;
+            for (p, out) in table.chunks_exact_mut(block).enumerate() {
+                tip_eigen(w, slice.tip_state(p, *tip), &mut held, a);
+                let clv = &clv[p * block..][..block];
+                for (x, out) in clv.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+                    eigen_project(w, x, b);
+                    multiply(out, a, b);
+                }
+            }
+        }
+        (ChildData::Tip(l), ChildData::Tip(r)) => {
+            let (mut held_l, mut held_r) = (0, 0);
+            for (p, out) in table.chunks_exact_mut(block).enumerate() {
+                tip_eigen(w, slice.tip_state(p, *l), &mut held_l, a);
+                tip_eigen(w, slice.tip_state(p, *r), &mut held_r, b);
+                for out in out.chunks_exact_mut(n) {
+                    multiply(out, a, b);
+                }
+            }
+        }
+    }
+}
+
+/// `out_k = Σ_s W[s][k]·x_s`: `W` read by contiguous rows, one `x_s`
+/// broadcast per row, all `states` outputs advancing together — and each of
+/// them still summed over `s` ascending from `0.0`.
+#[inline(always)]
+fn eigen_project(w: &[f64], x: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for (&xs, row) in x.iter().zip(w.chunks_exact(out.len())) {
+        for (o, &wsk) in out.iter_mut().zip(row) {
+            *o += wsk * xs;
+        }
+    }
+}
+
+/// The eigen-space vector of a tip: `Σ_{s ∈ mask, ascending} W[s][·]` from
+/// `0.0` — what [`eigen_project`] yields for the tip's 0/1 vector, because
+/// the terms it would add for the cleared bits are `±0.0` and a running sum
+/// that starts at `+0.0` is never `-0.0`. `out` still holds the vector of
+/// `*held` (the previous pattern's mask), so a run of one ambiguity mask —
+/// gaps come in runs — is summed once; the test stays off for one-state
+/// masks, where it would be a coin flip per pattern and the sum is one row.
+#[inline(always)]
+fn tip_eigen(w: &[f64], mask: EncodedState, held: &mut EncodedState, out: &mut [f64]) {
+    let ambiguous = mask & mask.wrapping_sub(1) != 0;
+    if !(ambiguous && mask == *held) {
+        out.fill(0.0);
+        add_mask_rows(w, mask, out);
+    }
+    *held = mask;
 }
 
 /// Result of one derivative evaluation over a slice.
@@ -536,9 +619,23 @@ pub struct EdgeDerivatives {
     pub second: f64,
 }
 
+/// `categories × states` up to which [`derivatives_from_sumtable`] keeps its
+/// per-term coefficients on the stack: eight categories of a 20-state model.
+const STACK_TERMS: usize = 160;
+
+/// Patterns [`derivatives_from_sumtable`] sums side by side.
+const DERIVATIVE_LANES: usize = 4;
+
 /// Evaluates the log likelihood and its first two derivatives with respect to
 /// the branch length `t`, using the sum table previously built for this branch
 /// by [`build_sumtable`].
+///
+/// Like the builder this is one implementation for both dispatches. A
+/// pattern's `f`, `f′`, `f″` are three add chains over all its
+/// `categories × states` terms, ascending from `0.0`; that order is the
+/// contract, so the speed comes from running four patterns as independent
+/// lanes (`sum_sites`) — twelve chains in flight instead of three — and
+/// adding them to the result in pattern order.
 ///
 /// Sites whose likelihood underflowed to the floor contribute the floored
 /// log likelihood but **zero** derivatives: dividing the raw `f'`/`f''` by
@@ -558,15 +655,15 @@ pub fn derivatives_from_sumtable(
     t: f64,
 ) -> Result<EdgeDerivatives, OpError> {
     validate_branch_length(t)?;
-    let states = slice.states();
     let categories = model.categories();
+    let terms = categories * model.states();
     let patterns = slice.pattern_count();
     check_slice_shape(slice, buffers)?;
     let table = buffers.sumtable();
     let table_scale = buffers.sumtable_scale();
-    if table.len() != patterns * categories * states {
+    if table.len() != patterns * terms {
         return Err(OpError::SumtableStale {
-            expected: patterns * categories * states,
+            expected: patterns * terms,
             got: table.len(),
         });
     }
@@ -576,56 +673,101 @@ pub fn derivatives_from_sumtable(
             got: table_scale.len(),
         });
     }
+
+    // `[e^{λ_k r_c t}, λ_k r_c, (λ_k r_c)²]` per term, in the `(c, k)` order
+    // of a pattern's table block. The square is exact: the sum it feeds was
+    // always `(lr · lr) · x`.
+    let mut stack = [[0.0; 3]; STACK_TERMS];
+    let mut heap = Vec::new();
+    let coefficients = if terms <= STACK_TERMS {
+        &mut stack[..terms]
+    } else {
+        heap.resize(terms, [0.0; 3]);
+        &mut heap[..]
+    };
     let eigenvalues = &model.substitution().eigen().values;
-    let rates = model.gamma_rates();
+    let rate_modes = model
+        .gamma_rates()
+        .iter()
+        .flat_map(|&rate| eigenvalues.iter().map(move |&lambda| lambda * rate));
+    for (term, lr) in coefficients.iter_mut().zip(rate_modes) {
+        *term = [(lr * t).exp(), lr, lr * lr];
+    }
     let inv_categories = 1.0 / categories as f64;
 
-    // Pre-compute e^{λ_k r_c t}, λ_k r_c and (λ_k r_c)² for every (c, k).
-    let mut exps = vec![0.0; categories * states];
-    let mut lam1 = vec![0.0; categories * states];
-    for c in 0..categories {
-        for k in 0..states {
-            let lr = eigenvalues[k] * rates[c];
-            exps[c * states + k] = (lr * t).exp();
-            lam1[c * states + k] = lr;
-        }
-    }
-
+    // Whole groups of lanes, then the remainder through the same nest one
+    // pattern at a time: the result accumulates in pattern order either way.
+    let head = patterns - patterns % DERIVATIVE_LANES;
+    let (table, table_tail) = table.split_at(head * terms);
+    let (weights, weights_tail) = slice.weights.split_at(head);
+    let (scale, scale_tail) = table_scale.split_at(head);
     let mut out = EdgeDerivatives::default();
-    for (p, &scale_events) in table_scale.iter().enumerate().take(patterns) {
-        let mut f = 0.0;
-        let mut f1 = 0.0;
-        let mut f2 = 0.0;
-        for c in 0..categories {
-            let base = (p * categories + c) * states;
-            let ebase = c * states;
-            for k in 0..states {
-                let x = table[base + k] * exps[ebase + k];
-                let lr = lam1[ebase + k];
-                f += x;
-                f1 += lr * x;
-                f2 += lr * lr * x;
+    sum_sites::<DERIVATIVE_LANES>(
+        &mut out,
+        table,
+        weights,
+        scale,
+        coefficients,
+        inv_categories,
+    );
+    sum_sites::<1>(
+        &mut out,
+        table_tail,
+        weights_tail,
+        scale_tail,
+        coefficients,
+        inv_categories,
+    );
+    Ok(out)
+}
+
+/// The one loop nest of [`derivatives_from_sumtable`]: `L` consecutive
+/// patterns are `L` independent lanes, each running the per-pattern sequence
+/// `x = s·e; f += x; f′ += λ·x; f″ += λ²·x` over its table block ascending
+/// from `0.0`; then the floor / clamp / `ln` / weight epilogue adds the lanes
+/// to `out` in pattern order.
+#[inline(always)]
+fn sum_sites<const L: usize>(
+    out: &mut EdgeDerivatives,
+    table: &[f64],
+    weights: &[f64],
+    scale_events: &[i32],
+    coefficients: &[[f64; 3]],
+    inv_categories: f64,
+) {
+    let terms = coefficients.len();
+    let sites = weights.chunks_exact(L).zip(scale_events.chunks_exact(L));
+    for (block, (weights, scale_events)) in table.chunks_exact(L * terms).zip(sites) {
+        let lanes: [&[f64]; L] = std::array::from_fn(|lane| &block[lane * terms..][..terms]);
+        let (mut f, mut f1, mut f2) = ([0.0; L], [0.0; L], [0.0; L]);
+        for (j, &[e, lr, lr2]) in coefficients.iter().enumerate() {
+            for lane in 0..L {
+                let x = lanes[lane][j] * e;
+                f[lane] += x;
+                f1[lane] += lr * x;
+                f2[lane] += lr2 * x;
             }
         }
-        f *= inv_categories;
-        f1 *= inv_categories;
-        f2 *= inv_categories;
-
-        let w = slice.weights[p];
-        let site = f.max(SITE_LIKELIHOOD_FLOOR);
-        // A floored site sits on a numerically flat stretch of the likelihood
-        // surface: its true per-site derivatives are below the floating-point
-        // horizon, while `f1 / floor` would be astronomically large.
-        let (ratio1, ratio2) = if f > SITE_LIKELIHOOD_FLOOR {
-            (f1 / site, f2 / site)
-        } else {
-            (0.0, 0.0)
-        };
-        out.log_likelihood += w * (site.ln() - scale_events as f64 * LOG_SCALE_FACTOR);
-        out.first += w * ratio1;
-        out.second += w * (ratio2 - ratio1 * ratio1);
+        for lane in 0..L {
+            let f = f[lane] * inv_categories;
+            let f1 = f1[lane] * inv_categories;
+            let f2 = f2[lane] * inv_categories;
+            let site = f.max(SITE_LIKELIHOOD_FLOOR);
+            // A floored site sits on a numerically flat stretch of the
+            // likelihood surface: its true per-site derivatives are below the
+            // floating-point horizon, while `f1 / floor` would be
+            // astronomically large.
+            let (ratio1, ratio2) = if f > SITE_LIKELIHOOD_FLOOR {
+                (f1 / site, f2 / site)
+            } else {
+                (0.0, 0.0)
+            };
+            let w = weights[lane];
+            out.log_likelihood += w * (site.ln() - scale_events[lane] as f64 * LOG_SCALE_FACTOR);
+            out.first += w * ratio1;
+            out.second += w * (ratio2 - ratio1 * ratio1);
+        }
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -976,6 +1118,113 @@ mod tests {
             )
             .unwrap_err();
             assert!(matches!(err, OpError::InvalidBranchLength { .. }), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_rejected_build_leaves_the_previous_table_untouched() {
+        let (pp, tree) = three_taxon();
+        let (mut ws, models) = setup(&pp, &tree, 4);
+        let root_branch = tree.branch_between(2, 3).unwrap();
+        full_newview(&mut ws, &tree, &models, root_branch);
+        let (slice, model) = (&ws.slices[0], models.model(0));
+        build_sumtable(slice, &mut ws.buffers[0], model, 2, 3).unwrap();
+        let bits = |b: &SliceBuffers| b.sumtable().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (table, scale) = (
+            bits(&ws.buffers[0]),
+            ws.buffers[0].sumtable_scale().to_vec(),
+        );
+        let before = derivatives_from_sumtable(slice, &ws.buffers[0], model, 0.2).unwrap();
+
+        // The internal child loses its CLV: the build is rejected after the
+        // table left the store, and must put it back as it was.
+        let _ = ws.buffers[0].take_node(3);
+        let err = build_sumtable(slice, &mut ws.buffers[0], model, 2, 3).unwrap_err();
+        assert_eq!(err, OpError::ClvMissing { node: 3 });
+        assert_eq!(bits(&ws.buffers[0]), table);
+        assert_eq!(ws.buffers[0].sumtable_scale(), &scale[..]);
+        let after = derivatives_from_sumtable(slice, &ws.buffers[0], model, 0.2).unwrap();
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn sumtable_rows_match_the_column_walk_at_widths_no_model_has() {
+        // Widths 2, 3, 5 and 21 exist only on the runtime-width arm. Every
+        // pairing of child kinds against the column walk the nest replaced;
+        // `W` carries `-0.0` entries (the sign-of-zero half of the tip-lookup
+        // argument), the masks a repeated ambiguity (the `held` path), the
+        // empty mask and bits beyond the width.
+        for n in [2usize, 3, 5, 21] {
+            let (patterns, categories) = (9usize, 3usize);
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            };
+            let w: Vec<f64> = (0..n * n)
+                .map(|i| if i % 7 == 3 { -0.0 } else { next() })
+                .collect();
+            let mut clv = || -> Vec<f64> {
+                (0..patterns * categories * n)
+                    .map(|_| next().abs())
+                    .collect()
+            };
+            let (clvs, scale) = ([clv(), clv()], vec![0; patterns]);
+            let all = (1 << n) - 1;
+            let masks: [EncodedState; 9] =
+                [1, all, all, 2, 0b11, 0b11, 0, 1 << (n - 1), all | 1 << n];
+            let slice = PartitionSlice {
+                partition: 0,
+                data_type: DataType::Dna,
+                n_taxa: 2,
+                tip_states: masks
+                    .iter()
+                    .flat_map(|&m| [m, m.rotate_left(1) & all])
+                    .collect(),
+                weights: vec![1.0; patterns],
+                global_indices: (0..patterns).collect(),
+            };
+            for (left_is_tip, right_is_tip) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let child = |node: usize, is_tip: bool| match is_tip {
+                    true => ChildData::Tip(node),
+                    false => ChildData::Internal {
+                        clv: &clvs[node],
+                        scale: &scale,
+                    },
+                };
+                let children = (child(0, left_is_tip), child(1, right_is_tip));
+                let mut table = vec![f64::NAN; patterns * categories * n];
+                let scratch = &mut vec![0.0; 2 * n];
+                sumtable_rows(&w, &slice, categories, &children, scratch, &mut table);
+
+                let entry =
+                    |node: usize, is_tip: bool, p: usize, base: usize, s: usize| match is_tip {
+                        true if slice.tip_state(p, node) & (1 << s) != 0 => 1.0,
+                        true => 0.0,
+                        false => clvs[node][base + s],
+                    };
+                for p in 0..patterns {
+                    for c in 0..categories {
+                        let base = (p * categories + c) * n;
+                        for k in 0..n {
+                            let (mut a, mut b) = (0.0, 0.0);
+                            for s in 0..n {
+                                a += w[s * n + k] * entry(0, left_is_tip, p, base, s);
+                                b += w[s * n + k] * entry(1, right_is_tip, p, base, s);
+                            }
+                            assert_eq!(
+                                table[base + k].to_bits(),
+                                (a * b).to_bits(),
+                                "width {n}, tips ({left_is_tip}, {right_is_tip}), p={p} c={c} k={k}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

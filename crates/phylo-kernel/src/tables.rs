@@ -187,6 +187,23 @@ pub(crate) fn mask_sum(row: &[f64], mask: EncodedState) -> f64 {
     sum
 }
 
+/// Adds to `out` the `out.len()`-long rows of `rows` that the set bits of
+/// `mask` select, in ascending bit order: [`mask_sum`]'s additions, a whole
+/// row at a time. Bits beyond the last row select nothing.
+#[inline(always)]
+pub(crate) fn add_mask_rows(rows: &[f64], mask: EncodedState, out: &mut [f64]) {
+    let mut bits = mask;
+    while bits != 0 {
+        let selected = bits.trailing_zeros() as usize;
+        if let Some(row) = rows.chunks_exact(out.len()).nth(selected) {
+            for (o, &x) in out.iter_mut().zip(row) {
+                *o += x;
+            }
+        }
+        bits &= bits - 1;
+    }
+}
+
 /// Fills the tip rows of one category from its column-major transition
 /// matrix (`cols[a·states + s] = P[s][a]`): `rows[m·states + s] =
 /// Σ_{a ∈ mask_m} P[s][a]`, whole columns at a time.
@@ -209,14 +226,7 @@ fn fill_tip_rows(dict: &MaskDictionary, states: usize, cols: &[f64], rows: &mut 
         }
     } else {
         for (row, &mask) in rows.chunks_exact_mut(states).zip(&dict.masks) {
-            let mut bits = mask;
-            while bits != 0 {
-                let col = &cols[bits.trailing_zeros() as usize * states..][..states];
-                for (out, &x) in row.iter_mut().zip(col) {
-                    *out += x;
-                }
-                bits &= bits - 1;
-            }
+            add_mask_rows(cols, mask, row);
         }
     }
 }

@@ -545,16 +545,22 @@ pub(crate) mod tests {
         }
     }
 
-    /// A newview with no plan for any partition: harmless on fresh (empty)
-    /// CLV buffers, and its (empty) table payload is never consulted.
-    pub(crate) fn nop_newview(partitions: usize) -> KernelOp {
+    /// A newview over `plans` whose table payload is empty: only good for
+    /// commands that never reach a table.
+    fn newview_without_tables(plans: Vec<Option<phylo_tree::TraversalPlan>>) -> KernelOp {
         KernelOp::Newview {
-            plans: vec![None; partitions],
+            plans,
             tables: Arc::new(NewviewTables {
                 per_partition: Vec::new(),
                 dispatch: KernelDispatch::default(),
             }),
         }
+    }
+
+    /// A newview with no plan for any partition: harmless on fresh (empty)
+    /// CLV buffers.
+    pub(crate) fn nop_newview(partitions: usize) -> KernelOp {
+        newview_without_tables(vec![None; partitions])
     }
 
     /// An evaluate at branch 0 whose table payload is empty: only good for
@@ -568,6 +574,24 @@ pub(crate) mod tests {
                 dispatch: KernelDispatch::default(),
             }),
         }
+    }
+
+    /// Every op kind with a per-partition payload of `len` entries, each
+    /// entry active — so a worker that indexed its slices by a too-long
+    /// payload, or a too-short payload by its slices, would go out of bounds.
+    pub(crate) fn ops_with_payload_len(fx: &Fixture, len: usize) -> Vec<KernelOp> {
+        let plan = phylo_tree::TraversalPlan::full(&fx.ds.tree, 0);
+        vec![
+            newview_without_tables(vec![Some(plan); len]),
+            evaluate_without_tables(vec![true; len]),
+            KernelOp::Sumtable {
+                branch: 0,
+                mask: vec![true; len],
+            },
+            KernelOp::Derivatives {
+                lengths: vec![Some(0.1); len],
+            },
+        ]
     }
 
     const A: u64 = 7;
@@ -675,6 +699,28 @@ pub(crate) mod tests {
         assert_eq!(results[1], OK);
         // Nobody was quarantined: A's very next entry runs on both workers.
         assert_eq!(t.run(vec![t.nop(A)], None), [OK]);
+    }
+
+    #[test]
+    fn a_mis_sized_payload_is_a_typed_rejection_on_the_same_threads() {
+        let t = TwoTenants::new(83);
+        let partitions = t.fx.partitions();
+        let threads = t.pool.thread_ids();
+        // Short and long, every op: an index panic here would quarantine A
+        // on the worker that caught it. B shares each batch and must not
+        // notice.
+        for len in [partitions - 1, partitions + 1] {
+            for op in ops_with_payload_len(&t.fx, len) {
+                let results = t.run(vec![t.entry(A, op), t.nop(B)], None);
+                let rejected = Err(ExecError::Op(OpError::MaskShape {
+                    expected: partitions,
+                    got: len,
+                }));
+                assert_eq!(results, [(rejected, 0), OK]);
+            }
+        }
+        assert_eq!(t.run(vec![t.nop(A), t.nop(B)], None), [OK, OK]);
+        assert_eq!(t.pool.thread_ids(), threads);
     }
 
     #[test]

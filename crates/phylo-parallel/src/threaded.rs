@@ -305,7 +305,7 @@ impl Executor for ThreadedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::tests::{evaluate_without_tables, nop_newview, Fixture};
+    use crate::pool::tests::{evaluate_without_tables, nop_newview, ops_with_payload_len, Fixture};
     use phylo_kernel::OpError;
     use phylo_models::BranchLengthMode::{Joint, PerPartition};
     use phylo_sched::{Block, Cyclic, ScheduleStrategy, WeightedLpt};
@@ -405,6 +405,39 @@ mod tests {
     }
 
     #[test]
+    fn mis_sized_payloads_are_typed_rejections_that_do_not_poison() {
+        // `Executor::execute` is a public seam: a mask, length list or plan
+        // list that does not have one entry per partition used to be an index
+        // panic inside the worker — `WorkerDied` and a poisoned executor for
+        // what is deterministic caller misuse.
+        let fx = Fixture::new(6, 64, 16, 79, Joint);
+        let mut exec = fx.executor(&fx.assign(3, &Cyclic), Default::default());
+        let telemetry = Telemetry::new(phylo_telemetry::TelemetryConfig::default());
+        exec.attach_telemetry(&telemetry);
+        let ctx = fx.ctx();
+        let threads = exec.pool.thread_ids();
+        let partitions = fx.partitions();
+        for len in [partitions - 1, partitions + 1, 0] {
+            for op in ops_with_payload_len(&fx, len) {
+                let rejected = ExecError::Op(OpError::MaskShape {
+                    expected: partitions,
+                    got: len,
+                });
+                assert_eq!(exec.execute(&op, &ctx).unwrap_err(), rejected, "{op:?}");
+                assert_eq!(exec.poisoned_by(), None, "workers stay healthy");
+            }
+        }
+        // The PR 5 contract: the same threads serve the next region, and no
+        // region was left open.
+        assert!(exec.execute(&nop_newview(partitions), &ctx).is_ok());
+        assert_eq!(exec.pool.thread_ids(), threads);
+        // Twelve rejected regions and the one served, every one closed.
+        let counters = telemetry.snapshot().counters;
+        assert_eq!(counters.regions_started, 13);
+        assert_eq!(counters.regions_started - counters.regions_completed, 0);
+    }
+
+    #[test]
     fn timed_executor_accumulates_a_wall_clock_trace() {
         let fx = Fixture::new(8, 160, 40, 31, PerPartition);
         let options = ExecutorOptions {
@@ -447,10 +480,10 @@ mod tests {
         let fx = Fixture::new(6, 64, 16, 41, Joint);
         let mut exec = fx.executor(&fx.assign(3, &Cyclic), Default::default());
         let ctx = fx.ctx();
-        // An empty partition mask makes every worker index out of bounds —
-        // the injected panicking op.
-        let bad = evaluate_without_tables(vec![]);
-        let err = exec.execute(&bad, &ctx).unwrap_err();
+        exec.inject_worker_panic(1, 0);
+        let err = exec
+            .execute(&nop_newview(fx.partitions()), &ctx)
+            .unwrap_err();
         assert!(matches!(err, ExecError::WorkerDied { .. }), "{err:?}");
         assert!(exec.poisoned_by().is_some());
         assert!(
@@ -471,8 +504,8 @@ mod tests {
         let fx = Fixture::new(6, 64, 16, 43, Joint);
         let mut exec = fx.executor(&fx.assign(2, &Cyclic), Default::default());
         let ctx = fx.ctx();
-        let bad = evaluate_without_tables(vec![]);
-        assert!(exec.execute(&bad, &ctx).is_err());
+        exec.inject_worker_panic(1, 0);
+        assert!(exec.execute(&nop_newview(fx.partitions()), &ctx).is_err());
         assert!(exec.poisoned_by().is_some());
 
         fx.reassign(&mut exec, &fx.assign(2, &Block));

@@ -37,6 +37,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
+mod common;
+use common::{differential_cases, inject_ambiguity};
+
 use plf_loadbalance::seqgen::GeneratedDataset;
 use plf_loadbalance::tree::topology::MIN_BRANCH_LENGTH;
 use plf_loadbalance::tree::BranchId;
@@ -65,71 +68,6 @@ const SUMTABLE_LENGTH_RESOLUTION: f64 = 256.0 * f64::EPSILON;
 
 /// Maximum branch length accepted by the engine's clamp.
 const MAX_BRANCH_LENGTH: f64 = 10.0;
-
-fn differential_cases() -> u32 {
-    std::env::var("PLF_DIFFERENTIAL_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6)
-}
-
-/// Injects ambiguity codes and gaps into a generated dataset's alignment
-/// (per-column alphabet-appropriate: DNA partial ambiguities and `N`/`-`,
-/// protein `B`/`X`/`-`), then recompiles the patterns over the unchanged
-/// partition set. Exercises the blocked kernels' tip-row paths on masks with
-/// more than one set bit.
-fn inject_ambiguity(
-    ds: &GeneratedDataset,
-    fraction: f64,
-    rng: &mut ChaCha8Rng,
-) -> GeneratedDataset {
-    let mut is_protein = vec![false; ds.alignment.columns()];
-    for part in ds.partition_set.partitions() {
-        for col in part.columns() {
-            is_protein[col] = part.data_type == DataType::Protein;
-        }
-    }
-    const DNA_CODES: [char; 5] = ['N', '-', 'R', 'Y', 'W'];
-    const PROTEIN_CODES: [char; 3] = ['X', '-', 'B'];
-    let rows: Vec<(String, String)> = ds
-        .alignment
-        .taxa()
-        .iter()
-        .enumerate()
-        .map(|(taxon, name)| {
-            let row: String = ds
-                .alignment
-                .row(taxon)
-                .iter()
-                .enumerate()
-                .map(|(col, &c)| {
-                    if rng.gen_bool(fraction) {
-                        if is_protein[col] {
-                            PROTEIN_CODES[rng.gen_range(0..PROTEIN_CODES.len())]
-                        } else {
-                            DNA_CODES[rng.gen_range(0..DNA_CODES.len())]
-                        }
-                    } else {
-                        c as char
-                    }
-                })
-                .collect();
-            (name.clone(), row)
-        })
-        .collect();
-    let alignment = Alignment::new(rows).expect("mutated alignment stays rectangular");
-    let patterns = Arc::new(
-        PartitionedPatterns::compile(&alignment, &ds.partition_set)
-            .expect("partition set still covers the alignment"),
-    );
-    GeneratedDataset {
-        spec: ds.spec.clone(),
-        tree: ds.tree.clone(),
-        alignment,
-        partition_set: ds.partition_set.clone(),
-        patterns,
-    }
-}
 
 /// Draws one branch length: clamp-bound extremes with positive probability,
 /// log-uniform in between — short branches drive CLV entries toward the
