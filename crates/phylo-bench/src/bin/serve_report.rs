@@ -3,7 +3,7 @@
 //! versus the same 32 sessions run sequentially — one at a time through
 //! the same pool, and back to back on dedicated 4-thread executors.
 //!
-//! One session has a worker death injected into its second dispatched op
+//! One session has a worker death injected into its first dispatched op
 //! (the initial-likelihood evaluate, before any parameter commit), so the
 //! gate also exercises the recovery path under multi-tenancy.
 //!

@@ -190,7 +190,7 @@ fn render_timeline(events: &[TelemetryEvent], max_region_lines: usize) -> String
                 let lanes: String = worker_seconds.iter().map(|&s| lane_char(s, max)).collect();
                 let _ = writeln!(
                     out,
-                    "{t:>9.4}s  #{region:<5} {kind:<11} [{mask}] {:>9.1}us |{lanes}|",
+                    "{t:>9.4}s  #{region:<5} {kind:<28} [{mask}] {:>9.1}us |{lanes}|",
                     seconds * 1e6
                 );
             }

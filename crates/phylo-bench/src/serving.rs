@@ -223,10 +223,12 @@ pub fn run_serial_submission(
 /// Runs the full comparison: every session solo on a dedicated executor
 /// (sequentially), then the fleet submitted to a shared pool one session
 /// at a time, then the whole fleet concurrently on one shared pool of
-/// the same width, with a worker death injected into `fault_session`'s 2nd
-/// dispatched op (the initial-likelihood evaluate, before any parameter
-/// commit, so its recovered rerun must still match its solo run bit for
-/// bit).
+/// the same width, with a worker death injected into `fault_session`'s 1st
+/// dispatched op: the initial-likelihood evaluate (which carries its own
+/// traversal), before any parameter commit, so its recovered rerun must still
+/// match its solo run bit for bit. A later op sits inside an optimizer
+/// stream, where a restart resumes from the current — possibly trial —
+/// parameters and the rerun is only tolerance-close.
 pub fn compare_serving(
     fleet: &[FleetSession],
     workers: usize,
@@ -252,7 +254,7 @@ pub fn compare_serving(
             )
             .label(session.label.clone());
             if i == fault_session {
-                spec = spec.inject_worker_fault(workers.saturating_sub(1), 1);
+                spec = spec.inject_worker_fault(workers.saturating_sub(1), 0);
             }
             pool.submit(spec).expect("fleet admission")
         })

@@ -4,17 +4,19 @@
 //! parallelization: it owns the tree, the per-partition models, the branch
 //! lengths and the CLV validity cache, and it drives an [`Executor`] by
 //! issuing kernel commands (traversal lists, evaluations, sum tables,
-//! derivative evaluations). Everything the optimizers and the tree search do
-//! goes through this type, so the *number of commands issued* — the
-//! synchronization count that distinguishes oldPAR from newPAR — is visible in
-//! one place.
+//! derivative evaluations) — ONE command per likelihood call: an evaluation
+//! or a branch preparation ships the traversal that brings its CLVs up to
+//! date inside the command that reads them. Everything the optimizers and
+//! the tree search do goes through this type, so the *number of commands
+//! issued* — the synchronization count that distinguishes oldPAR from newPAR
+//! — is visible in one place.
 //!
 //! # Fallible API
 //!
 //! The engine's likelihood-facing methods are the **`try_*` family** —
 //! [`LikelihoodKernel::try_update_clvs`],
 //! [`LikelihoodKernel::try_log_likelihood`] (and `_at` / `_partitions`),
-//! [`LikelihoodKernel::try_prepare_branch`],
+//! [`LikelihoodKernel::try_prepare_branch`] (and `_at`),
 //! [`LikelihoodKernel::try_branch_derivatives`], plus the fallible
 //! constructor [`LikelihoodKernel::try_new`] — all returning
 //! [`KernelError`]. A worker death in a parallel backend surfaces as
@@ -34,7 +36,10 @@ use phylo_tree::{BranchId, NodeId, TraversalPlan, Tree, TreeError};
 
 use crate::branch_lengths::BranchLengths;
 use crate::error::KernelError;
-use crate::executor::{ExecContext, Executor, KernelOp, PartitionMask, SequentialExecutor};
+use crate::executor::{
+    ExecContext, Executor, KernelOp, OpOutput, PartitionMask, SequentialExecutor,
+    TraversalDescriptor,
+};
 use crate::ops::EdgeDerivatives;
 use crate::tables::{
     validate_branch_length, BranchTables, EdgeTables, KernelDispatch, MaskDictionary,
@@ -416,7 +421,7 @@ impl<E: Executor> LikelihoodKernel<E> {
         Ok(tables)
     }
 
-    /// Assembles the shared-table payload for a `Newview` command.
+    /// Assembles the shared-table payload of a traversal.
     fn newview_tables(
         &mut self,
         plans: &[Option<TraversalPlan>],
@@ -462,10 +467,61 @@ impl<E: Executor> LikelihoodKernel<E> {
         }))
     }
 
+    /// Plans the traversal that brings the CLVs needed for an evaluation
+    /// rooted on `root_branch` up to date for the masked partitions, with the
+    /// shared tables of every step; `None` when everything is already valid
+    /// (the partial traversal machinery at work).
+    fn plan_traversal(
+        &mut self,
+        root_branch: BranchId,
+        mask: &PartitionMask,
+    ) -> Result<Option<TraversalDescriptor>, KernelError> {
+        let mut plans: Vec<Option<TraversalPlan>> = vec![None; self.partition_count()];
+        for (pi, active) in mask.iter().enumerate() {
+            if !*active {
+                continue;
+            }
+            let validity = &self.data.validity;
+            let plan = TraversalPlan::partial(&self.data.tree, root_branch, |node, towards| {
+                validity.is_valid(pi, node, towards)
+            });
+            if !plan.is_empty() {
+                plans[pi] = Some(plan);
+            }
+        }
+        if plans.iter().all(Option::is_none) {
+            return Ok(None);
+        }
+        let tables = self.newview_tables(&plans)?;
+        Ok(Some(TraversalDescriptor { plans, tables }))
+    }
+
+    /// Issues one command — one parallel region. Only after the backend
+    /// actually performed it are the orientations its traversal computed
+    /// recorded in the validity cache (and counted), so a failed region
+    /// leaves the cache untouched and a recovered executor simply recomputes.
+    fn issue(&mut self, op: &KernelOp) -> Result<OpOutput, KernelError> {
+        let ctx = ExecContext {
+            tree: &self.data.tree,
+            models: &self.data.models,
+        };
+        let out = self.executor.execute(op, &ctx)?;
+        if let Some((plans, _)) = op.traversal() {
+            for (pi, plan) in plans.iter().enumerate() {
+                for step in plan.iter().flat_map(|plan| &plan.steps) {
+                    self.data.validity.mark_valid(pi, step.node, step.towards);
+                    self.stats.newview_node_updates += 1;
+                }
+            }
+        }
+        Ok(out)
+    }
+
     /// Brings the CLVs needed for an evaluation rooted on `root_branch` up to
-    /// date for the masked partitions. Returns the number of CLV updates that
-    /// were necessary (0 when everything was already valid — the partial
-    /// traversal machinery at work).
+    /// date for the masked partitions — the traversal-only command; the
+    /// likelihood calls below ship the same traversal inside their own
+    /// command. Returns the number of CLV updates that were necessary (0 when
+    /// everything was already valid).
     ///
     /// # Errors
     ///
@@ -477,44 +533,13 @@ impl<E: Executor> LikelihoodKernel<E> {
         root_branch: BranchId,
         mask: &PartitionMask,
     ) -> Result<u64, KernelError> {
-        let mut plans: Vec<Option<TraversalPlan>> = vec![None; self.partition_count()];
-        let mut updates = 0u64;
-        for (pi, active) in mask.iter().enumerate() {
-            if !*active {
-                continue;
-            }
-            let validity = &self.data.validity;
-            let plan = TraversalPlan::partial(&self.data.tree, root_branch, |node, towards| {
-                validity.is_valid(pi, node, towards)
-            });
-            if !plan.is_empty() {
-                updates += plan.len() as u64;
-                plans[pi] = Some(plan);
-            }
-        }
-        if updates == 0 {
+        let Some(TraversalDescriptor { plans, tables }) = self.plan_traversal(root_branch, mask)?
+        else {
             return Ok(0);
-        }
-        let op = KernelOp::Newview {
-            tables: self.newview_tables(&plans)?,
-            plans,
         };
-        let ctx = ExecContext {
-            tree: &self.data.tree,
-            models: &self.data.models,
-        };
-        self.executor.execute(&op, &ctx)?;
-        // Record the new orientations in the validity cache — only after the
-        // backend actually performed the updates.
-        if let KernelOp::Newview { plans, .. } = &op {
-            for (pi, plan) in plans.iter().enumerate() {
-                for step in plan.iter().flat_map(|plan| &plan.steps) {
-                    self.data.validity.mark_valid(pi, step.node, step.towards);
-                }
-            }
-        }
-        self.stats.newview_node_updates += updates;
-        Ok(updates)
+        let before = self.stats.newview_node_updates;
+        self.issue(&KernelOp::Newview { plans, tables })?;
+        Ok(self.stats.newview_node_updates - before)
     }
 
     /// Per-partition log likelihoods for an evaluation rooted on
@@ -532,23 +557,21 @@ impl<E: Executor> LikelihoodKernel<E> {
     }
 
     /// [`Self::try_log_likelihood_partitions`] over a mask the `Evaluate`
-    /// command takes ownership of.
+    /// command takes ownership of: the traversal and the evaluation in one
+    /// region.
     fn evaluate(
         &mut self,
         root_branch: BranchId,
         mask: PartitionMask,
     ) -> Result<Vec<f64>, KernelError> {
-        self.try_update_clvs(root_branch, &mask)?;
+        let traversal = self.plan_traversal(root_branch, &mask)?.map(Arc::new);
         let op = KernelOp::Evaluate {
             root_branch,
             tables: self.edge_tables(root_branch, &mask)?,
             mask,
+            traversal,
         };
-        let ctx = ExecContext {
-            tree: &self.data.tree,
-            models: &self.data.models,
-        };
-        let out = self.executor.execute(&op, &ctx)?;
+        let out = self.issue(&op)?;
         // Count the evaluation only once the backend actually performed it,
         // so the work counters stay truthful across failures and retries.
         self.stats.evaluations += 1;
@@ -643,7 +666,8 @@ impl<E: Executor> LikelihoodKernel<E> {
     }
 
     /// Prepares Newton–Raphson optimization of `branch` for the masked
-    /// partitions: updates the CLVs at both ends and builds the sum tables.
+    /// partitions: updates the CLVs at both ends and builds the sum tables,
+    /// in one region.
     ///
     /// # Errors
     ///
@@ -653,17 +677,61 @@ impl<E: Executor> LikelihoodKernel<E> {
         branch: BranchId,
         mask: &PartitionMask,
     ) -> Result<(), KernelError> {
-        self.try_update_clvs(branch, mask)?;
+        self.prepare(branch, mask, None).map(drop)
+    }
+
+    /// [`Self::try_prepare_branch`] and the first
+    /// [`Self::try_branch_derivatives`] in one region: the first Newton
+    /// probe's lengths are known before the sum table exists, so they ride
+    /// with the command that builds it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::try_branch_derivatives`] and
+    /// [`Self::try_prepare_branch`].
+    pub fn try_prepare_branch_at(
+        &mut self,
+        branch: BranchId,
+        mask: &PartitionMask,
+        first: &[Option<f64>],
+    ) -> Result<Vec<Option<EdgeDerivatives>>, KernelError> {
+        self.check_candidate_lengths(first)?;
+        self.prepare(branch, mask, Some(first.to_vec()))?
+            .try_into_derivatives()
+    }
+
+    fn prepare(
+        &mut self,
+        branch: BranchId,
+        mask: &PartitionMask,
+        first: Option<Vec<Option<f64>>>,
+    ) -> Result<OpOutput, KernelError> {
+        let probes = u64::from(first.is_some());
         let op = KernelOp::Sumtable {
             branch,
             mask: mask.clone(),
+            traversal: self.plan_traversal(branch, mask)?.map(Arc::new),
+            first,
         };
-        let ctx = ExecContext {
-            tree: &self.data.tree,
-            models: &self.data.models,
-        };
-        self.executor.execute(&op, &ctx)?;
+        let out = self.issue(&op)?;
         self.stats.sumtable_builds += 1;
+        self.stats.derivative_calls += probes;
+        Ok(out)
+    }
+
+    /// The kernel-boundary check of a probe: one candidate per partition, and
+    /// a Brent/Newton probe must never smuggle a negative or non-finite
+    /// candidate into the exponentials.
+    fn check_candidate_lengths(&self, lengths: &[Option<f64>]) -> Result<(), KernelError> {
+        if lengths.len() != self.partition_count() {
+            return Err(KernelError::PartitionCountMismatch {
+                expected: self.partition_count(),
+                got: lengths.len(),
+            });
+        }
+        for t in lengths.iter().flatten() {
+            validate_branch_length(*t)?;
+        }
         Ok(())
     }
 
@@ -682,25 +750,11 @@ impl<E: Executor> LikelihoodKernel<E> {
         &mut self,
         lengths: &[Option<f64>],
     ) -> Result<Vec<Option<EdgeDerivatives>>, KernelError> {
-        if lengths.len() != self.partition_count() {
-            return Err(KernelError::PartitionCountMismatch {
-                expected: self.partition_count(),
-                got: lengths.len(),
-            });
-        }
-        // The kernel-boundary domain check: a Brent/Newton probe must never
-        // smuggle a negative or non-finite candidate into the exponentials.
-        for t in lengths.iter().flatten() {
-            validate_branch_length(*t)?;
-        }
+        self.check_candidate_lengths(lengths)?;
         let op = KernelOp::Derivatives {
             lengths: lengths.to_vec(),
         };
-        let ctx = ExecContext {
-            tree: &self.data.tree,
-            models: &self.data.models,
-        };
-        let out = self.executor.execute(&op, &ctx)?;
+        let out = self.issue(&op)?;
         self.stats.derivative_calls += 1;
         out.try_into_derivatives()
     }

@@ -8,6 +8,15 @@
 //! [`Executor::execute`] corresponds to one parallel region and therefore one
 //! synchronization event.
 //!
+//! A command is what one *likelihood call* needs, as in the Pthreads code
+//! (`THREAD_EVALUATE` ships its traversal descriptor; `THREAD_MAKENEWZ_FIRST`
+//! is traversal + sum table + first derivative): an optional **traversal**
+//! ([`TraversalDescriptor`]), the **op** itself, and — for a sum table — an
+//! optional **first probe**. A worker runs the phases back to back on its own
+//! slices; no data crosses workers between them, so no barrier is needed
+//! between them. The traversal-only command, [`KernelOp::Newview`], is what
+//! `LikelihoodKernel::try_update_clvs` issues.
+//!
 //! Three implementations exist:
 //!
 //! * [`SequentialExecutor`] (here) — a single worker owning all patterns; the
@@ -24,6 +33,7 @@ use phylo_models::ModelSet;
 use phylo_tree::{BranchId, TraversalPlan, Tree};
 
 use crate::blocked;
+use crate::cost::OpKind;
 use crate::error::{KernelError, OpError};
 use crate::ops::{self, EdgeDerivatives};
 use crate::slice::WorkerSlices;
@@ -34,7 +44,21 @@ use crate::tables::{EdgeTables, KernelDispatch, NewviewTables};
 /// per command; the `oldPAR` scheme activates exactly one at a time.
 pub type PartitionMask = Vec<bool>;
 
-/// A command broadcast by the master to all workers.
+/// The CLV updates a command runs before its op: one optional traversal plan
+/// per partition plus the shared branch tables of every step. Commands carry
+/// it behind one `Arc`, so the per-region clone a parallel backend makes is a
+/// reference-count bump.
+#[derive(Debug)]
+pub struct TraversalDescriptor {
+    /// One optional plan per partition (`None` = nothing to update).
+    pub plans: Vec<Option<TraversalPlan>>,
+    /// Shared per-step branch tables (aligned with the plans).
+    pub tables: Arc<NewviewTables>,
+}
+
+/// A command broadcast by the master to all workers: an optional traversal,
+/// the op, and (for a sum table) an optional first derivative probe, executed
+/// in that order inside ONE parallel region.
 ///
 /// The CLV-touching commands carry **shared branch tables**
 /// (master-precomputed transition matrices + tip lookup rows, see
@@ -46,8 +70,9 @@ pub type PartitionMask = Vec<bool>;
 /// contract).
 #[derive(Debug, Clone)]
 pub enum KernelOp {
-    /// Recompute CLVs following a per-partition traversal plan (`None` means
-    /// the partition has nothing to update in this region).
+    /// The traversal-only command: recompute CLVs following a per-partition
+    /// traversal plan (`None` means the partition has nothing to update in
+    /// this region).
     Newview {
         /// One optional plan per partition.
         plans: Vec<Option<TraversalPlan>>,
@@ -62,6 +87,8 @@ pub enum KernelOp {
         mask: PartitionMask,
         /// Shared virtual-root branch tables per partition.
         tables: Arc<EdgeTables>,
+        /// CLV updates to run first (`None` = every CLV read is valid).
+        traversal: Option<Arc<TraversalDescriptor>>,
     },
     /// Build the branch sum tables used by Newton–Raphson.
     Sumtable {
@@ -69,6 +96,12 @@ pub enum KernelOp {
         branch: BranchId,
         /// Active partitions.
         mask: PartitionMask,
+        /// CLV updates to run first (`None` = every CLV read is valid).
+        traversal: Option<Arc<TraversalDescriptor>>,
+        /// Candidate lengths of the first Newton probe, evaluated off the
+        /// fresh tables like a `Derivatives` command; the command then
+        /// answers [`OpOutput::Derivatives`] instead of [`OpOutput::None`].
+        first: Option<Vec<Option<f64>>>,
     },
     /// Evaluate log-likelihood derivatives at per-partition candidate branch
     /// lengths (`None` = partition does not participate, e.g. it has already
@@ -80,13 +113,51 @@ pub enum KernelOp {
 }
 
 impl KernelOp {
-    /// Human-readable label of the op kind (diagnostics, traces).
-    pub fn kind(&self) -> crate::cost::OpKind {
+    /// The kind of the op the command carries (a traversal or probe riding
+    /// along does not change it; see [`KernelOp::label`] for those).
+    pub fn kind(&self) -> OpKind {
         match self {
-            KernelOp::Newview { .. } => crate::cost::OpKind::Newview,
-            KernelOp::Evaluate { .. } => crate::cost::OpKind::Evaluate,
-            KernelOp::Sumtable { .. } => crate::cost::OpKind::Sumtable,
-            KernelOp::Derivatives { .. } => crate::cost::OpKind::Derivatives,
+            KernelOp::Newview { .. } => OpKind::Newview,
+            KernelOp::Evaluate { .. } => OpKind::Evaluate,
+            KernelOp::Sumtable { .. } => OpKind::Sumtable,
+            KernelOp::Derivatives { .. } => OpKind::Derivatives,
+        }
+    }
+
+    /// The traversal the command starts with: a `Newview`'s own, or the
+    /// descriptor riding on an `Evaluate`/`Sumtable`.
+    pub fn traversal(&self) -> Option<(&[Option<TraversalPlan>], &NewviewTables)> {
+        match self {
+            KernelOp::Newview { plans, tables } => Some((plans, tables)),
+            KernelOp::Evaluate { traversal, .. } | KernelOp::Sumtable { traversal, .. } => {
+                traversal.as_deref().map(|t| (&t.plans[..], &*t.tables))
+            }
+            KernelOp::Derivatives { .. } => None,
+        }
+    }
+
+    /// The derivative probe the command ends with: a `Derivatives`' own
+    /// lengths, or the first probe riding on a `Sumtable`.
+    pub fn probe(&self) -> Option<&[Option<f64>]> {
+        match self {
+            KernelOp::Derivatives { lengths } => Some(lengths),
+            KernelOp::Sumtable { first, .. } => first.as_deref(),
+            KernelOp::Newview { .. } | KernelOp::Evaluate { .. } => None,
+        }
+    }
+
+    /// What the region carried, phase by phase — the telemetry `kind` of its
+    /// events (`"evaluate"`, `"newview+evaluate"`,
+    /// `"newview+sumtable+derivatives"`, …).
+    pub fn label(&self) -> &'static str {
+        let riding = (self.traversal().is_some(), self.probe().is_some());
+        match (self.kind(), riding) {
+            (OpKind::Evaluate, (true, _)) => "newview+evaluate",
+            (OpKind::Sumtable, (true, false)) => "newview+sumtable",
+            (OpKind::Sumtable, (false, true)) => "sumtable+derivatives",
+            (OpKind::Sumtable, (true, true)) => "newview+sumtable+derivatives",
+            // Nothing rides along (a `Newview`/`Derivatives` is its own phase).
+            (kind, _) => kind.label(),
         }
     }
 
@@ -94,8 +165,9 @@ impl KernelOp {
     /// region. For `Derivatives` this is the newPAR convergence vector
     /// (converged partitions carry `None` and do no work); for `Newview` a
     /// partition without a traversal plan is inactive; `Evaluate`/`Sumtable`
-    /// carry an explicit mask. Executors record this shape per region so the
-    /// mask-aware rescheduler can see how the live pattern set shrinks.
+    /// carry an explicit mask (which covers what rides along). Executors
+    /// record this shape per region so the mask-aware rescheduler can see
+    /// how the live pattern set shrinks.
     pub fn active_partitions(&self) -> PartitionMask {
         match self {
             KernelOp::Newview { plans, .. } => plans.iter().map(Option::is_some).collect(),
@@ -104,30 +176,41 @@ impl KernelOp {
         }
     }
 
-    /// How often the command visits each pattern of `partition`: the
-    /// traversal length for `newview`, once for any other active partition,
-    /// never for an inactive (converged, masked-out or out-of-range) one.
-    pub fn visits(&self, partition: usize) -> usize {
-        match self {
-            KernelOp::Newview { plans, .. } => match plans.get(partition) {
-                Some(Some(plan)) => plan.len(),
-                _ => 0,
-            },
+    /// The command's phases in execution order, each with the kind its
+    /// patterns are costed at and how often it visits each pattern of
+    /// `partition`: the traversal length, once for the op itself and once for
+    /// the probe where the partition is active, never for an inactive
+    /// (converged, masked-out or out-of-range) one.
+    pub fn phase_visits(&self, partition: usize) -> [(OpKind, usize); 3] {
+        let plans = self.traversal().map(|(plans, _)| plans);
+        let plan = plans.and_then(|plans| plans.get(partition)?.as_ref());
+        let own = match self {
             KernelOp::Evaluate { mask, .. } | KernelOp::Sumtable { mask, .. } => {
-                usize::from(mask.get(partition) == Some(&true))
+                mask.get(partition) == Some(&true)
             }
-            KernelOp::Derivatives { lengths } => {
-                usize::from(matches!(lengths.get(partition), Some(Some(_))))
-            }
-        }
+            KernelOp::Newview { .. } | KernelOp::Derivatives { .. } => false,
+        };
+        let probe = self.probe().and_then(|lengths| *lengths.get(partition)?);
+        [
+            (OpKind::Newview, plan.map_or(0, TraversalPlan::len)),
+            (self.kind(), usize::from(own)),
+            (OpKind::Derivatives, usize::from(probe.is_some())),
+        ]
+    }
+
+    /// How often the command visits each pattern of `partition`, summed over
+    /// its phases.
+    pub fn visits(&self, partition: usize) -> usize {
+        self.phase_visits(partition).iter().map(|&(_, n)| n).sum()
     }
 }
 
 /// Number of local patterns a worker actually touches in one region — the
-/// *live* pattern count under the command's convergence mask, weighted by
-/// traversal length for `newview` (the same proportionality the analytic cost
-/// model uses). Patterns of converged/inactive partitions are skipped by
-/// [`execute_on_worker`] and therefore not counted.
+/// *live* pattern count under the command's convergence mask, summed over the
+/// command's phases and weighted by traversal length for the `newview` phase
+/// (the same proportionality the analytic cost model uses). Patterns of
+/// converged/inactive partitions are skipped by [`execute_on_worker`] and
+/// therefore not counted.
 pub fn active_local_patterns(worker: &WorkerSlices, op: &KernelOp) -> usize {
     let slices = worker.slices.iter().enumerate();
     slices
@@ -281,9 +364,10 @@ pub trait Executor {
     fn attach_telemetry(&mut self, _telemetry: &phylo_telemetry::Telemetry) {}
 }
 
-/// Executes one command against a single worker's slices. This is the shared
-/// building block: the sequential executor calls it once, the threaded and
-/// tracing executors call it per worker.
+/// Executes one command against a single worker's slices: *traversal → op →
+/// probe*, back to back. This is the shared building block: the sequential
+/// executor calls it once, the threaded and tracing executors call it per
+/// worker.
 ///
 /// # Errors
 ///
@@ -306,61 +390,31 @@ pub fn execute_on_worker(
             .then_some(())
             .ok_or(OpError::MaskShape { expected, got })
     };
+    let (traversal, probe) = (op.traversal(), op.probe());
+    if let KernelOp::Evaluate { mask, .. } | KernelOp::Sumtable { mask, .. } = op {
+        per_partition(mask.len())?;
+    }
+    if let Some((plans, _)) = traversal {
+        per_partition(plans.len())?;
+    }
+    if let Some(lengths) = probe {
+        per_partition(lengths.len())?;
+    }
+
+    if let Some((plans, tables)) = traversal {
+        run_traversal(worker, plans, tables)?;
+    }
+    let mut out = OpOutput::None;
     match op {
-        KernelOp::Newview { plans, tables } => {
-            per_partition(plans.len())?;
-            for (pi, plan) in plans.iter().enumerate() {
-                let Some(plan) = plan else { continue };
-                let slice = &worker.slices[pi];
-                if slice.pattern_count() == 0 {
-                    continue;
-                }
-                // `.get` guards payloads shorter than the partition count: a
-                // malformed payload must be a typed error, not an index panic
-                // that kills (and poisons) a healthy worker.
-                let steps = tables
-                    .per_partition
-                    .get(pi)
-                    .and_then(|s| s.as_deref())
-                    .unwrap_or(&[]);
-                if steps.len() != plan.steps.len() {
-                    return Err(OpError::TableShape {
-                        partition: pi,
-                        expected: plan.steps.len(),
-                        got: steps.len(),
-                    });
-                }
-                for (step, step_tables) in plan.steps.iter().zip(steps) {
-                    match tables.dispatch {
-                        KernelDispatch::Blocked => blocked::newview_step_blocked(
-                            slice,
-                            &mut worker.buffers[pi],
-                            step,
-                            step_tables,
-                        )?,
-                        KernelDispatch::Scalar => ops::newview_step_tabled(
-                            slice,
-                            &mut worker.buffers[pi],
-                            step,
-                            step_tables,
-                        )?,
-                    }
-                }
-                worker.buffers[pi].count_dispatch_patterns(
-                    tables.dispatch,
-                    (slice.pattern_count() * plan.steps.len()) as u64,
-                );
-            }
-            Ok(OpOutput::None)
-        }
+        KernelOp::Newview { .. } | KernelOp::Derivatives { .. } => {}
         KernelOp::Evaluate {
             root_branch,
             mask,
             tables,
+            ..
         } => {
-            per_partition(mask.len())?;
             let (left, right) = ctx.tree.branch_endpoints(*root_branch);
-            let mut out = vec![0.0; partitions];
+            let mut lnl = vec![0.0; partitions];
             for pi in 0..partitions {
                 if !mask[pi] || worker.slices[pi].pattern_count() == 0 {
                     continue;
@@ -376,7 +430,7 @@ pub fn execute_on_worker(
                         got: 0,
                     });
                 };
-                out[pi] = match tables.dispatch {
+                lnl[pi] = match tables.dispatch {
                     KernelDispatch::Blocked => blocked::evaluate_edge_blocked(
                         &worker.slices[pi],
                         &mut worker.buffers[pi],
@@ -399,10 +453,9 @@ pub fn execute_on_worker(
                     worker.slices[pi].pattern_count() as u64,
                 );
             }
-            Ok(OpOutput::LogLikelihoods(out))
+            out = OpOutput::LogLikelihoods(lnl);
         }
-        KernelOp::Sumtable { branch, mask } => {
-            per_partition(mask.len())?;
+        KernelOp::Sumtable { branch, mask, .. } => {
             let (left, right) = ctx.tree.branch_endpoints(*branch);
             for (pi, &active) in mask.iter().enumerate() {
                 if !active || worker.slices[pi].pattern_count() == 0 {
@@ -417,30 +470,90 @@ pub fn execute_on_worker(
                     right,
                 )?;
             }
-            Ok(OpOutput::None)
-        }
-        KernelOp::Derivatives { lengths } => {
-            per_partition(lengths.len())?;
-            let mut out = vec![None; partitions];
-            for pi in 0..partitions {
-                let Some(t) = lengths[pi] else { continue };
-                if worker.slices[pi].pattern_count() == 0 {
-                    // An idle worker still reports a zero contribution so the
-                    // reduction shape stays uniform.
-                    out[pi] = Some(EdgeDerivatives::default());
-                    continue;
-                }
-                let model = ctx.models.model(pi);
-                out[pi] = Some(ops::derivatives_from_sumtable(
-                    &worker.slices[pi],
-                    &worker.buffers[pi],
-                    model,
-                    t,
-                )?);
-            }
-            Ok(OpOutput::Derivatives(out))
         }
     }
+    match probe {
+        Some(lengths) => probe_derivatives(worker, lengths, ctx),
+        None => Ok(out),
+    }
+}
+
+/// The traversal phase: every partition's plan, step by step, on the
+/// worker's own CLV buffers. `plans` has one entry per partition (checked by
+/// the caller).
+fn run_traversal(
+    worker: &mut WorkerSlices,
+    plans: &[Option<TraversalPlan>],
+    tables: &NewviewTables,
+) -> Result<(), OpError> {
+    for (pi, plan) in plans.iter().enumerate() {
+        let Some(plan) = plan else { continue };
+        let slice = &worker.slices[pi];
+        if slice.pattern_count() == 0 {
+            continue;
+        }
+        // `.get` guards payloads shorter than the partition count: a
+        // malformed payload must be a typed error, not an index panic
+        // that kills (and poisons) a healthy worker.
+        let steps = tables
+            .per_partition
+            .get(pi)
+            .and_then(|s| s.as_deref())
+            .unwrap_or(&[]);
+        if steps.len() != plan.steps.len() {
+            return Err(OpError::TableShape {
+                partition: pi,
+                expected: plan.steps.len(),
+                got: steps.len(),
+            });
+        }
+        for (step, step_tables) in plan.steps.iter().zip(steps) {
+            match tables.dispatch {
+                KernelDispatch::Blocked => blocked::newview_step_blocked(
+                    slice,
+                    &mut worker.buffers[pi],
+                    step,
+                    step_tables,
+                )?,
+                KernelDispatch::Scalar => {
+                    ops::newview_step_tabled(slice, &mut worker.buffers[pi], step, step_tables)?
+                }
+            }
+        }
+        worker.buffers[pi].count_dispatch_patterns(
+            tables.dispatch,
+            (slice.pattern_count() * plan.steps.len()) as u64,
+        );
+    }
+    Ok(())
+}
+
+/// The probe phase: derivatives of every active partition at its candidate
+/// length, off the sum tables the worker holds. `lengths` has one entry per
+/// partition (checked by the caller).
+fn probe_derivatives(
+    worker: &WorkerSlices,
+    lengths: &[Option<f64>],
+    ctx: &ExecContext<'_>,
+) -> Result<OpOutput, OpError> {
+    let mut out = vec![None; lengths.len()];
+    for (pi, t) in lengths.iter().enumerate() {
+        let Some(t) = *t else { continue };
+        if worker.slices[pi].pattern_count() == 0 {
+            // An idle worker still reports a zero contribution so the
+            // reduction shape stays uniform.
+            out[pi] = Some(EdgeDerivatives::default());
+            continue;
+        }
+        let model = ctx.models.model(pi);
+        out[pi] = Some(ops::derivatives_from_sumtable(
+            &worker.slices[pi],
+            &worker.buffers[pi],
+            model,
+            t,
+        )?);
+    }
+    Ok(OpOutput::Derivatives(out))
 }
 
 /// Sums two per-partition outputs of the same shape (the reduction step).
@@ -533,7 +646,7 @@ impl Executor for SequentialExecutor {
         }
         let token = self
             .telemetry
-            .region_start(op.kind().label(), &op.active_partitions());
+            .region_start(op.label(), &op.active_partitions());
         // lint:allow(L008): region timing on the telemetry-enabled path only;
         // feeds the measured-trace feedback, never the reduction order.
         let started = std::time::Instant::now();
@@ -697,6 +810,7 @@ mod tests {
             root_branch: 0,
             mask: vec![true, false],
             tables: holey,
+            traversal: None,
         };
         let err = execute_on_worker(&mut worker, &op, &ctx).unwrap_err();
         assert!(
@@ -707,19 +821,63 @@ mod tests {
 
     #[test]
     fn kernel_op_kind_labels() {
-        use crate::cost::OpKind;
-        let op = KernelOp::Evaluate {
+        let traversal = || {
+            Some(Arc::new(TraversalDescriptor {
+                plans: vec![None],
+                tables: Arc::new(NewviewTables {
+                    per_partition: Vec::new(),
+                    dispatch: KernelDispatch::default(),
+                }),
+            }))
+        };
+        let evaluate = |traversal| KernelOp::Evaluate {
             root_branch: 0,
             mask: vec![true],
             tables: Arc::new(EdgeTables {
                 per_partition: Vec::new(),
                 dispatch: KernelDispatch::default(),
             }),
+            traversal,
         };
-        assert_eq!(op.kind(), OpKind::Evaluate);
-        let op = KernelOp::Derivatives {
+        let sumtable = |traversal, first| KernelOp::Sumtable {
+            branch: 0,
+            mask: vec![true],
+            traversal,
+            first,
+        };
+        let first = || Some(vec![Some(0.1)]);
+        let derivatives = KernelOp::Derivatives {
             lengths: vec![Some(0.1)],
         };
-        assert_eq!(op.kind(), OpKind::Derivatives);
+        let labelled = [
+            (evaluate(None), OpKind::Evaluate, "evaluate"),
+            (evaluate(traversal()), OpKind::Evaluate, "newview+evaluate"),
+            (sumtable(None, None), OpKind::Sumtable, "sumtable"),
+            (
+                sumtable(traversal(), None),
+                OpKind::Sumtable,
+                "newview+sumtable",
+            ),
+            (
+                sumtable(None, first()),
+                OpKind::Sumtable,
+                "sumtable+derivatives",
+            ),
+            (
+                sumtable(traversal(), first()),
+                OpKind::Sumtable,
+                "newview+sumtable+derivatives",
+            ),
+            (derivatives, OpKind::Derivatives, "derivatives"),
+        ];
+        for (op, kind, label) in labelled {
+            assert_eq!((op.kind(), op.label()), (kind, label));
+        }
+        // The probe riding on a sum table is one more visit of every pattern
+        // of its partition, costed as a derivative evaluation.
+        let fused = sumtable(None, first());
+        assert_eq!(fused.visits(0), 2);
+        assert_eq!(fused.phase_visits(0)[2], (OpKind::Derivatives, 1));
+        assert_eq!(fused.visits(1), 0, "out of range is inactive");
     }
 }

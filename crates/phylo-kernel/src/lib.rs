@@ -30,8 +30,10 @@
 //!   primitives, used by the instrumented executor and the platform model,
 //! * [`executor`] — the [`Executor`] abstraction: a
 //!   synchronous "command" interface exactly like the master/worker protocol
-//!   of the Pthreads RAxML, plus the sequential reference implementation;
-//!   `execute` is fallible so a lost worker surfaces as a value,
+//!   of the Pthreads RAxML (a command is one likelihood call: optional
+//!   traversal, the op, optional first Newton probe), plus the sequential
+//!   reference implementation; `execute` is fallible so a lost worker
+//!   surfaces as a value,
 //! * [`error`] — [`KernelError`], the unified error the
 //!   engine's `try_*` methods return,
 //! * [`engine`] — [`LikelihoodKernel`], the
@@ -62,6 +64,10 @@
 //! let mut kernel = SequentialKernel::build(patterns, tree, models).unwrap();
 //! let lnl = kernel.try_log_likelihood().unwrap();
 //! assert!(lnl.is_finite() && lnl < 0.0);
+//! // One likelihood call is one command — the traversal that filled the cold
+//! // CLVs rode inside the evaluation — hence one synchronization event.
+//! assert_eq!(kernel.sync_events(), 1);
+//! assert!(kernel.stats().newview_node_updates > 0);
 //! // A second evaluation reuses every cached CLV: zero updates needed.
 //! let root = kernel.default_root_branch();
 //! assert_eq!(kernel.try_update_clvs(root, &kernel.full_mask()).unwrap(), 0);
@@ -87,6 +93,7 @@ pub use engine::{KernelStats, LikelihoodKernel, SequentialKernel};
 pub use error::{KernelError, OpError};
 pub use executor::{
     ExecContext, ExecError, Executor, KernelOp, OpOutput, PartitionMask, SequentialExecutor,
+    TraversalDescriptor,
 };
 pub use slice::{PartitionSlice, SliceBuffers, WorkerSlices};
 pub use tables::{

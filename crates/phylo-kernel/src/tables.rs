@@ -381,7 +381,8 @@ impl BranchTables {
     }
 }
 
-/// The shared-table payload of one `Newview` command: for every partition
+/// The shared-table payload of one traversal (a `Newview` command's own, or
+/// the `TraversalDescriptor` riding on another command): for every partition
 /// with a traversal plan, the (left, right) branch tables of each step,
 /// aligned index-for-index with the plan's steps.
 #[derive(Debug, Clone)]

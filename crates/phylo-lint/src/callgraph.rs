@@ -74,6 +74,10 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
     ),
     ep(
         "crates/phylo-kernel/src/engine.rs",
+        "LikelihoodKernel::try_prepare_branch_at",
+    ),
+    ep(
+        "crates/phylo-kernel/src/engine.rs",
         "LikelihoodKernel::try_branch_derivatives",
     ),
     // The one worker pool: the loop every pool thread runs (solo and

@@ -1,10 +1,12 @@
 //! Newton–Raphson branch-length optimization (the RAxML `makenewz` loop):
 //! one masked stream loop that oldPAR, newPAR and joint estimates all run.
 //!
-//! Per branch, the kernel first builds the branch sum tables (one parallel
-//! region), after which every Newton–Raphson iteration is a single cheap
-//! parallel region evaluating the first and second derivative of the log
-//! likelihood at the current candidate length. With per-partition branch
+//! Per branch, the first parallel region brings the CLVs up to date, builds
+//! the branch sum tables and evaluates the first Newton–Raphson probe; every
+//! further iteration is a single cheap parallel region evaluating the first
+//! and second derivative of the log likelihood at the current candidate
+//! length — `max_p n_p` regions under newPAR and `Σ_p n_p` under oldPAR, the
+//! paper's formula with no additive term. With per-partition branch
 //! lengths the iteration counts differ between partitions; how the
 //! per-partition streams share regions is `ParallelScheme::rounds` and
 //! nothing else — each partition's one-branch likelihood is an independent
@@ -40,11 +42,11 @@ impl BranchOptimizationStats {
 }
 
 /// Optimizes the length(s) of one branch: per round of
-/// `ParallelScheme::rounds`, prepare the branch for the round's
-/// partitions, then iterate its Newton–Raphson streams together — every
-/// region evaluates the derivatives of *all* not-yet-converged streams at
-/// their own candidate lengths, guarded by the boolean convergence vector —
-/// and commit the lengths they converged to.
+/// `ParallelScheme::rounds`, iterate the Newton–Raphson streams of the
+/// round's partitions together — the first region also prepares the branch
+/// for them, and every region evaluates the derivatives of *all*
+/// not-yet-converged streams at their own candidate lengths, guarded by the
+/// boolean convergence vector — and commit the lengths they converged to.
 ///
 /// # Errors
 ///
@@ -73,7 +75,6 @@ pub fn optimize_branch<E: Executor>(
         for &stream in &round {
             mask[members(stream)].fill(true);
         }
-        kernel.try_prepare_branch(branch, &mask)?;
         let mut states: Vec<NewtonState> = round
             .iter()
             .map(|&stream| {
@@ -86,6 +87,11 @@ pub fn optimize_branch<E: Executor>(
                 )
             })
             .collect();
+        // The first proposals are known before the sum table exists, so they
+        // ride with the command that builds it (traversal + sum table + first
+        // derivative in one region, RAxML's `THREAD_MAKENEWZ_FIRST`): the
+        // round costs exactly as many regions as its longest stream probes.
+        let mut unprepared = Some(mask);
         loop {
             // The convergence mask: converged streams are excluded from the
             // parallel region so no likelihood work is wasted on them.
@@ -107,7 +113,10 @@ pub fn optimize_branch<E: Executor>(
             for (&stream, &t) in round.iter().zip(&proposals) {
                 lengths[members(stream)].fill(t);
             }
-            let ders = kernel.try_branch_derivatives(&lengths)?;
+            let ders = match unprepared.take() {
+                Some(mask) => kernel.try_prepare_branch_at(branch, &mask, &lengths)?,
+                None => kernel.try_branch_derivatives(&lengths)?,
+            };
             stats.derivative_regions += 1;
             for ((&stream, state), t) in round.iter().zip(&mut states).zip(proposals) {
                 let Some(t) = t else { continue };

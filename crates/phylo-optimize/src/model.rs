@@ -4,12 +4,12 @@
 //!
 //! Evaluating a candidate α or rate requires invalidating and recomputing the
 //! partition's CLVs with a *full* tree traversal, so every Brent iteration is
-//! expensive: one newview region plus one evaluate region. How many
-//! partitions share those two regions is `ParallelScheme::rounds` and
-//! nothing else: oldPAR pays them per iteration *per partition* (and the
-//! regions only span that partition's patterns); newPAR advances the Brent
+//! expensive: one region that runs the traversal and the evaluation back to
+//! back. How many partitions share that region is `ParallelScheme::rounds`
+//! and nothing else: oldPAR pays it per iteration *per partition* (and the
+//! region only spans that partition's patterns); newPAR advances the Brent
 //! state machines of all not-yet-converged partitions together, so the same
-//! two regions per iteration span every active partition.
+//! one region per iteration spans every active partition.
 
 use phylo_kernel::{Executor, KernelError, LikelihoodKernel};
 use phylo_math::brent::{BrentState, BrentStep};
@@ -24,8 +24,9 @@ use crate::config::OptimizerConfig;
 pub struct ModelOptimizationStats {
     /// Total Brent objective evaluations summed over partitions.
     pub brent_evaluations: u64,
-    /// Parallel evaluation rounds issued (each is one newview + one evaluate
-    /// region); this is the count that differs between oldPAR and newPAR.
+    /// Parallel evaluation rounds issued (each is one region: the full
+    /// traversal and the evaluation); this is the count that differs between
+    /// oldPAR and newPAR.
     pub evaluation_rounds: u64,
 }
 
@@ -112,9 +113,9 @@ fn applicable<E: Executor>(
 /// One Brent pass over a single parameter for every applicable partition:
 /// per round of `ParallelScheme::rounds`, evaluate the initial point of the
 /// round's streams, then iterate their Brent state machines together — every
-/// evaluation round (one newview + one evaluate region) spans *all*
-/// not-yet-converged streams, guarded by the boolean convergence vector — and
-/// apply the best points found.
+/// evaluation round (one region) spans *all* not-yet-converged streams,
+/// guarded by the boolean convergence vector — and apply the best points
+/// found.
 fn optimize_parameter<E: Executor>(
     kernel: &mut LikelihoodKernel<E>,
     param: ModelParameter,

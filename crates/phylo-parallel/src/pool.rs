@@ -402,6 +402,12 @@ fn worker_loop(
                         run_entry(&mut tenants, &batch, entry, worker, queue_wait, samples)
                     })
                     .collect();
+                // The payload dies before the reply: op tables and the
+                // `Tree`/`ModelSet` snapshot are released while the master
+                // still waits, so a returned region owns no master memory
+                // and the master's next table rebuild never coexists with
+                // this region's payload (nor races this thread to free it).
+                drop(batch);
                 if replies.send(results).is_err() {
                     // Master gone: nothing left to serve.
                     return;
@@ -479,6 +485,7 @@ pub(crate) mod tests {
     use crate::{build_workers, schedule, Cyclic, ExecutorOptions, ThreadedExecutor};
     use phylo_kernel::{
         EdgeTables, KernelDispatch, KernelError, LikelihoodKernel, NewviewTables, SequentialKernel,
+        TraversalDescriptor,
     };
     use phylo_models::BranchLengthMode::{self, Joint, PerPartition};
     use phylo_sched::{Assignment, ScheduleStrategy};
@@ -545,27 +552,36 @@ pub(crate) mod tests {
         }
     }
 
-    /// A newview over `plans` whose table payload is empty: only good for
-    /// commands that never reach a table.
-    fn newview_without_tables(plans: Vec<Option<phylo_tree::TraversalPlan>>) -> KernelOp {
-        KernelOp::Newview {
-            plans,
-            tables: Arc::new(NewviewTables {
-                per_partition: Vec::new(),
-                dispatch: KernelDispatch::default(),
-            }),
-        }
+    type Plans = Vec<Option<phylo_tree::TraversalPlan>>;
+
+    /// A traversal table payload that covers nothing: only good for commands
+    /// that never reach a table.
+    fn no_newview_tables() -> Arc<NewviewTables> {
+        Arc::new(NewviewTables {
+            per_partition: Vec::new(),
+            dispatch: KernelDispatch::default(),
+        })
+    }
+
+    /// `plans` as the traversal riding on another command, over the same
+    /// empty table payload.
+    fn riding(plans: Plans) -> Arc<TraversalDescriptor> {
+        let tables = no_newview_tables();
+        Arc::new(TraversalDescriptor { plans, tables })
     }
 
     /// A newview with no plan for any partition: harmless on fresh (empty)
     /// CLV buffers.
     pub(crate) fn nop_newview(partitions: usize) -> KernelOp {
-        newview_without_tables(vec![None; partitions])
+        KernelOp::Newview {
+            plans: vec![None; partitions],
+            tables: no_newview_tables(),
+        }
     }
 
-    /// An evaluate at branch 0 whose table payload is empty: only good for
+    /// An evaluate at branch 0 whose table payloads are empty: only good for
     /// commands that must fail before any table is read.
-    pub(crate) fn evaluate_without_tables(mask: Vec<bool>) -> KernelOp {
+    fn evaluate_over(mask: Vec<bool>, plans: Option<Plans>) -> KernelOp {
         KernelOp::Evaluate {
             root_branch: 0,
             mask,
@@ -573,24 +589,43 @@ pub(crate) mod tests {
                 per_partition: Vec::new(),
                 dispatch: KernelDispatch::default(),
             }),
+            traversal: plans.map(riding),
         }
     }
 
-    /// Every op kind with a per-partition payload of `len` entries, each
-    /// entry active — so a worker that indexed its slices by a too-long
-    /// payload, or a too-short payload by its slices, would go out of bounds.
+    /// [`evaluate_over`] `mask` with nothing riding along.
+    pub(crate) fn evaluate_without_tables(mask: Vec<bool>) -> KernelOp {
+        evaluate_over(mask, None)
+    }
+
+    /// Every per-partition payload a command can carry, `len` entries long
+    /// and each entry active — so a worker that indexed its slices by a
+    /// too-long payload, or a too-short payload by its slices, would go out
+    /// of bounds: each op's own payload first, then the traversal and the
+    /// first probe riding on a carrier whose own mask is well-formed.
     pub(crate) fn ops_with_payload_len(fx: &Fixture, len: usize) -> Vec<KernelOp> {
         let plan = phylo_tree::TraversalPlan::full(&fx.ds.tree, 0);
+        let plans = vec![Some(plan); len];
+        let full = vec![true; fx.partitions()];
+        let sumtable = |mask, plans: Option<Plans>, first| KernelOp::Sumtable {
+            branch: 0,
+            mask,
+            traversal: plans.map(riding),
+            first,
+        };
         vec![
-            newview_without_tables(vec![Some(plan); len]),
-            evaluate_without_tables(vec![true; len]),
-            KernelOp::Sumtable {
-                branch: 0,
-                mask: vec![true; len],
+            KernelOp::Newview {
+                plans: plans.clone(),
+                tables: no_newview_tables(),
             },
+            evaluate_without_tables(vec![true; len]),
+            sumtable(vec![true; len], None, None),
             KernelOp::Derivatives {
                 lengths: vec![Some(0.1); len],
             },
+            evaluate_over(full.clone(), Some(plans.clone())),
+            sumtable(full.clone(), Some(plans), None),
+            sumtable(full, None, Some(vec![Some(0.1); len])),
         ]
     }
 
@@ -721,6 +756,26 @@ pub(crate) mod tests {
         }
         assert_eq!(t.run(vec![t.nop(A), t.nop(B)], None), [OK, OK]);
         assert_eq!(t.pool.thread_ids(), threads);
+    }
+
+    /// A worker used to hold its `Arc<Batch>` across the reply, so the op
+    /// tables and the state snapshot of region *k* could still be alive —
+    /// and be freed by whichever thread came last — while the master
+    /// assembled region *k + 1* (racy before the drop moved ahead of the
+    /// send, deterministic since).
+    #[test]
+    fn a_returned_region_holds_none_of_its_payload() {
+        let t = TwoTenants::new(89);
+        for _ in 0..200 {
+            let snapshot = Arc::new(StateSnapshot {
+                tree: t.fx.ds.tree.clone(),
+                models: t.fx.models.clone(),
+            });
+            let mut entry = t.nop(A);
+            entry.snapshot = Arc::clone(&snapshot);
+            assert_eq!(t.run(vec![entry, t.nop(B)], None), [OK, OK]);
+            assert_eq!(Arc::strong_count(&snapshot), 1);
+        }
     }
 
     #[test]

@@ -246,7 +246,7 @@ impl Executor for ThreadedExecutor {
         // Bracket the region for telemetry (see `end_region`).
         let token = self.telemetry.enabled().then(|| {
             self.telemetry
-                .region_start(op.kind().label(), &op.active_partitions())
+                .region_start(op.label(), &op.active_partitions())
         });
         let width = self.pool.width();
         // Only allocate the per-region record when the measurements are
@@ -306,7 +306,7 @@ impl Executor for ThreadedExecutor {
 mod tests {
     use super::*;
     use crate::pool::tests::{evaluate_without_tables, nop_newview, ops_with_payload_len, Fixture};
-    use phylo_kernel::OpError;
+    use phylo_kernel::{KernelError, KernelStats, LikelihoodKernel, OpError};
     use phylo_models::BranchLengthMode::{Joint, PerPartition};
     use phylo_sched::{Block, Cyclic, ScheduleStrategy, WeightedLpt};
 
@@ -407,9 +407,10 @@ mod tests {
     #[test]
     fn mis_sized_payloads_are_typed_rejections_that_do_not_poison() {
         // `Executor::execute` is a public seam: a mask, length list or plan
-        // list that does not have one entry per partition used to be an index
-        // panic inside the worker — `WorkerDied` and a poisoned executor for
-        // what is deterministic caller misuse.
+        // list — the op's own, or one riding along with it — that does not
+        // have one entry per partition used to be an index panic inside the
+        // worker — `WorkerDied` and a poisoned executor for what is
+        // deterministic caller misuse.
         let fx = Fixture::new(6, 64, 16, 79, Joint);
         let mut exec = fx.executor(&fx.assign(3, &Cyclic), Default::default());
         let telemetry = Telemetry::new(phylo_telemetry::TelemetryConfig::default());
@@ -431,10 +432,73 @@ mod tests {
         // region was left open.
         assert!(exec.execute(&nop_newview(partitions), &ctx).is_ok());
         assert_eq!(exec.pool.thread_ids(), threads);
-        // Twelve rejected regions and the one served, every one closed.
+        // Seven payloads at three lengths rejected and the one region
+        // served, every one closed.
         let counters = telemetry.snapshot().counters;
-        assert_eq!(counters.regions_started, 13);
+        assert_eq!(counters.regions_started, 22);
         assert_eq!(counters.regions_started - counters.regions_completed, 0);
+    }
+
+    /// A worker death *inside* a fused region — after the traversal phase
+    /// may already have overwritten CLVs — must read on the master as if the
+    /// region never ran: validity and `KernelStats` untouched, so the rerun
+    /// after the re-`Install` recomputes and lands on the fault-free bits.
+    #[test]
+    fn a_death_inside_a_fused_region_leaves_the_master_state_untouched() {
+        let fx = Fixture::new(8, 160, 40, 97, PerPartition);
+        let assignment = fx.assign(3, &Cyclic);
+        let mut clean = fx.kernel(fx.executor(&assignment, Default::default()));
+        let (root, mask) = (clean.default_root_branch(), clean.full_mask());
+        let branch = clean.tree().internal_branches()[0];
+        let first = vec![Some(0.2); fx.partitions()];
+        let want_lnl = clean.try_log_likelihood_partitions(root, &mask).unwrap();
+        let want_ders = clean.try_prepare_branch_at(branch, &mask, &first).unwrap();
+
+        let mut k = fx.kernel(fx.executor(&assignment, Default::default()));
+        // Tables are master work done before the region is issued; the
+        // commands the workers completed are what must not be counted.
+        let master_state = |k: &LikelihoodKernel<ThreadedExecutor>| {
+            let valid: Vec<usize> = (0..k.partition_count()).map(|p| k.valid_clvs(p)).collect();
+            let issued = KernelStats {
+                table_builds: 0,
+                table_dedup_hits: 0,
+                ..k.stats()
+            };
+            (issued, valid)
+        };
+        let died = |worker| KernelError::Exec(ExecError::WorkerDied { worker });
+
+        // Cold CLVs: the evaluate carries the full traversal.
+        let before = master_state(&k);
+        k.executor_mut().inject_worker_panic(1, 0);
+        let err = k.try_log_likelihood_partitions(root, &mask).unwrap_err();
+        assert_eq!(err, died(1));
+        assert_eq!(master_state(&k), before);
+        fx.reassign(k.executor_mut(), &assignment);
+        k.invalidate_all();
+        let lnl = k.try_log_likelihood_partitions(root, &mask).unwrap();
+        let lnl_bits = |lnl: &[f64]| lnl.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(lnl_bits(&lnl), lnl_bits(&want_lnl));
+        assert!(k.stats().newview_node_updates > 0);
+
+        // Rooted elsewhere: the sum table carries a partial traversal and
+        // the first probe.
+        let before = master_state(&k);
+        k.executor_mut().inject_worker_panic(2, 0);
+        let err = k.try_prepare_branch_at(branch, &mask, &first).unwrap_err();
+        assert_eq!(err, died(2));
+        assert_eq!(master_state(&k), before);
+        fx.reassign(k.executor_mut(), &assignment);
+        k.invalidate_all();
+        let ders = k.try_prepare_branch_at(branch, &mask, &first).unwrap();
+        assert!(k.stats().newview_node_updates > before.0.newview_node_updates);
+        let bits = |ders: Vec<Option<phylo_kernel::ops::EdgeDerivatives>>| {
+            let fields = |d: phylo_kernel::ops::EdgeDerivatives| {
+                [d.log_likelihood, d.first, d.second].map(f64::to_bits)
+            };
+            ders.into_iter().map(|d| d.map(fields)).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(ders), bits(want_ders));
     }
 
     #[test]

@@ -103,23 +103,25 @@ impl TracingExecutor {
         Ok(())
     }
 
+    /// The analytic work of one region: every phase of the command
+    /// (traversal, op, probe) costed at its own kind and summed, so a
+    /// command that carries its traversal records the work of the separate
+    /// commands it replaces under one synchronization.
     fn region_record(&self, op: &KernelOp, ctx: &ExecContext<'_>) -> RegionRecord {
-        let kind = op.kind();
-        let mut record = RegionRecord::new(kind, self.workers.len());
+        let mut record = RegionRecord::new(op.kind(), self.workers.len());
         record.active_partitions = op.active_partitions();
         for (wi, worker) in self.workers.iter().enumerate() {
             record.active_patterns_per_worker[wi] = active_local_patterns(worker, op) as f64;
             let (mut flops, mut bytes) = (0.0, 0.0);
             for (pi, slice) in worker.slices.iter().enumerate() {
-                let visits = op.visits(pi);
-                if visits == 0 {
-                    continue;
+                let phases = op.phase_visits(pi).into_iter();
+                for (kind, visits) in phases.filter(|&(_, visits)| visits > 0) {
+                    let (per_pattern, per_pattern_bytes) =
+                        kind.pattern_cost(slice.states(), ctx.models.model(pi).categories());
+                    let n = slice.pattern_count() as f64 * visits as f64;
+                    flops += n * per_pattern;
+                    bytes += n * per_pattern_bytes;
                 }
-                let (per_pattern, per_pattern_bytes) =
-                    kind.pattern_cost(slice.states(), ctx.models.model(pi).categories());
-                let n = slice.pattern_count() as f64 * visits as f64;
-                flops += n * per_pattern;
-                bytes += n * per_pattern_bytes;
             }
             record.flops_per_worker[wi] = flops;
             record.bytes_per_worker[wi] = bytes;
@@ -137,7 +139,7 @@ impl Executor for TracingExecutor {
         self.sync_events += 1;
         let token = self.telemetry.enabled().then(|| {
             self.telemetry
-                .region_start(op.kind().label(), &op.active_partitions())
+                .region_start(op.label(), &op.active_partitions())
         });
         let mut record = self.region_record(op, ctx);
         // The virtual workers run sequentially, so each bracket measures one
@@ -245,13 +247,17 @@ mod tests {
     fn trace_records_one_region_per_command() {
         let ds = dataset();
         let mut k = build_tracing(&ds, 8);
+        // A likelihood call ships its traversal inside its own command, so
+        // only the traversal-only command leaves a `Newview` record.
+        let mask = k.full_mask();
+        assert!(k.try_update_clvs(k.default_root_branch(), &mask).unwrap() > 0);
         let _ = k.try_log_likelihood().unwrap();
         let branch = k.tree().internal_branches()[0];
-        let mask = k.full_mask();
         k.try_prepare_branch(branch, &mask).unwrap();
         let lengths: Vec<Option<f64>> = (0..k.partition_count()).map(|_| Some(0.1)).collect();
         let _ = k.try_branch_derivatives(&lengths).unwrap();
         let sync = k.sync_events();
+        assert_eq!(sync, 4, "one region per call");
         let trace = k.executor_mut().take_trace();
         assert_eq!(trace.sync_events() as u64, sync);
         let hist = region_kind_histogram(&trace);
@@ -286,8 +292,8 @@ mod tests {
         let _ = k.try_log_likelihood_partitions(root, &mask).unwrap();
         let trace = k.executor_mut().take_trace();
         // Partition 0 has ~40 patterns over 16 workers; the balance of the
-        // evaluate region is bounded by the pattern distribution, and the
-        // newview region only covers partition 0 as well.
+        // region is bounded by the pattern distribution: its evaluation and
+        // the traversal it carries both cover partition 0 only.
         assert!(
             trace.overall_balance() < 0.95,
             "single-partition regions should show imbalance, got {}",

@@ -78,7 +78,7 @@ impl Executor for PooledExecutor {
         self.sync_events += 1;
         let token = self.telemetry.enabled().then(|| {
             self.telemetry
-                .region_start(op.kind().label(), &op.active_partitions())
+                .region_start(op.label(), &op.active_partitions())
         });
         let request = OpRequest {
             session: self.session,

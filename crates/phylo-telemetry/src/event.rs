@@ -12,7 +12,12 @@ pub enum TelemetryEvent {
         t: f64,
         /// Monotonically increasing region sequence number.
         region: u64,
-        /// Op kind label (`newview`, `evaluate`, `sumtable`, `derivatives`).
+        /// What the region's command carried, phase by phase
+        /// (`KernelOp::label`): `newview` (the traversal-only command),
+        /// `evaluate` / `newview+evaluate`, `sumtable` / `newview+sumtable` /
+        /// `sumtable+derivatives` / `newview+sumtable+derivatives` (a branch
+        /// preparation with its partial traversal and first Newton probe),
+        /// `derivatives`.
         kind: String,
         /// Convergence mask: which partitions are active in this region.
         mask: Vec<bool>,

@@ -24,7 +24,8 @@ fn main() -> Result<(), ServeError> {
     // Six tenants: alternating pure-DNA and mixed DNA+protein datasets,
     // each with its own alignment, tree and models. The big DNA session
     // gets double weight; session "dna-0" has a worker death injected into
-    // its second dispatched op (a chaos drill through the real machinery).
+    // its first dispatched op, the initial-likelihood evaluate (a chaos drill
+    // through the real machinery).
     let mut handles = Vec::new();
     for i in 0..6u64 {
         let (class, dataset) = if i % 2 == 0 {
@@ -36,7 +37,7 @@ fn main() -> Result<(), ServeError> {
             .label(format!("{class}-{i}"))
             .weight(if i == 0 { 2 } else { 1 });
         if i == 0 {
-            spec = spec.inject_worker_fault(workers - 1, 1);
+            spec = spec.inject_worker_fault(workers - 1, 0);
         }
         handles.push(pool.submit(spec)?);
     }

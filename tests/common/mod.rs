@@ -16,6 +16,17 @@ pub fn differential_cases() -> u32 {
         .unwrap_or(6)
 }
 
+/// Taxa of the fixture whose CLVs rescale, every branch in
+/// [`RESCALING_LENGTHS`]. A saturated protein join costs a factor ≈ 1/20 per
+/// tip and the threshold is 1e-100: 24 taxa never get there (PR 17 measured a
+/// largest scale counter of 0), 96 do on about half the seeds of the
+/// differential harness (11 of 20 — conserved columns stay well above the
+/// threshold in the slow Γ categories), 112 and 128 on all 244 sampled.
+pub const RESCALING_TAXA: usize = 128;
+
+/// Branch lengths of the rescaling fixture: every branch near saturation.
+pub const RESCALING_LENGTHS: std::ops::Range<f64> = 3.0..10.0;
+
 /// Rewrites every character of a generated dataset's alignment through
 /// `remap(column, is_protein, character)` (taxon-major, columns ascending),
 /// then recompiles the patterns over the unchanged partition set.

@@ -38,7 +38,7 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 mod common;
-use common::{differential_cases, inject_ambiguity};
+use common::{differential_cases, inject_ambiguity, RESCALING_LENGTHS, RESCALING_TAXA};
 
 use plf_loadbalance::seqgen::GeneratedDataset;
 use plf_loadbalance::tree::topology::MIN_BRANCH_LENGTH;
@@ -312,14 +312,14 @@ proptest! {
     #[test]
     fn dispatches_agree_across_scaling_thresholds(seed in 0u64..10_000) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5CA1E);
-        let base = mixed_dna_protein(24, 1, 1, 40, seed).generate();
+        let base = mixed_dna_protein(RESCALING_TAXA, 1, 1, 40, seed).generate();
         let ds = inject_ambiguity(&base, 0.03, &mut rng);
         let (mut scalar, mut blocked) = kernel_pair(&ds, &mut rng);
-        // Push every branch long: 24 taxa × near-stationary transition
+        // Push every branch long: that many taxa × near-stationary transition
         // probabilities drive protein CLV entries under the threshold.
         let branches: Vec<BranchId> = scalar.tree().branches().collect();
         for branch in branches {
-            let value = rng.gen_range(3.0..MAX_BRANCH_LENGTH);
+            let value = rng.gen_range(RESCALING_LENGTHS);
             scalar.set_branch_length(BranchScope::All, branch, value);
             blocked.set_branch_length(BranchScope::All, branch, value);
         }
@@ -327,6 +327,19 @@ proptest! {
         let mask = scalar.full_mask();
         let s = scalar.try_log_likelihood_partitions(root, &mask).expect("scalar evaluates");
         let b = blocked.try_log_likelihood_partitions(root, &mask).expect("blocked evaluates");
+        // Every scale counter the single worker holds: all partitions, all
+        // computed CLVs, all patterns.
+        let scale_counters = |kernel: &SequentialKernel| -> Vec<i32> {
+            let buffers = kernel.executor().worker().buffers.iter();
+            buffers
+                .flat_map(|b| (0..b.node_capacity()).filter_map(|node| b.scale(node)))
+                .flatten()
+                .copied()
+                .collect()
+        };
+        let events = scale_counters(&scalar);
+        prop_assert!(events.iter().any(|&e| e > 0), "no CLV rescaled: the fixture lost its point");
+        prop_assert_eq!(events, scale_counters(&blocked));
         prop_assert!(s.iter().all(|v| v.is_finite()), "scalar lnL not finite: {s:?}");
         assert_partition_agreement(&ds.patterns, &s, &b, "lnL under scaling");
     }

@@ -10,7 +10,9 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 mod common;
-use common::{differential_cases, inject_ambiguity, remap_alignment};
+use common::{
+    differential_cases, inject_ambiguity, remap_alignment, RESCALING_LENGTHS, RESCALING_TAXA,
+};
 
 fn build_kernel(
     taxa: usize,
@@ -448,6 +450,12 @@ proptest! {
     /// probe totals, and the region counts are exactly `Σ_p n_p` (old) vs
     /// `max_p n_p` (new), `n_p` counted from the probe telemetry. A joint
     /// estimate is one stream, so there the schemes issue the same regions.
+    ///
+    /// Those are *all* the regions there are: a stream's traversal, sum table
+    /// and first probe share one command, so the branch pass synchronizes
+    /// `derivative_regions + 1` times (the `+ 1` is the likelihood
+    /// `optimize_all_branches` returns) and the α pass exactly
+    /// `evaluation_rounds` times, under either scheme.
     #[test]
     fn schemes_regroup_the_same_optimizer_streams(
         seed in 0u64..300,
@@ -470,7 +478,11 @@ proptest! {
             let mut config = OptimizerConfig::new(scheme);
             config.branch_passes = 1;
             let (_, branch_stats) = optimize_all_branches(&mut k, None, &config).unwrap();
+            let branch_regions = k.sync_events();
             let model_stats = optimize_alphas(&mut k, &config).unwrap();
+            let model_regions = k.sync_events() - branch_regions;
+            assert_eq!(branch_regions, branch_stats.derivative_regions + 1, "{scheme}/{mode:?}");
+            assert_eq!(model_regions, model_stats.evaluation_rounds, "{scheme}/{mode:?}");
             // n_p per (branch, partition) Newton stream and per-partition
             // Brent stream, as the probes recorded them.
             let mut newton: BTreeMap<usize, BTreeMap<Option<usize>, u64>> = BTreeMap::new();
@@ -839,18 +851,223 @@ fn check_newton_bit_identity(
     max_events
 }
 
-/// The same on CLVs that have rescaled. 24 taxa do not get there (a
-/// saturated protein join costs a factor ≈ 1/20 per tip, and the threshold is
-/// 1e-100); 96 taxa with every branch long do, so the sum tables inherit
-/// non-zero scale counters and the derivative epilogue subtracts them.
+/// The same on CLVs that have rescaled (the fixture of `tests/common`), so
+/// the sum tables inherit non-zero scale counters and the derivative epilogue
+/// subtracts them.
 #[test]
 fn newton_kernels_are_bit_identical_on_rescaled_clvs() {
-    let events = check_newton_bit_identity(2009, 96, 4, KernelDispatch::Blocked, 3.0..10.0);
+    let events = check_newton_bit_identity(
+        2009,
+        RESCALING_TAXA,
+        4,
+        KernelDispatch::Blocked,
+        RESCALING_LENGTHS,
+    );
     assert!(events > 0, "no CLV rescaled: the fixture lost its point");
+}
+
+/// What a kernel's backend recorded since the last call, for the executors
+/// that keep a trace.
+type TakeTrace<E> = fn(&mut LikelihoodKernel<E>) -> Option<WorkTrace>;
+
+/// One executor's share of a fusion case: the same script of state changes
+/// (cold start, `set_alpha`, `set_branch_length`, `apply_spr`, `undo_spr`)
+/// drives two kernels over the same backend. After each change, under a
+/// random partial mask, `fused` makes each likelihood call as the ONE command
+/// the engine issues for it, `split` as the sequence of public calls that
+/// command replaces: `try_update_clvs` + `try_log_likelihood_partitions`
+/// against `try_log_likelihood_partitions`, and `try_update_clvs` +
+/// `try_prepare_branch` + `try_branch_derivatives` against
+/// `try_prepare_branch_at`. Every root and branch is chosen so that the
+/// traversal is not empty; the two must then agree on every lnL and
+/// derivative bit, on CLV validity, on `KernelStats` and — where the backend
+/// keeps a trace — on the summed analytic work, while synchronizing exactly
+/// 1 vs 2 and 1 vs 3 times.
+fn check_fused_commands<E: plf_loadbalance::kernel::Executor>(
+    fused: &mut LikelihoodKernel<E>,
+    split: &mut LikelihoodKernel<E>,
+    seed: u64,
+    take_trace: TakeTrace<E>,
+    what: &str,
+) {
+    use plf_loadbalance::kernel::engine::SprApplication;
+    use plf_loadbalance::tree::spr::candidate_moves;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xF05ED);
+    let partitions = fused.partition_count();
+    // Per-worker analytic work of everything recorded since the last call.
+    let work = |k: &mut LikelihoodKernel<E>| {
+        take_trace(k).map(|trace| {
+            let live = trace.live_patterns_per_worker_total();
+            let flops = trace.per_worker_total_in(TraceUnit::Flops);
+            let bytes = trace
+                .regions
+                .iter()
+                .fold(vec![0.0; trace.workers], |mut sum, r| {
+                    sum.iter_mut()
+                        .zip(&r.bytes_per_worker)
+                        .for_each(|(s, b)| *s += b);
+                    sum
+                });
+            (flops, bytes, live)
+        })
+    };
+    let state = |k: &LikelihoodKernel<E>| {
+        let valid: Vec<usize> = (0..partitions).map(|p| k.valid_clvs(p)).collect();
+        (k.stats(), valid)
+    };
+    let mut applied: Option<[SprApplication; 2]> = None;
+    for step in ["cold", "alpha", "length", "spr", "undo"] {
+        let what = format!("{what}, {step}");
+        let mut mask: Vec<bool> = (0..partitions).map(|_| rng.gen_bool(0.6)).collect();
+        let touched = rng.gen_range(0..partitions);
+        mask[touched] = true;
+        let branches: Vec<_> = fused.tree().branches().collect();
+        let changed = branches[rng.gen_range(0..branches.len())];
+        match step {
+            "alpha" => {
+                let alpha = rng.gen_range(0.2..2.0);
+                fused.set_alpha(touched, alpha);
+                split.set_alpha(touched, alpha);
+            }
+            "length" => {
+                let length = rng.gen_range(0.01..1.5);
+                fused.set_branch_length(BranchScope::All, changed, length);
+                split.set_branch_length(BranchScope::All, changed, length);
+            }
+            "spr" => {
+                let tree = fused.tree().clone();
+                let moves: Vec<_> = tree
+                    .internal_nodes()
+                    .flat_map(|p| tree.neighbors(p).iter().map(move |&(s, _)| (p, s)))
+                    .flat_map(|(p, s)| candidate_moves(&tree, p, s, 3))
+                    .collect();
+                let mv = moves[rng.gen_range(0..moves.len())];
+                applied = Some([fused.apply_spr(mv).unwrap(), split.apply_spr(mv).unwrap()]);
+            }
+            "undo" => {
+                let [a, b] = applied.take().expect("the move applied one step earlier");
+                fused.undo_spr(&a);
+                split.undo_spr(&b);
+            }
+            _ => {}
+        }
+
+        // Rooted off the branch whose length moved, some CLV is stale.
+        let branches: Vec<_> = fused.tree().branches().filter(|&b| b != changed).collect();
+        let root = branches[rng.gen_range(0..branches.len())];
+        let (at_fused, at_split) = (fused.sync_events(), split.sync_events());
+        let lnl = fused.try_log_likelihood_partitions(root, &mask).unwrap();
+        assert!(split.try_update_clvs(root, &mask).unwrap() > 0, "{what}");
+        let lnl_split = split.try_log_likelihood_partitions(root, &mask).unwrap();
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&lnl), bits(&lnl_split), "lnL, {what}");
+        assert_eq!(
+            (
+                fused.sync_events() - at_fused,
+                split.sync_events() - at_split
+            ),
+            (1, 2),
+            "regions of an evaluation, {what}"
+        );
+        assert_eq!(state(fused), state(split), "after the evaluation, {what}");
+        assert_eq!(work(fused), work(split), "work of the evaluation, {what}");
+
+        // An internal branch other than the root: re-rooting there re-orients
+        // the CLV of its end nearer the old root. Some active partitions sit
+        // the first probe out, as converged streams do.
+        let internal: Vec<_> = fused.tree().internal_branches().to_vec();
+        let internal: Vec<_> = internal.into_iter().filter(|&b| b != root).collect();
+        let branch = internal[rng.gen_range(0..internal.len())];
+        let first: Vec<Option<f64>> = mask
+            .iter()
+            .map(|&active| (active && rng.gen_bool(0.8)).then(|| rng.gen_range(1e-6..2.0)))
+            .collect();
+        let (at_fused, at_split) = (fused.sync_events(), split.sync_events());
+        let ders = fused.try_prepare_branch_at(branch, &mask, &first).unwrap();
+        assert!(split.try_update_clvs(branch, &mask).unwrap() > 0, "{what}");
+        split.try_prepare_branch(branch, &mask).unwrap();
+        let ders_split = split.try_branch_derivatives(&first).unwrap();
+        let fields = |ders: &[Option<EdgeDerivatives>]| -> Vec<Option<[u64; 3]>> {
+            let bits =
+                |d: &EdgeDerivatives| [d.log_likelihood, d.first, d.second].map(f64::to_bits);
+            ders.iter().map(|d| d.as_ref().map(bits)).collect()
+        };
+        assert_eq!(fields(&ders), fields(&ders_split), "derivatives, {what}");
+        assert_eq!(
+            (
+                fused.sync_events() - at_fused,
+                split.sync_events() - at_split
+            ),
+            (1, 3),
+            "regions of a prepared probe, {what}"
+        );
+        assert_eq!(state(fused), state(split), "after the probe, {what}");
+        assert_eq!(work(fused), work(split), "work of the probe, {what}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: differential_cases(), ..ProptestConfig::default() })]
+
+    /// Fusion changes barriers, never bits ([`check_fused_commands`]): on
+    /// random mixed DNA/protein data, under both dispatches and both
+    /// branch-length modes, on the sequential executor, real threads (2 and
+    /// 4) and 16 virtual workers.
+    #[test]
+    fn fused_commands_equal_the_command_sequence(
+        seed in 0u64..100_000,
+        dna_partitions in 1usize..4,
+        protein_partitions in 1usize..3,
+        partition_len in 8usize..24,
+        per_partition in proptest::bool::ANY,
+    ) {
+        let ds = mixed_dna_protein(6, dna_partitions, protein_partitions, partition_len, seed)
+            .generate();
+        let mode = if per_partition { BranchLengthMode::PerPartition } else { BranchLengthMode::Joint };
+        let models = ModelSet::default_for(&ds.patterns, mode);
+        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+        let capacity = ds.tree.node_capacity();
+        for dispatch in [KernelDispatch::Scalar, KernelDispatch::Blocked] {
+            fn pair<E: plf_loadbalance::kernel::Executor>(
+                ds: &plf_loadbalance::seqgen::GeneratedDataset,
+                models: &ModelSet,
+                dispatch: KernelDispatch,
+                executor: impl Fn() -> E,
+            ) -> [LikelihoodKernel<E>; 2] {
+                [(); 2].map(|()| {
+                    let (patterns, tree) = (Arc::clone(&ds.patterns), ds.tree.clone());
+                    let mut k = LikelihoodKernel::try_new(patterns, tree, models.clone(), executor())
+                        .unwrap();
+                    k.set_dispatch(dispatch);
+                    k
+                })
+            }
+            let [mut fused, mut split] = pair(&ds, &models, dispatch, || {
+                plf_loadbalance::kernel::SequentialExecutor::new(&ds.patterns, capacity, &cats)
+            });
+            check_fused_commands(&mut fused, &mut split, seed, |_| None, &format!("{dispatch:?}, sequential"));
+            for workers in [2, 4] {
+                let assignment = schedule(&ds.patterns, &cats, workers, &Cyclic).unwrap();
+                let [mut fused, mut split] = pair(&ds, &models, dispatch, || {
+                    ThreadedExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats).unwrap()
+                });
+                check_fused_commands(&mut fused, &mut split, seed, |_| None, &format!("{dispatch:?}, {workers} threads"));
+            }
+            let assignment = schedule(&ds.patterns, &cats, 16, &WeightedLpt).unwrap();
+            let [mut fused, mut split] = pair(&ds, &models, dispatch, || {
+                TracingExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats).unwrap()
+            });
+            check_fused_commands(
+                &mut fused,
+                &mut split,
+                seed,
+                |k| Some(k.executor_mut().take_trace()),
+                &format!("{dispatch:?}, 16 virtual workers"),
+            );
+        }
+    }
 
     /// The Newton half of the kernel re-nests loops, looks tips up and runs
     /// patterns side by side, but re-associates nothing: every sum-table

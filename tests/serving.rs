@@ -46,10 +46,11 @@ fn injected_worker_death_stays_tenant_local_and_lnl_stays_bit_identical() {
         let mut spec = SessionSpec::new(Arc::clone(&ds.patterns), ds.tree.clone())
             .label(format!("tenant-{i}"));
         if i == 0 {
-            // Worker 1 dies on this session's 2nd dispatched op — the
-            // evaluate of the initial likelihood, before any parameter
-            // commit, so the recovered rerun retraces the solo trajectory.
-            spec = spec.inject_worker_fault(1, 1);
+            // Worker 1 dies on this session's 1st dispatched op — the
+            // evaluate of the initial likelihood (traversal included),
+            // before any parameter commit, so the recovered rerun retraces
+            // the solo trajectory.
+            spec = spec.inject_worker_fault(1, 0);
         }
         handles.push(pool.submit(spec).expect("admission"));
     }
@@ -292,7 +293,8 @@ fn blocked_sessions_reproduce_scalar_solo_optima_with_fault_quarantine() {
         let mut spec = SessionSpec::new(Arc::clone(&ds.patterns), ds.tree.clone())
             .label(format!("blocked-tenant-{i}"));
         if i == 3 {
-            spec = spec.inject_worker_fault(1, 1);
+            // The initial-likelihood evaluate, as above.
+            spec = spec.inject_worker_fault(1, 0);
         }
         handles.push(pool.submit(spec).expect("admission"));
     }

@@ -172,6 +172,45 @@ fn telemetry_does_not_perturb_the_likelihood_at_all() {
     assert!(loud.telemetry_snapshot().is_some());
 }
 
+/// A region says what it carried: a solve issues one command per likelihood
+/// call, so no region is a bare traversal — the traversals ride with the
+/// evaluations and branch preparations that read them — and telemetry sees
+/// exactly the regions the executor synchronized on.
+#[test]
+fn a_solves_regions_say_what_they_carried() {
+    let ds = dataset(31);
+    let mut analysis = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone())
+        .threads(2)
+        .telemetry(TelemetryConfig::default())
+        .build()
+        .unwrap();
+    let _ = analysis
+        .optimize(&OptimizerConfig::new(ParallelScheme::New))
+        .unwrap();
+    let snap = analysis.telemetry_snapshot().unwrap();
+    assert_eq!(snap.counters.events_dropped, 0);
+    let kinds: HashSet<&str> = snap
+        .events
+        .iter()
+        .filter_map(|event| match event {
+            TelemetryEvent::RegionStart { kind, .. } => Some(kind.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert!(!kinds.contains("newview"), "{kinds:?}");
+    for carried in [
+        "newview+evaluate",
+        "newview+sumtable+derivatives",
+        "derivatives",
+    ] {
+        assert!(kinds.contains(carried), "{carried} missing from {kinds:?}");
+    }
+    assert_eq!(
+        snap.counters.regions_started,
+        analysis.kernel().sync_events()
+    );
+}
+
 /// The two export formats round-trip a real run's snapshot: JSONL → events,
 /// Prometheus text → every counter.
 #[test]
