@@ -1,7 +1,7 @@
 //! The paper's seven experiments — Figures 3–6 and the three prose results —
-//! one function each. An experiment's own binary and `all_experiments` both
-//! call that function, so there is one body to keep true. The prose
-//! experiments assert the host-independent facts they print.
+//! one function each, listed by name in [`ALL`] for the `experiments` binary.
+//! Every experiment asserts the host-independent fact it prints, so a run
+//! that exits 0 has shown the paper's qualitative result again.
 
 use std::sync::Arc;
 
@@ -15,12 +15,27 @@ use phylo_seqgen::datasets::{
 };
 
 use crate::{
-    dataset_scale, generate_scaled, print_figure, run_figure_traces, run_traced, trace_summary,
-    Workload,
+    dataset_scale, figure_rows, generate_scaled, print_figure, run_figure_traces, run_traced,
+    trace_summary, Workload,
 };
 
+/// Every experiment by the name the `experiments` binary takes, in the
+/// paper's order: each prints its table and panics if the fact it shows is
+/// false.
+pub const ALL: [(&str, fn()); 7] = [
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("prose_joint_branch", prose_joint_branch),
+    ("prose_model_opt", prose_model_opt),
+    ("prose_protein", prose_protein),
+];
+
 /// Figures 3–5 share one recipe: a full tree search with per-partition
-/// branch lengths, traced in the five configurations of the figure.
+/// branch lengths, traced in the five configurations of the figure. Asserts
+/// that every platform predicts newPAR faster than oldPAR at 8 and 16
+/// workers and that the five configurations reach the same likelihood.
 fn search_figure(title: &str, spec: &DatasetSpec) {
     let dataset = generate_scaled(spec);
     let traces = run_figure_traces(
@@ -29,6 +44,20 @@ fn search_figure(title: &str, spec: &DatasetSpec) {
         Workload::TreeSearch,
     );
     print_figure(title, &dataset, &traces);
+    for row in figure_rows(&traces) {
+        assert!(row.new_8 < row.old_8, "8 workers: {row:?}");
+        if let (Some(old), Some(new)) = (row.old_16, row.new_16) {
+            assert!(new < old, "16 workers: {row:?}");
+        }
+    }
+    let reference = traces.final_lnls[0];
+    for lnl in &traces.final_lnls {
+        assert!(
+            ((lnl - reference) / reference).abs() <= 1e-3,
+            "configurations disagree on the final lnL: {:?}",
+            traces.final_lnls
+        );
+    }
 }
 
 /// Figure 3: d50_50000 (50 taxa, 50 partitions of 1,000 columns).
@@ -56,7 +85,8 @@ pub fn fig5() {
 }
 
 /// Figure 6: Nehalem speedups of an unpartitioned analysis vs newPAR and
-/// oldPAR on d50_50000 at 2, 4 and 8 threads.
+/// oldPAR on d50_50000 at 2, 4 and 8 threads. Asserts that newPAR's
+/// predicted speedup exceeds oldPAR's at every thread count.
 pub fn fig6() {
     let dataset = generate_scaled(&paper_simulated(50, 50_000, 1_000, 352));
     // The unpartitioned reference: same patterns, one partition, one model.
@@ -82,12 +112,18 @@ pub fn fig6() {
         let unpart = search(&unpartitioned, threads, ParallelScheme::New);
         let new_part = search(&dataset, threads, ParallelScheme::New);
         let old_part = search(&dataset, threads, ParallelScheme::Old);
+        let new_speedup = platform.speedup(&seq_part, &new_part);
+        let old_speedup = platform.speedup(&seq_part, &old_part);
         println!(
             "{:<10} {:>14.2} {:>14.2} {:>14.2}",
             threads,
             platform.speedup(&seq_unpart, &unpart),
-            platform.speedup(&seq_part, &new_part),
-            platform.speedup(&seq_part, &old_part),
+            new_speedup,
+            old_speedup,
+        );
+        assert!(
+            new_speedup > old_speedup,
+            "{threads} threads: newPAR speedup {new_speedup} must exceed oldPAR's {old_speedup}"
         );
     }
     println!();

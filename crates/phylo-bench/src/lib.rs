@@ -1,6 +1,13 @@
-//! Shared harness for reproducing the paper's figures and prose results.
+//! The paper's seven experiments on virtual workers: the traced harness
+//! (this module) and one function per experiment ([`experiments`]), all
+//! behind one binary, `experiments [fig3|fig4|fig5|fig6|prose_joint_branch|
+//! prose_model_opt|prose_protein]…` (no argument runs all seven).
 //!
-//! Every figure binary follows the same recipe:
+//! Nothing here reads a clock. An experiment prints predictions of the
+//! analytical platform model and asserts the host-independent fact it shows;
+//! wall-clock claims are `benchmark/` metrics.
+//!
+//! Every figure follows the same recipe:
 //!
 //! 1. generate the dataset (or a proportionally scaled-down version — the
 //!    default, controlled by the `PLF_SCALE` environment variable, keeps the
@@ -41,14 +48,12 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod scheduling;
-pub mod serving;
 
 use std::sync::Arc;
 
 use phylo_kernel::cost::WorkTrace;
 use phylo_kernel::LikelihoodKernel;
-use phylo_models::{BranchLengthMode, ModelSet};
+use phylo_models::{BranchLengthMode, ModelSet, DEFAULT_CATEGORIES};
 use phylo_optimize::{optimize_model_parameters, OptimizerConfig, ParallelScheme};
 use phylo_parallel::{schedule, Assignment, Cyclic, TracingExecutor};
 use phylo_perfmodel::{FigureRow, Platform};
@@ -145,7 +150,8 @@ pub fn run_traced(
     branch_mode: BranchLengthMode,
     workload: Workload,
 ) -> (WorkTrace, f64) {
-    let categories = scheduling::default_categories(dataset);
+    // `ModelSet::default_for` gives every partition `DEFAULT_CATEGORIES`.
+    let categories = vec![DEFAULT_CATEGORIES; dataset.patterns.partition_count()];
     let assignment = schedule(&dataset.patterns, &categories, workers, &Cyclic)
         .expect("figure configurations always use at least one worker");
     run_traced_assignment(dataset, &assignment, scheme, branch_mode, workload)
@@ -247,7 +253,7 @@ pub fn print_figure(title: &str, dataset: &GeneratedDataset, traces: &Experiment
     println!();
 }
 
-/// Sync-event and balance summary of one trace (used by the prose binaries).
+/// Sync-event and balance summary of one trace (used by the prose experiments).
 pub fn trace_summary(label: &str, trace: &WorkTrace) {
     println!(
         "  {label:<28} regions: {:>8}  total GFLOP: {:>10.3}  balance: {:.3}",

@@ -28,7 +28,10 @@ impl Alignment {
     /// * [`DataError::Empty`] if no sequences are given,
     /// * [`DataError::DuplicateTaxon`] if two rows share a name,
     /// * [`DataError::UnequalSequenceLengths`] if the rows have differing
-    ///   lengths.
+    ///   lengths,
+    /// * [`DataError::InvalidCharacter`] for any non-ASCII character: the
+    ///   matrix stores one byte per cell, and truncating `'Ł'` (U+0141) would
+    ///   silently read it as `'A'`.
     pub fn new(rows: Vec<(String, String)>) -> Result<Self, DataError> {
         if rows.is_empty() {
             return Err(DataError::Empty("alignment".into()));
@@ -40,11 +43,17 @@ impl Alignment {
             if taxa.contains(&name) {
                 return Err(DataError::DuplicateTaxon(name));
             }
-            let bytes: Vec<u8> = seq
-                .chars()
-                .filter(|c| !c.is_whitespace())
-                .map(|c| c as u8)
-                .collect();
+            let mut bytes = Vec::with_capacity(columns);
+            for (column, character) in seq.chars().filter(|c| !c.is_whitespace()).enumerate() {
+                if !character.is_ascii() {
+                    return Err(DataError::InvalidCharacter {
+                        character,
+                        sequence: name,
+                        column,
+                    });
+                }
+                bytes.push(character as u8);
+            }
             if bytes.len() != columns {
                 return Err(DataError::UnequalSequenceLengths {
                     expected: columns,
@@ -242,6 +251,31 @@ mod tests {
             err,
             DataError::InvalidCharacter { character: '1', .. }
         ));
+    }
+
+    /// One byte per cell: a non-ASCII residue is rejected where it enters,
+    /// not truncated into some other residue (`'Ł'` as u8 is `'A'`).
+    #[test]
+    fn non_ascii_residues_are_rejected_not_truncated() {
+        for (seq, character) in [("AŁGT", 'Ł'), ("AéGT", 'é')] {
+            assert_eq!(
+                Alignment::new(vec![("t1".into(), seq.into())]).unwrap_err(),
+                DataError::InvalidCharacter {
+                    character,
+                    sequence: "t1".into(),
+                    column: 1,
+                }
+            );
+        }
+        // A raw byte ≥ 0x80 is not UTF-8 and arrives as U+FFFD.
+        assert_eq!(
+            Alignment::from_bytes(vec![("t1".into(), vec![b'A', b'C', 0xE9, b'T'])]).unwrap_err(),
+            DataError::InvalidCharacter {
+                character: char::REPLACEMENT_CHARACTER,
+                sequence: "t1".into(),
+                column: 2,
+            }
+        );
     }
 
     #[test]

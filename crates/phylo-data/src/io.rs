@@ -101,7 +101,8 @@ pub fn parse_phylip(text: &str) -> Result<Alignment, DataError> {
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| DataError::Parse("bad PHYLIP header: missing column count".into()))?;
 
-    let mut rows: Vec<(String, String)> = Vec::with_capacity(n_taxa);
+    // Not pre-sized: `n_taxa` is whatever the header claims.
+    let mut rows: Vec<(String, String)> = Vec::new();
     let mut pending: Option<(String, String)> = None;
     for raw in lines {
         let line = raw.trim();
@@ -243,6 +244,23 @@ mod tests {
         assert!(parse_phylip("x y\n").is_err());
         assert!(parse_phylip("2 8\nt1 ACGTACGT\n").is_err());
         assert!(parse_phylip("1 8\nt1 ACGT\n").is_err());
+    }
+
+    /// The header's taxon count is a claim, not a size to allocate: absurd
+    /// counts are the ordinary record-count mismatch.
+    #[test]
+    fn phylip_header_taxon_count_is_not_trusted() {
+        for claimed in ["18446744073709551615", "1000000000000"] {
+            match parse_phylip(&format!("{claimed} 4\nA ACGT\n")) {
+                Err(DataError::Parse(msg)) => assert!(
+                    msg.contains(&format!(
+                        "header declares {claimed} taxa but 1 records were found"
+                    )),
+                    "{msg}"
+                ),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

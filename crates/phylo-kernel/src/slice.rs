@@ -375,8 +375,7 @@ impl WorkerSlices {
 
     /// Builds worker `worker` with a *block* distribution: the global pattern
     /// index space is cut into `worker_count` contiguous chunks. This is the
-    /// alternative the paper argues against for mixed DNA/protein inputs; the
-    /// ablation benches compare the two.
+    /// alternative the paper argues against for mixed DNA/protein inputs.
     pub fn block(
         patterns: &PartitionedPatterns,
         worker: usize,

@@ -128,8 +128,7 @@ impl ModelSet {
     }
 
     /// Like [`ModelSet::default_for`] but with an explicit number of Γ rate
-    /// categories (1 disables rate heterogeneity; the ablation benches use
-    /// this).
+    /// categories (1 disables rate heterogeneity).
     pub fn with_categories(
         patterns: &PartitionedPatterns,
         branch_mode: BranchLengthMode,

@@ -47,9 +47,7 @@
 
 #![forbid(unsafe_code)]
 
-use phylo_data::DataType;
-use phylo_kernel::cost::{newview_flops, TraceUnit, WorkTrace};
-use phylo_kernel::KernelDispatch;
+use phylo_kernel::cost::{TraceUnit, WorkTrace};
 use phylo_sched::Assignment;
 
 /// Hardware description of one evaluation platform.
@@ -288,56 +286,6 @@ pub fn imbalance_report_in(
     }
 }
 
-/// Measured per-pattern costs of the two data types under one kernel — the
-/// empirical counterpart of the analytic protein/DNA cost ratio.
-///
-/// The paper's argument leans on a `(20/4)² ≈ 25×` analytic ratio;
-/// [`CostCalibration::analytic_ratio`] is what the shipped cost model makes
-/// of it per kernel dispatch. A calibration is obtained by timing
-/// per-pattern likelihood work on a pure-DNA and a pure-protein region (the
-/// `kernel_tables` benchmark does exactly that), and
-/// [`CostCalibration::analytic_drift_factor`] says how far the model has
-/// drifted from it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostCalibration {
-    /// Measured seconds of likelihood work per DNA pattern.
-    pub dna_seconds_per_pattern: f64,
-    /// Measured seconds of likelihood work per protein pattern.
-    pub protein_seconds_per_pattern: f64,
-}
-
-impl CostCalibration {
-    /// Measured protein/DNA per-pattern cost ratio.
-    pub fn ratio(&self) -> f64 {
-        self.protein_seconds_per_pattern / self.dna_seconds_per_pattern
-    }
-
-    /// The analytic protein/DNA ratio of `phylo_kernel::cost::newview_flops`
-    /// under `dispatch`, for equal category counts (which cancel). `Scalar`:
-    /// exactly 21 — tip lookups flatten the per-state gap below the paper's
-    /// "≈25×". `Blocked` (the engine's default): 6.0 — the packed inner
-    /// loops shrink the flop term of both widths by the SIMD lane count
-    /// while the fixed per-(pattern, category) overhead stays scalar, so the
-    /// effective gap *collapses* (overhead dominates the tiny 4×4 product;
-    /// it is noise next to the 20×20 one). The `kernel_tables` yardstick
-    /// gates the blocked value against the measured ratio via
-    /// [`CostCalibration::analytic_drift_factor`].
-    pub fn analytic_ratio(dispatch: KernelDispatch, categories: usize) -> f64 {
-        newview_flops(dispatch, DataType::Protein.states(), categories)
-            / newview_flops(dispatch, DataType::Dna.states(), categories)
-    }
-
-    /// Multiplicative drift of an analytic protein/DNA ratio against this
-    /// measurement: `max(analytic/measured, measured/analytic)`, i.e. 1.0
-    /// when the model matches the hardware exactly and symmetric in the
-    /// direction of the error. The `kernel_tables` yardstick fails when the
-    /// shipped analytic model drifts beyond a factor 2.
-    pub fn analytic_drift_factor(&self, analytic_ratio: f64) -> f64 {
-        let measured = self.ratio();
-        (analytic_ratio / measured).max(measured / analytic_ratio)
-    }
-}
-
 /// One row of a figure-3/4/5-style table: run times for one platform.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureRow {
@@ -556,43 +504,6 @@ mod tests {
             .unwrap();
         let trace = WorkTrace::new(3);
         let _ = imbalance_report(&assignment, &trace);
-    }
-
-    #[test]
-    fn cost_calibration_recalibrates_the_ratio() {
-        let tabled = CostCalibration::analytic_ratio(KernelDispatch::Scalar, 4);
-        assert!((tabled - 21.0).abs() < 1e-12, "{tabled}");
-
-        let measured = CostCalibration {
-            dna_seconds_per_pattern: 1.0e-6,
-            protein_seconds_per_pattern: 21.0e-6,
-        };
-        assert!((measured.ratio() - 21.0).abs() < 1e-12);
-        assert!((measured.analytic_drift_factor(tabled) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn blocked_analytic_ratio_and_drift() {
-        // The blocked cost model collapses the protein/DNA gap: packed
-        // arithmetic divides the flop term by the lane count while the fixed
-        // per-(pattern, category) overhead stays scalar. Pin the shape so a
-        // silent cost-model edit cannot drift away from the measured ratio
-        // the kernel_tables yardstick gates against.
-        let blocked = CostCalibration::analytic_ratio(KernelDispatch::Blocked, 4);
-        assert!((blocked - 6.0).abs() < 1e-12);
-        // Categories cancel in the ratio.
-        let one = CostCalibration::analytic_ratio(KernelDispatch::Blocked, 1);
-        assert!((one - blocked).abs() < 1e-12);
-        assert!(blocked < CostCalibration::analytic_ratio(KernelDispatch::Scalar, 4));
-
-        // Drift factor is symmetric and 1.0 at an exact match.
-        let exact = CostCalibration {
-            dna_seconds_per_pattern: 1.0e-7,
-            protein_seconds_per_pattern: 6.0e-7,
-        };
-        assert!((exact.analytic_drift_factor(6.0) - 1.0).abs() < 1e-12);
-        assert!((exact.analytic_drift_factor(12.0) - 2.0).abs() < 1e-12);
-        assert!((exact.analytic_drift_factor(3.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

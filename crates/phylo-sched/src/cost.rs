@@ -62,8 +62,7 @@ impl PatternCosts {
     /// virtual-trace costs directly comparable); under `Blocked` the packed
     /// inner loops shrink the arithmetic term of both state widths by the
     /// SIMD lane count while the fixed per-(pattern, category) overhead stays
-    /// scalar, so the ratio collapses to 6 (`kernel_tables` gates this model
-    /// against the measured ratio) — packing a blocked run against the
+    /// scalar, so the ratio collapses to 6 — packing a blocked run against the
     /// scalar ratio would over-weigh protein partitions by ≈3.5×.
     ///
     /// `categories` gives the number of Γ rate categories per partition (same

@@ -16,8 +16,7 @@
 //! * [`Assignment`] — an explicit pattern→worker map with the per-worker
 //!   predicted cost, plus the imbalance metrics
 //!   ([`Assignment::imbalance`], [`Assignment::max_cost`],
-//!   [`Assignment::mean_cost`]) that `phylo-perfmodel` and `phylo-bench`
-//!   consume.
+//!   [`Assignment::mean_cost`]) that `phylo-perfmodel` consumes.
 //! * [`ScheduleStrategy`] — the strategy trait, with five implementations:
 //!   [`Cyclic`] and [`Block`] (the paper's two schemes, reproduced bit-for-bit
 //!   through the new interface), [`WeightedLpt`] (longest-processing-time

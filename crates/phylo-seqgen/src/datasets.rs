@@ -137,6 +137,39 @@ pub fn mixed_dna_protein(
     }
 }
 
+/// Builds the spec of a DNA dataset whose partitions converge at staggered
+/// rates because their gene lengths differ 5×: long genes (lots of data,
+/// sharp likelihoods) converge their Newton streams quickly, the short
+/// genes' flat likelihoods keep iterating. Late in every branch's Newton
+/// stream only the slow partitions stay live, so the cyclic placement's
+/// balance over the *live* set — not over the totals — determines the
+/// measured imbalance.
+pub fn staggered_convergence(seed: u64) -> DatasetSpec {
+    // Twelve pairs of one 40-column and one 8-column DNA gene. With 16
+    // workers the cyclic arithmetic works out as follows: each pair is 48
+    // patterns ≡ 0 (mod 16), so every long gene starts at an offset ≡ 0 —
+    // its 8 surplus patterns (40 = 2·16 + 8) always land on workers 0–7 —
+    // and every short gene starts at an offset ≡ 8, landing *entirely* on
+    // workers 8–15. Under the full mask the two effects cancel exactly
+    // (every worker owns 3 patterns per pair), so the totals are balanced
+    // and a total-cost (between-round) rescheduler has nothing to fix. But
+    // the gene lengths differ 5×, so the partitions converge at staggered
+    // rates — the short genes' flat likelihoods keep their Newton streams
+    // alive longest — and the late, partial convergence masks are heavily
+    // skewed: short-gene phases run entirely on workers 8–15 (measured
+    // imbalance 2.0) while long-gene phases overload workers 0–7. Only a
+    // mask-aware, within-round repack can react to that shape.
+    DatasetSpec {
+        name: "staggered_pairs_40x8".to_string(),
+        taxa: 8,
+        partition_columns: [40, 8].repeat(12),
+        data_type: DataType::Dna,
+        protein_partitions: Vec::new(),
+        missing_taxa_fraction: 0.0,
+        seed,
+    }
+}
+
 /// Builds the spec of one of the synthetic real-world stand-ins.
 pub fn paper_real_world(kind: RealWorldKind) -> DatasetSpec {
     let mut rng = ChaCha8Rng::seed_from_u64(match kind {

@@ -35,6 +35,7 @@ pub mod datasets;
 pub mod simulate;
 
 pub use datasets::{
-    paper_real_world, paper_simulated, DatasetSpec, GeneratedDataset, RealWorldKind,
+    paper_real_world, paper_simulated, staggered_convergence, DatasetSpec, GeneratedDataset,
+    RealWorldKind,
 };
 pub use simulate::{simulate_alignment, SimulationConfig};

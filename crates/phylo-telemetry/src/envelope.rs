@@ -1,10 +1,10 @@
-//! The shared `BENCH_*.json` envelope every bench gate emits.
+//! The `BENCH_*.json` envelope a self-gating tool emits: run metadata, the
+//! dataset, the gate thresholds, the measured values, and the list of
+//! violations (empty = gate passed).
 //!
-//! Before this module each gate binary either wrote its own ad-hoc JSON or
-//! none at all; now `strategy_report`, `adaptive_resched`, `mask_resched`,
-//! `kernel_tables` and `telemetry_report` all serialize through one schema:
-//! run metadata, the dataset, the gate thresholds, the measured values, and
-//! the list of violations (empty = gate passed).
+//! Its one writer is `phylo-lint --check` (`BENCH_phylo_lint.json`), whose
+//! measures are counts. No envelope carries a timing: wall-clock claims are
+//! `benchmark/` metrics, recorded per host in `benchmark/results/`.
 
 use crate::json::JsonValue;
 
@@ -16,7 +16,7 @@ pub const BENCH_SCHEMA: &str = "plf-bench/v1";
 pub struct BenchEnvelope {
     /// Schema identifier ([`BENCH_SCHEMA`]).
     pub schema: String,
-    /// Gate name (`kernel_tables`, `telemetry_report`, ...).
+    /// Gate name (`phylo_lint`).
     pub report: String,
     /// Human-readable dataset description.
     pub dataset: String,

@@ -149,6 +149,97 @@ impl TelemetrySnapshot {
             .collect()
     }
 
+    /// Renders the event log as a per-region ASCII timeline: one line per
+    /// region (sequence number, op kind, convergence mask as `#`/`.`, wall
+    /// time, per-worker load lanes), with reschedule / death / recovery /
+    /// round markers inline. Region lines elide after `max_region_lines`;
+    /// markers always print.
+    pub fn render_timeline(&self, max_region_lines: usize) -> String {
+        use std::collections::HashMap;
+        use std::fmt::Write;
+
+        let mut out = String::new();
+        let mut masks: HashMap<u64, String> = HashMap::new();
+        let mut region_lines = 0usize;
+        let mut elided = 0usize;
+        for event in &self.events {
+            match event {
+                TelemetryEvent::RegionStart { region, mask, .. } => {
+                    let mask = mask.iter().map(|&a| if a { '#' } else { '.' }).collect();
+                    masks.insert(*region, mask);
+                }
+                TelemetryEvent::RegionEnd {
+                    t,
+                    region,
+                    kind,
+                    seconds,
+                    worker_seconds,
+                    ..
+                } => {
+                    let mask = masks.remove(region).unwrap_or_default();
+                    if region_lines >= max_region_lines {
+                        elided += 1;
+                        continue;
+                    }
+                    region_lines += 1;
+                    let max = worker_seconds.iter().copied().fold(0.0f64, f64::max);
+                    let lanes: String = worker_seconds.iter().map(|&s| lane_char(s, max)).collect();
+                    let _ = writeln!(
+                        out,
+                        "{t:>9.4}s  #{region:<5} {kind:<28} [{mask}] {:>9.1}us |{lanes}|",
+                        seconds * 1e6
+                    );
+                }
+                TelemetryEvent::Reschedule {
+                    t,
+                    round,
+                    within_round,
+                    measured_imbalance,
+                    predicted_imbalance,
+                } => {
+                    let when = if *within_round {
+                        "within round"
+                    } else {
+                        "round boundary"
+                    };
+                    let _ = writeln!(
+                        out,
+                        "{t:>9.4}s  >>> reschedule ({when}, round {round}): measured imbalance \
+                         {measured_imbalance:.3} -> predicted {predicted_imbalance:.3}"
+                    );
+                }
+                TelemetryEvent::WorkerDeath { t, worker, region } => {
+                    let _ = writeln!(
+                        out,
+                        "{t:>9.4}s  !!! worker {worker} died in region #{region}"
+                    );
+                }
+                TelemetryEvent::WorkerRecovery { t, worker, attempt } => {
+                    let _ = writeln!(
+                        out,
+                        "{t:>9.4}s  +++ worker {worker} recovered (attempt {attempt})"
+                    );
+                }
+                TelemetryEvent::OptimizerRound {
+                    t,
+                    round,
+                    log_likelihood,
+                    ..
+                } => {
+                    let _ = writeln!(
+                        out,
+                        "{t:>9.4}s  === round {round} done: lnL = {log_likelihood:.6}"
+                    );
+                }
+                _ => {}
+            }
+        }
+        if elided > 0 {
+            let _ = writeln!(out, "           ... ({elided} more regions elided)");
+        }
+        out
+    }
+
     /// The event log as JSONL: one compact JSON object per line.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -229,6 +320,18 @@ impl TelemetrySnapshot {
         }
         out
     }
+}
+
+/// One worker lane character of [`TelemetrySnapshot::render_timeline`]: the
+/// worker's share of the region's slowest lane, on a ten-step ASCII density
+/// ramp.
+fn lane_char(seconds: f64, max: f64) -> char {
+    const RAMP: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
+    if max <= 0.0 {
+        return ' ';
+    }
+    let idx = ((seconds / max) * (RAMP.len() - 1) as f64).round() as usize;
+    RAMP[idx.min(RAMP.len() - 1)]
 }
 
 #[cfg(test)]

@@ -61,12 +61,14 @@ fn format_length(len: f64) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`TreeError::Parse`] for syntax errors and [`TreeError::Invalid`]
-/// if the described tree is not strictly binary after unrooting.
+/// Returns [`TreeError::Parse`] for syntax errors and for parentheses nested
+/// deeper than 512 levels, and [`TreeError::Invalid`] if the described tree
+/// is not strictly binary after unrooting.
 pub fn parse_newick(text: &str) -> Result<Tree, TreeError> {
     let mut parser = Parser {
         chars: text.trim().chars().collect(),
         pos: 0,
+        depth: 0,
     };
     let root = parser.parse_clade()?;
     parser.skip_whitespace();
@@ -89,6 +91,16 @@ pub fn parse_newick(text: &str) -> Result<Tree, TreeError> {
     build_tree(root)
 }
 
+/// Deepest parenthesis nesting [`parse_newick`] accepts. The parser, the
+/// tree builder and the drop of the intermediate clades each recurse once per
+/// level, and an unoptimized build spends ≈ 1.5 KB of stack on a level, so
+/// 512 levels fit a 2 MiB stack (Rust's default for spawned and test
+/// threads) with more than half of it to spare. Only a caterpillar-shaped
+/// tree comes near: a balanced tree this deep has more taxa than memory.
+/// [`to_newick`] re-roots next to leaf 0, so a tree accepted within a factor
+/// two of the bound can serialize deeper than it and not parse back.
+const MAX_NESTING: usize = 512;
+
 /// Intermediate recursive structure produced by the parser.
 #[derive(Debug)]
 struct Clade {
@@ -100,6 +112,8 @@ struct Clade {
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Open parentheses around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -122,6 +136,13 @@ impl Parser {
         };
         if self.peek() == Some('(') {
             self.pos += 1;
+            self.depth += 1;
+            if self.depth > MAX_NESTING {
+                return Err(TreeError::Parse(format!(
+                    "parentheses nested deeper than {MAX_NESTING} at position {}",
+                    self.pos
+                )));
+            }
             loop {
                 let child = self.parse_clade()?;
                 clade.children.push(child);
@@ -132,6 +153,7 @@ impl Parser {
                     }
                     Some(')') => {
                         self.pos += 1;
+                        self.depth -= 1;
                         break;
                     }
                     other => {
@@ -394,6 +416,39 @@ mod tests {
         assert!(parse_newick("(A,A,B);").is_err());
         assert!(parse_newick("(A,B,C,D);").is_err());
         assert!(parse_newick("(A:0.1,B:0.2,(C:0.3,D:0.4):0.5); trailing").is_err());
+    }
+
+    /// A caterpillar whose deepest cherry sits inside `nesting` parentheses.
+    fn caterpillar(nesting: usize) -> String {
+        let mut text = "(".repeat(nesting);
+        text.push_str("a,b");
+        for i in 2..nesting {
+            text.push_str(&format!("):0.1,t{i}"));
+        }
+        text.push_str("):0.1,y,z);");
+        text
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_bound_fits_a_small_stack() {
+        // 2 MiB is what a spawned thread gets by default; the deepest
+        // accepted input must parse, build, serialize and drop on it.
+        let on_small_stack = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let tree = parse_newick(&caterpillar(MAX_NESTING)).unwrap();
+                assert_eq!(tree.n_taxa(), MAX_NESTING + 2);
+                let back = parse_newick(&to_newick(&tree)).unwrap();
+                assert_eq!(back.n_taxa(), tree.n_taxa());
+                for text in [caterpillar(MAX_NESTING + 1), "(".repeat(1_000_000)] {
+                    match parse_newick(&text) {
+                        Err(TreeError::Parse(msg)) => assert!(msg.contains("nested deeper")),
+                        other => panic!("expected a parse error, got {other:?}"),
+                    }
+                }
+            })
+            .unwrap();
+        on_small_stack.join().unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Telemetry: record a full adaptive optimization run — regions, cache
-//! counters, reschedules, optimizer probes — and export the unified
-//! timeline as JSONL and Prometheus text.
+//! counters, reschedules, optimizer probes — draw it as a per-region ASCII
+//! timeline and export it as JSONL and Prometheus text.
 //!
 //! Telemetry is off by default and costs one pointer check per
 //! instrumentation site when disabled; one builder call arms it for the
@@ -17,21 +17,7 @@ fn main() -> Result<(), AnalysisError> {
     // the late convergence masks are heavily skewed — exactly the shape the
     // mask-aware within-round rescheduler reacts to, so the run produces
     // migrations to observe.
-    let mut layout = Vec::new();
-    for _ in 0..12 {
-        layout.push(40usize);
-        layout.push(8);
-    }
-    let dataset = DatasetSpec {
-        name: "staggered_pairs_40x8".to_string(),
-        taxa: 8,
-        partition_columns: layout,
-        data_type: DataType::Dna,
-        protein_partitions: Vec::new(),
-        missing_taxa_fraction: 0.0,
-        seed: 2026,
-    }
-    .generate();
+    let dataset = staggered_convergence(2026).generate();
     let mut analysis = Analysis::builder(Arc::clone(&dataset.patterns), dataset.tree.clone())
         .threads(16)
         .strategy(Cyclic)
@@ -99,7 +85,12 @@ fn main() -> Result<(), AnalysisError> {
         }
     }
 
-    // 4. Exports: JSONL (one event per line, round-trippable) and
+    // 4. The same log as a per-region timeline: worker-load lanes, the
+    //    shrinking `#`/`.` convergence masks, `>>> reschedule` markers.
+    println!("\n--- timeline ---");
+    print!("{}", snapshot.render_timeline(48));
+
+    // 5. Exports: JSONL (one event per line, round-trippable) and
     //    Prometheus text (counters, gauges, histograms).
     let jsonl = snapshot.to_jsonl();
     let reparsed = TelemetrySnapshot::events_from_jsonl(&jsonl);

@@ -237,7 +237,7 @@ impl AnalysisBuilder {
     /// width-specialized fast path). [`KernelDispatch::Scalar`] selects the
     /// straight-loop reference kernels — DNA partitions agree bit for bit
     /// under both dispatches, protein partitions within the documented
-    /// `1e-12` lnL tolerance (the `kernel_tables` gate enforces both). The
+    /// `1e-12` lnL tolerance (`tests/kernel_differential.rs` enforces both). The
     /// schedule's analytic cost model follows the selected dispatch.
     #[must_use]
     pub fn kernel(mut self, dispatch: KernelDispatch) -> Self {

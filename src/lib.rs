@@ -71,9 +71,7 @@ pub mod prelude {
     pub use phylo_parallel::{
         build_workers, schedule, ExecutorOptions, ThreadedExecutor, TracingExecutor, WorkerSkew,
     };
-    pub use phylo_perfmodel::{
-        imbalance_report, imbalance_report_in, CostCalibration, ImbalanceReport, Platform,
-    };
+    pub use phylo_perfmodel::{imbalance_report, imbalance_report_in, ImbalanceReport, Platform};
     pub use phylo_sched::{
         worker_imbalance, Assignment, Block, Cyclic, PartitionAwareLpt, PatternCosts, Reassignable,
         RescheduleDecision, ReschedulePolicy, Rescheduler, SchedError, ScheduleStrategy,
@@ -81,7 +79,8 @@ pub mod prelude {
     };
     pub use phylo_search::{tree_search, tree_search_with_policy, SearchConfig, SearchResult};
     pub use phylo_seqgen::datasets::{
-        mixed_dna_protein, paper_real_world, paper_simulated, DatasetSpec, RealWorldKind,
+        mixed_dna_protein, paper_real_world, paper_simulated, staggered_convergence, DatasetSpec,
+        RealWorldKind,
     };
     pub use phylo_serve::{
         AdmissionError, PoolStats, ServeError, SessionManager, SessionOutcome, SessionSpec,

@@ -159,9 +159,22 @@ fn dataset_io_round_trip_through_files() {
     std::fs::remove_file(&partition_path).ok();
 }
 
-// The shared probe from the bench crate keeps this acceptance test and the
-// `adaptive_resched` report measuring imbalance the same way.
-use phylo_bench::scheduling::probe_wall_clock_imbalance;
+/// Measures the wall-clock imbalance of the kernel's *current* ownership
+/// with a standardized probe workload (`repeats` full likelihood
+/// recomputations), so the static and the rescheduled run are compared on
+/// the same footing. Discards whatever trace had accumulated before.
+fn probe_wall_clock_imbalance(
+    kernel: &mut LikelihoodKernel<ThreadedExecutor>,
+    repeats: usize,
+) -> f64 {
+    let _ = kernel.executor_mut().take_trace();
+    for _ in 0..repeats {
+        kernel.invalidate_all();
+        let _ = kernel.try_log_likelihood().unwrap();
+    }
+    let trace = kernel.executor_mut().take_trace();
+    worker_imbalance(&trace.per_worker_total_in(TraceUnit::Seconds))
+}
 
 /// The PR's acceptance criterion: on a mixed DNA/protein dataset with one
 /// artificially skewed worker, a single mid-run reschedule driven by real
@@ -424,45 +437,98 @@ fn analysis_builder_misuse_is_typed() {
     ));
 }
 
-/// The mask-aware acceptance criterion: within-round rescheduling driven by
-/// the convergence-mask shape fires on the staggered-convergence dataset and
+/// The scheduler's acceptance criterion on the mixed DNA/protein dataset
+/// (12 DNA + 4 protein genes of 600 columns, the protein tail ≈ 21× per
+/// pattern under the tabled cost model): the cost-aware LPT packing never
+/// predicts a heavier worst worker than cyclic and is strictly lighter than
+/// the contiguous block scheme, at 8 and at 16 workers.
+#[test]
+fn weighted_lpt_beats_block_and_matches_cyclic_on_the_mixed_dataset() {
+    let ds = mixed_dna_protein(12, 12, 4, 600, 2009).generate();
+    let categories = vec![4; ds.patterns.partition_count()];
+    let costs = PatternCosts::analytic_tabled(&ds.patterns, &categories);
+    for workers in [8usize, 16] {
+        let lpt = WeightedLpt.assign(&costs, workers).unwrap().max_cost();
+        let cyclic = Cyclic.assign(&costs, workers).unwrap().max_cost();
+        let block = Block.assign(&costs, workers).unwrap().max_cost();
+        assert!(
+            lpt <= cyclic + 1e-9,
+            "{workers} workers: weighted-lpt max predicted cost {lpt} exceeds cyclic {cyclic}"
+        );
+        assert!(
+            lpt < block,
+            "{workers} workers: weighted-lpt max predicted cost {lpt} does not beat block {block}"
+        );
+    }
+}
+
+/// The mask-aware acceptance criterion, on 16 virtual workers with
+/// deterministic FLOP measurements: within-round rescheduling driven by the
+/// convergence-mask shape fires on the staggered-convergence dataset and
 /// preserves the log likelihood to ≤ 1e-8 across every migration — both at
 /// the migration boundary (event check) and against a full recomputation on
-/// the migrated workers.
+/// the migrated workers — and the placement it ends on balances the masked
+/// regions better than static cyclic and than a between-round-only
+/// rescheduler, placement against placement: the masked-region imbalance of
+/// the same full optimization re-run from scratch under each run's final
+/// assignment, free of each run's pre-trigger history.
 #[test]
 fn mask_aware_rescheduling_preserves_the_likelihood() {
-    use phylo_bench::scheduling::staggered_convergence_dataset;
-
-    let ds = staggered_convergence_dataset(2026);
+    let ds = staggered_convergence(2026).generate();
     let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
     let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
     let costs = PatternCosts::analytic_tabled(&ds.patterns, &categories);
     let cyclic = schedule(&ds.patterns, &categories, 16, &Cyclic).unwrap();
-    let executor = TracingExecutor::from_assignment(
-        &ds.patterns,
-        &cyclic,
-        ds.tree.node_capacity(),
-        &categories,
-    )
-    .unwrap();
-    let mut kernel =
-        LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, executor)
-            .unwrap();
-
-    let mut rescheduler = Rescheduler::new(ReschedulePolicy {
-        imbalance_threshold: 1.25,
-        min_regions: 12,
-        unit: TraceUnit::Flops,
-        max_reschedules: 4,
-        mask_aware: true,
-    });
     let config = OptimizerConfig::new(ParallelScheme::New);
-    let adaptive = optimize_model_parameters_with_policy(
-        &mut kernel,
-        &config,
-        RunPolicy::rescheduling(&mut rescheduler, &costs),
-    )
-    .unwrap();
+    let kernel_on = |assignment: &Assignment| {
+        let executor = TracingExecutor::from_assignment(
+            &ds.patterns,
+            assignment,
+            ds.tree.node_capacity(),
+            &categories,
+        )
+        .unwrap();
+        LikelihoodKernel::try_new(
+            Arc::clone(&ds.patterns),
+            ds.tree.clone(),
+            models.clone(),
+            executor,
+        )
+        .unwrap()
+    };
+    // A full optimization from scratch under `assignment`: its final lnL and
+    // the FLOP imbalance over its masked regions (1.0 is perfect).
+    let placement = |assignment: &Assignment| {
+        let mut kernel = kernel_on(assignment);
+        let report = optimize_model_parameters(&mut kernel, &config).unwrap();
+        let trace = kernel.executor_mut().take_trace();
+        (
+            report.final_log_likelihood,
+            1.0 / trace.masked_overall_balance_in(TraceUnit::Flops),
+        )
+    };
+    // The same run from the cyclic placement under a rescheduler — identical
+    // thresholds, within-round consultation on or off: the kernel on its
+    // final placement and what the run returned.
+    let rescheduled = |mask_aware| {
+        let mut kernel = kernel_on(&cyclic);
+        let mut rescheduler = Rescheduler::new(ReschedulePolicy {
+            imbalance_threshold: 1.25,
+            min_regions: 12,
+            unit: TraceUnit::Flops,
+            max_reschedules: 4,
+            mask_aware,
+        });
+        let run = optimize_model_parameters_with_policy(
+            &mut kernel,
+            &config,
+            RunPolicy::rescheduling(&mut rescheduler, &costs),
+        )
+        .unwrap();
+        (kernel, run)
+    };
+
+    let (mut kernel, adaptive) = rescheduled(true);
     let sequence: Vec<(usize, bool)> = adaptive
         .events
         .iter()
@@ -502,6 +568,36 @@ fn mask_aware_rescheduling_preserves_the_likelihood() {
         "recomputation drifted: {recomputed} vs {}",
         adaptive.report.final_log_likelihood
     );
+    let mask_aware_placement = kernel.executor_mut().assignment().clone();
+
+    // Between rounds only, the rescheduler sees total cost — which the
+    // dataset balances by construction.
+    let (mut kernel, between) = rescheduled(false);
+    for event in &between.events {
+        assert!(!event.within_round);
+        assert!(event.log_likelihood_drift() <= 1e-8);
+    }
+    let between_placement = kernel.executor_mut().assignment().clone();
+
+    // The static run's final placement is the cyclic one it started on, so
+    // its own trace is its placement measurement.
+    let (static_lnl, static_masked) = placement(&cyclic);
+    let (_, between_masked) = placement(&between_placement);
+    let (_, aware_masked) = placement(&mask_aware_placement);
+    assert!(
+        aware_masked < static_masked && aware_masked < between_masked,
+        "masked-region imbalance: mask-aware {aware_masked:.3} must be below static cyclic \
+         {static_masked:.3} and between-round-only {between_masked:.3}"
+    );
+    for (label, lnl) in [
+        ("between-round", between.report.final_log_likelihood),
+        ("mask-aware", adaptive.report.final_log_likelihood),
+    ] {
+        assert!(
+            ((lnl - static_lnl) / static_lnl).abs() <= 1e-6,
+            "{label} final lnL {lnl} deviates from static cyclic {static_lnl}"
+        );
+    }
 }
 
 /// The traced facade session reproduces the figure pipeline: a search run

@@ -1008,6 +1008,113 @@ fn check_fused_commands<E: plf_loadbalance::kernel::Executor>(
     }
 }
 
+/// Numbers no header, range or branch length should carry.
+const HOSTILE_NUMBERS: [&str; 4] = ["18446744073709551615", "99999999999999999999", "0", "-1"];
+
+/// One seeded mutation of valid parser input, by kind: truncation at a
+/// random byte, a duplicated line (a taxon or partition twice), spliced
+/// random bytes (non-UTF-8 included, read lossily as a file would be), a
+/// number inflated past every size the input could have, a descending or
+/// empty `a-b` range, and unbalanced or 10⁵-deep parentheses.
+fn mutate_parser_input(text: &str, kind: usize, rng: &mut rand_chacha::ChaCha8Rng) -> String {
+    use rand::Rng;
+    let bytes = text.as_bytes();
+    let at = rng.gen_range(0..bytes.len());
+    // Maximal runs of ASCII digits, as byte ranges.
+    let numbers: Vec<std::ops::Range<usize>> = {
+        let mut runs = Vec::new();
+        let mut start = None;
+        for (i, b) in bytes.iter().chain(std::iter::once(&b' ')).enumerate() {
+            match (b.is_ascii_digit(), start) {
+                (true, None) => start = Some(i),
+                (false, Some(s)) => {
+                    runs.push(s..i);
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        runs
+    };
+    let mutated: Vec<u8> = match kind {
+        0 => bytes[..at].to_vec(),
+        1 => {
+            let lines: Vec<&str> = text.lines().collect();
+            let twice = rng.gen_range(0..lines.len());
+            let mut out = Vec::new();
+            for (i, line) in lines.iter().enumerate() {
+                for _ in 0..1 + usize::from(i == twice) {
+                    out.extend_from_slice(line.as_bytes());
+                    out.push(b'\n');
+                }
+            }
+            out
+        }
+        2 => {
+            let noise: Vec<u8> = (0..rng.gen_range(1..9usize))
+                .map(|_| rng.gen_range(0..=255u8))
+                .collect();
+            [&bytes[..at], &noise, &bytes[at..]].concat()
+        }
+        3 if !numbers.is_empty() => {
+            let run = numbers[rng.gen_range(0..numbers.len())].clone();
+            let hostile = HOSTILE_NUMBERS[rng.gen_range(0..HOSTILE_NUMBERS.len())];
+            [&bytes[..run.start], hostile.as_bytes(), &bytes[run.end..]].concat()
+        }
+        4 => {
+            // Every `a-b` becomes `b-a` (descending) or `a-(a-1)` (empty).
+            let empty = rng.gen_bool(0.5);
+            let mut out = bytes.to_vec();
+            for pair in numbers.windows(2).rev() {
+                let (a, b) = (pair[0].clone(), pair[1].clone());
+                if a.end + 1 == b.start && bytes[a.end] == b'-' {
+                    let first: u64 = text[a.clone()].parse().unwrap_or(1);
+                    let swapped = if empty {
+                        format!("{first}-{}", first.saturating_sub(1))
+                    } else {
+                        format!("{}-{}", &text[b.clone()], &text[a.clone()])
+                    };
+                    out.splice(a.start..b.end, swapped.into_bytes());
+                }
+            }
+            out
+        }
+        _ => match rng.gen_range(0..4usize) {
+            0 => {
+                // Drop one parenthesis, if there is one at or after `at`.
+                let mut out = bytes.to_vec();
+                if let Some(i) = (at..out.len()).find(|&i| matches!(out[i], b'(' | b')')) {
+                    out.remove(i);
+                }
+                out
+            }
+            1 => [&bytes[..at], &b"("[..], &bytes[at..]].concat(),
+            2 => ["(".repeat(100_000).as_bytes(), bytes].concat(),
+            _ => {
+                // A balanced caterpillar 10⁵ deep around the valid tree.
+                let body = text.trim_end().trim_end_matches(';');
+                let mut out = "(".repeat(100_000);
+                out.push_str(body);
+                for i in 0..100_000 {
+                    out.push_str(&format!(",w{i})"));
+                }
+                out.push(';');
+                out.into_bytes()
+            }
+        },
+    };
+    String::from_utf8_lossy(&mutated).into_owned()
+}
+
+/// Runs one parser call; a panic fails the property with the seed and the
+/// call that produced it.
+fn never_panics<T>(what: &str, seed: u64, input: &str, call: impl FnOnce() -> T) -> T {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_or_else(|_| {
+        let shown: String = input.chars().take(120).collect();
+        panic!("seed {seed}: {what} panicked on {shown:?}")
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: differential_cases(), ..ProptestConfig::default() })]
 
@@ -1084,5 +1191,57 @@ proptest! {
     ) {
         let dispatch = if blocked { KernelDispatch::Blocked } else { KernelDispatch::Scalar };
         check_newton_bit_identity(seed, taxa, categories, dispatch, MIN_BRANCH_LENGTH..MAX_BRANCH_LENGTH);
+    }
+
+    /// Text from outside the program is answered with a value: every seeded
+    /// mutation ([`mutate_parser_input`]) of valid PHYLIP, FASTA, Newick and
+    /// partition-file text, fed to every one of the four parsers, returns
+    /// `Ok` or a typed `Err` — never a panic, an abort or a stack overflow —
+    /// and whatever parsed survives the next stage (compilation against the
+    /// valid counterpart, validation, re-serialization) the same way.
+    #[test]
+    fn parsers_reject_hostile_input_with_typed_errors(seed in 0u64..100_000) {
+        use plf_loadbalance::data::io;
+        use rand::SeedableRng;
+        let ds = mixed_dna_protein(5, 2, 1, 12, seed).generate();
+        let valid = [
+            io::write_phylip(&ds.alignment),
+            io::write_fasta(&ds.alignment, 10),
+            newick::to_newick(&ds.tree),
+            ds.partition_set.to_file_string(),
+        ];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        for kind in 0..6 {
+            for text in &valid {
+                let hostile = mutate_parser_input(text, kind, &mut rng);
+                type ParseAlignment = fn(&str) -> Result<Alignment, plf_loadbalance::data::DataError>;
+                for (format, parse) in [
+                    ("parse_phylip", io::parse_phylip as ParseAlignment),
+                    ("parse_fasta", io::parse_fasta),
+                ] {
+                    if let Ok(alignment) = never_panics(format, seed, &hostile, || parse(&hostile)) {
+                        let _ = never_panics(&format!("compile after {format}"), seed, &hostile, || {
+                            PartitionedPatterns::compile(&alignment, &ds.partition_set)
+                        });
+                    }
+                }
+                let parsed = never_panics("PartitionSet::parse", seed, &hostile, || PartitionSet::parse(&hostile));
+                if let Ok(partitions) = parsed {
+                    let _ = never_panics("compile after PartitionSet::parse", seed, &hostile, || {
+                        PartitionedPatterns::compile(&ds.alignment, &partitions)
+                    });
+                }
+                let parsed = never_panics("parse_newick", seed, &hostile, || newick::parse_newick(&hostile));
+                if let Ok(tree) = parsed {
+                    let again = never_panics("to_newick after parse_newick", seed, &hostile, || {
+                        newick::parse_newick(&newick::to_newick(&tree))
+                    });
+                    prop_assert!(
+                        tree.validate().is_ok() && again.is_ok(),
+                        "seed {seed}: an accepted tree is invalid or does not round-trip"
+                    );
+                }
+            }
+        }
     }
 }

@@ -96,12 +96,12 @@ fn injected_death_yields_a_coherent_event_stream() {
     assert_eq!(starts.len() - ends.len(), 1, "exactly one region lost");
 }
 
-/// On a traced session with an aggressive rescheduling policy the telemetry
-/// counters agree with every other observable: the `RescheduleEvent` list,
-/// the per-epoch `WorkTrace` region counts, the optimizer-round count, and
-/// the engine's table-build statistic.
-#[test]
-fn snapshot_counters_agree_with_kernel_trace_and_reschedule_events() {
+/// A traced 7-worker session with an aggressive rescheduling policy, run to
+/// the end: the session and what `optimize` returned.
+fn rescheduling_run() -> (
+    Analysis<TracingExecutor>,
+    PolicyRun<plf_loadbalance::optimize::OptimizationReport>,
+) {
     let ds = dataset(17);
     let mut analysis = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone())
         .threads(7)
@@ -120,6 +120,16 @@ fn snapshot_counters_agree_with_kernel_trace_and_reschedule_events() {
         .optimize(&OptimizerConfig::new(ParallelScheme::New))
         .unwrap();
     assert!(!report.events.is_empty(), "the policy must trigger");
+    (analysis, report)
+}
+
+/// On a traced session with an aggressive rescheduling policy the telemetry
+/// counters agree with every other observable: the `RescheduleEvent` list,
+/// the per-epoch `WorkTrace` region counts, the optimizer-round count, and
+/// the engine's table-build statistic.
+#[test]
+fn snapshot_counters_agree_with_kernel_trace_and_reschedule_events() {
+    let (analysis, report) = rescheduling_run();
 
     let snap = analysis.telemetry_snapshot().expect("telemetry is armed");
     let c = &snap.counters;
@@ -148,6 +158,33 @@ fn snapshot_counters_agree_with_kernel_trace_and_reschedule_events() {
     assert!(c.brent_probes > 0);
     assert!(c.tip_hits > 0);
     assert!(snap.tip_cache_hit_rate() > 0.5);
+}
+
+/// A finished run's snapshot, alone, draws its own timeline: one line per
+/// completed region up to the limit (mask and one lane per worker), every
+/// reschedule and optimizer round as a marker whatever the limit, and an
+/// `elided` trailer exactly when regions were cut.
+#[test]
+fn a_snapshot_renders_its_own_timeline() {
+    let (analysis, report) = rescheduling_run();
+    let snap = analysis.telemetry_snapshot().expect("telemetry is armed");
+    let regions = snap.counters.regions_completed as usize;
+    assert!(regions > 10, "the run must outgrow the small limit");
+    for limit in [10, regions, usize::MAX] {
+        let timeline = snap.render_timeline(limit);
+        let region_lines: Vec<&str> = timeline.lines().filter(|l| l.ends_with('|')).collect();
+        assert_eq!(region_lines.len(), regions.min(limit));
+        for line in &region_lines {
+            let lanes = line.trim_end_matches('|').rsplit('|').next().unwrap();
+            assert_eq!(lanes.chars().count(), 7, "one lane per worker: {line}");
+            let mask = &line[line.find('[').unwrap() + 1..line.find(']').unwrap()];
+            assert_eq!(mask.len(), 5, "one mask character per partition: {line}");
+        }
+        let count = |marker: &str| timeline.lines().filter(|l| l.contains(marker)).count();
+        assert_eq!(count(">>> reschedule"), report.events.len());
+        assert_eq!(count("=== round"), report.report.rounds);
+        assert_eq!(count("elided"), usize::from(regions > limit));
+    }
 }
 
 /// Recording telemetry must not change a single bit of the result: the same
