@@ -2,7 +2,7 @@
 //!
 //! PR 7's linter scoped its op-path rules by a hardcoded file list
 //! (`OP_PATH_FILES`) — which drifted the moment PR 9 added `blocked.rs` and
-//! never covered the `phylo-serve` dispatcher at all. This module replaces
+//! never covered the `phylo-serve` session path at all. This module replaces
 //! the list with the thing it approximated: the set of functions
 //! **transitively reachable** from the declared per-op entry points, computed
 //! over the extracted items of all 15 crates with the conservative
@@ -28,7 +28,7 @@ pub struct EntryPoint {
 }
 
 /// The roots of the per-op hot path: everything a serving deployment
-/// executes per kernel op, per worker drain, or per dispatch round.
+/// executes per kernel op, per worker drain, or per slot hand-off.
 pub const ENTRY_POINTS: &[EntryPoint] = &[
     // Worker-side op execution (all backends funnel through these).
     ep("crates/phylo-kernel/src/executor.rs", "execute_on_worker"),
@@ -93,13 +93,13 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
         "crates/phylo-parallel/src/tracing.rs",
         "TracingExecutor::execute",
     ),
-    // phylo-serve: the dispatcher drain loop and the per-session executor
-    // bridge (PR 10 satellite — this hot loop was the coverage gap).
-    ep("crates/phylo-serve/src/dispatch.rs", "Dispatcher::run"),
+    // phylo-serve: the per-session executor, which runs its shards inline,
+    // and the compute-slot hand-off it takes before a region.
     ep(
         "crates/phylo-serve/src/session.rs",
-        "PooledExecutor::execute",
+        "SessionExecutor::execute",
     ),
+    ep("crates/phylo-serve/src/session.rs", "Slot::enter"),
 ];
 
 const fn ep(file: &'static str, name: &'static str) -> EntryPoint {

@@ -17,8 +17,9 @@
 //! the set of functions transitively reachable from the declared op-path
 //! entry points ([`callgraph::ENTRY_POINTS`]: `execute_on_worker`, the
 //! scalar/blocked kernel steps, the engine `try_*` API, all four executor
-//! backends, and the `phylo-serve` dispatcher/pool hot loops). The old
-//! `OP_PATH_FILES` list survives only as a must-be-subset sanity check, and
+//! backends, the pool's worker loop and the `phylo-serve` slot hand-off).
+//! The old `OP_PATH_FILES` list survives only as a must-be-subset sanity
+//! check, and
 //! the envelope drift-gates the entry-point count, the reachable-fn count
 //! and the resolution quality so the analyzed scope can never silently
 //! shrink.
@@ -237,10 +238,10 @@ mod tests {
         assert!(!envelope(&empty_ws(m, all_op_files()), &[], 0, &[]).passed());
         // An OP_PATH_FILES file fell out of the reachable set.
         let mut files = all_op_files();
-        files.retain(|f| !f.ends_with("dispatch.rs"));
+        files.retain(|f| !f.ends_with("session.rs"));
         let env = envelope(&empty_ws(healthy_metrics(), files), &[], 0, &[]);
         assert!(!env.passed());
-        assert!(env.violations.iter().any(|v| v.contains("dispatch.rs")));
+        assert!(env.violations.iter().any(|v| v.contains("session.rs")));
     }
 
     #[test]

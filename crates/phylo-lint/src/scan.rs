@@ -26,7 +26,6 @@ pub const OP_PATH_FILES: &[&str] = &[
     "crates/phylo-parallel/src/pool.rs",
     "crates/phylo-parallel/src/threaded.rs",
     "crates/phylo-parallel/src/tracing.rs",
-    "crates/phylo-serve/src/dispatch.rs",
     "crates/phylo-serve/src/session.rs",
 ];
 

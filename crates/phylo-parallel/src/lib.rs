@@ -5,22 +5,28 @@
 //! over them cyclically, and the master broadcasts commands (traversal lists,
 //! evaluations, derivative computations) that every worker executes on its
 //! local patterns before a barrier + reduction. This crate implements that
-//! protocol **once** ([`pool`]) and puts the
+//! region protocol **once** ([`pool`]) and puts the
 //! [`Executor`](phylo_kernel::Executor) backends on top of it:
 //!
-//! * [`pool::WorkerPool`] — persistent `std::thread` workers all running one
-//!   worker loop over session-keyed slices: one broadcast and one lockstep
-//!   drain per region, one panic catch that quarantines the faulting session
-//!   and keeps the thread, one worker-index-order fold ([`pool::reduce_row`]).
-//!   `phylo-serve` runs its multi-tenant dispatcher on this same pool,
-//! * [`threaded::ThreadedExecutor`] — the one-tenant case (its own pool,
-//!   one-entry batches sent straight to the workers): the real-parallel
-//!   backend used for wall-clock measurements on the reproduction host,
-//! * [`tracing::TracingExecutor`] — *virtual* workers executed sequentially
-//!   (same fold) while recording, for every parallel region, how much work
-//!   each virtual worker would have performed. This makes the load balance of
-//!   8- or 16-thread runs measurable on any host and feeds the platform model
-//!   in `phylo-perfmodel`, which regenerates the paper's per-machine figures.
+//! * [`pool::WorkerPool`] — one session's persistent `std::thread` workers,
+//!   one shard each, all running one worker loop: one broadcast and one
+//!   lockstep drain per region, one panic catch per shard that quarantines
+//!   the shard and keeps the thread, one worker-index-order fold
+//!   ([`pool::reduce_row`]). [`pool::run_shards`] is the same region with
+//!   every shard run on the calling thread, in worker order, through the
+//!   same catch and fold,
+//! * [`threaded::ThreadedExecutor`] — drives its own pool, sending each
+//!   region straight to the workers: the real-parallel backend used for
+//!   wall-clock measurements on the reproduction host,
+//! * [`tracing::TracingExecutor`] — *virtual* workers on
+//!   [`pool::run_shards`] while recording, for every parallel region, how
+//!   much work each virtual worker would have performed. This makes the load
+//!   balance of 8- or 16-thread runs measurable on any host and feeds the
+//!   platform model in `phylo-perfmodel`, which regenerates the paper's
+//!   per-machine figures.
+//!
+//! `phylo-serve` runs every session's shards through [`pool::run_shards`] on
+//! the session's own driver thread, under a fair share of compute slots.
 //!
 //! # Assignment flow
 //!

@@ -1,35 +1,38 @@
-//! The one worker pool: persistent threads, session-keyed slices, one
-//! broadcast and one worker-order reduction per parallel region.
+//! The one region protocol: one session's shards, one catch per shard and one
+//! worker-order reduction per parallel region — on persistent threads, or
+//! inline on the calling thread.
 //!
 //! This is the Rust equivalent of the Pthreads master/worker scheme in RAxML,
-//! written once for both of its users. Each pool thread owns one
-//! [`WorkerSlices`] *per installed session* (its shard of that session's
-//! patterns and CLV buffers) and executes [`Batch`]es: it runs every entry's
-//! op against the owning session's slices and sends ONE reply — its result
-//! for every entry, in entry order — so a region costs one message per worker
-//! each way however many tenants it serves. [`crate::ThreadedExecutor`] is
-//! the one-tenant case (its own pool, one-entry batches sent straight to the
-//! workers); `phylo-serve`'s dispatcher decides *which* sessions' entries
-//! share a batch and runs it on the same [`WorkerPool::run_batch`]. Master
-//! state lives on the master (or session driver) thread, so every entry
-//! ships an immutable [`StateSnapshot`].
+//! written once for every backend. Shard `w` of a session is one
+//! [`WorkerSlices`] (its patterns and CLV buffers); a region is one command
+//! run against every shard and folded by [`reduce_row`] in worker-index
+//! order. The shards run in one of two places:
+//!
+//! * a [`WorkerPool`] — one persistent thread per shard, driven by
+//!   [`crate::ThreadedExecutor`]. Master state lives on the master thread, so
+//!   each [`Region`] ships a snapshot of the tree and models with its op;
+//!   every worker sends ONE reply per region.
+//! * the calling thread — [`run_shards`] executes the shards one after the
+//!   other in worker order: the virtual workers of
+//!   [`crate::TracingExecutor`] and of every `phylo-serve` session, which
+//!   holds a compute slot rather than threads of its own. A shard's result
+//!   does not depend on which thread computes it, so both places give the
+//!   same bits.
 //!
 //! # Lockstep and faults
 //!
-//! [`WorkerPool::run_batch`] broadcasts, then drains **exactly one reply per
-//! live worker — always, also when one of them reports a panic** — so no
-//! reply of region *k* can be read as region *k + 1*'s, which is what lets
-//! the threads outlive a fault. A panic on session A's entry is caught,
-//! *quarantines A on that worker* (its possibly half-updated slices are
-//! dropped) and the thread moves on: the batch's other entries and every
-//! later batch are served as if nothing happened, and A is missing there
-//! until it re-[`install`](WorkerPool::install)s. A typed [`OpError`] is
-//! deterministic master misuse: it crosses the channel as a value and
-//! quarantines nobody. [`reduce_row`] folds one entry's per-worker results in
-//! worker-index order — the single reduction every backend uses, so
-//! placement never changes the answer.
+//! [`WorkerPool::run`] broadcasts, then drains **exactly one reply per live
+//! worker — always, also when one of them reports a panic** — so no reply of
+//! region *k* can be read as region *k + 1*'s, which is what lets the threads
+//! outlive a fault. A panic is caught per shard (on either path); on a pool
+//! thread it *quarantines the shard* (its possibly half-updated slices are
+//! dropped) and the thread moves on, answering [`ShardResult::MissingShard`]
+//! until the session re-[`install`](WorkerPool::install)s. A typed [`OpError`]
+//! is deterministic master misuse: it comes back as a value and quarantines
+//! nothing. [`reduce_row`] folds one region's per-worker results in
+//! worker-index order — the single reduction every backend uses, so placement
+//! never changes the answer.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -45,51 +48,37 @@ use phylo_telemetry::{ring, RegionToken, Telemetry, WorkerSample};
 use phylo_tree::Tree;
 
 /// Capacity of each worker's sample ring: the master drains it after every
-/// recorded batch, so a batch wider than this surfaces as `events_dropped`.
+/// recorded region, so it never holds more than one sample.
 const SAMPLE_RING_CAPACITY: usize = 64;
 
-/// A snapshot of one session's master state, shipped with its ops.
+/// One parallel region as a [`WorkerPool`] ships it: the command and a
+/// snapshot of the master state it reads, shared by every worker behind one
+/// `Arc`.
 #[derive(Debug)]
-pub struct StateSnapshot {
+pub struct Region {
+    pub op: KernelOp,
     pub tree: Tree,
     pub models: ModelSet,
-}
-
-/// One op of one session inside a batch.
-#[derive(Debug)]
-pub struct BatchEntry {
-    pub session: u64,
-    pub op: KernelOp,
-    pub snapshot: Arc<StateSnapshot>,
-    /// Telemetry: the region number to stamp this entry's [`WorkerSample`]s
-    /// with; `None` when the session is not recording.
+    /// Telemetry: the region number to stamp each worker's [`WorkerSample`]
+    /// with; `None` when the executor is not recording.
     pub record: Option<u64>,
+    /// Test instrumentation: the worker that must panic on this region.
+    pub panic_worker: Option<usize>,
 }
 
-/// One parallel region: ops of one or more sessions executed under a single
-/// barrier by every pool worker.
+/// What one worker did with its shard of a region.
 #[derive(Debug)]
-pub struct Batch {
-    pub entries: Vec<BatchEntry>,
-    /// Test instrumentation: `(session, worker)` that must panic while
-    /// executing this batch's entry of that session.
-    pub panic_target: Option<(u64, usize)>,
-}
-
-/// What a worker did with one batch entry.
-#[derive(Debug)]
-pub enum EntryResult {
+pub enum ShardResult {
     /// The op ran: this worker's partial output, its wall-clock time for the
-    /// entry (including any skew sleep) and the number of *live* local
+    /// shard (including any skew sleep) and the number of *live* local
     /// patterns it touched under the op's convergence mask.
     Output(OpOutput, Duration, usize),
-    /// The op was rejected deterministically (typed, quarantines nobody).
+    /// The op was rejected deterministically (typed, quarantines nothing).
     Rejected(OpError),
-    /// The worker panicked on this entry and quarantined the session.
+    /// The shard panicked; a pool worker quarantined it.
     Panicked(String),
-    /// The worker holds no slices for the entry's session (quarantined
-    /// earlier, or never installed).
-    MissingSession,
+    /// The worker holds no shard (quarantined earlier, or never installed).
+    MissingShard,
 }
 
 /// An artificial per-worker slowdown for load-balance experiments: the
@@ -107,33 +96,29 @@ pub struct WorkerSkew {
 
 enum WorkerMsg {
     Install {
-        session: u64,
         slices: WorkerSlices,
         skew: Option<WorkerSkew>,
     },
-    Remove {
-        session: u64,
-    },
-    Batch(Arc<Batch>),
+    Region(Arc<Region>),
     Shutdown,
 }
 
 #[derive(Debug)]
 struct PoolWorker {
     sender: Sender<WorkerMsg>,
-    replies: Receiver<Vec<EntryResult>>,
+    replies: Receiver<ShardResult>,
     samples: ring::Consumer<WorkerSample>,
     join: JoinHandle<()>,
 }
 
-/// The fixed set of persistent worker threads.
+/// One session's persistent worker threads, one shard each.
 #[derive(Debug)]
 pub struct WorkerPool {
     workers: Vec<PoolWorker>,
 }
 
 impl WorkerPool {
-    /// Spawns `width` worker threads, each with no session installed.
+    /// Spawns `width` worker threads, each with no shard installed.
     pub fn spawn(width: usize) -> Self {
         let workers = (0..width)
             .map(|worker| {
@@ -167,59 +152,30 @@ impl WorkerPool {
         self.workers.iter().map(|w| w.join.thread().id()).collect()
     }
 
-    /// Installs (or replaces) a session: shard `w` of `slices` goes to worker
-    /// `w`. Replacing is also how a quarantined session recovers. `skew`
-    /// slows one worker down on this session's entries.
-    pub fn install(&self, session: u64, slices: Vec<WorkerSlices>, skew: Option<WorkerSkew>) {
+    /// Installs the session: shard `w` of `slices` goes to worker `w`,
+    /// replacing the one it held — which is also how a quarantined shard
+    /// recovers. `skew` slows its worker down.
+    pub fn install(&self, slices: Vec<WorkerSlices>, skew: Option<WorkerSkew>) {
         for (worker, slices) in self.workers.iter().zip(slices) {
-            let msg = WorkerMsg::Install {
-                session,
-                slices,
-                skew,
-            };
-            let _ = worker.sender.send(msg);
+            let _ = worker.sender.send(WorkerMsg::Install { slices, skew });
         }
     }
 
-    /// Drops a session's shard on every worker.
-    pub fn remove(&self, session: u64) {
+    /// One parallel region: broadcast `region`, drain exactly one reply per
+    /// live worker and fold them with [`reduce_row`]. A lost worker thread
+    /// (closed channel) reduces like a death on that worker.
+    pub fn run(&self, region: Region, measured: impl FnMut(usize, Duration, usize)) -> Reduced {
+        let region = Arc::new(region);
         for worker in &self.workers {
-            let _ = worker.sender.send(WorkerMsg::Remove { session });
+            let _ = worker.sender.send(WorkerMsg::Region(Arc::clone(&region)));
         }
+        let row = self.workers.iter().map(|w| w.replies.recv().ok());
+        reduce_row(row, measured)
     }
 
-    /// One parallel region: broadcast `batch`, drain exactly one reply per
-    /// live worker, and reduce every entry with [`reduce_row`] (results in
-    /// entry order; `measured` sees each entry's workers in turn). A lost
-    /// worker thread (closed channel) reduces like a death on that worker.
-    pub fn run_batch(
-        &self,
-        batch: Batch,
-        mut measured: impl FnMut(usize, Duration, usize),
-    ) -> Vec<Reduced> {
-        let entries = batch.entries.len();
-        let batch = Arc::new(batch);
-        for worker in &self.workers {
-            let _ = worker.sender.send(WorkerMsg::Batch(Arc::clone(&batch)));
-        }
-        let mut lanes: Vec<_> = self
-            .workers
-            .iter()
-            .map(|worker| worker.replies.recv().ok().map(Vec::into_iter))
-            .collect();
-        (0..entries)
-            .map(|_| {
-                let row = lanes
-                    .iter_mut()
-                    .map(|l| l.as_mut().and_then(Iterator::next));
-                reduce_row(row, &mut measured)
-            })
-            .collect()
-    }
-
-    /// Drains every worker's sample ring. Call after running a batch with
-    /// recording entries: each worker pushes its samples before it replies.
-    /// Samples a full ring refused count into `telemetry`'s `events_dropped`.
+    /// Drains every worker's sample ring. Call after a recorded region: each
+    /// worker pushes its sample before it replies. Samples a full ring
+    /// refused count into `telemetry`'s `events_dropped`.
     pub fn take_samples(&mut self, telemetry: &Telemetry) -> Vec<WorkerSample> {
         let (mut samples, mut dropped) = (Vec::new(), 0);
         for worker in &mut self.workers {
@@ -242,24 +198,24 @@ impl Drop for WorkerPool {
     }
 }
 
-/// One entry's reduced result.
+/// One region's reduced result.
 #[derive(Debug)]
 pub struct Reduced {
     /// [`ExecError::WorkerDied`] names the first worker that panicked, was
-    /// missing the session, or was lost; otherwise the first typed rejection
+    /// missing its shard, or was lost; otherwise the first typed rejection
     /// as [`ExecError::Op`]; otherwise the folded output.
     pub result: Result<OpOutput, ExecError>,
-    /// Messages of the panics caught on this entry, in worker order.
+    /// Messages of the panics caught in this region, in worker order.
     pub panics: Vec<String>,
 }
 
-/// Folds one entry's per-worker results (`None` = no reply from that worker)
-/// in worker-index order — the one deterministic reduction.
+/// Folds one region's per-worker results (`None` = no reply from that
+/// worker) in worker-index order — the one deterministic reduction.
 /// `measured(worker, elapsed, live_patterns)` is called for every worker
 /// that produced an output. The whole row is always consumed: a rejection or
 /// death on one worker must not leave another's result unread.
 pub fn reduce_row(
-    row: impl IntoIterator<Item = Option<EntryResult>>,
+    row: impl IntoIterator<Item = Option<ShardResult>>,
     mut measured: impl FnMut(usize, Duration, usize),
 ) -> Reduced {
     let mut folded: Option<OpOutput> = None;
@@ -268,7 +224,7 @@ pub fn reduce_row(
     let mut panics = Vec::new();
     for (worker, slot) in row.into_iter().enumerate() {
         match slot {
-            Some(EntryResult::Output(output, elapsed, active)) => {
+            Some(ShardResult::Output(output, elapsed, active)) => {
                 measured(worker, elapsed, active);
                 // A reduce mismatch is deterministic misuse like any other
                 // op rejection.
@@ -283,14 +239,14 @@ pub fn reduce_row(
                     },
                 };
             }
-            Some(EntryResult::Rejected(op_error)) => {
+            Some(ShardResult::Rejected(op_error)) => {
                 rejected.get_or_insert(op_error);
             }
-            Some(EntryResult::Panicked(message)) => {
+            Some(ShardResult::Panicked(message)) => {
                 panics.push(message);
                 died.get_or_insert(worker);
             }
-            Some(EntryResult::MissingSession) | None => {
+            Some(ShardResult::MissingShard) | None => {
                 died.get_or_insert(worker);
             }
         }
@@ -303,9 +259,46 @@ pub fn reduce_row(
     Reduced { result, panics }
 }
 
+/// One parallel region with every shard executed on the calling thread, in
+/// worker order, and folded by [`reduce_row`] — bit-identical to a
+/// [`WorkerPool`] of the same width, because a shard's computation does not
+/// depend on the thread that runs it and the fold order is fixed.
+/// `panic_worker` arms the one-shot injected panic on that shard. A shard
+/// that panicked may be half-updated, so after an [`ExecError::WorkerDied`]
+/// the caller must not run the shards again until it rebuilds them (the
+/// `Poisoned` contract of every executor).
+pub fn run_shards(
+    shards: &mut [WorkerSlices],
+    op: &KernelOp,
+    ctx: &ExecContext<'_>,
+    panic_worker: Option<usize>,
+    measured: impl FnMut(usize, Duration, usize),
+) -> Reduced {
+    let row = shards.iter_mut().enumerate().map(|(worker, slices)| {
+        let injected = panic_worker == Some(worker);
+        Some(run_entry(slices, op, ctx, injected, None))
+    });
+    reduce_row(row, measured)
+}
+
+/// The [`WorkerSample`]s of one region whose shards ran on the calling
+/// thread ([`run_shards`]): shard `k`'s op seconds, `queue_wait(k)` and the
+/// cache counter deltas of its slices.
+pub fn inline_samples(
+    shards: &[WorkerSlices],
+    region: u64,
+    seconds: &[f64],
+    queue_wait: impl Fn(usize) -> f64,
+) -> Vec<WorkerSample> {
+    let shards = shards.iter().zip(seconds).enumerate();
+    shards
+        .map(|(k, (slices, &s))| sample(slices, k, region, s, queue_wait(k)))
+        .collect()
+}
+
 /// What `worker` reports for one recorded region: its timings plus the
 /// tip-cache and dispatch counter deltas of `slices` since the last sample.
-pub(crate) fn sample(
+fn sample(
     slices: &WorkerSlices,
     worker: usize,
     region: u64,
@@ -364,51 +357,61 @@ pub fn end_region(
     None
 }
 
-/// Per worker: session id → its shard of that session, plus the session's
-/// install-time skew.
-type Tenants = HashMap<u64, (WorkerSlices, Option<WorkerSkew>)>;
-
 fn worker_loop(
     worker: usize,
     commands: &Receiver<WorkerMsg>,
-    replies: &Sender<Vec<EntryResult>>,
+    replies: &Sender<ShardResult>,
     samples: &mut ring::Producer<WorkerSample>,
 ) {
-    let mut tenants = Tenants::new();
+    // This worker's shard and the skew that applies to it; `None` until the
+    // first install and after a panic (quarantined until the next install).
+    let mut shard: Option<(WorkerSlices, Option<WorkerSkew>)> = None;
     // lint:allow(L008): queue-wait baseline for the telemetry sample ring;
     // observability only, never feeds the reduction order.
     let mut idle_since = Instant::now();
     while let Ok(msg) = commands.recv() {
         match msg {
-            WorkerMsg::Install {
-                session,
-                slices,
-                skew,
-            } => {
-                tenants.insert(session, (slices, skew));
-            }
-            WorkerMsg::Remove { session } => {
-                tenants.remove(&session);
+            WorkerMsg::Install { slices, skew } => {
+                shard = Some((slices, skew.filter(|s| s.worker == worker)));
             }
             WorkerMsg::Shutdown => break,
-            WorkerMsg::Batch(batch) => {
+            WorkerMsg::Region(region) => {
                 // Time spent blocked on the command channel: this worker's
-                // queue-wait lane for every entry the batch carries.
-                let queue_wait = idle_since.elapsed();
-                let results = batch
-                    .entries
-                    .iter()
-                    .map(|entry| {
-                        run_entry(&mut tenants, &batch, entry, worker, queue_wait, samples)
-                    })
-                    .collect();
+                // queue-wait lane.
+                let queue_wait = idle_since.elapsed().as_secs_f64();
+                let result = match shard.as_mut() {
+                    None => ShardResult::MissingShard,
+                    Some((slices, skew)) => {
+                        let ctx = ExecContext {
+                            tree: &region.tree,
+                            models: &region.models,
+                        };
+                        let injected = region.panic_worker == Some(worker);
+                        let result = run_entry(slices, &region.op, &ctx, injected, *skew);
+                        // The sample is pushed *before* the reply, so by the
+                        // time the master holds this reply the ring slot is
+                        // visible.
+                        if let (Some(r), ShardResult::Output(_, elapsed, _)) =
+                            (region.record, &result)
+                        {
+                            let seconds = elapsed.as_secs_f64();
+                            let _ = samples.push(sample(slices, worker, r, seconds, queue_wait));
+                        }
+                        result
+                    }
+                };
+                if matches!(result, ShardResult::Panicked(_)) {
+                    // The slices may be half-updated: quarantine them until
+                    // the next install and keep the thread alive.
+                    shard = None;
+                }
                 // The payload dies before the reply: op tables and the
                 // `Tree`/`ModelSet` snapshot are released while the master
                 // still waits, so a returned region owns no master memory
                 // and the master's next table rebuild never coexists with
                 // this region's payload (nor races this thread to free it).
-                drop(batch);
-                if replies.send(results).is_err() {
+                drop(region);
+                if replies.send(result).is_err() {
                     // Master gone: nothing left to serve.
                     return;
                 }
@@ -419,21 +422,17 @@ fn worker_loop(
     }
 }
 
-/// Executes one batch entry against its session's local slices, converting
-/// a panic into a quarantine of *that session only*.
+/// Executes one shard of a region — on a pool thread or inline — converting
+/// a panic into [`ShardResult::Panicked`]: the workspace's one
+/// `catch_unwind`.
 fn run_entry(
-    tenants: &mut Tenants,
-    batch: &Batch,
-    entry: &BatchEntry,
-    worker: usize,
-    queue_wait: Duration,
-    samples: &mut ring::Producer<WorkerSample>,
-) -> EntryResult {
-    let Some((slices, skew)) = tenants.get_mut(&entry.session) else {
-        return EntryResult::MissingSession;
-    };
-    let injected = batch.panic_target == Some((entry.session, worker));
-    // lint:allow(L008): per-entry timing for the measured trace that drives
+    slices: &mut WorkerSlices,
+    op: &KernelOp,
+    ctx: &ExecContext<'_>,
+    injected: bool,
+    skew: Option<WorkerSkew>,
+) -> ShardResult {
+    // lint:allow(L008): per-shard timing for the measured trace that drives
     // rebalancing and for telemetry; never feeds the reduction order.
     let start = Instant::now();
     let body = || -> Result<(OpOutput, usize), OpError> {
@@ -441,41 +440,18 @@ fn run_entry(
             // lint:allow(L001): fault-injection hook, armed only by recovery tests
             panic!("injected worker panic (test instrumentation)");
         }
-        let ctx = ExecContext {
-            tree: &entry.snapshot.tree,
-            models: &entry.snapshot.models,
-        };
-        let output = execute_on_worker(slices, &entry.op, &ctx)?;
-        let active = active_local_patterns(slices, &entry.op);
-        if let Some(skew) = skew.filter(|s| s.worker == worker) {
+        let output = execute_on_worker(slices, op, ctx)?;
+        let active = active_local_patterns(slices, op);
+        if let Some(skew) = skew {
             let nanos = skew.nanos_per_pattern * active as u64;
             std::thread::sleep(Duration::from_nanos(nanos));
         }
         Ok((output, active))
     };
-    let outcome = catch_unwind(AssertUnwindSafe(body));
-    // The sample is pushed *before* the reply, so by the time the master
-    // holds this worker's reply the ring slot is visible. A panicked entry
-    // pushes nothing: its region never completes.
-    if let (Some(region), Ok(_)) = (entry.record, &outcome) {
-        let seconds = start.elapsed().as_secs_f64();
-        let _ = samples.push(sample(
-            slices,
-            worker,
-            region,
-            seconds,
-            queue_wait.as_secs_f64(),
-        ));
-    }
-    match outcome {
-        Ok(Ok((output, active))) => EntryResult::Output(output, start.elapsed(), active),
-        Ok(Err(op_error)) => EntryResult::Rejected(op_error),
-        Err(payload) => {
-            // The slices may be half-updated; quarantine this tenant on this
-            // worker and keep the thread alive for everyone else.
-            tenants.remove(&entry.session);
-            EntryResult::Panicked(panic_message(payload))
-        }
+    match catch_unwind(AssertUnwindSafe(body)) {
+        Ok(Ok((output, active))) => ShardResult::Output(output, start.elapsed(), active),
+        Ok(Err(op_error)) => ShardResult::Rejected(op_error),
+        Err(payload) => ShardResult::Panicked(panic_message(payload)),
     }
 }
 
@@ -629,67 +605,50 @@ pub(crate) mod tests {
         ]
     }
 
-    const A: u64 = 7;
-    const B: u64 = 11;
-
-    /// A 2-wide pool with tenants `A` and `B` installed (same dataset, own
-    /// slices each).
-    struct TwoTenants {
+    /// A 2-wide pool with one session installed.
+    struct Solo {
         pool: WorkerPool,
         fx: Fixture,
-        snapshot: Arc<StateSnapshot>,
     }
 
-    impl TwoTenants {
+    impl Solo {
         fn new(seed: u64) -> Self {
             let fx = Fixture::new(6, 64, 16, seed, Joint);
-            let snapshot = Arc::new(StateSnapshot {
-                tree: fx.ds.tree.clone(),
-                models: fx.models.clone(),
-            });
-            let pool = WorkerPool::spawn(2);
-            let this = Self { pool, fx, snapshot };
-            this.install(A);
-            this.install(B);
+            let this = Self {
+                pool: WorkerPool::spawn(2),
+                fx,
+            };
+            this.install();
             this
         }
 
-        fn install(&self, session: u64) {
+        fn install(&self) {
             let (ds, cats) = (&self.fx.ds, &self.fx.cats);
             let assignment = self.fx.assign(2, &Cyclic);
             let slices =
                 build_workers(&ds.patterns, ds.tree.node_capacity(), cats, &assignment).unwrap();
-            self.pool.install(session, slices, None);
+            self.pool.install(slices, None);
         }
 
-        fn entry(&self, session: u64, op: KernelOp) -> BatchEntry {
-            BatchEntry {
-                session,
-                op,
-                snapshot: Arc::clone(&self.snapshot),
-                record: None,
-            }
+        fn nop(&self) -> KernelOp {
+            nop_newview(self.fx.partitions())
         }
 
-        fn nop(&self, session: u64) -> BatchEntry {
-            self.entry(session, nop_newview(self.fx.partitions()))
-        }
-
-        /// Runs one batch; every entry's result with its caught-panic count.
+        /// Runs one region; its result with its caught-panic count.
         fn run(
             &self,
-            entries: Vec<BatchEntry>,
-            panic_target: Option<(u64, usize)>,
-        ) -> Vec<(Result<OpOutput, ExecError>, usize)> {
-            let batch = Batch {
-                entries,
-                panic_target,
+            op: KernelOp,
+            panic_worker: Option<usize>,
+        ) -> (Result<OpOutput, ExecError>, usize) {
+            let region = Region {
+                op,
+                tree: self.fx.ds.tree.clone(),
+                models: self.fx.models.clone(),
+                record: None,
+                panic_worker,
             };
-            let reduced = self.pool.run_batch(batch, |_, _, _| {});
-            reduced
-                .into_iter()
-                .map(|r| (r.result, r.panics.len()))
-                .collect()
+            let reduced = self.pool.run(region, |_, _, _| {});
+            (reduced.result, reduced.panics.len())
         }
     }
 
@@ -697,91 +656,83 @@ pub(crate) mod tests {
 
     #[test]
     fn a_panic_quarantines_only_the_faulting_tenant_on_that_worker() {
-        let t = TwoTenants::new(71);
-        // One batch, two tenants, the fault armed on A's entry on worker 1:
-        // worker 1 reports the panic for A and a normal output for B.
+        let t = Solo::new(71);
+        // The fault armed on worker 1: it reports the panic, worker 0 a
+        // normal output.
         let died = (Err(ExecError::WorkerDied { worker: 1 }), 1);
-        assert_eq!(t.run(vec![t.nop(A), t.nop(B)], Some((A, 1))), [died, OK]);
-        // A stays quarantined on worker 1 (no second panic: the session is
-        // missing there) until it reinstalls; B is unaffected, and so is the
-        // thread — a dead one would fail B on worker 1 too.
+        assert_eq!(t.run(t.nop(), Some(1)), died);
+        // The shard stays quarantined on worker 1 alone (no second panic;
+        // worker 0 still serves, or it would be named first) until the
+        // session reinstalls, and the thread lives on.
         let missing = (Err(ExecError::WorkerDied { worker: 1 }), 0);
-        assert_eq!(t.run(vec![t.nop(B), t.nop(A)], None), [OK, missing]);
-        t.install(A);
-        assert_eq!(t.run(vec![t.nop(A), t.nop(B)], None), [OK, OK]);
-        // A removed session is missing everywhere: worker 0 is named first.
-        t.pool.remove(B);
-        let gone = (Err(ExecError::WorkerDied { worker: 0 }), 0);
-        assert_eq!(t.run(vec![t.nop(B)], None), [gone]);
+        assert_eq!(t.run(t.nop(), None), missing);
+        t.install();
+        assert_eq!(t.run(t.nop(), None), OK);
     }
 
     #[test]
     fn a_typed_rejection_keeps_lockstep_and_quarantines_nobody() {
-        let t = TwoTenants::new(73);
+        let t = Solo::new(73);
         // Derivatives without a sum table: every worker with patterns hits
         // the staleness guard and answers with a typed value.
         let premature = KernelOp::Derivatives {
             lengths: vec![Some(0.1); t.fx.partitions()],
         };
-        let results = t.run(vec![t.entry(A, premature), t.nop(B)], None);
+        let result = t.run(premature, None);
         assert!(
             matches!(
-                results[0],
+                result,
                 (Err(ExecError::Op(OpError::SumtableStale { .. })), 0)
             ),
-            "{results:?}"
+            "{result:?}"
         );
-        assert_eq!(results[1], OK);
-        // Nobody was quarantined: A's very next entry runs on both workers.
-        assert_eq!(t.run(vec![t.nop(A)], None), [OK]);
+        // Nothing was quarantined: the very next region runs on both workers.
+        assert_eq!(t.run(t.nop(), None), OK);
     }
 
     #[test]
     fn a_mis_sized_payload_is_a_typed_rejection_on_the_same_threads() {
-        let t = TwoTenants::new(83);
+        let t = Solo::new(83);
         let partitions = t.fx.partitions();
         let threads = t.pool.thread_ids();
-        // Short and long, every op: an index panic here would quarantine A
-        // on the worker that caught it. B shares each batch and must not
-        // notice.
+        // Short and long, every op: an index panic here would quarantine the
+        // shard on the worker that caught it.
         for len in [partitions - 1, partitions + 1] {
             for op in ops_with_payload_len(&t.fx, len) {
-                let results = t.run(vec![t.entry(A, op), t.nop(B)], None);
                 let rejected = Err(ExecError::Op(OpError::MaskShape {
                     expected: partitions,
                     got: len,
                 }));
-                assert_eq!(results, [(rejected, 0), OK]);
+                assert_eq!(t.run(op, None), (rejected, 0));
             }
         }
-        assert_eq!(t.run(vec![t.nop(A), t.nop(B)], None), [OK, OK]);
+        assert_eq!(t.run(t.nop(), None), OK);
         assert_eq!(t.pool.thread_ids(), threads);
     }
 
-    /// A worker used to hold its `Arc<Batch>` across the reply, so the op
-    /// tables and the state snapshot of region *k* could still be alive —
-    /// and be freed by whichever thread came last — while the master
+    /// A worker used to hold its `Arc` of the region across the reply, so
+    /// the op tables and the state snapshot of region *k* could still be
+    /// alive — and be freed by whichever thread came last — while the master
     /// assembled region *k + 1* (racy before the drop moved ahead of the
     /// send, deterministic since).
     #[test]
     fn a_returned_region_holds_none_of_its_payload() {
-        let t = TwoTenants::new(89);
+        let t = Solo::new(89);
         for _ in 0..200 {
-            let snapshot = Arc::new(StateSnapshot {
-                tree: t.fx.ds.tree.clone(),
-                models: t.fx.models.clone(),
-            });
-            let mut entry = t.nop(A);
-            entry.snapshot = Arc::clone(&snapshot);
-            assert_eq!(t.run(vec![entry, t.nop(B)], None), [OK, OK]);
-            assert_eq!(Arc::strong_count(&snapshot), 1);
+            let tables = no_newview_tables();
+            let op = KernelOp::Newview {
+                plans: vec![None; t.fx.partitions()],
+                tables: Arc::clone(&tables),
+            };
+            assert_eq!(t.run(op, None), OK);
+            assert_eq!(Arc::strong_count(&tables), 1);
         }
     }
 
     #[test]
     fn reduce_row_consumes_the_whole_row_and_names_a_lost_worker() {
         let out = || {
-            Some(EntryResult::Output(
+            Some(ShardResult::Output(
                 OpOutput::LogLikelihoods(vec![1.0, 2.0]),
                 Duration::ZERO,
                 3,

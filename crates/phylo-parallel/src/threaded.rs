@@ -1,18 +1,16 @@
 //! The solo executor: one session on its own [`WorkerPool`].
 //!
-//! [`ThreadedExecutor`] is the one-tenant case of [`crate::pool`]: the worker
-//! threads are spawned once, the executor installs its slices on them as a
-//! single session, and every [`Executor::execute`] call sends a one-entry
-//! [`Batch`] **directly** to the workers (no dispatcher thread in between) —
-//! one synchronization event, exactly as in the paper. Each command ships a
-//! [`StateSnapshot`] of the master's tree and models (branch lengths travel
-//! as the op's precomputed branch tables); these are small, so the
-//! per-command cost is dominated by the channel round trip — a realistic
-//! stand-in for a barrier.
+//! [`ThreadedExecutor`] spawns its worker threads once, installs one shard
+//! on each, and every [`Executor::execute`] call sends one [`Region`]
+//! **directly** to the workers — one synchronization event, exactly as in the
+//! paper. Each region ships a snapshot of the master's tree and models
+//! (branch lengths travel as the op's precomputed branch tables); these are
+//! small, so the per-command cost is dominated by the channel round trip — a
+//! realistic stand-in for a barrier.
 //!
 //! # Hardening and measurement
 //!
-//! Each worker times its entry; with [`ExecutorOptions::timed`] the master
+//! Each worker times its shard; with [`ExecutorOptions::timed`] the master
 //! accumulates those durations into a real [`WorkTrace`]
 //! ([`ThreadedExecutor::take_trace`]) — the measured counterpart of the
 //! virtual FLOP traces, and the input to mid-run rescheduling. A worker panic
@@ -23,8 +21,6 @@
 //! [`ThreadedExecutor::inject_worker_panic`] arms a one-shot fault on that
 //! exact machinery so the driver-level recovery path stays tested.
 
-use std::sync::Arc;
-
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::{RegionRecord, WorkTrace};
 use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, OpOutput};
@@ -32,10 +28,7 @@ use phylo_sched::{Assignment, SchedError};
 use phylo_telemetry::Telemetry;
 
 pub use crate::pool::WorkerSkew;
-use crate::pool::{end_region, Batch, BatchEntry, Reduced, StateSnapshot, WorkerPool};
-
-/// The session id the executor's slices are installed under on its own pool.
-const SOLO_SESSION: u64 = 0;
+use crate::pool::{end_region, Reduced, Region, WorkerPool};
 
 /// Construction options beyond the assignment itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,7 +105,7 @@ impl ThreadedExecutor {
         Self::check_skew(&options, assignment.worker_count())?;
         let workers = crate::build_workers(patterns, node_capacity, categories, assignment)?;
         let pool = WorkerPool::spawn(workers.len());
-        pool.install(SOLO_SESSION, workers, options.skew);
+        pool.install(workers, options.skew);
         Ok(Self {
             trace: WorkTrace::new(pool.width()),
             pool,
@@ -204,7 +197,7 @@ impl ThreadedExecutor {
         if workers.len() != self.pool.width() {
             self.pool = WorkerPool::spawn(workers.len());
         }
-        self.pool.install(SOLO_SESSION, workers, self.options.skew);
+        self.pool.install(workers, self.options.skew);
         self.assignment = assignment.clone();
         self.trace = WorkTrace::new(self.pool.width());
         self.poisoned = None;
@@ -236,10 +229,10 @@ impl Executor for ThreadedExecutor {
         }
         self.sync_events += 1;
         // A one-shot armed fault fires exactly once, on its scheduled region.
-        let panic_target = match self.injected_panic {
+        let panic_worker = match self.injected_panic {
             Some((worker, at)) if self.sync_events >= at => {
                 self.injected_panic = None;
-                Some((SOLO_SESSION, worker))
+                Some(worker)
             }
             _ => None,
         };
@@ -256,28 +249,19 @@ impl Executor for ThreadedExecutor {
             record.active_partitions = op.active_partitions();
             record
         });
-        let batch = Batch {
-            entries: vec![BatchEntry {
-                session: SOLO_SESSION,
-                op: op.clone(),
-                snapshot: Arc::new(StateSnapshot {
-                    tree: ctx.tree.clone(),
-                    models: ctx.models.clone(),
-                }),
-                record: token.as_ref().and_then(|t| t.region()),
-            }],
-            panic_target,
+        let region = Region {
+            op: op.clone(),
+            tree: ctx.tree.clone(),
+            models: ctx.models.clone(),
+            record: token.as_ref().and_then(|t| t.region()),
+            panic_worker,
         };
-        let mut reduced = self.pool.run_batch(batch, |worker, elapsed, active| {
+        let Reduced { result, panics } = self.pool.run(region, |worker, elapsed, active| {
             if let Some(record) = record.as_mut() {
                 record.seconds_per_worker[worker] = elapsed.as_secs_f64();
                 record.active_patterns_per_worker[worker] = active as f64;
             }
         });
-        // One entry in, one result out.
-        let Some(Reduced { result, panics }) = reduced.pop() else {
-            return Ok(OpOutput::None);
-        };
         // Not poisoned on entry, so `last_panic` was `None`.
         self.last_panic = panics.into_iter().next();
         // Every live worker has replied, so its sample is in its ring: drain

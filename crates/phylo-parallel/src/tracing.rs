@@ -5,21 +5,24 @@
 //! property of the algorithm: which partitions are active in each parallel
 //! region and how many of each partition's patterns fall to each worker under
 //! the cyclic distribution. [`TracingExecutor`] therefore executes every
-//! command *correctly* (sequentially over its virtual workers, so all
-//! likelihood results are exact) while recording, per region, the analytic
-//! amount of floating-point work each of its `T` virtual workers receives.
+//! command *correctly* (its virtual workers' shards one after the other on
+//! the calling thread — [`crate::pool::run_shards`], the same loop a serving
+//! session runs — so all likelihood results are exact) while recording, per
+//! region, the analytic amount of floating-point work each of its `T`
+//! virtual workers receives.
 //! The resulting [`WorkTrace`] is converted into per-platform run-time
 //! predictions by `phylo-perfmodel`.
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::{OpKind, RegionRecord, WorkTrace};
 use phylo_kernel::{
-    executor::{active_local_patterns, execute_on_worker},
-    ExecContext, ExecError, Executor, KernelOp, OpOutput, WorkerSlices,
+    executor::active_local_patterns, ExecContext, ExecError, Executor, KernelOp, OpOutput,
+    WorkerSlices,
 };
 use phylo_sched::{Assignment, SchedError};
+use phylo_telemetry::RegionToken;
 
-use crate::pool::{end_region, reduce_row, sample, EntryResult};
+use crate::pool::{end_region, inline_samples, run_shards};
 
 /// Executes commands on `T` virtual workers and records the per-region work.
 #[derive(Debug)]
@@ -28,6 +31,8 @@ pub struct TracingExecutor {
     assignment: Assignment,
     trace: WorkTrace,
     sync_events: u64,
+    /// The virtual worker whose shard panicked, until `reassign`.
+    poisoned: Option<usize>,
     telemetry: phylo_telemetry::Telemetry,
 }
 
@@ -54,6 +59,7 @@ impl TracingExecutor {
             assignment: assignment.clone(),
             trace: WorkTrace::new(assignment.worker_count()),
             sync_events: 0,
+            poisoned: None,
             telemetry: phylo_telemetry::Telemetry::disabled(),
         })
     }
@@ -82,7 +88,8 @@ impl TracingExecutor {
     }
 
     /// Migrates the virtual workers to a new assignment and restarts the
-    /// trace epoch (the old trace measured the old ownership). The caller
+    /// trace epoch (the old trace measured the old ownership); rebuilding
+    /// every shard also clears a poisoned state. The caller
     /// must invalidate the master-side CLV validity cache afterwards, since
     /// the rebuilt workers own empty CLV buffers.
     ///
@@ -100,6 +107,7 @@ impl TracingExecutor {
         self.workers = crate::build_workers(patterns, node_capacity, categories, assignment)?;
         self.assignment = assignment.clone();
         self.trace = WorkTrace::new(assignment.worker_count());
+        self.poisoned = None;
         Ok(())
     }
 
@@ -136,36 +144,31 @@ impl Executor for TracingExecutor {
     }
 
     fn execute(&mut self, op: &KernelOp, ctx: &ExecContext<'_>) -> Result<OpOutput, ExecError> {
+        if let Some(worker) = self.poisoned {
+            return Err(ExecError::Poisoned { worker });
+        }
         self.sync_events += 1;
         let token = self.telemetry.enabled().then(|| {
             self.telemetry
                 .region_start(op.label(), &op.active_partitions())
         });
         let mut record = self.region_record(op, ctx);
-        // The virtual workers run sequentially, so each bracket measures one
-        // worker's work free of contention — wall-clock seconds on top of
-        // the analytic FLOP counts — and they cannot die, so every region
-        // completes. The fold is the pool's.
-        let row = self.workers.iter_mut().map(|worker| {
-            // lint:allow(L008): per-worker bracket timing for the measured trace;
-            // never feeds the reduction order.
-            let start = std::time::Instant::now();
-            Some(match execute_on_worker(worker, op, ctx) {
-                Ok(output) => EntryResult::Output(output, start.elapsed(), 0),
-                Err(e) => EntryResult::Rejected(e),
-            })
-        });
+        // The virtual workers run one after the other, so each shard's
+        // bracket measures one worker's work free of contention —
+        // wall-clock seconds on top of the analytic FLOP counts.
         let seconds = &mut record.seconds_per_worker;
-        let result = reduce_row(row, |wi, elapsed, _| seconds[wi] = elapsed.as_secs_f64()).result;
-        // Virtual workers run on the master thread: no queues, so the
-        // queue-wait lanes are zero; the counter deltas drain directly.
-        if let Some(region) = token.as_ref().and_then(|t| t.region()) {
-            let workers = self.workers.iter().zip(seconds.iter()).enumerate();
-            let samples: Vec<_> = workers
-                .map(|(wi, (worker, &s))| sample(worker, wi, region, s, 0.0))
-                .collect();
-            end_region(&self.telemetry, token, samples.len(), &samples, &result);
-        }
+        let result = run_shards(&mut self.workers, op, ctx, None, |wi, elapsed, _| {
+            seconds[wi] = elapsed.as_secs_f64();
+        })
+        .result;
+        // Virtual workers model parallel ones: no queues, so the queue-wait
+        // lanes are zero; the counter deltas drain directly.
+        let samples = match token.as_ref().and_then(RegionToken::region) {
+            Some(region) => inline_samples(&self.workers, region, seconds, |_| 0.0),
+            None => Vec::new(),
+        };
+        let width = self.workers.len();
+        self.poisoned = end_region(&self.telemetry, token, width, &samples, &result);
         if result.is_ok() {
             self.trace.regions.push(record);
         }

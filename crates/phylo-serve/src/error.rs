@@ -18,6 +18,15 @@ pub enum AdmissionError {
     },
     /// A fair-share weight of zero would starve the session forever.
     ZeroWeight,
+    /// An injected worker fault names a worker outside the pool's width; a
+    /// fault that can never fire would make a chaos drill silently test
+    /// nothing.
+    FaultWorkerOutOfRange {
+        /// The fault's worker index.
+        worker: usize,
+        /// The pool's width.
+        worker_count: usize,
+    },
 }
 
 impl std::fmt::Display for AdmissionError {
@@ -28,6 +37,13 @@ impl std::fmt::Display for AdmissionError {
                 "session pool is full ({active} active sessions, capacity {capacity})"
             ),
             Self::ZeroWeight => write!(f, "a session weight of zero would never be scheduled"),
+            Self::FaultWorkerOutOfRange {
+                worker,
+                worker_count,
+            } => write!(
+                f,
+                "injected fault targets worker {worker}, outside 0..{worker_count}"
+            ),
         }
     }
 }
@@ -37,7 +53,8 @@ impl std::error::Error for AdmissionError {}
 /// Why a serving operation could not be completed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The pool declined to admit the session (overload or a bad weight).
+    /// The pool declined to admit the session (overload, a bad weight or an
+    /// injected fault outside the pool).
     Admission(AdmissionError),
     /// The likelihood engine failed while building or running the session
     /// (mismatched models/taxa at build time, or an execution failure beyond
@@ -45,8 +62,7 @@ pub enum ServeError {
     Kernel(KernelError),
     /// The scheduling layer rejected the session's workload description.
     Sched(SchedError),
-    /// The dispatcher or its pool threads are gone (the manager was shut
-    /// down while the session was still running).
+    /// The session's driver ended without reporting an outcome.
     PoolDown,
     /// The session's driver thread itself panicked — a bug in the driver,
     /// distinct from a *worker* panic, which is recovered.
@@ -115,6 +131,11 @@ mod tests {
         };
         assert!(e.to_string().contains("3 active"));
         assert!(AdmissionError::ZeroWeight.to_string().contains("zero"));
+        let e = AdmissionError::FaultWorkerOutOfRange {
+            worker: 5,
+            worker_count: 2,
+        };
+        assert!(e.to_string().contains("worker 5") && e.to_string().contains("0..2"));
     }
 
     #[test]

@@ -1,39 +1,40 @@
-//! Multi-tenant serving: one fixed worker pool, many independent sessions.
+//! Multi-tenant serving: one fixed pool, many independent sessions.
 //!
 //! The paper's load-balance machinery — and everything this workspace built
 //! on it — schedules *one* dataset's patterns over *one* set of workers.
 //! Production services face the transposed problem: a stream of independent
 //! analyses (different alignments, models, trees) arriving at a machine
-//! whose worker threads should be created once and shared. This crate
-//! generalizes the master/worker protocol from `patterns × workers` to
-//! `(session, pattern) × workers`:
+//! whose cores should be shared. Fine-grained regions pay only when they are
+//! full, and a tiny tenant's are not, so serving is *coarse-grained*: a pool
+//! of width `T` has `T` compute slots, and each session runs its `T` shards
+//! on its own driver thread while it holds one.
 //!
-//! The pool itself is [`phylo_parallel::pool::WorkerPool`] — the worker
-//! loop, lockstep drain and reduction a solo `ThreadedExecutor` drives
-//! directly; only what is genuinely multi-tenant lives here:
-//!
-//! * [`SessionManager`] owns the dispatcher thread (which owns the fixed
-//!   pool) and admits sessions described by a [`SessionSpec`] — the same
-//!   configuration surface as the single-run builder (models, branch mode,
-//!   schedule strategy, optimizer config) plus serving knobs (fair-share
-//!   weight, label, an optional injected fault for chaos drills).
-//! * Each session runs the ordinary resilient optimizer on its own driver
-//!   thread over a [`PooledExecutor`] — a standard
+//! * [`SessionManager`] owns the slots and admits sessions described by a
+//!   [`SessionSpec`] — the same configuration surface as the single-run
+//!   builder (models, branch mode, schedule strategy, optimizer config) plus
+//!   serving knobs (fair-share weight, label, an optional injected fault for
+//!   chaos drills). Admission is typed ([`AdmissionError`]), never a panic.
+//! * Each session runs the ordinary resilient optimizer on its driver thread
+//!   over a [`SessionExecutor`] — a standard
 //!   [`Executor`](phylo_kernel::Executor) +
-//!   [`Reassignable`](phylo_sched::Reassignable) whose parallel regions
-//!   execute on the shared pool. Numerics are untouched: per-entry results
-//!   reduce in worker-index order, so every session's log likelihood is
-//!   bit-identical to a dedicated run with the same strategy and width.
-//! * The dispatcher fuses pending ops of *different* sessions into one
-//!   batch per barrier, picking who goes first with a weighted fair queue
-//!   ([`TenantStrategy`], [`FairQueue`]); admission overload is the typed
-//!   [`AdmissionError`], not a panic.
-//! * Faults stay tenant-local (the pool's quarantine): a worker panic on
-//!   session A's op quarantines A on that worker (thread survives), A's
-//!   driver recovers through the standard reassign path — a re-install of
-//!   its slices — and sessions B..N never see it.
-//! * A session that records telemetry gets each pool worker's *measured* op
-//!   seconds and queue wait on its region events.
+//!   [`Reassignable`](phylo_sched::Reassignable) whose parallel regions run
+//!   the session's shards in worker order on that thread
+//!   ([`phylo_parallel::pool::run_shards`]) and fold them with the pool's
+//!   worker-index-order reduction. Numerics are untouched: every session's
+//!   log likelihood is bit-identical to a dedicated `T`-wide run with the
+//!   same strategy.
+//! * Which sessions hold the slots is a weighted stride scheduler with a
+//!   service quantum ([`TenantStrategy`], [`FairQueue`]): a holder keeps its
+//!   slot through its own master work and checks for waiters once per
+//!   `quantum` regions, so the shared slot state is never touched per
+//!   region.
+//! * Faults stay tenant-local by construction: a panicking shard poisons
+//!   only its own session's executor, whose driver recovers through the
+//!   standard reassign path — a rebuild of its shards — while sessions B..N
+//!   never see it.
+//! * A session that records telemetry gets each shard's *measured* op
+//!   seconds on its region events, and as queue wait what it waited for: its
+//!   slot, then the shards ahead of it on the thread.
 //!
 //! ```
 //! use phylo_serve::{SessionManager, SessionSpec};
@@ -57,14 +58,12 @@
 
 #![forbid(unsafe_code)]
 
-mod dispatch;
 pub mod error;
 pub mod session;
 pub mod spec;
 pub mod tenant;
 
-pub use dispatch::PoolStats;
 pub use error::{AdmissionError, ServeError};
-pub use session::{PooledExecutor, SessionHandle, SessionManager, SessionOutcome};
+pub use session::{PoolStats, SessionExecutor, SessionHandle, SessionManager, SessionOutcome};
 pub use spec::{SessionSpec, WorkerFault};
 pub use tenant::{FairQueue, TenantStrategy};

@@ -1,21 +1,30 @@
-//! Sessions over the shared pool: the per-session executor, the manager
-//! that admits sessions, and the handle that returns their outcomes.
+//! Sessions on the shared pool: the per-session executor, the manager that
+//! admits sessions, and the handle that returns their outcomes.
 //!
-//! A [`SessionManager`] owns ONE fixed pool: a dispatcher thread in front
-//! of a [`WorkerPool`], the same pool a solo `ThreadedExecutor` drives.
-//! [`SessionManager::submit`] builds a session exactly like the single-run
-//! builder would — resolve models, schedule patterns over the pool's fixed
-//! width, build per-worker slices — then registers it with the dispatcher
-//! (typed admission) and spawns a *driver thread* that runs the ordinary
-//! resilient optimizer over a [`PooledExecutor`]. The executor speaks the
-//! standard [`Executor`] + [`Reassignable`] contract, so the driver, its
-//! worker-death recovery and its convergence behaviour are literally the
-//! same code that runs single-session analyses — only the transport
-//! changed: ops travel to the shared dispatcher, which fuses compatible
-//! ops of many sessions under one barrier.
+//! A [`SessionManager`] of width `T` owns `T` compute *slots* and no threads
+//! of its own. [`SessionManager::submit`] builds a session exactly like the
+//! single-run builder would — resolve models, schedule patterns over `T`
+//! workers, build the `T` per-worker shards — admits it (typed) and spawns a
+//! *driver thread* that runs the ordinary resilient optimizer over a
+//! [`SessionExecutor`]. That executor runs each parallel region's `T` shards
+//! on the driver thread itself, in worker order
+//! ([`phylo_parallel::pool::run_shards`], the loop the tracing executor's
+//! virtual workers run too), while the session holds a slot: at most `T`
+//! sessions compute at once and [`FairQueue`] decides which. The executor
+//! speaks the standard [`Executor`] + [`Reassignable`] contract, so the
+//! driver, its worker-death recovery and its convergence behaviour are
+//! literally the same code that runs single-session analyses, and every
+//! result is bit-identical to a dedicated `T`-wide run.
+//!
+//! Serving is coarse-grained on purpose: many small sessions side by side
+//! need no barrier between threads at all, while a fine-grained region over
+//! tiny shards costs more in hand-offs than it computes. The price is that a
+//! lone session uses one core; a lone large analysis belongs on the solo
+//! `ThreadedExecutor` path.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -23,52 +32,220 @@ use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::WorkTrace;
 use phylo_kernel::{
     ExecContext, ExecError, Executor, KernelDispatch, KernelOp, LikelihoodKernel, OpOutput,
+    WorkerSlices,
 };
 use phylo_models::ModelSet;
 use phylo_optimize::{optimize_model_parameters_resilient, WorkerRecovery};
 use phylo_parallel::build_workers;
-use phylo_parallel::pool::{end_region, StateSnapshot, WorkerPool};
+use phylo_parallel::pool::{end_region, inline_samples, run_shards, Reduced};
 use phylo_sched::{Assignment, PatternCosts, Reassignable, SchedError};
-use phylo_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
+use phylo_telemetry::{RegionToken, Telemetry, TelemetryConfig, TelemetrySnapshot};
 
-use crate::dispatch::{spawn_dispatcher, DispatchMsg, OpReply, OpRequest, PoolStats};
 use crate::error::{AdmissionError, ServeError};
-use crate::spec::SessionSpec;
-use crate::tenant::TenantStrategy;
+use crate::spec::{SessionSpec, WorkerFault};
+use crate::tenant::{FairQueue, TenantStrategy};
+
+/// Pool-level aggregates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Pool width: the compute slots, and the shards of every session.
+    pub workers: usize,
+    /// Sessions currently admitted.
+    pub active_sessions: usize,
+    /// The admission bound.
+    pub capacity: usize,
+    /// Parallel regions executed since start.
+    pub ops_dispatched: u64,
+    /// Equal to `ops_dispatched`: every region serves one session. Kept for
+    /// callers that read it.
+    pub batches: u64,
+    /// Sessions served by one region: 1 once any region has run, else 0.
+    /// Kept for callers that read it.
+    pub max_batch_fused: usize,
+    /// Shard panics observed (each poisoned one session until it rebuilt its
+    /// shards).
+    pub worker_panics: u64,
+    /// Message of the most recent shard panic, if any was caught.
+    pub last_panic: Option<String>,
+}
+
+/// What the manager and every session's [`Slot`] share.
+#[derive(Debug)]
+struct Pool {
+    state: Mutex<PoolState>,
+    workers: usize,
+    capacity: usize,
+}
+
+#[derive(Debug)]
+struct PoolState {
+    queue: FairQueue,
+    /// Each admitted session's wake-up, so that a hand-off wakes exactly the
+    /// session it chose.
+    wakers: BTreeMap<u64, Arc<Condvar>>,
+    /// Set by shutdown: no slot is granted any more.
+    shutdown: bool,
+    regions: u64,
+    worker_panics: u64,
+    last_panic: Option<String>,
+}
+
+impl Pool {
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        // lint:allow(L005): the slot lock — a session takes it to acquire a
+        // slot, at most once per `quantum` regions while it holds one, and on
+        // release; never once per region. Its critical sections are queue
+        // arithmetic, so a poisoned lock still holds consistent state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl PoolState {
+    fn wake(&self, session: Option<u64>) {
+        if let Some(wake) = session.and_then(|s| self.wakers.get(&s)) {
+            wake.notify_one();
+        }
+    }
+}
+
+/// A session's counts, folded into the pool's at slot hand-offs.
+#[derive(Debug, Default)]
+struct Tally {
+    regions: u64,
+    panics: u64,
+    last_panic: Option<String>,
+}
+
+impl Tally {
+    fn count(&mut self, panics: Vec<String>) {
+        self.regions += 1;
+        self.panics += panics.len() as u64;
+        if let Some(message) = panics.into_iter().last() {
+            self.last_panic = Some(message);
+        }
+    }
+
+    fn fold_into(&mut self, state: &mut PoolState) {
+        state.regions += std::mem::take(&mut self.regions);
+        state.worker_panics += std::mem::take(&mut self.panics);
+        if let Some(message) = self.last_panic.take() {
+            state.last_panic = Some(message);
+        }
+    }
+}
+
+/// A session's handle on the pool's compute slots. Between hand-offs it
+/// touches nothing shared: the per-region fast path is the local `used`
+/// counter. Dropping it — on completion, error or unwind — releases the slot
+/// and ends the session's admission.
+#[derive(Debug)]
+struct Slot {
+    pool: Arc<Pool>,
+    session: u64,
+    wake: Arc<Condvar>,
+    quantum: u32,
+    holding: bool,
+    /// Regions run since the last charge.
+    used: u32,
+    tally: Tally,
+}
+
+impl Slot {
+    /// Makes sure the session holds a slot for its next region and returns
+    /// the seconds it waited for one, read through `telemetry`'s clock (0
+    /// when it is disabled); `None` when the pool shut down first.
+    fn enter(&mut self, telemetry: &Telemetry) -> Option<f64> {
+        if self.holding && self.used < self.quantum {
+            self.used += 1;
+            return Some(0.0);
+        }
+        let mut state = self.pool.state();
+        self.tally.fold_into(&mut state);
+        if self.holding && !state.shutdown {
+            let next = state.queue.charge(self.session, self.used);
+            self.holding = next.is_none();
+            state.wake(next);
+        }
+        let mut waited = 0.0;
+        if !self.holding {
+            let since = telemetry.now();
+            let mut granted = !state.shutdown && state.queue.grant(self.session);
+            while !granted && !state.shutdown {
+                state = self
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                granted = state.queue.holds(self.session);
+            }
+            if !granted {
+                // Shut down while waiting: leave the queue.
+                let next = state.queue.release(self.session);
+                state.wake(next);
+                return None;
+            }
+            self.holding = true;
+            waited = telemetry.now() - since;
+        }
+        self.used = 1;
+        Some(waited)
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut state = self.pool.state();
+        self.tally.fold_into(&mut state);
+        let next = state.queue.remove(self.session);
+        state.wakers.remove(&self.session);
+        state.wake(next);
+    }
+}
 
 /// The per-session execution backend: a synchronous [`Executor`] whose
-/// parallel regions run on the shared pool. One op at a time: `execute`
-/// snapshots the master state, ships the op to the dispatcher and blocks on
-/// the reply lane. Implements [`Reassignable`] so the standard worker-death
-/// recovery (rebuild slices, reinstall, retry) works unchanged — a
-/// reinstall touches only this session's shards on the pool.
-pub struct PooledExecutor {
-    session: u64,
-    workers: usize,
-    commands: Sender<DispatchMsg>,
-    reply_tx: Sender<OpReply>,
-    reply_rx: Receiver<OpReply>,
+/// parallel regions run the session's `T` shards on the calling (driver)
+/// thread, in worker order, while the session holds one of the pool's `T`
+/// compute slots. Implements [`Reassignable`] so the standard worker-death
+/// recovery (rebuild the shards, retry) works unchanged: a panicking shard
+/// poisons the executor until `reassign` rebuilds them.
+pub struct SessionExecutor {
+    shards: Vec<WorkerSlices>,
     assignment: Assignment,
     trace: WorkTrace,
     sync_events: u64,
     poisoned: Option<usize>,
+    /// The armed one-shot fault, counting down the session's regions.
+    fault: Option<WorkerFault>,
+    slot: Slot,
     telemetry: Telemetry,
 }
 
-impl std::fmt::Debug for PooledExecutor {
+impl std::fmt::Debug for SessionExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PooledExecutor")
-            .field("session", &self.session)
-            .field("workers", &self.workers)
+        f.debug_struct("SessionExecutor")
+            .field("session", &self.slot.session)
+            .field("workers", &self.shards.len())
             .field("sync_events", &self.sync_events)
             .field("poisoned", &self.poisoned)
             .finish()
     }
 }
 
-impl Executor for PooledExecutor {
+impl SessionExecutor {
+    /// Counts the armed fault down by one region: `Some(worker)` on the
+    /// region it fires.
+    fn fire_fault(&mut self) -> Option<usize> {
+        let fault = self.fault.as_mut()?;
+        if fault.after_ops > 0 {
+            fault.after_ops -= 1;
+            return None;
+        }
+        self.fault.take().map(|f| f.worker)
+    }
+}
+
+impl Executor for SessionExecutor {
     fn worker_count(&self) -> usize {
-        self.workers
+        self.shards.len()
     }
 
     fn execute(&mut self, op: &KernelOp, ctx: &ExecContext<'_>) -> Result<OpOutput, ExecError> {
@@ -80,22 +257,34 @@ impl Executor for PooledExecutor {
             self.telemetry
                 .region_start(op.label(), &op.active_partitions())
         });
-        let request = OpRequest {
-            session: self.session,
-            op: op.clone(),
-            snapshot: Arc::new(StateSnapshot {
-                tree: ctx.tree.clone(),
-                models: ctx.models.clone(),
-            }),
-            record: token.as_ref().and_then(|t| t.region()),
-            reply: self.reply_tx.clone(),
+        let width = self.shards.len();
+        let Some(slot_wait) = self.slot.enter(&self.telemetry) else {
+            // Shut down before a slot came free: fail like a lost worker, so
+            // the recovery budget turns it into a typed error instead of a
+            // hung driver.
+            let lost = Err(ExecError::WorkerDied { worker: 0 });
+            self.poisoned = end_region(&self.telemetry, token, width, &[], &lost);
+            return lost;
         };
-        // Pool gone mid-run: no dispatcher to send to, or no reply.
-        let sent = self.commands.send(DispatchMsg::Op(request));
-        let reply = sent.ok().and_then(|()| self.reply_rx.recv().ok());
-        let OpReply { result, samples } = reply.unwrap_or_else(OpReply::lost);
-        // Close the region with what each pool worker measured.
-        self.poisoned = end_region(&self.telemetry, token, self.workers, &samples, &result);
+        let panic_worker = self.fire_fault();
+        let region = token.as_ref().and_then(RegionToken::region);
+        let mut seconds = region.map(|_| vec![0.0; width]);
+        let measured = |w: usize, elapsed: Duration, _| {
+            if let Some(seconds) = seconds.as_mut() {
+                seconds[w] = elapsed.as_secs_f64();
+            }
+        };
+        let Reduced { result, panics } =
+            run_shards(&mut self.shards, op, ctx, panic_worker, measured);
+        self.slot.tally.count(panics);
+        // Shard k waited for the slot, then behind shards 0..k on this thread.
+        let samples = match (region, &seconds) {
+            (Some(region), Some(seconds)) => inline_samples(&self.shards, region, seconds, |k| {
+                slot_wait + seconds[..k].iter().sum::<f64>()
+            }),
+            _ => Vec::new(),
+        };
+        self.poisoned = end_region(&self.telemetry, token, width, &samples, &result);
         result
     }
 
@@ -108,7 +297,7 @@ impl Executor for PooledExecutor {
     }
 }
 
-impl Reassignable for PooledExecutor {
+impl Reassignable for SessionExecutor {
     fn assignment(&self) -> &Assignment {
         &self.assignment
     }
@@ -118,7 +307,7 @@ impl Reassignable for PooledExecutor {
     }
 
     fn take_trace(&mut self) -> WorkTrace {
-        std::mem::replace(&mut self.trace, WorkTrace::new(self.workers))
+        std::mem::replace(&mut self.trace, WorkTrace::new(self.shards.len()))
     }
 
     fn reassign(
@@ -128,14 +317,7 @@ impl Reassignable for PooledExecutor {
         node_capacity: usize,
         categories: &[usize],
     ) -> Result<(), SchedError> {
-        let slices = build_workers(patterns, node_capacity, categories, assignment)?;
-        let session = self.session;
-        let reinstall = DispatchMsg::Reassign { session, slices };
-        if self.commands.send(reinstall).is_err() {
-            // Pool gone: stay poisoned. The recovery budget turns the
-            // repeated Poisoned failures into a typed error upstream.
-            return Ok(());
-        }
+        self.shards = build_workers(patterns, node_capacity, categories, assignment)?;
         self.assignment = assignment.clone();
         self.poisoned = None;
         Ok(())
@@ -155,7 +337,7 @@ pub struct SessionOutcome {
     pub final_log_likelihood: f64,
     /// Optimizer rounds of the final attempt.
     pub rounds: usize,
-    /// Ops this session dispatched to the pool.
+    /// Parallel regions this session issued.
     pub sync_events: u64,
     /// Worker deaths absorbed (empty for an undisturbed run).
     pub recoveries: Vec<WorkerRecovery>,
@@ -199,33 +381,31 @@ impl SessionHandle {
     }
 }
 
-/// One fixed pool serving N independent sessions.
+/// One fixed pool of compute slots serving N independent sessions.
 ///
 /// Created with [`SessionManager::new`] (pool width) or
-/// [`SessionManager::with_strategy`] (admission/batching policy and
+/// [`SessionManager::with_strategy`] (admission/quantum policy and
 /// telemetry). Sessions are admitted with [`SessionManager::submit`] and
-/// collected with [`SessionHandle::join`]; the pool threads are reused
-/// across sessions and shut down when the manager drops.
+/// collected with [`SessionHandle::join`]; at most `workers` of them compute
+/// at any moment.
 #[derive(Debug)]
 pub struct SessionManager {
-    commands: Sender<DispatchMsg>,
-    workers: usize,
+    pool: Arc<Pool>,
     next_session: u64,
     telemetry: Telemetry,
-    /// The dispatcher thread, which owns the [`WorkerPool`].
-    dispatcher: Option<JoinHandle<()>>,
 }
 
 impl SessionManager {
-    /// A pool of `workers` threads under the default [`TenantStrategy`],
+    /// A pool of width `workers` under the default [`TenantStrategy`],
     /// without telemetry.
     pub fn new(workers: usize) -> Self {
         Self::with_strategy(workers, TenantStrategy::default(), None)
     }
 
-    /// A pool of `workers` threads under an explicit admission/batching
-    /// policy, optionally recording pool telemetry (each session's events
-    /// are tagged with its id; see [`TelemetrySnapshot::session_events`]).
+    /// A pool of width `workers` — that many compute slots, and that many
+    /// shards per session — under an explicit admission/quantum policy,
+    /// optionally recording pool telemetry (each session's events are tagged
+    /// with its id; see [`TelemetrySnapshot::session_events`]).
     pub fn with_strategy(
         workers: usize,
         strategy: TenantStrategy,
@@ -235,25 +415,29 @@ impl SessionManager {
             Some(config) => Telemetry::new(config),
             None => Telemetry::disabled(),
         };
-        let (cmd_tx, cmd_rx) = channel();
-        let dispatcher = spawn_dispatcher(
-            cmd_rx,
-            WorkerPool::spawn(workers),
-            strategy,
-            telemetry.clone(),
-        );
-        Self {
-            commands: cmd_tx,
+        let state = PoolState {
+            queue: FairQueue::new(workers, strategy.quantum),
+            wakers: BTreeMap::new(),
+            shutdown: false,
+            regions: 0,
+            worker_panics: 0,
+            last_panic: None,
+        };
+        let pool = Pool {
+            state: Mutex::new(state),
             workers,
+            capacity: strategy.max_sessions,
+        };
+        Self {
+            pool: Arc::new(pool),
             next_session: 0,
             telemetry,
-            dispatcher: Some(dispatcher),
         }
     }
 
     /// Fixed pool width.
     pub fn worker_count(&self) -> usize {
-        self.workers
+        self.pool.workers
     }
 
     /// The pool-level telemetry handle (disabled unless configured).
@@ -268,34 +452,43 @@ impl SessionManager {
         self.telemetry.enabled().then(|| self.telemetry.snapshot())
     }
 
-    /// Pool-level aggregates (sessions admitted, ops dispatched, fusion
-    /// width, worker panics), served by the dispatcher itself.
+    /// Pool-level aggregates (sessions admitted, regions run, shard panics).
+    /// Live sessions fold their counts in at slot hand-offs, so the numbers
+    /// are exact once every handle is joined.
     ///
     /// # Errors
     ///
-    /// [`ServeError::PoolDown`] when the dispatcher is gone.
+    /// None: the pool has no thread to lose. The `Result` is kept for
+    /// callers written against a pool that could be down.
     pub fn stats(&self) -> Result<PoolStats, ServeError> {
-        let (reply_tx, reply_rx) = channel();
-        self.commands
-            .send(DispatchMsg::Stats { reply: reply_tx })
-            .map_err(|_| ServeError::PoolDown)?;
-        reply_rx.recv().map_err(|_| ServeError::PoolDown)
+        let state = self.pool.state();
+        Ok(PoolStats {
+            workers: self.pool.workers,
+            active_sessions: state.queue.len(),
+            capacity: self.pool.capacity,
+            ops_dispatched: state.regions,
+            batches: state.regions,
+            max_batch_fused: usize::from(state.regions > 0),
+            worker_panics: state.worker_panics,
+            last_panic: state.last_panic.clone(),
+        })
     }
 
-    /// Admits a session and starts running it on the shared pool.
+    /// Admits a session and starts running it.
     ///
     /// The build path mirrors the single-run builder: models are resolved
     /// (or defaulted), patterns are scheduled over the pool's fixed width
-    /// with the spec's strategy, per-worker slices are built and installed.
-    /// Admission is *typed*: an overloaded pool or a zero weight comes back
-    /// as [`ServeError::Admission`], never a panic.
+    /// with the spec's strategy, and the per-worker shards are built.
+    /// Admission is *typed*: an overloaded pool, a zero weight or an
+    /// injected fault on a worker the pool does not have comes back as
+    /// [`ServeError::Admission`], never a panic.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Admission`] on overload or a zero weight,
-    /// [`ServeError::Kernel`] / [`ServeError::Sched`] for a session whose
-    /// dataset, models, tree or schedule do not line up,
-    /// [`ServeError::PoolDown`] when the pool has shut down.
+    /// [`ServeError::Admission`] on overload, a zero weight or an
+    /// out-of-range injected fault; [`ServeError::Kernel`] /
+    /// [`ServeError::Sched`] for a session whose dataset, models, tree or
+    /// schedule do not line up.
     pub fn submit(&mut self, spec: SessionSpec) -> Result<SessionHandle, ServeError> {
         let SessionSpec {
             patterns,
@@ -310,6 +503,17 @@ impl SessionManager {
         } = spec;
         if weight == 0 {
             return Err(ServeError::Admission(AdmissionError::ZeroWeight));
+        }
+        let workers = self.pool.workers;
+        if let Some(fault) = fault.filter(|f| f.worker >= workers) {
+            // A fault no shard would ever fire would make a chaos drill
+            // silently test nothing.
+            return Err(ServeError::Admission(
+                AdmissionError::FaultWorkerOutOfRange {
+                    worker: fault.worker,
+                    worker_count: workers,
+                },
+            ));
         }
         let session = self.next_session;
         self.next_session += 1;
@@ -332,69 +536,34 @@ impl SessionManager {
         // *should* pack against is an open measured-calibration question
         // (ROADMAP direction 3), not something to change in passing.
         let costs = PatternCosts::analytic(&patterns, &categories, KernelDispatch::Scalar);
-        let assignment = strategy.assign(&costs, self.workers)?;
-        let slices = build_workers(&patterns, tree.node_capacity(), &categories, &assignment)?;
+        let assignment = strategy.assign(&costs, workers)?;
+        let shards = build_workers(&patterns, tree.node_capacity(), &categories, &assignment)?;
 
-        // Typed admission round trip; on success the dispatcher has already
-        // installed this session's shards on every pool worker.
-        let (verdict_tx, verdict_rx) = channel();
-        self.commands
-            .send(DispatchMsg::Register {
-                session,
-                weight,
-                slices,
-                reply: verdict_tx,
-            })
-            .map_err(|_| ServeError::PoolDown)?;
-        match verdict_rx.recv() {
-            Ok(Ok(())) => {}
-            Ok(Err(admission)) => return Err(ServeError::Admission(admission)),
-            Err(_) => return Err(ServeError::PoolDown),
-        }
-        // Arm an injected fault *before* the driver can send its first op:
-        // the command channel is FIFO, so the faulting op is deterministic.
-        if let Some(fault) = fault {
-            let _ = self.commands.send(DispatchMsg::InjectPanic {
-                session,
-                worker: fault.worker,
-                after_ops: fault.after_ops,
-            });
-        }
-
-        let (reply_tx, reply_rx) = channel();
-        let executor = PooledExecutor {
-            session,
-            workers: self.workers,
-            commands: self.commands.clone(),
-            reply_tx,
-            reply_rx,
+        let executor = SessionExecutor {
+            shards,
             assignment,
-            trace: WorkTrace::new(self.workers),
+            trace: WorkTrace::new(workers),
             sync_events: 0,
             poisoned: None,
+            fault,
+            slot: self.admit(session, weight)?,
             telemetry: Telemetry::disabled(),
         };
-        let mut kernel = match LikelihoodKernel::try_new(patterns, tree, models, executor) {
-            Ok(kernel) => kernel,
-            Err(error) => {
-                // Free the admission slot the failed build reserved.
-                let _ = self.commands.send(DispatchMsg::Remove { session });
-                return Err(ServeError::Kernel(error));
-            }
-        };
+        // A failed build drops the executor, whose slot ends the admission.
+        let mut kernel = LikelihoodKernel::try_new(patterns, tree, models, executor)?;
         kernel.set_telemetry(&self.telemetry.for_session(session));
 
         let (outcome_tx, outcome_rx) = channel();
-        let commands = self.commands.clone();
         let driver_label = label.clone();
         let join = std::thread::Builder::new()
             .name(format!("plf-session-{session}"))
             .spawn(move || {
                 let started = Instant::now();
                 let result = optimize_model_parameters_resilient(&mut kernel, &optimizer);
-                // Retire the session (frees its admission slot and its
-                // shards on every pool worker) before reporting.
-                let _ = commands.send(DispatchMsg::Remove { session });
+                let sync_events = kernel.sync_events();
+                // Retire the session (its slot goes to the next waiter, its
+                // admission ends) before reporting.
+                drop(kernel);
                 let outcome = result
                     .map(|(report, recoveries)| SessionOutcome {
                         session,
@@ -402,7 +571,7 @@ impl SessionManager {
                         initial_log_likelihood: report.initial_log_likelihood,
                         final_log_likelihood: report.final_log_likelihood,
                         rounds: report.rounds,
-                        sync_events: kernel.sync_events(),
+                        sync_events,
                         recoveries,
                         latency: started.elapsed(),
                     })
@@ -419,23 +588,47 @@ impl SessionManager {
         })
     }
 
-    fn shutdown_inner(&mut self) {
-        let _ = self.commands.send(DispatchMsg::Shutdown);
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
+    /// Typed admission: registers `session` with the fair queue and returns
+    /// its slot handle, idle until its first region.
+    fn admit(&self, session: u64, weight: u32) -> Result<Slot, AdmissionError> {
+        let mut state = self.pool.state();
+        let active = state.queue.len();
+        if active >= self.pool.capacity {
+            return Err(AdmissionError::PoolFull {
+                active,
+                capacity: self.pool.capacity,
+            });
         }
+        state.queue.register(session, weight);
+        let wake = Arc::new(Condvar::new());
+        state.wakers.insert(session, Arc::clone(&wake));
+        Ok(Slot {
+            pool: Arc::clone(&self.pool),
+            session,
+            wake,
+            quantum: state.queue.quantum(),
+            holding: false,
+            used: 0,
+            tally: Tally::default(),
+        })
     }
 
-    /// Stops the dispatcher and joins every pool thread. Join all live
-    /// [`SessionHandle`]s first: a session still running when the pool goes
-    /// down fails over its recovery budget into a typed error.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
+    /// Stops granting compute slots, without blocking. Sessions holding a
+    /// slot run to completion; a session waiting for one — or asking later
+    /// — fails its next region like a lost worker, which its recovery budget
+    /// turns into a typed [`ServeError`]. Join the live [`SessionHandle`]s to
+    /// collect their outcomes.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for SessionManager {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        let mut state = self.pool.state();
+        state.shutdown = true;
+        for wake in state.wakers.values() {
+            wake.notify_one();
+        }
     }
 }

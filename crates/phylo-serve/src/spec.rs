@@ -8,17 +8,17 @@ use phylo_optimize::{OptimizerConfig, ParallelScheme};
 use phylo_sched::{ScheduleStrategy, WeightedLpt};
 use phylo_tree::Tree;
 
-/// A one-shot injected worker fault (test/chaos instrumentation): pool
-/// worker `worker` panics while executing this session's op dispatched
-/// `after_ops` session-ops after admission (0 = the first op).
+/// A one-shot injected worker fault (test/chaos instrumentation): the
+/// session's shard `worker` panics in the region the session runs after
+/// `after_ops` earlier ones (0 = its first region).
 ///
-/// Injection is armed *before* the session's first op enters the dispatch
-/// channel, so the faulting op's position is deterministic.
+/// The count is the session's own, so the faulting region is deterministic;
+/// a `worker` outside the pool's width is a typed admission error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerFault {
-    /// Pool worker index that dies.
+    /// Worker (shard) index that dies.
     pub worker: usize,
-    /// Session-ops dispatched before the fault fires.
+    /// The session's regions run before the fault fires.
     pub after_ops: u64,
 }
 
@@ -99,7 +99,7 @@ impl SessionSpec {
     }
 
     /// Fair-share weight (> 0): under contention a weight-`w` session gets
-    /// `w` times the dispatch rounds of a weight-1 session. Zero is a typed
+    /// `w` times the slot time, in regions, of a weight-1 session. Zero is a typed
     /// [`crate::AdmissionError::ZeroWeight`] at submit time.
     #[must_use]
     pub fn weight(mut self, weight: u32) -> Self {

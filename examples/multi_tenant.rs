@@ -1,6 +1,6 @@
-//! Multi-tenant serving: many independent analyses on ONE fixed worker pool.
+//! Multi-tenant serving: many independent analyses on ONE fixed pool.
 //!
-//! Spawns a 2-thread pool, submits six sessions with mixed data types and
+//! Opens a 2-slot pool, submits six sessions with mixed data types and
 //! fair-share weights, injects a worker death into one of them, and shows
 //! that every session completes with its own result — the faulted tenant
 //! recovers through the standard reassignment path while its neighbors
@@ -16,7 +16,7 @@ fn main() -> Result<(), ServeError> {
     let workers = 2;
     let mut pool = SessionManager::new(workers);
     println!(
-        "pool: {} workers, strategy {:?}\n",
+        "pool: {} compute slots, strategy {:?}\n",
         pool.worker_count(),
         TenantStrategy::default()
     );
@@ -68,9 +68,9 @@ fn main() -> Result<(), ServeError> {
 
     let stats = pool.stats()?;
     println!(
-        "\npool served {} ops in {} fused batches (max {} tenants under one barrier), \
-         {} worker panic(s) — all quarantined to one tenant",
-        stats.ops_dispatched, stats.batches, stats.max_batch_fused, stats.worker_panics
+        "\npool ran {} regions on {} compute slots (each session's {} shards on its own \
+         thread), {} worker panic(s) — all contained in one tenant",
+        stats.ops_dispatched, stats.workers, stats.workers, stats.worker_panics
     );
     assert_eq!(stats.worker_panics, 1);
     pool.shutdown();

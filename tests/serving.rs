@@ -1,8 +1,9 @@
-//! Multi-tenant serving: cross-session isolation, typed admission and
-//! per-session telemetry on the shared pool.
+//! Multi-tenant serving: cross-session isolation, typed admission, compute
+//! slots and per-session telemetry on the shared pool.
 
 use std::sync::Arc;
 
+use plf_loadbalance::kernel::Executor;
 use plf_loadbalance::prelude::*;
 use plf_loadbalance::serve::TenantStrategy;
 
@@ -120,6 +121,27 @@ fn admission_overload_and_zero_weight_are_typed_errors() {
     assert_eq!(err, ServeError::Admission(AdmissionError::ZeroWeight));
 }
 
+/// A fault on a worker the pool does not have would never fire, so its
+/// chaos drill would pass while testing nothing: submit refuses it.
+#[test]
+fn an_injected_fault_outside_the_pool_is_a_typed_admission_error() {
+    let mut pool = SessionManager::new(2);
+    let ds = paper_simulated(6, 120, 30, 7).generate();
+    let spec = SessionSpec::new(Arc::clone(&ds.patterns), ds.tree.clone());
+    let err = pool
+        .submit(spec.inject_worker_fault(5, 0))
+        .expect_err("worker 5 of a 2-wide pool must be rejected");
+    assert_eq!(
+        err,
+        ServeError::Admission(AdmissionError::FaultWorkerOutOfRange {
+            worker: 5,
+            worker_count: 2
+        })
+    );
+    // Rejected before admission: no slot was taken.
+    assert_eq!(pool.stats().expect("stats").active_sessions, 0);
+}
+
 #[test]
 fn session_build_errors_are_typed_and_do_not_leak_admission_slots() {
     let mut pool = SessionManager::new(2);
@@ -233,11 +255,70 @@ fn pooled_region_events_carry_each_workers_own_measurements() {
     assert!(snapshot.counters.dispatch_blocked_patterns > 0);
 }
 
+/// A run of `executor` the way a session runs: default per-partition models,
+/// the resilient newPAR optimizer.
+fn final_lnl<E: Executor + Reassignable>(ds: &GeneratedDataset, executor: E) -> f64 {
+    let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
+    let (patterns, tree) = (Arc::clone(&ds.patterns), ds.tree.clone());
+    let mut kernel = LikelihoodKernel::try_new(patterns, tree, models, executor).expect("kernel");
+    let config = OptimizerConfig::new(ParallelScheme::New);
+    let (report, _) = optimize_model_parameters_resilient(&mut kernel, &config).expect("optimize");
+    report.final_log_likelihood
+}
+
+/// What makes running a session's shards on its own thread legal: one
+/// `WeightedLpt` assignment over T workers gives the same final lnL, bit for
+/// bit, on T pool threads (`ThreadedExecutor`), on T virtual workers run in
+/// order (`TracingExecutor`) and served from a T-slot pool.
 #[test]
-fn fused_batches_actually_share_barriers_across_tenants() {
-    let mut pool = SessionManager::new(2);
-    let fleet = mixed_fleet(6);
-    let handles: Vec<_> = fleet
+fn served_sessions_match_threaded_and_tracing_runs_of_the_same_assignment() {
+    let fleet = mixed_fleet(4);
+    for workers in 1..=3 {
+        let mut pool = SessionManager::new(workers);
+        let handles: Vec<_> = fleet
+            .iter()
+            .map(|ds| {
+                pool.submit(SessionSpec::new(Arc::clone(&ds.patterns), ds.tree.clone()))
+                    .expect("admission")
+            })
+            .collect();
+        for (i, (ds, handle)) in fleet.iter().zip(handles).enumerate() {
+            let served = handle.join().expect("session outcome").final_log_likelihood;
+            let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
+            let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+            let assignment =
+                schedule(&ds.patterns, &cats, workers, &WeightedLpt).expect("schedule");
+            let capacity = ds.tree.node_capacity();
+            let threaded =
+                ThreadedExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats)
+                    .expect("threaded executor");
+            let tracing =
+                TracingExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats)
+                    .expect("tracing executor");
+            for (name, lnl) in [
+                ("threaded", final_lnl(ds, threaded)),
+                ("tracing", final_lnl(ds, tracing)),
+            ] {
+                assert_eq!(
+                    served.to_bits(),
+                    lnl.to_bits(),
+                    "T={workers}, session {i}: served {served} vs {name} {lnl}"
+                );
+            }
+        }
+    }
+}
+
+/// With more sessions than compute slots, a region's queue-wait lanes
+/// record what the tenant waited for: its slot, before any shard ran.
+#[test]
+fn a_region_that_waited_for_its_slot_records_the_wait_on_every_lane() {
+    let mut pool = SessionManager::with_strategy(
+        1,
+        TenantStrategy::default(),
+        Some(TelemetryConfig::default()),
+    );
+    let handles: Vec<_> = mixed_fleet(3)
         .iter()
         .map(|ds| {
             pool.submit(SessionSpec::new(Arc::clone(&ds.patterns), ds.tree.clone()))
@@ -247,15 +328,40 @@ fn fused_batches_actually_share_barriers_across_tenants() {
     for handle in handles {
         handle.join().expect("session outcome");
     }
-    let stats = pool.stats().expect("stats");
-    assert!(stats.ops_dispatched > 0);
+    let snapshot = pool.telemetry_snapshot().expect("telemetry configured");
+    let slot_waits = snapshot.events.iter().filter(|e| match e {
+        TelemetryEvent::RegionEnd { queue_wait, .. } => queue_wait.iter().all(|&w| w > 0.0),
+        _ => false,
+    });
     assert!(
-        stats.max_batch_fused > 1,
-        "6 concurrent tenants never shared a barrier (max fused {})",
-        stats.max_batch_fused
+        slot_waits.count() > 0,
+        "three sessions on one slot never waited for it"
     );
-    // Fusion means strictly fewer barriers than ops.
-    assert!(stats.batches < stats.ops_dispatched);
+}
+
+/// Shutting the pool down under sessions still waiting for a slot neither
+/// hangs nor panics: each session ends with its outcome or a typed error.
+#[test]
+fn shutdown_with_sessions_waiting_for_a_slot_ends_every_session() {
+    let mut pool = SessionManager::new(1);
+    let handles: Vec<_> = mixed_fleet(3)
+        .iter()
+        .map(|ds| {
+            pool.submit(SessionSpec::new(Arc::clone(&ds.patterns), ds.tree.clone()))
+                .expect("admission")
+        })
+        .collect();
+    pool.shutdown();
+    for handle in handles {
+        let result = handle.join();
+        assert!(
+            matches!(
+                result,
+                Ok(_) | Err(ServeError::Kernel(KernelError::Exec(_)))
+            ),
+            "{result:?}"
+        );
+    }
 }
 
 /// The pool's sessions run the blocked dispatch (the engine default); each
