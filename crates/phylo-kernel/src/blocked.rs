@@ -62,7 +62,7 @@ use crate::ops::{
     ChildData, ResolvedChild, SITE_LIKELIHOOD_FLOOR,
 };
 use crate::slice::{PartitionSlice, SliceBuffers, TIP_INDEX_NONE};
-use crate::tables::{BranchTables, StepTables};
+use crate::tables::BranchTables;
 use crate::{LOG_SCALE_FACTOR, SCALE_FACTOR, SCALE_THRESHOLD};
 
 /// Pattern-tile width of the 20-state kernels. One tile touches, per
@@ -296,14 +296,13 @@ pub fn newview_step_blocked(
     slice: &PartitionSlice,
     buffers: &mut SliceBuffers,
     step: &TraversalStep,
-    tables: &StepTables,
+    left_tables: &BranchTables,
+    right_tables: &BranchTables,
 ) -> Result<(), OpError> {
     let states = slice.states();
     if states != 4 && states != 20 {
-        return ops::newview_step_tabled(slice, buffers, step, tables);
+        return ops::newview_step_tabled(slice, buffers, step, left_tables, right_tables);
     }
-    let left_tables = &*tables.left;
-    let right_tables = &*tables.right;
     let patterns = slice.pattern_count();
     check_slice_shape(slice, buffers)?;
     check_table_dims(slice, buffers, left_tables)?;
@@ -672,14 +671,6 @@ mod tests {
         (ws, models)
     }
 
-    /// `StepTables` for one step of a uniform-branch-length tree.
-    fn uniform_step_tables(tables: &Arc<BranchTables>) -> StepTables {
-        StepTables {
-            left: Arc::clone(tables),
-            right: Arc::clone(tables),
-        }
-    }
-
     #[test]
     fn scaling_threshold_crossings_inside_a_blocked_tile_match_the_scalar_path() {
         // More distinct patterns than one tile, a chain deep enough that the
@@ -698,14 +689,15 @@ mod tests {
             pp.partitions[0].data_type,
             &pp.partitions[0].tip_states,
         ));
-        let tables = Arc::new(BranchTables::build(model, &dict, 4.0).unwrap());
+        // Every branch of the tree has the same length, hence the same tables.
+        let tables = BranchTables::build(model, &dict, 4.0).unwrap();
 
         let root_branch = 0;
         let plan = TraversalPlan::full(&tree, root_branch);
         for step in &plan.steps {
-            let st = uniform_step_tables(&tables);
-            newview_step_tabled(&ws_tab.slices[0], &mut ws_tab.buffers[0], step, &st).unwrap();
-            newview_step_blocked(&ws_blk.slices[0], &mut ws_blk.buffers[0], step, &st).unwrap();
+            let (tab, blk) = (&mut ws_tab.buffers[0], &mut ws_blk.buffers[0]);
+            newview_step_tabled(&ws_tab.slices[0], tab, step, &tables, &tables).unwrap();
+            newview_step_blocked(&ws_blk.slices[0], blk, step, &tables, &tables).unwrap();
             // Scaling decisions are *identical*, not just equivalent: the
             // blocked tile compares the same set of values against the same
             // threshold, so the event counts must match element for element
@@ -785,11 +777,11 @@ mod tests {
             pp.partitions[0].data_type,
             &pp.partitions[0].tip_states,
         ));
-        let tables = Arc::new(BranchTables::build(model, &dict, 4.0).unwrap());
+        let tables = BranchTables::build(model, &dict, 4.0).unwrap();
         let root_branch = 0;
         for step in &TraversalPlan::full(&tree, root_branch).steps {
-            let st = uniform_step_tables(&tables);
-            newview_step_blocked(&ws.slices[0], &mut ws.buffers[0], step, &st).unwrap();
+            newview_step_blocked(&ws.slices[0], &mut ws.buffers[0], step, &tables, &tables)
+                .unwrap();
         }
         let (a, b) = tree.branch_endpoints(root_branch);
         build_sumtable(&ws.slices[0], &mut ws.buffers[0], model, a, b).unwrap();

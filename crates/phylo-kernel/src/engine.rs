@@ -42,8 +42,8 @@ use crate::executor::{
 };
 use crate::ops::EdgeDerivatives;
 use crate::tables::{
-    validate_branch_length, BranchTables, EdgeTables, KernelDispatch, MaskDictionary,
-    NewviewTables, StepTables,
+    validate_branch_length, EdgeTables, KernelDispatch, MaskDictionary, NewviewTables, StepTables,
+    TableSlot,
 };
 use crate::validity::ClvValidity;
 
@@ -60,23 +60,24 @@ pub struct KernelStats {
     pub derivative_calls: u64,
     /// Number of SPR moves applied.
     pub spr_moves: u64,
-    /// Shared branch tables computed by the master (cache misses); lookups
-    /// served from the cache are free and not counted.
+    /// Table slots issued by the master (cache misses), each built inside
+    /// the region that first reads it; lookups served from the cache are
+    /// free and not counted.
     pub table_builds: u64,
     /// Branch-table requests served by *cross-branch* sharing: the branch had
     /// no cached entry, but another branch of the same partition with the
     /// same stored length (hence identical per-category `t·r` products and
-    /// identical transition/tip-lookup tables) already built one. Common once
-    /// smoothing converges and many branches settle on equal lengths.
+    /// identical transition/tip-lookup tables) already held a slot. Common
+    /// once smoothing converges and many branches settle on equal lengths.
     pub table_dedup_hits: u64,
 }
 
-/// The master-side store of shared per-branch tables: one
-/// [`MaskDictionary`] per partition (fixed for the dataset's lifetime) and a
-/// dense `[partition][branch]` grid of `Arc<BranchTables>` slots, emptied
-/// whenever the branch's length or the partition's model changes (and
-/// wholesale on topology changes). See [`crate::tables`] for what the tables
-/// hold.
+/// The master-side store of branch-table slots: one [`MaskDictionary`] per
+/// partition (fixed for the dataset's lifetime) and a dense
+/// `[partition][branch]` grid of `Arc<TableSlot>`s, emptied whenever the
+/// branch's length or the partition's model changes (and wholesale on
+/// topology changes). See [`crate::tables`] for what a slot holds and who
+/// builds it.
 #[derive(Debug, Clone)]
 struct TableStore {
     /// Inner-loop implementation stamped into every table payload.
@@ -84,25 +85,26 @@ struct TableStore {
     dicts: Vec<Arc<MaskDictionary>>,
     /// `cache[partition][branch]`: a hit indexes twice and hashes nothing,
     /// and dropping one partition touches that partition's row only.
-    cache: Vec<Vec<Option<Arc<BranchTables>>>>,
+    cache: Vec<Vec<Option<Arc<TableSlot>>>>,
     /// Cross-branch sharing index, one map per partition: `length bits →`
-    /// the tables *some branch of that partition still holds* for that exact
-    /// stored length. [`BranchTables::build`] is a pure function of (model,
-    /// dictionary, length), and within a partition the model and dictionary
-    /// are fixed, so an equal length means identical per-category `t·r`
-    /// products and therefore identical tables — the entry can be handed to
-    /// any branch. The index holds `Weak`s: it never extends a table's life,
-    /// so the tables of a probe length no branch kept die with their slot.
-    /// (A command payload a worker has not dropped yet is a holder too; that
-    /// can only decide whether a build is shared, never what a table holds.)
-    /// Length changes leave the map untouched (the entries are keyed by the
-    /// value, not the branch); model changes clear the partition's map;
-    /// topology changes clear them all.
-    by_length: Vec<HashMap<u64, Weak<BranchTables>>>,
+    /// the slot *some branch of that partition still holds* for that exact
+    /// stored length. A table is a pure function of (model, dictionary,
+    /// length), and within a partition the model and dictionary are fixed,
+    /// so an equal length means identical per-category `t·r` products and
+    /// therefore identical tables — the slot can be handed to any branch.
+    /// The index holds `Weak`s: it never extends a slot's life, so the slot
+    /// of a probe length no branch kept dies with its cache entry. (A
+    /// command payload a worker has not dropped yet is a holder too; that
+    /// can only decide whether a slot is shared, never what its tables
+    /// hold.) Length changes leave the map untouched (the entries are keyed
+    /// by the value, not the branch); model changes clear the partition's
+    /// map; topology changes clear them all.
+    by_length: Vec<HashMap<u64, Weak<TableSlot>>>,
 }
 
 /// Floor of the per-partition bound on the sharing index (the bound itself
-/// is twice the partition's slot count, see `TableStore::remember_length`).
+/// is twice the partition's cache entries, see
+/// `TableStore::remember_length`).
 const LENGTH_INDEX_MIN_CAP: usize = 64;
 
 impl TableStore {
@@ -138,17 +140,17 @@ impl TableStore {
         }
     }
 
-    /// Offers freshly built tables to the other branches of the partition.
+    /// Offers a freshly issued slot to the other branches of the partition.
     /// Every length a branch moved away from leaves a dead entry behind; once
-    /// the map is twice the size the live ones can fill (one per slot), the
-    /// dead are dropped — a liveness test per entry, so the hash order the
-    /// walk visits them in cannot matter.
-    fn remember_length(&mut self, partition: usize, length: f64, tables: &Arc<BranchTables>) {
+    /// the map is twice the size the live ones can fill (one per cache
+    /// entry), the dead are dropped — a liveness test per entry, so the hash
+    /// order the walk visits them in cannot matter.
+    fn remember_length(&mut self, partition: usize, length: f64, slot: &Arc<TableSlot>) {
         let index = &mut self.by_length[partition];
         if index.len() >= LENGTH_INDEX_MIN_CAP.max(2 * self.cache[partition].len()) {
             index.retain(|_, t| t.strong_count() > 0);
         }
-        index.insert(length.to_bits(), Arc::downgrade(tables));
+        index.insert(length.to_bits(), Arc::downgrade(slot));
     }
 }
 
@@ -312,8 +314,9 @@ impl<E: Executor> LikelihoodKernel<E> {
     }
 
     /// Attaches a telemetry recorder to the engine **and** its executor: the
-    /// engine records `BranchTables` cache hits/builds, the executor brackets
-    /// regions. Attaching a disabled handle turns recording back off.
+    /// engine records table-slot cache hits and issued slots, the executor
+    /// brackets regions and reports the tables its shards built. Attaching a
+    /// disabled handle turns recording back off.
     pub fn set_telemetry(&mut self, telemetry: &phylo_telemetry::Telemetry) {
         self.telemetry = telemetry.clone();
         self.executor.attach_telemetry(telemetry);
@@ -373,9 +376,10 @@ impl<E: Executor> LikelihoodKernel<E> {
         entries.filter(|t| t.strong_count() > 0).count()
     }
 
-    /// The shared tables of one `(partition, branch)`: served from the cache
-    /// or computed (and cached) by the master. This is the "computed once,
-    /// shared read-only" half of the tentpole: workers never build tables.
+    /// The table slot of one `(partition, branch)`: served from the cache or
+    /// issued (and cached) by the master. The master never builds a table:
+    /// the first shard that reads the slot does, inside the region (see
+    /// [`crate::tables`]).
     ///
     /// # Errors
     ///
@@ -386,42 +390,40 @@ impl<E: Executor> LikelihoodKernel<E> {
         &mut self,
         partition: usize,
         branch: BranchId,
-    ) -> Result<Arc<BranchTables>, KernelError> {
-        if let Some(t) = &self.data.tables.cache[partition][branch] {
+    ) -> Result<Arc<TableSlot>, KernelError> {
+        if let Some(slot) = &self.data.tables.cache[partition][branch] {
             self.telemetry.table_cache_hit();
-            return Ok(Arc::clone(t));
+            return Ok(Arc::clone(slot));
         }
         let length = self.data.branch_lengths.get(partition, branch);
         // Cross-branch sharing: another branch of this partition with the
-        // same stored length holds identical tables (same model, same
-        // dictionary, same per-category t·r products). Adopt them instead of
-        // redoing the O(states³·categories) eigen work.
+        // same stored length holds a slot for identical tables (same model,
+        // same dictionary, same per-category t·r products). Adopt it instead
+        // of having the O(states³·categories) eigen work done twice.
         let shared = self.data.tables.by_length[partition]
             .get(&length.to_bits())
             .and_then(Weak::upgrade);
-        let tables = match shared {
-            Some(tables) => {
+        let slot = match shared {
+            Some(slot) => {
                 self.stats.table_dedup_hits += 1;
                 self.telemetry.table_cache_hit();
-                tables
+                slot
             }
             None => {
-                let tables = Arc::new(BranchTables::build(
-                    self.data.models.model(partition),
-                    &self.data.tables.dicts[partition],
-                    length,
-                )?);
+                validate_branch_length(length)?;
+                let dict = Arc::clone(&self.data.tables.dicts[partition]);
+                let slot = Arc::new(TableSlot::new(dict, length));
                 self.stats.table_builds += 1;
                 self.telemetry.table_build(partition, branch);
-                self.data.tables.remember_length(partition, length, &tables);
-                tables
+                self.data.tables.remember_length(partition, length, &slot);
+                slot
             }
         };
-        self.data.tables.cache[partition][branch] = Some(Arc::clone(&tables));
-        Ok(tables)
+        self.data.tables.cache[partition][branch] = Some(Arc::clone(&slot));
+        Ok(slot)
     }
 
-    /// Assembles the shared-table payload of a traversal.
+    /// Assembles the table payload of a traversal.
     fn newview_tables(
         &mut self,
         plans: &[Option<TraversalPlan>],
@@ -447,7 +449,7 @@ impl<E: Executor> LikelihoodKernel<E> {
         }))
     }
 
-    /// Assembles the shared-table payload for an `Evaluate` command.
+    /// Assembles the table payload for an `Evaluate` command.
     fn edge_tables(
         &mut self,
         root_branch: BranchId,
@@ -469,7 +471,7 @@ impl<E: Executor> LikelihoodKernel<E> {
 
     /// Plans the traversal that brings the CLVs needed for an evaluation
     /// rooted on `root_branch` up to date for the masked partitions, with the
-    /// shared tables of every step; `None` when everything is already valid
+    /// table slots of every step; `None` when everything is already valid
     /// (the partial traversal machinery at work).
     fn plan_traversal(
         &mut self,
@@ -598,7 +600,7 @@ impl<E: Executor> LikelihoodKernel<E> {
     }
 
     /// Sets a branch length and invalidates exactly the CLVs whose subtrees
-    /// contain the branch (and the branch's cached shared tables).
+    /// contain the branch (and the branch's cached table slots).
     pub fn set_branch_length(&mut self, scope: BranchScope, branch: BranchId, value: f64) {
         let partitions = self.partition_count();
         match (scope, self.data.models.branch_mode()) {
@@ -908,6 +910,7 @@ mod tests {
     fn fresh_table_reference(k: &SequentialKernel, root: BranchId) -> Vec<f64> {
         use crate::ops::{evaluate_edge_tabled, newview_step_tabled};
         use crate::slice::WorkerSlices;
+        use crate::tables::BranchTables;
 
         let pp = k.patterns();
         let tree = k.tree();
@@ -923,16 +926,10 @@ mod tests {
                     part.data_type,
                     &part.tip_states,
                 ));
-                let tables = |b| {
-                    Arc::new(BranchTables::build(model, &dict, k.branch_length(pi, b)).unwrap())
-                };
+                let tables = |b| BranchTables::build(model, &dict, k.branch_length(pi, b)).unwrap();
                 for step in &plan.steps {
-                    let step_tables = StepTables {
-                        left: tables(step.left_branch),
-                        right: tables(step.right_branch),
-                    };
-                    newview_step_tabled(&ws.slices[pi], &mut ws.buffers[pi], step, &step_tables)
-                        .unwrap();
+                    let (l, r) = (tables(step.left_branch), tables(step.right_branch));
+                    newview_step_tabled(&ws.slices[pi], &mut ws.buffers[pi], step, &l, &r).unwrap();
                 }
                 evaluate_edge_tabled(
                     &ws.slices[pi],
@@ -1254,17 +1251,24 @@ mod tests {
         let _ = k.try_log_likelihood().unwrap();
         assert!(k.cached_length_tables() > 0);
 
+        // A slot issued under the old α but never read — what a region that
+        // died before reaching it leaves behind — is as stale as a built one.
+        let root = k.default_root_branch();
+        k.set_branch_length(BranchScope::All, root, 0.3);
+        let unread = k.branch_tables(0, root).unwrap();
+
         // A model change must purge the partition's length-keyed entries too:
         // the old tables were built under the old α.
         k.set_alpha(0, 0.55);
         let mask = k.full_mask();
-        let root = k.default_root_branch();
         let a = k.try_log_likelihood_partitions(root, &mask).unwrap();
         assert_eq!(
             a,
             fresh_table_reference(&k, root),
             "dedup after a model change must rebuild, not reuse"
         );
+        assert!(unread.get().is_none(), "the unread slot was served");
+        assert!(!Arc::ptr_eq(&unread, &k.branch_tables(0, root).unwrap()));
     }
 
     #[test]
@@ -1345,12 +1349,13 @@ mod tests {
         assert_eq!(k.cached_length_tables(), live);
 
         // A handle that outlives a model change (a payload still in flight)
-        // keeps the old tables alive, yet the index must not hand them out.
+        // keeps the old slot alive, yet the index must not hand it out.
         let held = k.branch_tables(0, victim).unwrap();
+        assert!(held.get().is_some(), "the evaluation built it");
         k.set_alpha(0, 0.55);
-        let rebuilt = k.branch_tables(0, victim).unwrap();
-        assert!(!Arc::ptr_eq(&held, &rebuilt));
-        assert_ne!(*held, *rebuilt);
+        let reissued = k.branch_tables(0, victim).unwrap();
+        assert!(!Arc::ptr_eq(&held, &reissued));
+        assert!(reissued.get().is_none());
     }
 
     #[test]

@@ -252,8 +252,9 @@ pub enum KernelError {
     /// A slice-level kernel primitive rejected its inputs (mismatched buffer
     /// shapes, a stale sum table, an out-of-domain branch length) — the
     /// release-mode soundness guards of the numerical core, surfaced as
-    /// values whether they trip on the master (while building shared tables
-    /// or validating candidate lengths) or inside a worker.
+    /// values whether they trip on the master (while issuing table slots or
+    /// validating candidate lengths) or inside a worker (building a slot's
+    /// tables, running a kernel).
     Op(OpError),
     /// A tree operation failed (invalid SPR move, malformed topology).
     Tree(TreeError),

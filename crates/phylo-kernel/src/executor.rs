@@ -45,14 +45,14 @@ use crate::tables::{EdgeTables, KernelDispatch, NewviewTables};
 pub type PartitionMask = Vec<bool>;
 
 /// The CLV updates a command runs before its op: one optional traversal plan
-/// per partition plus the shared branch tables of every step. Commands carry
-/// it behind one `Arc`, so the per-region clone a parallel backend makes is a
+/// per partition plus the table slots of every step. Commands carry it
+/// behind one `Arc`, so the per-region clone a parallel backend makes is a
 /// reference-count bump.
 #[derive(Debug)]
 pub struct TraversalDescriptor {
     /// One optional plan per partition (`None` = nothing to update).
     pub plans: Vec<Option<TraversalPlan>>,
-    /// Shared per-step branch tables (aligned with the plans).
+    /// Per-step table slots (aligned with the plans).
     pub tables: Arc<NewviewTables>,
 }
 
@@ -60,11 +60,11 @@ pub struct TraversalDescriptor {
 /// the op, and (for a sum table) an optional first derivative probe, executed
 /// in that order inside ONE parallel region.
 ///
-/// The CLV-touching commands carry **shared branch tables**
-/// (master-precomputed transition matrices + tip lookup rows, see
-/// [`crate::tables`]) inside an `Arc`: every worker reads the same read-only
-/// tables, so the O(states³·categories) eigen work is done once per branch by
-/// the master. The payload also carries a [`KernelDispatch`] selecting
+/// The CLV-touching commands carry **table slots** (see [`crate::tables`])
+/// inside an `Arc`: the first shard that reads a slot builds its transition
+/// matrices and tip lookup rows, and every other reader shares them, so the
+/// O(states³·categories) eigen work is done once per distinct branch length
+/// inside the region. The payload also carries a [`KernelDispatch`] selecting
 /// between the scalar tabled loops (the reference) and the cache-blocked
 /// width-specialized loops (see [`crate::blocked`] for the tolerance
 /// contract).
@@ -76,7 +76,7 @@ pub enum KernelOp {
     Newview {
         /// One optional plan per partition.
         plans: Vec<Option<TraversalPlan>>,
-        /// Shared per-step branch tables (aligned with the plans).
+        /// Per-step table slots (aligned with the plans).
         tables: Arc<NewviewTables>,
     },
     /// Evaluate the per-partition log likelihood at a virtual root branch.
@@ -85,7 +85,7 @@ pub enum KernelOp {
         root_branch: BranchId,
         /// Active partitions.
         mask: PartitionMask,
-        /// Shared virtual-root branch tables per partition.
+        /// The virtual-root branch's table slot per partition.
         tables: Arc<EdgeTables>,
         /// CLV updates to run first (`None` = every CLV read is valid).
         traversal: Option<Arc<TraversalDescriptor>>,
@@ -367,14 +367,19 @@ pub trait Executor {
 /// Executes one command against a single worker's slices: *traversal → op →
 /// probe*, back to back. This is the shared building block: the sequential
 /// executor calls it once, the threaded and tracing executors call it per
-/// worker.
+/// worker. The traversal and the evaluation visit the partitions starting
+/// at `worker·P/T` and build each table slot they reach first
+/// ([`TableSlot::resolve`](crate::tables::TableSlot::resolve), counted into
+/// the worker's
+/// [`WorkerSlices::take_table_builds`]).
 ///
 /// # Errors
 ///
 /// [`OpError`] when a kernel primitive rejects its inputs (mismatched buffer
 /// shapes, a stale sum table, an out-of-domain branch length, a table
-/// payload that does not cover the command, a per-partition payload of the
-/// wrong length).
+/// payload that does not cover the command, a slot whose dictionary is for
+/// another alphabet than the partition's model, a per-partition payload of
+/// the wrong length).
 pub fn execute_on_worker(
     worker: &mut WorkerSlices,
     op: &KernelOp,
@@ -402,7 +407,7 @@ pub fn execute_on_worker(
     }
 
     if let Some((plans, tables)) = traversal {
-        run_traversal(worker, plans, tables)?;
+        run_traversal(worker, plans, tables, ctx)?;
     }
     let mut out = OpOutput::None;
     match op {
@@ -415,7 +420,7 @@ pub fn execute_on_worker(
         } => {
             let (left, right) = ctx.tree.branch_endpoints(*root_branch);
             let mut lnl = vec![0.0; partitions];
-            for pi in 0..partitions {
+            for pi in partition_order(worker) {
                 if !mask[pi] || worker.slices[pi].pattern_count() == 0 {
                     continue;
                 }
@@ -423,13 +428,14 @@ pub fn execute_on_worker(
                 // A table payload must cover every active partition; a hole
                 // is a typed error (matching the Newview contract), never an
                 // index panic.
-                let Some(edge) = tables.per_partition.get(pi).and_then(|e| e.as_deref()) else {
+                let Some(slot) = tables.per_partition.get(pi).and_then(|e| e.as_deref()) else {
                     return Err(OpError::TableShape {
                         partition: pi,
                         expected: 1,
                         got: 0,
                     });
                 };
+                let edge = slot.resolve(model, &worker.tables_built)?;
                 lnl[pi] = match tables.dispatch {
                     KernelDispatch::Blocked => blocked::evaluate_edge_blocked(
                         &worker.slices[pi],
@@ -478,6 +484,16 @@ pub fn execute_on_worker(
     }
 }
 
+/// The partitions in the order a shard visits them: from `worker·P/T` on,
+/// wrapping around, so the `T` shards of a region reach — and build —
+/// disjoint runs of table slots first. Partitions are independent, so the
+/// order never changes a result.
+fn partition_order(worker: &WorkerSlices) -> impl Iterator<Item = usize> {
+    let partitions = worker.slices.len();
+    let start = worker.worker * partitions / worker.worker_count.max(1);
+    (0..partitions).map(move |k| (start + k) % partitions)
+}
+
 /// The traversal phase: every partition's plan, step by step, on the
 /// worker's own CLV buffers. `plans` has one entry per partition (checked by
 /// the caller).
@@ -485,9 +501,10 @@ fn run_traversal(
     worker: &mut WorkerSlices,
     plans: &[Option<TraversalPlan>],
     tables: &NewviewTables,
+    ctx: &ExecContext<'_>,
 ) -> Result<(), OpError> {
-    for (pi, plan) in plans.iter().enumerate() {
-        let Some(plan) = plan else { continue };
+    for pi in partition_order(worker) {
+        let Some(plan) = &plans[pi] else { continue };
         let slice = &worker.slices[pi];
         if slice.pattern_count() == 0 {
             continue;
@@ -507,16 +524,17 @@ fn run_traversal(
                 got: steps.len(),
             });
         }
-        for (step, step_tables) in plan.steps.iter().zip(steps) {
+        let model = ctx.models.model(pi);
+        for (step, slots) in plan.steps.iter().zip(steps) {
+            let left = slots.left.resolve(model, &worker.tables_built)?;
+            let right = slots.right.resolve(model, &worker.tables_built)?;
+            let buffers = &mut worker.buffers[pi];
             match tables.dispatch {
-                KernelDispatch::Blocked => blocked::newview_step_blocked(
-                    slice,
-                    &mut worker.buffers[pi],
-                    step,
-                    step_tables,
-                )?,
+                KernelDispatch::Blocked => {
+                    blocked::newview_step_blocked(slice, buffers, step, left, right)?
+                }
                 KernelDispatch::Scalar => {
-                    ops::newview_step_tabled(slice, &mut worker.buffers[pi], step, step_tables)?
+                    ops::newview_step_tabled(slice, buffers, step, left, right)?
                 }
             }
         }
@@ -656,6 +674,8 @@ impl Executor for SequentialExecutor {
         self.telemetry.add_tip_cache(hits, misses, builds);
         let (blocked, scalar) = self.worker.take_dispatch_counters();
         self.telemetry.add_dispatch_patterns(blocked, scalar);
+        self.telemetry
+            .add_shard_table_builds(self.worker.take_table_builds());
         // The single worker never queues; a rejected op still completes the
         // region (aborted regions are reserved for worker deaths).
         self.telemetry.region_end(token, &[seconds], &[0.0]);

@@ -18,10 +18,12 @@
 //! * [`branch_lengths`] — joint vs per-partition branch-length storage,
 //! * [`validity`] — the master-side cache that tracks which CLVs are still
 //!   valid (and in which orientation) so that partial traversals can be used,
-//! * [`tables`] — shared per-branch transition and tip-lookup tables
-//!   ([`tables::BranchTables`]): computed once by the master, shared
-//!   read-only (`Arc`) across workers inside the command payload, so no
-//!   worker recomputes a transition matrix or a per-pattern tip bit loop,
+//! * [`tables`] — per-branch transition and tip-lookup tables
+//!   ([`tables::BranchTables`]): the master issues a content-keyed
+//!   [`tables::TableSlot`] per distinct `(partition, length)` inside the
+//!   command payload, and the first worker that reads a slot builds its
+//!   tables for every other reader, so no table is built twice in the
+//!   common case and no worker re-derives a per-pattern tip bit loop,
 //! * [`blocked`] — the cache-blocked, width-specialized tabled inner loops
 //!   selected by [`tables::KernelDispatch::Blocked`] (the fast default; the
 //!   scalar tabled loops in [`ops`] stay as the bit-for-bit-comparable
@@ -97,7 +99,7 @@ pub use executor::{
 };
 pub use slice::{PartitionSlice, SliceBuffers, WorkerSlices};
 pub use tables::{
-    BranchTables, EdgeTables, KernelDispatch, MaskDictionary, NewviewTables, StepTables,
+    BranchTables, EdgeTables, KernelDispatch, MaskDictionary, NewviewTables, StepTables, TableSlot,
 };
 pub use validity::ClvValidity;
 

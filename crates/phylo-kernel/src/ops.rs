@@ -16,8 +16,9 @@
 //!   Newton–Raphson iteration on that branch a cheap per-pattern loop with
 //!   analytic first and second derivatives.
 //!
-//! `newview`/`evaluate` read shared precomputed [`BranchTables`]
-//! (master-built transition matrices plus tip lookup rows). Their loops here
+//! `newview`/`evaluate` read precomputed [`BranchTables`] (transition
+//! matrices plus tip lookup rows, built once per table slot by the first
+//! shard that reads it — see [`crate::tables`]). Their loops here
 //! are the [`KernelDispatch::Scalar`](crate::tables::KernelDispatch::Scalar)
 //! reference; [`crate::blocked`] holds the width-specialized default, and
 //! [`crate::naive`] the independent oracle both are tested against.
@@ -41,7 +42,7 @@ use phylo_tree::{NodeId, TraversalStep};
 
 use crate::error::OpError;
 use crate::slice::{PartitionSlice, SliceBuffers, TIP_INDEX_NONE};
-use crate::tables::{add_mask_rows, validate_branch_length, BranchTables, StepTables};
+use crate::tables::{add_mask_rows, validate_branch_length, BranchTables};
 use crate::{LOG_SCALE_FACTOR, SCALE_FACTOR, SCALE_THRESHOLD};
 
 /// Floor applied to per-site likelihoods before taking logarithms, so that a
@@ -176,8 +177,8 @@ pub(crate) fn check_slice_shape(
 }
 
 /// Recomputes the CLV of `step.node` for every local pattern of the slice
-/// from the two children's shared [`BranchTables`] (master-precomputed
-/// transition matrices and tip lookup rows).
+/// from the [`BranchTables`] (transition matrices and tip lookup rows) of the
+/// branches towards its left and right child.
 ///
 /// # Errors
 ///
@@ -186,11 +187,10 @@ pub fn newview_step_tabled(
     slice: &PartitionSlice,
     buffers: &mut SliceBuffers,
     step: &TraversalStep,
-    tables: &StepTables,
+    left_tables: &BranchTables,
+    right_tables: &BranchTables,
 ) -> Result<(), OpError> {
     let states = slice.states();
-    let left_tables = &*tables.left;
-    let right_tables = &*tables.right;
     let patterns = slice.pattern_count();
     check_slice_shape(slice, buffers)?;
     check_table_dims(slice, buffers, left_tables)?;
@@ -334,7 +334,7 @@ pub fn newview_step_tabled(
 /// Evaluates the weighted log likelihood of the slice for a virtual root
 /// placed on the branch between `left` and `right`, using the partition's
 /// stationary frequencies; the virtual-root transition matrices and the tip
-/// sums of the right child come from the branch's shared [`BranchTables`].
+/// sums of the right child come from the branch's [`BranchTables`].
 ///
 /// Returns the sum over the local patterns of `weight × ln L(pattern)`.
 ///
@@ -854,14 +854,10 @@ mod tests {
     fn full_newview(ws: &mut WorkerSlices, tree: &Tree, models: &ModelSet, root_branch: usize) {
         let dict = dna_dict();
         let model = models.model(0);
-        let tables =
-            |b| Arc::new(BranchTables::build(model, &dict, tree.branch_length(b)).unwrap());
+        let tables = |b| BranchTables::build(model, &dict, tree.branch_length(b)).unwrap();
         for step in &TraversalPlan::full(tree, root_branch).steps {
-            let step_tables = StepTables {
-                left: tables(step.left_branch),
-                right: tables(step.right_branch),
-            };
-            newview_step_tabled(&ws.slices[0], &mut ws.buffers[0], step, &step_tables).unwrap();
+            let (left, right) = (tables(step.left_branch), tables(step.right_branch));
+            newview_step_tabled(&ws.slices[0], &mut ws.buffers[0], step, &left, &right).unwrap();
         }
     }
 
@@ -1006,7 +1002,7 @@ mod tests {
         // (or silently wrong sub-matrix reads).
         let protein = PartitionModel::default_for(DataType::Protein);
         let dict = Arc::new(MaskDictionary::for_partition(DataType::Protein, &[]));
-        let tables = Arc::new(BranchTables::build(&protein, &dict, 0.1).unwrap());
+        let tables = BranchTables::build(&protein, &dict, 0.1).unwrap();
         let err = evaluate_edge_tabled(
             &ws.slices[0],
             &mut ws.buffers[0],
@@ -1019,11 +1015,8 @@ mod tests {
         assert!(matches!(err, OpError::TableDims { .. }), "{err}");
 
         let step = TraversalPlan::full(&tree, root_branch).steps[0];
-        let st = StepTables {
-            left: Arc::clone(&tables),
-            right: tables,
-        };
-        let err = newview_step_tabled(&ws.slices[0], &mut ws.buffers[0], &step, &st).unwrap_err();
+        let err = newview_step_tabled(&ws.slices[0], &mut ws.buffers[0], &step, &tables, &tables)
+            .unwrap_err();
         assert!(matches!(err, OpError::TableDims { .. }), "{err}");
     }
 

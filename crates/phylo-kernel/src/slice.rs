@@ -348,6 +348,9 @@ pub struct WorkerSlices {
     pub slices: Vec<PartitionSlice>,
     /// One buffer per partition.
     pub buffers: Vec<SliceBuffers>,
+    /// Branch tables this worker built since the last drain: the slots it
+    /// was the first to read (see [`crate::tables::TableSlot::resolve`]).
+    pub(crate) tables_built: Cell<u64>,
 }
 
 impl WorkerSlices {
@@ -482,6 +485,7 @@ impl WorkerSlices {
             worker_count,
             slices,
             buffers,
+            tables_built: Cell::new(0),
         }
     }
 
@@ -518,6 +522,12 @@ impl WorkerSlices {
             total.1 += s;
         }
         total
+    }
+
+    /// Drains the count of branch tables this worker built since the last
+    /// drain. Executors ship these per-region deltas to telemetry.
+    pub fn take_table_builds(&self) -> u64 {
+        self.tables_built.take()
     }
 }
 

@@ -1,14 +1,18 @@
-//! Shared per-branch transition and tip-lookup tables.
+//! Per-branch transition and tip-lookup tables, built once by the shard that
+//! first reads them.
 //!
 //! The paper's Pthreads layout broadcasts one command per parallel region and
-//! lets every worker execute it on its own patterns. Left to the workers,
-//! that means `T` of them recomputing the same per-category transition
-//! matrices for every node update — identical O(states³ · categories) eigen
-//! work per branch, with fresh heap allocations each time — and tip inner
-//! loops re-deriving the same ambiguity-mask sums per pattern. This module
-//! keeps that work on the *master*: a [`BranchTables`] is computed once per
-//! (partition, branch) and shared read-only (`Arc`) with every worker inside
-//! the [`KernelOp`] payload.
+//! lets every worker execute it on its own patterns, each thread computing
+//! the transition matrices it reads. Left at that, `T` workers recompute the
+//! same per-category matrices for every node update — identical
+//! O(states³ · categories) eigen work per branch — and tip inner loops
+//! re-derive the same ambiguity-mask sums per pattern. Here the master issues
+//! a content-keyed [`TableSlot`] instead — one per distinct `(partition,
+//! length)` under the partition's current model, carried in the
+//! [`KernelOp`] payload — and the first shard that reaches a slot inside the
+//! region builds its [`BranchTables`] and publishes them for every other
+//! reader. Each table is built once, in the region that reads it, and read
+//! from the cache of the core that wrote it.
 //!
 //! Two tables per (branch, category):
 //!
@@ -29,10 +33,16 @@
 //! # What a build costs, and why the summation order is the contract
 //!
 //! Every Brent probe of α or a substitution rate changes a partition's
-//! model, so the master rebuilds all of that partition's tables with
-//! genuinely new content, serially, before any worker runs: construction is
-//! a kernel in its own right. [`BranchTables::build`] therefore exponentiates
-//! through the width-specialised, stack-scratch
+//! model, so all of that partition's tables are rebuilt with genuinely new
+//! content in the next region. The master drops a partition's slots whenever
+//! its model changes, so a slot is only ever read under the model it was
+//! issued for. The shards walk the partitions starting at `worker·P/T`, so
+//! `T` of them build disjoint runs of slots first. A shard that finds a slot
+//! empty builds it without waiting for another; two shards rarely build the
+//! same table, and the copy that loses the race is dropped.
+//!
+//! Construction is a kernel in its own right. [`BranchTables::build`]
+//! therefore exponentiates through the width-specialised, stack-scratch
 //! `Eigensystem::transition_matrix_into` and forms tip rows as sums of whole
 //! matrix *columns* (contiguous in the column-major mirror) rather than one
 //! data-dependent bit loop per (state, mask, category) — about 0.3 µs per
@@ -48,7 +58,8 @@
 //!
 //! [`KernelOp`]: crate::executor::KernelOp
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
 
 use phylo_data::{DataType, EncodedState};
 use phylo_models::PartitionModel;
@@ -231,10 +242,10 @@ fn fill_tip_rows(dict: &MaskDictionary, states: usize, cols: &[f64], rows: &mut 
     }
 }
 
-/// Shared read-only tables for one (partition, branch): the per-category
-/// transition matrices and the tip lookup rows over the partition's mask
-/// dictionary. Built once by the master, cloned as an `Arc` into every
-/// worker's command payload.
+/// Shared read-only tables for one (partition, branch length): the
+/// per-category transition matrices and the tip lookup rows over the
+/// partition's mask dictionary. Built once per [`TableSlot`], by the first
+/// shard that reads it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BranchTables {
     states: usize,
@@ -381,34 +392,92 @@ impl BranchTables {
     }
 }
 
-/// The shared-table payload of one traversal (a `Newview` command's own, or
-/// the `TraversalDescriptor` riding on another command): for every partition
-/// with a traversal plan, the (left, right) branch tables of each step,
+/// The tables of one partition at one branch length under the partition's
+/// current model, as the master issues them: empty until the first shard
+/// that reads the slot builds them, then shared with every later reader.
+///
+/// The master keys slots by `(partition, length bits)` and drops a
+/// partition's slots whenever its model changes, so a slot is only ever
+/// resolved under the model it was issued for.
+#[derive(Debug)]
+pub struct TableSlot {
+    dict: Arc<MaskDictionary>,
+    length: f64,
+    tables: OnceLock<BranchTables>,
+}
+
+impl TableSlot {
+    /// An empty slot for the tables at `length` over the partition's `dict`.
+    pub fn new(dict: Arc<MaskDictionary>, length: f64) -> Self {
+        Self {
+            dict,
+            length,
+            tables: OnceLock::new(),
+        }
+    }
+
+    /// The branch length the tables are for.
+    pub fn length(&self) -> f64 {
+        self.length
+    }
+
+    /// The tables, if a shard has built them.
+    pub fn get(&self) -> Option<&BranchTables> {
+        self.tables.get()
+    }
+
+    /// The tables, built under `model` if no shard has yet; a build counts
+    /// one into `built`. A reader never waits for another's build: it builds
+    /// its own copy and publishes it, and a copy that lost the race is
+    /// dropped.
+    ///
+    /// # Errors
+    ///
+    /// As [`BranchTables::build`]: [`OpError::DictStates`] when `model` is
+    /// for another alphabet than the slot's dictionary,
+    /// [`OpError::InvalidBranchLength`] for a length outside the domain.
+    pub fn resolve(
+        &self,
+        model: &PartitionModel,
+        built: &Cell<u64>,
+    ) -> Result<&BranchTables, OpError> {
+        if let Some(tables) = self.tables.get() {
+            return Ok(tables);
+        }
+        let tables = BranchTables::build(model, &self.dict, self.length)?;
+        built.set(built.get() + 1);
+        Ok(self.tables.get_or_init(|| tables))
+    }
+}
+
+/// The table payload of one traversal (a `Newview` command's own, or the
+/// `TraversalDescriptor` riding on another command): for every partition
+/// with a traversal plan, the (left, right) table slots of each step,
 /// aligned index-for-index with the plan's steps.
 #[derive(Debug, Clone)]
 pub struct NewviewTables {
-    /// One optional table list per partition (`None` where the plan is
+    /// One optional slot list per partition (`None` where the plan is
     /// `None`).
     pub per_partition: Vec<Option<Vec<StepTables>>>,
     /// Which inner-loop implementation consumes these tables.
     pub dispatch: KernelDispatch,
 }
 
-/// The branch tables a single traversal step needs: one per child branch.
+/// The table slots a single traversal step reads: one per child branch.
 #[derive(Debug, Clone)]
 pub struct StepTables {
-    /// Tables of the branch towards the left child.
-    pub left: Arc<BranchTables>,
-    /// Tables of the branch towards the right child.
-    pub right: Arc<BranchTables>,
+    /// Slot of the branch towards the left child.
+    pub left: Arc<TableSlot>,
+    /// Slot of the branch towards the right child.
+    pub right: Arc<TableSlot>,
 }
 
-/// The shared-table payload of one `Evaluate` command: the virtual-root
-/// branch tables of every active partition.
+/// The table payload of one `Evaluate` command: the virtual-root branch's
+/// slot for every active partition.
 #[derive(Debug, Clone)]
 pub struct EdgeTables {
-    /// One optional table per partition (`None` for masked-out partitions).
-    pub per_partition: Vec<Option<Arc<BranchTables>>>,
+    /// One optional slot per partition (`None` for masked-out partitions).
+    pub per_partition: Vec<Option<Arc<TableSlot>>>,
     /// Which inner-loop implementation consumes these tables.
     pub dispatch: KernelDispatch,
 }

@@ -27,8 +27,9 @@ pub struct EntryPoint {
     pub name: &'static str,
 }
 
-/// The roots of the per-op hot path: everything a serving deployment
-/// executes per kernel op, per worker drain, or per slot hand-off.
+/// The roots of the per-op hot path — everything a serving deployment
+/// executes per kernel op, per worker drain, or per slot hand-off — and the
+/// parsers outside input enters through.
 pub const ENTRY_POINTS: &[EntryPoint] = &[
     // Worker-side op execution (all backends funnel through these).
     ep("crates/phylo-kernel/src/executor.rs", "execute_on_worker"),
@@ -100,6 +101,12 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
         "SessionExecutor::execute",
     ),
     ep("crates/phylo-serve/src/session.rs", "Slot::enter"),
+    // The parsers: malformed input must come back as a typed error, never a
+    // panic.
+    ep("crates/phylo-data/src/io.rs", "parse_phylip"),
+    ep("crates/phylo-data/src/io.rs", "parse_fasta"),
+    ep("crates/phylo-data/src/partition.rs", "PartitionSet::parse"),
+    ep("crates/phylo-tree/src/newick.rs", "parse_newick"),
 ];
 
 const fn ep(file: &'static str, name: &'static str) -> EntryPoint {

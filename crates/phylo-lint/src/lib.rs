@@ -17,7 +17,8 @@
 //! the set of functions transitively reachable from the declared op-path
 //! entry points ([`callgraph::ENTRY_POINTS`]: `execute_on_worker`, the
 //! scalar/blocked kernel steps, the engine `try_*` API, all four executor
-//! backends, the pool's worker loop and the `phylo-serve` slot hand-off).
+//! backends, the pool's worker loop, the `phylo-serve` slot hand-off and the
+//! four parsers of outside input).
 //! The old `OP_PATH_FILES` list survives only as a must-be-subset sanity
 //! check, and
 //! the envelope drift-gates the entry-point count, the reachable-fn count

@@ -297,7 +297,8 @@ pub fn inline_samples(
 }
 
 /// What `worker` reports for one recorded region: its timings plus the
-/// tip-cache and dispatch counter deltas of `slices` since the last sample.
+/// tip-cache, dispatch and table-build counter deltas of `slices` since the
+/// last sample.
 fn sample(
     slices: &WorkerSlices,
     worker: usize,
@@ -317,6 +318,7 @@ fn sample(
         tip_builds,
         dispatch_blocked,
         dispatch_scalar,
+        tables_built: slices.take_table_builds(),
     }
 }
 
@@ -325,7 +327,7 @@ fn sample(
 /// and returns the dead worker; anything else — a typed rejection included —
 /// closes it from the `samples` stamped with the token's region: per-worker
 /// op seconds and queue wait as each of the `width` workers measured them,
-/// plus their cache counter deltas.
+/// plus their cache and table-build counter deltas.
 pub fn end_region(
     telemetry: &Telemetry,
     token: Option<RegionToken>,
@@ -342,6 +344,7 @@ pub fn end_region(
     let mut worker_seconds = vec![0.0; width];
     let mut queue_wait = vec![0.0; width];
     let (mut hits, mut misses, mut builds, mut blocked, mut scalar) = (0, 0, 0, 0, 0);
+    let mut tables_built = 0;
     for s in samples.iter().filter(|s| Some(s.region) == region) {
         worker_seconds[s.worker] = s.op_seconds;
         queue_wait[s.worker] = s.queue_wait_seconds;
@@ -350,9 +353,11 @@ pub fn end_region(
         builds += s.tip_builds;
         blocked += s.dispatch_blocked;
         scalar += s.dispatch_scalar;
+        tables_built += s.tables_built;
     }
     telemetry.add_tip_cache(hits, misses, builds);
     telemetry.add_dispatch_patterns(blocked, scalar);
+    telemetry.add_shard_table_builds(tables_built);
     telemetry.region_end(token, &worker_seconds, &queue_wait);
     None
 }
@@ -405,11 +410,11 @@ fn worker_loop(
                     // the next install and keep the thread alive.
                     shard = None;
                 }
-                // The payload dies before the reply: op tables and the
+                // The payload dies before the reply: its table slots and the
                 // `Tree`/`ModelSet` snapshot are released while the master
-                // still waits, so a returned region owns no master memory
-                // and the master's next table rebuild never coexists with
-                // this region's payload (nor races this thread to free it).
+                // still waits, so a returned region holds no reference the
+                // master does not know of, and a slot the master drops after
+                // a model change is never read again.
                 drop(region);
                 if replies.send(result).is_err() {
                     // Master gone: nothing left to serve.

@@ -4,7 +4,7 @@
 //! on each, and every [`Executor::execute`] call sends one [`Region`]
 //! **directly** to the workers — one synchronization event, exactly as in the
 //! paper. Each region ships a snapshot of the master's tree and models
-//! (branch lengths travel as the op's precomputed branch tables); these are
+//! (branch lengths travel inside the op's table slots); these are
 //! small, so the per-command cost is dominated by the channel round trip — a
 //! realistic stand-in for a barrier.
 //!
@@ -483,6 +483,26 @@ mod tests {
             ders.into_iter().map(|d| d.map(fields)).collect::<Vec<_>>()
         };
         assert_eq!(bits(ders), bits(want_ders));
+
+        // On one worker, a death leaves every slot the region was issued
+        // with unread — and, the CLVs being cold, the master's cache keeps
+        // them. A model change must have its partition's slots issued anew,
+        // never served, while the others are built by the rerun.
+        let solo = fx.assign(1, &Cyclic);
+        let mut clean = fx.kernel(fx.executor(&solo, Default::default()));
+        clean.set_alpha(0, 0.4);
+        let want_lnl = clean.try_log_likelihood_partitions(root, &mask).unwrap();
+        let mut k = fx.kernel(fx.executor(&solo, Default::default()));
+        k.executor_mut().inject_worker_panic(0, 0);
+        let err = k.try_log_likelihood_partitions(root, &mask).unwrap_err();
+        assert_eq!(err, died(0));
+        let issued = k.stats().table_builds;
+        k.set_alpha(0, 0.4);
+        fx.reassign(k.executor_mut(), &solo);
+        let lnl = k.try_log_likelihood_partitions(root, &mask).unwrap();
+        assert_eq!(lnl_bits(&lnl), lnl_bits(&want_lnl));
+        let reissued = k.stats().table_builds - issued;
+        assert!(0 < reissued && reissued < issued, "{reissued} of {issued}");
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub enum TelemetryEvent {
         /// multi-tenant serving).
         session: Option<u64>,
     },
-    /// The master built a `BranchTables` (a table-cache miss); cache hits are
+    /// The master issued a table slot (a table-cache miss); the first shard
+    /// that reads it builds the tables inside the region. Cache hits are
     /// counted, not evented.
     TableBuild {
         /// Seconds since telemetry start.

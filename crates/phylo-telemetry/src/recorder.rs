@@ -32,6 +32,8 @@ pub struct WorkerSample {
     pub dispatch_blocked: u64,
     /// Patterns processed by the scalar dispatch since the last sample.
     pub dispatch_scalar: u64,
+    /// Branch tables the worker built since the last sample.
+    pub tables_built: u64,
 }
 
 #[derive(Debug, Default)]
@@ -40,6 +42,7 @@ struct Counters {
     regions_completed: AtomicU64,
     table_hits: AtomicU64,
     table_builds: AtomicU64,
+    shard_table_builds: AtomicU64,
     tip_hits: AtomicU64,
     tip_misses: AtomicU64,
     tip_builds: AtomicU64,
@@ -249,7 +252,7 @@ impl Telemetry {
         }
     }
 
-    /// Counts a `BranchTables` cache hit.
+    /// Counts a table-slot cache hit.
     #[inline]
     pub fn table_cache_hit(&self) {
         if let Some(inner) = &self.inner {
@@ -257,7 +260,7 @@ impl Telemetry {
         }
     }
 
-    /// Records a `BranchTables` build (a cache miss).
+    /// Records an issued table slot (a cache miss).
     pub fn table_build(&self, partition: usize, branch: usize) {
         if let Some(inner) = &self.inner {
             inner.counters.table_builds.fetch_add(1, Ordering::Relaxed);
@@ -322,6 +325,20 @@ impl Telemetry {
                     .counters
                     .dispatch_scalar_patterns
                     .fetch_add(scalar, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Accumulates the branch tables workers built, drained from worker
+    /// samples: at least one per issued slot a region read, more where two
+    /// workers raced to the same slot.
+    pub fn add_shard_table_builds(&self, n: u64) {
+        if let Some(inner) = &self.inner {
+            if n != 0 {
+                inner
+                    .counters
+                    .shard_table_builds
+                    .fetch_add(n, Ordering::Relaxed);
             }
         }
     }
@@ -482,6 +499,7 @@ impl Telemetry {
                 regions_completed: load(&c.regions_completed),
                 table_hits: load(&c.table_hits),
                 table_builds: load(&c.table_builds),
+                shard_table_builds: load(&c.shard_table_builds),
                 tip_hits: load(&c.tip_hits),
                 tip_misses: load(&c.tip_misses),
                 tip_builds: load(&c.tip_builds),

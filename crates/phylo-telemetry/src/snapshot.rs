@@ -14,10 +14,12 @@ pub struct CounterSnapshot {
     /// Parallel regions completed (a region lost to a worker death is
     /// started but never completed).
     pub regions_completed: u64,
-    /// `BranchTables` cache hits.
+    /// Table-slot cache hits.
     pub table_hits: u64,
-    /// `BranchTables` builds (cache misses).
+    /// Table slots issued by the master (cache misses).
     pub table_builds: u64,
+    /// Branch tables built by the workers that first read the issued slots.
+    pub shard_table_builds: u64,
     /// Tip-index cache hits (per-pattern dictionary searches avoided).
     pub tip_hits: u64,
     /// Tip-index cache misses (dictionary searches performed during builds).
@@ -57,6 +59,7 @@ impl CounterSnapshot {
             ("regions_completed", self.regions_completed),
             ("table_hits", self.table_hits),
             ("table_builds", self.table_builds),
+            ("shard_table_builds", self.shard_table_builds),
             ("tip_hits", self.tip_hits),
             ("tip_misses", self.tip_misses),
             ("tip_builds", self.tip_builds),
@@ -128,7 +131,7 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// `BranchTables` cache hit rate in `[0, 1]` (1.0 when no lookups).
+    /// Table-slot cache hit rate in `[0, 1]` (1.0 when no lookups).
     pub fn table_cache_hit_rate(&self) -> f64 {
         let total = self.counters.table_hits + self.counters.table_builds;
         if total == 0 {

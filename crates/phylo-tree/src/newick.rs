@@ -102,7 +102,7 @@ pub fn parse_newick(text: &str) -> Result<Tree, TreeError> {
 const MAX_NESTING: usize = 512;
 
 /// Intermediate recursive structure produced by the parser.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Clade {
     name: Option<String>,
     length: Option<f64>,
@@ -218,54 +218,32 @@ impl Parser {
 }
 
 fn build_tree(mut root: Clade) -> Result<Tree, TreeError> {
-    // Unroot a bifurcating root by merging its two child branches.
-    if root.children.len() == 2 {
-        let second = root.children.pop().expect("two children");
+    // Unroot a bifurcating root by merging its two child branches: one child
+    // becomes the new root and the other hangs off it with the combined
+    // length, which must not create a degree-2 node.
+    if let [first, second] = &mut root.children[..] {
+        let (first, second) = (std::mem::take(first), std::mem::take(second));
         let merged_len = second.length.unwrap_or(DEFAULT_BRANCH_LENGTH)
-            + root.children[0].length.unwrap_or(DEFAULT_BRANCH_LENGTH);
-        if second.children.is_empty() {
-            // The second child is a leaf: graft it under the first child's clade
-            // is not possible without creating a degree-2 node, so instead make
-            // the *first* child the new root if it is internal.
-            let first = root.children.pop().expect("one child");
-            if first.children.is_empty() {
-                return Err(TreeError::Invalid(
-                    "cannot unroot a two-leaf tree; at least 3 taxa are required".into(),
-                ));
-            }
-            let mut new_root = first;
+            + first.length.unwrap_or(DEFAULT_BRANCH_LENGTH);
+        let graft = |mut new_root: Clade, child: Clade| {
             new_root.children.push(Clade {
                 length: Some(merged_len),
-                ..second
+                ..child
             });
             new_root.length = None;
-            root = new_root;
-        } else {
-            let mut new_second = second;
-            new_second.length = Some(merged_len);
-            // If the first child is a leaf, re-root at the (internal) second
-            // child and hang the leaf off it with the merged branch length;
-            // otherwise re-root at the first child and hang the second child
-            // off it.
-            if root.children[0].children.is_empty() {
-                // First child is a leaf: root the tree at the second child.
-                let leaf = root.children.pop().expect("leaf child");
-                let mut new_root = new_second;
-                new_root.children.push(Clade {
-                    length: Some(merged_len),
-                    ..leaf
-                });
-                new_root.length = None;
-                root = new_root;
-            } else {
-                // Both children internal: merge by making the second child a
-                // child of the first with the combined branch length.
-                let mut new_root = root.children.pop().expect("first child");
-                new_root.children.push(new_second);
-                new_root.length = None;
-                root = new_root;
+            new_root
+        };
+        root = match (first.children.is_empty(), second.children.is_empty()) {
+            (true, true) => {
+                return Err(TreeError::Invalid(
+                    "cannot unroot a two-leaf tree; at least 3 taxa are required".into(),
+                ))
             }
-        }
+            // The first child is a leaf: root at the (internal) second child.
+            (true, false) => graft(second, first),
+            // Otherwise root at the (internal) first child.
+            (false, _) => graft(first, second),
+        };
     }
     if root.children.len() < 3 {
         return Err(TreeError::Invalid(format!(
@@ -377,6 +355,18 @@ mod tests {
         // The two root branches merge into one of length 0.5.
         let reference = parse_newick("(A:0.1,B:0.2,(C:0.3,D:0.4):0.5);").unwrap();
         assert_eq!(t.bipartitions(), reference.bipartitions());
+        // A leaf on either side of the root hangs off the other child with
+        // the two root branches merged into its pendant branch.
+        for rooted in [
+            "(A:0.1,(B:0.2,(C:0.3,D:0.4):0.5):0.3);",
+            "((B:0.2,(C:0.3,D:0.4):0.5):0.3,A:0.1);",
+        ] {
+            let t = parse_newick(rooted).unwrap();
+            assert!(t.validate().is_ok());
+            assert_eq!(t.bipartitions(), reference.bipartitions(), "{rooted}");
+            let (_, pendant) = t.neighbors(t.leaf_by_name("A").unwrap())[0];
+            assert!((t.branch_length(pendant) - 0.4).abs() < 1e-12, "{rooted}");
+        }
     }
 
     #[test]

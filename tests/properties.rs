@@ -3,7 +3,10 @@
 //! the input.
 
 use plf_loadbalance::kernel::ops::{build_sumtable, derivatives_from_sumtable, EdgeDerivatives};
-use plf_loadbalance::kernel::{PartitionSlice, SliceBuffers};
+use plf_loadbalance::kernel::{
+    EdgeTables, ExecContext, KernelOp, NewviewTables, OpOutput, PartitionSlice, SliceBuffers,
+    StepTables, TableSlot, TraversalDescriptor,
+};
 use plf_loadbalance::prelude::*;
 use plf_loadbalance::tree::topology::{MAX_BRANCH_LENGTH, MIN_BRANCH_LENGTH};
 use proptest::prelude::*;
@@ -1008,6 +1011,224 @@ fn check_fused_commands<E: plf_loadbalance::kernel::Executor>(
     }
 }
 
+/// The reference for who builds a table: the master builds them all. Before
+/// the region runs, the calling thread builds every table the command reads
+/// — from the current model, the partition's own dictionary and the slot's
+/// length — into fresh slots, so no shard builds anything and no slot the
+/// engine kept is read. It wraps the executor under test, so both sides
+/// reduce over the same workers in the same order.
+struct MasterBuilt<E> {
+    inner: E,
+    dicts: Vec<Arc<MaskDictionary>>,
+}
+
+impl<E: plf_loadbalance::kernel::Executor> MasterBuilt<E> {
+    fn new(inner: E, patterns: &PartitionedPatterns) -> Self {
+        let dicts = patterns
+            .partitions
+            .iter()
+            .map(|p| Arc::new(MaskDictionary::for_partition(p.data_type, &p.tip_states)))
+            .collect();
+        Self { inner, dicts }
+    }
+
+    /// A fresh slot at `slot`'s length in partition `pi`, built here.
+    fn built(&self, pi: usize, slot: &TableSlot, ctx: &ExecContext<'_>) -> Arc<TableSlot> {
+        let fresh = TableSlot::new(Arc::clone(&self.dicts[pi]), slot.length());
+        let model = ctx.models.model(pi);
+        fresh.resolve(model, &std::cell::Cell::new(0)).unwrap();
+        Arc::new(fresh)
+    }
+
+    fn traversal(&self, tables: &NewviewTables, ctx: &ExecContext<'_>) -> Arc<NewviewTables> {
+        let per_partition = tables.per_partition.iter().enumerate();
+        let per_partition = per_partition.map(|(pi, steps)| {
+            let step = |s: &StepTables| StepTables {
+                left: self.built(pi, &s.left, ctx),
+                right: self.built(pi, &s.right, ctx),
+            };
+            steps.as_ref().map(|steps| steps.iter().map(step).collect())
+        });
+        Arc::new(NewviewTables {
+            per_partition: per_partition.collect(),
+            dispatch: tables.dispatch,
+        })
+    }
+}
+
+impl<E: plf_loadbalance::kernel::Executor> plf_loadbalance::kernel::Executor for MasterBuilt<E> {
+    fn worker_count(&self) -> usize {
+        self.inner.worker_count()
+    }
+
+    fn sync_events(&self) -> u64 {
+        self.inner.sync_events()
+    }
+
+    fn execute(&mut self, op: &KernelOp, ctx: &ExecContext<'_>) -> Result<OpOutput, ExecError> {
+        let riding = |t: &Option<Arc<TraversalDescriptor>>| {
+            t.as_ref().map(|t| {
+                let tables = self.traversal(&t.tables, ctx);
+                Arc::new(TraversalDescriptor {
+                    plans: t.plans.clone(),
+                    tables,
+                })
+            })
+        };
+        let op = match op {
+            KernelOp::Newview { plans, tables } => KernelOp::Newview {
+                plans: plans.clone(),
+                tables: self.traversal(tables, ctx),
+            },
+            KernelOp::Evaluate {
+                root_branch,
+                mask,
+                tables,
+                traversal,
+            } => {
+                let slots = tables.per_partition.iter().enumerate();
+                let slots = slots.map(|(pi, slot)| slot.as_ref().map(|s| self.built(pi, s, ctx)));
+                KernelOp::Evaluate {
+                    root_branch: *root_branch,
+                    mask: mask.clone(),
+                    tables: Arc::new(EdgeTables {
+                        per_partition: slots.collect(),
+                        dispatch: tables.dispatch,
+                    }),
+                    traversal: riding(traversal),
+                }
+            }
+            KernelOp::Sumtable {
+                branch,
+                mask,
+                traversal,
+                first,
+            } => KernelOp::Sumtable {
+                branch: *branch,
+                mask: mask.clone(),
+                traversal: riding(traversal),
+                first: first.clone(),
+            },
+            KernelOp::Derivatives { .. } => op.clone(),
+        };
+        self.inner.execute(&op, ctx)
+    }
+}
+
+/// One executor's share of a who-builds case: `subject` (tables built by the
+/// shard that first reads them) and `reference` ([`MasterBuilt`]) over the
+/// same backend run the same script — random branch lengths, then
+/// `set_alpha`, `set_exchangeability`, an SPR apply and its undo — and after
+/// each change agree on every lnL of an evaluation at a random root and on
+/// every derivative bit of a prepared first probe and a second probe at a
+/// random internal branch, bit for bit.
+fn check_table_builders<E: plf_loadbalance::kernel::Executor>(
+    subject: &mut LikelihoodKernel<E>,
+    reference: &mut LikelihoodKernel<MasterBuilt<E>>,
+    seed: u64,
+    what: &str,
+) {
+    use plf_loadbalance::kernel::engine::SprApplication;
+    use plf_loadbalance::tree::spr::candidate_moves;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x5107B);
+    let partitions = subject.partition_count();
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let fields = |ders: &[Option<EdgeDerivatives>]| -> Vec<Option<[u64; 3]>> {
+        let bits = |d: &EdgeDerivatives| [d.log_likelihood, d.first, d.second].map(f64::to_bits);
+        ders.iter().map(|d| d.as_ref().map(bits)).collect()
+    };
+    for b in subject.tree().branches().collect::<Vec<_>>() {
+        let length = rng.gen_range(1e-4..2.0);
+        let scope = match rng.gen_range(0..=partitions) {
+            0 => BranchScope::All,
+            p => BranchScope::Partition(p - 1),
+        };
+        subject.set_branch_length(scope, b, length);
+        reference.set_branch_length(scope, b, length);
+    }
+    let mut applied: Option<[SprApplication; 2]> = None;
+    for step in ["lengths", "alpha", "exchangeability", "spr", "undo"] {
+        let what = format!("{what}, {step}");
+        let touched = rng.gen_range(0..partitions);
+        match step {
+            "alpha" => {
+                let alpha = rng.gen_range(0.1..5.0);
+                subject.set_alpha(touched, alpha);
+                reference.set_alpha(touched, alpha);
+            }
+            "exchangeability" => {
+                let rates = subject
+                    .models()
+                    .model(touched)
+                    .substitution()
+                    .exchangeabilities()
+                    .len();
+                let (index, value) = (rng.gen_range(0..rates), rng.gen_range(0.1..8.0));
+                subject.set_exchangeability(touched, index, value);
+                reference.set_exchangeability(touched, index, value);
+            }
+            "spr" => {
+                let tree = subject.tree().clone();
+                let moves: Vec<_> = tree
+                    .internal_nodes()
+                    .flat_map(|p| tree.neighbors(p).iter().map(move |&(s, _)| (p, s)))
+                    .flat_map(|(p, s)| candidate_moves(&tree, p, s, 3))
+                    .collect();
+                let mv = moves[rng.gen_range(0..moves.len())];
+                applied = Some([
+                    subject.apply_spr(mv).unwrap(),
+                    reference.apply_spr(mv).unwrap(),
+                ]);
+            }
+            "undo" => {
+                let [a, b] = applied.take().expect("the move applied one step earlier");
+                subject.undo_spr(&a);
+                reference.undo_spr(&b);
+            }
+            _ => {}
+        }
+        let mask = subject.full_mask();
+        let branches: Vec<_> = subject.tree().branches().collect();
+        let root = branches[rng.gen_range(0..branches.len())];
+        let lnl = subject.try_log_likelihood_partitions(root, &mask).unwrap();
+        let want = reference
+            .try_log_likelihood_partitions(root, &mask)
+            .unwrap();
+        assert_eq!(bits(&lnl), bits(&want), "lnL, {what}");
+
+        let internal = subject.tree().internal_branches().to_vec();
+        let branch = internal[rng.gen_range(0..internal.len())];
+        for probe in 0..2 {
+            let lengths: Vec<Option<f64>> = (0..partitions)
+                .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(1e-6..2.0)))
+                .collect();
+            let (ders, want) = if probe == 0 {
+                (
+                    subject
+                        .try_prepare_branch_at(branch, &mask, &lengths)
+                        .unwrap(),
+                    reference
+                        .try_prepare_branch_at(branch, &mask, &lengths)
+                        .unwrap(),
+                )
+            } else {
+                (
+                    subject.try_branch_derivatives(&lengths).unwrap(),
+                    reference.try_branch_derivatives(&lengths).unwrap(),
+                )
+            };
+            assert_eq!(
+                fields(&ders),
+                fields(&want),
+                "derivatives, probe {probe}, {what}"
+            );
+        }
+        assert_eq!(subject.stats(), reference.stats(), "{what}");
+    }
+}
+
 /// Numbers no header, range or branch length should carry.
 const HOSTILE_NUMBERS: [&str; 4] = ["18446744073709551615", "99999999999999999999", "0", "-1"];
 
@@ -1174,6 +1395,66 @@ proptest! {
                 &format!("{dispatch:?}, 16 virtual workers"),
             );
         }
+    }
+
+    /// Who builds a table never changes a bit ([`check_table_builders`]): on
+    /// random mixed DNA/protein data, under a random dispatch and both
+    /// branch-length modes, the shards that first read each slot and the
+    /// master building every table up front agree on every lnL and
+    /// derivative bit — on the sequential executor, real threads (2 and 3)
+    /// and 3 virtual workers.
+    #[test]
+    fn tables_built_by_shards_equal_tables_built_up_front(
+        seed in 0u64..100_000,
+        dna_partitions in 1usize..4,
+        protein_partitions in 1usize..3,
+        partition_len in 8usize..24,
+        per_partition in proptest::bool::ANY,
+        blocked in proptest::bool::ANY,
+    ) {
+        let ds = mixed_dna_protein(6, dna_partitions, protein_partitions, partition_len, seed)
+            .generate();
+        let mode = if per_partition { BranchLengthMode::PerPartition } else { BranchLengthMode::Joint };
+        let dispatch = if blocked { KernelDispatch::Blocked } else { KernelDispatch::Scalar };
+        let models = ModelSet::default_for(&ds.patterns, mode);
+        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+        let capacity = ds.tree.node_capacity();
+        fn pair<E: plf_loadbalance::kernel::Executor>(
+            ds: &plf_loadbalance::seqgen::GeneratedDataset,
+            models: &ModelSet,
+            dispatch: KernelDispatch,
+            executor: impl Fn() -> E,
+        ) -> (LikelihoodKernel<E>, LikelihoodKernel<MasterBuilt<E>>) {
+            fn kernel<X: plf_loadbalance::kernel::Executor>(
+                ds: &plf_loadbalance::seqgen::GeneratedDataset,
+                models: &ModelSet,
+                dispatch: KernelDispatch,
+                executor: X,
+            ) -> LikelihoodKernel<X> {
+                let (patterns, tree) = (Arc::clone(&ds.patterns), ds.tree.clone());
+                let mut k = LikelihoodKernel::try_new(patterns, tree, models.clone(), executor).unwrap();
+                k.set_dispatch(dispatch);
+                k
+            }
+            let reference = MasterBuilt::new(executor(), &ds.patterns);
+            (kernel(ds, models, dispatch, executor()), kernel(ds, models, dispatch, reference))
+        }
+        let (mut subject, mut reference) = pair(&ds, &models, dispatch, || {
+            plf_loadbalance::kernel::SequentialExecutor::new(&ds.patterns, capacity, &cats)
+        });
+        check_table_builders(&mut subject, &mut reference, seed, "sequential");
+        for workers in [2, 3] {
+            let assignment = schedule(&ds.patterns, &cats, workers, &Cyclic).unwrap();
+            let (mut subject, mut reference) = pair(&ds, &models, dispatch, || {
+                ThreadedExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats).unwrap()
+            });
+            check_table_builders(&mut subject, &mut reference, seed, &format!("{workers} threads"));
+        }
+        let assignment = schedule(&ds.patterns, &cats, 3, &WeightedLpt).unwrap();
+        let (mut subject, mut reference) = pair(&ds, &models, dispatch, || {
+            TracingExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats).unwrap()
+        });
+        check_table_builders(&mut subject, &mut reference, seed, "3 virtual workers");
     }
 
     /// The Newton half of the kernel re-nests loops, looks tips up and runs

@@ -255,6 +255,106 @@ fn pooled_region_events_carry_each_workers_own_measurements() {
     assert!(snapshot.counters.dispatch_blocked_patterns > 0);
 }
 
+/// One seeded spec whose parts disagree, by kind, and the typed error it
+/// must come back as: permuted taxa, one model too many or too few, a model
+/// of the other alphabet on one partition, an incomplete tree, weight 0, a
+/// fault on a worker the pool does not have.
+fn hostile_spec(kind: usize, seed: u64, workers: usize) -> (SessionSpec, ServeError) {
+    use plf_loadbalance::tree::random::random_tree;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let ds = mixed_dna_protein(5, 2, 1, 12, seed).generate();
+    let spec = || SessionSpec::new(Arc::clone(&ds.patterns), ds.tree.clone());
+    let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
+    let partitions = models.len();
+    match kind {
+        0 => {
+            let mut taxa = ds.patterns.taxa.clone();
+            let by = rng.gen_range(1..taxa.len());
+            taxa.rotate_left(by);
+            let tree = random_tree(&taxa, &mut rng);
+            let spec = SessionSpec::new(Arc::clone(&ds.patterns), tree);
+            (spec, ServeError::Kernel(KernelError::TaxaMismatch))
+        }
+        1 => {
+            let mut list = models.models().to_vec();
+            if rng.gen_bool(0.5) {
+                list.pop();
+            } else {
+                list.push(list[0].clone());
+            }
+            let models = list.len();
+            let spec = spec().models(ModelSet::from_models(list, BranchLengthMode::PerPartition));
+            let mismatch = KernelError::ModelCountMismatch { models, partitions };
+            (spec, ServeError::Kernel(mismatch))
+        }
+        2 => {
+            let mut swapped = models.clone();
+            let p = rng.gen_range(0..partitions);
+            let (states, other) = match ds.patterns.partitions[p].data_type {
+                DataType::Dna => (4, DataType::Protein),
+                DataType::Protein => (20, DataType::Dna),
+            };
+            swapped.models_mut()[p] = PartitionModel::default_for(other);
+            let dict_states = OpError::DictStates {
+                model: other.states(),
+                dict: states,
+            };
+            let error = ServeError::Kernel(KernelError::Op(dict_states));
+            (spec().models(swapped), error)
+        }
+        3 => {
+            let taxa = ds.patterns.taxa.clone();
+            let tree = plf_loadbalance::tree::Tree::initial_triplet(taxa, [0, 1, 2]);
+            let spec = SessionSpec::new(Arc::clone(&ds.patterns), tree);
+            (spec, ServeError::Kernel(KernelError::IncompleteTree))
+        }
+        4 => (
+            spec().weight(0),
+            ServeError::Admission(AdmissionError::ZeroWeight),
+        ),
+        _ => {
+            let worker = workers + rng.gen_range(0..3usize);
+            let out_of_range = AdmissionError::FaultWorkerOutOfRange {
+                worker,
+                worker_count: workers,
+            };
+            let spec = spec().inject_worker_fault(worker, rng.gen_range(0..4u64));
+            (spec, ServeError::Admission(out_of_range))
+        }
+    }
+}
+
+/// Session specs from outside the program are answered with a value: every
+/// spec of a seeded corpus whose parts disagree ([`hostile_spec`]) comes
+/// back from `submit` or `join` as its typed `ServeError` — a mismatched
+/// alphabet as the shard's `OpError::DictStates` — never a panic, and the
+/// pool serves a valid session straight afterwards.
+#[test]
+fn hostile_session_specs_are_typed_errors_and_the_pool_serves_on() {
+    let workers = 2;
+    let mut pool = SessionManager::new(workers);
+    let valid = mixed_fleet(1).remove(0);
+    for seed in 0..18u64 {
+        let kind = (seed % 6) as usize;
+        let (spec, want) = hostile_spec(kind, seed, workers);
+        let submitted =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.submit(spec)))
+                .unwrap_or_else(|_| panic!("kind {kind}, seed {seed}: submit panicked"));
+        let got = submitted.and_then(|handle| handle.join().map(|_| ()));
+        assert_eq!(got, Err(want), "kind {kind}, seed {seed}");
+
+        let spec = SessionSpec::new(Arc::clone(&valid.patterns), valid.tree.clone());
+        let outcome = pool.submit(spec).and_then(|h| h.join());
+        let outcome = outcome.unwrap_or_else(|e| panic!("kind {kind}, seed {seed}: {e}"));
+        assert!(outcome.final_log_likelihood.is_finite());
+        assert!(outcome.recoveries.is_empty());
+    }
+    let stats = pool.stats().expect("stats");
+    assert_eq!((stats.active_sessions, stats.worker_panics), (0, 0));
+}
+
 /// A run of `executor` the way a session runs: default per-partition models,
 /// the resilient newPAR optimizer.
 fn final_lnl<E: Executor + Reassignable>(ds: &GeneratedDataset, executor: E) -> f64 {

@@ -5,6 +5,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use plf_loadbalance::kernel::SequentialExecutor;
 use plf_loadbalance::prelude::*;
 
 fn dataset(seed: u64) -> plf_loadbalance::seqgen::GeneratedDataset {
@@ -246,6 +247,68 @@ fn a_solves_regions_say_what_they_carried() {
         snap.counters.regions_started,
         analysis.kernel().sync_events()
     );
+}
+
+/// Slots issued by the master and tables built by the shards, over one
+/// optimize pass with telemetry on.
+fn issued_and_built<E: plf_loadbalance::kernel::Executor>(
+    ds: &plf_loadbalance::seqgen::GeneratedDataset,
+    models: &ModelSet,
+    executor: E,
+) -> (u64, u64) {
+    let telemetry = Telemetry::new(TelemetryConfig::default());
+    let (patterns, tree, models) = (Arc::clone(&ds.patterns), ds.tree.clone(), models.clone());
+    let mut kernel = LikelihoodKernel::try_new(patterns, tree, models, executor).unwrap();
+    kernel.set_telemetry(&telemetry);
+    let config = OptimizerConfig {
+        max_rounds: 1,
+        ..OptimizerConfig::new(ParallelScheme::New)
+    };
+    optimize_model_parameters(&mut kernel, &config).unwrap();
+    let built = telemetry.snapshot().counters.shard_table_builds;
+    (kernel.stats().table_builds, built)
+}
+
+/// Every slot the master issues is built by the shard that reads it first:
+/// where a region's shards run one after another (the sequential executor,
+/// virtual workers, a served session) each slot is built exactly once; on
+/// `T` real threads two shards may race to the same slot, so a slot is built
+/// one to `T` times.
+#[test]
+fn shards_build_every_issued_table_slot() {
+    let ds = dataset(37);
+    let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
+    let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+    let capacity = ds.tree.node_capacity();
+    let sequential = SequentialExecutor::new(&ds.patterns, capacity, &cats);
+    let (issued, built) = issued_and_built(&ds, &models, sequential);
+    assert!(issued > 0);
+    assert_eq!(built, issued, "sequential");
+    for workers in [2u64, 3] {
+        let assignment = schedule(&ds.patterns, &cats, workers as usize, &Cyclic).unwrap();
+        let tracing =
+            TracingExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats).unwrap();
+        let (issued, built) = issued_and_built(&ds, &models, tracing);
+        assert_eq!(built, issued, "{workers} virtual workers");
+        let threaded =
+            ThreadedExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats).unwrap();
+        let (issued, built) = issued_and_built(&ds, &models, threaded);
+        assert!(
+            (issued..=workers * issued).contains(&built),
+            "{workers} threads: {built} built for {issued} slots"
+        );
+    }
+
+    let mut pool = SessionManager::with_strategy(
+        2,
+        TenantStrategy::default(),
+        Some(TelemetryConfig::default()),
+    );
+    let spec = SessionSpec::new(Arc::clone(&ds.patterns), ds.tree.clone());
+    pool.submit(spec).unwrap().join().unwrap();
+    let counters = pool.telemetry_snapshot().unwrap().counters;
+    assert!(counters.table_builds > 0);
+    assert_eq!(counters.shard_table_builds, counters.table_builds, "served");
 }
 
 /// The two export formats round-trip a real run's snapshot: JSONL → events,
