@@ -9,12 +9,22 @@
 //! module rewrites the two hot primitives per state width:
 //!
 //! * **4-wide DNA** ([`newview_step_blocked`] / [`evaluate_edge_blocked`]
-//!   with `states == 4`): the per-child contribution vector is produced by a
-//!   **fully unrolled 4×4 matrix–vector product** over a fixed-size
-//!   16-element matrix slice. The unrolled form performs *exactly* the same
-//!   additions in *exactly* the same `a`-ascending order as the scalar
-//!   kernel, so the DNA path agrees with the scalar dispatch **bit for
-//!   bit** (asserted by `tests/kernel_differential.rs`).
+//!   with `states == 4`): **one loop per child-kind pair** — (tip, tip),
+//!   (tip, internal), (internal, tip), (internal, internal) — picked once
+//!   per step or edge, so no (pattern, category) iteration matches on what a
+//!   child is. A tip child reads its row straight from the tables' tip sums
+//!   by its cached dictionary index. An internal child multiplies its CLV
+//!   through a **column-major copy** of each category's 4×4 matrix, made
+//!   once per step in a [`SliceBuffers`] scratch: broadcast `x[a]`, multiply
+//!   the contiguous column into four lanes, add. Every lane accumulates over
+//!   `a` ascending from `0.0` with a separate multiply and add — the scalar
+//!   kernel's additions in the scalar kernel's order — so the DNA path
+//!   agrees with the scalar dispatch **bit for bit** (asserted CLV entry by
+//!   CLV entry by `tests/kernel_differential.rs`). The edge loop keeps the
+//!   scalar kernel's `l == 0.0` skip, its `(freqs[s]·l)·r` order and its
+//!   c-ascending site sum. A step whose right child carries another
+//!   dictionary `Arc`, or whose tips hold a mask outside the dictionary,
+//!   takes the scalar kernel instead.
 //! * **20-wide protein** (`states == 20`): patterns are processed in
 //!   **L1-sized tiles** ([`PROTEIN_TILE`] patterns): child kinds are resolved
 //!   once per tile, then the category loop runs *outside* the tile's pattern
@@ -72,7 +82,7 @@ use crate::{LOG_SCALE_FACTOR, SCALE_FACTOR, SCALE_THRESHOLD};
 /// per-tile child resolution.
 pub const PROTEIN_TILE: usize = 32;
 
-/// State width handled by the fully unrolled 4-state kernels.
+/// State width handled by the per-child-kind-pair 4-state kernels.
 pub const BLOCKED_DNA_STATES: usize = 4;
 
 /// State width handled by the tiled 20-state kernels, the one consumer of
@@ -105,52 +115,103 @@ fn resolve_tip<'a>(
     }
 }
 
-/// The per-(pattern, category) contribution vector of one child for the
-/// 4-state alphabet: tip-lookup row copy, mask fallback, or the fully
-/// unrolled 4×4 matrix–vector product against the child CLV.
-///
-/// The unrolled product performs the same multiply–adds in the same
-/// `a`-ascending order as the scalar kernel's inner loop, so every result is
-/// bit-identical to the scalar dispatch.
+/// One child of a 4-state step or edge, its kind fixed for the whole call:
+/// the DNA loops are instantiated once per child-kind pair, so no
+/// (pattern, category) iteration matches on what a child is.
+trait Child4 {
+    /// The per-pattern part of the lookup, hoisted out of the category loop.
+    fn at(&self, p: usize) -> usize;
+    /// The child's vector over `s` of `Σ_a P_c[s][a]·x[a]` for category `c`
+    /// of the pattern `at` came from; `base` is that (pattern, category)'s
+    /// CLV offset.
+    fn vector(&self, at: usize, c: usize, base: usize) -> [f64; 4];
+}
+
+/// A tip child: its row straight from the tables' tip sums, by the cached
+/// dictionary index.
+struct Tip4<'a> {
+    index: &'a [u32],
+    n_taxa: usize,
+    taxon: usize,
+    rows: &'a [f64],
+    /// One category's rows: `n_masks · 4` entries.
+    stride: usize,
+}
+
+impl Tip4<'_> {
+    fn new<'a>(
+        slice: &PartitionSlice,
+        index: &'a [u32],
+        taxon: NodeId,
+        tables: &'a BranchTables,
+    ) -> Tip4<'a> {
+        Tip4 {
+            index,
+            n_taxa: slice.n_taxa,
+            taxon,
+            rows: tables.tip_rows(),
+            stride: tables.dict().len() * BLOCKED_DNA_STATES,
+        }
+    }
+}
+
+impl Child4 for Tip4<'_> {
+    #[inline(always)]
+    fn at(&self, p: usize) -> usize {
+        self.index[p * self.n_taxa + self.taxon] as usize * BLOCKED_DNA_STATES
+    }
+
+    #[inline(always)]
+    fn vector(&self, at: usize, c: usize, _base: usize) -> [f64; 4] {
+        let row = &self.rows[c * self.stride + at..][..4];
+        [row[0], row[1], row[2], row[3]]
+    }
+}
+
+/// An internal child: its CLV multiplied through the column-major copy of
+/// each category's matrix.
+struct Inner4<'a> {
+    clv: &'a [f64],
+    cols: &'a [[f64; 16]],
+}
+
+impl Child4 for Inner4<'_> {
+    #[inline(always)]
+    fn at(&self, _p: usize) -> usize {
+        0
+    }
+
+    #[inline(always)]
+    fn vector(&self, _at: usize, c: usize, base: usize) -> [f64; 4] {
+        matvec4(&self.cols[c], &self.clv[base..base + 4])
+    }
+}
+
+/// `out[s] = Σ_a P[s][a]·x[a]` over a column-major 4×4 matrix: broadcast
+/// `x[a]`, multiply the contiguous column `a` into four lanes, add. Every
+/// lane accumulates over `a` ascending from `0.0` with a separate multiply
+/// and add — the scalar kernel's additions in the scalar kernel's order, so
+/// the result is bit-identical to it, and the four lanes are one 256-bit
+/// register.
 #[inline(always)]
-fn vec4(cat: &CatChild<'_>, pmat: &[f64], base: usize) -> [f64; 4] {
-    match cat {
-        CatChild::Row(row) => [row[0], row[1], row[2], row[3]],
-        CatChild::Mask(mask) => [
-            tip_sum(&pmat[0..4], *mask),
-            tip_sum(&pmat[4..8], *mask),
-            tip_sum(&pmat[8..12], *mask),
-            tip_sum(&pmat[12..16], *mask),
-        ],
-        CatChild::Clv(child) => {
-            let x = &child[base..base + 4];
-            let m = &pmat[..16];
-            let mut out = [0.0f64; 4];
-            let mut acc = 0.0;
-            acc += m[0] * x[0];
-            acc += m[1] * x[1];
-            acc += m[2] * x[2];
-            acc += m[3] * x[3];
-            out[0] = acc;
-            let mut acc = 0.0;
-            acc += m[4] * x[0];
-            acc += m[5] * x[1];
-            acc += m[6] * x[2];
-            acc += m[7] * x[3];
-            out[1] = acc;
-            let mut acc = 0.0;
-            acc += m[8] * x[0];
-            acc += m[9] * x[1];
-            acc += m[10] * x[2];
-            acc += m[11] * x[3];
-            out[2] = acc;
-            let mut acc = 0.0;
-            acc += m[12] * x[0];
-            acc += m[13] * x[1];
-            acc += m[14] * x[2];
-            acc += m[15] * x[3];
-            out[3] = acc;
-            out
+fn matvec4(cols: &[f64; 16], x: &[f64]) -> [f64; 4] {
+    let mut out = [0.0f64; 4];
+    for (col, &xa) in cols.chunks_exact(4).zip(&x[..4]) {
+        for (o, &m) in out.iter_mut().zip(col) {
+            *o += m * xa;
+        }
+    }
+    out
+}
+
+/// Copies every category's 4×4 matrix of `tables` column-major into `cols`
+/// (`cols[c][a·4 + s] = P_c[s][a]`): once per step, not per pattern.
+fn transpose4(tables: &BranchTables, cols: &mut [[f64; 16]]) {
+    for (c, col) in cols.iter_mut().enumerate() {
+        for (s, row) in tables.pmat(c).chunks_exact(4).enumerate() {
+            for (a, &p) in row.iter().enumerate() {
+                col[a * 4 + s] = p;
+            }
         }
     }
 }
@@ -278,14 +339,14 @@ fn fused20(
 }
 
 /// The blocked counterpart of [`ops::newview_step_tabled`]: recomputes the
-/// CLV of `step.node` with the width-specialized inner loops (4-wide DNA
-/// fully unrolled, 20-wide protein tiled + 4-lane). State widths other than
+/// CLV of `step.node` with the width-specialized inner loops (4-wide DNA one
+/// loop per child-kind pair, 20-wide protein tiled). State widths other than
 /// 4 and 20 fall back to the scalar tabled kernel.
 ///
 /// DNA results are bit-identical to the scalar dispatch; protein results
-/// agree within the documented tolerance (the 4 lanes re-associate the inner
-/// products). Scaling events and their inheritance are identical under both
-/// dispatches.
+/// agree within the documented tolerance (the column-broadcast products fuse
+/// their multiply–adds). Scaling events and their inheritance are identical
+/// under both dispatches.
 ///
 /// # Errors
 ///
@@ -300,7 +361,7 @@ pub fn newview_step_blocked(
     right_tables: &BranchTables,
 ) -> Result<(), OpError> {
     let states = slice.states();
-    if states != 4 && states != 20 {
+    if states != BLOCKED_DNA_STATES && states != BLOCKED_PROTEIN_STATES {
         return ops::newview_step_tabled(slice, buffers, step, left_tables, right_tables);
     }
     let patterns = slice.pattern_count();
@@ -316,6 +377,21 @@ pub fn newview_step_blocked(
     let left_is_tip = step.left < slice.n_taxa;
     let right_is_tip = step.right < slice.n_taxa;
     let right_cached = Arc::ptr_eq(left_tables.dict_arc(), right_tables.dict_arc());
+    if states == BLOCKED_DNA_STATES {
+        // The DNA loop reads every tip row by cached index: a right child
+        // keyed by another dictionary, or a mask outside it, takes the
+        // scalar kernel (which warms the same cache the same way).
+        if !right_cached {
+            return ops::newview_step_tabled(slice, buffers, step, left_tables, right_tables);
+        }
+        if left_is_tip || right_is_tip {
+            buffers.tip_indices(slice, left_tables.dict_arc());
+            if buffers.cached_tips_outside_dictionary() {
+                return ops::newview_step_tabled(slice, buffers, step, left_tables, right_tables);
+            }
+        }
+        return newview_dna(slice, buffers, step, left_tables, right_tables);
+    }
     if left_is_tip || (right_is_tip && right_cached) {
         buffers.tip_indices(slice, left_tables.dict_arc());
     }
@@ -343,64 +419,40 @@ pub fn newview_step_blocked(
             (left_res, right_res)
         };
 
-        if states == 4 {
-            for (p, scale_out) in scale.iter_mut().enumerate() {
-                let (left_res, right_res) = resolve(p);
+        // Resolve a tile of patterns once, then run the category loop
+        // outside the tile so each category's transition matrices stay
+        // L1-resident while the tile streams through.
+        let mut resolved: Vec<(ResolvedChild<'_>, ResolvedChild<'_>)> =
+            Vec::with_capacity(PROTEIN_TILE);
+        let mut tile_start = 0;
+        while tile_start < patterns {
+            let tile_len = PROTEIN_TILE.min(patterns - tile_start);
+            resolved.clear();
+            for p in tile_start..tile_start + tile_len {
+                // lint:allow(L007): push into the tile buffer preallocated with
+                // PROTEIN_TILE capacity above; tile_len <= PROTEIN_TILE, never reallocates.
+                resolved.push(resolve(p));
+            }
+            for (ti, (left_res, right_res)) in resolved.iter().enumerate() {
+                let p = tile_start + ti;
                 let mut max_entry = 0.0f64;
                 for c in 0..categories {
-                    let lp = left_tables.pmat(c);
-                    let rp = right_tables.pmat(c);
-                    let base = (p * categories + c) * 4;
-                    let l = vec4(&left_res.at_category(left_tables, c), lp, base);
-                    let r = vec4(&right_res.at_category(right_tables, c), rp, base);
-                    let out = &mut clv[base..base + 4];
-                    for s in 0..4 {
-                        let value = l[s] * r[s];
-                        out[s] = value;
-                        if value > max_entry {
-                            max_entry = value;
-                        }
-                    }
+                    let base = (p * categories + c) * 20;
+                    max_entry = fused20(
+                        &left_res.at_category(left_tables, c),
+                        &right_res.at_category(right_tables, c),
+                        left_tables.pmat(c),
+                        right_tables.pmat(c),
+                        left_tables.pmat_t(c),
+                        right_tables.pmat_t(c),
+                        base,
+                        &mut clv[base..base + 20],
+                        max_entry,
+                    );
                 }
-                *scale_out = finish_pattern(&mut clv, &left, &right, p, categories * 4, max_entry);
+                scale[p] = finish_pattern(&mut clv, &left, &right, p, categories * 20, max_entry);
             }
-        } else {
-            // Protein: resolve a tile of patterns once, then run the
-            // category loop outside the tile so each category's transition
-            // matrices stay L1-resident while the tile streams through.
-            let mut resolved: Vec<(ResolvedChild<'_>, ResolvedChild<'_>)> =
-                Vec::with_capacity(PROTEIN_TILE);
-            let mut tile_start = 0;
-            while tile_start < patterns {
-                let tile_len = PROTEIN_TILE.min(patterns - tile_start);
-                resolved.clear();
-                for p in tile_start..tile_start + tile_len {
-                    // lint:allow(L007): push into the tile buffer preallocated with
-                    // PROTEIN_TILE capacity above; tile_len <= PROTEIN_TILE, never reallocates.
-                    resolved.push(resolve(p));
-                }
-                for (ti, (left_res, right_res)) in resolved.iter().enumerate() {
-                    let p = tile_start + ti;
-                    let mut max_entry = 0.0f64;
-                    for c in 0..categories {
-                        let base = (p * categories + c) * 20;
-                        max_entry = fused20(
-                            &left_res.at_category(left_tables, c),
-                            &right_res.at_category(right_tables, c),
-                            left_tables.pmat(c),
-                            right_tables.pmat(c),
-                            left_tables.pmat_t(c),
-                            right_tables.pmat_t(c),
-                            base,
-                            &mut clv[base..base + 20],
-                            max_entry,
-                        );
-                    }
-                    scale[p] =
-                        finish_pattern(&mut clv, &left, &right, p, categories * 20, max_entry);
-                }
-                tile_start += tile_len;
-            }
+            tile_start += tile_len;
         }
     }
 
@@ -416,6 +468,96 @@ pub fn newview_step_blocked(
     }
 
     buffers.put_back(step.node, clv, scale)
+}
+
+/// The 4-state step once [`newview_step_blocked`] has checked the shapes and
+/// built the tip-index cache for every tip child: both children's matrices
+/// are copied column-major into the buffers' scratch, then the loop of the
+/// step's child-kind pair runs.
+fn newview_dna(
+    slice: &PartitionSlice,
+    buffers: &mut SliceBuffers,
+    step: &TraversalStep,
+    left_tables: &BranchTables,
+    right_tables: &BranchTables,
+) -> Result<(), OpError> {
+    let patterns = slice.pattern_count();
+    let categories = left_tables.categories();
+    child_data(slice, buffers, step.left)?;
+    child_data(slice, buffers, step.right)?;
+
+    let (mut clv, mut scale) = buffers.take_node(step.node);
+    clv.resize(patterns * categories * BLOCKED_DNA_STATES, 0.0);
+    scale.resize(patterns, 0);
+    let (left_cols, right_cols) = buffers
+        .dna_columns_mut(2 * categories)
+        .split_at_mut(categories);
+    transpose4(left_tables, left_cols);
+    transpose4(right_tables, right_cols);
+
+    {
+        let (left_cols, right_cols) = buffers.dna_columns().split_at(categories);
+        let index = buffers.cached_tip_indices();
+        let left = child_data(slice, buffers, step.left)?;
+        let right = child_data(slice, buffers, step.right)?;
+        let tip = |taxon, tables| Tip4::new(slice, index, taxon, tables);
+        let inner = |clv, cols| Inner4 { clv, cols };
+        let (l, r) = (&left, &right);
+        match (l, r) {
+            (ChildData::Tip(lt), ChildData::Tip(rt)) => {
+                let (lc, rc) = (tip(*lt, left_tables), tip(*rt, right_tables));
+                newview4((&lc, l), (&rc, r), categories, &mut clv, &mut scale)
+            }
+            (ChildData::Tip(lt), ChildData::Internal { clv: rx, .. }) => {
+                let (lc, rc) = (tip(*lt, left_tables), inner(rx, right_cols));
+                newview4((&lc, l), (&rc, r), categories, &mut clv, &mut scale)
+            }
+            (ChildData::Internal { clv: lx, .. }, ChildData::Tip(rt)) => {
+                let (lc, rc) = (inner(lx, left_cols), tip(*rt, right_tables));
+                newview4((&lc, l), (&rc, r), categories, &mut clv, &mut scale)
+            }
+            (ChildData::Internal { clv: lx, .. }, ChildData::Internal { clv: rx, .. }) => {
+                let (lc, rc) = (inner(lx, left_cols), inner(rx, right_cols));
+                newview4((&lc, l), (&rc, r), categories, &mut clv, &mut scale)
+            }
+        }
+    }
+    let tip_children = [step.left, step.right]
+        .iter()
+        .filter(|&&child| child < slice.n_taxa)
+        .count();
+    buffers.count_tip_hits((tip_children * patterns) as u64);
+    buffers.put_back(step.node, clv, scale)
+}
+
+/// The step loop of one child-kind pair: per pattern and category, the two
+/// children's vectors multiplied lane by lane, then the scalar kernel's
+/// scaling epilogue (`left_data`/`right_data` carry the children's scale
+/// counters).
+fn newview4<L: Child4, R: Child4>(
+    (left, left_data): (&L, &ChildData<'_>),
+    (right, right_data): (&R, &ChildData<'_>),
+    categories: usize,
+    clv: &mut [f64],
+    scale: &mut [i32],
+) {
+    for (p, scale_out) in scale.iter_mut().enumerate() {
+        let (l_at, r_at) = (left.at(p), right.at(p));
+        let mut max_entry = 0.0f64;
+        for c in 0..categories {
+            let base = (p * categories + c) * 4;
+            let l = left.vector(l_at, c, base);
+            let r = right.vector(r_at, c, base);
+            for ((o, lv), rv) in clv[base..base + 4].iter_mut().zip(l).zip(r) {
+                let value = lv * rv;
+                *o = value;
+                if value > max_entry {
+                    max_entry = value;
+                }
+            }
+        }
+        *scale_out = finish_pattern(clv, left_data, right_data, p, categories * 4, max_entry);
+    }
 }
 
 /// Scale-event epilogue of one pattern: inherit the children's events, then
@@ -472,7 +614,7 @@ pub fn evaluate_edge_blocked(
     tables: &BranchTables,
 ) -> Result<f64, OpError> {
     let states = slice.states();
-    if states != 4 && states != 20 {
+    if states != BLOCKED_DNA_STATES && states != BLOCKED_PROTEIN_STATES {
         return ops::evaluate_edge_tabled(slice, buffers, model, left, right, tables);
     }
     let patterns = slice.pattern_count();
@@ -486,6 +628,14 @@ pub fn evaluate_edge_blocked(
     if right_is_tip {
         buffers.tip_indices(slice, tables.dict_arc());
     }
+    if states == BLOCKED_DNA_STATES {
+        // As in `newview_step_blocked`: the DNA loop reads a right tip's
+        // rows by cached index, a mask outside the dictionary goes scalar.
+        if right_is_tip && buffers.cached_tips_outside_dictionary() {
+            return ops::evaluate_edge_tabled(slice, buffers, model, left, right, tables);
+        }
+        return evaluate_dna(slice, buffers, model, left, right, tables);
+    }
     let buffers = &*buffers;
     let tip_idx = buffers.cached_tip_indices();
 
@@ -496,10 +646,10 @@ pub fn evaluate_edge_blocked(
         ChildData::Internal { clv, .. } => ResolvedChild::Clv(clv),
     };
 
-    // Per-category site contribution of one pattern, shared by both widths:
-    // the scalar kernel's s-loop with its `l_val == 0.0` skip and its
-    // `(freqs[s] · l_val) · inner` multiplication order, reading the
-    // precomputed right-child vector.
+    // Per-category site contribution of one pattern: the scalar kernel's
+    // s-loop with its `l_val == 0.0` skip and its `(freqs[s] · l_val) ·
+    // inner` multiplication order, reading the precomputed right-child
+    // vector.
     #[inline(always)]
     fn cat_sum(
         left_data: &ChildData<'_>,
@@ -533,60 +683,166 @@ pub fn evaluate_edge_blocked(
         sum
     }
 
+    // Tile the pattern loop with the category loop outside, so one 20×20
+    // transition matrix stays hot per tile sweep. Per-pattern category
+    // contributions accumulate in c-ascending order, matching the scalar
+    // kernel's summation order for `site`.
     let mut total = 0.0;
-    if states == 4 {
-        for p in 0..patterns {
-            let right_res = resolve(p);
-            let mut site = 0.0;
-            for c in 0..categories {
-                let pm = tables.pmat(c);
-                let base = (p * categories + c) * 4;
-                let r = vec4(&right_res.at_category(tables, c), pm, base);
-                site += cat_sum(&left_data, slice, freqs, &r, p, base) * inv_categories;
+    let mut resolved: Vec<ResolvedChild<'_>> = Vec::with_capacity(PROTEIN_TILE);
+    let mut tile_start = 0;
+    while tile_start < patterns {
+        let tile_len = PROTEIN_TILE.min(patterns - tile_start);
+        resolved.clear();
+        for p in tile_start..tile_start + tile_len {
+            // lint:allow(L007): push into the tile buffer preallocated with
+            // PROTEIN_TILE capacity above; tile_len <= PROTEIN_TILE, never reallocates.
+            resolved.push(resolve(p));
+        }
+        let mut sites = [0.0f64; PROTEIN_TILE];
+        for c in 0..categories {
+            let pm = tables.pmat(c);
+            for (ti, right_res) in resolved.iter().enumerate() {
+                let p = tile_start + ti;
+                let base = (p * categories + c) * 20;
+                let r = vec20(
+                    &right_res.at_category(tables, c),
+                    pm,
+                    tables.pmat_t(c),
+                    base,
+                );
+                sites[ti] += cat_sum(&left_data, slice, freqs, &r, p, base) * inv_categories;
             }
+        }
+        for (ti, &site) in sites.iter().take(tile_len).enumerate() {
+            let p = tile_start + ti;
             total += slice.weights[p] * ln_site(&left_data, &right_data, p, site);
         }
-    } else {
-        // Protein: tile the pattern loop with the category loop outside, so
-        // one 20×20 transition matrix stays hot per tile sweep. Per-pattern
-        // category contributions accumulate in c-ascending order, matching
-        // the scalar kernel's summation order for `site`.
-        let mut resolved: Vec<ResolvedChild<'_>> = Vec::with_capacity(PROTEIN_TILE);
-        let mut tile_start = 0;
-        while tile_start < patterns {
-            let tile_len = PROTEIN_TILE.min(patterns - tile_start);
-            resolved.clear();
-            for p in tile_start..tile_start + tile_len {
-                // lint:allow(L007): push into the tile buffer preallocated with
-                // PROTEIN_TILE capacity above; tile_len <= PROTEIN_TILE, never reallocates.
-                resolved.push(resolve(p));
-            }
-            let mut sites = [0.0f64; PROTEIN_TILE];
-            for c in 0..categories {
-                let pm = tables.pmat(c);
-                for (ti, right_res) in resolved.iter().enumerate() {
-                    let p = tile_start + ti;
-                    let base = (p * categories + c) * 20;
-                    let r = vec20(
-                        &right_res.at_category(tables, c),
-                        pm,
-                        tables.pmat_t(c),
-                        base,
-                    );
-                    sites[ti] += cat_sum(&left_data, slice, freqs, &r, p, base) * inv_categories;
-                }
-            }
-            for (ti, &site) in sites.iter().take(tile_len).enumerate() {
-                let p = tile_start + ti;
-                total += slice.weights[p] * ln_site(&left_data, &right_data, p, site);
-            }
-            tile_start += tile_len;
-        }
+        tile_start += tile_len;
     }
     if right_is_tip {
         buffers.count_tip_hits(patterns as u64);
     }
     Ok(total)
+}
+
+/// The 4-state edge evaluation once [`evaluate_edge_blocked`] has checked
+/// the shapes and built the tip-index cache for a right tip: the matrices
+/// are copied column-major into the buffers' scratch, then the loop of the
+/// edge's child-kind pair runs.
+fn evaluate_dna(
+    slice: &PartitionSlice,
+    buffers: &mut SliceBuffers,
+    model: &PartitionModel,
+    left: NodeId,
+    right: NodeId,
+    tables: &BranchTables,
+) -> Result<f64, OpError> {
+    let categories = tables.categories();
+    transpose4(tables, buffers.dna_columns_mut(categories));
+    let buffers = &*buffers;
+    let (l, r) = (
+        child_data(slice, buffers, left)?,
+        child_data(slice, buffers, right)?,
+    );
+    let f = model.substitution().frequencies();
+    let freqs = [f[0], f[1], f[2], f[3]];
+    let index = buffers.cached_tip_indices();
+    let tip = |taxon| Tip4::new(slice, index, taxon, tables);
+    let inner = |clv| Inner4 {
+        clv,
+        cols: buffers.dna_columns(),
+    };
+    let mask = |taxon| TipMask4 { slice, taxon };
+    let edge = (slice, &freqs, categories);
+    let total = match (&l, &r) {
+        (ChildData::Tip(lt), ChildData::Tip(rt)) => {
+            evaluate4((&mask(*lt), &l), (&tip(*rt), &r), edge)
+        }
+        (ChildData::Tip(lt), ChildData::Internal { clv: rx, .. }) => {
+            evaluate4((&mask(*lt), &l), (&inner(rx), &r), edge)
+        }
+        (ChildData::Internal { clv: lx, .. }, ChildData::Tip(rt)) => {
+            evaluate4((&Clv4(lx), &l), (&tip(*rt), &r), edge)
+        }
+        (ChildData::Internal { clv: lx, .. }, ChildData::Internal { clv: rx, .. }) => {
+            evaluate4((&Clv4(lx), &l), (&inner(rx), &r), edge)
+        }
+    };
+    if let ChildData::Tip(_) = r {
+        buffers.count_tip_hits(slice.pattern_count() as u64);
+    }
+    Ok(total)
+}
+
+/// The left side of a 4-state edge evaluation, its kind fixed per call like
+/// a [`Child4`].
+trait Left4 {
+    /// One category's `Σ_s (freqs[s]·l[s])·r[s]` for pattern `p`, s
+    /// ascending from `0.0`, skipping every state whose left value is `0.0`
+    /// — the scalar kernel's terms in its order; `base` is the (pattern,
+    /// category)'s CLV offset.
+    fn weigh(&self, p: usize, base: usize, freqs: &[f64; 4], r: &[f64; 4]) -> f64;
+}
+
+/// A left tip: its value is `1.0` on the mask's states and `0.0` elsewhere.
+struct TipMask4<'a> {
+    slice: &'a PartitionSlice,
+    taxon: NodeId,
+}
+
+impl Left4 for TipMask4<'_> {
+    #[inline(always)]
+    fn weigh(&self, p: usize, _base: usize, freqs: &[f64; 4], r: &[f64; 4]) -> f64 {
+        let mask = self.slice.tip_state(p, self.taxon);
+        let mut sum = 0.0;
+        for (s, (&f, &rs)) in freqs.iter().zip(r).enumerate() {
+            if mask & (1 << s) != 0 {
+                sum += f * 1.0 * rs;
+            }
+        }
+        sum
+    }
+}
+
+/// A left internal child: its CLV entries.
+struct Clv4<'a>(&'a [f64]);
+
+impl Left4 for Clv4<'_> {
+    #[inline(always)]
+    fn weigh(&self, _p: usize, base: usize, freqs: &[f64; 4], r: &[f64; 4]) -> f64 {
+        let mut sum = 0.0;
+        for ((&l, &f), &rs) in self.0[base..base + 4].iter().zip(freqs).zip(r) {
+            if l == 0.0 {
+                continue;
+            }
+            sum += f * l * rs;
+        }
+        sum
+    }
+}
+
+/// The edge loop of one child-kind pair: per pattern, the categories'
+/// weighted sums added c ascending into `site`, then the floored logarithm
+/// with the inherited scaling events (`left_data`/`right_data` carry the
+/// children's scale counters).
+fn evaluate4<L: Left4, R: Child4>(
+    (left, left_data): (&L, &ChildData<'_>),
+    (right, right_data): (&R, &ChildData<'_>),
+    (slice, freqs, categories): (&PartitionSlice, &[f64; 4], usize),
+) -> f64 {
+    let inv_categories = 1.0 / categories as f64;
+    let mut total = 0.0;
+    for (p, &weight) in slice.weights.iter().enumerate() {
+        let r_at = right.at(p);
+        let mut site = 0.0;
+        for c in 0..categories {
+            let base = (p * categories + c) * 4;
+            let r = right.vector(r_at, c, base);
+            site += left.weigh(p, base, freqs, &r) * inv_categories;
+        }
+        total += weight * ln_site(left_data, right_data, p, site);
+    }
+    total
 }
 
 /// Floored per-site log likelihood with inherited scaling events — identical

@@ -29,20 +29,24 @@ use crate::tables::KernelDispatch;
 /// counts. Two effects set the shape, both calibrated against measured
 /// per-pattern seconds of cold-CLV sweeps:
 ///
-/// * the arithmetic itself runs packed: the 20-state column-broadcast GEMV
-///   and the unrolled 4×4 product both retire ≈ 4 packed multiply–adds per
+/// * the arithmetic itself runs packed: the 20-state and the 4-state
+///   column-broadcast products both retire ≈ 4 packed multiply–adds per
 ///   issue, so the flop term shrinks by that factor for *both* widths;
-/// * every (pattern, category) block pays a fixed overhead — child
-///   resolution, the `at_category` dispatch, the scaling epilogue and loop
-///   bookkeeping — that does not scale with `states²`. For DNA the 4×4
-///   product is so small that this overhead is most of the cost; for protein
-///   it is noise.
+/// * every (pattern, category) block pays a fixed overhead — the tip-row
+///   or CLV load, the scaling epilogue and loop bookkeeping — that does
+///   not scale with `states²`. Since the DNA loop picks its child kinds once
+///   per step instead of matching them per (pattern, category), this is
+///   a few flop-equivalents: a third of a DNA block, noise for protein.
 ///
-/// The net effect is that the measured protein/DNA per-pattern cost ratio
-/// *collapses* from the tabled model's 21 to ≈ 5.8 where the form below was
-/// fitted; `flops / lanes + overhead` reproduces it at 6.0. The last reading
-/// on the reference host sat a factor 1.36 from the model; a drift shows in
-/// `benchmark/`'s `sched.measured_imbalance` against
+/// The measured protein/DNA per-pattern cost ratio of cold-CLV sweeps (24
+/// taxa, 1 000 patterns, 4 categories) is ≈ 16.5 on the reference host
+/// (2 vCPUs, `target-cpu=native`; per-run ratio medians 15.6 and 16.9 over
+/// two sets of five runs, DNA ≈ 13.6 and protein ≈ 220 ns per
+/// pattern-node), down from the tabled model's 21; `flops / lanes +
+/// overhead` reproduces it at 16.4. Before the DNA loop was split per
+/// child-kind pair the same sweep read ≈ 8 (DNA ≈ 27 ns), fitted as 6.0
+/// with an overhead of 30. A drift shows in `benchmark/`'s
+/// `sched.measured_imbalance` against
 /// `sched.predicted_imbalance.weighted_lpt`.
 pub fn newview_flops(dispatch: KernelDispatch, states: usize, categories: usize) -> f64 {
     /// Packed f64 lanes the blocked inner loops retire per issue (256-bit
@@ -50,7 +54,7 @@ pub fn newview_flops(dispatch: KernelDispatch, states: usize, categories: usize)
     const SIMD_LANES: f64 = 4.0;
     /// Fixed per-(pattern, category) cost in scalar-FLOP equivalents, fitted
     /// to the measured blocked DNA/protein split.
-    const BLOCK_OVERHEAD: f64 = 30.0;
+    const BLOCK_OVERHEAD: f64 = 3.0;
     match dispatch {
         KernelDispatch::Scalar => newview_flops_tabled(states, categories),
         KernelDispatch::Blocked => {

@@ -88,6 +88,14 @@ pub struct SliceBuffers {
     tip_indices: Vec<u32>,
     /// Arc identity of the dictionary the cache was built for (0 = unbuilt).
     tip_dict_key: usize,
+    /// Whether the cache holds a [`TIP_INDEX_NONE`] entry: set when it is
+    /// built, so a kernel that needs every tip indexed checks one flag
+    /// instead of scanning.
+    tips_outside_dict: bool,
+    /// Column-major copies of one blocked DNA step's 4×4 transition matrices
+    /// (`[a·4 + s] = P_c[s][a]`), rewritten by every step. Grows to the
+    /// largest step seen and is then reused: no allocation per step.
+    dna_columns: Vec<[f64; 16]>,
     /// Lookups served from the cache (each one an avoided dictionary
     /// search). `Cell`: counted while the CLVs are borrowed immutably.
     tip_hits: Cell<u64>,
@@ -119,6 +127,8 @@ impl SliceBuffers {
             sumtable_scale: Vec::new(),
             tip_indices: Vec::new(),
             tip_dict_key: 0,
+            tips_outside_dict: false,
+            dna_columns: Vec::new(),
             tip_hits: Cell::new(0),
             tip_misses: Cell::new(0),
             tip_builds: Cell::new(0),
@@ -260,6 +270,7 @@ impl SliceBuffers {
                 self.tip_indices.push(index);
             }
             self.tip_dict_key = key;
+            self.tips_outside_dict = self.tip_indices.contains(&TIP_INDEX_NONE);
             self.tip_builds.set(self.tip_builds.get() + 1);
             self.tip_misses
                 .set(self.tip_misses.get() + slice.tip_states.len() as u64);
@@ -274,6 +285,30 @@ impl SliceBuffers {
     #[inline]
     pub fn cached_tip_indices(&self) -> &[u32] {
         &self.tip_indices
+    }
+
+    /// Whether the current cache holds a mask outside its dictionary
+    /// ([`TIP_INDEX_NONE`]). Same validity rule as
+    /// [`SliceBuffers::cached_tip_indices`].
+    #[inline]
+    pub(crate) fn cached_tips_outside_dictionary(&self) -> bool {
+        self.tips_outside_dict
+    }
+
+    /// The first `n` slots of the blocked DNA kernels' column-major matrix
+    /// scratch, grown on first use.
+    pub(crate) fn dna_columns_mut(&mut self, n: usize) -> &mut [[f64; 16]] {
+        if self.dna_columns.len() < n {
+            self.dna_columns.resize(n, [0.0; 16]);
+        }
+        &mut self.dna_columns[..n]
+    }
+
+    /// The blocked DNA kernels' column-major matrix scratch, as the last
+    /// [`SliceBuffers::dna_columns_mut`] left it.
+    #[inline]
+    pub(crate) fn dna_columns(&self) -> &[[f64; 16]] {
+        &self.dna_columns
     }
 
     /// Counts `n` tip lookups served from the cache (each one an avoided
@@ -746,10 +781,19 @@ mod tests {
         ));
         let _ = buf.tip_indices(&slice, &other);
         assert_eq!(buf.tip_cache_counters(), (7, 2 * n as u64, 2));
+        assert!(!buf.cached_tips_outside_dictionary());
+
+        // A mask no dictionary entry matches raises the one flag at build.
+        let mut odd = slice.clone();
+        odd.tip_states[n - 1] = 1 << 4;
+        let _ = buf.tip_indices(&odd, &dict);
+        assert!(buf.cached_tips_outside_dictionary());
+        let _ = buf.tip_indices(&slice, &other);
+        assert!(!buf.cached_tips_outside_dictionary());
 
         // Draining resets and sums across a worker's buffers.
         let (h, m, b) = w.take_tip_cache_counters();
-        assert_eq!((h, m, b), (7, 2 * n as u64, 2));
+        assert_eq!((h, m, b), (7, 4 * n as u64, 4));
         assert_eq!(w.take_tip_cache_counters(), (0, 0, 0));
     }
 

@@ -81,11 +81,11 @@ use crate::error::OpError;
 ///   every child kind matched per state. This is the bit-for-bit-comparable
 ///   reference the differential test harness trusts.
 /// * [`Blocked`](KernelDispatch::Blocked) (default) — the cache-blocked,
-///   width-specialized loops in [`crate::blocked`]: fully unrolled 4×4
-///   matrix–vector products for DNA, 4-lane blocked accumulation over
-///   L1-sized pattern tiles for protein. DNA preserves the scalar
-///   accumulation order exactly (bit for bit); the protein lanes re-associate
-///   the 20-term inner products, so protein agreement is ≤1e-12 in lnL by
+///   width-specialized loops in [`crate::blocked`]: one loop per child-kind
+///   pair with column-broadcast 4×4 products for DNA, column-broadcast
+///   GEMVs over L1-sized pattern tiles for protein. DNA preserves the scalar
+///   accumulation order exactly (bit for bit); the protein products fuse
+///   their multiply–adds, so protein agreement is ≤1e-12 in lnL by
 ///   contract (see `tests/kernel_differential.rs`). State widths other than
 ///   4 and 20 fall back to the scalar loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -258,9 +258,10 @@ pub struct BranchTables {
     /// 20-state kernel consumes matrix *columns* (broadcast-`x[a]` GEMV with
     /// one accumulator lane per output state — no horizontal reductions), so
     /// the columns must be contiguous — as must the columns `build` sums into
-    /// tip rows. Empty for DNA: the 4-state kernel keeps the row-major fully
-    /// unrolled form, where a single-accumulator column walk would serialize
-    /// the FMA chain.
+    /// tip rows. Empty for DNA: a 4-state step copies its few 4×4 matrices
+    /// column-major into the buffers' scratch instead
+    /// ([`crate::slice::SliceBuffers`]), cheaper than a mirror every build
+    /// would pay for.
     pmats_t: Vec<f64>,
     /// `categories × n_masks × states`:
     /// `tip_sums[(c·n_masks + m)·states + s] = Σ_{a ∈ mask_m} P_c[s][a]`.
@@ -373,6 +374,13 @@ impl BranchTables {
     #[inline]
     pub fn tip_row(&self, category: usize, mask_index: usize) -> &[f64] {
         &self.tip_sums[(category * self.dict.len() + mask_index) * self.states..][..self.states]
+    }
+
+    /// Every tip-sum row, category-major (`[(c·n_masks + m)·states + s]`):
+    /// the blocked DNA kernel indexes it directly.
+    #[inline]
+    pub(crate) fn tip_rows(&self) -> &[f64] {
+        &self.tip_sums
     }
 
     /// The mask dictionary the tip rows are indexed by.

@@ -639,9 +639,9 @@ fn facade_search_with_rescheduling_preserves_the_likelihood() {
 
 /// The facade packs against the cost model of the dispatch it runs, and the
 /// placement is pinned: under `Scalar` the tabled `newview` flops
-/// (protein/DNA 21), under `Blocked` `flops / 4 lanes + 30` per category
-/// (protein/DNA 6) — the weights written out here, not read from the cost
-/// function under test.
+/// (protein/DNA 21), under `Blocked` `flops / 4 lanes + 3` per category
+/// (protein/DNA 213/13 ≈ 16.4) — the weights written out here, not read
+/// from the cost function under test.
 #[test]
 fn facade_assignment_follows_the_kernel_dispatch() {
     let ds = mixed_dna_protein(6, 3, 2, 64, 2031).generate();
@@ -661,7 +661,7 @@ fn facade_assignment_follows_the_kernel_dispatch() {
     assert_eq!(built(KernelDispatch::Scalar), expected(|flops| flops));
     assert_eq!(
         built(KernelDispatch::Blocked),
-        expected(|flops| flops / 4.0 + 30.0)
+        expected(|flops| flops / 4.0 + 3.0)
     );
     assert_ne!(
         built(KernelDispatch::Scalar),

@@ -40,9 +40,10 @@ use std::sync::Arc;
 mod common;
 use common::{differential_cases, inject_ambiguity, RESCALING_LENGTHS, RESCALING_TAXA};
 
+use plf_loadbalance::kernel::WorkerSlices;
 use plf_loadbalance::seqgen::GeneratedDataset;
 use plf_loadbalance::tree::topology::MIN_BRANCH_LENGTH;
-use plf_loadbalance::tree::BranchId;
+use plf_loadbalance::tree::{BranchId, TraversalPlan};
 
 /// Relative lnL tolerance for protein partitions (DNA is exact).
 const PROTEIN_REL_TOL: f64 = 1e-12;
@@ -272,6 +273,50 @@ fn sumtable_dispatch_gap_at_the_clamp_stays_inside_the_scalar_noise_floor() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: differential_cases(), ..ProptestConfig::default() })]
 
+    /// The blocked DNA loops run one instantiation per child-kind pair
+    /// (tip/tip, tip/internal, internal/tip, internal/internal). Over random
+    /// DNA data whose tips carry every one of the 16 masks (the empty mask
+    /// and the gap included), 1, 2, 4 or 8 rate categories, random lengths
+    /// with the clamp extremes, and trees as deep as the rescaling fixture,
+    /// every internal node's CLV entries and scale counters and every
+    /// partition's lnL are the scalar kernel's, bit for bit.
+    #[test]
+    fn dna_child_kind_pairs_match_the_scalar_kernel_bit_for_bit(
+        seed in 0u64..10_000,
+        taxa in 4usize..12,
+        category_index in 0usize..4,
+        deep in proptest::bool::ANY,
+        root_index in 0usize..1_000,
+    ) {
+        let categories = [1, 2, 4, 8][category_index];
+        let taxa = if deep { RESCALING_TAXA } else { taxa };
+        let (patterns, tree) = dna_fixture(seed, taxa, 2, 24, deep);
+        let root = root_index % tree.branches().count();
+        // The first 16 tips of a partition carry the 16 masks in order; on
+        // the deep tree every other tip is a random single base, so the
+        // short branches' conflicting tips drive CLV entries under the
+        // scaling threshold.
+        let masks = |pi: usize, tips: &mut [u32]| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ pi as u64);
+            for (k, tip) in tips.iter_mut().enumerate() {
+                if k < 16 {
+                    *tip = k as u32;
+                } else if deep {
+                    *tip = 1 << rng.gen_range(0..4u32);
+                } else if rng.gen_bool(0.2) {
+                    *tip = rng.gen_range(0..16);
+                }
+            }
+        };
+        let sweep = |dispatch| {
+            dna_sweep(&patterns, &tree, root, categories, &masks, false, dispatch)
+        };
+        let scalar = sweep(KernelDispatch::Scalar);
+        let blocked = sweep(KernelDispatch::Blocked);
+        let events = assert_sweeps_identical(&scalar, &blocked);
+        prop_assert!(!deep || events > 0, "no CLV rescaled: the deep fixture lost its point");
+    }
+
     /// Per-partition log likelihoods agree between the dispatches on random
     /// mixed datasets with random branch lengths and injected ambiguity.
     #[test]
@@ -343,6 +388,168 @@ proptest! {
         prop_assert!(s.iter().all(|v| v.is_finite()), "scalar lnL not finite: {s:?}");
         assert_partition_agreement(&ds.patterns, &s, &b, "lnL under scaling");
     }
+}
+
+/// One traversal of a DNA dataset under each dispatch, straight through the
+/// step and edge kernels: every internal node's CLV and scale counters and
+/// every partition's lnL, as bits, plus each dispatch's tip-cache counters.
+struct DnaSweep {
+    clvs: Vec<Vec<u64>>,
+    scales: Vec<Vec<i32>>,
+    lnl: Vec<u64>,
+    tip_cache: (u64, u64, u64),
+}
+
+/// The DNA fixture of [`dna_sweep`]: `partitions` DNA partitions of
+/// `columns` columns on a random `taxa`-taxon tree, every branch drawn by
+/// [`random_branch_length`] — or, when `deep`, log-uniform between the lower
+/// clamp and `1e-3`: DNA saturates at a factor ≈ 1/4 per tip, so only short
+/// branches with conflicting tips take a DNA CLV under the scaling
+/// threshold.
+fn dna_fixture(
+    seed: u64,
+    taxa: usize,
+    partitions: usize,
+    columns: usize,
+    deep: bool,
+) -> (PartitionedPatterns, Tree) {
+    let spec = DatasetSpec {
+        name: "dna_masks".into(),
+        taxa,
+        partition_columns: vec![columns; partitions],
+        data_type: DataType::Dna,
+        protein_partitions: Vec::new(),
+        missing_taxa_fraction: 0.0,
+        seed,
+    };
+    let ds = spec.generate();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x4D41_534B);
+    let mut tree = ds.tree.clone();
+    for branch in tree.branches().collect::<Vec<_>>() {
+        let length = if deep {
+            rng.gen_range(MIN_BRANCH_LENGTH.ln()..f64::ln(1e-3)).exp()
+        } else {
+            random_branch_length(&mut rng)
+        };
+        tree.set_branch_length(branch, length);
+    }
+    (PartitionedPatterns::clone(&ds.patterns), tree)
+}
+
+/// Runs one full traversal rooted at `root` and the edge evaluation of each
+/// partition from both ends of `root` under `dispatch`, on slices whose tip
+/// masks `masks` rewrites first. `right_dicts` gives the right child of
+/// every step a dictionary of its own (same content, another `Arc`).
+fn dna_sweep(
+    patterns: &PartitionedPatterns,
+    tree: &Tree,
+    root: BranchId,
+    categories: usize,
+    masks: &dyn Fn(usize, &mut [u32]),
+    right_dicts: bool,
+    dispatch: KernelDispatch,
+) -> DnaSweep {
+    use plf_loadbalance::kernel::{blocked, ops};
+    let models = ModelSet::with_categories(patterns, BranchLengthMode::Joint, categories);
+    let cats = vec![categories; patterns.partition_count()];
+    let mut ws = WorkerSlices::cyclic(patterns, 0, 1, tree.node_capacity(), &cats);
+    let plan = TraversalPlan::full(tree, root);
+    let (a, b) = tree.branch_endpoints(root);
+    let mut sweep = DnaSweep {
+        clvs: Vec::new(),
+        scales: Vec::new(),
+        lnl: Vec::new(),
+        tip_cache: (0, 0, 0),
+    };
+    for (pi, (slice, buffers)) in ws.slices.iter_mut().zip(&mut ws.buffers).enumerate() {
+        masks(pi, &mut slice.tip_states);
+        let model = models.model(pi);
+        let dict = || Arc::new(MaskDictionary::for_partition(DataType::Dna, &[]));
+        let shared = dict();
+        let tables = |dict: &Arc<MaskDictionary>, branch| {
+            BranchTables::build(model, dict, tree.branch_length(branch)).expect("tables build")
+        };
+        for step in &plan.steps {
+            let left = tables(&shared, step.left_branch);
+            let right = if right_dicts {
+                tables(&dict(), step.right_branch)
+            } else {
+                tables(&shared, step.right_branch)
+            };
+            match dispatch {
+                KernelDispatch::Blocked => {
+                    blocked::newview_step_blocked(slice, buffers, step, &left, &right)
+                }
+                KernelDispatch::Scalar => {
+                    ops::newview_step_tabled(slice, buffers, step, &left, &right)
+                }
+            }
+            .expect("step runs");
+        }
+        let edge = tables(&shared, root);
+        for (left, right) in [(a, b), (b, a)] {
+            let lnl = match dispatch {
+                KernelDispatch::Blocked => {
+                    blocked::evaluate_edge_blocked(slice, buffers, model, left, right, &edge)
+                }
+                KernelDispatch::Scalar => {
+                    ops::evaluate_edge_tabled(slice, buffers, model, left, right, &edge)
+                }
+            }
+            .expect("edge evaluates");
+            sweep.lnl.push(lnl.to_bits());
+        }
+        for step in &plan.steps {
+            let clv = buffers.clv(step.node).expect("step wrote a CLV");
+            sweep.clvs.push(clv.iter().map(|v| v.to_bits()).collect());
+            sweep
+                .scales
+                .push(buffers.scale(step.node).expect("and its scale").clone());
+        }
+        let (hits, misses, builds) = buffers.take_tip_cache_counters();
+        let (h, m, b) = sweep.tip_cache;
+        sweep.tip_cache = (h + hits, m + misses, b + builds);
+    }
+    sweep
+}
+
+/// Asserts the blocked sweep equals the scalar one bit for bit, node by
+/// node; returns the largest scale counter seen.
+fn assert_sweeps_identical(scalar: &DnaSweep, blocked: &DnaSweep) -> i32 {
+    assert_eq!(scalar.clvs.len(), blocked.clvs.len());
+    for (node, (s, b)) in scalar.clvs.iter().zip(&blocked.clvs).enumerate() {
+        assert!(s == b, "CLV of step {node} not bit-identical");
+    }
+    assert_eq!(scalar.scales, blocked.scales, "scale counters");
+    assert_eq!(scalar.lnl, blocked.lnl, "per-partition lnL bits");
+    assert_eq!(scalar.tip_cache, blocked.tip_cache, "tip-cache counters");
+    scalar.scales.iter().flatten().copied().max().unwrap_or(0)
+}
+
+/// A right child whose tables carry another dictionary `Arc` (equal
+/// content) cannot read the left child's tip-index cache: the blocked DNA
+/// step falls back to the scalar kernel for it, bits and tip-cache counts
+/// unchanged.
+#[test]
+fn a_right_child_with_its_own_dictionary_takes_the_scalar_fallback() {
+    let (patterns, tree) = dna_fixture(41, 9, 2, 40, false);
+    let keep = |_: usize, _: &mut [u32]| {};
+    let scalar = dna_sweep(&patterns, &tree, 0, 4, &keep, true, KernelDispatch::Scalar);
+    let blocked = dna_sweep(&patterns, &tree, 0, 4, &keep, true, KernelDispatch::Blocked);
+    assert_sweeps_identical(&scalar, &blocked);
+    let shared = dna_sweep(
+        &patterns,
+        &tree,
+        0,
+        4,
+        &keep,
+        false,
+        KernelDispatch::Blocked,
+    );
+    assert_ne!(
+        shared.tip_cache, blocked.tip_cache,
+        "the fixture must reach the fallback: a right tip searches its own dictionary"
+    );
 }
 
 /// The blocked dispatch agrees across the in-process executors: the

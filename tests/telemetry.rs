@@ -311,6 +311,67 @@ fn shards_build_every_issued_table_slot() {
     assert_eq!(counters.shard_table_builds, counters.table_builds, "served");
 }
 
+/// The blocked DNA loops keep the scalar kernel's accounting: one DNA solve
+/// under each dispatch performs the same tip-index cache hits, misses and
+/// builds, and processes as many pattern-steps under the blocked dispatch
+/// as the scalar one does under its own — so `tip_cache_hit_rate` and the
+/// per-dispatch throughput mean the same under both.
+#[test]
+fn both_dispatches_keep_the_same_tip_cache_and_pattern_accounting() {
+    let spec = DatasetSpec {
+        name: "dna_accounting".into(),
+        taxa: 8,
+        partition_columns: vec![60; 3],
+        data_type: DataType::Dna,
+        protein_partitions: Vec::new(),
+        missing_taxa_fraction: 0.0,
+        seed: 43,
+    };
+    let ds = spec.generate();
+    let counters = |dispatch| {
+        let mut analysis = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone())
+            .threads(2)
+            .kernel(dispatch)
+            .telemetry(TelemetryConfig::default())
+            .build_traced()
+            .unwrap();
+        let lnl = analysis
+            .optimize(&OptimizerConfig {
+                max_rounds: 1,
+                ..OptimizerConfig::new(ParallelScheme::New)
+            })
+            .unwrap()
+            .report
+            .final_log_likelihood;
+        (lnl, analysis.telemetry_snapshot().unwrap().counters)
+    };
+    let (scalar_lnl, scalar) = counters(KernelDispatch::Scalar);
+    let (blocked_lnl, blocked) = counters(KernelDispatch::Blocked);
+    assert_eq!(
+        scalar_lnl.to_bits(),
+        blocked_lnl.to_bits(),
+        "DNA is bit for bit"
+    );
+    assert!(scalar.tip_hits > 0);
+    assert_eq!(
+        (scalar.tip_hits, scalar.tip_misses, scalar.tip_builds),
+        (blocked.tip_hits, blocked.tip_misses, blocked.tip_builds),
+        "tip-cache counters"
+    );
+    assert!(scalar.dispatch_scalar_patterns > 0);
+    assert_eq!(
+        blocked.dispatch_blocked_patterns,
+        scalar.dispatch_scalar_patterns
+    );
+    assert_eq!(
+        (
+            scalar.dispatch_blocked_patterns,
+            blocked.dispatch_scalar_patterns
+        ),
+        (0, 0)
+    );
+}
+
 /// The two export formats round-trip a real run's snapshot: JSONL → events,
 /// Prometheus text → every counter.
 #[test]
