@@ -385,88 +385,6 @@ impl WorkTrace {
         total / (self.workers as f64 * cp)
     }
 
-    /// The last `window` *masked* regions (see [`RegionRecord::is_masked`]),
-    /// oldest first — the oldPAR-like phases a mask-aware rescheduler
-    /// measures over. Full-mask regions (which balance almost any schedule
-    /// and would dilute the live measurement) are skipped.
-    pub fn recent_masked_regions(&self, window: usize) -> Vec<&RegionRecord> {
-        let mut recent: Vec<&RegionRecord> = self
-            .regions
-            .iter()
-            .rev()
-            .filter(|r| r.is_masked())
-            .take(window)
-            .collect();
-        recent.reverse();
-        recent
-    }
-
-    /// Per-worker totals in the requested unit over the last `window` masked
-    /// regions, weighted by recency: the most recent masked region has weight
-    /// `1`, the one before it `decay`, then `decay²` and so on. `decay = 1.0`
-    /// is the plain equal-weight window; smaller values let a mask-aware
-    /// rescheduler track the *current* convergence-mask shape instead of
-    /// averaging over stale phases.
-    pub fn masked_window_decayed_per_worker_total_in(
-        &self,
-        unit: TraceUnit,
-        window: usize,
-        decay: f64,
-    ) -> Vec<f64> {
-        let mut totals = vec![0.0; self.workers];
-        let recent = self.recent_masked_regions(window);
-        let newest = recent.len().saturating_sub(1);
-        for (i, region) in recent.iter().enumerate() {
-            let weight = decay.powi((newest - i) as i32);
-            for (w, &v) in region.per_worker(unit).iter().enumerate() {
-                totals[w] += weight * v;
-            }
-        }
-        totals
-    }
-
-    /// Decay-weighted partition liveness over the last `window` masked
-    /// regions: partition `p` counts as live when the decayed weight of the
-    /// regions whose mask included it is at least `cutoff` of the window's
-    /// total decayed weight. With `decay = 1.0` and `cutoff = 0.0` this is
-    /// the union of the window's masks; a positive cutoff additionally drops
-    /// partitions that were live only in the oldest, almost-forgotten
-    /// regions of the window. `None` when there is no masked region.
-    pub fn masked_window_decayed_active_partitions(
-        &self,
-        window: usize,
-        decay: f64,
-        cutoff: f64,
-    ) -> Option<Vec<bool>> {
-        let recent = self.recent_masked_regions(window);
-        let first = recent.first()?;
-        let partitions = first.active_partitions.len();
-        let newest = recent.len() - 1;
-        let mut live_weight = vec![0.0f64; partitions];
-        let mut total_weight = 0.0f64;
-        for (i, region) in recent.iter().enumerate() {
-            let weight = decay.powi((newest - i) as i32);
-            total_weight += weight;
-            if region.active_partitions.len() != partitions {
-                continue;
-            }
-            for (p, &active) in region.active_partitions.iter().enumerate() {
-                if active {
-                    live_weight[p] += weight;
-                }
-            }
-        }
-        if total_weight <= 0.0 {
-            return Some(vec![true; partitions]);
-        }
-        Some(
-            live_weight
-                .iter()
-                .map(|&w| w / total_weight >= cutoff && w > 0.0)
-                .collect(),
-        )
-    }
-
     /// Total live pattern count each worker touched, summed over all regions
     /// (see [`RegionRecord::active_patterns_per_worker`]).
     pub fn live_patterns_per_worker_total(&self) -> Vec<f64> {
@@ -657,106 +575,6 @@ mod tests {
         // A trace with no masked regions is neutral.
         assert!(
             (WorkTrace::new(2).masked_overall_balance_in(TraceUnit::Flops) - 1.0).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn window_helpers_see_only_the_recent_regions() {
-        let mut t = WorkTrace::new(2);
-        let mut early = RegionRecord::new(OpKind::Newview, 2);
-        early.flops_per_worker = vec![100.0, 100.0];
-        early.active_partitions = vec![true, true];
-        let mut late = RegionRecord::new(OpKind::Derivatives, 2);
-        late.flops_per_worker = vec![5.0, 1.0];
-        late.active_partitions = vec![false, true];
-        t.regions.push(early);
-        t.regions.push(late.clone());
-        t.regions.push(late);
-
-        // The masked window skips the balanced full-mask region entirely.
-        for window in [2, 10] {
-            assert_eq!(
-                t.masked_window_decayed_per_worker_total_in(TraceUnit::Flops, window, 1.0),
-                vec![10.0, 2.0]
-            );
-        }
-        assert_eq!(
-            t.masked_window_decayed_active_partitions(2, 1.0, 0.0),
-            Some(vec![false, true])
-        );
-        assert_eq!(t.recent_masked_regions(10).len(), 2);
-        // No masked regions → None.
-        let mut bare = WorkTrace::new(2);
-        bare.regions.push(RegionRecord::new(OpKind::Newview, 2));
-        assert_eq!(
-            bare.masked_window_decayed_active_partitions(5, 1.0, 0.0),
-            None
-        );
-    }
-
-    #[test]
-    fn decayed_window_weights_recent_regions_more() {
-        let mut t = WorkTrace::new(2);
-        let mut old = RegionRecord::new(OpKind::Newview, 2);
-        old.flops_per_worker = vec![8.0, 0.0];
-        old.active_partitions = vec![true, false];
-        let mut new = RegionRecord::new(OpKind::Derivatives, 2);
-        new.flops_per_worker = vec![0.0, 8.0];
-        new.active_partitions = vec![false, true];
-        t.regions.push(old);
-        t.regions.push(new);
-
-        // decay = 1.0 is the plain equal-weight window.
-        assert_eq!(
-            t.masked_window_decayed_per_worker_total_in(TraceUnit::Flops, 2, 1.0),
-            vec![8.0, 8.0]
-        );
-        // decay = 0.5: the newest region weighs 1, the older one 0.5.
-        assert_eq!(
-            t.masked_window_decayed_per_worker_total_in(TraceUnit::Flops, 2, 0.5),
-            vec![4.0, 8.0]
-        );
-        // Liveness vote at decay 0.5: the old region holds 1/3 of the weight,
-        // so a 0.05 cutoff keeps partition 0 while a 0.4 cutoff drops it.
-        assert_eq!(
-            t.masked_window_decayed_active_partitions(2, 0.5, 0.05),
-            Some(vec![true, true])
-        );
-        assert_eq!(
-            t.masked_window_decayed_active_partitions(2, 0.5, 0.4),
-            Some(vec![false, true])
-        );
-        // No masked regions → None.
-        assert_eq!(
-            WorkTrace::new(2).masked_window_decayed_active_partitions(4, 0.5, 0.05),
-            None
-        );
-    }
-
-    #[test]
-    fn decayed_liveness_forgets_a_stale_partition_the_union_keeps() {
-        // One ancient region with partition 0 live, then eleven regions where
-        // only partition 1 is live: the equal-weight union (decay 1.0, cutoff
-        // 0.0) keeps partition 0 "live" for the whole window, while the
-        // decayed vote (decay 0.5, cutoff 0.05) has long forgotten it.
-        let mut t = WorkTrace::new(2);
-        let mut stale = RegionRecord::new(OpKind::Newview, 2);
-        stale.flops_per_worker = vec![4.0, 0.0];
-        stale.active_partitions = vec![true, false];
-        t.regions.push(stale);
-        for _ in 0..11 {
-            let mut r = RegionRecord::new(OpKind::Derivatives, 2);
-            r.flops_per_worker = vec![0.0, 4.0];
-            r.active_partitions = vec![false, true];
-            t.regions.push(r);
-        }
-        assert_eq!(
-            t.masked_window_decayed_active_partitions(12, 1.0, 0.0),
-            Some(vec![true, true])
-        );
-        assert_eq!(
-            t.masked_window_decayed_active_partitions(12, 0.5, 0.05),
-            Some(vec![false, true])
         );
     }
 

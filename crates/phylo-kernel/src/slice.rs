@@ -15,7 +15,10 @@
 //! The [`WorkerSlices::cyclic`] and [`WorkerSlices::block`] constructors
 //! remain as the two fixed schemes of the paper (and as the reference
 //! implementations the scheduler's strategies are tested against); arbitrary
-//! assignment functions go through [`WorkerSlices::with_assignment`].
+//! assignment functions go through [`WorkerSlices::with_assignment`]. Either
+//! way a worker's patterns are copied into dense per-partition buffers, so
+//! the global indices it owns change nothing about how it scans them; what a
+//! placement changes is how many partitions each worker touches.
 
 use std::cell::Cell;
 use std::sync::Arc;

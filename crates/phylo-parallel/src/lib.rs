@@ -45,10 +45,10 @@
 //!
 //! [`schedule`] bundles the first two arrows; the strategies themselves —
 //! [`Cyclic`] and [`Block`] (the paper's two fixed schemes), [`WeightedLpt`]
-//! (cost-weighted bin-packing, so a 20-state protein pattern counts 21× a
-//! DNA pattern), [`PartitionAwareLpt`] (cost-levelled *and* partition-
-//! contiguous per worker) and [`SpeedAwareLpt`] (LPT onto worker speeds
-//! estimated from a measured [`WorkTrace`]) — live in `phylo-sched`.
+//! (cost-weighted bin-packing; under the scalar costs [`schedule`] packs, a
+//! 20-state protein pattern counts 21× a DNA pattern) and [`SpeedAwareLpt`]
+//! (LPT onto worker speeds estimated from a measured [`WorkTrace`]) — live
+//! in `phylo-sched`.
 //! The [`Cyclic`] and [`Block`] strategies reproduce the paper's original
 //! pattern placement bit-for-bit (the legacy `Distribution` enum that once
 //! shimmed them was removed two PRs after its deprecation).
@@ -80,8 +80,8 @@ pub use threaded::{ExecutorOptions, ThreadedExecutor, WorkerSkew};
 pub use tracing::TracingExecutor;
 
 pub use phylo_sched::{
-    Assignment, Block, Cyclic, PartitionAwareLpt, PatternCosts, Reassignable, RescheduleDecision,
-    ReschedulePolicy, Rescheduler, SchedError, ScheduleStrategy, SpeedAwareLpt, WeightedLpt,
+    Assignment, Block, Cyclic, PatternCosts, Reassignable, RescheduleDecision, ReschedulePolicy,
+    Rescheduler, SchedError, ScheduleStrategy, SpeedAwareLpt, WeightedLpt,
 };
 
 use phylo_data::PartitionedPatterns;

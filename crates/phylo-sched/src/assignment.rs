@@ -154,28 +154,11 @@ impl Assignment {
         1.0 / self.imbalance()
     }
 
-    /// Number of *maximal runs of consecutive global pattern indices* each
-    /// worker owns — the cache-locality metric of a schedule. A worker whose
-    /// patterns form one contiguous block scans memory linearly; `k` runs mean
-    /// `k` strided jumps per parallel region. `Block` yields one run per
-    /// worker, `Cyclic` roughly `patterns / workers` runs, and the
-    /// partition-aware strategies at most one run per partition per worker.
-    pub fn contiguous_runs_per_worker(&self) -> Vec<usize> {
-        let mut runs = vec![0usize; self.worker_count];
-        for (g, &w) in self.owner.iter().enumerate() {
-            if g == 0 || self.owner[g - 1] != w {
-                runs[w] += 1;
-            }
-        }
-        runs
-    }
-
     /// Checks the partition-contiguity invariant: within every given
     /// partition (a range of global pattern indices), each worker's share is
-    /// a single contiguous run (possibly empty). This is the invariant
-    /// [`PartitionAwareLpt`] guarantees and the property tests verify.
-    ///
-    /// [`PartitionAwareLpt`]: crate::strategy::PartitionAwareLpt
+    /// a single contiguous run (possibly empty). This is the invariant the
+    /// mask-aware repack ([`crate::Rescheduler::consider`]) guarantees and the
+    /// property tests verify.
     ///
     /// # Panics
     ///
@@ -257,18 +240,6 @@ mod tests {
         let a = Assignment::new("skewed", vec![0, 0], 4, &costs).unwrap();
         assert_eq!(a.patterns_per_worker(), vec![2, 0, 0, 0]);
         assert_eq!(a.imbalance(), 4.0);
-    }
-
-    #[test]
-    fn contiguous_runs_count_maximal_runs() {
-        let costs = PatternCosts::uniform(6);
-        // Worker 0 owns {0, 1, 4}, worker 1 owns {2, 3, 5}.
-        let a = Assignment::new("x", vec![0, 0, 1, 1, 0, 1], 2, &costs).unwrap();
-        assert_eq!(a.contiguous_runs_per_worker(), vec![2, 2]);
-        let block = Assignment::new("x", vec![0, 0, 0, 1, 1, 1], 2, &costs).unwrap();
-        assert_eq!(block.contiguous_runs_per_worker(), vec![1, 1]);
-        let cyclic = Assignment::new("x", vec![0, 1, 0, 1, 0, 1], 2, &costs).unwrap();
-        assert_eq!(cyclic.contiguous_runs_per_worker(), vec![3, 3]);
     }
 
     #[test]

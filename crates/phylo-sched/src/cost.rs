@@ -62,8 +62,8 @@ impl PatternCosts {
     /// virtual-trace costs directly comparable); under `Blocked` the packed
     /// inner loops shrink the arithmetic term of both state widths by the
     /// SIMD lane count while the fixed per-(pattern, category) overhead stays
-    /// scalar, so the ratio collapses to 6 — packing a blocked run against the
-    /// scalar ratio would over-weigh protein partitions by ≈3.5×.
+    /// scalar, so the ratio drops to ≈ 16.4 — packing a blocked run against
+    /// the scalar ratio would over-weigh protein partitions by ≈ 1.3×.
     ///
     /// `categories` gives the number of Γ rate categories per partition (same
     /// order as the dataset's partitions).

@@ -23,7 +23,7 @@ pub enum SchedError {
         /// The offending value.
         value: f64,
     },
-    /// The partition ranges handed to a partition-aware strategy do not tile
+    /// The partition ranges handed to the mask-aware rescheduler do not tile
     /// the global pattern index space: they must start at 0, be consecutive
     /// (each range starts where the previous one ended) and ascending.
     InvalidPartitionRanges {

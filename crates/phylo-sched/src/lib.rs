@@ -10,30 +10,33 @@
 //! * [`PatternCosts`] — a per-pattern cost vector.
 //!   [`PatternCosts::analytic`] derives it from the kernel's analytic cost
 //!   model ([`phylo_kernel::cost::newview_flops`], one function of the
-//!   kernel dispatch): a 20-state protein pattern costs 21× (scalar) or 6×
-//!   (blocked) a DNA pattern in `newview`, which is exactly why pattern
-//!   *counts* alone are a poor balance proxy for mixed DNA/protein inputs.
+//!   kernel dispatch): a 20-state protein pattern costs 21× (scalar) or
+//!   ≈ 16.4× (blocked) a DNA pattern in `newview`, which is exactly why
+//!   pattern *counts* alone are a poor balance proxy for mixed DNA/protein
+//!   inputs.
 //! * [`Assignment`] — an explicit pattern→worker map with the per-worker
 //!   predicted cost, plus the imbalance metrics
 //!   ([`Assignment::imbalance`], [`Assignment::max_cost`],
 //!   [`Assignment::mean_cost`]) that `phylo-perfmodel` consumes.
-//! * [`ScheduleStrategy`] — the strategy trait, with five implementations:
-//!   [`Cyclic`] and [`Block`] (the paper's two schemes, reproduced bit-for-bit
-//!   through the new interface), [`WeightedLpt`] (longest-processing-time
-//!   greedy bin-packing over the analytic costs), [`PartitionAwareLpt`]
-//!   (cost-levelled *and* cache-local: every worker's share of every
-//!   partition is one contiguous run — see
-//!   [`Assignment::partition_contiguity`]) and [`SpeedAwareLpt`] (the
-//!   measured-feedback strategy: LPT onto workers of unequal speed, the
-//!   speeds estimated from a measured
-//!   [`WorkTrace`](phylo_kernel::cost::WorkTrace)).
+//! * [`ScheduleStrategy`] — the strategy trait, with four implementations:
+//!   [`Cyclic`] and [`Block`] (the paper's two schemes, reproduced
+//!   bit-for-bit through the interface), [`WeightedLpt`]
+//!   (longest-processing-time greedy bin-packing over the analytic costs)
+//!   and [`SpeedAwareLpt`] (the measured-feedback strategy: LPT onto workers
+//!   of unequal speed, the speeds estimated from a measured
+//!   [`WorkTrace`](phylo_kernel::cost::WorkTrace)). A worker copies its
+//!   patterns into dense per-partition buffers whatever their global
+//!   indices, so besides the makespan a placement only changes how many
+//!   partitions each worker touches (see [`Block`]).
 //! * [`Rescheduler`] — mid-run rescheduling from live measurements through
 //!   one entry, [`Rescheduler::consider`]; the policy selects between the
 //!   total-cost trigger with a [`SpeedAwareLpt`] repack and the
 //!   *mask-aware* mode ([`ReschedulePolicy::mask_aware`]) that reacts to the
 //!   convergence-mask shape *within* a driver round: it triggers on the
 //!   decay-weighted ([`reschedule::MASK_DECAY`]) live-cost imbalance of the recent
-//!   partial-mask regions and re-levels every partition across the workers.
+//!   partial-mask regions and re-levels every partition across the workers,
+//!   so each worker's share of a partition stays one contiguous run
+//!   ([`Assignment::partition_contiguity`]).
 //!
 //! The parallel backends in `phylo-parallel` consume an [`Assignment`] when
 //! building their per-worker slices; see `phylo_parallel::build_workers`.
@@ -67,6 +70,4 @@ pub use assignment::{worker_imbalance, Assignment};
 pub use cost::PatternCosts;
 pub use error::SchedError;
 pub use reschedule::{Reassignable, RescheduleDecision, ReschedulePolicy, Rescheduler};
-pub use strategy::{
-    Block, Cyclic, PartitionAwareLpt, ScheduleStrategy, SpeedAwareLpt, WeightedLpt,
-};
+pub use strategy::{Block, Cyclic, ScheduleStrategy, SpeedAwareLpt, WeightedLpt};

@@ -11,13 +11,17 @@
 //! the executor's worker slices — the [`Reassignable`] capability — and the
 //! run continues with bit-identical likelihood semantics (only summation
 //! order changes, so log likelihoods agree to ≤ 1e-8).
+//!
+//! The mask-aware policy owns its measurement window here too: which recent
+//! masked regions it reads, how they are decay-weighted, and which
+//! partitions they vote live.
 
 use crate::assignment::{worker_imbalance, Assignment};
 use crate::cost::PatternCosts;
 use crate::error::SchedError;
 use crate::strategy::{ScheduleStrategy, SpeedAwareLpt};
 use phylo_data::PartitionedPatterns;
-use phylo_kernel::cost::{TraceUnit, WorkTrace};
+use phylo_kernel::cost::{RegionRecord, TraceUnit, WorkTrace};
 
 /// An execution backend whose pattern→worker ownership can be migrated
 /// mid-run.
@@ -93,8 +97,7 @@ pub const MASK_DECAY: f64 = 0.85;
 
 /// A partition stays in the mask-aware live set while the decayed weight of
 /// the window regions whose mask included it is at least this fraction of
-/// the window's total decayed weight (see
-/// [`WorkTrace::masked_window_decayed_active_partitions`]).
+/// the window's total decayed weight.
 pub const MASK_LIVENESS_CUTOFF: f64 = 0.05;
 
 impl Default for ReschedulePolicy {
@@ -189,17 +192,18 @@ impl Rescheduler {
     /// speeds — which balances the live phase, later mask shapes and the
     /// full mask at once.
     ///
-    /// `ranges` gives each partition's global pattern range (the same tiling
-    /// [`PartitionAwareLpt`](crate::strategy::PartitionAwareLpt) consumes).
+    /// `ranges` gives each partition's global pattern range; together they
+    /// tile the index space (start at 0, consecutive, ascending).
     ///
     /// # Errors
     ///
+    /// Under either policy, whether or not the measurement would trigger:
     /// [`SchedError::TraceWorkerMismatch`] if the trace and `current`
-    /// disagree on the worker count,
-    /// [`SchedError::PatternCountMismatch`] if `base` (or, mask-aware,
-    /// `ranges`) covers a different number of patterns than `current`,
-    /// [`SchedError::InvalidPartitionRanges`] if a mask-aware policy's
-    /// ranges do not tile the index space.
+    /// disagree on the worker count, [`SchedError::PatternCountMismatch`] if
+    /// `base` covers a different number of patterns than `current`. A
+    /// mask-aware policy also rejects `ranges` that do not tile the index
+    /// space ([`SchedError::InvalidPartitionRanges`]) or cover a different
+    /// number of patterns ([`SchedError::PatternCountMismatch`]).
     pub fn consider(
         &mut self,
         current: &Assignment,
@@ -208,6 +212,18 @@ impl Rescheduler {
         ranges: &[std::ops::Range<usize>],
     ) -> Result<Option<RescheduleDecision>, SchedError> {
         self.telemetry.reschedule_considered();
+        if trace.workers != current.worker_count() {
+            return Err(SchedError::TraceWorkerMismatch {
+                trace_workers: trace.workers,
+                assignment_workers: current.worker_count(),
+            });
+        }
+        if base.pattern_count() != current.pattern_count() {
+            return Err(SchedError::PatternCountMismatch {
+                expected: current.pattern_count(),
+                got: base.pattern_count(),
+            });
+        }
         if self.policy.mask_aware {
             self.consider_masked(current, trace, base, ranges)
         } else {
@@ -253,26 +269,7 @@ impl Rescheduler {
         base: &PatternCosts,
         ranges: &[std::ops::Range<usize>],
     ) -> Result<Option<RescheduleDecision>, SchedError> {
-        if trace.workers != current.worker_count() {
-            return Err(SchedError::TraceWorkerMismatch {
-                trace_workers: trace.workers,
-                assignment_workers: current.worker_count(),
-            });
-        }
-        if base.pattern_count() != current.pattern_count() {
-            return Err(SchedError::PatternCountMismatch {
-                expected: current.pattern_count(),
-                got: base.pattern_count(),
-            });
-        }
-        crate::strategy::check_partition_ranges(ranges)?;
-        let covered = ranges.last().map_or(0, |r| r.end);
-        if covered != current.pattern_count() {
-            return Err(SchedError::PatternCountMismatch {
-                expected: current.pattern_count(),
-                got: covered,
-            });
-        }
+        check_partition_ranges(ranges, current.pattern_count())?;
         if self.decisions >= self.policy.max_reschedules {
             return Ok(None);
         }
@@ -283,14 +280,12 @@ impl Rescheduler {
         if trace.masked_region_count() < window {
             return Ok(None);
         }
-        let measured =
-            trace.masked_window_decayed_per_worker_total_in(self.policy.unit, window, MASK_DECAY);
+        let measured = decayed_worker_totals(trace, self.policy.unit, window, MASK_DECAY);
         let measured_imbalance = worker_imbalance(&measured);
         if measured_imbalance <= self.policy.imbalance_threshold {
             return Ok(None);
         }
-        let active = trace
-            .masked_window_decayed_active_partitions(window, MASK_DECAY, MASK_LIVENESS_CUTOFF)
+        let active = decayed_live_partitions(trace, window, MASK_DECAY, MASK_LIVENESS_CUTOFF)
             .filter(|a| a.len() == ranges.len())
             .unwrap_or_else(|| vec![true; ranges.len()]);
         let any_live = ranges
@@ -301,12 +296,11 @@ impl Rescheduler {
             return Ok(None);
         }
 
-        // Re-pack *every* partition with the per-partition levelling of
-        // `PartitionAwareLpt` (the shared `level_partition` core), live
-        // partitions first. Levelling each partition individually onto the
-        // currently least-loaded workers rotates the per-partition surpluses
-        // across different workers, so every mask shape — the live window's,
-        // later phases', and the full mask — comes out balanced at once.
+        // Re-pack *every* partition with `level_partition`, live partitions
+        // first. Levelling each partition individually onto the currently
+        // least-loaded workers rotates the per-partition surpluses across
+        // different workers, so every mask shape — the live window's, later
+        // phases', and the full mask — comes out balanced at once.
         // (Moving only the live patterns cannot do that: whenever the full
         // mask is balanced *because* the partitions' skews cancel, any live
         // placement that fixes the live phase must un-balance the totals
@@ -333,7 +327,7 @@ impl Rescheduler {
                 .then(a.cmp(&b))
         });
         for p in order {
-            crate::strategy::level_partition(ranges[p].clone(), base, &mut loads, &mut owner);
+            level_partition(ranges[p].clone(), base, &mut loads, &mut owner);
         }
         if owner == current.owner() {
             return Ok(None);
@@ -350,11 +344,161 @@ impl Rescheduler {
     }
 }
 
+/// Validates that partition ranges tile `0..pattern_count`: start at 0,
+/// consecutive, ascending, and covering every pattern.
+fn check_partition_ranges(
+    ranges: &[std::ops::Range<usize>],
+    pattern_count: usize,
+) -> Result<(), SchedError> {
+    let mut covered = 0usize;
+    for (index, range) in ranges.iter().enumerate() {
+        if range.start != covered || range.end < range.start {
+            return Err(SchedError::InvalidPartitionRanges { index });
+        }
+        covered = range.end;
+    }
+    if covered != pattern_count {
+        return Err(SchedError::PatternCountMismatch {
+            expected: pattern_count,
+            got: covered,
+        });
+    }
+    Ok(())
+}
+
+/// The mask-aware repack's per-partition levelling: cuts `range` into at
+/// most one contiguous chunk per worker, filling the currently least-loaded
+/// workers up to the fair level (overshooting by at most half the next
+/// pattern's cost — round to nearest) and giving the last worker whatever is
+/// left. Updates `loads` and writes the owners into `owner`.
+fn level_partition(
+    range: std::ops::Range<usize>,
+    costs: &PatternCosts,
+    loads: &mut [f64],
+    owner: &mut [usize],
+) {
+    let worker_count = loads.len();
+    let mut remaining: f64 = costs.as_slice()[range.clone()].iter().sum();
+    // Workers in ascending current-load order (ties by index): the
+    // least-loaded worker takes the partition's first chunk.
+    let mut by_load: Vec<usize> = (0..worker_count).collect();
+    by_load.sort_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)));
+    let mut cursor = range.start;
+    for (k, &w) in by_load.iter().enumerate() {
+        if cursor >= range.end {
+            break;
+        }
+        if k + 1 == worker_count {
+            // The last worker takes whatever is left.
+            for (g, o) in owner.iter_mut().enumerate().take(range.end).skip(cursor) {
+                *o = w;
+                loads[w] += costs.cost(g);
+            }
+            break;
+        }
+        // Fair final level among the workers not yet filled for this
+        // partition; fill `w` up to it.
+        let pool: f64 = by_load[k..].iter().map(|&x| loads[x]).sum::<f64>() + remaining;
+        let level = pool / (worker_count - k) as f64;
+        while cursor < range.end {
+            let c = costs.cost(cursor);
+            if loads[w] + c <= level + c / 2.0 {
+                owner[cursor] = w;
+                loads[w] += c;
+                remaining -= c;
+                cursor += 1;
+            } else {
+                break;
+            }
+        }
+    }
+}
+
+/// The last `window` *masked* regions (see [`RegionRecord::is_masked`]),
+/// oldest first, each with its recency weight: the most recent weighs `1`,
+/// the one before it `decay`, then `decay²` and so on — the oldPAR-like
+/// phases the mask-aware policy measures over. Full-mask regions (which
+/// balance almost any schedule and would dilute the live measurement) are
+/// skipped. `decay = 1.0` is the plain equal-weight window; smaller values
+/// track the *current* convergence-mask shape instead of averaging over
+/// stale phases.
+fn masked_window(trace: &WorkTrace, window: usize, decay: f64) -> Vec<(f64, &RegionRecord)> {
+    let mut recent: Vec<&RegionRecord> = trace
+        .regions
+        .iter()
+        .rev()
+        .filter(|r| r.is_masked())
+        .take(window)
+        .collect();
+    recent.reverse();
+    let newest = recent.len().saturating_sub(1);
+    recent
+        .into_iter()
+        .enumerate()
+        .map(|(i, region)| (decay.powi((newest - i) as i32), region))
+        .collect()
+}
+
+/// Per-worker totals in `unit` over the decay-weighted [`masked_window`].
+fn decayed_worker_totals(
+    trace: &WorkTrace,
+    unit: TraceUnit,
+    window: usize,
+    decay: f64,
+) -> Vec<f64> {
+    let mut totals = vec![0.0; trace.workers];
+    for (weight, region) in masked_window(trace, window, decay) {
+        for (w, &v) in region.per_worker(unit).iter().enumerate() {
+            totals[w] += weight * v;
+        }
+    }
+    totals
+}
+
+/// Decay-weighted partition liveness over the [`masked_window`]: partition
+/// `p` counts as live when the decayed weight of the regions whose mask
+/// included it is at least `cutoff` of the window's total decayed weight.
+/// With `decay = 1.0` and `cutoff = 0.0` this is the union of the window's
+/// masks; a positive cutoff additionally drops partitions that were live
+/// only in the oldest, almost-forgotten regions of the window. `None` when
+/// there is no masked region.
+fn decayed_live_partitions(
+    trace: &WorkTrace,
+    window: usize,
+    decay: f64,
+    cutoff: f64,
+) -> Option<Vec<bool>> {
+    let recent = masked_window(trace, window, decay);
+    let partitions = recent.first()?.1.active_partitions.len();
+    let mut live_weight = vec![0.0f64; partitions];
+    let mut total_weight = 0.0f64;
+    for (weight, region) in recent {
+        total_weight += weight;
+        if region.active_partitions.len() != partitions {
+            continue;
+        }
+        for (p, &active) in region.active_partitions.iter().enumerate() {
+            if active {
+                live_weight[p] += weight;
+            }
+        }
+    }
+    if total_weight <= 0.0 {
+        return Some(vec![true; partitions]);
+    }
+    Some(
+        live_weight
+            .iter()
+            .map(|&w| w / total_weight >= cutoff && w > 0.0)
+            .collect(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strategy::Cyclic;
-    use phylo_kernel::cost::{OpKind, RegionRecord};
+    use phylo_kernel::cost::OpKind;
 
     fn skewed_trace(workers: usize, regions: usize, skew: f64) -> WorkTrace {
         let mut t = WorkTrace::new(workers);
@@ -414,22 +558,39 @@ mod tests {
         assert_eq!(r.consider(&prior, &trace, &costs, &[]).unwrap(), None);
     }
 
+    /// Shape validation does not depend on the measurement: a trace of the
+    /// wrong width and base costs of the wrong length are typed errors under
+    /// both policies, also with a threshold no imbalance crosses.
     #[test]
     fn mismatched_shapes_are_errors() {
         let costs = PatternCosts::uniform(40);
         let prior = Cyclic.assign(&costs, 4).unwrap();
-        let mut r = Rescheduler::new(policy());
-        let trace = skewed_trace(3, 10, 4.0);
-        assert!(matches!(
-            r.consider(&prior, &trace, &costs, &[]).unwrap_err(),
-            SchedError::TraceWorkerMismatch { .. }
-        ));
-        let short = PatternCosts::uniform(7);
-        assert!(matches!(
-            r.consider(&prior, &skewed_trace(4, 10, 4.0), &short, &[])
-                .unwrap_err(),
-            SchedError::PatternCountMismatch { .. }
-        ));
+        for (imbalance_threshold, mask_aware) in [(1.2, false), (f64::MAX, false), (f64::MAX, true)]
+        {
+            let mut r = Rescheduler::new(ReschedulePolicy {
+                imbalance_threshold,
+                mask_aware,
+                ..policy()
+            });
+            let case = format!("threshold {imbalance_threshold:e}, mask_aware {mask_aware}");
+            assert_eq!(
+                r.consider(&prior, &skewed_trace(3, 10, 4.0), &costs, &[]),
+                Err(SchedError::TraceWorkerMismatch {
+                    trace_workers: 3,
+                    assignment_workers: 4
+                }),
+                "{case}"
+            );
+            let short = PatternCosts::uniform(7);
+            assert_eq!(
+                r.consider(&prior, &skewed_trace(4, 10, 4.0), &short, &[]),
+                Err(SchedError::PatternCountMismatch {
+                    expected: 40,
+                    got: 7
+                }),
+                "{case}"
+            );
+        }
     }
 
     /// A trace whose recent window shows all live work of one partition on
@@ -629,5 +790,102 @@ mod tests {
         }
         let mut r = Rescheduler::new(policy());
         assert_eq!(r.consider(&prior, &trace, &costs, &[]).unwrap(), None);
+    }
+
+    #[test]
+    fn window_helpers_see_only_the_recent_regions() {
+        let mut t = WorkTrace::new(2);
+        let mut early = RegionRecord::new(OpKind::Newview, 2);
+        early.flops_per_worker = vec![100.0, 100.0];
+        early.active_partitions = vec![true, true];
+        let mut late = RegionRecord::new(OpKind::Derivatives, 2);
+        late.flops_per_worker = vec![5.0, 1.0];
+        late.active_partitions = vec![false, true];
+        t.regions.push(early);
+        t.regions.push(late.clone());
+        t.regions.push(late);
+
+        // The masked window skips the balanced full-mask region entirely.
+        for window in [2, 10] {
+            assert_eq!(
+                decayed_worker_totals(&t, TraceUnit::Flops, window, 1.0),
+                vec![10.0, 2.0]
+            );
+        }
+        assert_eq!(
+            decayed_live_partitions(&t, 2, 1.0, 0.0),
+            Some(vec![false, true])
+        );
+        assert_eq!(masked_window(&t, 10, 1.0).len(), 2);
+        // No masked regions → None.
+        let mut bare = WorkTrace::new(2);
+        bare.regions.push(RegionRecord::new(OpKind::Newview, 2));
+        assert_eq!(decayed_live_partitions(&bare, 5, 1.0, 0.0), None);
+    }
+
+    #[test]
+    fn decayed_window_weights_recent_regions_more() {
+        let mut t = WorkTrace::new(2);
+        let mut old = RegionRecord::new(OpKind::Newview, 2);
+        old.flops_per_worker = vec![8.0, 0.0];
+        old.active_partitions = vec![true, false];
+        let mut new = RegionRecord::new(OpKind::Derivatives, 2);
+        new.flops_per_worker = vec![0.0, 8.0];
+        new.active_partitions = vec![false, true];
+        t.regions.push(old);
+        t.regions.push(new);
+
+        // decay = 1.0 is the plain equal-weight window.
+        assert_eq!(
+            decayed_worker_totals(&t, TraceUnit::Flops, 2, 1.0),
+            vec![8.0, 8.0]
+        );
+        // decay = 0.5: the newest region weighs 1, the older one 0.5.
+        assert_eq!(
+            decayed_worker_totals(&t, TraceUnit::Flops, 2, 0.5),
+            vec![4.0, 8.0]
+        );
+        // Liveness vote at decay 0.5: the old region holds 1/3 of the weight,
+        // so a 0.05 cutoff keeps partition 0 while a 0.4 cutoff drops it.
+        assert_eq!(
+            decayed_live_partitions(&t, 2, 0.5, 0.05),
+            Some(vec![true, true])
+        );
+        assert_eq!(
+            decayed_live_partitions(&t, 2, 0.5, 0.4),
+            Some(vec![false, true])
+        );
+        // No masked regions → None.
+        assert_eq!(
+            decayed_live_partitions(&WorkTrace::new(2), 4, 0.5, 0.05),
+            None
+        );
+    }
+
+    #[test]
+    fn decayed_liveness_forgets_a_stale_partition_the_union_keeps() {
+        // One ancient region with partition 0 live, then eleven regions where
+        // only partition 1 is live: the equal-weight union (decay 1.0, cutoff
+        // 0.0) keeps partition 0 "live" for the whole window, while the
+        // decayed vote (decay 0.5, cutoff 0.05) has long forgotten it.
+        let mut t = WorkTrace::new(2);
+        let mut stale = RegionRecord::new(OpKind::Newview, 2);
+        stale.flops_per_worker = vec![4.0, 0.0];
+        stale.active_partitions = vec![true, false];
+        t.regions.push(stale);
+        for _ in 0..11 {
+            let mut r = RegionRecord::new(OpKind::Derivatives, 2);
+            r.flops_per_worker = vec![0.0, 4.0];
+            r.active_partitions = vec![false, true];
+            t.regions.push(r);
+        }
+        assert_eq!(
+            decayed_live_partitions(&t, 12, 1.0, 0.0),
+            Some(vec![true, true])
+        );
+        assert_eq!(
+            decayed_live_partitions(&t, 12, 0.5, 0.05),
+            Some(vec![false, true])
+        );
     }
 }

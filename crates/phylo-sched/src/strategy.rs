@@ -73,8 +73,13 @@ impl ScheduleStrategy for Cyclic {
 /// The contiguous alternative the paper argues against: the global pattern
 /// index space is cut into `T` equal-length blocks.
 ///
-/// Keeps each worker's patterns contiguous (cache-friendly), but a block can
-/// land entirely inside one expensive partition — the pathological case for
+/// Every worker copies its patterns into dense per-partition buffers, so the
+/// contiguity of a block buys no scan locality by itself. What it does buy,
+/// on equal-sized partitions, is *ownership*: each worker holds whole
+/// partitions, reads only their branch tables and runs fewer, longer
+/// per-partition loops than under a placement that spreads every partition
+/// over all workers. The cut is cost-oblivious, though: a block can land
+/// entirely inside one expensive partition — the pathological case for
 /// mixed DNA/protein inputs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Block;
@@ -99,10 +104,11 @@ impl ScheduleStrategy for Block {
 ///
 /// Patterns are placed in order of decreasing cost, each onto the currently
 /// least-loaded worker. With the analytic cost model this makes a 20-state
-/// protein pattern count 21× (scalar kernels) or 6× (blocked) a DNA pattern, so mixed workloads balance by
-/// predicted *work*, not by pattern count. LPT's classical guarantee bounds
-/// the makespan within 4/3 of optimal; on phylogenomic inputs (many patterns
-/// per worker) it is near-perfect.
+/// protein pattern count 21× (scalar kernels) or ≈ 16.4× (blocked) a DNA
+/// pattern, so mixed workloads balance by predicted *work*, not by pattern
+/// count. LPT's classical guarantee bounds the makespan within 4/3 of
+/// optimal; on phylogenomic inputs (many patterns per worker) it is
+/// near-perfect.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WeightedLpt;
 
@@ -265,147 +271,6 @@ impl ScheduleStrategy for SpeedAwareLpt {
     }
 }
 
-/// Validates that partition ranges tile the global index space: start at 0,
-/// consecutive, ascending. Shared by [`PartitionAwareLpt`] and the mask-aware
-/// rescheduler.
-pub(crate) fn check_partition_ranges(ranges: &[std::ops::Range<usize>]) -> Result<(), SchedError> {
-    let mut expected = 0usize;
-    for (index, range) in ranges.iter().enumerate() {
-        if range.start != expected || range.end < range.start {
-            return Err(SchedError::InvalidPartitionRanges { index });
-        }
-        expected = range.end;
-    }
-    Ok(())
-}
-
-/// Cost-balancing LPT that preserves *partition locality*: every worker's
-/// share of every partition is a single contiguous pattern range.
-///
-/// [`WeightedLpt`] balances predicted cost but scatters each worker's
-/// patterns across the global index space (its pack order is cost-descending,
-/// so neighbouring patterns usually land on different workers), which costs
-/// cache locality: a worker's per-region scan strides through memory. The
-/// paper's `Block` scheme has perfect locality (one run per worker) but
-/// ignores cost — a block can land entirely inside an expensive partition.
-/// This strategy takes the middle road the ROADMAP asks for: partitions are
-/// processed in descending total-cost order, and each partition is cut into
-/// at most `T` contiguous chunks that are levelled onto the currently
-/// least-loaded workers. The result:
-///
-/// * each worker's share of each partition is one contiguous run (verified by
-///   [`Assignment::partition_contiguity`], counted by
-///   [`Assignment::contiguous_runs_per_worker`]),
-/// * the maximum predicted per-worker cost never exceeds `Block`'s and is
-///   close to [`WeightedLpt`]'s (exactly equal when per-pattern costs are
-///   uniform within partitions, the analytic-model case).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionAwareLpt {
-    ranges: Vec<std::ops::Range<usize>>,
-}
-
-impl PartitionAwareLpt {
-    /// Builds the strategy from explicit partition ranges over the global
-    /// pattern index space.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::InvalidPartitionRanges`] if the ranges do not tile the
-    /// index space (start at 0, consecutive, ascending).
-    pub fn new(ranges: Vec<std::ops::Range<usize>>) -> Result<Self, SchedError> {
-        check_partition_ranges(&ranges)?;
-        Ok(Self { ranges })
-    }
-
-    /// The partition ranges the strategy preserves locality for.
-    pub fn ranges(&self) -> &[std::ops::Range<usize>] {
-        &self.ranges
-    }
-}
-
-/// The per-partition levelling core shared by [`PartitionAwareLpt`] and the
-/// mask-aware rescheduler's repack: cuts `range` into at most one contiguous
-/// chunk per worker, filling the currently least-loaded workers up to the
-/// fair level (overshooting by at most half the next pattern's cost — round
-/// to nearest) and giving the last worker whatever is left. Updates `loads`
-/// and writes the owners into `owner`.
-pub(crate) fn level_partition(
-    range: std::ops::Range<usize>,
-    costs: &PatternCosts,
-    loads: &mut [f64],
-    owner: &mut [usize],
-) {
-    let worker_count = loads.len();
-    let mut remaining: f64 = costs.as_slice()[range.clone()].iter().sum();
-    // Workers in ascending current-load order (ties by index): the
-    // least-loaded worker takes the partition's first chunk.
-    let mut by_load: Vec<usize> = (0..worker_count).collect();
-    by_load.sort_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)));
-    let mut cursor = range.start;
-    for (k, &w) in by_load.iter().enumerate() {
-        if cursor >= range.end {
-            break;
-        }
-        if k + 1 == worker_count {
-            // The last worker takes whatever is left.
-            for (g, o) in owner.iter_mut().enumerate().take(range.end).skip(cursor) {
-                *o = w;
-                loads[w] += costs.cost(g);
-            }
-            break;
-        }
-        // Fair final level among the workers not yet filled for this
-        // partition; fill `w` up to it.
-        let pool: f64 = by_load[k..].iter().map(|&x| loads[x]).sum::<f64>() + remaining;
-        let level = pool / (worker_count - k) as f64;
-        while cursor < range.end {
-            let c = costs.cost(cursor);
-            if loads[w] + c <= level + c / 2.0 {
-                owner[cursor] = w;
-                loads[w] += c;
-                remaining -= c;
-                cursor += 1;
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-impl ScheduleStrategy for PartitionAwareLpt {
-    fn name(&self) -> &str {
-        "partition-lpt"
-    }
-
-    fn assign(&self, costs: &PatternCosts, worker_count: usize) -> Result<Assignment, SchedError> {
-        check_inputs(costs, worker_count)?;
-        let covered = self.ranges.last().map_or(0, |r| r.end);
-        if covered != costs.pattern_count() {
-            return Err(SchedError::PatternCountMismatch {
-                expected: costs.pattern_count(),
-                got: covered,
-            });
-        }
-        let part_total =
-            |r: &std::ops::Range<usize>| -> f64 { costs.as_slice()[r.clone()].iter().sum() };
-        // LPT flavour: place the heaviest partitions first so later, lighter
-        // partitions can level out whatever imbalance their chunking left.
-        let mut order: Vec<usize> = (0..self.ranges.len()).collect();
-        order.sort_by(|&a, &b| {
-            part_total(&self.ranges[b])
-                .total_cmp(&part_total(&self.ranges[a]))
-                .then(a.cmp(&b))
-        });
-
-        let mut loads = vec![0.0f64; worker_count];
-        let mut owner = vec![0usize; costs.pattern_count()];
-        for p in order {
-            level_partition(self.ranges[p].clone(), costs, &mut loads, &mut owner);
-        }
-        Assignment::new(self.name(), owner, worker_count, costs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,20 +304,8 @@ mod tests {
         (pp, costs)
     }
 
-    fn fixture_ranges(pp: &PartitionedPatterns) -> Vec<std::ops::Range<usize>> {
-        (0..pp.partition_count())
-            .map(|p| pp.global_range(p))
-            .collect()
-    }
-
     fn all_strategies() -> Vec<Box<dyn ScheduleStrategy>> {
-        let (pp, _) = mixed_fixture();
-        vec![
-            Box::new(Cyclic),
-            Box::new(Block),
-            Box::new(WeightedLpt),
-            Box::new(PartitionAwareLpt::new(fixture_ranges(&pp)).unwrap()),
-        ]
+        vec![Box::new(Cyclic), Box::new(Block), Box::new(WeightedLpt)]
     }
 
     #[test]
@@ -640,99 +493,5 @@ mod tests {
                 assignment_workers: 3
             }
         );
-    }
-
-    #[test]
-    fn partition_aware_lpt_keeps_every_partition_share_contiguous() {
-        let (pp, costs) = mixed_fixture();
-        let ranges = fixture_ranges(&pp);
-        let strategy = PartitionAwareLpt::new(ranges.clone()).unwrap();
-        for workers in [1usize, 2, 3, 5, 16] {
-            let a = strategy.assign(&costs, workers).unwrap();
-            assert!(
-                a.partition_contiguity(&ranges),
-                "{workers} workers: a worker's share of a partition is split"
-            );
-            // At most one run per partition per worker.
-            let runs = a.contiguous_runs_per_worker();
-            assert!(
-                runs.iter().all(|&r| r <= ranges.len()),
-                "{workers} workers: runs {runs:?} exceed the partition count"
-            );
-        }
-    }
-
-    #[test]
-    fn partition_aware_lpt_balances_like_lpt_and_beats_block() {
-        let (pp, costs) = mixed_fixture();
-        let strategy = PartitionAwareLpt::new(fixture_ranges(&pp)).unwrap();
-        for workers in [2usize, 3, 4, 8] {
-            let a = strategy.assign(&costs, workers).unwrap();
-            let block = Block.assign(&costs, workers).unwrap();
-            let cyclic = Cyclic.assign(&costs, workers).unwrap();
-            assert!(
-                a.max_cost() <= block.max_cost() + 1e-9,
-                "{workers} workers: partition-lpt max {} vs block max {}",
-                a.max_cost(),
-                block.max_cost()
-            );
-            assert!(
-                a.max_cost() <= cyclic.max_cost() + 1e-9,
-                "{workers} workers: partition-lpt max {} vs cyclic max {}",
-                a.max_cost(),
-                cyclic.max_cost()
-            );
-            // The locality invariant actually buys fewer runs than cyclic on
-            // a non-trivial dataset.
-            let total_runs: usize = a.contiguous_runs_per_worker().iter().sum();
-            let cyclic_runs: usize = cyclic.contiguous_runs_per_worker().iter().sum();
-            if workers > 1 {
-                assert!(
-                    total_runs < cyclic_runs,
-                    "{workers} workers: {total_runs} runs vs cyclic {cyclic_runs}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)]
-    fn partition_aware_lpt_validates_ranges() {
-        assert!(matches!(
-            PartitionAwareLpt::new(vec![(1..4)]).unwrap_err(),
-            SchedError::InvalidPartitionRanges { index: 0 }
-        ));
-        assert!(matches!(
-            PartitionAwareLpt::new(vec![0..4, 5..8]).unwrap_err(),
-            SchedError::InvalidPartitionRanges { index: 1 }
-        ));
-        let strategy = PartitionAwareLpt::new(vec![0..4, 4..8]).unwrap();
-        assert_eq!(
-            strategy.assign(&PatternCosts::uniform(9), 2).unwrap_err(),
-            SchedError::PatternCountMismatch {
-                expected: 9,
-                got: 8
-            }
-        );
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)]
-    fn partition_aware_lpt_on_uniform_costs_matches_block_makespan() {
-        // One partition, uniform costs: the best any scheme can do is
-        // ceil(n/T) patterns on the most loaded worker — Block's makespan.
-        let costs = PatternCosts::uniform(10);
-        let strategy = PartitionAwareLpt::new(vec![(0..10)]).unwrap();
-        for workers in [2usize, 3, 4, 7] {
-            let a = strategy.assign(&costs, workers).unwrap();
-            let block = Block.assign(&costs, workers).unwrap();
-            assert!(
-                a.max_cost() <= block.max_cost() + 1e-9,
-                "{workers} workers: {} vs block {}",
-                a.max_cost(),
-                block.max_cost()
-            );
-            assert!(a.partition_contiguity(&[(0..10)]));
-        }
     }
 }

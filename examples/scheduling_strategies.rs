@@ -25,8 +25,9 @@ fn trace_run(
 }
 
 fn main() -> Result<(), AnalysisError> {
-    // 8 DNA genes plus 3 protein genes: the protein patterns weigh ~21x the
-    // DNA ones, so pattern *counts* are a poor balance proxy.
+    // 8 DNA genes plus 3 protein genes: under the blocked kernels `Analysis`
+    // runs by default the protein patterns weigh ~16x the DNA ones, so
+    // pattern *counts* are a poor balance proxy.
     let workers = 8usize;
     let dataset = mixed_dna_protein(12, 8, 3, 150, 4711).generate();
     let categories = vec![4; dataset.patterns.partition_count()];

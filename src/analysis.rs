@@ -214,7 +214,7 @@ impl AnalysisBuilder {
     fn schedule(&self, categories: &[usize]) -> Result<(PatternCosts, Assignment), AnalysisError> {
         // The cost model must describe the kernel that will actually run:
         // under the blocked dispatch (the default) the protein/DNA
-        // per-pattern ratio is 6, under the scalar tabled kernels 21.
+        // per-pattern ratio is ≈ 16.4, under the scalar tabled kernels 21.
         let costs = PatternCosts::analytic(&self.patterns, categories, self.dispatch);
         let assignment = self.strategy.assign(&costs, self.threads)?;
         Ok((costs, assignment))

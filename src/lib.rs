@@ -73,7 +73,7 @@ pub mod prelude {
     };
     pub use phylo_perfmodel::{imbalance_report, imbalance_report_in, ImbalanceReport, Platform};
     pub use phylo_sched::{
-        worker_imbalance, Assignment, Block, Cyclic, PartitionAwareLpt, PatternCosts, Reassignable,
+        worker_imbalance, Assignment, Block, Cyclic, PatternCosts, Reassignable,
         RescheduleDecision, ReschedulePolicy, Rescheduler, SchedError, ScheduleStrategy,
         SpeedAwareLpt, WeightedLpt,
     };

@@ -291,44 +291,6 @@ proptest! {
         }
     }
 
-    /// `PartitionAwareLpt` on random mixed DNA/protein datasets: every
-    /// worker's share of every partition is a single contiguous run, and the
-    /// maximum predicted per-worker cost never exceeds `Block`'s.
-    #[test]
-    fn partition_aware_lpt_is_contiguous_and_beats_block(
-        seed in 0u64..300,
-        dna_partitions in 1usize..7,
-        protein_partitions in 1usize..4,
-        partition_len in 8usize..40,
-        workers in 2usize..17,
-    ) {
-        let ds = mixed_dna_protein(6, dna_partitions, protein_partitions, partition_len, seed)
-            .generate();
-        let categories = vec![4; ds.patterns.partition_count()];
-        let costs = PatternCosts::analytic_tabled(&ds.patterns, &categories);
-        let ranges: Vec<std::ops::Range<usize>> = (0..ds.patterns.partition_count())
-            .map(|p| ds.patterns.global_range(p))
-            .collect();
-        let strategy = PartitionAwareLpt::new(ranges.clone()).unwrap();
-        let a = strategy.assign(&costs, workers).unwrap();
-        prop_assert!(
-            a.partition_contiguity(&ranges),
-            "split per-partition run with {} workers on {}",
-            workers,
-            ds.spec.name
-        );
-        let runs = a.contiguous_runs_per_worker();
-        prop_assert!(runs.iter().all(|&r| r <= ranges.len()));
-        let block = Block.assign(&costs, workers).unwrap();
-        prop_assert!(
-            a.max_cost() <= block.max_cost() + 1e-9,
-            "partition-lpt max {} vs block max {} ({} workers)",
-            a.max_cost(),
-            block.max_cost(),
-            workers
-        );
-    }
-
     /// The mask-aware repack likewise keeps every partition's per-worker
     /// share contiguous and never worsens the predicted balance beyond the
     /// levelling tolerance, for any live subset of partitions.
