@@ -84,18 +84,6 @@ impl BranchLengths {
         (0..self.partitions).map(|p| self.get(p, branch)).collect()
     }
 
-    /// Grows/repairs the storage after a topology change that altered the
-    /// number of branches (not used by SPR, which preserves branch count, but
-    /// kept for completeness and defensive callers).
-    pub fn resize_branches(&mut self, branch_count: usize, default: f64) {
-        for row in &mut self.lengths {
-            row.resize(
-                branch_count,
-                default.clamp(MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH),
-            );
-        }
-    }
-
     /// Copies all branch lengths of partition `from` (or the joint row) into
     /// the tree's branch-length slots, e.g. for reporting or Newick export.
     pub fn write_to_tree(&self, tree: &mut Tree, from: usize) {

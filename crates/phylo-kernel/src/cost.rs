@@ -103,12 +103,6 @@ pub fn derivative_flops(states: usize, categories: usize) -> f64 {
     (categories * states * 6 + 8) as f64
 }
 
-/// Per-pattern cost of computing the transition matrices for one branch
-/// (independent of the pattern count; amortized over a parallel region).
-pub fn pmatrix_flops(states: usize, categories: usize) -> f64 {
-    (categories * states * states * (2 * states + 1)) as f64
-}
-
 /// Approximate bytes of likelihood-array traffic per `newview` pattern
 /// (reading two child CLVs, writing one), used by the memory-bandwidth term of
 /// the platform model. RAxML is memory bound, so this term matters for

@@ -32,7 +32,7 @@ use std::sync::{Arc, Weak};
 use phylo_data::PartitionedPatterns;
 use phylo_models::{BranchLengthMode, ModelSet};
 use phylo_tree::spr::{self, SprMove, SprUndo};
-use phylo_tree::{BranchId, NodeId, TraversalPlan, Tree, TreeError};
+use phylo_tree::{BranchId, TraversalPlan, Tree, TreeError};
 
 use crate::branch_lengths::BranchLengths;
 use crate::error::KernelError;
@@ -177,7 +177,10 @@ pub struct SprApplication {
 pub struct MasterData {
     patterns: Arc<PartitionedPatterns>,
     tree: Tree,
-    models: ModelSet,
+    /// Shared with the workers for the length of a region only, so between
+    /// regions the master is the sole holder and [`Arc::make_mut`] writes in
+    /// place.
+    models: Arc<ModelSet>,
     branch_lengths: BranchLengths,
     validity: ClvValidity,
     tables: TableStore,
@@ -252,7 +255,7 @@ impl<E: Executor> LikelihoodKernel<E> {
             data: MasterData {
                 patterns,
                 tree,
-                models,
+                models: Arc::new(models),
                 branch_lengths,
                 validity,
                 tables,
@@ -504,7 +507,6 @@ impl<E: Executor> LikelihoodKernel<E> {
     /// leaves the cache untouched and a recovered executor simply recomputes.
     fn issue(&mut self, op: &KernelOp) -> Result<OpOutput, KernelError> {
         let ctx = ExecContext {
-            tree: &self.data.tree,
             models: &self.data.models,
         };
         let out = self.executor.execute(op, &ctx)?;
@@ -568,7 +570,7 @@ impl<E: Executor> LikelihoodKernel<E> {
     ) -> Result<Vec<f64>, KernelError> {
         let traversal = self.plan_traversal(root_branch, &mask)?.map(Arc::new);
         let op = KernelOp::Evaluate {
-            root_branch,
+            endpoints: self.data.tree.branch_endpoints(root_branch),
             tables: self.edge_tables(root_branch, &mask)?,
             mask,
             traversal,
@@ -631,7 +633,8 @@ impl<E: Executor> LikelihoodKernel<E> {
     /// Sets the Γ shape parameter of one partition; every CLV of that
     /// partition becomes invalid.
     pub fn set_alpha(&mut self, partition: usize, alpha: f64) {
-        self.data.models.model_mut(partition).set_alpha(alpha);
+        let models = Arc::make_mut(&mut self.data.models);
+        models.model_mut(partition).set_alpha(alpha);
         self.data.validity.invalidate_partition(partition);
         self.data.tables.invalidate_partition(partition);
     }
@@ -650,10 +653,8 @@ impl<E: Executor> LikelihoodKernel<E> {
             .model(partition)
             .substitution()
             .with_exchangeability(index, value);
-        self.data
-            .models
-            .model_mut(partition)
-            .set_substitution(updated);
+        let models = Arc::make_mut(&mut self.data.models);
+        models.model_mut(partition).set_substitution(updated);
         self.data.validity.invalidate_partition(partition);
         self.data.tables.invalidate_partition(partition);
     }
@@ -710,7 +711,7 @@ impl<E: Executor> LikelihoodKernel<E> {
     ) -> Result<OpOutput, KernelError> {
         let probes = u64::from(first.is_some());
         let op = KernelOp::Sumtable {
-            branch,
+            endpoints: self.data.tree.branch_endpoints(branch),
             mask: mask.clone(),
             traversal: self.plan_traversal(branch, mask)?.map(Arc::new),
             first,
@@ -839,11 +840,6 @@ impl<E: Executor> LikelihoodKernel<E> {
     /// Number of currently valid CLVs of a partition (diagnostics).
     pub fn valid_clvs(&self, partition: usize) -> usize {
         self.data.validity.valid_count(partition)
-    }
-
-    /// Nodes adjacent to a branch (helper for local optimization).
-    pub fn branch_endpoints(&self, branch: BranchId) -> (NodeId, NodeId) {
-        self.data.tree.branch_endpoints(branch)
     }
 }
 

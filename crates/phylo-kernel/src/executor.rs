@@ -17,7 +17,8 @@
 //! between them. The traversal-only command, [`KernelOp::Newview`], is what
 //! `LikelihoodKernel::try_update_clvs` issues.
 //!
-//! Three implementations exist:
+//! Four implementations exist, and all of them close a region through
+//! [`end_region`], from the per-worker [`sample`]s:
 //!
 //! * [`SequentialExecutor`] (here) — a single worker owning all patterns; the
 //!   reference for correctness and the sequential baseline of the paper's
@@ -25,12 +26,15 @@
 //! * `ThreadedExecutor` (in `phylo-parallel`) — real worker threads,
 //! * `TracingExecutor` (in `phylo-parallel`) — virtual workers that execute
 //!   the commands sequentially while recording the per-worker work of every
-//!   region, which feeds the platform performance model.
+//!   region, which feeds the platform performance model,
+//! * `SessionExecutor` (in `phylo-serve`) — one served session's shards, run
+//!   on its driver thread while it holds a compute slot.
 
 use std::sync::Arc;
 
 use phylo_models::ModelSet;
-use phylo_tree::{BranchId, TraversalPlan, Tree};
+use phylo_telemetry::{RegionToken, Telemetry, WorkerSample};
+use phylo_tree::{NodeId, TraversalPlan};
 
 use crate::blocked;
 use crate::cost::OpKind;
@@ -81,8 +85,9 @@ pub enum KernelOp {
     },
     /// Evaluate the per-partition log likelihood at a virtual root branch.
     Evaluate {
-        /// Branch carrying the virtual root.
-        root_branch: BranchId,
+        /// The two nodes of the branch carrying the virtual root, resolved
+        /// by the master when it issues the command.
+        endpoints: (NodeId, NodeId),
         /// Active partitions.
         mask: PartitionMask,
         /// The virtual-root branch's table slot per partition.
@@ -92,8 +97,9 @@ pub enum KernelOp {
     },
     /// Build the branch sum tables used by Newton–Raphson.
     Sumtable {
-        /// The branch being optimized.
-        branch: BranchId,
+        /// The two nodes of the branch being optimized, resolved by the
+        /// master when it issues the command.
+        endpoints: (NodeId, NodeId),
         /// Active partitions.
         mask: PartitionMask,
         /// CLV updates to run first (`None` = every CLV read is valid).
@@ -218,13 +224,14 @@ pub fn active_local_patterns(worker: &WorkerSlices, op: &KernelOp) -> usize {
         .sum()
 }
 
-/// Read-only view of the master state a command is executed against.
+/// What a command is executed against besides itself: the master's models,
+/// behind the one `Arc` a parallel backend shares with its workers for a
+/// region instead of copying them. The topology stays on the master: a
+/// command carries the node ids it reads.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecContext<'a> {
-    /// Current tree topology.
-    pub tree: &'a Tree,
     /// Per-partition models.
-    pub models: &'a ModelSet,
+    pub models: &'a Arc<ModelSet>,
 }
 
 /// Reduced result of a command.
@@ -361,7 +368,7 @@ pub trait Executor {
     /// start/end events plus per-worker timings. The default is a no-op so
     /// backends without instrumentation stay telemetry-free; attaching a
     /// disabled handle is equivalent to never calling this.
-    fn attach_telemetry(&mut self, _telemetry: &phylo_telemetry::Telemetry) {}
+    fn attach_telemetry(&mut self, _telemetry: &Telemetry) {}
 }
 
 /// Executes one command against a single worker's slices: *traversal → op →
@@ -413,12 +420,12 @@ pub fn execute_on_worker(
     match op {
         KernelOp::Newview { .. } | KernelOp::Derivatives { .. } => {}
         KernelOp::Evaluate {
-            root_branch,
+            endpoints,
             mask,
             tables,
             ..
         } => {
-            let (left, right) = ctx.tree.branch_endpoints(*root_branch);
+            let (left, right) = *endpoints;
             let mut lnl = vec![0.0; partitions];
             for pi in partition_order(worker) {
                 if !mask[pi] || worker.slices[pi].pattern_count() == 0 {
@@ -461,8 +468,10 @@ pub fn execute_on_worker(
             }
             out = OpOutput::LogLikelihoods(lnl);
         }
-        KernelOp::Sumtable { branch, mask, .. } => {
-            let (left, right) = ctx.tree.branch_endpoints(*branch);
+        KernelOp::Sumtable {
+            endpoints, mask, ..
+        } => {
+            let (left, right) = *endpoints;
             for (pi, &active) in mask.iter().enumerate() {
                 if !active || worker.slices[pi].pattern_count() == 0 {
                     continue;
@@ -624,12 +633,79 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// What `worker` reports for one recorded region: its timings plus the
+/// tip-cache, dispatch and table-build counter deltas of `slices` since the
+/// last sample.
+pub fn sample(
+    slices: &WorkerSlices,
+    worker: usize,
+    region: u64,
+    op_seconds: f64,
+    queue_wait_seconds: f64,
+) -> WorkerSample {
+    let (tip_hits, tip_misses, tip_builds) = slices.take_tip_cache_counters();
+    let (dispatch_blocked, dispatch_scalar) = slices.take_dispatch_counters();
+    WorkerSample {
+        worker,
+        region,
+        op_seconds,
+        queue_wait_seconds,
+        tip_hits,
+        tip_misses,
+        tip_builds,
+        dispatch_blocked,
+        dispatch_scalar,
+        tables_built: slices.take_table_builds(),
+    }
+}
+
+/// Ends `token`'s telemetry region with `result` — the one region-close path
+/// of every executor. A worker death leaves the region open (the "started
+/// but never completed" marker), records the death and returns the dead
+/// worker; anything else — a typed rejection included — closes it from the
+/// `samples` stamped with the token's region: per-worker op seconds and
+/// queue wait as each of the `width` workers measured them, plus their cache
+/// and table-build counter deltas.
+pub fn end_region(
+    telemetry: &Telemetry,
+    token: Option<RegionToken>,
+    width: usize,
+    samples: &[WorkerSample],
+    result: &Result<OpOutput, ExecError>,
+) -> Option<usize> {
+    let region = token.as_ref().and_then(RegionToken::region);
+    if let Err(ExecError::WorkerDied { worker }) = result {
+        telemetry.worker_death(*worker, region);
+        return Some(*worker);
+    }
+    let token = token?;
+    let mut worker_seconds = vec![0.0; width];
+    let mut queue_wait = vec![0.0; width];
+    let (mut hits, mut misses, mut builds, mut blocked, mut scalar) = (0, 0, 0, 0, 0);
+    let mut tables_built = 0;
+    for s in samples.iter().filter(|s| Some(s.region) == region) {
+        worker_seconds[s.worker] = s.op_seconds;
+        queue_wait[s.worker] = s.queue_wait_seconds;
+        hits += s.tip_hits;
+        misses += s.tip_misses;
+        builds += s.tip_builds;
+        blocked += s.dispatch_blocked;
+        scalar += s.dispatch_scalar;
+        tables_built += s.tables_built;
+    }
+    telemetry.add_tip_cache(hits, misses, builds);
+    telemetry.add_dispatch_patterns(blocked, scalar);
+    telemetry.add_shard_table_builds(tables_built);
+    telemetry.region_end(token, &worker_seconds, &queue_wait);
+    None
+}
+
 /// A single worker owning every pattern: the sequential reference backend.
 #[derive(Debug)]
 pub struct SequentialExecutor {
     worker: WorkerSlices,
     sync_events: u64,
-    telemetry: phylo_telemetry::Telemetry,
+    telemetry: Telemetry,
 }
 
 impl SequentialExecutor {
@@ -642,7 +718,7 @@ impl SequentialExecutor {
         Self {
             worker: WorkerSlices::cyclic(patterns, 0, 1, node_capacity, categories),
             sync_events: 0,
-            telemetry: phylo_telemetry::Telemetry::disabled(),
+            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -670,15 +746,12 @@ impl Executor for SequentialExecutor {
         let started = std::time::Instant::now();
         let result = execute_on_worker(&mut self.worker, op, ctx).map_err(ExecError::from);
         let seconds = started.elapsed().as_secs_f64();
-        let (hits, misses, builds) = self.worker.take_tip_cache_counters();
-        self.telemetry.add_tip_cache(hits, misses, builds);
-        let (blocked, scalar) = self.worker.take_dispatch_counters();
-        self.telemetry.add_dispatch_patterns(blocked, scalar);
-        self.telemetry
-            .add_shard_table_builds(self.worker.take_table_builds());
         // The single worker never queues; a rejected op still completes the
         // region (aborted regions are reserved for worker deaths).
-        self.telemetry.region_end(token, &[seconds], &[0.0]);
+        let samples = token
+            .region()
+            .map(|r| sample(&self.worker, 0, r, seconds, 0.0));
+        end_region(&self.telemetry, Some(token), 1, samples.as_slice(), &result);
         result
     }
 
@@ -686,7 +759,7 @@ impl Executor for SequentialExecutor {
         self.sync_events
     }
 
-    fn attach_telemetry(&mut self, telemetry: &phylo_telemetry::Telemetry) {
+    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
     }
 }
@@ -793,13 +866,10 @@ mod tests {
         let ps = PartitionSet::equal_length(DataType::Dna, 8, 4);
         let pp = PartitionedPatterns::compile(&aln, &ps).unwrap();
         let tree = Tree::initial_triplet(pp.taxa.clone(), [0, 1, 2]);
-        let models = ModelSet::default_for(&pp, BranchLengthMode::Joint);
+        let models = Arc::new(ModelSet::default_for(&pp, BranchLengthMode::Joint));
         let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
         let mut worker = WorkerSlices::cyclic(&pp, 0, 1, tree.node_capacity(), &cats);
-        let ctx = ExecContext {
-            tree: &tree,
-            models: &models,
-        };
+        let ctx = ExecContext { models: &models };
 
         // A table payload shorter than the partition count (a custom driver
         // could build one — the fields are public): typed error, not an
@@ -827,7 +897,7 @@ mod tests {
             dispatch: crate::tables::KernelDispatch::default(),
         });
         let op = KernelOp::Evaluate {
-            root_branch: 0,
+            endpoints: tree.branch_endpoints(0),
             mask: vec![true, false],
             tables: holey,
             traversal: None,
@@ -851,7 +921,7 @@ mod tests {
             }))
         };
         let evaluate = |traversal| KernelOp::Evaluate {
-            root_branch: 0,
+            endpoints: (0, 1),
             mask: vec![true],
             tables: Arc::new(EdgeTables {
                 per_partition: Vec::new(),
@@ -860,7 +930,7 @@ mod tests {
             traversal,
         };
         let sumtable = |traversal, first| KernelOp::Sumtable {
-            branch: 0,
+            endpoints: (0, 1),
             mask: vec![true],
             traversal,
             first,

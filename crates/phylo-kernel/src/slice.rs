@@ -532,11 +532,6 @@ impl WorkerSlices {
         self.slices.iter().map(|s| s.pattern_count()).sum()
     }
 
-    /// Local pattern count of one partition.
-    pub fn partition_patterns(&self, partition: usize) -> usize {
-        self.slices[partition].pattern_count()
-    }
-
     /// Drains the tip-index cache counters of every partition buffer, summed:
     /// `(hits, misses, builds)` since the last drain.
     pub fn take_tip_cache_counters(&self) -> (u64, u64, u64) {

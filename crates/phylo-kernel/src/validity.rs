@@ -61,13 +61,6 @@ impl ClvValidity {
         }
     }
 
-    /// Invalidates the CLVs of specific nodes in one partition.
-    pub fn invalidate_nodes(&mut self, partition: usize, nodes: &[NodeId]) {
-        for &n in nodes {
-            self.stored[partition][n] = None;
-        }
-    }
-
     /// After the length of `branch` changed for `partition`: a stored CLV
     /// remains valid only if it is oriented *towards* that branch (then the
     /// subtree it summarizes does not contain the branch).

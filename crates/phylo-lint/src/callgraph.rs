@@ -38,6 +38,9 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
         "crates/phylo-kernel/src/executor.rs",
         "SequentialExecutor::execute",
     ),
+    // The one region-close path every executor ends a region through.
+    ep("crates/phylo-kernel/src/executor.rs", "sample"),
+    ep("crates/phylo-kernel/src/executor.rs", "end_region"),
     // Scalar tabled kernel steps.
     ep("crates/phylo-kernel/src/ops.rs", "newview_step_tabled"),
     ep("crates/phylo-kernel/src/ops.rs", "evaluate_edge_tabled"),

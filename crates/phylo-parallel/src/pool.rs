@@ -9,9 +9,10 @@
 //! order. The shards run in one of two places:
 //!
 //! * a [`WorkerPool`] — one persistent thread per shard, driven by
-//!   [`crate::ThreadedExecutor`]. Master state lives on the master thread, so
-//!   each [`Region`] ships a snapshot of the tree and models with its op;
-//!   every worker sends ONE reply per region.
+//!   [`crate::ThreadedExecutor`]. Each [`Region`] ships the command, which
+//!   carries every node id and table slot its shards read, and a share of
+//!   the master's `Arc` of the models — no copy of the master state; every
+//!   worker sends ONE reply per region.
 //! * the calling thread — [`run_shards`] executes the shards one after the
 //!   other in worker order: the virtual workers of
 //!   [`crate::TracingExecutor`] and of every `phylo-serve` session, which
@@ -40,25 +41,24 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use phylo_kernel::executor::{
-    active_local_patterns, execute_on_worker, panic_message, reduce_outputs,
+    active_local_patterns, execute_on_worker, panic_message, reduce_outputs, sample,
 };
 use phylo_kernel::{ExecContext, ExecError, KernelOp, OpError, OpOutput, WorkerSlices};
 use phylo_models::ModelSet;
-use phylo_telemetry::{ring, RegionToken, Telemetry, WorkerSample};
-use phylo_tree::Tree;
+use phylo_telemetry::{ring, Telemetry, WorkerSample};
 
 /// Capacity of each worker's sample ring: the master drains it after every
 /// recorded region, so it never holds more than one sample.
 const SAMPLE_RING_CAPACITY: usize = 64;
 
-/// One parallel region as a [`WorkerPool`] ships it: the command and a
-/// snapshot of the master state it reads, shared by every worker behind one
-/// `Arc`.
+/// One parallel region as a [`WorkerPool`] ships it, shared by every worker
+/// behind one `Arc`: the command and the master's models. The models are the
+/// master's own `Arc`, not a copy; a worker lets go of it before it replies,
+/// so the master is their sole holder again once the region returns.
 #[derive(Debug)]
 pub struct Region {
     pub op: KernelOp,
-    pub tree: Tree,
-    pub models: ModelSet,
+    pub models: Arc<ModelSet>,
     /// Telemetry: the region number to stamp each worker's [`WorkerSample`]
     /// with; `None` when the executor is not recording.
     pub record: Option<u64>,
@@ -296,72 +296,6 @@ pub fn inline_samples(
         .collect()
 }
 
-/// What `worker` reports for one recorded region: its timings plus the
-/// tip-cache, dispatch and table-build counter deltas of `slices` since the
-/// last sample.
-fn sample(
-    slices: &WorkerSlices,
-    worker: usize,
-    region: u64,
-    op_seconds: f64,
-    queue_wait_seconds: f64,
-) -> WorkerSample {
-    let (tip_hits, tip_misses, tip_builds) = slices.take_tip_cache_counters();
-    let (dispatch_blocked, dispatch_scalar) = slices.take_dispatch_counters();
-    WorkerSample {
-        worker,
-        region,
-        op_seconds,
-        queue_wait_seconds,
-        tip_hits,
-        tip_misses,
-        tip_builds,
-        dispatch_blocked,
-        dispatch_scalar,
-        tables_built: slices.take_table_builds(),
-    }
-}
-
-/// Ends `token`'s telemetry region with `result`. A worker death leaves the
-/// region open (the "started but never completed" marker), records the death
-/// and returns the dead worker; anything else — a typed rejection included —
-/// closes it from the `samples` stamped with the token's region: per-worker
-/// op seconds and queue wait as each of the `width` workers measured them,
-/// plus their cache and table-build counter deltas.
-pub fn end_region(
-    telemetry: &Telemetry,
-    token: Option<RegionToken>,
-    width: usize,
-    samples: &[WorkerSample],
-    result: &Result<OpOutput, ExecError>,
-) -> Option<usize> {
-    let region = token.as_ref().and_then(RegionToken::region);
-    if let Err(ExecError::WorkerDied { worker }) = result {
-        telemetry.worker_death(*worker, region);
-        return Some(*worker);
-    }
-    let token = token?;
-    let mut worker_seconds = vec![0.0; width];
-    let mut queue_wait = vec![0.0; width];
-    let (mut hits, mut misses, mut builds, mut blocked, mut scalar) = (0, 0, 0, 0, 0);
-    let mut tables_built = 0;
-    for s in samples.iter().filter(|s| Some(s.region) == region) {
-        worker_seconds[s.worker] = s.op_seconds;
-        queue_wait[s.worker] = s.queue_wait_seconds;
-        hits += s.tip_hits;
-        misses += s.tip_misses;
-        builds += s.tip_builds;
-        blocked += s.dispatch_blocked;
-        scalar += s.dispatch_scalar;
-        tables_built += s.tables_built;
-    }
-    telemetry.add_tip_cache(hits, misses, builds);
-    telemetry.add_dispatch_patterns(blocked, scalar);
-    telemetry.add_shard_table_builds(tables_built);
-    telemetry.region_end(token, &worker_seconds, &queue_wait);
-    None
-}
-
 fn worker_loop(
     worker: usize,
     commands: &Receiver<WorkerMsg>,
@@ -388,7 +322,6 @@ fn worker_loop(
                     None => ShardResult::MissingShard,
                     Some((slices, skew)) => {
                         let ctx = ExecContext {
-                            tree: &region.tree,
                             models: &region.models,
                         };
                         let injected = region.panic_worker == Some(worker);
@@ -410,11 +343,12 @@ fn worker_loop(
                     // the next install and keep the thread alive.
                     shard = None;
                 }
-                // The payload dies before the reply: its table slots and the
-                // `Tree`/`ModelSet` snapshot are released while the master
-                // still waits, so a returned region holds no reference the
-                // master does not know of, and a slot the master drops after
-                // a model change is never read again.
+                // The payload dies before the reply: its table slots and its
+                // share of the models are released while the master still
+                // waits, so a returned region holds no reference the master
+                // does not know of, a slot the master drops after a model
+                // change is never read again, and the master's next model
+                // write finds its `Arc` unshared and copies nothing.
                 drop(region);
                 if replies.send(result).is_err() {
                     // Master gone: nothing left to serve.
@@ -477,7 +411,7 @@ pub(crate) mod tests {
     /// starts from.
     pub(crate) struct Fixture {
         pub ds: GeneratedDataset,
-        pub models: ModelSet,
+        pub models: Arc<ModelSet>,
         pub cats: Vec<usize>,
     }
 
@@ -490,14 +424,13 @@ pub(crate) mod tests {
             mode: BranchLengthMode,
         ) -> Self {
             let ds = paper_simulated(taxa, sites, gene, seed).generate();
-            let models = ModelSet::default_for(&ds.patterns, mode);
+            let models = Arc::new(ModelSet::default_for(&ds.patterns, mode));
             let cats = models.models().iter().map(|m| m.categories()).collect();
             Self { ds, models, cats }
         }
 
         pub fn ctx(&self) -> ExecContext<'_> {
             ExecContext {
-                tree: &self.ds.tree,
                 models: &self.models,
             }
         }
@@ -524,12 +457,12 @@ pub(crate) mod tests {
 
         pub fn kernel(&self, exec: ThreadedExecutor) -> LikelihoodKernel<ThreadedExecutor> {
             let (patterns, tree) = (Arc::clone(&self.ds.patterns), self.ds.tree.clone());
-            LikelihoodKernel::try_new(patterns, tree, self.models.clone(), exec).unwrap()
+            LikelihoodKernel::try_new(patterns, tree, ModelSet::clone(&self.models), exec).unwrap()
         }
 
         pub fn sequential(&self) -> SequentialKernel {
             let (patterns, tree) = (Arc::clone(&self.ds.patterns), self.ds.tree.clone());
-            SequentialKernel::build(patterns, tree, self.models.clone()).unwrap()
+            SequentialKernel::build(patterns, tree, ModelSet::clone(&self.models)).unwrap()
         }
     }
 
@@ -560,11 +493,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// An evaluate at branch 0 whose table payloads are empty: only good for
-    /// commands that must fail before any table is read.
+    /// An evaluate at nodes 0–1 whose table payloads are empty: only good
+    /// for commands that must fail before any table is read.
     fn evaluate_over(mask: Vec<bool>, plans: Option<Plans>) -> KernelOp {
         KernelOp::Evaluate {
-            root_branch: 0,
+            endpoints: (0, 1),
             mask,
             tables: Arc::new(EdgeTables {
                 per_partition: Vec::new(),
@@ -589,7 +522,7 @@ pub(crate) mod tests {
         let plans = vec![Some(plan); len];
         let full = vec![true; fx.partitions()];
         let sumtable = |mask, plans: Option<Plans>, first| KernelOp::Sumtable {
-            branch: 0,
+            endpoints: (0, 1),
             mask,
             traversal: plans.map(riding),
             first,
@@ -647,8 +580,7 @@ pub(crate) mod tests {
         ) -> (Result<OpOutput, ExecError>, usize) {
             let region = Region {
                 op,
-                tree: self.fx.ds.tree.clone(),
-                models: self.fx.models.clone(),
+                models: Arc::clone(&self.fx.models),
                 record: None,
                 panic_worker,
             };
@@ -716,10 +648,11 @@ pub(crate) mod tests {
     }
 
     /// A worker used to hold its `Arc` of the region across the reply, so
-    /// the op tables and the state snapshot of region *k* could still be
-    /// alive — and be freed by whichever thread came last — while the master
-    /// assembled region *k + 1* (racy before the drop moved ahead of the
-    /// send, deterministic since).
+    /// the op tables and the models of region *k* could still be alive — and
+    /// be freed by whichever thread came last — while the master assembled
+    /// region *k + 1* (racy before the drop moved ahead of the send,
+    /// deterministic since). The models' `Arc` back at one holder is what
+    /// lets the master's next model write skip the copy.
     #[test]
     fn a_returned_region_holds_none_of_its_payload() {
         let t = Solo::new(89);
@@ -731,6 +664,7 @@ pub(crate) mod tests {
             };
             assert_eq!(t.run(op, None), OK);
             assert_eq!(Arc::strong_count(&tables), 1);
+            assert_eq!(Arc::strong_count(&t.fx.models), 1);
         }
     }
 

@@ -3,10 +3,11 @@
 //! [`ThreadedExecutor`] spawns its worker threads once, installs one shard
 //! on each, and every [`Executor::execute`] call sends one [`Region`]
 //! **directly** to the workers — one synchronization event, exactly as in the
-//! paper. Each region ships a snapshot of the master's tree and models
-//! (branch lengths travel inside the op's table slots); these are
-//! small, so the per-command cost is dominated by the channel round trip — a
-//! realistic stand-in for a barrier.
+//! paper. A region ships the command — the node ids it reads, its table
+//! slots (which carry the branch lengths) — and a share of the master's
+//! `Arc` of the models, never a copy of the master state, so the
+//! per-command cost is the channel round trip — a realistic stand-in for a
+//! barrier.
 //!
 //! # Hardening and measurement
 //!
@@ -21,14 +22,17 @@
 //! [`ThreadedExecutor::inject_worker_panic`] arms a one-shot fault on that
 //! exact machinery so the driver-level recovery path stays tested.
 
+use std::sync::Arc;
+
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::{RegionRecord, WorkTrace};
+use phylo_kernel::executor::end_region;
 use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, OpOutput};
 use phylo_sched::{Assignment, SchedError};
 use phylo_telemetry::Telemetry;
 
 pub use crate::pool::WorkerSkew;
-use crate::pool::{end_region, Reduced, Region, WorkerPool};
+use crate::pool::{Reduced, Region, WorkerPool};
 
 /// Construction options beyond the assignment itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,11 +136,6 @@ impl ThreadedExecutor {
     /// The assignment the current workers were built from.
     pub fn assignment(&self) -> &Assignment {
         &self.assignment
-    }
-
-    /// The options the executor was built with.
-    pub fn options(&self) -> &ExecutorOptions {
-        &self.options
     }
 
     /// The wall-clock trace accumulated so far (empty unless
@@ -251,8 +250,7 @@ impl Executor for ThreadedExecutor {
         });
         let region = Region {
             op: op.clone(),
-            tree: ctx.tree.clone(),
-            models: ctx.models.clone(),
+            models: Arc::clone(ctx.models),
             record: token.as_ref().and_then(|t| t.region()),
             panic_worker,
         };
@@ -330,6 +328,22 @@ mod tests {
             assert!((a.first - b.first).abs() < 1e-8);
             assert!((a.second - b.second).abs() < 1e-8);
         }
+    }
+
+    /// Between regions the master is the models' sole holder: a model write
+    /// after a threaded region copies nothing, and the next region reads it.
+    #[test]
+    fn a_model_write_after_a_region_copies_nothing() {
+        let fx = Fixture::new(8, 160, 40, 101, PerPartition);
+        let mut k = fx.kernel(fx.executor(&fx.assign(1, &Cyclic), Default::default()));
+        let mut seq = fx.sequential();
+        k.try_log_likelihood().unwrap();
+        let models: *const phylo_models::ModelSet = k.models();
+        k.set_alpha(0, 0.4);
+        seq.set_alpha(0, 0.4);
+        assert!(std::ptr::eq(models, k.models()));
+        let bits = |lnl: Result<f64, KernelError>| lnl.unwrap().to_bits();
+        assert_eq!(bits(k.try_log_likelihood()), bits(seq.try_log_likelihood()));
     }
 
     #[test]

@@ -14,15 +14,13 @@
 //! predictions by `phylo-perfmodel`.
 
 use phylo_data::PartitionedPatterns;
-use phylo_kernel::cost::{OpKind, RegionRecord, WorkTrace};
-use phylo_kernel::{
-    executor::active_local_patterns, ExecContext, ExecError, Executor, KernelOp, OpOutput,
-    WorkerSlices,
-};
+use phylo_kernel::cost::{RegionRecord, WorkTrace};
+use phylo_kernel::executor::{active_local_patterns, end_region};
+use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, OpOutput, WorkerSlices};
 use phylo_sched::{Assignment, SchedError};
 use phylo_telemetry::RegionToken;
 
-use crate::pool::{end_region, inline_samples, run_shards};
+use crate::pool::{inline_samples, run_shards};
 
 /// Executes commands on `T` virtual workers and records the per-region work.
 #[derive(Debug)]
@@ -77,14 +75,6 @@ impl TracingExecutor {
     /// Takes the accumulated trace, leaving an empty one behind.
     pub fn take_trace(&mut self) -> WorkTrace {
         std::mem::replace(&mut self.trace, WorkTrace::new(self.workers.len()))
-    }
-
-    /// Per-worker pattern counts of one partition (diagnostics).
-    pub fn partition_pattern_counts(&self, partition: usize) -> Vec<usize> {
-        self.workers
-            .iter()
-            .map(|w| w.partition_patterns(partition))
-            .collect()
     }
 
     /// Migrates the virtual workers to a new assignment and restarts the
@@ -184,24 +174,10 @@ impl Executor for TracingExecutor {
     }
 }
 
-/// Convenience: how many of the trace's regions are of each kind.
-pub fn region_kind_histogram(trace: &WorkTrace) -> Vec<(OpKind, usize)> {
-    let kinds = [
-        OpKind::Newview,
-        OpKind::Evaluate,
-        OpKind::Sumtable,
-        OpKind::Derivatives,
-    ];
-    kinds
-        .iter()
-        .map(|&k| (k, trace.regions.iter().filter(|r| r.kind == k).count()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo_kernel::{LikelihoodKernel, SequentialKernel};
+    use phylo_kernel::{cost::OpKind, LikelihoodKernel, SequentialKernel};
     use phylo_models::{BranchLengthMode, ModelSet};
     use phylo_seqgen::datasets::paper_simulated;
     use std::sync::Arc;
@@ -263,11 +239,14 @@ mod tests {
         assert_eq!(sync, 4, "one region per call");
         let trace = k.executor_mut().take_trace();
         assert_eq!(trace.sync_events() as u64, sync);
-        let hist = region_kind_histogram(&trace);
-        assert!(
-            hist.iter().all(|&(_, c)| c > 0),
-            "all op kinds must appear: {hist:?}"
-        );
+        let kinds: Vec<OpKind> = trace.regions.iter().map(|r| r.kind).collect();
+        let all = [
+            OpKind::Newview,
+            OpKind::Evaluate,
+            OpKind::Sumtable,
+            OpKind::Derivatives,
+        ];
+        assert_eq!(kinds, all);
     }
 
     #[test]

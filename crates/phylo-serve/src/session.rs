@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::WorkTrace;
+use phylo_kernel::executor::end_region;
 use phylo_kernel::{
     ExecContext, ExecError, Executor, KernelDispatch, KernelOp, LikelihoodKernel, OpOutput,
     WorkerSlices,
@@ -37,7 +38,7 @@ use phylo_kernel::{
 use phylo_models::ModelSet;
 use phylo_optimize::{optimize_model_parameters_resilient, WorkerRecovery};
 use phylo_parallel::build_workers;
-use phylo_parallel::pool::{end_region, inline_samples, run_shards, Reduced};
+use phylo_parallel::pool::{inline_samples, run_shards, Reduced};
 use phylo_sched::{Assignment, PatternCosts, Reassignable, SchedError};
 use phylo_telemetry::{RegionToken, Telemetry, TelemetryConfig, TelemetrySnapshot};
 

@@ -1043,7 +1043,7 @@ impl<E: plf_loadbalance::kernel::Executor> plf_loadbalance::kernel::Executor for
                 tables: self.traversal(tables, ctx),
             },
             KernelOp::Evaluate {
-                root_branch,
+                endpoints,
                 mask,
                 tables,
                 traversal,
@@ -1051,7 +1051,7 @@ impl<E: plf_loadbalance::kernel::Executor> plf_loadbalance::kernel::Executor for
                 let slots = tables.per_partition.iter().enumerate();
                 let slots = slots.map(|(pi, slot)| slot.as_ref().map(|s| self.built(pi, s, ctx)));
                 KernelOp::Evaluate {
-                    root_branch: *root_branch,
+                    endpoints: *endpoints,
                     mask: mask.clone(),
                     tables: Arc::new(EdgeTables {
                         per_partition: slots.collect(),
@@ -1061,12 +1061,12 @@ impl<E: plf_loadbalance::kernel::Executor> plf_loadbalance::kernel::Executor for
                 }
             }
             KernelOp::Sumtable {
-                branch,
+                endpoints,
                 mask,
                 traversal,
                 first,
             } => KernelOp::Sumtable {
-                branch: *branch,
+                endpoints: *endpoints,
                 mask: mask.clone(),
                 traversal: riding(traversal),
                 first: first.clone(),

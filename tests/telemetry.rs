@@ -249,13 +249,15 @@ fn a_solves_regions_say_what_they_carried() {
     );
 }
 
-/// Slots issued by the master and tables built by the shards, over one
-/// optimize pass with telemetry on.
+/// Slots issued by the master, tables built by the shards, and the
+/// tip-cache (hits, misses, builds) and dispatch-pattern (blocked, scalar)
+/// counters the executor's regions closed with, over one optimize pass with
+/// telemetry on.
 fn issued_and_built<E: plf_loadbalance::kernel::Executor>(
     ds: &plf_loadbalance::seqgen::GeneratedDataset,
     models: &ModelSet,
     executor: E,
-) -> (u64, u64) {
+) -> (u64, u64, [u64; 5]) {
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let (patterns, tree, models) = (Arc::clone(&ds.patterns), ds.tree.clone(), models.clone());
     let mut kernel = LikelihoodKernel::try_new(patterns, tree, models, executor).unwrap();
@@ -265,15 +267,24 @@ fn issued_and_built<E: plf_loadbalance::kernel::Executor>(
         ..OptimizerConfig::new(ParallelScheme::New)
     };
     optimize_model_parameters(&mut kernel, &config).unwrap();
-    let built = telemetry.snapshot().counters.shard_table_builds;
-    (kernel.stats().table_builds, built)
+    let c = telemetry.snapshot().counters;
+    let counters = [
+        c.tip_hits,
+        c.tip_misses,
+        c.tip_builds,
+        c.dispatch_blocked_patterns,
+        c.dispatch_scalar_patterns,
+    ];
+    (kernel.stats().table_builds, c.shard_table_builds, counters)
 }
 
 /// Every slot the master issues is built by the shard that reads it first:
 /// where a region's shards run one after another (the sequential executor,
 /// virtual workers, a served session) each slot is built exactly once; on
 /// `T` real threads two shards may race to the same slot, so a slot is built
-/// one to `T` times.
+/// one to `T` times. Every executor closes its regions through one path, so
+/// one virtual worker drains exactly the counters the sequential executor
+/// does.
 #[test]
 fn shards_build_every_issued_table_slot() {
     let ds = dataset(37);
@@ -281,18 +292,29 @@ fn shards_build_every_issued_table_slot() {
     let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
     let capacity = ds.tree.node_capacity();
     let sequential = SequentialExecutor::new(&ds.patterns, capacity, &cats);
-    let (issued, built) = issued_and_built(&ds, &models, sequential);
-    assert!(issued > 0);
+    let solo = issued_and_built(&ds, &models, sequential);
+    let (issued, built, counters) = solo;
+    assert!(
+        issued > 0 && counters[0] > 0 && counters[3] > 0,
+        "{counters:?}"
+    );
     assert_eq!(built, issued, "sequential");
+    let tracing = |workers| {
+        let assignment = schedule(&ds.patterns, &cats, workers, &Cyclic).unwrap();
+        TracingExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats).unwrap()
+    };
+    assert_eq!(
+        issued_and_built(&ds, &models, tracing(1)),
+        solo,
+        "1 virtual worker"
+    );
     for workers in [2u64, 3] {
-        let assignment = schedule(&ds.patterns, &cats, workers as usize, &Cyclic).unwrap();
-        let tracing =
-            TracingExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats).unwrap();
-        let (issued, built) = issued_and_built(&ds, &models, tracing);
+        let (issued, built, _) = issued_and_built(&ds, &models, tracing(workers as usize));
         assert_eq!(built, issued, "{workers} virtual workers");
+        let assignment = schedule(&ds.patterns, &cats, workers as usize, &Cyclic).unwrap();
         let threaded =
             ThreadedExecutor::from_assignment(&ds.patterns, &assignment, capacity, &cats).unwrap();
-        let (issued, built) = issued_and_built(&ds, &models, threaded);
+        let (issued, built, _) = issued_and_built(&ds, &models, threaded);
         assert!(
             (issued..=workers * issued).contains(&built),
             "{workers} threads: {built} built for {issued} slots"
