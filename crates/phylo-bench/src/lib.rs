@@ -55,7 +55,7 @@ use phylo_kernel::cost::WorkTrace;
 use phylo_kernel::LikelihoodKernel;
 use phylo_models::{BranchLengthMode, ModelSet, DEFAULT_CATEGORIES};
 use phylo_optimize::{optimize_model_parameters, OptimizerConfig, ParallelScheme};
-use phylo_parallel::{schedule, Assignment, Cyclic, TracingExecutor};
+use phylo_parallel::{schedule, Assignment, Cyclic, Reassignable, TracingExecutor};
 use phylo_perfmodel::{FigureRow, Platform};
 use phylo_search::{tree_search, SearchConfig};
 use phylo_seqgen::datasets::{DatasetSpec, GeneratedDataset};

@@ -23,12 +23,13 @@
 //! * [`SequentialExecutor`] (here) — a single worker owning all patterns; the
 //!   reference for correctness and the sequential baseline of the paper's
 //!   figures,
-//! * `ThreadedExecutor` (in `phylo-parallel`) — real worker threads,
-//! * `TracingExecutor` (in `phylo-parallel`) — virtual workers that execute
-//!   the commands sequentially while recording the per-worker work of every
-//!   region, which feeds the platform performance model,
-//! * `SessionExecutor` (in `phylo-serve`) — one served session's shards, run
-//!   on its driver thread while it holds a compute slot.
+//! * three shard executors, whose region bookkeeping (sync count, trace,
+//!   poison, armed fault, telemetry bracket) is one `phylo_parallel::pool::
+//!   Ledger`: `ThreadedExecutor` (real worker threads) and `TracingExecutor`
+//!   (virtual workers recording the per-worker work of every region for the
+//!   platform model) in `phylo-parallel`, and `SessionExecutor` in
+//!   `phylo-serve` (one served session's shards, run on its driver thread
+//!   while it holds a compute slot).
 
 use std::sync::Arc;
 

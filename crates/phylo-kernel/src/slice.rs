@@ -484,40 +484,37 @@ impl WorkerSlices {
     ) -> Self {
         assert!(worker < worker_count, "worker index out of range");
         assert_eq!(categories.len(), patterns.partition_count());
-        let mut slices = Vec::with_capacity(patterns.partition_count());
-        let mut buffers = Vec::with_capacity(patterns.partition_count());
-        for (pi, part) in patterns.partitions.iter().enumerate() {
-            let offset = patterns.global_offset(pi);
-            let n_taxa = part.n_taxa;
-            let mut tip_states = Vec::new();
-            let mut weights = Vec::new();
-            let mut global_indices = Vec::new();
-            for local in 0..part.pattern_count() {
-                let global = offset + local;
-                if assign(global) != worker {
-                    continue;
+        // Install-time work: one allocation per slice field and partition,
+        // never per region.
+        let slices: Vec<PartitionSlice> = patterns
+            .partitions
+            .iter()
+            .enumerate()
+            .map(|(pi, part)| {
+                let offset = patterns.global_offset(pi);
+                let owned: Vec<usize> = (offset..offset + part.pattern_count())
+                    .filter(|&global| assign(global) == worker)
+                    .collect();
+                let states = owned.iter().flat_map(|&g| part.pattern_states(g - offset));
+                PartitionSlice {
+                    partition: pi,
+                    data_type: part.data_type,
+                    n_taxa: part.n_taxa,
+                    tip_states: states.copied().collect(),
+                    weights: owned.iter().map(|&g| part.weights[g - offset]).collect(),
+                    global_indices: owned,
                 }
-                tip_states.extend_from_slice(part.pattern_states(local));
-                weights.push(part.weights[local]);
-                global_indices.push(global);
-            }
-            let slice = PartitionSlice {
-                partition: pi,
-                data_type: part.data_type,
-                n_taxa,
-                tip_states,
-                weights,
-                global_indices,
-            };
-            let buffer = SliceBuffers::new(
-                slice.pattern_count(),
-                part.data_type.states(),
-                categories[pi],
-                node_capacity,
-            );
-            slices.push(slice);
-            buffers.push(buffer);
-        }
+            })
+            .collect();
+        let buffers = slices
+            .iter()
+            .zip(&patterns.partitions)
+            .map(|(slice, part)| {
+                let states = part.data_type.states();
+                let categories = categories[slice.partition];
+                SliceBuffers::new(slice.pattern_count(), states, categories, node_capacity)
+            })
+            .collect();
         Self {
             worker,
             worker_count,

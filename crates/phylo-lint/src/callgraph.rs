@@ -173,16 +173,6 @@ impl Analysis {
         files
     }
 
-    /// Qualified names of the reachable functions in `file`.
-    pub fn reachable_fns_in(&self, file: &str) -> Vec<String> {
-        self.items
-            .iter()
-            .zip(&self.reachable)
-            .filter(|(it, &r)| r && it.file == file)
-            .map(|(it, _)| it.qualified_name())
-            .collect()
-    }
-
     /// Derives each file's lint scope from the reachable function spans:
     /// `op_path` (L001/L002/L005/L006) covers every reachable body,
     /// `kernel` (L007) only those in [`KERNEL_LOOP_FILES`], and `clock`

@@ -463,9 +463,11 @@ impl Parser<'_> {
     fn parse_params(&self, open: usize, end: usize) -> (bool, usize, usize) {
         let mut depth = 0usize;
         let mut angle = 0usize;
-        let mut commas = 0usize;
         let mut first_param = String::new();
-        let mut any = false;
+        // Parameters counted at their first character, so the trailing
+        // comma of a rustfmt-wrapped signature adds none.
+        let mut params = 0usize;
+        let mut in_param = false;
         let mut j = open;
         while j < end {
             let c = self.chars[j];
@@ -483,20 +485,24 @@ impl Parser<'_> {
                     continue;
                 }
                 '>' => angle = angle.saturating_sub(1),
-                ',' if depth == 1 && angle == 0 => commas += 1,
+                ',' if depth == 1 && angle == 0 => {
+                    in_param = false;
+                    j += 1;
+                    continue;
+                }
                 _ => {}
             }
             if depth >= 1 && !(depth == 1 && c == '(') {
-                if !c.is_whitespace() {
-                    any = true;
+                if !c.is_whitespace() && !in_param {
+                    params += 1;
+                    in_param = true;
                 }
-                if commas == 0 && !(depth == 1 && c == '(') {
+                if params == 1 && in_param {
                     first_param.push(c);
                 }
             }
             j += 1;
         }
-        let count = if any { commas + 1 } else { 0 };
         let first = first_param.trim();
         let has_self = {
             let mut t = first;
@@ -519,7 +525,7 @@ impl Parser<'_> {
                 || t.starts_with("self ")
                 || t.starts_with("self,")
         };
-        let arity = count.saturating_sub(usize::from(has_self));
+        let arity = params.saturating_sub(usize::from(has_self));
         (has_self, arity, (j + 1).min(end))
     }
 
@@ -916,6 +922,16 @@ where
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].arity, 2);
         assert_eq!(fns[0].end_line, 6);
+    }
+
+    /// rustfmt ends a wrapped signature with a comma that separates no
+    /// further parameter.
+    #[test]
+    fn a_wrapped_signature_counts_its_parameters_not_its_commas() {
+        let src = "fn wrapped(\n    a: &A,\n    b: usize,\n    c: &[usize],\n) {}\nfn f() { wrapped(a, 0, c); }\n";
+        let fns = items(src);
+        assert_eq!(fns[0].arity, 3);
+        assert_eq!(fns[1].calls[0].arity, 3);
     }
 
     #[test]

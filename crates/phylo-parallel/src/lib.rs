@@ -5,28 +5,20 @@
 //! over them cyclically, and the master broadcasts commands (traversal lists,
 //! evaluations, derivative computations) that every worker executes on its
 //! local patterns before a barrier + reduction. This crate implements that
-//! region protocol **once** ([`pool`]) and puts the
+//! region protocol **once** ([`pool`]: the shards on persistent threads or
+//! inline, one catch per shard, one worker-order fold, and the
+//! [`pool::Ledger`] of bookkeeping around every region) and puts the
 //! [`Executor`](phylo_kernel::Executor) backends on top of it:
 //!
-//! * [`pool::WorkerPool`] — one session's persistent `std::thread` workers,
-//!   one shard each, all running one worker loop: one broadcast and one
-//!   lockstep drain per region, one panic catch per shard that quarantines
-//!   the shard and keeps the thread, one worker-index-order fold
-//!   ([`pool::reduce_row`]). [`pool::run_shards`] is the same region with
-//!   every shard run on the calling thread, in worker order, through the
-//!   same catch and fold,
-//! * [`threaded::ThreadedExecutor`] — drives its own pool, sending each
-//!   region straight to the workers: the real-parallel backend used for
-//!   wall-clock measurements on the reproduction host,
+//! * [`threaded::ThreadedExecutor`] — its own [`pool::WorkerPool`]: the
+//!   real-parallel backend used for wall-clock measurements,
 //! * [`tracing::TracingExecutor`] — *virtual* workers on
-//!   [`pool::run_shards`] while recording, for every parallel region, how
-//!   much work each virtual worker would have performed. This makes the load
-//!   balance of 8- or 16-thread runs measurable on any host and feeds the
-//!   platform model in `phylo-perfmodel`, which regenerates the paper's
-//!   per-machine figures.
+//!   [`pool::run_shards`], recording how much work each would have
+//!   performed per region: the load balance of 8- or 16-thread runs on any
+//!   host, and the input of `phylo-perfmodel`'s per-machine figures.
 //!
-//! `phylo-serve` runs every session's shards through [`pool::run_shards`] on
-//! the session's own driver thread, under a fair share of compute slots.
+//! `phylo-serve`'s sessions run [`pool::run_shards`] too, each on its own
+//! driver thread under a fair share of compute slots.
 //!
 //! # Assignment flow
 //!
@@ -43,15 +35,12 @@
 //! build_workers(patterns, …, &Assignment) ──▶ Vec<WorkerSlices> ──▶ executor
 //! ```
 //!
-//! [`schedule`] bundles the first two arrows; the strategies themselves —
-//! [`Cyclic`] and [`Block`] (the paper's two fixed schemes), [`WeightedLpt`]
-//! (cost-weighted bin-packing; under the scalar costs [`schedule`] packs, a
-//! 20-state protein pattern counts 21× a DNA pattern) and [`SpeedAwareLpt`]
-//! (LPT onto worker speeds estimated from a measured [`WorkTrace`]) — live
+//! [`schedule`] bundles the first two arrows; the strategies — [`Cyclic`]
+//! and [`Block`] (the paper's two fixed schemes, placed bit for bit as in
+//! the paper), [`WeightedLpt`] (cost-weighted bin-packing; under the scalar
+//! costs [`schedule`] packs, a 20-state protein pattern counts 21× a DNA
+//! pattern) and [`SpeedAwareLpt`] (LPT onto measured worker speeds) — live
 //! in `phylo-sched`.
-//! The [`Cyclic`] and [`Block`] strategies reproduce the paper's original
-//! pattern placement bit-for-bit (the legacy `Distribution` enum that once
-//! shimmed them was removed two PRs after its deprecation).
 //!
 //! ```
 //! use phylo_data::{Alignment, DataType, PartitionSet, PartitionedPatterns};
@@ -85,59 +74,7 @@ pub use phylo_sched::{
 };
 
 use phylo_data::PartitionedPatterns;
-use phylo_kernel::cost::WorkTrace;
 use phylo_kernel::{KernelDispatch, WorkerSlices};
-
-/// The timed real-thread executor can migrate ownership mid-run.
-impl Reassignable for ThreadedExecutor {
-    fn assignment(&self) -> &Assignment {
-        ThreadedExecutor::assignment(self)
-    }
-
-    fn live_trace(&self) -> &WorkTrace {
-        self.trace()
-    }
-
-    fn take_trace(&mut self) -> WorkTrace {
-        ThreadedExecutor::take_trace(self)
-    }
-
-    fn reassign(
-        &mut self,
-        patterns: &PartitionedPatterns,
-        assignment: &Assignment,
-        node_capacity: usize,
-        categories: &[usize],
-    ) -> Result<(), SchedError> {
-        ThreadedExecutor::reassign(self, patterns, assignment, node_capacity, categories)
-    }
-}
-
-/// The virtual tracing executor supports the same migration protocol, so
-/// mid-run rescheduling can be tested deterministically from FLOP traces.
-impl Reassignable for TracingExecutor {
-    fn assignment(&self) -> &Assignment {
-        TracingExecutor::assignment(self)
-    }
-
-    fn live_trace(&self) -> &WorkTrace {
-        self.trace()
-    }
-
-    fn take_trace(&mut self) -> WorkTrace {
-        TracingExecutor::take_trace(self)
-    }
-
-    fn reassign(
-        &mut self,
-        patterns: &PartitionedPatterns,
-        assignment: &Assignment,
-        node_capacity: usize,
-        categories: &[usize],
-    ) -> Result<(), SchedError> {
-        TracingExecutor::reassign(self, patterns, assignment, node_capacity, categories)
-    }
-}
 
 /// Builds an [`Assignment`] for a dataset with the analytic cost model:
 /// derives [`PatternCosts`] from the partitions' state and category counts

@@ -1,6 +1,7 @@
 //! The one region protocol: one session's shards, one catch per shard and one
 //! worker-order reduction per parallel region — on persistent threads, or
-//! inline on the calling thread.
+//! inline on the calling thread — and the one [`Ledger`] of bookkeeping
+//! around each region.
 //!
 //! This is the Rust equivalent of the Pthreads master/worker scheme in RAxML,
 //! written once for every backend. Shard `w` of a session is one
@@ -9,16 +10,17 @@
 //! order. The shards run in one of two places:
 //!
 //! * a [`WorkerPool`] — one persistent thread per shard, driven by
-//!   [`crate::ThreadedExecutor`]. Each [`Region`] ships the command, which
-//!   carries every node id and table slot its shards read, and a share of
-//!   the master's `Arc` of the models — no copy of the master state; every
-//!   worker sends ONE reply per region.
+//!   [`crate::ThreadedExecutor`]. Each region ships the command (every
+//!   node id and table slot its shards read) and a share of the master's
+//!   `Arc` of the models; every worker sends ONE reply per region.
 //! * the calling thread — [`run_shards`] executes the shards one after the
 //!   other in worker order: the virtual workers of
-//!   [`crate::TracingExecutor`] and of every `phylo-serve` session, which
-//!   holds a compute slot rather than threads of its own. A shard's result
-//!   does not depend on which thread computes it, so both places give the
-//!   same bits.
+//!   [`crate::TracingExecutor`] and of every `phylo-serve` session. A shard's
+//!   result does not depend on which thread computes it, so both places give
+//!   the same bits.
+//!
+//! Each of those three executors holds a [`Ledger`]: the sync count, trace
+//! epoch, poison, armed fault and telemetry bracket of its regions.
 //!
 //! # Lockstep and faults
 //!
@@ -30,9 +32,7 @@
 //! dropped) and the thread moves on, answering [`ShardResult::MissingShard`]
 //! until the session re-[`install`](WorkerPool::install)s. A typed [`OpError`]
 //! is deterministic master misuse: it comes back as a value and quarantines
-//! nothing. [`reduce_row`] folds one region's per-worker results in
-//! worker-index order — the single reduction every backend uses, so placement
-//! never changes the answer.
+//! nothing.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -40,12 +40,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use phylo_kernel::cost::{RegionRecord, WorkTrace};
 use phylo_kernel::executor::{
-    active_local_patterns, execute_on_worker, panic_message, reduce_outputs, sample,
+    active_local_patterns, end_region, execute_on_worker, panic_message, reduce_outputs, sample,
 };
 use phylo_kernel::{ExecContext, ExecError, KernelOp, OpError, OpOutput, WorkerSlices};
 use phylo_models::ModelSet;
-use phylo_telemetry::{ring, Telemetry, WorkerSample};
+use phylo_sched::Assignment;
+use phylo_telemetry::{ring, RegionToken, Telemetry, WorkerSample};
 
 /// Capacity of each worker's sample ring: the master drains it after every
 /// recorded region, so it never holds more than one sample.
@@ -56,14 +58,14 @@ const SAMPLE_RING_CAPACITY: usize = 64;
 /// master's own `Arc`, not a copy; a worker lets go of it before it replies,
 /// so the master is their sole holder again once the region returns.
 #[derive(Debug)]
-pub struct Region {
-    pub op: KernelOp,
-    pub models: Arc<ModelSet>,
+struct Region {
+    op: KernelOp,
+    models: Arc<ModelSet>,
     /// Telemetry: the region number to stamp each worker's [`WorkerSample`]
     /// with; `None` when the executor is not recording.
-    pub record: Option<u64>,
-    /// Test instrumentation: the worker that must panic on this region.
-    pub panic_worker: Option<usize>,
+    record: Option<u64>,
+    /// The worker the armed fault fires on in this region.
+    panic_worker: Option<usize>,
 }
 
 /// What one worker did with its shard of a region.
@@ -161,29 +163,37 @@ impl WorkerPool {
         }
     }
 
-    /// One parallel region: broadcast `region`, drain exactly one reply per
-    /// live worker and fold them with [`reduce_row`]. A lost worker thread
-    /// (closed channel) reduces like a death on that worker.
-    pub fn run(&self, region: Region, measured: impl FnMut(usize, Duration, usize)) -> Reduced {
-        let region = Arc::new(region);
+    /// One parallel region: broadcast `op` with the master's `models`, drain
+    /// exactly one reply per live worker and fold them with [`reduce_row`]
+    /// into `open`'s record; a recorded region also drains the workers'
+    /// samples (each worker pushes its sample before it replies; samples a
+    /// full ring refused count into `telemetry`'s `events_dropped`). A lost
+    /// worker thread (closed channel) reduces like a death on that worker.
+    pub fn run(
+        &mut self,
+        op: &KernelOp,
+        models: &Arc<ModelSet>,
+        open: &mut OpenRegion,
+        telemetry: &Telemetry,
+    ) -> Reduced {
+        let region = Arc::new(Region {
+            op: op.clone(),
+            models: Arc::clone(models),
+            record: open.region(),
+            panic_worker: open.panic_worker,
+        });
         for worker in &self.workers {
             let _ = worker.sender.send(WorkerMsg::Region(Arc::clone(&region)));
         }
         let row = self.workers.iter().map(|w| w.replies.recv().ok());
-        reduce_row(row, measured)
-    }
-
-    /// Drains every worker's sample ring. Call after a recorded region: each
-    /// worker pushes its sample before it replies. Samples a full ring
-    /// refused count into `telemetry`'s `events_dropped`.
-    pub fn take_samples(&mut self, telemetry: &Telemetry) -> Vec<WorkerSample> {
-        let (mut samples, mut dropped) = (Vec::new(), 0);
-        for worker in &mut self.workers {
-            dropped += worker.samples.take_dropped();
-            worker.samples.drain_into(&mut samples);
+        let mut reduced = reduce_row(row, |w, elapsed, live| open.measure(w, elapsed, live));
+        if open.region().is_some() {
+            for worker in &mut self.workers {
+                telemetry.add_dropped(worker.samples.take_dropped());
+                worker.samples.drain_into(&mut reduced.samples);
+            }
         }
-        telemetry.add_dropped(dropped);
-        samples
+        reduced
     }
 }
 
@@ -205,8 +215,11 @@ pub struct Reduced {
     /// missing its shard, or was lost; otherwise the first typed rejection
     /// as [`ExecError::Op`]; otherwise the folded output.
     pub result: Result<OpOutput, ExecError>,
-    /// Messages of the panics caught in this region, in worker order.
-    pub panics: Vec<String>,
+    /// The panics caught in this region, in worker order: the worker and
+    /// its message.
+    pub panics: Vec<(usize, String)>,
+    /// The workers' telemetry samples of a recorded region, else empty.
+    pub samples: Vec<WorkerSample>,
 }
 
 /// Folds one region's per-worker results (`None` = no reply from that
@@ -243,7 +256,7 @@ pub fn reduce_row(
                 rejected.get_or_insert(op_error);
             }
             Some(ShardResult::Panicked(message)) => {
-                panics.push(message);
+                panics.push((worker, message));
                 died.get_or_insert(worker);
             }
             Some(ShardResult::MissingShard) | None => {
@@ -256,44 +269,212 @@ pub fn reduce_row(
         (None, Some(op_error)) => Err(ExecError::Op(op_error)),
         (None, None) => Ok(folded.unwrap_or(OpOutput::None)),
     };
-    Reduced { result, panics }
+    let samples = Vec::new();
+    Reduced {
+        result,
+        panics,
+        samples,
+    }
 }
 
 /// One parallel region with every shard executed on the calling thread, in
-/// worker order, and folded by [`reduce_row`] — bit-identical to a
-/// [`WorkerPool`] of the same width, because a shard's computation does not
-/// depend on the thread that runs it and the fold order is fixed.
-/// `panic_worker` arms the one-shot injected panic on that shard. A shard
-/// that panicked may be half-updated, so after an [`ExecError::WorkerDied`]
-/// the caller must not run the shards again until it rebuilds them (the
-/// `Poisoned` contract of every executor).
+/// worker order, and folded by [`reduce_row`] into `open`'s record —
+/// bit-identical to a [`WorkerPool`] of the same width, because a shard's
+/// computation does not depend on the thread that runs it and the fold order
+/// is fixed. A recorded region also returns the shards' samples: shard `k`'s
+/// op seconds, `queue_wait(seconds, k)` and the cache counter deltas of its
+/// slices. A shard that panicked may be half-updated, so after an
+/// [`ExecError::WorkerDied`] the caller must not run the shards again until
+/// it rebuilds them (the `Poisoned` contract of every executor).
 pub fn run_shards(
     shards: &mut [WorkerSlices],
     op: &KernelOp,
     ctx: &ExecContext<'_>,
-    panic_worker: Option<usize>,
-    measured: impl FnMut(usize, Duration, usize),
+    open: &mut OpenRegion,
+    queue_wait: impl Fn(&[f64], usize) -> f64,
 ) -> Reduced {
+    let mut seconds = open.region().map(|_| vec![0.0; shards.len()]);
+    let panic_worker = open.panic_worker;
     let row = shards.iter_mut().enumerate().map(|(worker, slices)| {
         let injected = panic_worker == Some(worker);
         Some(run_entry(slices, op, ctx, injected, None))
     });
-    reduce_row(row, measured)
+    let mut reduced = reduce_row(row, |worker, elapsed, live| {
+        open.measure(worker, elapsed, live);
+        if let Some(seconds) = seconds.as_mut() {
+            seconds[worker] = elapsed.as_secs_f64();
+        }
+    });
+    if let Some((region, seconds)) = open.region().zip(seconds) {
+        let samples = shards
+            .iter()
+            .enumerate()
+            .map(|(k, slices)| sample(slices, k, region, seconds[k], queue_wait(&seconds, k)));
+        reduced.samples = samples.collect();
+    }
+    reduced
 }
 
-/// The [`WorkerSample`]s of one region whose shards ran on the calling
-/// thread ([`run_shards`]): shard `k`'s op seconds, `queue_wait(k)` and the
-/// cache counter deltas of its slices.
-pub fn inline_samples(
-    shards: &[WorkerSlices],
-    region: u64,
-    seconds: &[f64],
-    queue_wait: impl Fn(usize) -> f64,
-) -> Vec<WorkerSample> {
-    let shards = shards.iter().zip(seconds).enumerate();
-    shards
-        .map(|(k, (slices, &s))| sample(slices, k, region, s, queue_wait(k)))
-        .collect()
+/// The bookkeeping around every region of a shard executor, written once:
+/// the assignment, trace epoch, sync count, poison, armed one-shot fault and
+/// telemetry handle. An executor brackets each region with [`Ledger::open`]
+/// and [`Ledger::close`]. A [`ExecError::WorkerDied`] poisons: every region
+/// then fails fast with [`ExecError::Poisoned`] until [`Ledger::restart`],
+/// which the executor calls once it has rebuilt its shards.
+#[derive(Debug)]
+pub struct Ledger {
+    assignment: Assignment,
+    trace: WorkTrace,
+    /// Whether a successful region leaves a [`RegionRecord`].
+    keeps_trace: bool,
+    sync_events: u64,
+    poisoned: Option<usize>,
+    /// The panic message of the worker that poisoned, if it panicked.
+    last_panic: Option<String>,
+    /// The armed fault: its worker and the regions to pass before it fires.
+    fault: Option<(usize, u64)>,
+    telemetry: Telemetry,
+}
+
+/// A region [`Ledger::open`] let through: its record (`None`, allocating
+/// nothing, unless the ledger keeps a trace) and the armed fault's worker.
+#[derive(Debug)]
+pub struct OpenRegion {
+    token: Option<RegionToken>,
+    pub record: Option<RegionRecord>,
+    panic_worker: Option<usize>,
+}
+
+impl OpenRegion {
+    /// The telemetry region to stamp worker samples with, if recorded.
+    pub fn region(&self) -> Option<u64> {
+        self.token.as_ref().and_then(RegionToken::region)
+    }
+
+    /// The `measured` callback of [`reduce_row`], into the record.
+    pub fn measure(&mut self, worker: usize, elapsed: Duration, live_patterns: usize) {
+        if let Some(record) = self.record.as_mut() {
+            record.seconds_per_worker[worker] = elapsed.as_secs_f64();
+            record.active_patterns_per_worker[worker] = live_patterns as f64;
+        }
+    }
+}
+
+impl Ledger {
+    /// A healthy ledger for shards built from `assignment`, telemetry off.
+    pub fn new(assignment: &Assignment, keeps_trace: bool) -> Self {
+        Self {
+            assignment: assignment.clone(),
+            trace: WorkTrace::new(assignment.worker_count()),
+            keeps_trace,
+            sync_events: 0,
+            poisoned: None,
+            last_panic: None,
+            fault: None,
+            telemetry: Telemetry::disabled(),
+        }
+    }
+
+    /// Opens a region for `op`: counts it, fires the armed fault when its
+    /// turn has come, opens the telemetry region and starts the record.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Poisoned`] after a death, until [`Ledger::restart`].
+    pub fn open(&mut self, op: &KernelOp) -> Result<OpenRegion, ExecError> {
+        if let Some(worker) = self.poisoned {
+            return Err(ExecError::Poisoned { worker });
+        }
+        self.sync_events += 1;
+        let panic_worker = match &mut self.fault {
+            Some((_, regions)) if *regions > 0 => {
+                *regions -= 1;
+                None
+            }
+            fault => fault.take().map(|(worker, _)| worker),
+        };
+        let token = self.telemetry.enabled().then(|| {
+            self.telemetry
+                .region_start(op.label(), &op.active_partitions())
+        });
+        let record = self.keeps_trace.then(|| {
+            let mut record = RegionRecord::new(op.kind(), self.assignment.worker_count());
+            record.active_partitions = op.active_partitions();
+            record
+        });
+        Ok(OpenRegion {
+            token,
+            record,
+            panic_worker,
+        })
+    }
+
+    /// Closes `open` with the region's reduced result: ends the telemetry
+    /// region from the workers' samples, poisons on a death (keeping the
+    /// named worker's panic message) and keeps a successful region's record.
+    pub fn close(&mut self, open: OpenRegion, reduced: Reduced) -> Result<OpOutput, ExecError> {
+        let width = self.assignment.worker_count();
+        let (result, samples) = (reduced.result, &reduced.samples);
+        self.poisoned = end_region(&self.telemetry, open.token, width, samples, &result);
+        let named = |(w, message): (usize, String)| (Some(w) == self.poisoned).then_some(message);
+        self.last_panic = reduced.panics.into_iter().find_map(named);
+        if let (Ok(_), Some(record)) = (&result, open.record) {
+            self.trace.regions.push(record);
+        }
+        result
+    }
+
+    /// Arms a one-shot fault: `worker` panics in the region opened
+    /// `after_regions` regions from now (0 = the next one).
+    pub fn arm(&mut self, worker: usize, after_regions: u64) {
+        self.fault = Some((worker, after_regions));
+    }
+
+    /// A new epoch for shards rebuilt from `assignment`: an empty trace, no
+    /// poison, no armed fault.
+    pub fn restart(&mut self, assignment: &Assignment) {
+        self.assignment = assignment.clone();
+        self.trace = WorkTrace::new(assignment.worker_count());
+        self.poisoned = None;
+        self.last_panic = None;
+        self.fault = None;
+    }
+
+    pub fn assignment(&self) -> &Assignment {
+        &self.assignment
+    }
+
+    pub fn trace(&self) -> &WorkTrace {
+        &self.trace
+    }
+
+    /// Takes this epoch's trace, leaving an empty one behind.
+    pub fn take_trace(&mut self) -> WorkTrace {
+        let fresh = WorkTrace::new(self.assignment.worker_count());
+        std::mem::replace(&mut self.trace, fresh)
+    }
+
+    /// Regions opened: the executor's synchronization events.
+    pub fn sync_events(&self) -> u64 {
+        self.sync_events
+    }
+
+    /// The worker whose death poisoned the executor, if any.
+    pub fn poisoned_by(&self) -> Option<usize> {
+        self.poisoned
+    }
+
+    pub fn last_panic_message(&self) -> Option<&str> {
+        self.last_panic.as_deref()
+    }
+
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        self.telemetry = telemetry.clone();
+    }
 }
 
 fn worker_loop(
@@ -397,13 +578,14 @@ fn run_entry(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::TracingExecutor;
     use crate::{build_workers, schedule, Cyclic, ExecutorOptions, ThreadedExecutor};
     use phylo_kernel::{
-        EdgeTables, KernelDispatch, KernelError, LikelihoodKernel, NewviewTables, SequentialKernel,
-        TraversalDescriptor,
+        EdgeTables, Executor, KernelDispatch, KernelError, LikelihoodKernel, NewviewTables,
+        SequentialKernel, TraversalDescriptor,
     };
     use phylo_models::BranchLengthMode::{self, Joint, PerPartition};
-    use phylo_sched::{Assignment, ScheduleStrategy};
+    use phylo_sched::{Assignment, Reassignable, ScheduleStrategy};
     use phylo_seqgen::datasets::paper_simulated;
     use phylo_seqgen::GeneratedDataset;
 
@@ -449,13 +631,24 @@ pub(crate) mod tests {
                 .unwrap()
         }
 
-        pub fn reassign(&self, exec: &mut ThreadedExecutor, a: &Assignment) {
+        pub fn tracing(&self, a: &Assignment) -> TracingExecutor {
+            let capacity = self.ds.tree.node_capacity();
+            TracingExecutor::from_assignment(&self.ds.patterns, a, capacity, &self.cats).unwrap()
+        }
+
+        /// A real-thread and a virtual executor over `a`.
+        pub fn both(&self, a: &Assignment) -> [Box<dyn Faultable>; 2] {
+            let threaded = self.executor(a, Default::default());
+            [Box::new(threaded), Box::new(self.tracing(a))]
+        }
+
+        pub fn reassign<E: Reassignable + ?Sized>(&self, exec: &mut E, a: &Assignment) {
             let capacity = self.ds.tree.node_capacity();
             exec.reassign(&self.ds.patterns, a, capacity, &self.cats)
                 .unwrap();
         }
 
-        pub fn kernel(&self, exec: ThreadedExecutor) -> LikelihoodKernel<ThreadedExecutor> {
+        pub fn kernel<E: Executor>(&self, exec: E) -> LikelihoodKernel<E> {
             let (patterns, tree) = (Arc::clone(&self.ds.patterns), self.ds.tree.clone());
             LikelihoodKernel::try_new(patterns, tree, ModelSet::clone(&self.models), exec).unwrap()
         }
@@ -463,6 +656,31 @@ pub(crate) mod tests {
         pub fn sequential(&self) -> SequentialKernel {
             let (patterns, tree) = (Arc::clone(&self.ds.patterns), self.ds.tree.clone());
             SequentialKernel::build(patterns, tree, ModelSet::clone(&self.models)).unwrap()
+        }
+    }
+
+    /// A shard executor whose faults a test arms, so one test body holds
+    /// real and virtual workers ([`Fixture::both`]) to one fault contract.
+    pub(crate) trait Faultable: Executor + Reassignable {
+        fn ledger(&self) -> &Ledger;
+        fn inject_worker_panic(&mut self, worker: usize, after_regions: u64);
+    }
+
+    impl Faultable for ThreadedExecutor {
+        fn ledger(&self) -> &Ledger {
+            ThreadedExecutor::ledger(self)
+        }
+        fn inject_worker_panic(&mut self, worker: usize, after_regions: u64) {
+            ThreadedExecutor::inject_worker_panic(self, worker, after_regions);
+        }
+    }
+
+    impl Faultable for TracingExecutor {
+        fn ledger(&self) -> &Ledger {
+            TracingExecutor::ledger(self)
+        }
+        fn inject_worker_panic(&mut self, worker: usize, after_regions: u64) {
+            TracingExecutor::inject_worker_panic(self, worker, after_regions);
         }
     }
 
@@ -574,17 +792,19 @@ pub(crate) mod tests {
 
         /// Runs one region; its result with its caught-panic count.
         fn run(
-            &self,
+            &mut self,
             op: KernelOp,
             panic_worker: Option<usize>,
         ) -> (Result<OpOutput, ExecError>, usize) {
-            let region = Region {
-                op,
-                models: Arc::clone(&self.fx.models),
+            let mut open = OpenRegion {
+                token: None,
                 record: None,
                 panic_worker,
             };
-            let reduced = self.pool.run(region, |_, _, _| {});
+            let models = &self.fx.models;
+            let reduced = self
+                .pool
+                .run(&op, models, &mut open, &Telemetry::disabled());
             (reduced.result, reduced.panics.len())
         }
     }
@@ -593,7 +813,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_panic_quarantines_only_the_faulting_tenant_on_that_worker() {
-        let t = Solo::new(71);
+        let mut t = Solo::new(71);
         // The fault armed on worker 1: it reports the panic, worker 0 a
         // normal output.
         let died = (Err(ExecError::WorkerDied { worker: 1 }), 1);
@@ -609,7 +829,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_typed_rejection_keeps_lockstep_and_quarantines_nobody() {
-        let t = Solo::new(73);
+        let mut t = Solo::new(73);
         // Derivatives without a sum table: every worker with patterns hits
         // the staleness guard and answers with a typed value.
         let premature = KernelOp::Derivatives {
@@ -629,7 +849,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_mis_sized_payload_is_a_typed_rejection_on_the_same_threads() {
-        let t = Solo::new(83);
+        let mut t = Solo::new(83);
         let partitions = t.fx.partitions();
         let threads = t.pool.thread_ids();
         // Short and long, every op: an index panic here would quarantine the
@@ -655,7 +875,7 @@ pub(crate) mod tests {
     /// lets the master's next model write skip the copy.
     #[test]
     fn a_returned_region_holds_none_of_its_payload() {
-        let t = Solo::new(89);
+        let mut t = Solo::new(89);
         for _ in 0..200 {
             let tables = no_newview_tables();
             let op = KernelOp::Newview {

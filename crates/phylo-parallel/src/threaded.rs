@@ -1,38 +1,30 @@
 //! The solo executor: one session on its own [`WorkerPool`].
 //!
 //! [`ThreadedExecutor`] spawns its worker threads once, installs one shard
-//! on each, and every [`Executor::execute`] call sends one [`Region`]
+//! on each, and every [`Executor::execute`] call sends one region
 //! **directly** to the workers — one synchronization event, exactly as in the
-//! paper. A region ships the command — the node ids it reads, its table
-//! slots (which carry the branch lengths) — and a share of the master's
-//! `Arc` of the models, never a copy of the master state, so the
-//! per-command cost is the channel round trip — a realistic stand-in for a
-//! barrier.
+//! paper. A region ships the command and a share of the master's `Arc` of
+//! the models, never a copy of the master state, so the per-command cost is
+//! the channel round trip — a realistic stand-in for a barrier.
 //!
-//! # Hardening and measurement
-//!
-//! Each worker times its shard; with [`ExecutorOptions::timed`] the master
-//! accumulates those durations into a real [`WorkTrace`]
-//! ([`ThreadedExecutor::take_trace`]) — the measured counterpart of the
-//! virtual FLOP traces, and the input to mid-run rescheduling. A worker panic
-//! is caught by the pool and surfaced as [`ExecError::WorkerDied`]; the
-//! executor is then *poisoned* (every further command fails fast with
-//! [`ExecError::Poisoned`]) until [`ThreadedExecutor::reassign`] reinstalls
-//! fresh slices on the same, surviving threads.
-//! [`ThreadedExecutor::inject_worker_panic`] arms a one-shot fault on that
-//! exact machinery so the driver-level recovery path stays tested.
-
-use std::sync::Arc;
+//! The executor keeps the pool and the skew; the region bookkeeping is its
+//! [`Ledger`]. With [`ExecutorOptions::timed`] the ledger keeps each
+//! worker's shard time in a [`WorkTrace`] ([`ThreadedExecutor::trace`]) —
+//! the measured counterpart of the virtual FLOP traces, and the input to
+//! mid-run rescheduling. A worker panic surfaces as
+//! [`ExecError::WorkerDied`] and poisons the executor until
+//! [`Reassignable::reassign`] reinstalls fresh slices on the same, surviving
+//! threads; [`ThreadedExecutor::inject_worker_panic`] arms a one-shot fault
+//! on that exact machinery.
 
 use phylo_data::PartitionedPatterns;
-use phylo_kernel::cost::{RegionRecord, WorkTrace};
-use phylo_kernel::executor::end_region;
+use phylo_kernel::cost::WorkTrace;
 use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, OpOutput};
-use phylo_sched::{Assignment, SchedError};
+use phylo_sched::{Assignment, Reassignable, SchedError};
 use phylo_telemetry::Telemetry;
 
 pub use crate::pool::WorkerSkew;
-use crate::pool::{Reduced, Region, WorkerPool};
+use crate::pool::{Ledger, WorkerPool};
 
 /// Construction options beyond the assignment itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,28 +36,11 @@ pub struct ExecutorOptions {
 }
 
 /// A real-thread executor with persistent workers.
+#[derive(Debug)]
 pub struct ThreadedExecutor {
     pool: WorkerPool,
-    sync_events: u64,
-    assignment: Assignment,
-    options: ExecutorOptions,
-    trace: WorkTrace,
-    poisoned: Option<usize>,
-    last_panic: Option<String>,
-    /// One-shot armed fault injection: `(worker, fire_at_sync_event)`.
-    injected_panic: Option<(usize, u64)>,
-    telemetry: Telemetry,
-}
-
-impl std::fmt::Debug for ThreadedExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedExecutor")
-            .field("worker_count", &self.pool.width())
-            .field("sync_events", &self.sync_events)
-            .field("timed", &self.options.timed)
-            .field("poisoned", &self.poisoned)
-            .finish()
-    }
+    skew: Option<WorkerSkew>,
+    ledger: Ledger,
 }
 
 impl ThreadedExecutor {
@@ -106,73 +81,64 @@ impl ThreadedExecutor {
         categories: &[usize],
         options: ExecutorOptions,
     ) -> Result<Self, SchedError> {
-        Self::check_skew(&options, assignment.worker_count())?;
+        check_skew(options.skew, assignment.worker_count())?;
         let workers = crate::build_workers(patterns, node_capacity, categories, assignment)?;
         let pool = WorkerPool::spawn(workers.len());
         pool.install(workers, options.skew);
         Ok(Self {
-            trace: WorkTrace::new(pool.width()),
             pool,
-            sync_events: 0,
-            assignment: assignment.clone(),
-            options,
-            poisoned: None,
-            last_panic: None,
-            injected_panic: None,
-            telemetry: Telemetry::disabled(),
+            skew: options.skew,
+            ledger: Ledger::new(assignment, options.timed),
         })
-    }
-
-    fn check_skew(options: &ExecutorOptions, worker_count: usize) -> Result<(), SchedError> {
-        match options.skew {
-            Some(skew) if skew.worker >= worker_count => Err(SchedError::SkewWorkerOutOfRange {
-                worker: skew.worker,
-                worker_count,
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// The assignment the current workers were built from.
-    pub fn assignment(&self) -> &Assignment {
-        &self.assignment
     }
 
     /// The wall-clock trace accumulated so far (empty unless
     /// [`ExecutorOptions::timed`] was set).
     pub fn trace(&self) -> &WorkTrace {
-        &self.trace
+        self.ledger.trace()
     }
 
-    /// Takes the accumulated trace, leaving an empty one behind.
-    pub fn take_trace(&mut self) -> WorkTrace {
-        std::mem::replace(&mut self.trace, WorkTrace::new(self.pool.width()))
+    /// The region bookkeeping: poison, last panic, sync count, trace.
+    pub fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    /// The worker whose death poisoned the executor, if any.
-    pub fn poisoned_by(&self) -> Option<usize> {
-        self.poisoned
-    }
-
-    /// The panic message of the most recent worker panic, if one was caught.
-    pub fn last_panic_message(&self) -> Option<&str> {
-        self.last_panic.as_deref()
-    }
-
-    /// Arms a one-shot injected panic: `worker` will panic while executing
-    /// the command issued `after_regions` synchronization events from now
-    /// (0 = the very next command). Test instrumentation for the
-    /// worker-death recovery path — the panic travels through the exact same
+    /// Arms a one-shot injected panic: `worker` panics in the command issued
+    /// `after_regions` regions from now (0 = the next one), through the same
     /// catch/report/poison machinery as a real worker fault.
     pub fn inject_worker_panic(&mut self, worker: usize, after_regions: u64) {
-        self.injected_panic = Some((worker, self.sync_events + 1 + after_regions));
+        self.ledger.arm(worker, after_regions);
+    }
+}
+
+fn check_skew(skew: Option<WorkerSkew>, worker_count: usize) -> Result<(), SchedError> {
+    match skew {
+        Some(skew) if skew.worker >= worker_count => Err(SchedError::SkewWorkerOutOfRange {
+            worker: skew.worker,
+            worker_count,
+        }),
+        _ => Ok(()),
+    }
+}
+
+impl Reassignable for ThreadedExecutor {
+    fn assignment(&self) -> &Assignment {
+        self.ledger.assignment()
+    }
+
+    fn live_trace(&self) -> &WorkTrace {
+        self.ledger.trace()
+    }
+
+    fn take_trace(&mut self) -> WorkTrace {
+        self.ledger.take_trace()
     }
 
     /// Migrates pattern→worker ownership to a new assignment: fresh slices
     /// built from the new owner map replace the installed ones on the same
     /// worker threads (only a width-changing assignment replaces the pool),
-    /// the trace epoch restarts, and any poisoned state is cleared (the
-    /// quarantined slices are gone).
+    /// and the ledger restarts — a new trace epoch, no poison (the
+    /// quarantined slices are gone), no armed fault.
     ///
     /// The reinstalled workers own *empty* CLV buffers, so the caller must
     /// invalidate the master-side CLV validity cache before the next
@@ -184,24 +150,20 @@ impl ThreadedExecutor {
     /// a different dataset, [`SchedError::SkewWorkerOutOfRange`] if the
     /// executor's skew would fall outside the new worker range; the executor
     /// is left untouched in either case.
-    pub fn reassign(
+    fn reassign(
         &mut self,
         patterns: &PartitionedPatterns,
         assignment: &Assignment,
         node_capacity: usize,
         categories: &[usize],
     ) -> Result<(), SchedError> {
-        Self::check_skew(&self.options, assignment.worker_count())?;
+        check_skew(self.skew, assignment.worker_count())?;
         let workers = crate::build_workers(patterns, node_capacity, categories, assignment)?;
         if workers.len() != self.pool.width() {
             self.pool = WorkerPool::spawn(workers.len());
         }
-        self.pool.install(workers, self.options.skew);
-        self.assignment = assignment.clone();
-        self.trace = WorkTrace::new(self.pool.width());
-        self.poisoned = None;
-        self.last_panic = None;
-        self.injected_panic = None;
+        self.pool.install(workers, self.skew);
+        self.ledger.restart(assignment);
         Ok(())
     }
 }
@@ -211,76 +173,27 @@ impl Executor for ThreadedExecutor {
         self.pool.width()
     }
 
-    /// Executes one command — one broadcast/reduce round on the pool —
-    /// surfacing worker failures as values instead of killing the master
-    /// thread.
+    /// Executes one command — one broadcast/reduce round on the pool.
     ///
     /// # Errors
     ///
     /// [`ExecError::WorkerDied`] when a worker panics (or its thread is
-    /// lost) during this command; the executor is poisoned afterwards.
-    /// [`ExecError::Poisoned`] for every command issued to a poisoned
-    /// executor; [`ThreadedExecutor::reassign`] clears the state.
-    /// [`ExecError::Op`] for a typed kernel rejection, which never poisons.
+    /// lost), poisoning the executor; [`ExecError::Poisoned`] until
+    /// [`Reassignable::reassign`]; [`ExecError::Op`] for a typed kernel
+    /// rejection, which never poisons.
     fn execute(&mut self, op: &KernelOp, ctx: &ExecContext<'_>) -> Result<OpOutput, ExecError> {
-        if let Some(worker) = self.poisoned {
-            return Err(ExecError::Poisoned { worker });
-        }
-        self.sync_events += 1;
-        // A one-shot armed fault fires exactly once, on its scheduled region.
-        let panic_worker = match self.injected_panic {
-            Some((worker, at)) if self.sync_events >= at => {
-                self.injected_panic = None;
-                Some(worker)
-            }
-            _ => None,
-        };
-        // Bracket the region for telemetry (see `end_region`).
-        let token = self.telemetry.enabled().then(|| {
-            self.telemetry
-                .region_start(op.label(), &op.active_partitions())
-        });
-        let width = self.pool.width();
-        // Only allocate the per-region record when the measurements are
-        // actually kept — the untimed master loop stays allocation-free.
-        let mut record = self.options.timed.then(|| {
-            let mut record = RegionRecord::new(op.kind(), width);
-            record.active_partitions = op.active_partitions();
-            record
-        });
-        let region = Region {
-            op: op.clone(),
-            models: Arc::clone(ctx.models),
-            record: token.as_ref().and_then(|t| t.region()),
-            panic_worker,
-        };
-        let Reduced { result, panics } = self.pool.run(region, |worker, elapsed, active| {
-            if let Some(record) = record.as_mut() {
-                record.seconds_per_worker[worker] = elapsed.as_secs_f64();
-                record.active_patterns_per_worker[worker] = active as f64;
-            }
-        });
-        // Not poisoned on entry, so `last_panic` was `None`.
-        self.last_panic = panics.into_iter().next();
-        // Every live worker has replied, so its sample is in its ring: drain
-        // them on every path (a dead region's samples are discarded).
-        let samples = match token {
-            Some(_) => self.pool.take_samples(&self.telemetry),
-            None => Vec::new(),
-        };
-        self.poisoned = end_region(&self.telemetry, token, width, &samples, &result);
-        if let (Ok(_), Some(record)) = (&result, record) {
-            self.trace.regions.push(record);
-        }
-        result
+        let mut open = self.ledger.open(op)?;
+        let telemetry = self.ledger.telemetry();
+        let reduced = self.pool.run(op, ctx.models, &mut open, telemetry);
+        self.ledger.close(open, reduced)
     }
 
     fn sync_events(&self) -> u64 {
-        self.sync_events
+        self.ledger.sync_events()
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.telemetry = telemetry.clone();
+        self.ledger.attach_telemetry(telemetry);
     }
 }
 
@@ -352,26 +265,44 @@ mod tests {
         drop(fx.executor(&fx.assign(4, &Cyclic), Default::default()));
     }
 
+    /// The fault contract holds on real and on virtual workers alike.
     #[test]
     fn injected_panic_fires_once_on_the_scheduled_region() {
         let fx = Fixture::new(6, 64, 16, 29, Joint);
         let assignment = fx.assign(3, &Cyclic);
-        let mut exec = fx.executor(&assignment, Default::default());
-        let ctx = fx.ctx();
         // A no-op newview: harmless on fresh (empty) CLV buffers, so the only
         // possible failure is the injected one.
-        let op = nop_newview(fx.partitions());
-        // Armed one region ahead: the next command succeeds, the one after
-        // dies on worker 1, and a reassign fully clears the fault.
-        exec.inject_worker_panic(1, 1);
-        assert!(exec.execute(&op, &ctx).is_ok());
-        let err = exec.execute(&op, &ctx).unwrap_err();
-        assert_eq!(err, ExecError::WorkerDied { worker: 1 });
-        assert!(exec
-            .last_panic_message()
-            .is_some_and(|m| m.contains("injected")));
-        fx.reassign(&mut exec, &assignment);
-        assert!(exec.execute(&op, &ctx).is_ok());
+        let (ctx, op) = (fx.ctx(), nop_newview(fx.partitions()));
+        for mut exec in fx.both(&assignment) {
+            // Armed one region ahead: the next command succeeds, the one
+            // after dies on worker 1, and a reassign fully clears the fault.
+            exec.inject_worker_panic(1, 1);
+            assert!(exec.execute(&op, &ctx).is_ok());
+            let err = exec.execute(&op, &ctx).unwrap_err();
+            assert_eq!(err, ExecError::WorkerDied { worker: 1 });
+            let message = exec.ledger().last_panic_message();
+            assert!(message.is_some_and(|m| m.contains("injected")));
+            fx.reassign(exec.as_mut(), &assignment);
+            assert!(exec.execute(&op, &ctx).is_ok());
+        }
+    }
+
+    /// A fault armed but not yet fired belongs to the shards it was armed
+    /// on: rebuilding them disarms it, on either kind of worker.
+    #[test]
+    fn reassign_disarms_a_fault_that_has_not_fired() {
+        let fx = Fixture::new(6, 64, 16, 31, Joint);
+        let assignment = fx.assign(2, &Cyclic);
+        let (ctx, op) = (fx.ctx(), nop_newview(fx.partitions()));
+        for mut exec in fx.both(&assignment) {
+            exec.inject_worker_panic(0, 1);
+            assert!(exec.execute(&op, &ctx).is_ok());
+            fx.reassign(exec.as_mut(), &assignment);
+            for _ in 0..3 {
+                assert!(exec.execute(&op, &ctx).is_ok());
+            }
+            assert_eq!(exec.ledger().poisoned_by(), None);
+        }
     }
 
     #[test]
@@ -392,7 +323,7 @@ mod tests {
             matches!(err, ExecError::Op(OpError::SumtableStale { .. })),
             "{err:?}"
         );
-        assert_eq!(exec.poisoned_by(), None, "workers stay healthy");
+        assert_eq!(exec.ledger().poisoned_by(), None, "workers stay healthy");
         // The very next command runs on the same workers.
         assert!(exec.execute(&nop_newview(fx.partitions()), &ctx).is_ok());
         // And the lockstep survived: a full likelihood round-trip agrees
@@ -423,7 +354,7 @@ mod tests {
                     got: len,
                 });
                 assert_eq!(exec.execute(&op, &ctx).unwrap_err(), rejected, "{op:?}");
-                assert_eq!(exec.poisoned_by(), None, "workers stay healthy");
+                assert_eq!(exec.ledger().poisoned_by(), None, "workers stay healthy");
             }
         }
         // The PR 5 contract: the same threads serve the next region, and no
@@ -560,41 +491,45 @@ mod tests {
     #[test]
     fn worker_panic_surfaces_as_exec_error_and_poisons() {
         let fx = Fixture::new(6, 64, 16, 41, Joint);
-        let mut exec = fx.executor(&fx.assign(3, &Cyclic), Default::default());
         let ctx = fx.ctx();
-        exec.inject_worker_panic(1, 0);
-        let err = exec
-            .execute(&nop_newview(fx.partitions()), &ctx)
-            .unwrap_err();
-        assert!(matches!(err, ExecError::WorkerDied { .. }), "{err:?}");
-        assert!(exec.poisoned_by().is_some());
-        assert!(
-            exec.last_panic_message().is_some(),
-            "the caught panic message must be retained for diagnostics"
-        );
-        // Every further command fails fast with the poisoned state.
-        let good = evaluate_without_tables(vec![true; fx.partitions()]);
-        let err = exec.execute(&good, &ctx).unwrap_err();
-        assert!(matches!(err, ExecError::Poisoned { .. }), "{err:?}");
-        assert!(!err.to_string().is_empty());
-        // Dropping a poisoned executor must not hang or panic.
-        drop(exec);
+        for mut exec in fx.both(&fx.assign(3, &Cyclic)) {
+            exec.inject_worker_panic(1, 0);
+            let err = exec
+                .execute(&nop_newview(fx.partitions()), &ctx)
+                .unwrap_err();
+            assert!(matches!(err, ExecError::WorkerDied { .. }), "{err:?}");
+            assert!(exec.ledger().poisoned_by().is_some());
+            assert!(
+                exec.ledger().last_panic_message().is_some(),
+                "the caught panic message must be retained for diagnostics"
+            );
+            // Every further command fails fast with the poisoned state.
+            let good = evaluate_without_tables(vec![true; fx.partitions()]);
+            let err = exec.execute(&good, &ctx).unwrap_err();
+            assert!(matches!(err, ExecError::Poisoned { .. }), "{err:?}");
+            assert!(!err.to_string().is_empty());
+            // Dropping a poisoned executor must not hang or panic.
+            drop(exec);
+        }
     }
 
     #[test]
     fn reassign_recovers_a_poisoned_executor() {
         let fx = Fixture::new(6, 64, 16, 43, Joint);
-        let mut exec = fx.executor(&fx.assign(2, &Cyclic), Default::default());
         let ctx = fx.ctx();
-        exec.inject_worker_panic(1, 0);
-        assert!(exec.execute(&nop_newview(fx.partitions()), &ctx).is_err());
-        assert!(exec.poisoned_by().is_some());
+        for mut exec in fx.both(&fx.assign(2, &Cyclic)) {
+            exec.inject_worker_panic(1, 0);
+            assert!(exec.execute(&nop_newview(fx.partitions()), &ctx).is_err());
+            assert!(exec.ledger().poisoned_by().is_some());
 
-        fx.reassign(&mut exec, &fx.assign(2, &Block));
-        assert_eq!(exec.poisoned_by(), None);
-        // A fresh executor owns empty CLV buffers, so the recovery probe is
-        // a no-op newview (what the engine would issue after invalidation).
-        assert!(exec.execute(&nop_newview(fx.partitions()), &ctx).is_ok());
+            fx.reassign(exec.as_mut(), &fx.assign(2, &Block));
+            assert_eq!(exec.ledger().poisoned_by(), None);
+            assert_eq!(exec.ledger().last_panic_message(), None);
+            // A fresh executor owns empty CLV buffers, so the recovery probe
+            // is a no-op newview (what the engine would issue after
+            // invalidation).
+            assert!(exec.execute(&nop_newview(fx.partitions()), &ctx).is_ok());
+        }
     }
 
     #[test]

@@ -6,38 +6,34 @@
 //! region and how many of each partition's patterns fall to each worker under
 //! the cyclic distribution. [`TracingExecutor`] therefore executes every
 //! command *correctly* (its virtual workers' shards one after the other on
-//! the calling thread — [`crate::pool::run_shards`], the same loop a serving
-//! session runs — so all likelihood results are exact) while recording, per
-//! region, the analytic amount of floating-point work each of its `T`
-//! virtual workers receives.
-//! The resulting [`WorkTrace`] is converted into per-platform run-time
-//! predictions by `phylo-perfmodel`.
+//! the calling thread, [`crate::pool::run_shards`], so all likelihood
+//! results are exact) while recording, per region, the analytic work each
+//! of its `T` virtual workers receives. The resulting [`WorkTrace`] is
+//! converted into per-platform run-time predictions by `phylo-perfmodel`.
+//!
+//! The region bookkeeping is the [`Ledger`] every shard executor holds, so a
+//! virtual worker dies and recovers like a real one
+//! ([`TracingExecutor::inject_worker_panic`]); the executor adds only the
+//! analytic flops and bytes.
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::{RegionRecord, WorkTrace};
-use phylo_kernel::executor::{active_local_patterns, end_region};
 use phylo_kernel::{ExecContext, ExecError, Executor, KernelOp, OpOutput, WorkerSlices};
-use phylo_sched::{Assignment, SchedError};
-use phylo_telemetry::RegionToken;
+use phylo_sched::{Assignment, Reassignable, SchedError};
 
-use crate::pool::{inline_samples, run_shards};
+use crate::pool::{run_shards, Ledger};
 
 /// Executes commands on `T` virtual workers and records the per-region work.
 #[derive(Debug)]
 pub struct TracingExecutor {
     workers: Vec<WorkerSlices>,
-    assignment: Assignment,
-    trace: WorkTrace,
-    sync_events: u64,
-    /// The virtual worker whose shard panicked, until `reassign`.
-    poisoned: Option<usize>,
-    telemetry: phylo_telemetry::Telemetry,
+    ledger: Ledger,
 }
 
 impl TracingExecutor {
     /// Builds a tracing executor over the virtual workers of `assignment`.
     ///
-    /// The assignment is retained (see [`TracingExecutor::assignment`]) so
+    /// The assignment is retained (see [`Reassignable::assignment`]) so
     /// that its predicted per-worker costs can be compared against the
     /// measured trace, e.g. by `phylo_perfmodel::imbalance_report`.
     ///
@@ -54,62 +50,27 @@ impl TracingExecutor {
         let workers = crate::build_workers(patterns, node_capacity, categories, assignment)?;
         Ok(Self {
             workers,
-            assignment: assignment.clone(),
-            trace: WorkTrace::new(assignment.worker_count()),
-            sync_events: 0,
-            poisoned: None,
-            telemetry: phylo_telemetry::Telemetry::disabled(),
+            ledger: Ledger::new(assignment, true),
         })
     }
 
-    /// The assignment the virtual workers were built from.
-    pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+    /// The region bookkeeping: poison, last panic, sync count, trace.
+    pub fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    /// The accumulated work trace.
-    pub fn trace(&self) -> &WorkTrace {
-        &self.trace
+    /// Arms the same one-shot fault as
+    /// [`crate::ThreadedExecutor::inject_worker_panic`], on a virtual worker.
+    pub fn inject_worker_panic(&mut self, worker: usize, after_regions: u64) {
+        self.ledger.arm(worker, after_regions);
     }
 
-    /// Takes the accumulated trace, leaving an empty one behind.
-    pub fn take_trace(&mut self) -> WorkTrace {
-        std::mem::replace(&mut self.trace, WorkTrace::new(self.workers.len()))
-    }
-
-    /// Migrates the virtual workers to a new assignment and restarts the
-    /// trace epoch (the old trace measured the old ownership); rebuilding
-    /// every shard also clears a poisoned state. The caller
-    /// must invalidate the master-side CLV validity cache afterwards, since
-    /// the rebuilt workers own empty CLV buffers.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::PatternCountMismatch`] if the assignment was built for
-    /// a different dataset; the executor is left untouched in that case.
-    pub fn reassign(
-        &mut self,
-        patterns: &PartitionedPatterns,
-        assignment: &Assignment,
-        node_capacity: usize,
-        categories: &[usize],
-    ) -> Result<(), SchedError> {
-        self.workers = crate::build_workers(patterns, node_capacity, categories, assignment)?;
-        self.assignment = assignment.clone();
-        self.trace = WorkTrace::new(assignment.worker_count());
-        self.poisoned = None;
-        Ok(())
-    }
-
-    /// The analytic work of one region: every phase of the command
-    /// (traversal, op, probe) costed at its own kind and summed, so a
-    /// command that carries its traversal records the work of the separate
-    /// commands it replaces under one synchronization.
-    fn region_record(&self, op: &KernelOp, ctx: &ExecContext<'_>) -> RegionRecord {
-        let mut record = RegionRecord::new(op.kind(), self.workers.len());
-        record.active_partitions = op.active_partitions();
+    /// Adds the analytic work of one region to its record: every phase of
+    /// the command (traversal, op, probe) costed at its own kind and summed,
+    /// so a command that carries its traversal records the work of the
+    /// separate commands it replaces under one synchronization.
+    fn add_work(&self, record: &mut RegionRecord, op: &KernelOp, ctx: &ExecContext<'_>) {
         for (wi, worker) in self.workers.iter().enumerate() {
-            record.active_patterns_per_worker[wi] = active_local_patterns(worker, op) as f64;
             let (mut flops, mut bytes) = (0.0, 0.0);
             for (pi, slice) in worker.slices.iter().enumerate() {
                 let phases = op.phase_visits(pi).into_iter();
@@ -124,7 +85,37 @@ impl TracingExecutor {
             record.flops_per_worker[wi] = flops;
             record.bytes_per_worker[wi] = bytes;
         }
-        record
+    }
+}
+
+/// The virtual workers support the same migration protocol as real ones,
+/// so mid-run rescheduling can be tested deterministically from FLOP
+/// traces. Rebuilding every shard also clears a poisoned state; the caller
+/// must invalidate the master-side CLV validity cache afterwards, since the
+/// rebuilt workers own empty CLV buffers.
+impl Reassignable for TracingExecutor {
+    fn assignment(&self) -> &Assignment {
+        self.ledger.assignment()
+    }
+
+    fn live_trace(&self) -> &WorkTrace {
+        self.ledger.trace()
+    }
+
+    fn take_trace(&mut self) -> WorkTrace {
+        self.ledger.take_trace()
+    }
+
+    fn reassign(
+        &mut self,
+        patterns: &PartitionedPatterns,
+        assignment: &Assignment,
+        node_capacity: usize,
+        categories: &[usize],
+    ) -> Result<(), SchedError> {
+        self.workers = crate::build_workers(patterns, node_capacity, categories, assignment)?;
+        self.ledger.restart(assignment);
+        Ok(())
     }
 }
 
@@ -134,86 +125,49 @@ impl Executor for TracingExecutor {
     }
 
     fn execute(&mut self, op: &KernelOp, ctx: &ExecContext<'_>) -> Result<OpOutput, ExecError> {
-        if let Some(worker) = self.poisoned {
-            return Err(ExecError::Poisoned { worker });
+        let mut open = self.ledger.open(op)?;
+        if let Some(record) = open.record.as_mut() {
+            self.add_work(record, op, ctx);
         }
-        self.sync_events += 1;
-        let token = self.telemetry.enabled().then(|| {
-            self.telemetry
-                .region_start(op.label(), &op.active_partitions())
-        });
-        let mut record = self.region_record(op, ctx);
         // The virtual workers run one after the other, so each shard's
-        // bracket measures one worker's work free of contention —
-        // wall-clock seconds on top of the analytic FLOP counts.
-        let seconds = &mut record.seconds_per_worker;
-        let result = run_shards(&mut self.workers, op, ctx, None, |wi, elapsed, _| {
-            seconds[wi] = elapsed.as_secs_f64();
-        })
-        .result;
-        // Virtual workers model parallel ones: no queues, so the queue-wait
-        // lanes are zero; the counter deltas drain directly.
-        let samples = match token.as_ref().and_then(RegionToken::region) {
-            Some(region) => inline_samples(&self.workers, region, seconds, |_| 0.0),
-            None => Vec::new(),
-        };
-        let width = self.workers.len();
-        self.poisoned = end_region(&self.telemetry, token, width, &samples, &result);
-        if result.is_ok() {
-            self.trace.regions.push(record);
-        }
-        result
+        // bracket measures one worker's work free of contention; they model
+        // parallel ones, so the queue-wait lanes are zero.
+        let reduced = run_shards(&mut self.workers, op, ctx, &mut open, |_, _| 0.0);
+        self.ledger.close(open, reduced)
     }
 
     fn sync_events(&self) -> u64 {
-        self.sync_events
+        self.ledger.sync_events()
     }
 
     fn attach_telemetry(&mut self, telemetry: &phylo_telemetry::Telemetry) {
-        self.telemetry = telemetry.clone();
+        self.ledger.attach_telemetry(telemetry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo_kernel::{cost::OpKind, LikelihoodKernel, SequentialKernel};
-    use phylo_models::{BranchLengthMode, ModelSet};
-    use phylo_seqgen::datasets::paper_simulated;
-    use std::sync::Arc;
+    use crate::pool::tests::Fixture;
+    use phylo_kernel::{cost::OpKind, LikelihoodKernel};
+    use phylo_models::BranchLengthMode::PerPartition;
+    use phylo_sched::Cyclic;
 
-    fn dataset() -> phylo_seqgen::GeneratedDataset {
-        paper_simulated(8, 240, 40, 3).generate()
+    fn fixture() -> Fixture {
+        Fixture::new(8, 240, 40, 3, PerPartition)
     }
 
-    fn build_tracing(
-        ds: &phylo_seqgen::GeneratedDataset,
-        workers: usize,
-    ) -> LikelihoodKernel<TracingExecutor> {
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
-        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let assignment =
-            crate::schedule(&ds.patterns, &cats, workers, &phylo_sched::Cyclic).unwrap();
-        let exec = TracingExecutor::from_assignment(
-            &ds.patterns,
-            &assignment,
-            ds.tree.node_capacity(),
-            &cats,
-        )
-        .unwrap();
-        LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec).unwrap()
+    fn build_tracing(fx: &Fixture, workers: usize) -> LikelihoodKernel<TracingExecutor> {
+        fx.kernel(fx.tracing(&fx.assign(workers, &Cyclic)))
     }
 
     #[test]
     fn tracing_matches_sequential_likelihood() {
-        let ds = dataset();
-        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
-        let mut seq =
-            SequentialKernel::build(Arc::clone(&ds.patterns), ds.tree.clone(), models).unwrap();
-        let reference = seq.try_log_likelihood().unwrap();
+        let fx = fixture();
+        let reference = fx.sequential().try_log_likelihood().unwrap();
 
         for workers in [1usize, 4, 16] {
-            let mut traced = build_tracing(&ds, workers);
+            let mut traced = build_tracing(&fx, workers);
             let lnl = traced.try_log_likelihood().unwrap();
             assert!(
                 (lnl - reference).abs() < 1e-8,
@@ -224,8 +178,8 @@ mod tests {
 
     #[test]
     fn trace_records_one_region_per_command() {
-        let ds = dataset();
-        let mut k = build_tracing(&ds, 8);
+        let fx = fixture();
+        let mut k = build_tracing(&fx, 8);
         // A likelihood call ships its traversal inside its own command, so
         // only the traversal-only command leaves a `Newview` record.
         let mask = k.full_mask();
@@ -251,8 +205,8 @@ mod tests {
 
     #[test]
     fn balanced_dataset_has_high_balance_for_full_mask_ops() {
-        let ds = dataset();
-        let mut k = build_tracing(&ds, 4);
+        let fx = fixture();
+        let mut k = build_tracing(&fx, 4);
         let _ = k.try_log_likelihood().unwrap();
         let trace = k.executor_mut().take_trace();
         assert!(
@@ -266,8 +220,8 @@ mod tests {
     fn single_partition_ops_are_imbalanced_with_many_workers() {
         // This is the paper's core observation: when only one short partition
         // is active per region (oldPAR), many workers idle.
-        let ds = dataset();
-        let mut k = build_tracing(&ds, 16);
+        let fx = fixture();
+        let mut k = build_tracing(&fx, 16);
         // Evaluate only partition 0 repeatedly.
         let mask = k.single_mask(0);
         let root = k.default_root_branch();
@@ -285,8 +239,8 @@ mod tests {
 
     #[test]
     fn more_workers_than_patterns_leaves_workers_idle() {
-        let ds = paper_simulated(6, 64, 8, 5).generate();
-        let mut k = build_tracing(&ds, 16);
+        let fx = Fixture::new(6, 64, 8, 5, PerPartition);
+        let mut k = build_tracing(&fx, 16);
         let mask = k.single_mask(0);
         let root = k.default_root_branch();
         let _ = k.try_log_likelihood_partitions(root, &mask).unwrap();

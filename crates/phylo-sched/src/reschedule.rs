@@ -26,8 +26,8 @@ use phylo_kernel::cost::{RegionRecord, TraceUnit, WorkTrace};
 /// An execution backend whose pattern→worker ownership can be migrated
 /// mid-run.
 ///
-/// Implemented by the timed `ThreadedExecutor` and the virtual
-/// `TracingExecutor` in `phylo-parallel`. After [`Reassignable::reassign`]
+/// Implemented by the shard executors (`ThreadedExecutor`, `TracingExecutor`,
+/// `SessionExecutor`), beside their types. After [`Reassignable::reassign`]
 /// the workers own fresh (empty) CLV buffers, so the caller **must**
 /// invalidate the master-side CLV validity cache before the next likelihood
 /// evaluation.

@@ -10,10 +10,11 @@
 //! on the driver thread itself, in worker order
 //! ([`phylo_parallel::pool::run_shards`], the loop the tracing executor's
 //! virtual workers run too), while the session holds a slot: at most `T`
-//! sessions compute at once and [`FairQueue`] decides which. The executor
-//! speaks the standard [`Executor`] + [`Reassignable`] contract, so the
-//! driver, its worker-death recovery and its convergence behaviour are
-//! literally the same code that runs single-session analyses, and every
+//! sessions compute at once and [`FairQueue`] decides which. Its region
+//! bookkeeping — poison, armed fault, telemetry bracket — is the same
+//! [`Ledger`] the solo executors hold, and it speaks the standard
+//! [`Executor`] + [`Reassignable`] contract, so the driver and its
+//! worker-death recovery are the code single-session analyses run, and every
 //! result is bit-identical to a dedicated `T`-wide run.
 //!
 //! Serving is coarse-grained on purpose: many small sessions side by side
@@ -30,7 +31,6 @@ use std::time::{Duration, Instant};
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::WorkTrace;
-use phylo_kernel::executor::end_region;
 use phylo_kernel::{
     ExecContext, ExecError, Executor, KernelDispatch, KernelOp, LikelihoodKernel, OpOutput,
     WorkerSlices,
@@ -38,12 +38,12 @@ use phylo_kernel::{
 use phylo_models::ModelSet;
 use phylo_optimize::{optimize_model_parameters_resilient, WorkerRecovery};
 use phylo_parallel::build_workers;
-use phylo_parallel::pool::{inline_samples, run_shards, Reduced};
+use phylo_parallel::pool::{run_shards, Ledger, Reduced};
 use phylo_sched::{Assignment, PatternCosts, Reassignable, SchedError};
-use phylo_telemetry::{RegionToken, Telemetry, TelemetryConfig, TelemetrySnapshot};
+use phylo_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 
 use crate::error::{AdmissionError, ServeError};
-use crate::spec::{SessionSpec, WorkerFault};
+use crate::spec::SessionSpec;
 use crate::tenant::{FairQueue, TenantStrategy};
 
 /// Pool-level aggregates.
@@ -118,11 +118,11 @@ struct Tally {
 }
 
 impl Tally {
-    fn count(&mut self, panics: Vec<String>) {
+    fn count(&mut self, panics: &[(usize, String)]) {
         self.regions += 1;
         self.panics += panics.len() as u64;
-        if let Some(message) = panics.into_iter().last() {
-            self.last_panic = Some(message);
+        if let Some((_, message)) = panics.last() {
+            self.last_panic = Some(message.clone());
         }
     }
 
@@ -205,43 +205,13 @@ impl Drop for Slot {
 /// The per-session execution backend: a synchronous [`Executor`] whose
 /// parallel regions run the session's `T` shards on the calling (driver)
 /// thread, in worker order, while the session holds one of the pool's `T`
-/// compute slots. Implements [`Reassignable`] so the standard worker-death
-/// recovery (rebuild the shards, retry) works unchanged: a panicking shard
-/// poisons the executor until `reassign` rebuilds them.
+/// compute slots. Its [`Ledger`] keeps no trace; a panicking shard poisons
+/// it until the standard recovery's `reassign` rebuilds the shards.
+#[derive(Debug)]
 pub struct SessionExecutor {
     shards: Vec<WorkerSlices>,
-    assignment: Assignment,
-    trace: WorkTrace,
-    sync_events: u64,
-    poisoned: Option<usize>,
-    /// The armed one-shot fault, counting down the session's regions.
-    fault: Option<WorkerFault>,
     slot: Slot,
-    telemetry: Telemetry,
-}
-
-impl std::fmt::Debug for SessionExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionExecutor")
-            .field("session", &self.slot.session)
-            .field("workers", &self.shards.len())
-            .field("sync_events", &self.sync_events)
-            .field("poisoned", &self.poisoned)
-            .finish()
-    }
-}
-
-impl SessionExecutor {
-    /// Counts the armed fault down by one region: `Some(worker)` on the
-    /// region it fires.
-    fn fire_fault(&mut self) -> Option<usize> {
-        let fault = self.fault.as_mut()?;
-        if fault.after_ops > 0 {
-            fault.after_ops -= 1;
-            return None;
-        }
-        self.fault.take().map(|f| f.worker)
-    }
+    ledger: Ledger,
 }
 
 impl Executor for SessionExecutor {
@@ -250,65 +220,45 @@ impl Executor for SessionExecutor {
     }
 
     fn execute(&mut self, op: &KernelOp, ctx: &ExecContext<'_>) -> Result<OpOutput, ExecError> {
-        if let Some(worker) = self.poisoned {
-            return Err(ExecError::Poisoned { worker });
-        }
-        self.sync_events += 1;
-        let token = self.telemetry.enabled().then(|| {
-            self.telemetry
-                .region_start(op.label(), &op.active_partitions())
-        });
-        let width = self.shards.len();
-        let Some(slot_wait) = self.slot.enter(&self.telemetry) else {
+        let mut open = self.ledger.open(op)?;
+        let Some(slot_wait) = self.slot.enter(self.ledger.telemetry()) else {
             // Shut down before a slot came free: fail like a lost worker, so
             // the recovery budget turns it into a typed error instead of a
             // hung driver.
-            let lost = Err(ExecError::WorkerDied { worker: 0 });
-            self.poisoned = end_region(&self.telemetry, token, width, &[], &lost);
-            return lost;
+            let lost = Reduced {
+                result: Err(ExecError::WorkerDied { worker: 0 }),
+                panics: Vec::new(),
+                samples: Vec::new(),
+            };
+            return self.ledger.close(open, lost);
         };
-        let panic_worker = self.fire_fault();
-        let region = token.as_ref().and_then(RegionToken::region);
-        let mut seconds = region.map(|_| vec![0.0; width]);
-        let measured = |w: usize, elapsed: Duration, _| {
-            if let Some(seconds) = seconds.as_mut() {
-                seconds[w] = elapsed.as_secs_f64();
-            }
-        };
-        let Reduced { result, panics } =
-            run_shards(&mut self.shards, op, ctx, panic_worker, measured);
-        self.slot.tally.count(panics);
         // Shard k waited for the slot, then behind shards 0..k on this thread.
-        let samples = match (region, &seconds) {
-            (Some(region), Some(seconds)) => inline_samples(&self.shards, region, seconds, |k| {
-                slot_wait + seconds[..k].iter().sum::<f64>()
-            }),
-            _ => Vec::new(),
-        };
-        self.poisoned = end_region(&self.telemetry, token, width, &samples, &result);
-        result
+        let queue_wait = |seconds: &[f64], k: usize| slot_wait + seconds[..k].iter().sum::<f64>();
+        let reduced = run_shards(&mut self.shards, op, ctx, &mut open, queue_wait);
+        self.slot.tally.count(&reduced.panics);
+        self.ledger.close(open, reduced)
     }
 
     fn sync_events(&self) -> u64 {
-        self.sync_events
+        self.ledger.sync_events()
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.telemetry = telemetry.clone();
+        self.ledger.attach_telemetry(telemetry);
     }
 }
 
 impl Reassignable for SessionExecutor {
     fn assignment(&self) -> &Assignment {
-        &self.assignment
+        self.ledger.assignment()
     }
 
     fn live_trace(&self) -> &WorkTrace {
-        &self.trace
+        self.ledger.trace()
     }
 
     fn take_trace(&mut self) -> WorkTrace {
-        std::mem::replace(&mut self.trace, WorkTrace::new(self.shards.len()))
+        self.ledger.take_trace()
     }
 
     fn reassign(
@@ -319,8 +269,7 @@ impl Reassignable for SessionExecutor {
         categories: &[usize],
     ) -> Result<(), SchedError> {
         self.shards = build_workers(patterns, node_capacity, categories, assignment)?;
-        self.assignment = assignment.clone();
-        self.poisoned = None;
+        self.ledger.restart(assignment);
         Ok(())
     }
 }
@@ -540,15 +489,14 @@ impl SessionManager {
         let assignment = strategy.assign(&costs, workers)?;
         let shards = build_workers(&patterns, tree.node_capacity(), &categories, &assignment)?;
 
+        let mut ledger = Ledger::new(&assignment, false);
+        if let Some(fault) = fault {
+            ledger.arm(fault.worker, fault.after_ops);
+        }
         let executor = SessionExecutor {
             shards,
-            assignment,
-            trace: WorkTrace::new(workers),
-            sync_events: 0,
-            poisoned: None,
-            fault,
             slot: self.admit(session, weight)?,
-            telemetry: Telemetry::disabled(),
+            ledger,
         };
         // A failed build drops the executor, whose slot ends the admission.
         let mut kernel = LikelihoodKernel::try_new(patterns, tree, models, executor)?;

@@ -43,7 +43,9 @@ pub struct TraversalPlan {
 }
 
 impl TraversalPlan {
-    /// Builds a *full* traversal plan: every internal node's CLV is listed.
+    /// Builds a *full* traversal plan: the CLV of every internal node
+    /// connected to `root_branch` is listed — on a complete tree, the only
+    /// kind the kernel accepts, every internal node.
     pub fn full(tree: &Tree, root_branch: BranchId) -> Self {
         Self::build(tree, root_branch, |_node, _towards| false)
     }
@@ -67,7 +69,6 @@ impl TraversalPlan {
         root_branch: BranchId,
         is_valid: F,
     ) -> Self {
-        debug_assert!(tree.is_complete(), "traversal requires a complete tree");
         let (root_left, root_right) = tree.branch_endpoints(root_branch);
         let mut steps = Vec::new();
         for (start, parent) in [(root_left, root_right), (root_right, root_left)] {
@@ -143,7 +144,8 @@ fn collect_side<F: Fn(NodeId, NodeId) -> bool>(
     if is_valid(node, parent) {
         return;
     }
-    // Children = the two neighbors that are not the parent.
+    // Children = the two neighbors that are not the parent: every `Tree`
+    // constructor validates degree 3 for each internal node.
     let mut children = [(0usize, 0usize); 2];
     let mut idx = 0;
     for &(neighbor, branch) in tree.neighbors(node) {
@@ -152,7 +154,6 @@ fn collect_side<F: Fn(NodeId, NodeId) -> bool>(
             idx += 1;
         }
     }
-    debug_assert_eq!(idx, 2, "internal node must have exactly two children");
 
     for &(child, _) in &children {
         collect_side(tree, child, node, is_valid, steps);

@@ -2,6 +2,7 @@
 //! through the kernel, the parallel executors, the optimizers and the tree
 //! search, checking that every configuration agrees on the likelihood.
 
+use plf_loadbalance::kernel::Executor;
 use plf_loadbalance::prelude::*;
 use std::sync::Arc;
 
@@ -336,37 +337,58 @@ fn driver_recovers_from_an_injected_worker_death_mid_optimize() {
 }
 
 /// A death past the budget is an error value, never a process abort — for
-/// both driver loops under the one [`RunPolicy`]: budget 0 surfaces the first
-/// injected death, budget 2 absorbs it.
+/// both driver loops under the one [`RunPolicy`], on real and on virtual
+/// workers: budget 0 surfaces the first injected death, budget 2 absorbs it.
 #[test]
 fn worker_deaths_past_the_recovery_budget_fail_as_values() {
-    type Kernel = LikelihoodKernel<ThreadedExecutor>;
     let ds = paper_simulated(6, 80, 40, 2027).generate();
+    let builder = || Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone()).threads(2);
+    budget_drill(
+        || {
+            let mut analysis = builder().build().unwrap();
+            let executor = analysis.kernel_mut().executor_mut();
+            executor.inject_worker_panic(1, 5);
+            analysis
+        },
+        |executor| executor.ledger().poisoned_by(),
+    );
+    budget_drill(
+        || {
+            let mut analysis = builder().build_traced().unwrap();
+            let executor = analysis.kernel_mut().executor_mut();
+            executor.inject_worker_panic(1, 5);
+            analysis
+        },
+        |executor| executor.ledger().poisoned_by(),
+    );
+}
+
+/// Runs both drivers at budgets 0 and 2 on a session `faulted` builds with a
+/// death on worker 1 armed; `poisoned_by` reads the executor's poison.
+fn budget_drill<E: Executor + Reassignable>(
+    faulted: impl Fn() -> Analysis<E>,
+    poisoned_by: impl Fn(&E) -> Option<usize>,
+) {
+    type Driver<'d, E> = &'d dyn Fn(
+        &mut LikelihoodKernel<E>,
+        RunPolicy<'_>,
+    ) -> Result<Vec<WorkerRecovery>, OptimizeError>;
     let optimizer = OptimizerConfig::new(ParallelScheme::New);
     let mut search = SearchConfig::new(ParallelScheme::New);
     search.max_rounds = 1;
     search.spr_radius = 2;
     search.optimize_model_between_rounds = false;
 
-    let optimize = |kernel: &mut Kernel, policy: RunPolicy<'_>| {
+    let optimize = |kernel: &mut LikelihoodKernel<E>, policy: RunPolicy<'_>| {
         optimize_model_parameters_with_policy(kernel, &optimizer, policy).map(|run| run.recoveries)
     };
-    let run_search = |kernel: &mut Kernel, policy: RunPolicy<'_>| {
+    let run_search = |kernel: &mut LikelihoodKernel<E>, policy: RunPolicy<'_>| {
         tree_search_with_policy(kernel, &search, policy).map(|run| run.recoveries)
     };
-    type Driver<'d> =
-        &'d dyn Fn(&mut Kernel, RunPolicy<'_>) -> Result<Vec<WorkerRecovery>, OptimizeError>;
-    let drivers: [(&str, Driver<'_>); 2] = [("optimize", &optimize), ("search", &run_search)];
+    let drivers: [(&str, Driver<'_, E>); 2] = [("optimize", &optimize), ("search", &run_search)];
     for (name, driver) in drivers {
         for max_recoveries in [0, 2] {
-            let mut analysis = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone())
-                .threads(2)
-                .build()
-                .unwrap();
-            analysis
-                .kernel_mut()
-                .executor_mut()
-                .inject_worker_panic(1, 5);
+            let mut analysis = faulted();
             let outcome = driver(
                 analysis.kernel_mut(),
                 RunPolicy {
@@ -384,7 +406,7 @@ fn worker_deaths_past_the_recovery_budget_fail_as_values() {
                 );
                 // The session object survives: recovery is still possible
                 // by hand.
-                assert!(analysis.kernel().executor().poisoned_by().is_some());
+                assert_eq!(poisoned_by(analysis.kernel().executor()), Some(1));
             } else {
                 let recoveries = outcome.unwrap_or_else(|e| panic!("{name}: {e}"));
                 assert_eq!(
