@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::items::FnItem;
+use crate::items::{FileItems, FnItem};
 use crate::resolve::Index;
 use crate::scan::FileScope;
 
@@ -199,8 +199,9 @@ impl Analysis {
 
 /// Builds the call graph over `items` and computes reachability from
 /// `entries`. Test items are neither roots nor targets.
-pub fn analyze(items: Vec<FnItem>, entries: &[EntryPoint]) -> Analysis {
-    let index = Index::build(&items);
+pub fn analyze(extracted: FileItems, entries: &[EntryPoint]) -> Analysis {
+    let FileItems { fns: items, fields } = extracted;
+    let index = Index::build(&items, &fields);
 
     // Resolve every non-test call site once, up front: the edge list is the
     // same whether or not the caller ends up reachable, and resolving all of
@@ -282,16 +283,16 @@ pub fn analyze(items: Vec<FnItem>, entries: &[EntryPoint]) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::extract;
+    use crate::items::{extract, FileItems};
     use crate::lexer::SourceView;
     use crate::scan::cfg_test_ranges;
 
-    fn items_of(sources: &[(&str, &str)]) -> Vec<FnItem> {
-        let mut out = Vec::new();
+    fn items_of(sources: &[(&str, &str)]) -> FileItems {
+        let mut out = FileItems::default();
         for (file, src) in sources {
             let view = SourceView::new(src);
             let ranges = cfg_test_ranges(&view.code);
-            out.extend(extract(file, &view, &ranges));
+            out.append(extract(file, &view, &ranges));
         }
         out
     }
@@ -391,11 +392,12 @@ fn run() {}
         let mut items = items;
         // Wire ops::tick -> telemetry::tock by hand-editing the call list:
         // lexically `tick(n)` resolves same-file; add a cross-crate call.
-        items[0].calls.push(crate::items::CallSite {
+        items.fns[0].calls.push(crate::items::CallSite {
             kind: crate::items::CallKind::Free,
             name: "tock".into(),
             arity: 1,
             line: 1,
+            self_field: None,
         });
         let a = analyze(
             items,

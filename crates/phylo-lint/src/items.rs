@@ -44,6 +44,9 @@ pub struct CallSite {
     pub arity: usize,
     /// 1-based line of the call.
     pub line: usize,
+    /// The field when a method call's receiver is exactly `self.<field>`
+    /// — resolvable through the field's declared type.
+    pub self_field: Option<String>,
 }
 
 /// One `fn` item.
@@ -85,6 +88,33 @@ impl FnItem {
     }
 }
 
+/// The declared type of one named field of a non-test struct, recorded only
+/// when it is a plain path (`pool: WorkerPool`, `pool: crate::pool::WorkerPool`;
+/// not `Arc<WorkerPool>`, `&T` or `Box<dyn Executor>`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldType {
+    /// The struct declaring the field.
+    pub owner: String,
+    pub field: String,
+    /// Last segment of the type's path.
+    pub type_name: String,
+}
+
+/// Everything [`extract`] reads from one or more files.
+#[derive(Debug, Default)]
+pub struct FileItems {
+    pub fns: Vec<FnItem>,
+    pub fields: Vec<FieldType>,
+}
+
+impl FileItems {
+    /// Moves `other`'s items after this one's.
+    pub fn append(&mut self, other: FileItems) {
+        self.fns.extend(other.fns);
+        self.fields.extend(other.fields);
+    }
+}
+
 /// Keywords that must never be read as a callee name.
 const KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "loop", "match", "return", "fn", "move", "unsafe", "let", "in",
@@ -121,11 +151,13 @@ struct Parser<'a> {
     /// `(start, end)` line ranges under `#[cfg(test)]`.
     test_ranges: &'a [(usize, usize)],
     file: &'a str,
+    fields: Vec<FieldType>,
 }
 
-/// Extracts every `fn` item of one file. `test_ranges` are the
-/// `#[cfg(test)]` line ranges computed by the scanner over the same view.
-pub fn extract(file: &str, view: &SourceView, test_ranges: &[(usize, usize)]) -> Vec<FnItem> {
+/// Extracts every `fn` item and plain-path struct field type of one file.
+/// `test_ranges` are the `#[cfg(test)]` line ranges computed by the scanner
+/// over the same view.
+pub fn extract(file: &str, view: &SourceView, test_ranges: &[(usize, usize)]) -> FileItems {
     let chars: Vec<char> = view.code.chars().collect();
     let mut line_at = Vec::with_capacity(chars.len());
     let mut line = 1u32;
@@ -140,11 +172,15 @@ pub fn extract(file: &str, view: &SourceView, test_ranges: &[(usize, usize)]) ->
         line_at,
         test_ranges,
         file,
+        fields: Vec::new(),
     };
-    let mut out = Vec::new();
+    let mut fns = Vec::new();
     let end = parser.chars.len();
-    parser.scan_items(0, end, &Ctx::Module, &mut out);
-    out
+    parser.scan_items(0, end, &Ctx::Module, &mut fns);
+    FileItems {
+        fns,
+        fields: parser.fields,
+    }
 }
 
 impl Parser<'_> {
@@ -264,10 +300,11 @@ impl Parser<'_> {
                 "impl" => i = self.parse_impl(after, end, out),
                 "trait" => i = self.parse_trait(after, end, out),
                 "mod" => i = self.parse_mod(after, end, out),
+                "struct" => i = self.parse_struct(after, end),
                 // Items whose bodies hold no functions: skip to `;` or past
                 // their block so field/variant types are never misread.
                 // `const fn` is a function, not a const item.
-                "struct" | "enum" | "union" | "use" | "type" | "static" | "const" => {
+                "enum" | "union" | "use" | "type" | "static" | "const" => {
                     let n = self.skip_ws(after, end);
                     let next_is_fn = self
                         .ident_at(n, end)
@@ -295,6 +332,78 @@ impl Parser<'_> {
             }
         }
         end
+    }
+
+    /// Parses a `struct` just past the keyword, recording the plain-path
+    /// types of its named fields; returns the index past the item.
+    fn parse_struct(&mut self, i: usize, end: usize) -> usize {
+        let j = self.skip_ws(i, end);
+        let Some((owner, after, _)) = self.ident_at(j, end) else {
+            return self.skip_item_rest(j, end);
+        };
+        // Generics and where clauses hold no braces; `;` or `(` first means
+        // a unit or tuple struct.
+        let mut k = after;
+        while k < end && !matches!(self.chars[k], '{' | ';' | '(') {
+            if self.chars[k] == '<' {
+                k = self.skip_generics(k, end);
+                continue;
+            }
+            k += 1;
+        }
+        if self.chars.get(k) != Some(&'{') {
+            return self.skip_item_rest(k, end);
+        }
+        let close = self.match_brace(k, end);
+        if !self.in_test(self.line_of(k)) {
+            for (field, ty) in self.named_fields(k + 1, close) {
+                if let Some(type_name) = plain_path_last_segment(&ty) {
+                    self.fields.push(FieldType {
+                        owner: owner.clone(),
+                        field,
+                        type_name,
+                    });
+                }
+            }
+        }
+        close + 1
+    }
+
+    /// The `(name, type text)` of each named field in a brace body
+    /// `[i, end)`: in every top-level comma-separated chunk, the identifier
+    /// before the first lone `:` at depth 0 — so attributes and visibility
+    /// fall away — and the text after it.
+    fn named_fields(&self, i: usize, end: usize) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        let (mut depth, mut colon, mut j) = (0usize, None, i);
+        while j <= end {
+            // A virtual comma at `end` closes the last chunk.
+            match if j < end { self.chars[j] } else { ',' } {
+                '(' | '[' | '{' | '<' => depth += 1,
+                '-' if self.chars.get(j + 1) == Some(&'>') => j += 1,
+                ')' | ']' | '}' | '>' => depth = depth.saturating_sub(1),
+                ':' if depth == 0 && self.chars.get(j + 1) == Some(&':') => j += 1,
+                ':' if depth == 0 && colon.is_none() => colon = Some(j),
+                ',' if depth == 0 => {
+                    if let Some(k) = colon.take() {
+                        let mut name_start = k;
+                        while name_start > i && self.chars[name_start - 1].is_whitespace() {
+                            name_start -= 1;
+                        }
+                        let name_end = name_start;
+                        while name_start > i && is_ident_char(self.chars[name_start - 1]) {
+                            name_start -= 1;
+                        }
+                        let name = self.chars[name_start..name_end].iter().collect();
+                        let ty: String = self.chars[k + 1..j].iter().collect();
+                        out.push((name, ty.trim().to_string()));
+                    }
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        out
     }
 
     fn parse_mod(&mut self, i: usize, end: usize, out: &mut Vec<FnItem>) -> usize {
@@ -593,11 +702,16 @@ impl Parser<'_> {
             }
             let kind = self.call_kind(tok_start, self_type);
             let arity = self.call_arity(k, end);
+            let self_field = match kind {
+                CallKind::Method => self.self_field(tok_start),
+                _ => None,
+            };
             calls.push(CallSite {
                 kind,
                 name: word,
                 arity,
                 line: self.line_of(tok_start),
+                self_field,
             });
             // Resume just past the open paren: arguments are scanned for
             // their own nested calls.
@@ -637,6 +751,33 @@ impl Parser<'_> {
             }
             _ => CallKind::Free,
         }
+    }
+
+    /// For a method name at `name_start`, the field when the receiver is
+    /// exactly `self.<field>` (whitespace allowed around the dots).
+    fn self_field(&self, name_start: usize) -> Option<String> {
+        let before = |mut p: usize| {
+            while p > 0 && self.chars[p - 1].is_whitespace() {
+                p -= 1;
+            }
+            p
+        };
+        let dot = before(name_start);
+        let field_end = before(dot.checked_sub(1)?);
+        let mut field_start = field_end;
+        while field_start > 0 && is_ident_char(self.chars[field_start - 1]) {
+            field_start -= 1;
+        }
+        let dot = before(field_start);
+        if field_start == field_end || dot == 0 || self.chars[dot - 1] != '.' {
+            return None;
+        }
+        let self_end = before(dot - 1);
+        let self_start = self_end.checked_sub(4)?;
+        let word: String = self.chars[self_start..self_end].iter().collect();
+        let bounded = self_start == 0
+            || !(is_ident_char(self.chars[self_start - 1]) || self.chars[self_start - 1] == '.');
+        (word == "self" && bounded).then(|| self.chars[field_start..field_end].iter().collect())
     }
 
     /// The path segment directly before a `::` ending at `colons` (pointing
@@ -743,14 +884,29 @@ impl Parser<'_> {
     }
 }
 
+/// `WorkerPool` for `WorkerPool` or `crate::pool::WorkerPool`; `None` for
+/// anything that is not a plain path (generics, references, tuples, `dyn`).
+fn plain_path_last_segment(ty: &str) -> Option<String> {
+    let segments: Vec<&str> = ty.split("::").map(str::trim).collect();
+    let plain = segments.iter().all(|seg| {
+        seg.chars().next().is_some_and(is_ident_start) && seg.chars().all(is_ident_char)
+    });
+    let last = segments.last()?;
+    (plain && !KEYWORDS.contains(last)).then(|| last.to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn items(src: &str) -> Vec<FnItem> {
+    fn extracted(src: &str) -> FileItems {
         let view = SourceView::new(src);
         let ranges = crate::scan::cfg_test_ranges(&view.code);
         extract("crates/x/src/lib.rs", &view, &ranges)
+    }
+
+    fn items(src: &str) -> Vec<FnItem> {
+        extracted(src).fns
     }
 
     #[test]
@@ -949,5 +1105,48 @@ fn f() -> E {
         assert!(calls
             .iter()
             .any(|c| c.name == "V" && c.kind == CallKind::Qualified("E".into())));
+    }
+
+    #[test]
+    fn plain_path_field_types_and_self_field_receivers() {
+        let src = "\
+pub struct Exec<E: Fn() -> usize> {
+    #[allow(dead_code)]
+    pub(crate) pool: pool::WorkerPool,
+    shared: Arc<ModelSet>,
+    f: fn(usize) -> usize,
+    pub ledger: Ledger,
+    exec: E,
+}
+struct Pair(Left, Right);
+impl Exec {
+    fn go(&self) { self.pool.run(1, 2); self . ledger\n .close(); other.pool.run(1, 2); self.pool().run(); }
+}
+#[cfg(test)]
+mod tests { struct Fake { pool: Fake } }
+";
+        let got = extracted(src);
+        let fields: Vec<(&str, &str, &str)> = got
+            .fields
+            .iter()
+            .map(|f| (f.owner.as_str(), f.field.as_str(), f.type_name.as_str()))
+            .collect();
+        assert_eq!(
+            fields,
+            vec![
+                ("Exec", "pool", "WorkerPool"),
+                ("Exec", "ledger", "Ledger"),
+                ("Exec", "exec", "E"),
+            ]
+        );
+        let receivers: Vec<Option<&str>> = got.fns[0]
+            .calls
+            .iter()
+            .map(|c| c.self_field.as_deref())
+            .collect();
+        assert_eq!(
+            receivers,
+            vec![Some("pool"), Some("ledger"), None, None, None]
+        );
     }
 }

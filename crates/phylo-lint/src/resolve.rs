@@ -21,6 +21,13 @@
 //!   module path segment, so the call falls back to free-fn resolution.
 //! - **Method calls** `recv.name(..)` resolve to every workspace method of
 //!   that name and arity that takes `self` — again a deliberate fan-out.
+//!   The one receiver the lexical view can type is `self.<field>` inside an
+//!   impl of a struct whose field has a plain-path type
+//!   ([`crate::items::FieldType`]): such a call resolves to that type's own
+//!   methods of the name and arity, inherent and trait impls alike (a
+//!   by-value trait method can outrank a `&self` inherent one). A type with
+//!   no such method of its own (a trait default body, a `Deref` target, a
+//!   generic parameter) keeps the fan-out.
 //!
 //! Calls matching nothing (std/vendored callees, tuple-struct constructor
 //! noise) stay unresolved; the envelope reports the resolved/unresolved
@@ -28,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::items::{CallKind, CallSite, FnItem};
+use crate::items::{CallKind, CallSite, FieldType, FnItem};
 
 /// Lookup index over the workspace's extracted items.
 pub struct Index {
@@ -36,6 +43,9 @@ pub struct Index {
     by_name: BTreeMap<String, Vec<usize>>,
     /// Names of `trait` declarations seen anywhere.
     traits: BTreeMap<String, ()>,
+    /// Declared field types by `(struct, field)` — several when structs of
+    /// the same name in different crates disagree.
+    field_types: BTreeMap<(String, String), Vec<String>>,
 }
 
 /// The crate-identifying prefix of a workspace-relative path
@@ -53,7 +63,7 @@ pub fn crate_of(file: &str) -> &str {
 impl Index {
     /// Builds the index. `#[cfg(test)]` items are excluded: test helpers
     /// must never become resolution targets of shipped code.
-    pub fn build(items: &[FnItem]) -> Self {
+    pub fn build(items: &[FnItem], fields: &[FieldType]) -> Self {
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut traits = BTreeMap::new();
         for (i, item) in items.iter().enumerate() {
@@ -70,7 +80,20 @@ impl Index {
                 traits.insert(t.clone(), ());
             }
         }
-        Self { by_name, traits }
+        let mut field_types: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
+        for f in fields {
+            let types = field_types
+                .entry((f.owner.clone(), f.field.clone()))
+                .or_default();
+            if !types.contains(&f.type_name) {
+                types.push(f.type_name.clone());
+            }
+        }
+        Self {
+            by_name,
+            traits,
+            field_types,
+        }
     }
 
     fn is_trait(&self, name: &str) -> bool {
@@ -85,14 +108,34 @@ impl Index {
         };
         match &call.kind {
             CallKind::Free => self.resolve_free(items, caller, call, named),
-            CallKind::Method => named
-                .iter()
-                .copied()
-                .filter(|&i| {
+            CallKind::Method => {
+                let candidates = named.iter().copied().filter(|&i| {
                     let it = &items[i];
                     it.has_self && it.arity == call.arity
-                })
-                .collect(),
+                });
+                // In a trait's default body `self` is any implementor.
+                let field_types = caller
+                    .qualifier
+                    .as_ref()
+                    .filter(|_| !caller.is_trait_decl)
+                    .zip(call.self_field.as_ref())
+                    .and_then(|(owner, field)| {
+                        self.field_types.get(&(owner.clone(), field.clone()))
+                    });
+                if let Some(types) = field_types {
+                    let own: Vec<usize> = candidates
+                        .clone()
+                        .filter(|&i| {
+                            let q = items[i].qualifier.as_ref();
+                            q.is_some_and(|q| types.contains(q)) && !items[i].is_trait_decl
+                        })
+                        .collect();
+                    if !own.is_empty() {
+                        return own;
+                    }
+                }
+                candidates.collect()
+            }
             CallKind::Qualified(q) => {
                 let mut out: Vec<usize> = named
                     .iter()
@@ -173,22 +216,35 @@ fn arity_ok(item: &FnItem, call: &CallSite) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::extract;
+    use crate::items::{extract, FileItems};
     use crate::lexer::SourceView;
     use crate::scan::cfg_test_ranges;
 
-    fn items_of(sources: &[(&str, &str)]) -> Vec<FnItem> {
-        let mut out = Vec::new();
+    fn extracted(sources: &[(&str, &str)]) -> FileItems {
+        let mut out = FileItems::default();
         for (file, src) in sources {
             let view = SourceView::new(src);
             let ranges = cfg_test_ranges(&view.code);
-            out.extend(extract(file, &view, &ranges));
+            out.append(extract(file, &view, &ranges));
         }
         out
     }
 
+    fn items_of(sources: &[(&str, &str)]) -> Vec<FnItem> {
+        extracted(sources).fns
+    }
+
     fn resolve_names(items: &[FnItem], caller: &str, nth_call: usize) -> Vec<String> {
-        let index = Index::build(items);
+        resolve_with_fields(items, &[], caller, nth_call)
+    }
+
+    fn resolve_with_fields(
+        items: &[FnItem],
+        fields: &[FieldType],
+        caller: &str,
+        nth_call: usize,
+    ) -> Vec<String> {
+        let index = Index::build(items, fields);
         let c = items.iter().find(|f| f.name == caller).unwrap();
         let mut names: Vec<String> = index
             .resolve(items, c, &c.calls[nth_call])
@@ -283,7 +339,7 @@ impl S {
 fn caller(s: &S) { s.helper(1); }
 ",
         )]);
-        let index = Index::build(&items);
+        let index = Index::build(&items, &[]);
         let direct = items.iter().find(|f| f.name == "direct").unwrap();
         assert!(direct.calls.is_empty());
         let caller = items.iter().find(|f| f.name == "caller").unwrap();
@@ -292,6 +348,79 @@ fn caller(s: &S) { s.helper(1); }
         assert!(
             targets.is_empty(),
             "free fn without self must not match a method call"
+        );
+    }
+
+    #[test]
+    fn a_self_field_call_resolves_through_the_fields_declared_type() {
+        let both = extracted(&[
+            (
+                "crates/a/src/pool.rs",
+                "\
+pub struct Pool;
+impl Pool { pub fn run(&self, a: usize, b: usize) -> usize { a + b } }
+",
+            ),
+            (
+                "crates/b/src/policy.rs",
+                "\
+pub struct Policy;
+impl Policy { pub fn run(&self, a: usize, b: usize) -> usize { a * b } }
+",
+            ),
+            (
+                "crates/c/src/lib.rs",
+                "\
+struct Exec { pool: crate::pool::Pool, other: Vec<Policy> }
+impl Exec {
+    fn go(&self, a: usize, b: usize) {
+        self.pool.run(a, b);
+        self.other.run(a, b);
+        x.pool.run(a, b);
+    }
+}
+",
+            ),
+        ]);
+        assert_eq!(
+            both.fields.len(),
+            1,
+            "only the plain path: {:?}",
+            both.fields
+        );
+        let got = resolve_with_fields(&both.fns, &both.fields, "go", 0);
+        assert_eq!(got, vec!["crates/a/src/pool.rs#Pool::run"]);
+        // A generic field type and a receiver that is not `self` keep the
+        // name-and-arity fan-out.
+        for nth in [1, 2] {
+            let got = resolve_with_fields(&both.fns, &both.fields, "go", nth);
+            assert_eq!(got.len(), 2, "call {nth}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn a_field_type_without_the_method_keeps_the_fan_out() {
+        let both = extracted(&[(
+            "crates/a/src/lib.rs",
+            "\
+trait Run { fn run(&self, a: usize) {} }
+struct Inner;
+impl Run for Inner {}
+struct Other;
+impl Other { fn run(&self, a: usize) {} }
+struct Outer { inner: Inner }
+impl Outer { fn go(&self) { self.inner.run(1); } }
+",
+        )]);
+        // `Inner` gets `run` from the trait's default body, which is not
+        // `Inner`'s own item: narrowing would lose the edge.
+        let got = resolve_with_fields(&both.fns, &both.fields, "go", 0);
+        assert_eq!(
+            got,
+            vec![
+                "crates/a/src/lib.rs#Other::run",
+                "crates/a/src/lib.rs#Run::run"
+            ]
         );
     }
 

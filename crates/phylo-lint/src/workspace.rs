@@ -94,11 +94,11 @@ pub fn analyze_workspace(root: &Path) -> WorkspaceAnalysis {
         }
     }
 
-    let mut all_items = Vec::new();
+    let mut all_items = items::FileItems::default();
     for (name, source) in &sources {
         let view = SourceView::new(source);
         let test_ranges = cfg_test_ranges(&view.code);
-        all_items.extend(items::extract(name, &view, &test_ranges));
+        all_items.append(items::extract(name, &view, &test_ranges));
     }
     let analysis = callgraph::analyze(all_items, ENTRY_POINTS);
     let scopes = analysis.file_scopes();

@@ -10,7 +10,7 @@
 use phylo_data::{DataType, PartitionedPatterns};
 use phylo_math::gamma_rates::{discrete_gamma_rates, DEFAULT_CATEGORIES, MAX_ALPHA, MIN_ALPHA};
 
-use crate::substitution::{empirical_frequencies, SubstitutionModel};
+use crate::substitution::{default_exchangeabilities, empirical_frequencies, SubstitutionModel};
 
 /// How branch lengths are shared between partitions.
 ///
@@ -138,9 +138,14 @@ impl ModelSet {
             .partitions
             .iter()
             .map(|p| {
-                let base = SubstitutionModel::default_for(p.data_type);
-                let freqs = empirical_frequencies(p);
-                let substitution = base.with_frequencies(freqs);
+                // One eigendecomposition per partition: the default
+                // exchangeabilities go straight in with the data's
+                // frequencies (no default model to discard).
+                let substitution = SubstitutionModel::from_parameters(
+                    p.data_type,
+                    default_exchangeabilities(p.data_type),
+                    empirical_frequencies(p),
+                );
                 PartitionModel::new(substitution, 1.0, categories)
             })
             .collect();

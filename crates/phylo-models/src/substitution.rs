@@ -55,7 +55,8 @@ impl SubstitutionModel {
 
     /// Jukes–Cantor 1969: equal rates, equal frequencies.
     pub fn jc69() -> Self {
-        Self::from_parameters(DataType::Dna, vec![1.0; GTR_RATE_COUNT], vec![0.25; 4])
+        let ex = default_exchangeabilities(DataType::Dna);
+        Self::from_parameters(DataType::Dna, ex, vec![0.25; 4])
     }
 
     /// HKY85: transition/transversion ratio `kappa` with arbitrary base
@@ -90,26 +91,7 @@ impl SubstitutionModel {
     /// matrices (WAG/LG); the exact values are irrelevant to the load-balance
     /// study, only the 20-state dimensionality and the heterogeneity matter.
     pub fn synthetic_empirical_protein() -> Self {
-        let n = DataType::Protein.states();
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = || {
-            // xorshift64*: deterministic, well-distributed pseudo-random values.
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let v = state.wrapping_mul(0x2545F4914F6CDD1D);
-            (v >> 11) as f64 / (1u64 << 53) as f64
-        };
-        // Exchangeabilities span roughly two orders of magnitude, like
-        // empirical matrices do.
-        let exch: Vec<f64> = (0..n * (n - 1) / 2)
-            .map(|_| 0.05 + 4.0 * next() * next())
-            .collect();
-        let mut freqs: Vec<f64> = (0..n).map(|_| 0.2 + next()).collect();
-        let sum: f64 = freqs.iter().sum();
-        for f in &mut freqs {
-            *f /= sum;
-        }
+        let (exch, freqs) = synthetic_protein_parameters();
         Self::from_parameters(DataType::Protein, exch, freqs)
     }
 
@@ -182,6 +164,41 @@ impl SubstitutionModel {
     pub fn with_frequencies(&self, frequencies: Vec<f64>) -> Self {
         Self::from_parameters(self.data_type, self.exchangeabilities.clone(), frequencies)
     }
+}
+
+/// Exchangeabilities of [`SubstitutionModel::default_for`], without the
+/// eigendecomposition — for callers that plug in their own frequencies.
+pub(crate) fn default_exchangeabilities(data_type: DataType) -> Vec<f64> {
+    match data_type {
+        DataType::Dna => vec![1.0; GTR_RATE_COUNT],
+        DataType::Protein => synthetic_protein_parameters().0,
+    }
+}
+
+/// Exchangeabilities and frequencies of
+/// [`SubstitutionModel::synthetic_empirical_protein`].
+fn synthetic_protein_parameters() -> (Vec<f64>, Vec<f64>) {
+    let n = DataType::Protein.states();
+    let mut state = 0x2545F4914F6CDD1Du64;
+    let mut next = || {
+        // xorshift64*: deterministic, well-distributed pseudo-random values.
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        let v = state.wrapping_mul(0x2545F4914F6CDD1D);
+        (v >> 11) as f64 / (1u64 << 53) as f64
+    };
+    // Exchangeabilities span roughly two orders of magnitude, like
+    // empirical matrices do.
+    let exch: Vec<f64> = (0..n * (n - 1) / 2)
+        .map(|_| 0.05 + 4.0 * next() * next())
+        .collect();
+    let mut freqs: Vec<f64> = (0..n).map(|_| 0.2 + next()).collect();
+    let sum: f64 = freqs.iter().sum();
+    for f in &mut freqs {
+        *f /= sum;
+    }
+    (exch, freqs)
 }
 
 /// Computes empirical state frequencies from pattern data, counting each

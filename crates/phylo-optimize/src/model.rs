@@ -116,6 +116,11 @@ fn applicable<E: Executor>(
 /// evaluation round (one region) spans *all* not-yet-converged streams,
 /// guarded by the boolean convergence vector — and apply the best points
 /// found.
+///
+/// On an error (e.g. a worker death) the streams of the round in flight get
+/// their pre-pass values back before the error returns, so the master keeps
+/// only committed values — as [`crate::optimize_branch`] does: the best
+/// points of rounds that finished, never a trial point.
 fn optimize_parameter<E: Executor>(
     kernel: &mut LikelihoodKernel<E>,
     param: ModelParameter,
@@ -137,6 +142,11 @@ fn optimize_parameter<E: Executor>(
                 let (lo, hi) = parameter_bounds(param, parameter_value(kernel, p, param));
                 (p, BrentState::new(lo, hi))
             })
+            .collect();
+        // What a failed round puts back: a probe is never left installed.
+        let committed: Vec<f64> = streams
+            .iter()
+            .map(|&(p, _)| parameter_value(kernel, p, param))
             .collect();
         // Iteration 0 evaluates every stream's initial point; the following
         // ones whatever the state machines propose.
@@ -162,7 +172,15 @@ fn optimize_parameter<E: Executor>(
                     stats.brent_evaluations += 1;
                 }
             }
-            let lnls = kernel.try_log_likelihood_partitions(root, &mask)?;
+            let lnls = match kernel.try_log_likelihood_partitions(root, &mask) {
+                Ok(lnls) => lnls,
+                Err(err) => {
+                    for (&(p, _), &value) in streams.iter().zip(&committed) {
+                        set_parameter(kernel, p, param, value);
+                    }
+                    return Err(err);
+                }
+            };
             stats.evaluation_rounds += 1;
             for ((p, state), x) in streams.iter_mut().zip(proposals) {
                 let Some(x) = x else { continue };
@@ -185,7 +203,8 @@ fn optimize_parameter<E: Executor>(
 ///
 /// # Errors
 ///
-/// Propagates [`KernelError`] from the engine.
+/// Propagates [`KernelError`] from the engine; the partitions whose round
+/// failed keep the α they had before the pass.
 pub fn optimize_alphas<E: Executor>(
     kernel: &mut LikelihoodKernel<E>,
     config: &OptimizerConfig,
@@ -198,7 +217,8 @@ pub fn optimize_alphas<E: Executor>(
 ///
 /// # Errors
 ///
-/// Propagates [`KernelError`] from the engine.
+/// Propagates [`KernelError`] from the engine; the partitions whose round
+/// failed keep the rate they had before that rate's pass.
 pub fn optimize_exchangeabilities<E: Executor>(
     kernel: &mut LikelihoodKernel<E>,
     config: &OptimizerConfig,
@@ -339,6 +359,48 @@ mod tests {
                 (0.05..50.0).contains(&alpha),
                 "partition {p}: implausible alpha {alpha}"
             );
+        }
+    }
+
+    #[test]
+    fn a_failed_alpha_pass_leaves_no_trial_value_installed() {
+        use phylo_parallel::{schedule, Cyclic, TracingExecutor};
+        let ds = paper_simulated(8, 320, 80, 3).generate();
+        // (scheme, regions into the pass before the death): under oldPAR
+        // region 0 is partition 0's first probe, so no round has finished.
+        for (scheme, after) in [
+            (ParallelScheme::New, 0),
+            (ParallelScheme::New, 3),
+            (ParallelScheme::Old, 0),
+        ] {
+            let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
+            let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+            let assignment = schedule(&ds.patterns, &cats, 3, &Cyclic).unwrap();
+            let exec = TracingExecutor::from_assignment(
+                &ds.patterns,
+                &assignment,
+                ds.tree.node_capacity(),
+                &cats,
+            )
+            .unwrap();
+            let mut k =
+                LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models, exec)
+                    .unwrap();
+            k.try_log_likelihood().unwrap();
+            let before: Vec<u64> = (0..k.partition_count())
+                .map(|p| k.alpha(p).to_bits())
+                .collect();
+            k.executor_mut().inject_worker_panic(1, after);
+            let err = optimize_alphas(&mut k, &OptimizerConfig::new(scheme)).unwrap_err();
+            assert_eq!(
+                err.failed_worker(),
+                Some(1),
+                "{scheme:?} after {after}: {err}"
+            );
+            let now: Vec<u64> = (0..k.partition_count())
+                .map(|p| k.alpha(p).to_bits())
+                .collect();
+            assert_eq!(now, before, "{scheme:?}, death after {after} regions");
         }
     }
 }

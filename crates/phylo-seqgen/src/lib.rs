@@ -7,13 +7,17 @@
 //! real alignments are available here, so this crate provides:
 //!
 //! * [`simulate`] — a Seq-Gen substitute that evolves sequences along a tree
-//!   under the same model class (GTR/protein + discrete Γ),
+//!   under the same model class (GTR/protein + discrete Γ), sampling every
+//!   column from transition matrices built once per (rate category, branch),
 //! * [`datasets`] — generators that reproduce the *dimensions* of every
 //!   dataset in the paper (taxon counts, column counts, partition schemes,
 //!   data types, per-partition length ranges, gappyness), which are the only
 //!   properties that matter for the load-balance study.
 //!
-//! Everything is seeded and deterministic.
+//! Everything is seeded and deterministic: the same spec generates the same
+//! bytes, and `tests/digests.rs` pins a digest of every benchmark-shaped
+//! dataset, so a change to this crate or to `phylo-models` that moves a
+//! generated bit fails there first.
 //!
 //! ```
 //! use phylo_seqgen::datasets::paper_simulated;

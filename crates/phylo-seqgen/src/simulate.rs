@@ -5,12 +5,23 @@
 //! rate heterogeneity, it draws a root state per column from the stationary
 //! distribution, assigns each column a rate category, and evolves the states
 //! along the branches using the model's transition probabilities.
+//!
+//! A partition has only `categories × branches` distinct transition matrices,
+//! however many columns it simulates, so [`simulate_alignment`] builds them
+//! all once, before the first column, into one per-(category, branch) table.
+//! The table changes no generated byte. Each entry is the same function
+//! (`transition_matrix_into`, bit-identical to the allocating
+//! `transition_matrix`) of the same product `branch_length(b) * rates[c]`
+//! that a per-draw matrix used to be. A column makes the same draws in the
+//! same order: the category index, the root state, then one state per branch
+//! in depth-first order, each sampled straight from a table row. The
+//! committed dataset digests (`tests/digests.rs`) pin this.
 
 use rand::Rng;
 
 use phylo_data::Alignment;
 use phylo_models::PartitionModel;
-use phylo_tree::{NodeId, Tree};
+use phylo_tree::{BranchId, NodeId, Tree};
 
 /// Configuration of one simulation run (one partition's worth of columns).
 #[derive(Debug, Clone)]
@@ -56,7 +67,6 @@ pub fn simulate_alignment<R: Rng>(
     );
     let n_taxa = tree.n_taxa();
     let data_type = model.data_type();
-    let states = model.states();
 
     // Which taxa are missing entirely (data holes).
     let missing: Vec<bool> = (0..n_taxa)
@@ -70,18 +80,28 @@ pub fn simulate_alignment<R: Rng>(
         missing
     };
 
-    let mut columns: Vec<Vec<u8>> = Vec::with_capacity(config.columns);
+    let table = TransitionTable::build(tree, model);
+    let freqs = model.substitution().frequencies();
+    // Root the simulation at the internal node adjacent to leaf 0.
+    let root: NodeId = tree.neighbors(0)[0].0;
+
+    // Accepted columns, column-major: `columns[c * n_taxa + taxon]`.
+    let mut columns: Vec<u8> = Vec::with_capacity(config.columns * n_taxa);
+    let mut column = vec![0u8; n_taxa];
+    let mut stack = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let max_attempts = config.columns * 20;
     let mut attempts = 0usize;
-    while columns.len() < config.columns {
+    while columns.len() < config.columns * n_taxa {
         attempts += 1;
-        let column = simulate_column(tree, model, states, rng);
-        if config.enforce_unique_columns && attempts < max_attempts && !seen.insert(column.clone())
-        {
-            continue;
+        simulate_column(tree, &table, freqs, root, rng, &mut stack, &mut column);
+        if config.enforce_unique_columns && attempts < max_attempts {
+            if seen.contains(column.as_slice()) {
+                continue;
+            }
+            seen.insert(column.clone());
         }
-        columns.push(column);
+        columns.extend_from_slice(&column);
     }
 
     // Assemble rows.
@@ -93,7 +113,7 @@ pub fn simulate_alignment<R: Rng>(
                     if missing[taxon] {
                         b'-'
                     } else {
-                        data_type.state_char(columns[c][taxon] as usize) as u8
+                        data_type.state_char(columns[c * n_taxa + taxon] as usize) as u8
                     }
                 })
                 .collect();
@@ -103,57 +123,80 @@ pub fn simulate_alignment<R: Rng>(
     Alignment::from_bytes(rows).expect("simulated rows are rectangular by construction")
 }
 
-/// Simulates a single column: returns the state index of every taxon.
+/// `P(t_b · r_c)` for every Γ category `c` and branch `b` of one partition
+/// (the module doc states its bit contract).
+struct TransitionTable {
+    states: usize,
+    branches: usize,
+    categories: usize,
+    /// Row-major `states × states` blocks, category-major then branch.
+    entries: Vec<f64>,
+}
+
+impl TransitionTable {
+    fn build(tree: &Tree, model: &PartitionModel) -> Self {
+        let states = model.states();
+        let lengths = tree.branch_lengths();
+        let rates = model.gamma_rates();
+        let eigen = model.substitution().eigen();
+        let block = states * states;
+        let mut entries = vec![0.0; rates.len() * lengths.len() * block];
+        let times = rates
+            .iter()
+            .flat_map(|&rate| lengths.iter().map(move |&length| length * rate));
+        for (t, out) in times.zip(entries.chunks_exact_mut(block)) {
+            eigen.transition_matrix_into(t, out);
+        }
+        Self {
+            states,
+            branches: lengths.len(),
+            categories: rates.len(),
+            entries,
+        }
+    }
+
+    /// Row `from` of `P(t_branch · r_category)`.
+    fn row(&self, category: usize, branch: BranchId, from: usize) -> &[f64] {
+        let start = ((category * self.branches + branch) * self.states + from) * self.states;
+        &self.entries[start..start + self.states]
+    }
+}
+
+/// Simulates a single column into `column` (the state index of every taxon).
+///
+/// The draws and their order are the interface: the rate category index,
+/// the root state, then one state per branch in depth-first order.
 fn simulate_column<R: Rng>(
     tree: &Tree,
-    model: &PartitionModel,
-    states: usize,
+    table: &TransitionTable,
+    freqs: &[f64],
+    root: NodeId,
     rng: &mut R,
-) -> Vec<u8> {
-    let freqs = model.substitution().frequencies();
+    stack: &mut Vec<(NodeId, NodeId, usize)>, // (node, parent, node's state)
+    column: &mut [u8],
+) {
     // Per-column rate category (equal probability).
-    let rates = model.gamma_rates();
-    let rate = rates[rng.gen_range(0..rates.len())];
-
-    // Root the simulation at the internal node adjacent to leaf 0.
-    let root: NodeId = tree.neighbors(0)[0].0;
+    let category = rng.gen_range(0..table.categories);
     let root_state = sample_distribution(freqs, rng);
 
-    let mut result = vec![0u8; tree.n_taxa()];
     // Depth-first propagation from the root to every node.
-    let mut stack: Vec<(NodeId, NodeId, usize)> = Vec::new(); // (node, parent, parent_state)
     for &(child, branch) in tree.neighbors(root) {
-        let t = tree.branch_length(branch) * rate;
-        let child_state = evolve_state(model, root_state, t, states, rng);
+        let child_state = sample_distribution(table.row(category, branch, root_state), rng);
         stack.push((child, root, child_state));
     }
     while let Some((node, parent, state)) = stack.pop() {
         if tree.is_leaf(node) {
-            result[node] = state as u8;
+            column[node] = state as u8;
             continue;
         }
         for &(child, branch) in tree.neighbors(node) {
             if child == parent {
                 continue;
             }
-            let t = tree.branch_length(branch) * rate;
-            let child_state = evolve_state(model, state, t, states, rng);
+            let child_state = sample_distribution(table.row(category, branch, state), rng);
             stack.push((child, node, child_state));
         }
     }
-    result
-}
-
-fn evolve_state<R: Rng>(
-    model: &PartitionModel,
-    from: usize,
-    t: f64,
-    states: usize,
-    rng: &mut R,
-) -> usize {
-    let pmat = model.substitution().transition_matrix(t);
-    let row: Vec<f64> = (0..states).map(|j| pmat[(from, j)]).collect();
-    sample_distribution(&row, rng)
 }
 
 fn sample_distribution<R: Rng>(weights: &[f64], rng: &mut R) -> usize {
