@@ -26,8 +26,7 @@
 //! `log_likelihood` & co. — were deleted one release after their
 //! deprecation, as promised.)
 
-use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use phylo_data::PartitionedPatterns;
 use phylo_models::{BranchLengthMode, ModelSet};
@@ -64,11 +63,8 @@ pub struct KernelStats {
     /// the region that first reads it; lookups served from the cache are
     /// free and not counted.
     pub table_builds: u64,
-    /// Branch-table requests served by *cross-branch* sharing: the branch had
-    /// no cached entry, but another branch of the same partition with the
-    /// same stored length (hence identical per-category `t·r` products and
-    /// identical transition/tip-lookup tables) already held a slot. Common
-    /// once smoothing converges and many branches settle on equal lengths.
+    /// Always 0: the cross-branch length index that counted here is gone.
+    /// Kept only because the benchmark still reports it.
     pub table_dedup_hits: u64,
 }
 
@@ -86,26 +82,7 @@ struct TableStore {
     /// `cache[partition][branch]`: a hit indexes twice and hashes nothing,
     /// and dropping one partition touches that partition's row only.
     cache: Vec<Vec<Option<Arc<TableSlot>>>>,
-    /// Cross-branch sharing index, one map per partition: `length bits →`
-    /// the slot *some branch of that partition still holds* for that exact
-    /// stored length. A table is a pure function of (model, dictionary,
-    /// length), and within a partition the model and dictionary are fixed,
-    /// so an equal length means identical per-category `t·r` products and
-    /// therefore identical tables — the slot can be handed to any branch.
-    /// The index holds `Weak`s: it never extends a slot's life, so the slot
-    /// of a probe length no branch kept dies with its cache entry. (A
-    /// command payload a worker has not dropped yet is a holder too; that
-    /// can only decide whether a slot is shared, never what its tables
-    /// hold.) Length changes leave the map untouched (the entries are keyed
-    /// by the value, not the branch); model changes clear the partition's
-    /// map; topology changes clear them all.
-    by_length: Vec<HashMap<u64, Weak<TableSlot>>>,
 }
-
-/// Floor of the per-partition bound on the sharing index (the bound itself
-/// is twice the partition's cache entries, see
-/// `TableStore::remember_length`).
-const LENGTH_INDEX_MIN_CAP: usize = 64;
 
 impl TableStore {
     fn new(patterns: &PartitionedPatterns, branches: usize) -> Self {
@@ -117,7 +94,6 @@ impl TableStore {
         Self {
             dispatch: KernelDispatch::default(),
             cache: vec![vec![None; branches]; dicts.len()],
-            by_length: vec![HashMap::new(); dicts.len()],
             dicts,
         }
     }
@@ -131,26 +107,12 @@ impl TableStore {
 
     fn invalidate_partition(&mut self, partition: usize) {
         self.cache[partition].fill(None);
-        self.by_length[partition].clear();
     }
 
     fn clear(&mut self) {
         for partition in 0..self.cache.len() {
             self.invalidate_partition(partition);
         }
-    }
-
-    /// Offers a freshly issued slot to the other branches of the partition.
-    /// Every length a branch moved away from leaves a dead entry behind; once
-    /// the map is twice the size the live ones can fill (one per cache
-    /// entry), the dead are dropped — a liveness test per entry, so the hash
-    /// order the walk visits them in cannot matter.
-    fn remember_length(&mut self, partition: usize, length: f64, slot: &Arc<TableSlot>) {
-        let index = &mut self.by_length[partition];
-        if index.len() >= LENGTH_INDEX_MIN_CAP.max(2 * self.cache[partition].len()) {
-            index.retain(|_, t| t.strong_count() > 0);
-        }
-        index.insert(length.to_bits(), Arc::downgrade(slot));
     }
 }
 
@@ -370,15 +332,6 @@ impl<E: Executor> LikelihoodKernel<E> {
         self.data.tables.cache.iter().flatten().flatten().count()
     }
 
-    /// Number of live entries in the cross-branch sharing index — distinct
-    /// `(partition, length)` pairs whose tables some branch holds and *any*
-    /// branch of the partition at that length can adopt (diagnostics; see
-    /// [`KernelStats::table_dedup_hits`]).
-    pub fn cached_length_tables(&self) -> usize {
-        let entries = self.data.tables.by_length.iter().flat_map(HashMap::values);
-        entries.filter(|t| t.strong_count() > 0).count()
-    }
-
     /// The table slot of one `(partition, branch)`: served from the cache or
     /// issued (and cached) by the master. The master never builds a table:
     /// the first shard that reads the slot does, inside the region (see
@@ -399,29 +352,11 @@ impl<E: Executor> LikelihoodKernel<E> {
             return Ok(Arc::clone(slot));
         }
         let length = self.data.branch_lengths.get(partition, branch);
-        // Cross-branch sharing: another branch of this partition with the
-        // same stored length holds a slot for identical tables (same model,
-        // same dictionary, same per-category t·r products). Adopt it instead
-        // of having the O(states³·categories) eigen work done twice.
-        let shared = self.data.tables.by_length[partition]
-            .get(&length.to_bits())
-            .and_then(Weak::upgrade);
-        let slot = match shared {
-            Some(slot) => {
-                self.stats.table_dedup_hits += 1;
-                self.telemetry.table_cache_hit();
-                slot
-            }
-            None => {
-                validate_branch_length(length)?;
-                let dict = Arc::clone(&self.data.tables.dicts[partition]);
-                let slot = Arc::new(TableSlot::new(dict, length));
-                self.stats.table_builds += 1;
-                self.telemetry.table_build(partition, branch);
-                self.data.tables.remember_length(partition, length, &slot);
-                slot
-            }
-        };
+        validate_branch_length(length)?;
+        let dict = Arc::clone(&self.data.tables.dicts[partition]);
+        let slot = Arc::new(TableSlot::new(dict, length));
+        self.stats.table_builds += 1;
+        self.telemetry.table_build(partition, branch);
         self.data.tables.cache[partition][branch] = Some(Arc::clone(&slot));
         Ok(slot)
     }
@@ -902,7 +837,7 @@ mod tests {
     /// Per-partition lnL at `root` from the scalar tabled kernels driven
     /// directly, every table built on the spot from the engine's current
     /// lengths and models: what the engine must return whatever its table
-    /// cache and cross-branch sharing index hold.
+    /// cache holds.
     fn fresh_table_reference(k: &SequentialKernel, root: BranchId) -> Vec<f64> {
         use crate::ops::{evaluate_edge_tabled, newview_step_tabled};
         use crate::slice::WorkerSlices;
@@ -1198,76 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn equal_branch_lengths_share_tables_across_branches() {
-        let (pp, tree) = small_dataset(8, 80, 20, 27);
-        let models = ModelSet::default_for(&pp, BranchLengthMode::Joint);
-        let mut k = SequentialKernel::build(pp, tree, models).unwrap();
-
-        // Force the post-smoothing shape: every branch at the same length.
-        let branches: Vec<BranchId> = k.tree().branches().collect();
-        for &b in &branches {
-            k.set_branch_length(BranchScope::All, b, 0.137);
-        }
-        k.invalidate_all();
-        let before = k.stats();
-        let mask = k.full_mask();
-        let root = k.default_root_branch();
-        let a = k.try_log_likelihood_partitions(root, &mask).unwrap();
-        // DNA: the default blocked dispatch is bit-for-bit with the scalar
-        // loops, so sharing one table across branches must not move a bit.
-        assert_eq!(
-            a,
-            fresh_table_reference(&k, root),
-            "shared tables must stay bit-identical"
-        );
-
-        let stats = k.stats();
-        // One eigen build per (partition, distinct length) — everything else
-        // is served by cross-branch sharing.
-        assert_eq!(
-            stats.table_builds - before.table_builds,
-            k.partition_count() as u64,
-            "equal lengths must collapse to one build per partition"
-        );
-        assert!(
-            stats.table_dedup_hits > before.table_dedup_hits,
-            "sharing across branches must be counted"
-        );
-        assert_eq!(k.cached_length_tables(), k.partition_count());
-    }
-
-    #[test]
-    fn table_dedup_never_serves_stale_tables_after_a_model_change() {
-        let (pp, tree) = small_dataset(7, 60, 30, 28);
-        let models = ModelSet::default_for(&pp, BranchLengthMode::Joint);
-        let mut k = SequentialKernel::build(pp, tree, models).unwrap();
-        for b in k.tree().branches().collect::<Vec<_>>() {
-            k.set_branch_length(BranchScope::All, b, 0.2);
-        }
-        let _ = k.try_log_likelihood().unwrap();
-        assert!(k.cached_length_tables() > 0);
-
-        // A slot issued under the old α but never read — what a region that
-        // died before reaching it leaves behind — is as stale as a built one.
-        let root = k.default_root_branch();
-        k.set_branch_length(BranchScope::All, root, 0.3);
-        let unread = k.branch_tables(0, root).unwrap();
-
-        // A model change must purge the partition's length-keyed entries too:
-        // the old tables were built under the old α.
-        k.set_alpha(0, 0.55);
-        let mask = k.full_mask();
-        let a = k.try_log_likelihood_partitions(root, &mask).unwrap();
-        assert_eq!(
-            a,
-            fresh_table_reference(&k, root),
-            "dedup after a model change must rebuild, not reuse"
-        );
-        assert!(unread.get().is_none(), "the unread slot was served");
-        assert!(!Arc::ptr_eq(&unread, &k.branch_tables(0, root).unwrap()));
-    }
-
-    #[test]
     fn every_mutation_empties_exactly_its_table_slots() {
         let mut k = engine(8, 90, 30, BranchLengthMode::PerPartition, 29);
         let (partitions, branches) = (k.partition_count(), k.tree().branch_count());
@@ -1312,24 +1177,22 @@ mod tests {
 
         k.invalidate_all();
         assert_eq!(k.cached_branch_tables(), 0);
-        assert_eq!(k.cached_length_tables(), 0);
         assert_eq!(refill(&mut k, "invalidate_all"), all);
     }
 
     #[test]
-    fn the_length_index_shares_only_tables_a_branch_still_holds() {
+    fn no_slot_issued_under_the_old_model_is_served_after_a_model_change() {
         let mut k = engine(7, 60, 30, BranchLengthMode::Joint, 30);
         let branches: Vec<BranchId> = k.tree().branches().collect();
         for (i, &b) in branches.iter().enumerate() {
             k.set_branch_length(BranchScope::All, b, 0.05 + 0.01 * i as f64);
         }
         let _ = k.try_log_likelihood().unwrap();
-        let live = k.partition_count() * branches.len();
-        assert_eq!(k.cached_length_tables(), live);
 
         // A probe length no branch kept: moving away and back is a rebuild,
-        // not a resurrection, and the abandoned length leaves nothing live.
-        let victim = branches[3];
+        // not a resurrection.
+        let root = k.default_root_branch();
+        let victim = *branches.iter().find(|&&b| b != root).unwrap();
         let kept = k.branch_length(0, victim);
         k.set_branch_length(BranchScope::All, victim, 0.777);
         let _ = k.try_log_likelihood().unwrap();
@@ -1341,17 +1204,29 @@ mod tests {
             after.table_builds - before.table_builds,
             k.partition_count() as u64
         );
-        assert_eq!(after.table_dedup_hits, before.table_dedup_hits);
-        assert_eq!(k.cached_length_tables(), live);
 
         // A handle that outlives a model change (a payload still in flight)
-        // keeps the old slot alive, yet the index must not hand it out.
+        // keeps the old slot alive, and a slot issued under the old α but
+        // never read — what a region that died before reaching it leaves
+        // behind — is as stale as a built one. Neither may be handed out.
         let held = k.branch_tables(0, victim).unwrap();
         assert!(held.get().is_some(), "the evaluation built it");
+        k.set_branch_length(BranchScope::All, root, 0.3);
+        let unread = k.branch_tables(0, root).unwrap();
         k.set_alpha(0, 0.55);
         let reissued = k.branch_tables(0, victim).unwrap();
         assert!(!Arc::ptr_eq(&held, &reissued));
         assert!(reissued.get().is_none());
+
+        let mask = k.full_mask();
+        let a = k.try_log_likelihood_partitions(root, &mask).unwrap();
+        assert_eq!(
+            a,
+            fresh_table_reference(&k, root),
+            "a model change must rebuild, not reuse"
+        );
+        assert!(unread.get().is_none(), "the unread slot was served");
+        assert!(!Arc::ptr_eq(&unread, &k.branch_tables(0, root).unwrap()));
     }
 
     #[test]

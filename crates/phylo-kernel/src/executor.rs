@@ -640,7 +640,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub fn sample(
     slices: &WorkerSlices,
     worker: usize,
-    region: u64,
     op_seconds: f64,
     queue_wait_seconds: f64,
 ) -> WorkerSample {
@@ -648,7 +647,6 @@ pub fn sample(
     let (dispatch_blocked, dispatch_scalar) = slices.take_dispatch_counters();
     WorkerSample {
         worker,
-        region,
         op_seconds,
         queue_wait_seconds,
         tip_hits,
@@ -664,9 +662,9 @@ pub fn sample(
 /// of every executor. A worker death leaves the region open (the "started
 /// but never completed" marker), records the death and returns the dead
 /// worker; anything else — a typed rejection included — closes it from the
-/// `samples` stamped with the token's region: per-worker op seconds and
-/// queue wait as each of the `width` workers measured them, plus their cache
-/// and table-build counter deltas.
+/// region's `samples`: per-worker op seconds and queue wait as each of the
+/// `width` workers measured them, plus their cache and table-build counter
+/// deltas.
 pub fn end_region(
     telemetry: &Telemetry,
     token: Option<RegionToken>,
@@ -674,8 +672,8 @@ pub fn end_region(
     samples: &[WorkerSample],
     result: &Result<OpOutput, ExecError>,
 ) -> Option<usize> {
-    let region = token.as_ref().and_then(RegionToken::region);
     if let Err(ExecError::WorkerDied { worker }) = result {
+        let region = token.as_ref().and_then(RegionToken::region);
         telemetry.worker_death(*worker, region);
         return Some(*worker);
     }
@@ -684,7 +682,7 @@ pub fn end_region(
     let mut queue_wait = vec![0.0; width];
     let (mut hits, mut misses, mut builds, mut blocked, mut scalar) = (0, 0, 0, 0, 0);
     let mut tables_built = 0;
-    for s in samples.iter().filter(|s| Some(s.region) == region) {
+    for s in samples {
         worker_seconds[s.worker] = s.op_seconds;
         queue_wait[s.worker] = s.queue_wait_seconds;
         hits += s.tip_hits;
@@ -749,10 +747,8 @@ impl Executor for SequentialExecutor {
         let seconds = started.elapsed().as_secs_f64();
         // The single worker never queues; a rejected op still completes the
         // region (aborted regions are reserved for worker deaths).
-        let samples = token
-            .region()
-            .map(|r| sample(&self.worker, 0, r, seconds, 0.0));
-        end_region(&self.telemetry, Some(token), 1, samples.as_slice(), &result);
+        let samples = [sample(&self.worker, 0, seconds, 0.0)];
+        end_region(&self.telemetry, Some(token), 1, &samples, &result);
         result
     }
 

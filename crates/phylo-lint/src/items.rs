@@ -89,8 +89,9 @@ impl FnItem {
 }
 
 /// The declared type of one named field of a non-test struct, recorded only
-/// when it is a plain path (`pool: WorkerPool`, `pool: crate::pool::WorkerPool`;
-/// not `Arc<WorkerPool>`, `&T` or `Box<dyn Executor>`).
+/// when it is a plain path (`pool: WorkerPool`, `pool: crate::pool::WorkerPool`)
+/// or one `Arc<..>`, `Box<..>`, `&..` or `&mut ..` around one (`Arc<WorkerPool>`
+/// records `WorkerPool`); not `Vec<T>`, `Box<dyn Executor>` or a tuple.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldType {
     /// The struct declaring the field.
@@ -154,7 +155,7 @@ struct Parser<'a> {
     fields: Vec<FieldType>,
 }
 
-/// Extracts every `fn` item and plain-path struct field type of one file.
+/// Extracts every `fn` item and resolvable struct field type of one file.
 /// `test_ranges` are the `#[cfg(test)]` line ranges computed by the scanner
 /// over the same view.
 pub fn extract(file: &str, view: &SourceView, test_ranges: &[(usize, usize)]) -> FileItems {
@@ -334,8 +335,9 @@ impl Parser<'_> {
         end
     }
 
-    /// Parses a `struct` just past the keyword, recording the plain-path
-    /// types of its named fields; returns the index past the item.
+    /// Parses a `struct` just past the keyword, recording the
+    /// [`field_type_name`]s of its named fields; returns the index past the
+    /// item.
     fn parse_struct(&mut self, i: usize, end: usize) -> usize {
         let j = self.skip_ws(i, end);
         let Some((owner, after, _)) = self.ident_at(j, end) else {
@@ -357,7 +359,7 @@ impl Parser<'_> {
         let close = self.match_brace(k, end);
         if !self.in_test(self.line_of(k)) {
             for (field, ty) in self.named_fields(k + 1, close) {
-                if let Some(type_name) = plain_path_last_segment(&ty) {
+                if let Some(type_name) = field_type_name(&ty) {
                     self.fields.push(FieldType {
                         owner: owner.clone(),
                         field,
@@ -895,6 +897,40 @@ fn plain_path_last_segment(ty: &str) -> Option<String> {
     (plain && !KEYWORDS.contains(last)).then(|| last.to_string())
 }
 
+/// The type a `self.<field>` call resolves through: the last segment of a
+/// plain path, seen through one `Arc<..>`, `Box<..>`, `&..` or `&mut ..`
+/// layer (`Pool` for `Arc<Pool>` or `&'a mut pool::Pool`); `None` for
+/// anything else.
+fn field_type_name(ty: &str) -> Option<String> {
+    let ty = ty.trim();
+    let inner = match ty.strip_prefix('&') {
+        Some(rest) => {
+            let rest = rest.trim_start();
+            let rest = match rest.strip_prefix('\'') {
+                Some(lifetime) => lifetime.trim_start_matches(is_ident_char),
+                None => rest,
+            };
+            let after_mut = rest.trim_start().strip_prefix("mut");
+            match after_mut.filter(|r| r.starts_with(char::is_whitespace)) {
+                Some(pointee) => pointee,
+                None => rest,
+            }
+        }
+        None => match ty.strip_suffix('>').and_then(|t| t.split_once('<')) {
+            Some((wrapper, inner))
+                if matches!(
+                    plain_path_last_segment(wrapper).as_deref(),
+                    Some("Arc" | "Box")
+                ) =>
+            {
+                inner
+            }
+            _ => ty,
+        },
+    };
+    plain_path_last_segment(inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1110,13 +1146,18 @@ fn f() -> E {
     #[test]
     fn plain_path_field_types_and_self_field_receivers() {
         let src = "\
-pub struct Exec<E: Fn() -> usize> {
+pub struct Exec<'a, E: Fn() -> usize> {
     #[allow(dead_code)]
     pub(crate) pool: pool::WorkerPool,
     shared: Arc<ModelSet>,
     f: fn(usize) -> usize,
     pub ledger: Ledger,
     exec: E,
+    boxed: Box<dyn Executor>,
+    many: Vec<Ledger>,
+    seen: &'a mut crate::Trace,
+    borrowed: &Plan,
+    mutex: &mutex::Guard,
 }
 struct Pair(Left, Right);
 impl Exec {
@@ -1135,8 +1176,12 @@ mod tests { struct Fake { pool: Fake } }
             fields,
             vec![
                 ("Exec", "pool", "WorkerPool"),
+                ("Exec", "shared", "ModelSet"),
                 ("Exec", "ledger", "Ledger"),
                 ("Exec", "exec", "E"),
+                ("Exec", "seen", "Trace"),
+                ("Exec", "borrowed", "Plan"),
+                ("Exec", "mutex", "Guard"),
             ]
         );
         let receivers: Vec<Option<&str>> = got.fns[0]

@@ -22,8 +22,9 @@
 //! - **Method calls** `recv.name(..)` resolve to every workspace method of
 //!   that name and arity that takes `self` — again a deliberate fan-out.
 //!   The one receiver the lexical view can type is `self.<field>` inside an
-//!   impl of a struct whose field has a plain-path type
-//!   ([`crate::items::FieldType`]): such a call resolves to that type's own
+//!   impl of a struct whose field has a plain-path type, or one `Arc<..>`,
+//!   `Box<..>`, `&..` or `&mut ..` around one ([`crate::items::FieldType`]):
+//!   such a call resolves to that type's own
 //!   methods of the name and arity, inherent and trait impls alike (a
 //!   by-value trait method can outrank a `&self` inherent one). A type with
 //!   no such method of its own (a trait default body, a `Deref` target, a
@@ -396,6 +397,26 @@ impl Exec {
             let got = resolve_with_fields(&both.fns, &both.fields, "go", nth);
             assert_eq!(got.len(), 2, "call {nth}: {got:?}");
         }
+    }
+
+    #[test]
+    fn an_arc_field_call_resolves_through_the_type_it_wraps() {
+        let both = extracted(&[
+            (
+                "crates/a/src/pool.rs",
+                "pub struct Pool;\nimpl Pool { pub fn run(&self, a: usize) {} }\n",
+            ),
+            (
+                "crates/b/src/policy.rs",
+                "pub struct Policy;\nimpl Policy { pub fn run(&self, a: usize) {} }\n",
+            ),
+            (
+                "crates/c/src/lib.rs",
+                "struct Exec { pool: Arc<Pool> }\nimpl Exec { fn go(&self) { self.pool.run(1); } }\n",
+            ),
+        ]);
+        let got = resolve_with_fields(&both.fns, &both.fields, "go", 0);
+        assert_eq!(got, vec!["crates/a/src/pool.rs#Pool::run"]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * a [`WorkerPool`] — one persistent thread per shard, driven by
 //!   [`crate::ThreadedExecutor`]. Each region ships the command (every
 //!   node id and table slot its shards read) and a share of the master's
-//!   `Arc` of the models; every worker sends ONE reply per region.
+//!   `Arc` of the models; every worker sends ONE reply per region, which
+//!   also carries its telemetry sample when the region is recorded.
 //! * the calling thread — [`run_shards`] executes the shards one after the
 //!   other in worker order: the virtual workers of
 //!   [`crate::TracingExecutor`] and of every `phylo-serve` session. A shard's
@@ -47,11 +48,7 @@ use phylo_kernel::executor::{
 use phylo_kernel::{ExecContext, ExecError, KernelOp, OpError, OpOutput, WorkerSlices};
 use phylo_models::ModelSet;
 use phylo_sched::Assignment;
-use phylo_telemetry::{ring, RegionToken, Telemetry, WorkerSample};
-
-/// Capacity of each worker's sample ring: the master drains it after every
-/// recorded region, so it never holds more than one sample.
-const SAMPLE_RING_CAPACITY: usize = 64;
+use phylo_telemetry::{RegionToken, Telemetry, WorkerSample};
 
 /// One parallel region as a [`WorkerPool`] ships it, shared by every worker
 /// behind one `Arc`: the command and the master's models. The models are the
@@ -61,9 +58,8 @@ const SAMPLE_RING_CAPACITY: usize = 64;
 struct Region {
     op: KernelOp,
     models: Arc<ModelSet>,
-    /// Telemetry: the region number to stamp each worker's [`WorkerSample`]
-    /// with; `None` when the executor is not recording.
-    record: Option<u64>,
+    /// Telemetry: whether each worker answers with a [`WorkerSample`].
+    record: bool,
     /// The worker the armed fault fires on in this region.
     panic_worker: Option<usize>,
 }
@@ -105,11 +101,14 @@ enum WorkerMsg {
     Shutdown,
 }
 
+/// A worker's one answer to a region: its shard result and, when the region
+/// is recorded and the shard ran, its telemetry sample.
+type Reply = (ShardResult, Option<WorkerSample>);
+
 #[derive(Debug)]
 struct PoolWorker {
     sender: Sender<WorkerMsg>,
-    replies: Receiver<ShardResult>,
-    samples: ring::Consumer<WorkerSample>,
+    replies: Receiver<Reply>,
     join: JoinHandle<()>,
 }
 
@@ -126,15 +125,13 @@ impl WorkerPool {
             .map(|worker| {
                 let (sender, commands) = channel();
                 let (reply_tx, replies) = channel();
-                let (mut sample_tx, samples) = ring::spsc(SAMPLE_RING_CAPACITY);
                 let join = std::thread::Builder::new()
                     .name(format!("plf-worker-{worker}"))
-                    .spawn(move || worker_loop(worker, &commands, &reply_tx, &mut sample_tx))
+                    .spawn(move || worker_loop(worker, &commands, &reply_tx))
                     .expect("failed to spawn worker thread");
                 PoolWorker {
                     sender,
                     replies,
-                    samples,
                     join,
                 }
             })
@@ -165,34 +162,27 @@ impl WorkerPool {
 
     /// One parallel region: broadcast `op` with the master's `models`, drain
     /// exactly one reply per live worker and fold them with [`reduce_row`]
-    /// into `open`'s record; a recorded region also drains the workers'
-    /// samples (each worker pushes its sample before it replies; samples a
-    /// full ring refused count into `telemetry`'s `events_dropped`). A lost
-    /// worker thread (closed channel) reduces like a death on that worker.
-    pub fn run(
-        &mut self,
-        op: &KernelOp,
-        models: &Arc<ModelSet>,
-        open: &mut OpenRegion,
-        telemetry: &Telemetry,
-    ) -> Reduced {
+    /// into `open`'s record. The samples of a recorded region come in the
+    /// same replies. A lost worker thread (closed channel) reduces like a
+    /// death on that worker.
+    pub fn run(&self, op: &KernelOp, models: &Arc<ModelSet>, open: &mut OpenRegion) -> Reduced {
         let region = Arc::new(Region {
             op: op.clone(),
             models: Arc::clone(models),
-            record: open.region(),
+            record: open.recorded(),
             panic_worker: open.panic_worker,
         });
         for worker in &self.workers {
             let _ = worker.sender.send(WorkerMsg::Region(Arc::clone(&region)));
         }
-        let row = self.workers.iter().map(|w| w.replies.recv().ok());
+        let mut samples = Vec::new();
+        let row = self.workers.iter().map(|w| {
+            let (result, sample) = w.replies.recv().ok()?;
+            samples.extend(sample);
+            Some(result)
+        });
         let mut reduced = reduce_row(row, |w, elapsed, live| open.measure(w, elapsed, live));
-        if open.region().is_some() {
-            for worker in &mut self.workers {
-                telemetry.add_dropped(worker.samples.take_dropped());
-                worker.samples.drain_into(&mut reduced.samples);
-            }
-        }
+        reduced.samples = samples;
         reduced
     }
 }
@@ -269,11 +259,10 @@ pub fn reduce_row(
         (None, Some(op_error)) => Err(ExecError::Op(op_error)),
         (None, None) => Ok(folded.unwrap_or(OpOutput::None)),
     };
-    let samples = Vec::new();
     Reduced {
         result,
         panics,
-        samples,
+        samples: Vec::new(),
     }
 }
 
@@ -293,7 +282,7 @@ pub fn run_shards(
     open: &mut OpenRegion,
     queue_wait: impl Fn(&[f64], usize) -> f64,
 ) -> Reduced {
-    let mut seconds = open.region().map(|_| vec![0.0; shards.len()]);
+    let mut seconds = open.recorded().then(|| vec![0.0; shards.len()]);
     let panic_worker = open.panic_worker;
     let row = shards.iter_mut().enumerate().map(|(worker, slices)| {
         let injected = panic_worker == Some(worker);
@@ -305,11 +294,11 @@ pub fn run_shards(
             seconds[worker] = elapsed.as_secs_f64();
         }
     });
-    if let Some((region, seconds)) = open.region().zip(seconds) {
+    if let Some(seconds) = seconds {
         let samples = shards
             .iter()
             .enumerate()
-            .map(|(k, slices)| sample(slices, k, region, seconds[k], queue_wait(&seconds, k)));
+            .map(|(k, slices)| sample(slices, k, seconds[k], queue_wait(&seconds, k)));
         reduced.samples = samples.collect();
     }
     reduced
@@ -346,9 +335,9 @@ pub struct OpenRegion {
 }
 
 impl OpenRegion {
-    /// The telemetry region to stamp worker samples with, if recorded.
-    pub fn region(&self) -> Option<u64> {
-        self.token.as_ref().and_then(RegionToken::region)
+    /// Whether the region is recorded: its workers report samples.
+    pub fn recorded(&self) -> bool {
+        self.token.is_some()
     }
 
     /// The `measured` callback of [`reduce_row`], into the record.
@@ -477,16 +466,11 @@ impl Ledger {
     }
 }
 
-fn worker_loop(
-    worker: usize,
-    commands: &Receiver<WorkerMsg>,
-    replies: &Sender<ShardResult>,
-    samples: &mut ring::Producer<WorkerSample>,
-) {
+fn worker_loop(worker: usize, commands: &Receiver<WorkerMsg>, replies: &Sender<Reply>) {
     // This worker's shard and the skew that applies to it; `None` until the
     // first install and after a panic (quarantined until the next install).
     let mut shard: Option<(WorkerSlices, Option<WorkerSkew>)> = None;
-    // lint:allow(L008): queue-wait baseline for the telemetry sample ring;
+    // lint:allow(L008): queue-wait baseline for the telemetry sample;
     // observability only, never feeds the reduction order.
     let mut idle_since = Instant::now();
     while let Ok(msg) = commands.recv() {
@@ -499,24 +483,22 @@ fn worker_loop(
                 // Time spent blocked on the command channel: this worker's
                 // queue-wait lane.
                 let queue_wait = idle_since.elapsed().as_secs_f64();
-                let result = match shard.as_mut() {
-                    None => ShardResult::MissingShard,
+                let (result, sample) = match shard.as_mut() {
+                    None => (ShardResult::MissingShard, None),
                     Some((slices, skew)) => {
                         let ctx = ExecContext {
                             models: &region.models,
                         };
                         let injected = region.panic_worker == Some(worker);
                         let result = run_entry(slices, &region.op, &ctx, injected, *skew);
-                        // The sample is pushed *before* the reply, so by the
-                        // time the master holds this reply the ring slot is
-                        // visible.
-                        if let (Some(r), ShardResult::Output(_, elapsed, _)) =
-                            (region.record, &result)
-                        {
-                            let seconds = elapsed.as_secs_f64();
-                            let _ = samples.push(sample(slices, worker, r, seconds, queue_wait));
-                        }
-                        result
+                        let sample = match &result {
+                            ShardResult::Output(_, elapsed, _) if region.record => {
+                                let seconds = elapsed.as_secs_f64();
+                                Some(sample(slices, worker, seconds, queue_wait))
+                            }
+                            _ => None,
+                        };
+                        (result, sample)
                     }
                 };
                 if matches!(result, ShardResult::Panicked(_)) {
@@ -531,7 +513,7 @@ fn worker_loop(
                 // change is never read again, and the master's next model
                 // write finds its `Arc` unshared and copies nothing.
                 drop(region);
-                if replies.send(result).is_err() {
+                if replies.send((result, sample)).is_err() {
                     // Master gone: nothing left to serve.
                     return;
                 }
@@ -801,10 +783,7 @@ pub(crate) mod tests {
                 record: None,
                 panic_worker,
             };
-            let models = &self.fx.models;
-            let reduced = self
-                .pool
-                .run(&op, models, &mut open, &Telemetry::disabled());
+            let reduced = self.pool.run(&op, &self.fx.models, &mut open);
             (reduced.result, reduced.panics.len())
         }
     }

@@ -183,8 +183,7 @@ impl Executor for ThreadedExecutor {
     /// rejection, which never poisons.
     fn execute(&mut self, op: &KernelOp, ctx: &ExecContext<'_>) -> Result<OpOutput, ExecError> {
         let mut open = self.ledger.open(op)?;
-        let telemetry = self.ledger.telemetry();
-        let reduced = self.pool.run(op, ctx.models, &mut open, telemetry);
+        let reduced = self.pool.run(op, ctx.models, &mut open);
         self.ledger.close(open, reduced)
     }
 

@@ -11,7 +11,7 @@
 /// use phylo_telemetry::{Telemetry, TelemetryConfig};
 ///
 /// let config = TelemetryConfig::default().probes(false);
-/// assert!(config.record_regions && !config.record_probes);
+/// assert!(!config.record_probes);
 ///
 /// let telemetry = Telemetry::new(config);
 /// telemetry.optimizer_round(1, -1234.5);
@@ -24,9 +24,6 @@ pub struct TelemetryConfig {
     /// events are counted (`events_dropped`) but not stored, so a long run
     /// cannot grow memory without bound.
     pub event_capacity: usize,
-    /// Record per-region start/end events (counters and histograms are
-    /// always maintained).
-    pub record_regions: bool,
     /// Record per-probe optimizer events (one Newton/Brent probe per
     /// iteration can dominate the event log on large runs).
     pub record_probes: bool,
@@ -36,7 +33,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             event_capacity: 65_536,
-            record_regions: true,
             record_probes: true,
         }
     }
@@ -46,12 +42,6 @@ impl TelemetryConfig {
     /// Sets the event-log capacity.
     pub fn event_capacity(mut self, capacity: usize) -> Self {
         self.event_capacity = capacity;
-        self
-    }
-
-    /// Enables or disables per-region events.
-    pub fn regions(mut self, record: bool) -> Self {
-        self.record_regions = record;
         self
     }
 

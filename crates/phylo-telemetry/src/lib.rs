@@ -17,18 +17,15 @@
 //! * The *master* records: region start/end, table builds, reschedules,
 //!   deaths/recoveries, optimizer rounds and probes all happen on the master
 //!   thread, so the event log and histograms sit behind uncontended mutexes.
-//! * *Workers* never touch the recorder. Each worker thread owns the
-//!   [`ring::Producer`] half of a bounded lock-free SPSC ring and pushes one
-//!   [`WorkerSample`] (op latency, queue wait, tip-cache counters) per
-//!   region; the master drains the [`ring::Consumer`] halves at the region
-//!   barrier and folds the samples into the recorder.
+//! * *Workers* never touch the recorder. Each worker measures one
+//!   [`WorkerSample`] (op latency, queue wait, tip-cache, dispatch and
+//!   table-build counters) per recorded region and hands it to the master
+//!   inside the one reply it sends for that region; the master folds the
+//!   samples into the recorder when it closes the region.
 //! * This crate depends on nothing, so every workspace crate can depend on
-//!   it without cycles.
-//! * All `unsafe` and all atomics live behind the [`sync`] facade (plus the
-//!   ring's two slot accesses) — this is the only workspace crate not under
-//!   `#![forbid(unsafe_code)]`, and in exchange it compiles under
-//!   `--cfg phylo_modelcheck` into a deterministically model-checked build
-//!   (see `sync::modelcheck` and `tests/modelcheck.rs`).
+//!   it without cycles. Its atomics (the `Relaxed` counters) come through
+//!   the crate's `sync` module, and like every workspace crate it forbids
+//!   `unsafe`.
 //!
 //! ```
 //! use phylo_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
@@ -51,7 +48,7 @@
 //! assert!(snapshot.to_prometheus().contains("plf_regions_completed_total 1"));
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod envelope;
@@ -59,9 +56,8 @@ pub mod event;
 pub mod hist;
 pub mod json;
 pub mod recorder;
-pub mod ring;
 pub mod snapshot;
-pub mod sync;
+mod sync;
 
 pub use config::TelemetryConfig;
 pub use envelope::{BenchEnvelope, BENCH_SCHEMA};

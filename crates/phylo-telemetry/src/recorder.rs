@@ -3,21 +3,19 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 
 use crate::config::TelemetryConfig;
 use crate::event::TelemetryEvent;
 use crate::hist::Histogram;
 use crate::snapshot::{CounterSnapshot, TelemetrySnapshot};
 
-/// One worker's per-region measurement, pushed into the worker's lock-free
-/// ring ([`crate::ring`]) and drained by the master at the region barrier.
+/// One worker's measurement of one recorded region, carried to the master in
+/// that region's reply.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkerSample {
     /// Index of the reporting worker.
     pub worker: usize,
-    /// Region sequence number the sample belongs to.
-    pub region: u64,
     /// Seconds the worker spent executing the op.
     pub op_seconds: f64,
     /// Seconds the worker spent idle waiting for the command.
@@ -100,7 +98,7 @@ impl RegionToken {
 /// instrumentation site is a single `Option` check, so code paths that never
 /// opt in pay (almost) nothing. An enabled handle shares one recorder across
 /// clones; the master-side mutexes are uncontended by construction (only the
-/// master thread records — workers communicate through the lock-free rings).
+/// master thread records — workers report in their region replies).
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
@@ -189,18 +187,16 @@ impl Telemetry {
             .regions_started
             .fetch_add(1, Ordering::Relaxed);
         let t = inner.start.elapsed().as_secs_f64();
-        if inner.config.record_regions {
-            Self::push_event(
-                inner,
-                TelemetryEvent::RegionStart {
-                    t,
-                    region: seq,
-                    kind: kind.to_string(),
-                    mask: mask.to_vec(),
-                    session: self.session,
-                },
-            );
-        }
+        Self::push_event(
+            inner,
+            TelemetryEvent::RegionStart {
+                t,
+                region: seq,
+                kind: kind.to_string(),
+                mask: mask.to_vec(),
+                session: self.session,
+            },
+        );
         RegionToken {
             state: Some((seq, kind, Instant::now())),
         }
@@ -235,21 +231,19 @@ impl Telemetry {
                 }
             }
         }
-        if inner.config.record_regions {
-            let t = inner.start.elapsed().as_secs_f64();
-            Self::push_event(
-                inner,
-                TelemetryEvent::RegionEnd {
-                    t,
-                    region: seq,
-                    kind: kind.to_string(),
-                    seconds,
-                    worker_seconds: worker_seconds.to_vec(),
-                    queue_wait: queue_wait.to_vec(),
-                    session: self.session,
-                },
-            );
-        }
+        let t = inner.start.elapsed().as_secs_f64();
+        Self::push_event(
+            inner,
+            TelemetryEvent::RegionEnd {
+                t,
+                region: seq,
+                kind: kind.to_string(),
+                seconds,
+                worker_seconds: worker_seconds.to_vec(),
+                queue_wait: queue_wait.to_vec(),
+                session: self.session,
+            },
+        );
     }
 
     /// Counts a table-slot cache hit.
@@ -273,21 +267,6 @@ impl Telemetry {
                     branch,
                 },
             );
-        }
-    }
-
-    /// Folds ring-rejected worker samples into the `events_dropped` counter.
-    /// Called by the master at the region barrier with
-    /// [`crate::ring::Consumer::take_dropped`]'s harvest, so every sample a
-    /// full ring refused is accounted for in the snapshot.
-    pub fn add_dropped(&self, n: u64) {
-        if n != 0 {
-            if let Some(inner) = &self.inner {
-                // lint:allow(L005): event-log mutex, taken only on the telemetry-enabled
-                // path. lint:allow(L001): a poisoned telemetry log is fatal by design.
-                let mut log = inner.events.lock().expect("telemetry event log poisoned");
-                log.dropped += n;
-            }
         }
     }
 

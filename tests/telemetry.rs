@@ -394,6 +394,79 @@ fn both_dispatches_keep_the_same_tip_cache_and_pattern_accounting() {
     );
 }
 
+/// The per-worker op seconds of every `RegionEnd` in `snapshot`, in order.
+fn region_end_seconds(snapshot: &TelemetrySnapshot) -> Vec<Vec<u64>> {
+    let seconds = snapshot.events.iter().filter_map(|event| match event {
+        TelemetryEvent::RegionEnd { worker_seconds, .. } => Some(worker_seconds),
+        _ => None,
+    });
+    seconds
+        .map(|s| s.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// A region is measured once: on real threads a worker's op seconds reach
+/// the telemetry event and the executor's kept trace from the same reply, so
+/// the two agree bit for bit, and after a death and a re-`install` the next
+/// region hears from every worker of the pool.
+#[test]
+fn a_region_is_measured_once() {
+    let ds = dataset(29);
+    let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
+    let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+    let capacity = ds.tree.node_capacity();
+    let assignment = schedule(&ds.patterns, &cats, 3, &Cyclic).unwrap();
+    let options = ExecutorOptions {
+        timed: true,
+        skew: None,
+    };
+    let executor =
+        ThreadedExecutor::with_options(&ds.patterns, &assignment, capacity, &cats, options)
+            .unwrap();
+    let (patterns, tree) = (Arc::clone(&ds.patterns), ds.tree.clone());
+    let mut kernel = LikelihoodKernel::try_new(patterns, tree, models, executor).unwrap();
+    let telemetry = Telemetry::new(TelemetryConfig::default());
+    kernel.set_telemetry(&telemetry);
+    let kept = |kernel: &LikelihoodKernel<ThreadedExecutor>| -> Vec<Vec<u64>> {
+        let regions = &kernel.executor().trace().regions;
+        let seconds = regions.iter().map(|r| &r.seconds_per_worker);
+        seconds
+            .map(|s| s.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+
+    let config = OptimizerConfig {
+        max_rounds: 1,
+        ..OptimizerConfig::new(ParallelScheme::New)
+    };
+    optimize_model_parameters(&mut kernel, &config).unwrap();
+    let snapshot = telemetry.snapshot();
+    assert_eq!(snapshot.counters.events_dropped, 0);
+    let ends = region_end_seconds(&snapshot);
+    assert_eq!(ends.len() as u64, kernel.sync_events());
+    assert_eq!(ends, kept(&kernel), "telemetry and trace disagree");
+
+    kernel.executor_mut().inject_worker_panic(1, 0);
+    assert_eq!(
+        kernel.try_log_likelihood().unwrap_err(),
+        KernelError::Exec(ExecError::WorkerDied { worker: 1 })
+    );
+    let executor = kernel.executor_mut();
+    executor
+        .reassign(&ds.patterns, &assignment, capacity, &cats)
+        .unwrap();
+    kernel.invalidate_all();
+    kernel.try_log_likelihood().unwrap();
+    let snapshot = telemetry.snapshot();
+    assert_eq!(snapshot.counters.events_dropped, 0);
+    assert_eq!(snapshot.counters.worker_deaths, 1);
+    let ends = region_end_seconds(&snapshot);
+    let after = &ends[ends.len() - 1..];
+    assert_eq!(after, kept(&kernel), "the region after the re-install");
+    assert_eq!(after[0].len(), 3);
+    assert!(after[0].iter().all(|&bits| f64::from_bits(bits) > 0.0));
+}
+
 /// The two export formats round-trip a real run's snapshot: JSONL → events,
 /// Prometheus text → every counter.
 #[test]
