@@ -1181,7 +1181,40 @@ mod tests {
     }
 
     #[test]
-    fn no_slot_issued_under_the_old_model_is_served_after_a_model_change() {
+    fn table_dedup_never_serves_stale_tables_after_a_model_change() {
+        let (pp, tree) = small_dataset(7, 60, 30, 28);
+        let models = ModelSet::default_for(&pp, BranchLengthMode::Joint);
+        let mut k = SequentialKernel::build(pp, tree, models).unwrap();
+        for b in k.tree().branches().collect::<Vec<_>>() {
+            k.set_branch_length(BranchScope::All, b, 0.2);
+        }
+        let _ = k.try_log_likelihood().unwrap();
+
+        // A slot issued under the old α but never read — what a region that
+        // died before reaching it leaves behind — is as stale as a built one.
+        let root = k.default_root_branch();
+        k.set_branch_length(BranchScope::All, root, 0.3);
+        let unread = k.branch_tables(0, root).unwrap();
+
+        // The old tables were built under the old α: a model change must
+        // rebuild every one of the partition's slots.
+        k.set_alpha(0, 0.55);
+        let mask = k.full_mask();
+        let a = k.try_log_likelihood_partitions(root, &mask).unwrap();
+        assert_eq!(
+            a,
+            fresh_table_reference(&k, root),
+            "a model change must rebuild, not reuse"
+        );
+        assert!(unread.get().is_none(), "the unread slot was served");
+        assert!(!Arc::ptr_eq(&unread, &k.branch_tables(0, root).unwrap()));
+    }
+
+    #[test]
+    fn the_length_index_shares_only_tables_a_branch_still_holds() {
+        // The cross-branch length index this test was named for is gone;
+        // what stays is that a table slot is served only to the branch and
+        // model that issued it.
         let mut k = engine(7, 60, 30, BranchLengthMode::Joint, 30);
         let branches: Vec<BranchId> = k.tree().branches().collect();
         for (i, &b) in branches.iter().enumerate() {
@@ -1191,8 +1224,7 @@ mod tests {
 
         // A probe length no branch kept: moving away and back is a rebuild,
         // not a resurrection.
-        let root = k.default_root_branch();
-        let victim = *branches.iter().find(|&&b| b != root).unwrap();
+        let victim = branches[3];
         let kept = k.branch_length(0, victim);
         k.set_branch_length(BranchScope::All, victim, 0.777);
         let _ = k.try_log_likelihood().unwrap();
@@ -1206,27 +1238,13 @@ mod tests {
         );
 
         // A handle that outlives a model change (a payload still in flight)
-        // keeps the old slot alive, and a slot issued under the old α but
-        // never read — what a region that died before reaching it leaves
-        // behind — is as stale as a built one. Neither may be handed out.
+        // keeps the old slot alive, yet it must not be handed out again.
         let held = k.branch_tables(0, victim).unwrap();
         assert!(held.get().is_some(), "the evaluation built it");
-        k.set_branch_length(BranchScope::All, root, 0.3);
-        let unread = k.branch_tables(0, root).unwrap();
         k.set_alpha(0, 0.55);
         let reissued = k.branch_tables(0, victim).unwrap();
         assert!(!Arc::ptr_eq(&held, &reissued));
         assert!(reissued.get().is_none());
-
-        let mask = k.full_mask();
-        let a = k.try_log_likelihood_partitions(root, &mask).unwrap();
-        assert_eq!(
-            a,
-            fresh_table_reference(&k, root),
-            "a model change must rebuild, not reuse"
-        );
-        assert!(unread.get().is_none(), "the unread slot was served");
-        assert!(!Arc::ptr_eq(&unread, &k.branch_tables(0, root).unwrap()));
     }
 
     #[test]
