@@ -10,60 +10,15 @@
 //! are table lookups), which is exactly the argument the paper makes for why
 //! the protein datasets suffer less from the load imbalance.
 //!
-//! `newview` is the one primitive with two inner-loop families, so its cost
-//! is one function of the [`KernelDispatch`]: [`newview_flops`] (whose
-//! `Scalar` arm, [`newview_flops_tabled`], is also the instruction count the
-//! virtual executor records under either dispatch — see
-//! [`OpKind::pattern_cost`]).
+//! `newview` dominates every likelihood workload, so its per-pattern count,
+//! [`newview_flops_tabled`], is the one weight every placement packs by
+//! (`phylo_sched::PatternCosts::analytic`) and the unit the virtual
+//! executor records (see [`OpKind::pattern_cost`]). It counts the scalar
+//! tabled loops; the blocked loops (see [`crate::blocked`]) perform the same
+//! arithmetic in another order, so which inner loop runs is the kernel's
+//! business and never reaches the cost.
 
-use crate::tables::KernelDispatch;
-
-/// Effective per-pattern cost of one `newview` pattern under `dispatch`, in
-/// scalar-tabled-FLOP-equivalent units — what a scheduler should pack
-/// against when the engine runs that dispatch.
-///
-/// `Scalar` is [`newview_flops_tabled`]. The `Blocked` loops (see
-/// [`crate::blocked`]) perform the same arithmetic — blocking re-orders, it
-/// does not re-count — but their *effective throughput* differs per state
-/// width, and the scheduler packs against effective cost, not instruction
-/// counts. Two effects set the shape, both calibrated against measured
-/// per-pattern seconds of cold-CLV sweeps:
-///
-/// * the arithmetic itself runs packed: the 20-state and the 4-state
-///   column-broadcast products both retire ≈ 4 packed multiply–adds per
-///   issue, so the flop term shrinks by that factor for *both* widths;
-/// * every (pattern, category) block pays a fixed overhead — the tip-row
-///   or CLV load, the scaling epilogue and loop bookkeeping — that does
-///   not scale with `states²`. Since the DNA loop picks its child kinds once
-///   per step instead of matching them per (pattern, category), this is
-///   a few flop-equivalents: a third of a DNA block, noise for protein.
-///
-/// The measured protein/DNA per-pattern cost ratio of cold-CLV sweeps (24
-/// taxa, 1 000 patterns, 4 categories) is ≈ 16.5 on the reference host
-/// (2 vCPUs, `target-cpu=native`; per-run ratio medians 15.6 and 16.9 over
-/// two sets of five runs, DNA ≈ 13.6 and protein ≈ 220 ns per
-/// pattern-node), down from the tabled model's 21; `flops / lanes +
-/// overhead` reproduces it at 16.4. Before the DNA loop was split per
-/// child-kind pair the same sweep read ≈ 8 (DNA ≈ 27 ns), fitted as 6.0
-/// with an overhead of 30. A drift shows in `benchmark/`'s
-/// `sched.measured_imbalance` against
-/// `sched.predicted_imbalance.weighted_lpt`.
-pub fn newview_flops(dispatch: KernelDispatch, states: usize, categories: usize) -> f64 {
-    /// Packed f64 lanes the blocked inner loops retire per issue (256-bit
-    /// SIMD: 4 × f64).
-    const SIMD_LANES: f64 = 4.0;
-    /// Fixed per-(pattern, category) cost in scalar-FLOP equivalents, fitted
-    /// to the measured blocked DNA/protein split.
-    const BLOCK_OVERHEAD: f64 = 3.0;
-    match dispatch {
-        KernelDispatch::Scalar => newview_flops_tabled(states, categories),
-        KernelDispatch::Blocked => {
-            categories as f64 * ((states * (2 * states + 2)) as f64 / SIMD_LANES + BLOCK_OVERHEAD)
-        }
-    }
-}
-
-/// Floating-point operations for one `newview` pattern under the scalar
+/// Floating-point operations for one `newview` pattern under the
 /// **shared-table kernel** (see [`crate::tables`]): an internal child costs
 /// an inner product of length `states` per (category, state), a tip child a
 /// single precomputed lookup. In an unrooted binary tree with `n` taxa the
@@ -74,8 +29,8 @@ pub fn newview_flops(dispatch: KernelDispatch, states: usize, categories: usize)
 ///
 /// The protein/DNA ratio is `(2·20+2)/(2·4+2) · 5 = 21`: tip lookups flatten
 /// the per-state gap below the `(20/4)² = 25` of two dense inner products
-/// (`tests/end_to_end.rs::facade_assignment_follows_the_kernel_dispatch`
-/// pins both ratios).
+/// (`phylo_sched`'s `tabled_costs_recalibrate_the_protein_dna_ratio` pins
+/// it).
 pub fn newview_flops_tabled(states: usize, categories: usize) -> f64 {
     (categories * states * (2 * states + 2)) as f64
 }
@@ -180,10 +135,10 @@ impl OpKind {
     }
 
     /// Analytic `(flops, bytes)` one visit of one pattern costs under this
-    /// op — the instruction counts the virtual executor records, which do not
-    /// depend on the dispatch (`newview` is counted in the tabled unit, so
-    /// predicted and virtual-trace costs stay comparable). Only `newview`
-    /// streams likelihood arrays, so only it has a byte term.
+    /// op — the instruction counts the virtual executor records, in the unit
+    /// placement packs by, so predicted and virtual-trace costs are directly
+    /// comparable. Only `newview` streams likelihood arrays, so only it has a
+    /// byte term.
     pub fn pattern_cost(&self, states: usize, categories: usize) -> (f64, f64) {
         match self {
             OpKind::Newview => (

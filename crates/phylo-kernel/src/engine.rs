@@ -70,10 +70,11 @@ pub struct KernelStats {
 
 /// The master-side store of branch-table slots: one [`MaskDictionary`] per
 /// partition (fixed for the dataset's lifetime) and a dense
-/// `[partition][branch]` grid of `Arc<TableSlot>`s, emptied whenever the
-/// branch's length or the partition's model changes (and wholesale on
-/// topology changes). See [`crate::tables`] for what a slot holds and who
-/// builds it.
+/// `[partition][branch]` grid of `Arc<TableSlot>`s. A slot depends only on
+/// the partition's model, its dictionary and the branch's length, so it is
+/// emptied whenever that length or that model changes — an SPR empties the
+/// branches whose lengths it writes, in every partition. See
+/// [`crate::tables`] for what a slot holds and who builds it.
 #[derive(Debug, Clone)]
 struct TableStore {
     /// Inner-loop implementation stamped into every table payload.
@@ -730,10 +731,11 @@ impl<E: Executor> LikelihoodKernel<E> {
             &undo.affected_nodes,
             mv.target_branch,
         );
-        // The move merged, halved and re-used branch lengths; dropping the
-        // whole table cache is cheap next to the CLV recomputation the move
-        // forces anyway.
-        self.data.tables.clear();
+        // The move wrote the lengths of the snapshot branches and no others;
+        // every other slot still holds its branch's tables.
+        for &branch in &snapshot_branches {
+            self.data.tables.invalidate_branch(None, branch);
+        }
         self.stats.spr_moves += 1;
         Ok(SprApplication {
             undo,
@@ -755,7 +757,9 @@ impl<E: Executor> LikelihoodKernel<E> {
             &application.undo.affected_nodes,
             application.undo.merged_branch(),
         );
-        self.data.tables.clear();
+        for &(branch, _) in &application.saved_lengths {
+            self.data.tables.invalidate_branch(None, branch);
+        }
     }
 
     /// The three branches incident to the insertion point of an applied SPR
@@ -1080,14 +1084,19 @@ mod tests {
     #[test]
     fn spr_clears_the_table_cache() {
         let mut k = engine(10, 60, 30, BranchLengthMode::PerPartition, 24);
+        let (partitions, branches) = (k.partition_count(), k.tree().branch_count());
         let _ = k.try_log_likelihood().unwrap();
-        assert!(k.cached_branch_tables() > 0);
+        assert_eq!(k.cached_branch_tables(), partitions * branches);
+        // The move writes the lengths of at most four branches (three around
+        // the re-inserted node, the merged one at the pruning site): exactly
+        // their slots go, in every partition.
         let app = k.apply_spr(first_spr_move(k.tree())).unwrap();
-        assert_eq!(k.cached_branch_tables(), 0);
+        let touched = app.saved_lengths.len();
+        assert!((1..=4).contains(&touched), "{touched}");
+        assert_eq!(k.cached_branch_tables(), partitions * (branches - touched));
         let _ = k.try_log_likelihood().unwrap();
-        assert!(k.cached_branch_tables() > 0);
         k.undo_spr(&app);
-        assert_eq!(k.cached_branch_tables(), 0);
+        assert_eq!(k.cached_branch_tables(), partitions * (branches - touched));
     }
 
     #[test]
@@ -1140,8 +1149,9 @@ mod tests {
         // DNA under the default blocked dispatch is bit for bit with tables
         // built fresh on the spot. An evaluation re-fetches the tables of the
         // branches it traverses: whatever a length or model change emptied,
-        // but after an SPR — which empties everything and invalidates only
-        // the CLVs on the moved path — just the partial traversal's share.
+        // but after an SPR — which empties the branches whose lengths it
+        // wrote and invalidates only the CLVs on the moved path — just the
+        // partial traversal's share of those.
         let refill = |k: &mut SequentialKernel, step: &str| {
             let mask = k.full_mask();
             let lnl = k.try_log_likelihood_partitions(root, &mask).unwrap();
@@ -1169,11 +1179,12 @@ mod tests {
         assert_eq!(refill(&mut k, "exchangeability"), all);
 
         let app = k.apply_spr(first_spr_move(k.tree())).unwrap();
-        assert_eq!(k.cached_branch_tables(), 0);
-        assert!((1..all).contains(&refill(&mut k, "spr applied")));
+        let kept = partitions * (branches - app.saved_lengths.len());
+        assert_eq!(k.cached_branch_tables(), kept);
+        assert!((kept..=all).contains(&refill(&mut k, "spr applied")));
         k.undo_spr(&app);
-        assert_eq!(k.cached_branch_tables(), 0);
-        assert!((1..all).contains(&refill(&mut k, "spr undone")));
+        assert_eq!(k.cached_branch_tables(), kept);
+        assert!((kept..=all).contains(&refill(&mut k, "spr undone")));
 
         k.invalidate_all();
         assert_eq!(k.cached_branch_tables(), 0);

@@ -68,8 +68,8 @@ pub struct TraversalDescriptor {
 /// The CLV-touching commands carry **table slots** (see [`crate::tables`])
 /// inside an `Arc`: the first shard that reads a slot builds its transition
 /// matrices and tip lookup rows, and every other reader shares them, so the
-/// O(states³·categories) eigen work is done once per distinct branch length
-/// inside the region. The payload also carries a [`KernelDispatch`] selecting
+/// O(states³·categories) eigen work is done once per `(partition, branch)`
+/// slot inside the region. The payload also carries a [`KernelDispatch`] selecting
 /// between the scalar tabled loops (the reference) and the cache-blocked
 /// width-specialized loops (see [`crate::blocked`] for the tolerance
 /// contract).
@@ -462,10 +462,6 @@ pub fn execute_on_worker(
                         edge,
                     )?,
                 };
-                worker.buffers[pi].count_dispatch_patterns(
-                    tables.dispatch,
-                    worker.slices[pi].pattern_count() as u64,
-                );
             }
             out = OpOutput::LogLikelihoods(lnl);
         }
@@ -548,10 +544,6 @@ fn run_traversal(
                 }
             }
         }
-        worker.buffers[pi].count_dispatch_patterns(
-            tables.dispatch,
-            (slice.pattern_count() * plan.steps.len()) as u64,
-        );
     }
     Ok(())
 }
@@ -635,7 +627,7 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// What `worker` reports for one recorded region: its timings plus the
-/// tip-cache, dispatch and table-build counter deltas of `slices` since the
+/// tip-cache and table-build counter deltas of `slices` since the
 /// last sample.
 pub fn sample(
     slices: &WorkerSlices,
@@ -644,7 +636,6 @@ pub fn sample(
     queue_wait_seconds: f64,
 ) -> WorkerSample {
     let (tip_hits, tip_misses, tip_builds) = slices.take_tip_cache_counters();
-    let (dispatch_blocked, dispatch_scalar) = slices.take_dispatch_counters();
     WorkerSample {
         worker,
         op_seconds,
@@ -652,8 +643,6 @@ pub fn sample(
         tip_hits,
         tip_misses,
         tip_builds,
-        dispatch_blocked,
-        dispatch_scalar,
         tables_built: slices.take_table_builds(),
     }
 }
@@ -680,7 +669,7 @@ pub fn end_region(
     let token = token?;
     let mut worker_seconds = vec![0.0; width];
     let mut queue_wait = vec![0.0; width];
-    let (mut hits, mut misses, mut builds, mut blocked, mut scalar) = (0, 0, 0, 0, 0);
+    let (mut hits, mut misses, mut builds) = (0, 0, 0);
     let mut tables_built = 0;
     for s in samples {
         worker_seconds[s.worker] = s.op_seconds;
@@ -688,12 +677,9 @@ pub fn end_region(
         hits += s.tip_hits;
         misses += s.tip_misses;
         builds += s.tip_builds;
-        blocked += s.dispatch_blocked;
-        scalar += s.dispatch_scalar;
         tables_built += s.tables_built;
     }
     telemetry.add_tip_cache(hits, misses, builds);
-    telemetry.add_dispatch_patterns(blocked, scalar);
     telemetry.add_shard_table_builds(tables_built);
     telemetry.region_end(token, &worker_seconds, &queue_wait);
     None

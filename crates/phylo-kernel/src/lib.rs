@@ -19,17 +19,18 @@
 //! * [`validity`] — the master-side cache that tracks which CLVs are still
 //!   valid (and in which orientation) so that partial traversals can be used,
 //! * [`tables`] — per-branch transition and tip-lookup tables
-//!   ([`tables::BranchTables`]): the master issues a content-keyed
-//!   [`tables::TableSlot`] per distinct `(partition, length)` inside the
-//!   command payload, and the first worker that reads a slot builds its
-//!   tables for every other reader, so no table is built twice in the
-//!   common case and no worker re-derives a per-pattern tip bit loop,
+//!   ([`tables::BranchTables`]): the master issues a [`tables::TableSlot`]
+//!   per `(partition, branch)` inside the command payload, and the first
+//!   worker that reads a slot builds its tables for every other reader, so
+//!   no table is built twice in the common case and no worker re-derives a
+//!   per-pattern tip bit loop,
 //! * [`blocked`] — the cache-blocked, width-specialized tabled inner loops
 //!   selected by [`tables::KernelDispatch::Blocked`] (the fast default; the
 //!   scalar tabled loops in [`ops`] stay as the bit-for-bit-comparable
 //!   reference dispatch),
 //! * [`cost`] — an analytic floating-point cost model of the kernel
-//!   primitives, used by the instrumented executor and the platform model,
+//!   primitives, used by the instrumented executor, the platform model and
+//!   every placement (one `newview` cost, whichever dispatch runs),
 //! * [`executor`] — the [`Executor`] abstraction: a
 //!   synchronous "command" interface exactly like the master/worker protocol
 //!   of the Pthreads RAxML (a command is one likelihood call: optional

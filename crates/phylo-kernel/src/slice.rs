@@ -26,7 +26,7 @@ use std::sync::Arc;
 use phylo_data::{DataType, EncodedState, PartitionedPatterns};
 
 use crate::error::OpError;
-use crate::tables::{KernelDispatch, MaskDictionary};
+use crate::tables::MaskDictionary;
 
 /// Sentinel in the tip-index cache for a mask outside the dictionary (the
 /// kernels then fall back to the reference bit loop for that pattern).
@@ -106,12 +106,6 @@ pub struct SliceBuffers {
     tip_misses: Cell<u64>,
     /// Number of cache (re)builds.
     tip_builds: Cell<u64>,
-    /// Pattern-steps processed by the blocked tabled kernels since the last
-    /// drain (per-dispatch region throughput accounting).
-    dispatch_blocked: Cell<u64>,
-    /// Pattern-steps processed by the scalar tabled kernels since the last
-    /// drain.
-    dispatch_scalar: Cell<u64>,
 }
 
 impl SliceBuffers {
@@ -135,8 +129,6 @@ impl SliceBuffers {
             tip_hits: Cell::new(0),
             tip_misses: Cell::new(0),
             tip_builds: Cell::new(0),
-            dispatch_blocked: Cell::new(0),
-            dispatch_scalar: Cell::new(0),
         }
     }
 
@@ -320,25 +312,6 @@ impl SliceBuffers {
     #[inline]
     pub fn count_tip_hits(&self, n: u64) {
         self.tip_hits.set(self.tip_hits.get() + n);
-    }
-
-    /// Counts `n` pattern-steps executed under `dispatch` by the tabled
-    /// kernels (the per-dispatch region-throughput accounting surfaced to
-    /// telemetry). Interior mutability for the same reason as the tip-cache
-    /// counters.
-    #[inline]
-    pub fn count_dispatch_patterns(&self, dispatch: KernelDispatch, n: u64) {
-        let cell = match dispatch {
-            KernelDispatch::Blocked => &self.dispatch_blocked,
-            KernelDispatch::Scalar => &self.dispatch_scalar,
-        };
-        cell.set(cell.get() + n);
-    }
-
-    /// Drains the per-dispatch pattern-step counters:
-    /// `(blocked, scalar)` since the last drain.
-    pub fn take_dispatch_counters(&self) -> (u64, u64) {
-        (self.dispatch_blocked.take(), self.dispatch_scalar.take())
     }
 
     /// Current tip-index cache counters: `(hits, misses, builds)`.
@@ -538,18 +511,6 @@ impl WorkerSlices {
             total.0 += h;
             total.1 += m;
             total.2 += b;
-        }
-        total
-    }
-
-    /// Drains the per-dispatch pattern-step counters of every partition
-    /// buffer, summed: `(blocked, scalar)` since the last drain.
-    pub fn take_dispatch_counters(&self) -> (u64, u64) {
-        let mut total = (0, 0);
-        for buffer in &self.buffers {
-            let (b, s) = buffer.take_dispatch_counters();
-            total.0 += b;
-            total.1 += s;
         }
         total
     }

@@ -7,8 +7,8 @@
 //! same per-category matrices for every node update — identical
 //! O(states³ · categories) eigen work per branch — and tip inner loops
 //! re-derive the same ambiguity-mask sums per pattern. Here the master issues
-//! a content-keyed [`TableSlot`] instead — one per distinct `(partition,
-//! length)` under the partition's current model, carried in the
+//! a [`TableSlot`] instead — one per `(partition, branch)`, for the branch's
+//! stored length under the partition's current model, carried in the
 //! [`KernelOp`] payload — and the first shard that reaches a slot inside the
 //! region builds its [`BranchTables`] and publishes them for every other
 //! reader. Each table is built once, in the region that reads it, and read
@@ -88,6 +88,10 @@ use crate::error::OpError;
 ///   their multiply–adds, so protein agreement is ≤1e-12 in lnL by
 ///   contract (see `tests/kernel_differential.rs`). State widths other than
 ///   4 and 20 fall back to the scalar loops.
+///
+/// The choice stays inside the kernel: placement packs every pattern by the
+/// one analytic cost ([`crate::cost::newview_flops_tabled`]) whichever loop
+/// runs, and telemetry counts no per-dispatch work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelDispatch {
     /// Scalar tabled loops: the bit-for-bit reference path.
@@ -98,7 +102,7 @@ pub enum KernelDispatch {
 }
 
 impl KernelDispatch {
-    /// Short label (telemetry, bench envelopes, diagnostics).
+    /// Short label (benchmark metric names, diagnostics).
     pub fn label(self) -> &'static str {
         match self {
             KernelDispatch::Scalar => "scalar",
@@ -404,9 +408,10 @@ impl BranchTables {
 /// current model, as the master issues them: empty until the first shard
 /// that reads the slot builds them, then shared with every later reader.
 ///
-/// The master keys slots by `(partition, length bits)` and drops a
-/// partition's slots whenever its model changes, so a slot is only ever
-/// resolved under the model it was issued for.
+/// The master keeps one slot per `(partition, branch)` in a
+/// `[partition][branch]` grid, empties a branch's slot when that branch's
+/// length changes and a partition's row when its model changes, so a slot
+/// is only ever resolved under the model and length it was issued for.
 #[derive(Debug)]
 pub struct TableSlot {
     dict: Arc<MaskDictionary>,

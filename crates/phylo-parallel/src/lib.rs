@@ -37,10 +37,10 @@
 //!
 //! [`schedule`] bundles the first two arrows; the strategies — [`Cyclic`]
 //! and [`Block`] (the paper's two fixed schemes, placed bit for bit as in
-//! the paper), [`WeightedLpt`] (cost-weighted bin-packing; under the scalar
-//! costs [`schedule`] packs, a 20-state protein pattern counts 21× a DNA
-//! pattern) and [`SpeedAwareLpt`] (LPT onto measured worker speeds) — live
-//! in `phylo-sched`.
+//! the paper), [`WeightedLpt`] (cost-weighted bin-packing; under the
+//! analytic costs [`schedule`] packs, a 20-state protein pattern counts 21×
+//! a DNA pattern) and [`SpeedAwareLpt`] (LPT onto measured worker speeds) —
+//! live in `phylo-sched`.
 //!
 //! ```
 //! use phylo_data::{Alignment, DataType, PartitionSet, PartitionedPatterns};
@@ -74,14 +74,12 @@ pub use phylo_sched::{
 };
 
 use phylo_data::PartitionedPatterns;
-use phylo_kernel::{KernelDispatch, WorkerSlices};
+use phylo_kernel::WorkerSlices;
 
 /// Builds an [`Assignment`] for a dataset with the analytic cost model:
-/// derives [`PatternCosts`] from the partitions' state and category counts
-/// under [`KernelDispatch::Scalar`] — the tabled `newview` flops, the unit
-/// `TracingExecutor` records, whichever dispatch the engine then runs (the
-/// `Analysis` builder packs against the dispatch it runs instead) — then
-/// runs `strategy` over them.
+/// derives [`PatternCosts::analytic`] from the partitions' state and
+/// category counts — the tabled `newview` flops, the unit `TracingExecutor`
+/// records — then runs `strategy` over them.
 ///
 /// # Errors
 ///
@@ -94,7 +92,7 @@ pub fn schedule(
     worker_count: usize,
     strategy: &dyn ScheduleStrategy,
 ) -> Result<Assignment, SchedError> {
-    let costs = PatternCosts::analytic(patterns, categories, KernelDispatch::Scalar);
+    let costs = PatternCosts::analytic(patterns, categories);
     strategy.assign(&costs, worker_count)
 }
 

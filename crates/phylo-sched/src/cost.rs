@@ -2,19 +2,17 @@
 //!
 //! A scheduling strategy only needs one thing from the workload: how expensive
 //! each global pattern is relative to the others. [`PatternCosts::analytic`]
-//! derives that from the kernel's analytic cost model for the
-//! `KernelDispatch` the engine will run — `newview` dominates every
-//! likelihood workload (it is the only primitive executed once per traversal
-//! node rather than once per region), so its per-pattern FLOP count is the
-//! natural weight. The absolute scale cancels in every balance metric; only
-//! the ratios matter, and those are exactly the paper's argument: under the
-//! scalar kernel a 20-state protein pattern weighs 21× a 4-state DNA pattern
-//! (the paper's "≈25×", less what tip lookups save).
+//! derives that from the kernel's analytic cost model — `newview` dominates
+//! every likelihood workload (it is the only primitive executed once per
+//! traversal node rather than once per region), so its per-pattern FLOP count
+//! is the natural weight. The absolute scale cancels in every balance metric;
+//! only the ratios matter, and those are exactly the paper's argument: a
+//! 20-state protein pattern weighs 21× a 4-state DNA pattern (the paper's
+//! "≈25×", less what tip lookups save).
 
 use crate::error::SchedError;
 use phylo_data::{CompressedPartition, PartitionedPatterns};
-use phylo_kernel::cost::newview_flops;
-use phylo_kernel::KernelDispatch;
+use phylo_kernel::cost::newview_flops_tabled;
 
 /// The scheduler's view of a workload: one relative cost per global pattern.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,16 +52,13 @@ impl PatternCosts {
         Ok(Self { costs })
     }
 
-    /// Analytic costs under the kernel `dispatch` the engine runs: pattern
-    /// `g` of a partition with `s` states and `c` rate categories weighs
-    /// `phylo_kernel::cost::newview_flops(dispatch, s, c)`. Under `Scalar`
-    /// tip children are table lookups and the protein/DNA ratio is 21 (also
-    /// the unit `TracingExecutor` records, which makes predicted and
-    /// virtual-trace costs directly comparable); under `Blocked` the packed
-    /// inner loops shrink the arithmetic term of both state widths by the
-    /// SIMD lane count while the fixed per-(pattern, category) overhead stays
-    /// scalar, so the ratio drops to ≈ 16.4 — packing a blocked run against
-    /// the scalar ratio would over-weigh protein partitions by ≈ 1.3×.
+    /// Analytic costs: pattern `g` of a partition with `s` states and `c`
+    /// rate categories weighs `phylo_kernel::cost::newview_flops_tabled(s,
+    /// c)`, so the protein/DNA ratio is 21. It is also the unit
+    /// `TracingExecutor` records, which makes predicted and virtual-trace
+    /// costs directly comparable. Which inner loop the engine runs does not
+    /// enter: over many equal items LPT alternates each data type across the
+    /// workers, so the ratio only decides the remainder.
     ///
     /// `categories` gives the number of Γ rate categories per partition (same
     /// order as the dataset's partitions).
@@ -71,29 +66,27 @@ impl PatternCosts {
     /// # Panics
     ///
     /// Panics if `categories.len()` differs from the partition count.
-    pub fn analytic(
-        patterns: &PartitionedPatterns,
-        categories: &[usize],
-        dispatch: KernelDispatch,
-    ) -> Self {
+    pub fn analytic(patterns: &PartitionedPatterns, categories: &[usize]) -> Self {
         assert_eq!(
             categories.len(),
             patterns.partition_count(),
             "one category count per partition required"
         );
         Self::per_partition(patterns, |pi, part| {
-            newview_flops(dispatch, part.states(), categories[pi])
+            newview_flops_tabled(part.states(), categories[pi])
         })
         .expect("analytic flops are finite and non-negative")
     }
 
-    /// [`PatternCosts::analytic`] under `KernelDispatch::Scalar`.
+    /// [`PatternCosts::analytic`] under its former name, kept only because
+    /// the standalone `benchmark/` crate imports it; it goes with that
+    /// crate's next change.
     ///
     /// # Panics
     ///
     /// Panics if `categories.len()` differs from the partition count.
     pub fn analytic_tabled(patterns: &PartitionedPatterns, categories: &[usize]) -> Self {
-        Self::analytic(patterns, categories, KernelDispatch::Scalar)
+        Self::analytic(patterns, categories)
     }
 
     /// Uniform costs (every pattern weighs 1): what the paper's original
@@ -168,7 +161,7 @@ mod tests {
     #[test]
     fn analytic_costs_weigh_protein_about_25x_dna() {
         let pp = mixed_patterns();
-        let costs = PatternCosts::analytic_tabled(&pp, &[4, 4]);
+        let costs = PatternCosts::analytic(&pp, &[4, 4]);
         assert_eq!(costs.pattern_count(), pp.total_patterns());
         let dna = costs.cost(0);
         let protein = costs.cost(pp.global_offset(1));
@@ -182,7 +175,7 @@ mod tests {
     #[test]
     fn tabled_costs_recalibrate_the_protein_dna_ratio() {
         let pp = mixed_patterns();
-        let costs = PatternCosts::analytic_tabled(&pp, &[4, 4]);
+        let costs = PatternCosts::analytic(&pp, &[4, 4]);
         assert_eq!(costs.pattern_count(), pp.total_patterns());
         let dna = costs.cost(0);
         let protein = costs.cost(pp.global_offset(1));
@@ -193,22 +186,13 @@ mod tests {
             (ratio - 21.0).abs() < 1e-12,
             "tabled protein/DNA ratio {ratio} should be 21"
         );
-        // The blocked model narrows the gap: the packed lanes shrink the
-        // arithmetic of both widths, the small fixed per-block overhead
-        // weighs more on DNA — (210 + 3)/(10 + 3).
-        let blocked = PatternCosts::analytic(&pp, &[4, 4], KernelDispatch::Blocked);
-        let blocked_ratio = blocked.cost(pp.global_offset(1)) / blocked.cost(0);
-        assert!(
-            (blocked_ratio - 213.0 / 13.0).abs() < 1e-12,
-            "blocked protein/DNA ratio {blocked_ratio} should be 213/13"
-        );
     }
 
     #[test]
     fn analytic_costs_scale_with_categories() {
         let pp = mixed_patterns();
-        let four = PatternCosts::analytic_tabled(&pp, &[4, 4]);
-        let eight = PatternCosts::analytic_tabled(&pp, &[8, 4]);
+        let four = PatternCosts::analytic(&pp, &[4, 4]);
+        let eight = PatternCosts::analytic(&pp, &[8, 4]);
         assert!((eight.cost(0) / four.cost(0) - 2.0).abs() < 1e-12);
         // Protein partition categories unchanged.
         let g = pp.global_offset(1);

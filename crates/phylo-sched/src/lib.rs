@@ -9,11 +9,10 @@
 //!
 //! * [`PatternCosts`] — a per-pattern cost vector.
 //!   [`PatternCosts::analytic`] derives it from the kernel's analytic cost
-//!   model ([`phylo_kernel::cost::newview_flops`], one function of the
-//!   kernel dispatch): a 20-state protein pattern costs 21× (scalar) or
-//!   ≈ 16.4× (blocked) a DNA pattern in `newview`, which is exactly why
-//!   pattern *counts* alone are a poor balance proxy for mixed DNA/protein
-//!   inputs.
+//!   model ([`phylo_kernel::cost::newview_flops_tabled`], the one `newview`
+//!   cost): a 20-state protein pattern costs 21× a DNA pattern in
+//!   `newview`, which is exactly why pattern *counts* alone are a poor
+//!   balance proxy for mixed DNA/protein inputs.
 //! * [`Assignment`] — an explicit pattern→worker map with the per-worker
 //!   predicted cost, plus the imbalance metrics
 //!   ([`Assignment::imbalance`], [`Assignment::max_cost`],
@@ -51,7 +50,7 @@
 //! ]).unwrap();
 //! let ps = PartitionSet::equal_length(DataType::Dna, 10, 5);
 //! let patterns = PartitionedPatterns::compile(&aln, &ps).unwrap();
-//! let costs = PatternCosts::analytic_tabled(&patterns, &[4, 4]);
+//! let costs = PatternCosts::analytic(&patterns, &[4, 4]);
 //!
 //! let cyclic = Cyclic.assign(&costs, 2).unwrap();
 //! let lpt = WeightedLpt.assign(&costs, 2).unwrap();

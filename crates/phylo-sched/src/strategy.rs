@@ -104,11 +104,10 @@ impl ScheduleStrategy for Block {
 ///
 /// Patterns are placed in order of decreasing cost, each onto the currently
 /// least-loaded worker. With the analytic cost model this makes a 20-state
-/// protein pattern count 21× (scalar kernels) or ≈ 16.4× (blocked) a DNA
-/// pattern, so mixed workloads balance by predicted *work*, not by pattern
-/// count. LPT's classical guarantee bounds the makespan within 4/3 of
-/// optimal; on phylogenomic inputs (many patterns per worker) it is
-/// near-perfect.
+/// protein pattern count 21× a DNA pattern, so mixed workloads balance by
+/// predicted *work*, not by pattern count. LPT's classical guarantee bounds
+/// the makespan within 4/3 of optimal; on phylogenomic inputs (many patterns
+/// per worker) it is near-perfect.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WeightedLpt;
 
@@ -300,7 +299,7 @@ mod tests {
         ])
         .unwrap();
         let pp = PartitionedPatterns::compile(&aln, &ps).unwrap();
-        let costs = PatternCosts::analytic_tabled(&pp, &[4, 4, 4]);
+        let costs = PatternCosts::analytic(&pp, &[4, 4, 4]);
         (pp, costs)
     }
 

@@ -325,7 +325,7 @@ mod tests {
         let ds = phylo_seqgen::datasets::mixed_dna_protein(6, 3, 2, 64, 91).generate();
         let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
         let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let costs = PatternCosts::analytic_tabled(&ds.patterns, &cats);
+        let costs = PatternCosts::analytic(&ds.patterns, &cats);
         let assignment = schedule(&ds.patterns, &cats, 7, &Cyclic).unwrap();
         let exec = TracingExecutor::from_assignment(
             &ds.patterns,

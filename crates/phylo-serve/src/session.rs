@@ -32,8 +32,7 @@ use std::time::{Duration, Instant};
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::WorkTrace;
 use phylo_kernel::{
-    ExecContext, ExecError, Executor, KernelDispatch, KernelOp, LikelihoodKernel, OpOutput,
-    WorkerSlices,
+    ExecContext, ExecError, Executor, KernelOp, LikelihoodKernel, OpOutput, WorkerSlices,
 };
 use phylo_models::ModelSet;
 use phylo_optimize::{optimize_model_parameters_resilient, WorkerRecovery};
@@ -479,13 +478,7 @@ impl SessionManager {
             ));
         }
         let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        // Sessions are packed against the scalar (tabled) cost model even
-        // though their engines run the blocked kernels: unlike the single-run
-        // builder, which packs against the dispatch it runs. Placement is
-        // pinned bit for bit by the serving benchmark, so which model serving
-        // *should* pack against is an open measured-calibration question
-        // (ROADMAP direction 3), not something to change in passing.
-        let costs = PatternCosts::analytic(&patterns, &categories, KernelDispatch::Scalar);
+        let costs = PatternCosts::analytic(&patterns, &categories);
         let assignment = strategy.assign(&costs, workers)?;
         let shards = build_workers(&patterns, tree.node_capacity(), &categories, &assignment)?;
 

@@ -18,8 +18,8 @@
 //!   deaths/recoveries, optimizer rounds and probes all happen on the master
 //!   thread, so the event log and histograms sit behind uncontended mutexes.
 //! * *Workers* never touch the recorder. Each worker measures one
-//!   [`WorkerSample`] (op latency, queue wait, tip-cache, dispatch and
-//!   table-build counters) per recorded region and hands it to the master
+//!   [`WorkerSample`] (op latency, queue wait, tip-cache and table-build
+//!   counters) per recorded region and hands it to the master
 //!   inside the one reply it sends for that region; the master folds the
 //!   samples into the recorder when it closes the region.
 //! * This crate depends on nothing, so every workspace crate can depend on

@@ -26,10 +26,6 @@ pub struct WorkerSample {
     pub tip_misses: u64,
     /// Tip-index cache rebuilds since the last sample.
     pub tip_builds: u64,
-    /// Patterns processed by the blocked dispatch since the last sample.
-    pub dispatch_blocked: u64,
-    /// Patterns processed by the scalar dispatch since the last sample.
-    pub dispatch_scalar: u64,
     /// Branch tables the worker built since the last sample.
     pub tables_built: u64,
 }
@@ -44,8 +40,6 @@ struct Counters {
     tip_hits: AtomicU64,
     tip_misses: AtomicU64,
     tip_builds: AtomicU64,
-    dispatch_blocked_patterns: AtomicU64,
-    dispatch_scalar_patterns: AtomicU64,
     reschedules: AtomicU64,
     reschedules_considered: AtomicU64,
     worker_deaths: AtomicU64,
@@ -287,27 +281,6 @@ impl Telemetry {
         }
     }
 
-    /// Accumulates per-dispatch pattern-step counts drained from workers:
-    /// how many (pattern × traversal-step) units the blocked and the scalar
-    /// tabled kernels each processed. Together with the per-region wall
-    /// times this yields per-dispatch region throughput.
-    pub fn add_dispatch_patterns(&self, blocked: u64, scalar: u64) {
-        if let Some(inner) = &self.inner {
-            if blocked != 0 {
-                inner
-                    .counters
-                    .dispatch_blocked_patterns
-                    .fetch_add(blocked, Ordering::Relaxed);
-            }
-            if scalar != 0 {
-                inner
-                    .counters
-                    .dispatch_scalar_patterns
-                    .fetch_add(scalar, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Accumulates the branch tables workers built, drained from worker
     /// samples: at least one per issued slot a region read, more where two
     /// workers raced to the same slot.
@@ -482,8 +455,6 @@ impl Telemetry {
                 tip_hits: load(&c.tip_hits),
                 tip_misses: load(&c.tip_misses),
                 tip_builds: load(&c.tip_builds),
-                dispatch_blocked_patterns: load(&c.dispatch_blocked_patterns),
-                dispatch_scalar_patterns: load(&c.dispatch_scalar_patterns),
                 reschedules: load(&c.reschedules),
                 reschedules_considered: load(&c.reschedules_considered),
                 worker_deaths: load(&c.worker_deaths),

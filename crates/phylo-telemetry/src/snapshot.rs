@@ -26,10 +26,6 @@ pub struct CounterSnapshot {
     pub tip_misses: u64,
     /// Tip-index cache (re)builds.
     pub tip_builds: u64,
-    /// Pattern-steps processed by the blocked tabled kernel dispatch.
-    pub dispatch_blocked_patterns: u64,
-    /// Pattern-steps processed by the scalar tabled kernel dispatch.
-    pub dispatch_scalar_patterns: u64,
     /// Pattern migrations performed.
     pub reschedules: u64,
     /// Rescheduler consultations (fired or not).
@@ -63,8 +59,6 @@ impl CounterSnapshot {
             ("tip_hits", self.tip_hits),
             ("tip_misses", self.tip_misses),
             ("tip_builds", self.tip_builds),
-            ("dispatch_blocked_patterns", self.dispatch_blocked_patterns),
-            ("dispatch_scalar_patterns", self.dispatch_scalar_patterns),
             ("reschedules", self.reschedules),
             ("reschedules_considered", self.reschedules_considered),
             ("worker_deaths", self.worker_deaths),
@@ -116,18 +110,6 @@ impl TelemetrySnapshot {
             1.0
         } else {
             self.counters.tip_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of tabled pattern-steps that ran on the blocked dispatch,
-    /// in `[0, 1]` (1.0 when nothing tabled ran — the default dispatch).
-    pub fn blocked_dispatch_fraction(&self) -> f64 {
-        let total =
-            self.counters.dispatch_blocked_patterns + self.counters.dispatch_scalar_patterns;
-        if total == 0 {
-            1.0
-        } else {
-            self.counters.dispatch_blocked_patterns as f64 / total as f64
         }
     }
 

@@ -51,7 +51,7 @@ fn main() -> Result<(), AnalysisError> {
     }
 
     // The analytic cost model the schedules packed against, for reference.
-    let costs = PatternCosts::analytic_tabled(&dataset.patterns, &categories);
+    let costs = PatternCosts::analytic(&dataset.patterns, &categories);
     println!(
         "\ntotal analytic cost {:.0} over {} patterns",
         costs.total(),

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::TraceUnit;
-use phylo_kernel::{Executor, KernelDispatch, KernelError, LikelihoodKernel, WorkTrace};
+use phylo_kernel::{Executor, KernelError, LikelihoodKernel, WorkTrace};
 use phylo_models::{BranchLengthMode, ModelSet};
 use phylo_optimize::{
     optimize_model_parameters_with_policy, OptimizationReport, OptimizeError, OptimizerConfig,
@@ -113,7 +113,6 @@ pub struct AnalysisBuilder {
     timed: bool,
     skew: Option<WorkerSkew>,
     policy: Option<ReschedulePolicy>,
-    dispatch: KernelDispatch,
     telemetry: Option<TelemetryConfig>,
 }
 
@@ -124,7 +123,6 @@ impl std::fmt::Debug for AnalysisBuilder {
             .field("strategy", &self.strategy.name())
             .field("timed", &self.timed)
             .field("rescheduler", &self.policy.is_some())
-            .field("dispatch", &self.dispatch)
             .field("telemetry", &self.telemetry.is_some())
             .finish()
     }
@@ -212,10 +210,7 @@ impl AnalysisBuilder {
     }
 
     fn schedule(&self, categories: &[usize]) -> Result<(PatternCosts, Assignment), AnalysisError> {
-        // The cost model must describe the kernel that will actually run:
-        // under the blocked dispatch (the default) the protein/DNA
-        // per-pattern ratio is ≈ 16.4, under the scalar tabled kernels 21.
-        let costs = PatternCosts::analytic(&self.patterns, categories, self.dispatch);
+        let costs = PatternCosts::analytic(&self.patterns, categories);
         let assignment = self.strategy.assign(&costs, self.threads)?;
         Ok((costs, assignment))
     }
@@ -229,19 +224,6 @@ impl AnalysisBuilder {
     #[must_use]
     pub fn telemetry(mut self, config: TelemetryConfig) -> Self {
         self.telemetry = Some(config);
-        self
-    }
-
-    /// Which inner-loop implementation the shared-table kernels run
-    /// (default [`KernelDispatch::Blocked`], the cache-blocked
-    /// width-specialized fast path). [`KernelDispatch::Scalar`] selects the
-    /// straight-loop reference kernels — DNA partitions agree bit for bit
-    /// under both dispatches, protein partitions within the documented
-    /// `1e-12` lnL tolerance (`tests/kernel_differential.rs` enforces both). The
-    /// schedule's analytic cost model follows the selected dispatch.
-    #[must_use]
-    pub fn kernel(mut self, dispatch: KernelDispatch) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -267,7 +249,6 @@ impl AnalysisBuilder {
             options,
         )?;
         let mut kernel = LikelihoodKernel::try_new(self.patterns, self.tree, models, executor)?;
-        kernel.set_dispatch(self.dispatch);
         let telemetry = Self::arm_telemetry(&mut kernel, self.telemetry);
         Ok(Analysis {
             kernel,
@@ -296,7 +277,6 @@ impl AnalysisBuilder {
             &categories,
         )?;
         let mut kernel = LikelihoodKernel::try_new(self.patterns, self.tree, models, executor)?;
-        kernel.set_dispatch(self.dispatch);
         let telemetry = Self::arm_telemetry(&mut kernel, self.telemetry);
         Ok(Analysis {
             kernel,
@@ -350,7 +330,6 @@ impl Analysis<ThreadedExecutor> {
             timed: false,
             skew: None,
             policy: None,
-            dispatch: KernelDispatch::default(),
             telemetry: None,
         }
     }
@@ -483,8 +462,9 @@ impl<E: Executor + Reassignable> Analysis<E> {
         &self.kernel
     }
 
-    /// Mutable access to the underlying engine (e.g. to set parameters or
-    /// arm test instrumentation on the executor).
+    /// Mutable access to the underlying engine (e.g. to set parameters,
+    /// select the scalar reference loops with `set_dispatch`, or arm test
+    /// instrumentation on the executor).
     pub fn kernel_mut(&mut self) -> &mut LikelihoodKernel<E> {
         &mut self.kernel
     }

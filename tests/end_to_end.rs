@@ -186,7 +186,7 @@ fn mid_run_rescheduling_beats_static_cyclic_on_a_skewed_worker() {
     let ds = mixed_dna_protein(6, 4, 2, 40, 4242).generate();
     let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
     let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-    let costs = PatternCosts::analytic_tabled(&ds.patterns, &categories);
+    let costs = PatternCosts::analytic(&ds.patterns, &categories);
     let cyclic = schedule(&ds.patterns, &categories, 4, &Cyclic).unwrap();
 
     let mut sequential =
@@ -468,7 +468,7 @@ fn analysis_builder_misuse_is_typed() {
 fn weighted_lpt_beats_block_and_matches_cyclic_on_the_mixed_dataset() {
     let ds = mixed_dna_protein(12, 12, 4, 600, 2009).generate();
     let categories = vec![4; ds.patterns.partition_count()];
-    let costs = PatternCosts::analytic_tabled(&ds.patterns, &categories);
+    let costs = PatternCosts::analytic(&ds.patterns, &categories);
     for workers in [8usize, 16] {
         let lpt = WeightedLpt.assign(&costs, workers).unwrap().max_cost();
         let cyclic = Cyclic.assign(&costs, workers).unwrap().max_cost();
@@ -499,7 +499,7 @@ fn mask_aware_rescheduling_preserves_the_likelihood() {
     let ds = staggered_convergence(2026).generate();
     let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
     let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-    let costs = PatternCosts::analytic_tabled(&ds.patterns, &categories);
+    let costs = PatternCosts::analytic(&ds.patterns, &categories);
     let cyclic = schedule(&ds.patterns, &categories, 16, &Cyclic).unwrap();
     let config = OptimizerConfig::new(ParallelScheme::New);
     let kernel_on = |assignment: &Assignment| {
@@ -659,34 +659,51 @@ fn facade_search_with_rescheduling_preserves_the_likelihood() {
     assert_eq!(analysis.assignment().strategy(), "speed-lpt");
 }
 
-/// The facade packs against the cost model of the dispatch it runs, and the
-/// placement is pinned: under `Scalar` the tabled `newview` flops
-/// (protein/DNA 21), under `Blocked` `flops / 4 lanes + 3` per category
-/// (protein/DNA 213/13 ≈ 16.4) — the weights written out here, not read
+/// Every placement packs by one cost, whichever inner loop the kernel then
+/// runs: the facade's assignment is `schedule`'s, and both are the tabled
+/// `newview` flops (protein/DNA 21) — the weights written out here, not read
 /// from the cost function under test.
 #[test]
 fn facade_assignment_follows_the_kernel_dispatch() {
     let ds = mixed_dna_protein(6, 3, 2, 64, 2031).generate();
-    let expected = |weight: fn(f64) -> f64| {
-        let costs = PatternCosts::per_partition(&ds.patterns, |_, part| {
-            let states = part.states() as f64;
-            4.0 * weight(states * (2.0 * states + 2.0))
-        })
-        .unwrap();
-        WeightedLpt.assign(&costs, 7).unwrap()
-    };
-    let built = |dispatch| {
+    let tabled = PatternCosts::per_partition(&ds.patterns, |_, part| {
+        let states = part.states() as f64;
+        4.0 * states * (2.0 * states + 2.0)
+    })
+    .unwrap();
+    for threads in [2, 3, 7] {
         let builder = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone());
-        let analysis = builder.threads(7).kernel(dispatch).build_traced().unwrap();
-        analysis.assignment().clone()
-    };
-    assert_eq!(built(KernelDispatch::Scalar), expected(|flops| flops));
-    assert_eq!(
-        built(KernelDispatch::Blocked),
-        expected(|flops| flops / 4.0 + 3.0)
-    );
-    assert_ne!(
-        built(KernelDispatch::Scalar),
-        built(KernelDispatch::Blocked)
-    );
+        let analysis = builder.threads(threads).build_traced().unwrap();
+        let models = analysis.kernel().models().models();
+        let categories: Vec<usize> = models.iter().map(|m| m.categories()).collect();
+        assert!(categories.iter().all(|&c| c == 4), "{categories:?}");
+        let scheduled = schedule(&ds.patterns, &categories, threads, &WeightedLpt).unwrap();
+        assert_eq!(*analysis.assignment(), scheduled, "T = {threads}");
+        let packed = WeightedLpt.assign(&tabled, threads).unwrap();
+        assert_eq!(*analysis.assignment(), packed, "T = {threads}");
+    }
+}
+
+/// Placement and trace speak one unit: one cold full `newview` over the
+/// `n − 2` inner nodes records, per virtual worker, exactly `n − 2` times the
+/// cost the schedule predicted for that worker.
+#[test]
+fn a_full_traversal_traces_the_predicted_cost_of_every_worker() {
+    let ds = mixed_dna_protein(6, 3, 2, 64, 2031).generate();
+    let builder = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone());
+    let mut analysis = builder.threads(3).build_traced().unwrap();
+    let kernel = analysis.kernel_mut();
+    let (root, mask) = (kernel.default_root_branch(), kernel.full_mask());
+    kernel.try_update_clvs(root, &mask).unwrap();
+    let steps = (ds.tree.n_taxa() - 2) as f64;
+    let record = analysis.trace().regions.last().expect("one newview region");
+    let predicted = analysis.assignment().predicted_cost();
+    assert_eq!(record.flops_per_worker.len(), predicted.len());
+    for (w, (&traced, &cost)) in record.flops_per_worker.iter().zip(predicted).enumerate() {
+        let expected = steps * cost;
+        assert!(
+            (traced - expected).abs() <= 1e-12 * expected,
+            "worker {w}: traced {traced}, predicted {expected}"
+        );
+    }
 }

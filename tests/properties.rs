@@ -305,7 +305,7 @@ proptest! {
 
         let ds = mixed_dna_protein(6, 5, 3, 12, seed).generate();
         let categories = vec![4; ds.patterns.partition_count()];
-        let costs = PatternCosts::analytic_tabled(&ds.patterns, &categories);
+        let costs = PatternCosts::analytic(&ds.patterns, &categories);
         let ranges: Vec<std::ops::Range<usize>> = (0..ds.patterns.partition_count())
             .map(|p| ds.patterns.global_range(p))
             .collect();

@@ -252,7 +252,7 @@ fn pooled_region_events_carry_each_workers_own_measurements() {
         "the workers' queue wait must reach the session's events"
     );
     // The workers' cache counters reach the pool-level totals too.
-    assert!(snapshot.counters.dispatch_blocked_patterns > 0);
+    assert!(snapshot.counters.tip_hits > 0);
 }
 
 /// One seeded spec whose parts disagree, by kind, and the typed error it
@@ -482,9 +482,9 @@ fn blocked_sessions_reproduce_scalar_solo_optima_with_fault_quarantine() {
         .map(|ds| {
             let mut analysis = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone())
                 .threads(workers)
-                .kernel(KernelDispatch::Scalar)
                 .build()
                 .expect("scalar solo build");
+            analysis.kernel_mut().set_dispatch(KernelDispatch::Scalar);
             analysis
                 .optimize(&OptimizerConfig::new(ParallelScheme::New))
                 .expect("scalar solo optimize")
