@@ -53,9 +53,9 @@ use std::sync::Arc;
 
 use phylo_kernel::cost::WorkTrace;
 use phylo_kernel::LikelihoodKernel;
-use phylo_models::{BranchLengthMode, ModelSet, DEFAULT_CATEGORIES};
-use phylo_optimize::{optimize_model_parameters, OptimizerConfig, ParallelScheme};
-use phylo_parallel::{schedule, Assignment, Cyclic, Reassignable, TracingExecutor};
+use phylo_models::{BranchLengthMode, ModelSet};
+use phylo_optimize::{optimize_model_parameters, OptimizeError, OptimizerConfig, ParallelScheme};
+use phylo_parallel::{plan, Cyclic, Plan, Reassignable, TracingExecutor};
 use phylo_perfmodel::{FigureRow, Platform};
 use phylo_search::{tree_search, SearchConfig};
 use phylo_seqgen::datasets::{DatasetSpec, GeneratedDataset};
@@ -90,21 +90,27 @@ pub fn generate_scaled(spec: &DatasetSpec) -> GeneratedDataset {
     }
 }
 
-/// Runs one workload configuration on the virtual workers of `assignment`
-/// and returns the recorded work trace together with the final log
-/// likelihood.
-pub fn run_traced_assignment(
+/// Runs one workload configuration on `workers` virtual workers under the
+/// paper's cyclic distribution (the historical default of every figure) and
+/// returns the recorded work trace together with the final log likelihood.
+pub fn run_traced(
     dataset: &GeneratedDataset,
-    assignment: &Assignment,
+    workers: usize,
     scheme: ParallelScheme,
     branch_mode: BranchLengthMode,
     workload: Workload,
 ) -> (WorkTrace, f64) {
     let models = ModelSet::default_for(&dataset.patterns, branch_mode);
-    let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+    let Plan {
+        models,
+        categories,
+        assignment,
+        ..
+    } = plan::<OptimizeError>(&dataset.patterns, Some(models), &Cyclic, workers)
+        .expect("figure configurations always use at least one worker");
     let executor = TracingExecutor::from_assignment(
         &dataset.patterns,
-        assignment,
+        &assignment,
         dataset.tree.node_capacity(),
         &categories,
     )
@@ -139,22 +145,6 @@ pub fn run_traced_assignment(
 
     let trace = kernel.executor_mut().take_trace();
     (trace, final_lnl)
-}
-
-/// Runs one workload configuration on `workers` virtual workers under the
-/// paper's cyclic distribution (the historical default of every figure).
-pub fn run_traced(
-    dataset: &GeneratedDataset,
-    workers: usize,
-    scheme: ParallelScheme,
-    branch_mode: BranchLengthMode,
-    workload: Workload,
-) -> (WorkTrace, f64) {
-    // `ModelSet::default_for` gives every partition `DEFAULT_CATEGORIES`.
-    let categories = vec![DEFAULT_CATEGORIES; dataset.patterns.partition_count()];
-    let assignment = schedule(&dataset.patterns, &categories, workers, &Cyclic)
-        .expect("figure configurations always use at least one worker");
-    run_traced_assignment(dataset, &assignment, scheme, branch_mode, workload)
 }
 
 /// The complete set of traces one figure needs.

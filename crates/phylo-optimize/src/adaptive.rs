@@ -345,8 +345,8 @@ where
 }
 
 /// [`optimize_model_parameters_with_policy`] under [`RunPolicy::default`]
-/// (two recoveries, no rescheduling). `benchmark/src/fleet.rs` and
-/// `phylo-serve` name this entry, so it keeps its signature.
+/// (two recoveries, no rescheduling). Its one caller is
+/// `benchmark/src/fleet.rs`; ROADMAP item A.3 removes it.
 ///
 /// # Errors
 ///

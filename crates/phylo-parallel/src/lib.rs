@@ -26,25 +26,29 @@
 //! subsystem in [`phylo_sched`]: a [`ScheduleStrategy`] turns a
 //! [`PatternCosts`] workload description into an explicit [`Assignment`]
 //! (pattern→worker map plus per-worker predicted cost), and every executor is
-//! built *from* such an assignment:
+//! built *from* such an assignment. [`plan`] is the one entry point of that
+//! decision — `Analysis`, `phylo-serve`'s sessions and `phylo-bench`'s figure
+//! harness all call it:
 //!
 //! ```text
+//! Option<ModelSet> ──ModelSet::default_for──▶ ModelSet ──▶ categories
 //! PartitionedPatterns ──PatternCosts::analytic──▶ PatternCosts
 //!                                              │ ScheduleStrategy::assign
 //!                                              ▼
 //! build_workers(patterns, …, &Assignment) ──▶ Vec<WorkerSlices> ──▶ executor
 //! ```
 //!
-//! [`schedule`] bundles the first two arrows; the strategies — [`Cyclic`]
-//! and [`Block`] (the paper's two fixed schemes, placed bit for bit as in
-//! the paper), [`WeightedLpt`] (cost-weighted bin-packing; under the
-//! analytic costs [`schedule`] packs, a 20-state protein pattern counts 21×
-//! a DNA pattern) and [`SpeedAwareLpt`] (LPT onto measured worker speeds) —
-//! live in `phylo-sched`.
+//! [`plan`] returns the first three arrows as one [`Plan`]; [`schedule`] is
+//! its placement step without the models, for callers that hold category
+//! counts. The strategies — [`Cyclic`] and [`Block`] (the paper's two fixed
+//! schemes, placed bit for bit as in the paper), [`WeightedLpt`]
+//! (cost-weighted bin-packing; under the analytic costs a 20-state protein
+//! pattern counts 21× a DNA pattern) and [`SpeedAwareLpt`] (LPT onto measured
+//! worker speeds) — live in `phylo-sched`.
 //!
 //! ```
 //! use phylo_data::{Alignment, DataType, PartitionSet, PartitionedPatterns};
-//! use phylo_parallel::{build_workers, schedule, WeightedLpt};
+//! use phylo_parallel::{build_workers, plan, Plan, WeightedLpt};
 //!
 //! let alignment = Alignment::new(vec![
 //!     ("t1".into(), "ACGTACGTACGT".into()),
@@ -53,8 +57,10 @@
 //! let partitions = PartitionSet::equal_length(DataType::Dna, 12, 6);
 //! let patterns = PartitionedPatterns::compile(&alignment, &partitions).unwrap();
 //!
-//! let assignment = schedule(&patterns, &[4, 4], 3, &WeightedLpt).unwrap();
-//! let workers = build_workers(&patterns, 4, &[4, 4], &assignment).unwrap();
+//! let Plan { categories, assignment, .. } =
+//!     plan::<Box<dyn std::error::Error>>(&patterns, None, &WeightedLpt, 3).unwrap();
+//! assert_eq!(categories, [4, 4]);
+//! let workers = build_workers(&patterns, 4, &categories, &assignment).unwrap();
 //! let total: usize = workers.iter().map(|w| w.total_patterns()).sum();
 //! assert_eq!(total, patterns.total_patterns());
 //! ```
@@ -74,12 +80,64 @@ pub use phylo_sched::{
 };
 
 use phylo_data::PartitionedPatterns;
-use phylo_kernel::WorkerSlices;
+use phylo_kernel::{KernelError, WorkerSlices};
+use phylo_models::{BranchLengthMode, ModelSet};
 
-/// Builds an [`Assignment`] for a dataset with the analytic cost model:
-/// derives [`PatternCosts::analytic`] from the partitions' state and
-/// category counts — the tabled `newview` flops, the unit `TracingExecutor`
-/// records — then runs `strategy` over them.
+/// Everything a solve is built from, resolved once by [`plan`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    /// The per-partition models: the caller's, or
+    /// [`ModelSet::default_for`] under per-partition branch lengths.
+    pub models: ModelSet,
+    /// Γ rate categories, one count per partition.
+    pub categories: Vec<usize>,
+    /// The analytic per-pattern costs the assignment packed.
+    pub costs: PatternCosts,
+    /// The strategy's pattern→worker placement.
+    pub assignment: Assignment,
+}
+
+/// Resolves the models of a solve and places its patterns: `models` (or the
+/// per-partition defaults), their category counts, [`PatternCosts::analytic`]
+/// over them and `strategy`'s assignment onto `threads` workers.
+///
+/// # Errors
+///
+/// [`KernelError::ModelCountMismatch`] when `models` covers another number
+/// of partitions than `patterns` (checked before the costs, whose
+/// constructor asserts on it); otherwise whatever the strategy reports — at
+/// minimum [`SchedError::NoWorkers`] for `threads == 0` and
+/// [`SchedError::EmptyWorkload`] for a dataset without patterns.
+pub fn plan<E: From<KernelError> + From<SchedError>>(
+    patterns: &PartitionedPatterns,
+    models: Option<ModelSet>,
+    strategy: &dyn ScheduleStrategy,
+    threads: usize,
+) -> Result<Plan, E> {
+    let models =
+        models.unwrap_or_else(|| ModelSet::default_for(patterns, BranchLengthMode::PerPartition));
+    if models.len() != patterns.partition_count() {
+        return Err(KernelError::ModelCountMismatch {
+            models: models.len(),
+            partitions: patterns.partition_count(),
+        }
+        .into());
+    }
+    let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+    let costs = PatternCosts::analytic(patterns, &categories);
+    let assignment = strategy.assign(&costs, threads)?;
+    Ok(Plan {
+        models,
+        categories,
+        costs,
+        assignment,
+    })
+}
+
+/// [`plan`]'s placement step without the models: derives
+/// [`PatternCosts::analytic`] from the partitions' state and category counts
+/// — the tabled `newview` flops, the unit `TracingExecutor` records — then
+/// runs `strategy` over them.
 ///
 /// # Errors
 ///
@@ -92,8 +150,7 @@ pub fn schedule(
     worker_count: usize,
     strategy: &dyn ScheduleStrategy,
 ) -> Result<Assignment, SchedError> {
-    let costs = PatternCosts::analytic(patterns, categories);
-    strategy.assign(&costs, worker_count)
+    strategy.assign(&PatternCosts::analytic(patterns, categories), worker_count)
 }
 
 /// Builds the per-worker slices for all workers of an [`Assignment`].
@@ -142,6 +199,49 @@ mod tests {
         .unwrap();
         let ps = PartitionSet::equal_length(DataType::Dna, 24, 6);
         PartitionedPatterns::compile(&aln, &ps).unwrap()
+    }
+
+    type AnyError = Box<dyn std::error::Error>;
+
+    #[test]
+    fn plan_rejects_a_model_set_of_the_wrong_length_as_a_value() {
+        let pp = patterns();
+        let four = ModelSet::default_for(&pp, BranchLengthMode::PerPartition);
+        let wrong = ModelSet::from_models(four.models()[..2].to_vec(), four.branch_mode());
+        let mismatch = KernelError::ModelCountMismatch {
+            models: 2,
+            partitions: 4,
+        };
+        // Checked before the costs (whose constructor asserts on it) and
+        // before the strategy sees the worker count.
+        for threads in [0, 3] {
+            let err = plan::<AnyError>(&pp, Some(wrong.clone()), &WeightedLpt, threads);
+            assert_eq!(
+                err.unwrap_err().downcast_ref(),
+                Some(&mismatch),
+                "T = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn plan_on_zero_threads_is_no_workers() {
+        let err = plan::<AnyError>(&patterns(), None, &WeightedLpt, 0).unwrap_err();
+        assert_eq!(err.downcast_ref(), Some(&SchedError::NoWorkers));
+    }
+
+    #[test]
+    fn plan_defaults_to_per_partition_models() {
+        let pp = patterns();
+        let defaults = ModelSet::default_for(&pp, BranchLengthMode::PerPartition);
+        let resolved = plan::<AnyError>(&pp, None, &WeightedLpt, 3).unwrap();
+        let explicit = plan::<AnyError>(&pp, Some(defaults.clone()), &WeightedLpt, 3).unwrap();
+        assert_eq!(resolved, explicit);
+        assert_eq!(resolved.models, defaults);
+        assert_eq!(resolved.categories, [4; 4]);
+        assert_eq!(resolved.costs, PatternCosts::analytic(&pp, &[4; 4]));
+        let scheduled = schedule(&pp, &[4; 4], 3, &WeightedLpt).unwrap();
+        assert_eq!(resolved.assignment, scheduled);
     }
 
     #[test]

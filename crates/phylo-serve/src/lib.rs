@@ -10,19 +10,20 @@
 //! on its own driver thread while it holds one.
 //!
 //! * [`SessionManager`] owns the slots and admits sessions described by a
-//!   [`SessionSpec`] — the same configuration surface as the single-run
-//!   builder (models, branch mode, schedule strategy, optimizer config) plus
-//!   serving knobs (fair-share weight, label, an optional injected fault for
-//!   chaos drills). Admission is typed ([`AdmissionError`]), never a panic.
-//! * Each session runs the ordinary resilient optimizer on its driver thread
-//!   over a [`SessionExecutor`] — a standard
+//!   [`SessionSpec`] — models and an optimizer config, planned by the
+//!   single-run builder's own [`phylo_parallel::plan`] (default models,
+//!   [`WeightedLpt`](phylo_sched::WeightedLpt) placement), plus serving knobs
+//!   (fair-share weight, label, an optional injected fault for chaos
+//!   drills). Admission is typed ([`AdmissionError`]), never a panic.
+//! * Each session runs the ordinary optimizer, with worker-death recovery,
+//!   on its driver thread over a [`SessionExecutor`] — a standard
 //!   [`Executor`](phylo_kernel::Executor) +
 //!   [`Reassignable`](phylo_sched::Reassignable) whose parallel regions run
 //!   the session's shards in worker order on that thread
 //!   ([`phylo_parallel::pool::run_shards`]) and fold them with the pool's
 //!   worker-index-order reduction. Numerics are untouched: every session's
-//!   log likelihood is bit-identical to a dedicated `T`-wide run with the
-//!   same strategy.
+//!   log likelihood is bit-identical to a dedicated `T`-wide run of the
+//!   same plan.
 //! * Which sessions hold the slots is a weighted stride scheduler with a
 //!   service quantum ([`TenantStrategy`], [`FairQueue`]): a holder keeps its
 //!   slot through its own master work and checks for waiters once per

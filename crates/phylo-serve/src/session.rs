@@ -2,10 +2,11 @@
 //! admits sessions, and the handle that returns their outcomes.
 //!
 //! A [`SessionManager`] of width `T` owns `T` compute *slots* and no threads
-//! of its own. [`SessionManager::submit`] builds a session exactly like the
-//! single-run builder would — resolve models, schedule patterns over `T`
-//! workers, build the `T` per-worker shards — admits it (typed) and spawns a
-//! *driver thread* that runs the ordinary resilient optimizer over a
+//! of its own. [`SessionManager::submit`] plans a session through the same
+//! [`plan`] as the single-run builder — models resolved, patterns placed by
+//! [`WeightedLpt`] over `T` workers — builds the `T` per-worker shards,
+//! admits it (typed) and spawns a *driver thread* that runs the optimizer
+//! under the default [`RunPolicy`] (worker-death recovery) over a
 //! [`SessionExecutor`]. That executor runs each parallel region's `T` shards
 //! on the driver thread itself, in worker order
 //! ([`phylo_parallel::pool::run_shards`], the loop the tracing executor's
@@ -34,11 +35,10 @@ use phylo_kernel::cost::WorkTrace;
 use phylo_kernel::{
     ExecContext, ExecError, Executor, KernelOp, LikelihoodKernel, OpOutput, WorkerSlices,
 };
-use phylo_models::ModelSet;
-use phylo_optimize::{optimize_model_parameters_resilient, WorkerRecovery};
-use phylo_parallel::build_workers;
+use phylo_optimize::{optimize_model_parameters_with_policy, RunPolicy, WorkerRecovery};
 use phylo_parallel::pool::{run_shards, Ledger, Reduced};
-use phylo_sched::{Assignment, PatternCosts, Reassignable, SchedError};
+use phylo_parallel::{build_workers, plan, Plan};
+use phylo_sched::{Assignment, Reassignable, SchedError, WeightedLpt};
 use phylo_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 
 use crate::error::{AdmissionError, ServeError};
@@ -360,10 +360,7 @@ impl SessionManager {
         strategy: TenantStrategy,
         telemetry: Option<TelemetryConfig>,
     ) -> Self {
-        let telemetry = match telemetry {
-            Some(config) => Telemetry::new(config),
-            None => Telemetry::disabled(),
-        };
+        let telemetry = telemetry.map_or_else(Telemetry::disabled, Telemetry::new);
         let state = PoolState {
             queue: FairQueue::new(workers, strategy.quantum),
             wakers: BTreeMap::new(),
@@ -425,12 +422,12 @@ impl SessionManager {
 
     /// Admits a session and starts running it.
     ///
-    /// The build path mirrors the single-run builder: models are resolved
-    /// (or defaulted), patterns are scheduled over the pool's fixed width
-    /// with the spec's strategy, and the per-worker shards are built.
-    /// Admission is *typed*: an overloaded pool, a zero weight or an
-    /// injected fault on a worker the pool does not have comes back as
-    /// [`ServeError::Admission`], never a panic.
+    /// The build path is the single-run builder's: [`plan`] resolves the
+    /// models (or the per-partition defaults) and places the patterns over
+    /// the pool's fixed width with [`WeightedLpt`], then the per-worker
+    /// shards are built. Admission is *typed*: an overloaded pool, a zero
+    /// weight or an injected fault on a worker the pool does not have comes
+    /// back as [`ServeError::Admission`], never a panic.
     ///
     /// # Errors
     ///
@@ -443,8 +440,6 @@ impl SessionManager {
             patterns,
             tree,
             models,
-            branch_mode,
-            strategy,
             optimizer,
             weight,
             label,
@@ -467,19 +462,12 @@ impl SessionManager {
         let session = self.next_session;
         self.next_session += 1;
 
-        // Resolve models and the schedule like the single-run path.
-        let models = models.unwrap_or_else(|| ModelSet::default_for(&patterns, branch_mode));
-        if models.len() != patterns.partition_count() {
-            return Err(ServeError::Kernel(
-                phylo_kernel::KernelError::ModelCountMismatch {
-                    models: models.len(),
-                    partitions: patterns.partition_count(),
-                },
-            ));
-        }
-        let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        let costs = PatternCosts::analytic(&patterns, &categories);
-        let assignment = strategy.assign(&costs, workers)?;
+        let Plan {
+            models,
+            categories,
+            assignment,
+            ..
+        } = plan::<ServeError>(&patterns, models, &WeightedLpt, workers)?;
         let shards = build_workers(&patterns, tree.node_capacity(), &categories, &assignment)?;
 
         let mut ledger = Ledger::new(&assignment, false);
@@ -501,20 +489,24 @@ impl SessionManager {
             .name(format!("plf-session-{session}"))
             .spawn(move || {
                 let started = Instant::now();
-                let result = optimize_model_parameters_resilient(&mut kernel, &optimizer);
+                let result = optimize_model_parameters_with_policy(
+                    &mut kernel,
+                    &optimizer,
+                    RunPolicy::default(),
+                );
                 let sync_events = kernel.sync_events();
                 // Retire the session (its slot goes to the next waiter, its
                 // admission ends) before reporting.
                 drop(kernel);
                 let outcome = result
-                    .map(|(report, recoveries)| SessionOutcome {
+                    .map(|run| SessionOutcome {
                         session,
                         label: driver_label,
-                        initial_log_likelihood: report.initial_log_likelihood,
-                        final_log_likelihood: report.final_log_likelihood,
-                        rounds: report.rounds,
+                        initial_log_likelihood: run.report.initial_log_likelihood,
+                        final_log_likelihood: run.report.final_log_likelihood,
+                        rounds: run.report.rounds,
                         sync_events,
-                        recoveries,
+                        recoveries: run.recoveries,
                         latency: started.elapsed(),
                     })
                     .map_err(ServeError::from);

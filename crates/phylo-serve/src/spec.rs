@@ -3,9 +3,8 @@
 use std::sync::Arc;
 
 use phylo_data::PartitionedPatterns;
-use phylo_models::{BranchLengthMode, ModelSet};
+use phylo_models::ModelSet;
 use phylo_optimize::{OptimizerConfig, ParallelScheme};
-use phylo_sched::{ScheduleStrategy, WeightedLpt};
 use phylo_tree::Tree;
 
 /// A one-shot injected worker fault (test/chaos instrumentation): the
@@ -23,15 +22,13 @@ pub struct WorkerFault {
 }
 
 /// Everything needed to admit one independent session: its dataset, tree,
-/// models and per-session knobs. Mirrors the single-run `AnalysisBuilder`
-/// configuration surface, minus the executor choice — the pool is fixed and
-/// shared, which is the point.
+/// models and per-session knobs. Shares the single-run `AnalysisBuilder`'s
+/// models and its default placement ([`phylo_sched::WeightedLpt`]), minus
+/// the executor choice — the pool is fixed and shared, which is the point.
 pub struct SessionSpec {
     pub(crate) patterns: Arc<PartitionedPatterns>,
     pub(crate) tree: Tree,
     pub(crate) models: Option<ModelSet>,
-    pub(crate) branch_mode: BranchLengthMode,
-    pub(crate) strategy: Box<dyn ScheduleStrategy>,
     pub(crate) optimizer: OptimizerConfig,
     pub(crate) weight: u32,
     pub(crate) label: String,
@@ -42,7 +39,6 @@ impl std::fmt::Debug for SessionSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionSpec")
             .field("label", &self.label)
-            .field("strategy", &self.strategy.name())
             .field("weight", &self.weight)
             .field("fault", &self.fault)
             .finish()
@@ -51,15 +47,14 @@ impl std::fmt::Debug for SessionSpec {
 
 impl SessionSpec {
     /// A session over `patterns` and `tree` with the defaults of the
-    /// single-run builder: default per-partition models, [`WeightedLpt`]
-    /// pattern placement, the newPAR optimizer scheme, fair-share weight 1.
+    /// single-run builder: default per-partition models,
+    /// [`phylo_sched::WeightedLpt`] pattern placement, the newPAR optimizer
+    /// scheme, fair-share weight 1.
     pub fn new(patterns: Arc<PartitionedPatterns>, tree: Tree) -> Self {
         Self {
             patterns,
             tree,
             models: None,
-            branch_mode: BranchLengthMode::PerPartition,
-            strategy: Box::new(WeightedLpt),
             optimizer: OptimizerConfig::new(ParallelScheme::New),
             weight: 1,
             label: String::from("session"),
@@ -68,26 +63,10 @@ impl SessionSpec {
     }
 
     /// Explicit per-partition models (default: [`ModelSet::default_for`]
-    /// under the configured branch mode).
+    /// with per-partition branch lengths).
     #[must_use]
     pub fn models(mut self, models: ModelSet) -> Self {
         self.models = Some(models);
-        self
-    }
-
-    /// Branch-length mode of the default models (ignored with explicit
-    /// models). Default: [`BranchLengthMode::PerPartition`].
-    #[must_use]
-    pub fn branch_mode(mut self, mode: BranchLengthMode) -> Self {
-        self.branch_mode = mode;
-        self
-    }
-
-    /// Pattern→worker placement strategy over the pool's fixed width
-    /// (default [`WeightedLpt`]).
-    #[must_use]
-    pub fn strategy(mut self, strategy: impl ScheduleStrategy + 'static) -> Self {
-        self.strategy = Box::new(strategy);
         self
     }
 
@@ -146,6 +125,6 @@ mod tests {
         );
         assert!(spec.models.is_none());
         let debug = format!("{spec:?}");
-        assert!(debug.contains("unit") && debug.contains("weighted-lpt"));
+        assert!(debug.contains("unit"));
     }
 }

@@ -37,12 +37,12 @@ use std::sync::Arc;
 use phylo_data::PartitionedPatterns;
 use phylo_kernel::cost::TraceUnit;
 use phylo_kernel::{Executor, KernelError, LikelihoodKernel, WorkTrace};
-use phylo_models::{BranchLengthMode, ModelSet};
+use phylo_models::ModelSet;
 use phylo_optimize::{
     optimize_model_parameters_with_policy, OptimizationReport, OptimizeError, OptimizerConfig,
     PolicyRun, RunPolicy,
 };
-use phylo_parallel::{ExecutorOptions, ThreadedExecutor, TracingExecutor, WorkerSkew};
+use phylo_parallel::{plan, ExecutorOptions, Plan, ThreadedExecutor, TracingExecutor, WorkerSkew};
 use phylo_perfmodel::{imbalance_report_in, ImbalanceReport};
 use phylo_sched::{
     Assignment, PatternCosts, Reassignable, ReschedulePolicy, Rescheduler, SchedError,
@@ -107,7 +107,6 @@ pub struct AnalysisBuilder {
     patterns: Arc<PartitionedPatterns>,
     tree: Tree,
     models: Option<ModelSet>,
-    branch_mode: BranchLengthMode,
     threads: usize,
     strategy: Box<dyn ScheduleStrategy>,
     timed: bool,
@@ -130,20 +129,12 @@ impl std::fmt::Debug for AnalysisBuilder {
 
 impl AnalysisBuilder {
     /// Explicit per-partition models. Without this call the builder uses
-    /// [`ModelSet::default_for`] under the configured
-    /// [`AnalysisBuilder::branch_mode`].
+    /// [`ModelSet::default_for`] with per-partition branch lengths, the model
+    /// the paper argues for; pass `ModelSet::default_for(.., Joint)` for
+    /// joint ones.
     #[must_use]
     pub fn models(mut self, models: ModelSet) -> Self {
         self.models = Some(models);
-        self
-    }
-
-    /// Branch-length mode of the *default* models (ignored when explicit
-    /// models are supplied). Default: [`BranchLengthMode::PerPartition`],
-    /// the model the paper argues for.
-    #[must_use]
-    pub fn branch_mode(mut self, mode: BranchLengthMode) -> Self {
-        self.branch_mode = mode;
         self
     }
 
@@ -194,27 +185,6 @@ impl AnalysisBuilder {
         self
     }
 
-    fn resolve_models(&mut self) -> Result<(ModelSet, Vec<usize>), AnalysisError> {
-        let models = self
-            .models
-            .take()
-            .unwrap_or_else(|| ModelSet::default_for(&self.patterns, self.branch_mode));
-        if models.len() != self.patterns.partition_count() {
-            return Err(AnalysisError::Kernel(KernelError::ModelCountMismatch {
-                models: models.len(),
-                partitions: self.patterns.partition_count(),
-            }));
-        }
-        let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
-        Ok((models, categories))
-    }
-
-    fn schedule(&self, categories: &[usize]) -> Result<(PatternCosts, Assignment), AnalysisError> {
-        let costs = PatternCosts::analytic(&self.patterns, categories);
-        let assignment = self.strategy.assign(&costs, self.threads)?;
-        Ok((costs, assignment))
-    }
-
     /// Enable telemetry recording under `config`: the kernel, the executors
     /// and the drivers emit typed events (region timings, cache counters,
     /// reschedules, worker deaths/recoveries, optimizer probes) into a
@@ -234,27 +204,13 @@ impl AnalysisBuilder {
     /// [`AnalysisError::Sched`] for zero threads, an empty dataset or an
     /// out-of-range skew; [`AnalysisError::Kernel`] for mismatched models,
     /// taxa or an incomplete tree.
-    pub fn build(mut self) -> Result<Analysis<ThreadedExecutor>, AnalysisError> {
-        let (models, categories) = self.resolve_models()?;
-        let (costs, assignment) = self.schedule(&categories)?;
+    pub fn build(self) -> Result<Analysis<ThreadedExecutor>, AnalysisError> {
         let options = ExecutorOptions {
             timed: self.timed || self.policy.is_some(),
             skew: self.skew,
         };
-        let executor = ThreadedExecutor::with_options(
-            &self.patterns,
-            &assignment,
-            self.tree.node_capacity(),
-            &categories,
-            options,
-        )?;
-        let mut kernel = LikelihoodKernel::try_new(self.patterns, self.tree, models, executor)?;
-        let telemetry = Self::arm_telemetry(&mut kernel, self.telemetry);
-        Ok(Analysis {
-            kernel,
-            base_costs: costs,
-            policy: self.policy,
-            telemetry,
+        self.finish(|patterns, assignment, nodes, categories| {
+            ThreadedExecutor::with_options(patterns, assignment, nodes, categories, options)
         })
     }
 
@@ -267,35 +223,36 @@ impl AnalysisBuilder {
     /// # Errors
     ///
     /// As for [`AnalysisBuilder::build`].
-    pub fn build_traced(mut self) -> Result<Analysis<TracingExecutor>, AnalysisError> {
-        let (models, categories) = self.resolve_models()?;
-        let (costs, assignment) = self.schedule(&categories)?;
-        let executor = TracingExecutor::from_assignment(
-            &self.patterns,
-            &assignment,
-            self.tree.node_capacity(),
-            &categories,
-        )?;
+    pub fn build_traced(self) -> Result<Analysis<TracingExecutor>, AnalysisError> {
+        self.finish(TracingExecutor::from_assignment)
+    }
+
+    /// The one build path: [`plan`], then `executor` over its assignment,
+    /// the kernel and the telemetry handle.
+    fn finish<E, X>(self, executor: X) -> Result<Analysis<E>, AnalysisError>
+    where
+        E: Executor + Reassignable,
+        X: FnOnce(&PartitionedPatterns, &Assignment, usize, &[usize]) -> Result<E, SchedError>,
+    {
+        let Plan {
+            models,
+            categories,
+            costs,
+            assignment,
+        } = plan::<AnalysisError>(&self.patterns, self.models, &*self.strategy, self.threads)?;
+        let nodes = self.tree.node_capacity();
+        let executor = executor(&self.patterns, &assignment, nodes, &categories)?;
         let mut kernel = LikelihoodKernel::try_new(self.patterns, self.tree, models, executor)?;
-        let telemetry = Self::arm_telemetry(&mut kernel, self.telemetry);
+        let telemetry = self
+            .telemetry
+            .map_or_else(Telemetry::disabled, Telemetry::new);
+        kernel.set_telemetry(&telemetry);
         Ok(Analysis {
             kernel,
             base_costs: costs,
             policy: self.policy,
             telemetry,
         })
-    }
-
-    fn arm_telemetry<E: Executor>(
-        kernel: &mut LikelihoodKernel<E>,
-        config: Option<TelemetryConfig>,
-    ) -> Telemetry {
-        let telemetry = match config {
-            Some(config) => Telemetry::new(config),
-            None => Telemetry::disabled(),
-        };
-        kernel.set_telemetry(&telemetry);
-        telemetry
     }
 }
 
@@ -324,7 +281,6 @@ impl Analysis<ThreadedExecutor> {
             patterns,
             tree,
             models: None,
-            branch_mode: BranchLengthMode::PerPartition,
             threads: 1,
             strategy: Box::new(WeightedLpt),
             timed: false,
@@ -478,6 +434,7 @@ impl<E: Executor + Reassignable> Analysis<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phylo_models::BranchLengthMode;
     use phylo_optimize::ParallelScheme;
     use phylo_sched::Cyclic;
     use phylo_seqgen::datasets::paper_simulated;

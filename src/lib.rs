@@ -69,7 +69,8 @@ pub mod prelude {
         ParallelScheme, PolicyRun, RescheduleEvent, RunPolicy, WorkerRecovery,
     };
     pub use phylo_parallel::{
-        build_workers, schedule, ExecutorOptions, ThreadedExecutor, TracingExecutor, WorkerSkew,
+        build_workers, plan, schedule, ExecutorOptions, Plan, ThreadedExecutor, TracingExecutor,
+        WorkerSkew,
     };
     pub use phylo_perfmodel::{imbalance_report, imbalance_report_in, ImbalanceReport, Platform};
     pub use phylo_sched::{

@@ -660,9 +660,10 @@ fn facade_search_with_rescheduling_preserves_the_likelihood() {
 }
 
 /// Every placement packs by one cost, whichever inner loop the kernel then
-/// runs: the facade's assignment is `schedule`'s, and both are the tabled
-/// `newview` flops (protein/DNA 21) — the weights written out here, not read
-/// from the cost function under test.
+/// runs: `build` and `build_traced` hold `plan`'s models and assignment, the
+/// assignment is `schedule`'s, and all of them are the tabled `newview` flops
+/// (protein/DNA 21) — the weights written out here, not read from the cost
+/// function under test.
 #[test]
 fn facade_assignment_follows_the_kernel_dispatch() {
     let ds = mixed_dna_protein(6, 3, 2, 64, 2031).generate();
@@ -674,6 +675,17 @@ fn facade_assignment_follows_the_kernel_dispatch() {
     for threads in [2, 3, 7] {
         let builder = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone());
         let analysis = builder.threads(threads).build_traced().unwrap();
+        let builder = Analysis::builder(Arc::clone(&ds.patterns), ds.tree.clone());
+        let threaded = builder.threads(threads).build().unwrap();
+        let planned: Plan =
+            plan::<AnalysisError>(&ds.patterns, None, &WeightedLpt, threads).unwrap();
+        for (models, assignment) in [
+            (analysis.kernel().models(), analysis.assignment()),
+            (threaded.kernel().models(), threaded.assignment()),
+        ] {
+            assert_eq!(*models, planned.models, "T = {threads}");
+            assert_eq!(*assignment, planned.assignment, "T = {threads}");
+        }
         let models = analysis.kernel().models().models();
         let categories: Vec<usize> = models.iter().map(|m| m.categories()).collect();
         assert!(categories.iter().all(|&c| c == 4), "{categories:?}");

@@ -356,14 +356,14 @@ fn hostile_session_specs_are_typed_errors_and_the_pool_serves_on() {
 }
 
 /// A run of `executor` the way a session runs: default per-partition models,
-/// the resilient newPAR optimizer.
+/// the newPAR optimizer under the default run policy.
 fn final_lnl<E: Executor + Reassignable>(ds: &GeneratedDataset, executor: E) -> f64 {
     let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
     let (patterns, tree) = (Arc::clone(&ds.patterns), ds.tree.clone());
     let mut kernel = LikelihoodKernel::try_new(patterns, tree, models, executor).expect("kernel");
     let config = OptimizerConfig::new(ParallelScheme::New);
-    let (report, _) = optimize_model_parameters_resilient(&mut kernel, &config).expect("optimize");
-    report.final_log_likelihood
+    let run = optimize_model_parameters_with_policy(&mut kernel, &config, RunPolicy::default());
+    run.expect("optimize").report.final_log_likelihood
 }
 
 /// What makes running a session's shards on its own thread legal: one
