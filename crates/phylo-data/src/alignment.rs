@@ -8,7 +8,6 @@
 
 use crate::alphabet::DataType;
 use crate::error::DataError;
-use crate::sequence::Sequence;
 
 /// A multiple sequence alignment: a rectangular character matrix with named
 /// rows (taxa).
@@ -142,14 +141,6 @@ impl Alignment {
             }
         }
         Ok(out)
-    }
-
-    /// Encodes an entire row under a single data type, returning a
-    /// [`Sequence`].
-    pub fn encode_row(&self, taxon: usize, data_type: DataType) -> Result<Sequence, DataError> {
-        let cols: Vec<usize> = (0..self.columns).collect();
-        let states = self.encode_columns(taxon, &cols, data_type)?;
-        Ok(Sequence::from_states(&self.taxa[taxon], data_type, states))
     }
 
     /// Returns true if every column of the alignment is distinct, i.e. the

@@ -178,17 +178,6 @@ pub fn read_fasta_file<P: AsRef<Path>>(path: P) -> Result<Alignment, DataError> 
     parse_fasta(&text)
 }
 
-/// Reads an alignment from a PHYLIP file.
-///
-/// # Errors
-///
-/// I/O failures are mapped onto [`DataError::Parse`].
-pub fn read_phylip_file<P: AsRef<Path>>(path: P) -> Result<Alignment, DataError> {
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| DataError::Parse(format!("cannot read {}: {e}", path.as_ref().display())))?;
-    parse_phylip(&text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

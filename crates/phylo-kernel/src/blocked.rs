@@ -42,6 +42,11 @@
 //!   bit for bit; tip-row and mask fallback paths perform identical
 //!   arithmetic and remain exact.
 //!
+//! Both `newview` loops honour the step's repeat classes (see [`crate::ops`]
+//! and [`crate::slice`]): they compute the representatives' columns as above
+//! (the protein tiles hold representatives only), then the rest of each class
+//! copies its representative's column and scale count, bit for bit.
+//!
 //! Any other state width falls back to the scalar tabled kernels, so the
 //! blocked dispatch is total over all inputs. Scaling semantics (threshold,
 //! factor, per-pattern event inheritance) are byte-identical to the scalar
@@ -71,7 +76,7 @@ use crate::ops::{
     self, check_buffer_dims, check_slice_shape, check_table_dims, child_data, tip_sum, CatChild,
     ChildData, ResolvedChild, SITE_LIKELIHOOD_FLOOR,
 };
-use crate::slice::{PartitionSlice, SliceBuffers, TIP_INDEX_NONE};
+use crate::slice::{PartitionSlice, RepeatWalk, SliceBuffers, TIP_INDEX_NONE};
 use crate::tables::BranchTables;
 use crate::{LOG_SCALE_FACTOR, SCALE_FACTOR, SCALE_THRESHOLD};
 
@@ -398,6 +403,7 @@ pub fn newview_step_blocked(
 
     child_data(slice, buffers, step.left)?;
     child_data(slice, buffers, step.right)?;
+    buffers.prepare_repeats(slice, step);
 
     let (mut clv, mut scale) = buffers.take_node(step.node);
     clv.resize(patterns * categories * states, 0.0);
@@ -405,6 +411,7 @@ pub fn newview_step_blocked(
 
     {
         let tip_idx = buffers.cached_tip_indices();
+        let walk = buffers.repeat_walk();
         let left = child_data(slice, buffers, step.left)?;
         let right = child_data(slice, buffers, step.right)?;
         let resolve = |p: usize| {
@@ -424,17 +431,15 @@ pub fn newview_step_blocked(
         // L1-resident while the tile streams through.
         let mut resolved: Vec<(ResolvedChild<'_>, ResolvedChild<'_>)> =
             Vec::with_capacity(PROTEIN_TILE);
-        let mut tile_start = 0;
-        while tile_start < patterns {
-            let tile_len = PROTEIN_TILE.min(patterns - tile_start);
+        for tile in walk.computed.chunks(PROTEIN_TILE) {
             resolved.clear();
-            for p in tile_start..tile_start + tile_len {
+            for &p in tile {
                 // lint:allow(L007): push into the tile buffer preallocated with
-                // PROTEIN_TILE capacity above; tile_len <= PROTEIN_TILE, never reallocates.
-                resolved.push(resolve(p));
+                // PROTEIN_TILE capacity above; a tile holds <= PROTEIN_TILE patterns, never reallocates.
+                resolved.push(resolve(p as usize));
             }
-            for (ti, (left_res, right_res)) in resolved.iter().enumerate() {
-                let p = tile_start + ti;
+            for (&p, (left_res, right_res)) in tile.iter().zip(&resolved) {
+                let p = p as usize;
                 let mut max_entry = 0.0f64;
                 for c in 0..categories {
                     let base = (p * categories + c) * 20;
@@ -452,8 +457,8 @@ pub fn newview_step_blocked(
                 }
                 scale[p] = finish_pattern(&mut clv, &left, &right, p, categories * 20, max_entry);
             }
-            tile_start += tile_len;
         }
+        walk.copy(&mut clv, &mut scale, categories * 20);
     }
 
     let mut cached_lookups = 0u64;
@@ -467,7 +472,7 @@ pub fn newview_step_blocked(
         buffers.count_tip_hits(cached_lookups);
     }
 
-    buffers.put_back(step.node, clv, scale)
+    buffers.put_back_step(step.node, clv, scale)
 }
 
 /// The 4-state step once [`newview_step_blocked`] has checked the shapes and
@@ -485,6 +490,7 @@ fn newview_dna(
     let categories = left_tables.categories();
     child_data(slice, buffers, step.left)?;
     child_data(slice, buffers, step.right)?;
+    buffers.prepare_repeats(slice, step);
 
     let (mut clv, mut scale) = buffers.take_node(step.node);
     clv.resize(patterns * categories * BLOCKED_DNA_STATES, 0.0);
@@ -498,6 +504,7 @@ fn newview_dna(
     {
         let (left_cols, right_cols) = buffers.dna_columns().split_at(categories);
         let index = buffers.cached_tip_indices();
+        let target = (buffers.repeat_walk(), &mut clv[..], &mut scale[..]);
         let left = child_data(slice, buffers, step.left)?;
         let right = child_data(slice, buffers, step.right)?;
         let tip = |taxon, tables| Tip4::new(slice, index, taxon, tables);
@@ -506,19 +513,19 @@ fn newview_dna(
         match (l, r) {
             (ChildData::Tip(lt), ChildData::Tip(rt)) => {
                 let (lc, rc) = (tip(*lt, left_tables), tip(*rt, right_tables));
-                newview4((&lc, l), (&rc, r), categories, &mut clv, &mut scale)
+                newview4((&lc, l), (&rc, r), categories, target)
             }
             (ChildData::Tip(lt), ChildData::Internal { clv: rx, .. }) => {
                 let (lc, rc) = (tip(*lt, left_tables), inner(rx, right_cols));
-                newview4((&lc, l), (&rc, r), categories, &mut clv, &mut scale)
+                newview4((&lc, l), (&rc, r), categories, target)
             }
             (ChildData::Internal { clv: lx, .. }, ChildData::Tip(rt)) => {
                 let (lc, rc) = (inner(lx, left_cols), tip(*rt, right_tables));
-                newview4((&lc, l), (&rc, r), categories, &mut clv, &mut scale)
+                newview4((&lc, l), (&rc, r), categories, target)
             }
             (ChildData::Internal { clv: lx, .. }, ChildData::Internal { clv: rx, .. }) => {
                 let (lc, rc) = (inner(lx, left_cols), inner(rx, right_cols));
-                newview4((&lc, l), (&rc, r), categories, &mut clv, &mut scale)
+                newview4((&lc, l), (&rc, r), categories, target)
             }
         }
     }
@@ -527,21 +534,21 @@ fn newview_dna(
         .filter(|&&child| child < slice.n_taxa)
         .count();
     buffers.count_tip_hits((tip_children * patterns) as u64);
-    buffers.put_back(step.node, clv, scale)
+    buffers.put_back_step(step.node, clv, scale)
 }
 
 /// The step loop of one child-kind pair: per pattern and category, the two
 /// children's vectors multiplied lane by lane, then the scalar kernel's
 /// scaling epilogue (`left_data`/`right_data` carry the children's scale
-/// counters).
+/// counters) — or, for a pattern that is not its class's representative,
+/// the representative's column and scale count copied.
 fn newview4<L: Child4, R: Child4>(
     (left, left_data): (&L, &ChildData<'_>),
     (right, right_data): (&R, &ChildData<'_>),
     categories: usize,
-    clv: &mut [f64],
-    scale: &mut [i32],
+    (walk, clv, scale): (RepeatWalk<'_>, &mut [f64], &mut [i32]),
 ) {
-    for (p, scale_out) in scale.iter_mut().enumerate() {
+    for p in walk.computed.iter().map(|&p| p as usize) {
         let (l_at, r_at) = (left.at(p), right.at(p));
         let mut max_entry = 0.0f64;
         for c in 0..categories {
@@ -556,8 +563,9 @@ fn newview4<L: Child4, R: Child4>(
                 }
             }
         }
-        *scale_out = finish_pattern(clv, left_data, right_data, p, categories * 4, max_entry);
+        scale[p] = finish_pattern(clv, left_data, right_data, p, categories * 4, max_entry);
     }
+    walk.copy(clv, scale, categories * 4);
 }
 
 /// Scale-event epilogue of one pattern: inherit the children's events, then
@@ -865,7 +873,7 @@ mod tests {
     use crate::ops::{
         build_sumtable, derivatives_from_sumtable, evaluate_edge_tabled, newview_step_tabled,
     };
-    use crate::slice::WorkerSlices;
+    use crate::slice::{SliceBuffers, WorkerSlices};
     use crate::tables::MaskDictionary;
     use phylo_data::{Alignment, DataType, PartitionSet, PartitionedPatterns};
     use phylo_models::{BranchLengthMode, ModelSet};
@@ -918,6 +926,89 @@ mod tests {
             tree.set_branch_length(b, branch);
         }
         (pp, tree)
+    }
+
+    /// A caterpillar of `n_taxa` tips over `columns` pseudo-random columns
+    /// drawn from the first `letters` characters of `alphabet` (plus a gap):
+    /// a small draw makes subtree columns repeat.
+    fn small_alphabet(
+        data_type: DataType,
+        alphabet: &[u8],
+        letters: u64,
+        n_taxa: usize,
+        columns: usize,
+    ) -> (PartitionedPatterns, Tree) {
+        let names: Vec<String> = (0..n_taxa).map(|i| format!("t{i}")).collect();
+        let rows = names.iter().enumerate().map(|(i, name)| {
+            let seq = (0..columns).map(|j| {
+                let mut h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ (j as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+                h ^= h >> 31;
+                h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 32;
+                match h % (letters + 1) {
+                    0 => '-',
+                    k => alphabet[k as usize - 1] as char,
+                }
+            });
+            (name.clone(), seq.collect())
+        });
+        let aln = Alignment::new(rows.collect()).unwrap();
+        let ps = PartitionSet::unpartitioned(data_type, columns);
+        let pp = PartitionedPatterns::compile(&aln, &ps).unwrap();
+        let order: Vec<usize> = (0..n_taxa).collect();
+        let tree = Tree::stepwise(names, &order, |b| b / 2);
+        (pp, tree)
+    }
+
+    #[test]
+    fn repeat_aware_steps_equal_every_pattern_its_own_class_bit_for_bit() {
+        // Both widths, both dispatches, every root: the loops that copy a
+        // representative's column write the bits of the loops that compute
+        // every column, and do copy some.
+        for (data_type, alphabet, letters) in [
+            (DataType::Dna, &b"ACGT"[..], 3),
+            (DataType::Protein, AMINO, 4),
+        ] {
+            let (pp, tree) = small_alphabet(data_type, alphabet, letters, 9, 80);
+            let (mut repeats, models) = setup(&pp, &tree, 4);
+            let (mut each, _) = setup(&pp, &tree, 4);
+            each.buffers[0].each_pattern_its_own_class();
+            let dict = Arc::new(MaskDictionary::for_partition(
+                data_type,
+                &pp.partitions[0].tip_states,
+            ));
+            let model = models.model(0);
+            let slice = &repeats.slices[0];
+            let tables = |b| BranchTables::build(model, &dict, tree.branch_length(b)).unwrap();
+            for root in tree.branches() {
+                for step in &TraversalPlan::full(&tree, root).steps {
+                    let (left, right) = (tables(step.left_branch), tables(step.right_branch));
+                    for blocked in [false, true] {
+                        let step_on = |buffers: &mut SliceBuffers| match blocked {
+                            true => newview_step_blocked(slice, buffers, step, &left, &right),
+                            false => newview_step_tabled(slice, buffers, step, &left, &right),
+                        };
+                        step_on(&mut repeats.buffers[0]).unwrap();
+                        step_on(&mut each.buffers[0]).unwrap();
+                        let bits = |b: &SliceBuffers| {
+                            let clv = b.clv(step.node).unwrap().iter().map(|v| v.to_bits());
+                            (clv.collect::<Vec<_>>(), b.scale(step.node).unwrap().clone())
+                        };
+                        assert!(
+                            bits(&repeats.buffers[0]) == bits(&each.buffers[0]),
+                            "{data_type:?}, blocked {blocked}, root {root}, node {}",
+                            step.node
+                        );
+                    }
+                }
+            }
+            let (computed, copied) = repeats.buffers[0].take_repeat_counters();
+            assert!(copied > 0, "{data_type:?}: the fixture must repeat columns");
+            assert_eq!(
+                each.buffers[0].take_repeat_counters(),
+                (computed + copied, 0)
+            );
+        }
     }
 
     fn setup(pp: &PartitionedPatterns, tree: &Tree, categories: usize) -> (WorkerSlices, ModelSet) {

@@ -627,8 +627,8 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// What `worker` reports for one recorded region: its timings plus the
-/// tip-cache and table-build counter deltas of `slices` since the
-/// last sample.
+/// tip-cache, table-build and repeat-column counter deltas of `slices`
+/// since the last sample.
 pub fn sample(
     slices: &WorkerSlices,
     worker: usize,
@@ -636,6 +636,7 @@ pub fn sample(
     queue_wait_seconds: f64,
 ) -> WorkerSample {
     let (tip_hits, tip_misses, tip_builds) = slices.take_tip_cache_counters();
+    let (computed, copied) = slices.take_repeat_counters();
     WorkerSample {
         worker,
         op_seconds,
@@ -644,6 +645,8 @@ pub fn sample(
         tip_misses,
         tip_builds,
         tables_built: slices.take_table_builds(),
+        newview_columns_computed: computed,
+        newview_columns_copied: copied,
     }
 }
 
@@ -652,8 +655,8 @@ pub fn sample(
 /// but never completed" marker), records the death and returns the dead
 /// worker; anything else — a typed rejection included — closes it from the
 /// region's `samples`: per-worker op seconds and queue wait as each of the
-/// `width` workers measured them, plus their cache and table-build counter
-/// deltas.
+/// `width` workers measured them, plus their cache, table-build and
+/// repeat-column counter deltas.
 pub fn end_region(
     telemetry: &Telemetry,
     token: Option<RegionToken>,
@@ -671,6 +674,7 @@ pub fn end_region(
     let mut queue_wait = vec![0.0; width];
     let (mut hits, mut misses, mut builds) = (0, 0, 0);
     let mut tables_built = 0;
+    let (mut computed, mut copied) = (0, 0);
     for s in samples {
         worker_seconds[s.worker] = s.op_seconds;
         queue_wait[s.worker] = s.queue_wait_seconds;
@@ -678,8 +682,11 @@ pub fn end_region(
         misses += s.tip_misses;
         builds += s.tip_builds;
         tables_built += s.tables_built;
+        computed += s.newview_columns_computed;
+        copied += s.newview_columns_copied;
     }
     telemetry.add_tip_cache(hits, misses, builds);
+    telemetry.add_newview_columns(computed, copied);
     telemetry.add_shard_table_builds(tables_built);
     telemetry.region_end(token, &worker_seconds, &queue_wait);
     None

@@ -30,6 +30,17 @@
 //! live on as the reference in `tests/properties.rs`. A tip child of the sum
 //! table is a category-free lookup (`tip_eigen`), not a matrix product.
 //!
+//! **Repeats.** Every `newview` loop — [`newview_step_tabled`] here and both
+//! blocked loops — walks the step's repeat classes ([`crate::slice`]): it
+//! computes each representative (`rep[p] == p`, ascending) exactly as
+//! before, then copies every other pattern's column and scale count from its
+//! representative. Patterns in one class have bit-identical inputs at the step
+//! (the same tip masks, the same child columns), so the copy is what the loop
+//! would have computed: every CLV entry, scale count and lnL bit is the same
+//! as with every pattern its own class. Classes depend on the topology and
+//! the tip data only. `tip_hits` still counts one lookup per pattern per tip
+//! child per step, and the cost model still counts pattern-steps.
+//!
 //! All primitives are fallible: mismatched buffer shapes, stale sum tables
 //! and out-of-domain branch lengths fail as typed [`OpError`]s on every build
 //! profile (they used to be `debug_assert!`-only and silent in release).
@@ -214,6 +225,7 @@ pub fn newview_step_tabled(
     // a rejected step leaves the buffer store untouched.
     child_data(slice, buffers, step.left)?;
     child_data(slice, buffers, step.right)?;
+    buffers.prepare_repeats(slice, step);
 
     let (mut clv, mut scale) = buffers.take_node(step.node);
     clv.resize(patterns * categories * states, 0.0);
@@ -221,11 +233,12 @@ pub fn newview_step_tabled(
 
     {
         let tip_idx = buffers.cached_tip_indices();
+        let walk = buffers.repeat_walk();
         let n_taxa = slice.n_taxa;
         let left = child_data(slice, buffers, step.left)?;
         let right = child_data(slice, buffers, step.right)?;
 
-        for p in 0..patterns {
+        for p in walk.computed.iter().map(|&p| p as usize) {
             // One cache read per (pattern, tip child), hoisted out of the
             // category/state loops; a mask outside the dictionary resolves
             // to the bit-loop fallback.
@@ -315,6 +328,7 @@ pub fn newview_step_tabled(
             }
             scale[p] = events;
         }
+        walk.copy(&mut clv, &mut scale, categories * states);
     }
 
     let mut cached_lookups = 0u64;
@@ -328,7 +342,7 @@ pub fn newview_step_tabled(
         buffers.count_tip_hits(cached_lookups);
     }
 
-    buffers.put_back(step.node, clv, scale)
+    buffers.put_back_step(step.node, clv, scale)
 }
 
 /// Evaluates the weighted log likelihood of the slice for a virtual root

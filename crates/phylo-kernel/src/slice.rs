@@ -19,11 +19,30 @@
 //! way a worker's patterns are copied into dense per-partition buffers, so
 //! the global indices it owns change nothing about how it scans them; what a
 //! placement changes is how many partitions each worker touches.
+//!
+//! **Repeat classes.** Two patterns whose tip columns agree below a node
+//! have bit-identical CLV columns and scale counts there, so the buffers
+//! keep, per node and orientation, the *repeat classes* of the slice's
+//! patterns: a pattern's class at a node is the pair of its children's
+//! classes (a tip child's class is its tip mask), and its representative is
+//! the first local pattern in that class, so `rep[p] ≤ p`. A `newview` loop
+//! computes each representative's column, then copies it to the rest of the
+//! class (`RepeatWalk`, [`crate::ops`], [`crate::blocked`]); the copy is
+//! what the loop would have computed from the same inputs in the same order,
+//! so no bit moves.
+//! Classes depend on the topology and the tip data only — never on branch
+//! lengths or models — and a cached class array is reused only while the
+//! node's children, and the class arrays of those children, are the ones it
+//! was built from. They are valid for the slice the buffers were built with,
+//! like the tip-index cache.
 
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use phylo_data::{DataType, EncodedState, PartitionedPatterns};
+use phylo_tree::{NodeId, TraversalStep};
 
 use crate::error::OpError;
 use crate::tables::MaskDictionary;
@@ -106,6 +125,264 @@ pub struct SliceBuffers {
     tip_misses: Cell<u64>,
     /// Number of cache (re)builds.
     tip_builds: Cell<u64>,
+    /// The repeat classes of the CLVs these buffers hold.
+    repeats: Repeats,
+}
+
+/// One node's repeat classes in one orientation.
+#[derive(Debug, Clone)]
+struct Classes {
+    /// Unique among the buffers' class arrays; never 0.
+    id: u64,
+    /// The two children and the id of the class array each had when this one
+    /// was built (0: a tip, or an internal child without classes).
+    children: [(NodeId, u64); 2],
+    /// `rep[p]`: the first local pattern of `p`'s class, `≤ p`.
+    rep: Vec<u32>,
+    /// The local patterns, representatives first, each half ascending.
+    order: Vec<u32>,
+    /// Number of classes (patterns with `rep[p] == p`).
+    distinct: usize,
+    /// The step count of the last step that used it (eviction order).
+    used: u64,
+}
+
+/// How a `newview` loop walks a step's patterns: it computes `computed`,
+/// then copies every pattern of `copied` from its representative `rep[p]`,
+/// computed in the first half of the walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RepeatWalk<'a> {
+    pub(crate) computed: &'a [u32],
+    pub(crate) copied: &'a [u32],
+    pub(crate) rep: &'a [u32],
+}
+
+impl RepeatWalk<'_> {
+    /// The copy half of the walk: each copied pattern's column (`block`
+    /// entries, scaling applied) and scale count, from its representative.
+    #[inline]
+    pub(crate) fn copy(&self, clv: &mut [f64], scale: &mut [i32], block: usize) {
+        for &p in self.copied {
+            let (p, rep) = (p as usize, self.rep[p as usize] as usize);
+            clv.copy_within(rep * block..(rep + 1) * block, p * block);
+            scale[p] = scale[rep];
+        }
+    }
+}
+
+/// Cells per pattern up to which the class builder indexes a table instead
+/// of hashing: a DNA tip's 16 masks against any other side.
+const TABLE_CELLS_PER_PATTERN: usize = 16;
+
+/// Orientations a node's class cache holds: one per neighbor of an internal
+/// node of a binary tree.
+const ORIENTATIONS: usize = 3;
+
+/// The repeat-class cache of one slice's buffers (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct Repeats {
+    /// Per node slot: its class arrays, at most [`ORIENTATIONS`].
+    classes: Vec<Vec<Classes>>,
+    /// Per node slot: the id of the class array its stored CLV was computed
+    /// with (0 = none: a CLV written from outside a `newview` step).
+    current: Vec<u64>,
+    /// The step being computed: its node and the index of its class array.
+    active: (NodeId, usize),
+    /// Last class-array id handed out.
+    last_id: u64,
+    /// Steps prepared so far (the eviction clock).
+    steps: u64,
+    /// Build scratch: child-class pair → representative. Only looked up,
+    /// never iterated, so the classes do not depend on its order.
+    lookup: HashMap<u64, u32, BuildHasherDefault<PairHasher>>,
+    /// Columns computed by `newview` steps since the last drain.
+    computed: Cell<u64>,
+    /// Columns copied from a representative since the last drain.
+    copied: Cell<u64>,
+    /// Every pattern its own class: the loops compute every column (the
+    /// reference the repeat-aware loops are tested against).
+    each_own_class: bool,
+}
+
+/// The hasher of the class-pair lookup: one 64-bit key per lookup, mixed
+/// by the SplitMix64 finalizer (both halves of the pair reach every bit).
+#[derive(Debug, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mut x = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = x ^ (x >> 31);
+    }
+}
+
+impl Repeats {
+    fn new(node_capacity: usize) -> Self {
+        Self {
+            classes: vec![Vec::new(); node_capacity],
+            current: vec![0; node_capacity],
+            ..Self::default()
+        }
+    }
+
+    /// The class array `node`'s stored CLV was computed with.
+    fn current(&self, node: NodeId) -> Option<&Classes> {
+        let id = *self.current.get(node)?;
+        self.classes[node].iter().find(|c| id != 0 && c.id == id)
+    }
+
+    /// Finds or builds the class array of `step` and makes it the active
+    /// one. A cached array serves the step only if it was built from the
+    /// same two children (in either order: the classes of a pair do not
+    /// depend on its order) holding the same class arrays as now.
+    fn prepare(&mut self, slice: &PartitionSlice, step: &TraversalStep) {
+        self.steps += 1;
+        let child = |node: NodeId| {
+            let id = if node < slice.n_taxa {
+                0
+            } else {
+                self.current(node).map_or(0, |c| c.id)
+            };
+            (node, id)
+        };
+        let (left, right) = (child(step.left), child(step.right));
+        let cached = self.classes[step.node]
+            .iter()
+            .position(|c| c.children == [left, right] || c.children == [right, left]);
+        let index = match cached.filter(|_| !self.each_own_class) {
+            Some(index) => index,
+            None => self.build(slice, step.node, [left, right]),
+        };
+        self.classes[step.node][index].used = self.steps;
+        self.active = (step.node, index);
+    }
+
+    /// Builds the class array of `node` from its `children` into a free
+    /// orientation slot, or over the least recently used one; returns its
+    /// index.
+    fn build(
+        &mut self,
+        slice: &PartitionSlice,
+        node: NodeId,
+        children: [(NodeId, u64); 2],
+    ) -> usize {
+        let patterns = slice.pattern_count();
+        let slots = &self.classes[node];
+        let index = if slots.len() < ORIENTATIONS {
+            slots.len()
+        } else {
+            let oldest = slots.iter().enumerate().min_by_key(|(_, c)| c.used);
+            oldest.map_or(0, |(i, _)| i)
+        };
+        let (mut rep, mut order) = match self.classes[node].get_mut(index) {
+            Some(slot) => (
+                std::mem::take(&mut slot.rep),
+                std::mem::take(&mut slot.order),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
+        rep.clear();
+        rep.resize(patterns, 0);
+
+        // A child's key at a pattern: a tip's mask, an internal child's
+        // representative — or the pattern itself when the child has no
+        // classes (or every pattern is its own class), which makes every
+        // pattern its own class.
+        let mut lookup = std::mem::take(&mut self.lookup);
+        let keys = children.map(|(child, _)| match self.each_own_class {
+            true => (None, None),
+            false => (
+                (child < slice.n_taxa).then_some(child),
+                self.current(child).map(|c| &c.rep[..]),
+            ),
+        });
+        let key = |(tip, rep): (Option<NodeId>, Option<&[u32]>), p: usize| match (tip, rep) {
+            (Some(taxon), _) => slice.tip_state(p, taxon),
+            (None, Some(rep)) => rep[p],
+            (None, None) => p as u32,
+        };
+        // Every key of a side is below its bound: a tip's largest mask + 1,
+        // or the pattern count. When the pairs fit a table of a few cells
+        // per pattern (a DNA tip on either side), it replaces the hash; it
+        // lives for one build, so no slice keeps one between builds.
+        let bound = |(tip, _): (Option<NodeId>, Option<&[u32]>)| match tip {
+            Some(taxon) => (0..patterns)
+                .map(|p| slice.tip_state(p, taxon) as usize + 1)
+                .max(),
+            None => Some(patterns),
+        };
+        let (left_bound, right_bound) = (bound(keys[0]).unwrap_or(0), bound(keys[1]).unwrap_or(0));
+        let cells = left_bound.saturating_mul(right_bound);
+        let dense = cells <= TABLE_CELLS_PER_PATTERN * patterns.max(16);
+        let mut table = if dense {
+            vec![u32::MAX; cells]
+        } else {
+            Vec::new()
+        };
+        let cell = |p: usize| key(keys[0], p) as usize * right_bound + key(keys[1], p) as usize;
+        lookup.clear();
+        let mut distinct = 0;
+        for (p, out) in rep.iter_mut().enumerate() {
+            let first = if dense {
+                let first = &mut table[cell(p)];
+                if *first == u32::MAX {
+                    *first = p as u32;
+                }
+                *first
+            } else {
+                let pair = u64::from(key(keys[0], p)) << 32 | u64::from(key(keys[1], p));
+                *lookup.entry(pair).or_insert(p as u32)
+            };
+            distinct += usize::from(first as usize == p);
+            *out = first;
+        }
+        self.lookup = lookup;
+        order.clear();
+        order.resize(patterns, 0);
+        let (mut head, mut tail) = (0, distinct);
+        for (p, &first) in rep.iter().enumerate() {
+            let at = if first as usize == p {
+                &mut head
+            } else {
+                &mut tail
+            };
+            order[*at] = p as u32;
+            *at += 1;
+        }
+
+        self.last_id += 1;
+        let classes = Classes {
+            id: self.last_id,
+            children,
+            rep,
+            order,
+            distinct,
+            used: self.steps,
+        };
+        match self.classes[node].get_mut(index) {
+            Some(slot) => *slot = classes,
+            None => self.classes[node].push(classes),
+        }
+        index
+    }
+
+    /// The active step's class array.
+    fn active(&self) -> &Classes {
+        let (node, index) = self.active;
+        &self.classes[node][index]
+    }
 }
 
 impl SliceBuffers {
@@ -129,6 +406,7 @@ impl SliceBuffers {
             tip_hits: Cell::new(0),
             tip_misses: Cell::new(0),
             tip_builds: Cell::new(0),
+            repeats: Repeats::new(node_capacity),
         }
     }
 
@@ -153,8 +431,10 @@ impl SliceBuffers {
     }
 
     /// Returns the CLV of `node`, allocating it zero-filled on first use.
+    /// A CLV written through it has no repeat classes.
     pub fn clv_mut(&mut self, node: usize) -> &mut Vec<f64> {
         let len = self.clv_len();
+        self.repeats.current[node] = 0;
         self.clvs[node].get_or_insert_with(|| vec![0.0; len])
     }
 
@@ -166,6 +446,7 @@ impl SliceBuffers {
     /// Returns the scaling counters of `node`, allocating on first use.
     pub fn scale_mut(&mut self, node: usize) -> &mut Vec<i32> {
         let len = self.patterns;
+        self.repeats.current[node] = 0;
         self.scales[node].get_or_insert_with(|| vec![0; len])
     }
 
@@ -176,9 +457,11 @@ impl SliceBuffers {
 
     /// Takes the CLV and scale buffers of `node` out of the store, so that a
     /// new CLV can be computed into them while the children's CLVs are still
-    /// borrowed immutably. [`SliceBuffers::put_back`] returns them.
+    /// borrowed immutably. [`SliceBuffers::put_back`] returns them; the node
+    /// has no repeat classes until a `newview` step stores its CLV again.
     pub fn take_node(&mut self, node: usize) -> (Vec<f64>, Vec<i32>) {
         let len = self.clv_len();
+        self.repeats.current[node] = 0;
         let clv = self.clvs[node].take().unwrap_or_else(|| vec![0.0; len]);
         let scale = self.scales[node]
             .take()
@@ -214,6 +497,71 @@ impl SliceBuffers {
         self.clvs[node] = Some(clv);
         self.scales[node] = Some(scale);
         Ok(())
+    }
+
+    /// Finds or builds the repeat classes of `step` (see the module docs)
+    /// and makes them the ones [`SliceBuffers::representatives`] returns.
+    pub(crate) fn prepare_repeats(&mut self, slice: &PartitionSlice, step: &TraversalStep) {
+        self.repeats.prepare(slice, step);
+    }
+
+    /// The step the last [`SliceBuffers::prepare_repeats`] prepared: the
+    /// patterns to compute (its representatives) and those to copy, each
+    /// ascending, and the representative of every pattern.
+    #[inline]
+    pub(crate) fn repeat_walk(&self) -> RepeatWalk<'_> {
+        let classes = self.repeats.active();
+        let (computed, copied) = classes.order.split_at(classes.distinct);
+        RepeatWalk {
+            computed,
+            copied,
+            rep: &classes.rep,
+        }
+    }
+
+    /// [`SliceBuffers::put_back`] for the CLV of the prepared step: on
+    /// success the node's CLV is the one its repeat classes describe, and
+    /// the step's computed and copied columns are counted.
+    pub(crate) fn put_back_step(
+        &mut self,
+        node: NodeId,
+        clv: Vec<f64>,
+        scale: Vec<i32>,
+    ) -> Result<(), OpError> {
+        self.put_back(node, clv, scale)?;
+        let repeats = &mut self.repeats;
+        let classes = repeats.active();
+        let (id, distinct) = (classes.id, classes.distinct as u64);
+        repeats.current[node] = id;
+        repeats.computed.set(repeats.computed.get() + distinct);
+        repeats
+            .copied
+            .set(repeats.copied.get() + self.patterns as u64 - distinct);
+        Ok(())
+    }
+
+    /// The representative of every local pattern in the repeat classes the
+    /// stored CLV of `node` was computed with: `rep[p] ≤ p` is the first
+    /// local pattern whose tip columns below `node` equal `p`'s. `None` for
+    /// a tip, a node without a CLV, or a CLV written from outside a
+    /// `newview` step.
+    pub fn repeat_representatives(&self, node: NodeId) -> Option<&[u32]> {
+        self.repeats.current(node).map(|c| &c.rep[..])
+    }
+
+    /// Drains the repeat counters: `(computed, copied)` — the CLV columns
+    /// `newview` steps computed, and those they copied from a
+    /// representative, since the last drain.
+    pub fn take_repeat_counters(&self) -> (u64, u64) {
+        (self.repeats.computed.take(), self.repeats.copied.take())
+    }
+
+    /// Makes every pattern its own class in every later step: the loops
+    /// then compute every column, the reference the copies are tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn each_pattern_its_own_class(&mut self) {
+        self.repeats.each_own_class = true;
     }
 
     /// Drops the branch sum table (and its scale counters), so that a later
@@ -511,6 +859,18 @@ impl WorkerSlices {
             total.0 += h;
             total.1 += m;
             total.2 += b;
+        }
+        total
+    }
+
+    /// Drains the repeat counters of every partition buffer, summed:
+    /// `(computed, copied)` columns since the last drain.
+    pub fn take_repeat_counters(&self) -> (u64, u64) {
+        let mut total = (0, 0);
+        for buffer in &self.buffers {
+            let (computed, copied) = buffer.take_repeat_counters();
+            total.0 += computed;
+            total.1 += copied;
         }
         total
     }

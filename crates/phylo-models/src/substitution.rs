@@ -158,12 +158,6 @@ impl SubstitutionModel {
         ex[index] = value;
         Self::from_parameters(self.data_type, ex, self.frequencies.clone())
     }
-
-    /// Returns a copy of the model with new stationary frequencies and the
-    /// eigensystem rebuilt (used when plugging in empirical frequencies).
-    pub fn with_frequencies(&self, frequencies: Vec<f64>) -> Self {
-        Self::from_parameters(self.data_type, self.exchangeabilities.clone(), frequencies)
-    }
 }
 
 /// Exchangeabilities of [`SubstitutionModel::default_for`], without the

@@ -28,6 +28,12 @@ pub struct WorkerSample {
     pub tip_builds: u64,
     /// Branch tables the worker built since the last sample.
     pub tables_built: u64,
+    /// CLV columns the worker's `newview` steps computed since the last
+    /// sample (one per repeat class per step).
+    pub newview_columns_computed: u64,
+    /// CLV columns the worker's `newview` steps copied from their class's
+    /// representative since the last sample.
+    pub newview_columns_copied: u64,
 }
 
 #[derive(Debug, Default)]
@@ -40,6 +46,8 @@ struct Counters {
     tip_hits: AtomicU64,
     tip_misses: AtomicU64,
     tip_builds: AtomicU64,
+    newview_columns_computed: AtomicU64,
+    newview_columns_copied: AtomicU64,
     reschedules: AtomicU64,
     reschedules_considered: AtomicU64,
     worker_deaths: AtomicU64,
@@ -281,6 +289,20 @@ impl Telemetry {
         }
     }
 
+    /// Accumulates the `newview` columns workers computed and copied from a
+    /// repeat class's representative, drained from worker samples.
+    pub fn add_newview_columns(&self, computed: u64, copied: u64) {
+        if let Some(inner) = &self.inner {
+            if computed | copied != 0 {
+                let c = &inner.counters;
+                c.newview_columns_computed
+                    .fetch_add(computed, Ordering::Relaxed);
+                c.newview_columns_copied
+                    .fetch_add(copied, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// Accumulates the branch tables workers built, drained from worker
     /// samples: at least one per issued slot a region read, more where two
     /// workers raced to the same slot.
@@ -455,6 +477,8 @@ impl Telemetry {
                 tip_hits: load(&c.tip_hits),
                 tip_misses: load(&c.tip_misses),
                 tip_builds: load(&c.tip_builds),
+                newview_columns_computed: load(&c.newview_columns_computed),
+                newview_columns_copied: load(&c.newview_columns_copied),
                 reschedules: load(&c.reschedules),
                 reschedules_considered: load(&c.reschedules_considered),
                 worker_deaths: load(&c.worker_deaths),
@@ -527,6 +551,8 @@ mod tests {
         clone.table_cache_hit();
         clone.table_build(0, 3);
         t.add_tip_cache(10, 2, 1);
+        clone.add_newview_columns(7, 3);
+        t.add_newview_columns(1, 0);
         t.reschedule_considered();
         t.reschedule(1, false, 1.5, 1.1);
         t.worker_death(2, Some(7));
@@ -544,6 +570,13 @@ mod tests {
                 snap.counters.tip_builds
             ),
             (10, 2, 1)
+        );
+        assert_eq!(
+            (
+                snap.counters.newview_columns_computed,
+                snap.counters.newview_columns_copied
+            ),
+            (8, 3)
         );
         assert_eq!(snap.counters.reschedules_considered, 1);
         assert_eq!(snap.counters.reschedules, 1);

@@ -26,6 +26,11 @@ pub struct CounterSnapshot {
     pub tip_misses: u64,
     /// Tip-index cache (re)builds.
     pub tip_builds: u64,
+    /// CLV columns `newview` steps computed: one per repeat class per step.
+    pub newview_columns_computed: u64,
+    /// CLV columns `newview` steps copied from their repeat class's
+    /// representative instead of computing them.
+    pub newview_columns_copied: u64,
     /// Pattern migrations performed.
     pub reschedules: u64,
     /// Rescheduler consultations (fired or not).
@@ -59,6 +64,8 @@ impl CounterSnapshot {
             ("tip_hits", self.tip_hits),
             ("tip_misses", self.tip_misses),
             ("tip_builds", self.tip_builds),
+            ("newview_columns_computed", self.newview_columns_computed),
+            ("newview_columns_copied", self.newview_columns_copied),
             ("reschedules", self.reschedules),
             ("reschedules_considered", self.reschedules_considered),
             ("worker_deaths", self.worker_deaths),
@@ -331,6 +338,7 @@ mod tests {
         t.table_cache_hit();
         t.table_build(0, 5);
         t.add_tip_cache(90, 10, 2);
+        t.add_newview_columns(70, 30);
         t.reschedule(1, true, 1.6, 1.05);
         t.worker_death(1, Some(0));
         t.worker_recovery(1, 1);

@@ -49,11 +49,6 @@ pub struct SprUndo {
 }
 
 impl SprUndo {
-    /// The SPR move this record undoes.
-    pub fn spr_move(&self) -> SprMove {
-        self.mv
-    }
-
     /// The branch that now connects the two former neighbors of the pruned
     /// node (its length is the sum of the two merged branches).
     pub fn merged_branch(&self) -> BranchId {

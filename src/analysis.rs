@@ -424,11 +424,6 @@ impl<E: Executor + Reassignable> Analysis<E> {
     pub fn kernel_mut(&mut self) -> &mut LikelihoodKernel<E> {
         &mut self.kernel
     }
-
-    /// Consumes the session and returns the engine.
-    pub fn into_kernel(self) -> LikelihoodKernel<E> {
-        self.kernel
-    }
 }
 
 #[cfg(test)]

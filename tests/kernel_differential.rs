@@ -40,7 +40,7 @@ use std::sync::Arc;
 mod common;
 use common::{differential_cases, inject_ambiguity, RESCALING_LENGTHS, RESCALING_TAXA};
 
-use plf_loadbalance::kernel::WorkerSlices;
+use plf_loadbalance::kernel::{Executor, SequentialExecutor, WorkerSlices};
 use plf_loadbalance::seqgen::GeneratedDataset;
 use plf_loadbalance::tree::topology::MIN_BRANCH_LENGTH;
 use plf_loadbalance::tree::{BranchId, TraversalPlan};
@@ -524,6 +524,291 @@ fn assert_sweeps_identical(scalar: &DnaSweep, blocked: &DnaSweep) -> i32 {
     assert_eq!(scalar.lnl, blocked.lnl, "per-partition lnL bits");
     assert_eq!(scalar.tip_cache, blocked.tip_cache, "tip-cache counters");
     scalar.scales.iter().flatten().copied().max().unwrap_or(0)
+}
+
+/// The reference of the repeat-aware `newview` loops: the same loops with
+/// every pattern its own class. Each local pattern of each worker's slice
+/// (`owners` over `workers`, as the executor under test holds them) runs the
+/// full traversal rooted at `root` as a slice of its own — one pattern, one
+/// class — under the kernel's dispatch, tables, models and branch lengths;
+/// its columns and scale counts are assembled into the worker's buffers, each
+/// worker evaluates its slice, and the workers' partition sums are added in
+/// worker order, as a region reduces them. Returns the per-partition lnL and
+/// the assembled workers.
+fn own_class_reference<E: Executor>(
+    kernel: &LikelihoodKernel<E>,
+    owners: &[usize],
+    workers: usize,
+    root: BranchId,
+) -> (Vec<f64>, Vec<WorkerSlices>) {
+    use plf_loadbalance::kernel::{blocked, ops, PartitionSlice, SliceBuffers};
+    let (patterns, tree, models) = (kernel.patterns(), kernel.tree(), kernel.models());
+    let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+    let capacity = tree.node_capacity();
+    let plan = TraversalPlan::full(tree, root);
+    let (a, b) = tree.branch_endpoints(root);
+    let dispatch = kernel.dispatch();
+    let mut total = vec![0.0; patterns.partition_count()];
+    let mut reference = Vec::new();
+    for worker in 0..workers {
+        let mut ws =
+            WorkerSlices::from_assignment(patterns, worker, workers, capacity, &categories, owners);
+        for (pi, (slice, buffers)) in ws.slices.iter().zip(&mut ws.buffers).enumerate() {
+            let n = slice.pattern_count();
+            if n == 0 {
+                continue;
+            }
+            let part = &patterns.partitions[pi];
+            let dict = Arc::new(MaskDictionary::for_partition(
+                part.data_type,
+                &part.tip_states,
+            ));
+            let model = models.model(pi);
+            let table = |branch| {
+                BranchTables::build(model, &dict, kernel.branch_length(pi, branch))
+                    .expect("tables build")
+            };
+            let step_tables: Vec<_> = plan
+                .steps
+                .iter()
+                .map(|step| (table(step.left_branch), table(step.right_branch)))
+                .collect();
+            let block = buffers.clv_len() / n;
+            for p in 0..n {
+                let one = PartitionSlice {
+                    partition: pi,
+                    data_type: slice.data_type,
+                    n_taxa: slice.n_taxa,
+                    tip_states: slice.tip_states[p * slice.n_taxa..][..slice.n_taxa].to_vec(),
+                    weights: vec![slice.weights[p]],
+                    global_indices: vec![slice.global_indices[p]],
+                };
+                let mut own = SliceBuffers::new(1, slice.states(), categories[pi], capacity);
+                for (step, (left, right)) in plan.steps.iter().zip(&step_tables) {
+                    match dispatch {
+                        KernelDispatch::Blocked => {
+                            blocked::newview_step_blocked(&one, &mut own, step, left, right)
+                        }
+                        KernelDispatch::Scalar => {
+                            ops::newview_step_tabled(&one, &mut own, step, left, right)
+                        }
+                    }
+                    .expect("reference step runs");
+                    let column = own.clv(step.node).expect("the step wrote a CLV");
+                    buffers.clv_mut(step.node)[p * block..][..block].copy_from_slice(column);
+                    buffers.scale_mut(step.node)[p] = own.scale(step.node).expect("and a scale")[0];
+                }
+            }
+            let edge = table(root);
+            total[pi] += match dispatch {
+                KernelDispatch::Blocked => {
+                    blocked::evaluate_edge_blocked(slice, buffers, model, a, b, &edge)
+                }
+                KernelDispatch::Scalar => {
+                    ops::evaluate_edge_tabled(slice, buffers, model, a, b, &edge)
+                }
+            }
+            .expect("reference edge evaluates");
+        }
+        reference.push(ws);
+    }
+    (total, reference)
+}
+
+/// The sequential executor's one worker, whose CLVs the test can read.
+fn sequential_worker(executor: &SequentialExecutor) -> Option<&WorkerSlices> {
+    Some(executor.worker())
+}
+
+/// A shard executor's workers live inside it: only lnL bits are compared.
+fn hidden_workers<E>(_: &E) -> Option<&WorkerSlices> {
+    None
+}
+
+/// Evaluates `kernel` at two roots (its default root, then a pendant branch,
+/// which flips the orientations between them) and asserts every
+/// per-partition lnL bit — and, where `worker_of` exposes the worker, every
+/// CLV entry and scale count of the traversal — equal to
+/// [`own_class_reference`].
+fn assert_own_class_bits<E: Executor>(
+    kernel: &mut LikelihoodKernel<E>,
+    owners: &[usize],
+    workers: usize,
+    worker_of: fn(&E) -> Option<&WorkerSlices>,
+    stage: &str,
+) {
+    let pendant = kernel.tree().neighbors(0)[0].1;
+    for root in [kernel.default_root_branch(), pendant] {
+        let mask = kernel.full_mask();
+        let lnl = kernel
+            .try_log_likelihood_partitions(root, &mask)
+            .expect("kernel evaluates");
+        let (expected, reference) = own_class_reference(kernel, owners, workers, root);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&lnl),
+            bits(&expected),
+            "{stage}, root {root}: lnL bits"
+        );
+        let Some(worker) = worker_of(kernel.executor()) else {
+            continue;
+        };
+        for step in &TraversalPlan::full(kernel.tree(), root).steps {
+            for (pi, (got, want)) in worker.buffers.iter().zip(&reference[0].buffers).enumerate() {
+                let node = step.node;
+                let clv = |b: &plf_loadbalance::kernel::SliceBuffers| b.clv(node).map(|c| bits(c));
+                assert_eq!(
+                    clv(got),
+                    clv(want),
+                    "{stage}, root {root}: CLV of node {node}, partition {pi}"
+                );
+                assert_eq!(
+                    got.scale(node),
+                    want.scale(node),
+                    "{stage}, root {root}: scales of node {node}, partition {pi}"
+                );
+            }
+        }
+    }
+}
+
+/// The sequence every executor runs before the comparison of each stage:
+/// α and an exchangeability change, new branch lengths, then a run of SPR
+/// moves, each applied and undone — every one of them followed by
+/// [`assert_own_class_bits`].
+fn drive_own_class_sequence<E: Executor>(
+    kernel: &mut LikelihoodKernel<E>,
+    owners: &[usize],
+    workers: usize,
+    worker_of: fn(&E) -> Option<&WorkerSlices>,
+    seed: u64,
+) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0C1A_55E5);
+    let check = |kernel: &mut LikelihoodKernel<E>, stage: &str| {
+        assert_own_class_bits(kernel, owners, workers, worker_of, stage)
+    };
+    check(kernel, "cold");
+    kernel.set_alpha(0, rng.gen_range(0.2..2.0));
+    check(kernel, "set_alpha");
+    let dna = (0..kernel.partition_count())
+        .find(|&pi| kernel.patterns().partitions[pi].data_type == DataType::Dna)
+        .expect("the dataset has a DNA partition");
+    kernel.set_exchangeability(dna, 1, rng.gen_range(0.5..4.0));
+    check(kernel, "set_exchangeability");
+    let branches: Vec<BranchId> = kernel.tree().branches().collect();
+    for &branch in branches.iter().step_by(3) {
+        kernel.set_branch_length(BranchScope::All, branch, random_branch_length(&mut rng));
+    }
+    check(kernel, "branch lengths");
+    let tree = kernel.tree().clone();
+    let mut moves = Vec::new();
+    for node in tree.internal_nodes() {
+        for &(subtree, _) in tree.neighbors(node) {
+            moves.extend(plf_loadbalance::tree::spr::candidate_moves(
+                &tree, node, subtree, 3,
+            ));
+        }
+    }
+    for _ in 0..4 {
+        if moves.is_empty() {
+            break;
+        }
+        let mv = moves.swap_remove(rng.gen_range(0..moves.len()));
+        let Ok(application) = kernel.apply_spr(mv) else {
+            continue;
+        };
+        check(kernel, "spr apply");
+        kernel.undo_spr(&application);
+        check(kernel, "spr undo");
+    }
+}
+
+/// The executors of [`repeat_aware_newview_is_every_pattern_its_own_class_bit_for_bit`]
+/// that can be reassigned: a reassignment rebuilds every worker's slices
+/// (and with them the repeat classes), then the stage is compared again.
+fn reassign_and_check<E: Executor + Reassignable>(
+    kernel: &mut LikelihoodKernel<E>,
+    workers: usize,
+    strategy: &dyn ScheduleStrategy,
+) {
+    let patterns = Arc::clone(kernel.patterns());
+    let categories: Vec<usize> = kernel
+        .models()
+        .models()
+        .iter()
+        .map(|m| m.categories())
+        .collect();
+    let capacity = kernel.tree().node_capacity();
+    let assignment = schedule(&patterns, &categories, workers, strategy).expect("schedules");
+    kernel
+        .executor_mut()
+        .reassign(&patterns, &assignment, capacity, &categories)
+        .expect("reassigns");
+    kernel.invalidate_all();
+    assert_own_class_bits(
+        kernel,
+        assignment.owner(),
+        workers,
+        hidden_workers,
+        "reassign",
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: differential_cases(), ..ProptestConfig::default() })]
+
+    /// The repeat-aware `newview` loops copy a column only where computing
+    /// it would have produced the same bits, and a cached class array is
+    /// never reused for other children. On a random mixed dataset with
+    /// ambiguity codes, under both dispatches, the sequential executor,
+    /// threads at T = 2 and 3 and the tracing executor each run `set_alpha`,
+    /// `set_exchangeability`, branch-length changes and a run of SPR
+    /// apply/undo (the shard executors then a reassignment): after every
+    /// stage, at two roots, every lnL bit — and on the sequential executor
+    /// every CLV entry and scale count — equals the same loops with every
+    /// pattern its own class ([`own_class_reference`]).
+    #[test]
+    fn repeat_aware_newview_is_every_pattern_its_own_class_bit_for_bit(
+        seed in 0u64..10_000,
+        taxa in 5usize..9,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB17);
+        let base = mixed_dna_protein(taxa, 2, 1, 40, seed).generate();
+        let ds = inject_ambiguity(&base, 0.05, &mut rng);
+        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
+        let categories: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+        let capacity = ds.tree.node_capacity();
+        fn kernel<E: Executor>(ds: &GeneratedDataset, models: &ModelSet, executor: E) -> LikelihoodKernel<E> {
+            LikelihoodKernel::try_new(Arc::clone(&ds.patterns), ds.tree.clone(), models.clone(), executor)
+                .expect("kernel builds")
+        }
+        for dispatch in [KernelDispatch::Blocked, KernelDispatch::Scalar] {
+            let mut sequential = kernel(&ds, &models, SequentialExecutor::new(&ds.patterns, capacity, &categories));
+            sequential.set_dispatch(dispatch);
+            let everything = vec![0; ds.patterns.total_patterns()];
+            drive_own_class_sequence(&mut sequential, &everything, 1, sequential_worker, seed);
+
+            for workers in [2, 3] {
+                let assignment = schedule(&ds.patterns, &categories, workers, &Cyclic).unwrap();
+                let threaded =
+                    ThreadedExecutor::from_assignment(&ds.patterns, &assignment, capacity, &categories)
+                        .unwrap();
+                let mut threaded = kernel(&ds, &models, threaded);
+                threaded.set_dispatch(dispatch);
+                drive_own_class_sequence(&mut threaded, assignment.owner(), workers, hidden_workers, seed);
+                reassign_and_check(&mut threaded, workers, &WeightedLpt);
+            }
+
+            let assignment = schedule(&ds.patterns, &categories, 3, &WeightedLpt).unwrap();
+            let tracing =
+                TracingExecutor::from_assignment(&ds.patterns, &assignment, capacity, &categories)
+                    .unwrap();
+            let mut tracing = kernel(&ds, &models, tracing);
+            tracing.set_dispatch(dispatch);
+            drive_own_class_sequence(&mut tracing, assignment.owner(), 3, hidden_workers, seed);
+            reassign_and_check(&mut tracing, 3, &Cyclic);
+        }
+    }
 }
 
 /// A right child whose tables carry another dictionary `Arc` (equal

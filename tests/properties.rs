@@ -1488,3 +1488,69 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: differential_cases(), ..ProptestConfig::default() })]
+
+    /// The repeat classes of every `newview` step against brute force. On
+    /// random DNA and protein slices with gaps and ambiguity codes, a random
+    /// tree, and the `Cyclic` slices of T ∈ {1, 2, 3} workers: after each
+    /// step of two full traversals (the second rooted elsewhere, so cached
+    /// orientations are reused and new ones built), the representative of
+    /// every local pattern is the first local pattern whose tip columns
+    /// below the step's node equal its own — so two patterns share a class
+    /// if and only if those columns are equal, and every representative is
+    /// the first pattern of its class.
+    #[test]
+    fn repeat_classes_match_brute_force_subtree_columns(
+        seed in 0u64..10_000,
+        taxa in 4usize..10,
+        workers in 1usize..4,
+        blocked in proptest::bool::ANY,
+    ) {
+        use plf_loadbalance::kernel::{blocked, ops, WorkerSlices};
+        use plf_loadbalance::tree::TraversalPlan;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xC1A55);
+        let base = mixed_dna_protein(taxa, 2, 1, 40, seed).generate();
+        let ds = inject_ambiguity(&base, 0.15, &mut rng);
+        let tree = plf_loadbalance::tree::random::random_tree(&ds.patterns.taxa, &mut rng);
+        let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
+        let cats: Vec<usize> = models.models().iter().map(|m| m.categories()).collect();
+        let branches = tree.branch_count();
+        let roots = [rng.gen_range(0..branches), rng.gen_range(0..branches)];
+        for worker in 0..workers {
+            let mut ws =
+                WorkerSlices::cyclic(&ds.patterns, worker, workers, tree.node_capacity(), &cats);
+            for (slice, buffers) in ws.slices.iter().zip(&mut ws.buffers) {
+                let part = &ds.patterns.partitions[slice.partition];
+                let dict = Arc::new(MaskDictionary::for_partition(part.data_type, &part.tip_states));
+                let model = models.model(slice.partition);
+                for root in roots {
+                    let mut below: Vec<Vec<usize>> = (0..tree.node_capacity())
+                        .map(|node| if node < taxa { vec![node] } else { Vec::new() })
+                        .collect();
+                    for step in &TraversalPlan::full(&tree, root).steps {
+                        let table = |b| BranchTables::build(model, &dict, tree.branch_length(b)).unwrap();
+                        let (left, right) = (table(step.left_branch), table(step.right_branch));
+                        if blocked {
+                            blocked::newview_step_blocked(slice, buffers, step, &left, &right).unwrap();
+                        } else {
+                            ops::newview_step_tabled(slice, buffers, step, &left, &right).unwrap();
+                        }
+                        let tips = [below[step.left].clone(), below[step.right].clone()].concat();
+                        let mut first = std::collections::HashMap::new();
+                        let reps = buffers.repeat_representatives(step.node).unwrap();
+                        prop_assert_eq!(reps.len(), slice.pattern_count());
+                        for (p, &rep) in reps.iter().enumerate() {
+                            let column: Vec<u32> = tips.iter().map(|&t| slice.tip_state(p, t)).collect();
+                            let expected = *first.entry(column).or_insert(p);
+                            prop_assert_eq!(rep as usize, expected, "node {} pattern {}", step.node, p);
+                        }
+                        below[step.node] = tips;
+                    }
+                }
+            }
+        }
+    }
+}

@@ -476,3 +476,61 @@ fn exports_round_trip_a_real_run() {
         );
     }
 }
+
+/// The repeat counters mean what they say. After one cold full traversal of
+/// a fixed mixed dataset on the sequential executor, the columns `newview`
+/// copied from a representative are exactly the (node, pattern) columns
+/// whose tip columns below the node equal an earlier pattern's — counted
+/// here by brute force over the tips each step's subtree holds — and
+/// computed plus copied columns are the traversal's pattern-steps.
+#[test]
+fn newview_column_counters_count_repeated_subtree_columns() {
+    let ds = dataset(17);
+    let models = ModelSet::default_for(&ds.patterns, BranchLengthMode::PerPartition);
+    let mut kernel =
+        SequentialKernel::build(Arc::clone(&ds.patterns), ds.tree.clone(), models).unwrap();
+    let telemetry = Telemetry::new(TelemetryConfig::default());
+    kernel.set_telemetry(&telemetry);
+    let root = kernel.default_root_branch();
+    let updated = kernel.try_update_clvs(root, &kernel.full_mask()).unwrap();
+    let plan = plf_loadbalance::tree::TraversalPlan::full(kernel.tree(), root);
+
+    let n_taxa = ds.patterns.taxa.len();
+    let mut below: Vec<Vec<usize>> = (0..kernel.tree().node_capacity())
+        .map(|node| {
+            if node < n_taxa {
+                vec![node]
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+    let (mut repeated, mut pattern_steps) = (0u64, 0u64);
+    for step in &plan.steps {
+        let tips = [below[step.left].clone(), below[step.right].clone()].concat();
+        for part in &ds.patterns.partitions {
+            let mut seen = HashSet::new();
+            for p in 0..part.pattern_count() {
+                let column: Vec<u32> = tips.iter().map(|&t| part.tip_state(p, t)).collect();
+                repeated += u64::from(!seen.insert(column));
+            }
+            pattern_steps += part.pattern_count() as u64;
+        }
+        below[step.node] = tips;
+    }
+
+    let c = telemetry.snapshot().counters;
+    assert!(
+        updated > 0 && repeated > 0,
+        "the fixture must repeat columns"
+    );
+    assert_eq!(
+        c.newview_columns_copied, repeated,
+        "copied = repeated columns"
+    );
+    assert_eq!(
+        c.newview_columns_computed + c.newview_columns_copied,
+        pattern_steps,
+        "every pattern-step is computed or copied"
+    );
+}
