@@ -170,10 +170,6 @@ impl RepeatWalk<'_> {
     }
 }
 
-/// Cells per pattern up to which the class builder indexes a table instead
-/// of hashing: a DNA tip's 16 masks against any other side.
-const TABLE_CELLS_PER_PATTERN: usize = 16;
-
 /// Orientations a node's class cache holds: one per neighbor of an internal
 /// node of a binary tree.
 const ORIENTATIONS: usize = 3;
@@ -201,6 +197,7 @@ struct Repeats {
     copied: Cell<u64>,
     /// Every pattern its own class: the loops compute every column (the
     /// reference the repeat-aware loops are tested against).
+    #[cfg(test)]
     each_own_class: bool,
 }
 
@@ -261,7 +258,9 @@ impl Repeats {
         let cached = self.classes[step.node]
             .iter()
             .position(|c| c.children == [left, right] || c.children == [right, left]);
-        let index = match cached.filter(|_| !self.each_own_class) {
+        #[cfg(test)]
+        let cached = cached.filter(|_| !self.each_own_class);
+        let index = match cached {
             Some(index) => index,
             None => self.build(slice, step.node, [left, right]),
         };
@@ -298,53 +297,30 @@ impl Repeats {
 
         // A child's key at a pattern: a tip's mask, an internal child's
         // representative — or the pattern itself when the child has no
-        // classes (or every pattern is its own class), which makes every
-        // pattern its own class.
+        // classes, which makes every pattern its own class.
         let mut lookup = std::mem::take(&mut self.lookup);
-        let keys = children.map(|(child, _)| match self.each_own_class {
-            true => (None, None),
-            false => (
+        let keys = children.map(|(child, _)| {
+            (
                 (child < slice.n_taxa).then_some(child),
                 self.current(child).map(|c| &c.rep[..]),
-            ),
+            )
         });
+        #[cfg(test)]
+        let keys = if self.each_own_class {
+            [(None, None); 2]
+        } else {
+            keys
+        };
         let key = |(tip, rep): (Option<NodeId>, Option<&[u32]>), p: usize| match (tip, rep) {
             (Some(taxon), _) => slice.tip_state(p, taxon),
             (None, Some(rep)) => rep[p],
             (None, None) => p as u32,
         };
-        // Every key of a side is below its bound: a tip's largest mask + 1,
-        // or the pattern count. When the pairs fit a table of a few cells
-        // per pattern (a DNA tip on either side), it replaces the hash; it
-        // lives for one build, so no slice keeps one between builds.
-        let bound = |(tip, _): (Option<NodeId>, Option<&[u32]>)| match tip {
-            Some(taxon) => (0..patterns)
-                .map(|p| slice.tip_state(p, taxon) as usize + 1)
-                .max(),
-            None => Some(patterns),
-        };
-        let (left_bound, right_bound) = (bound(keys[0]).unwrap_or(0), bound(keys[1]).unwrap_or(0));
-        let cells = left_bound.saturating_mul(right_bound);
-        let dense = cells <= TABLE_CELLS_PER_PATTERN * patterns.max(16);
-        let mut table = if dense {
-            vec![u32::MAX; cells]
-        } else {
-            Vec::new()
-        };
-        let cell = |p: usize| key(keys[0], p) as usize * right_bound + key(keys[1], p) as usize;
         lookup.clear();
         let mut distinct = 0;
         for (p, out) in rep.iter_mut().enumerate() {
-            let first = if dense {
-                let first = &mut table[cell(p)];
-                if *first == u32::MAX {
-                    *first = p as u32;
-                }
-                *first
-            } else {
-                let pair = u64::from(key(keys[0], p)) << 32 | u64::from(key(keys[1], p));
-                *lookup.entry(pair).or_insert(p as u32)
-            };
+            let pair = u64::from(key(keys[0], p)) << 32 | u64::from(key(keys[1], p));
+            let first = *lookup.entry(pair).or_insert(p as u32);
             distinct += usize::from(first as usize == p);
             *out = first;
         }
@@ -478,7 +454,7 @@ impl SliceBuffers {
     /// `debug_assert_eq!` — release builds silently stored mismatched CLVs
     /// (e.g. ones computed for a different local pattern count after a
     /// mid-round migration), corrupting every later read. The buffers are
-    /// *not* stored on error.
+    /// *not* stored on error. A CLV stored through it has no repeat classes.
     pub fn put_back(&mut self, node: usize, clv: Vec<f64>, scale: Vec<i32>) -> Result<(), OpError> {
         if clv.len() != self.clv_len() {
             return Err(OpError::ClvShape {
@@ -496,11 +472,12 @@ impl SliceBuffers {
         }
         self.clvs[node] = Some(clv);
         self.scales[node] = Some(scale);
+        self.repeats.current[node] = 0;
         Ok(())
     }
 
     /// Finds or builds the repeat classes of `step` (see the module docs)
-    /// and makes them the ones [`SliceBuffers::representatives`] returns.
+    /// and makes them the ones [`SliceBuffers::repeat_walk`] walks.
     pub(crate) fn prepare_repeats(&mut self, slice: &PartitionSlice, step: &TraversalStep) {
         self.repeats.prepare(slice, step);
     }
@@ -1039,6 +1016,33 @@ mod tests {
         assert!(buf.clv(5).is_none());
         buf.put_back(5, clv, scale).unwrap();
         assert!(buf.clv(5).is_some());
+    }
+
+    #[test]
+    fn a_clv_moved_onto_another_node_carries_no_repeat_classes() {
+        let pp = patterns();
+        let categories = vec![4; pp.partition_count()];
+        let mut w = WorkerSlices::cyclic(&pp, 0, 1, 8, &categories);
+        let (slice, buf) = (&w.slices[0], &mut w.buffers[0]);
+        let step = |node, left, right| TraversalStep {
+            node,
+            left,
+            left_branch: 0,
+            right,
+            right_branch: 1,
+            towards: 2,
+        };
+        for (node, left, right) in [(3, 0, 1), (4, 0, 2)] {
+            buf.prepare_repeats(slice, &step(node, left, right));
+            let (clv, scale) = buf.take_node(node);
+            buf.put_back_step(node, clv, scale).unwrap();
+            assert!(buf.repeat_representatives(node).is_some());
+        }
+
+        let (clv, scale) = buf.take_node(3);
+        buf.put_back(4, clv, scale).unwrap();
+        assert!(buf.repeat_representatives(3).is_none());
+        assert!(buf.repeat_representatives(4).is_none());
     }
 
     #[test]
